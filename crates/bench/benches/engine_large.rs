@@ -6,9 +6,10 @@
 //!
 //! The recorded numbers (jobs simulated per second, plus an 8-way
 //! campaign-style fan-out at pool widths 1 and 8) land in the
-//! engine-throughput table of `EXPERIMENTS.md`. CI runs this bench once
-//! in smoke mode (`ENGINE_LARGE_SMOKE=1`: 2 samples) to catch
-//! order-of-magnitude regressions without paying full sampling.
+//! engine-throughput table of `EXPERIMENTS.md`. CI only compiles this
+//! bench (its wall-time smoke job gave way to `bench/smoke.sh`'s exact
+//! pins); `ENGINE_LARGE_SMOKE=1` cuts sampling to 2 for a quick local
+//! run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use predictsim_bench::large_workload;

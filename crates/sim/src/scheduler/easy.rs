@@ -20,9 +20,8 @@
 //! what Figure 2 of the paper illustrates.
 
 use crate::job::JobId;
-use crate::scheduler::profile::ReleaseSet;
 use crate::scheduler::{Scheduler, ScratchStats};
-use crate::state::SchedulerContext;
+use crate::state::{SchedulerContext, WaitingJob};
 use crate::time::Time;
 
 /// Order in which backfill candidates are examined (§5.1).
@@ -101,24 +100,27 @@ impl EasyScheduler {
     }
 
     /// The head reservation from the incrementally maintained release
-    /// set merged with this pass's phase-1 releases, or `None` when the
-    /// releases tied at the crossing instant are (possibly)
-    /// heterogeneous — there the extra count depends on the legacy sort
-    /// order, so the caller must fall back to the from-scratch
-    /// computation to stay byte-identical. A *uniform* tie (every
-    /// release at the crossing instant frees the same processor count —
-    /// see [`crate::scheduler::ReleasePoint::uniform`]) is resolved
-    /// here: all permutations of equal releases cross after the same
-    /// number of jobs, so the legacy walk's result is computable without
-    /// the sort.
+    /// set merged with this pass's phase-1 releases, with no sort. The
+    /// shadow time is order-free. So is `extra` unless several releases
+    /// tie at the crossing instant, where the legacy per-release walk
+    /// ([`head_reservation`]) may cross mid-group and what it reports
+    /// depends on the order its unstable sort left the group in:
+    ///
+    /// * a *uniform* tie (every release there frees the same processor
+    ///   count — see [`crate::scheduler::ReleasePoint::uniform`]) crosses
+    ///   after the same number of jobs in every order: exact;
+    /// * a group of two or three — found by one scan of the running jobs
+    ///   that stops at the last member — is enumerated: `extra` lies
+    ///   between the least and the greatest excess any order crosses
+    ///   with ([`crossing_excess`]);
+    /// * a larger group is bounded by 0 and by the whole group counted.
     fn fast_reservation(
         &self,
-        now: Time,
+        ctx: &SchedulerContext<'_>,
         free: u32,
         head_procs: u32,
-        releases: &ReleaseSet,
-    ) -> Option<Reservation> {
-        let base = releases.points();
+    ) -> ExtraBounds {
+        let base = ctx.releases.points();
         let extra = &self.phase1;
         let (mut i, mut j) = (0usize, 0usize);
         let mut avail = free;
@@ -130,19 +132,18 @@ impl EasyScheduler {
                 (None, None) => unreachable!("loop condition"),
             };
             let avail_before = avail;
-            let mut jobs_here = 0u32;
+            let (mut running_here, first_extra) = (0u32, j);
             // The common per-job release size of this instant's group, or
             // 0 when unknown/heterogeneous.
             let mut uniform = u32::MAX;
             if i < base.len() && base[i].time == t {
                 avail += base[i].procs;
-                jobs_here += base[i].jobs;
+                running_here = base[i].jobs;
                 uniform = base[i].uniform;
                 i += 1;
             }
             while j < extra.len() && extra[j].0 == t {
                 avail += extra[j].1;
-                jobs_here += 1;
                 uniform = if uniform == u32::MAX || uniform == extra[j].1 {
                     extra[j].1
                 } else {
@@ -150,38 +151,168 @@ impl EasyScheduler {
                 };
                 j += 1;
             }
-            if avail >= head_procs {
-                if jobs_here > 1 {
-                    if uniform == 0 {
-                        // (Possibly) heterogeneous tie at the crossing
-                        // instant: the legacy per-release walk may cross
-                        // mid-group and report fewer extra processors,
-                        // depending on sort order.
-                        return None;
-                    }
-                    // Uniform tie: the legacy walk crosses after
-                    // ⌈need/uniform⌉ of the equal releases regardless of
-                    // their order.
-                    let need = head_procs - avail_before;
-                    let k = need.div_ceil(uniform);
-                    return Some(Reservation {
-                        shadow: Time(t),
-                        extra: avail_before + k * uniform - head_procs,
-                    });
-                }
-                return Some(Reservation {
-                    shadow: Time(t),
-                    extra: avail - head_procs,
-                });
+            if avail < head_procs {
+                continue;
             }
+            let need = head_procs - avail_before;
+            let all = avail - head_procs;
+            let jobs_here = running_here as usize + (j - first_extra);
+            let (lo, hi) = if jobs_here == 1 {
+                (all, all)
+            } else if uniform != 0 {
+                let exact = need.next_multiple_of(uniform) - need;
+                (exact, exact)
+            } else if jobs_here > MAX_ENUMERATED_TIE {
+                (0, all)
+            } else {
+                let mut group = [0u32; MAX_ENUMERATED_TIE];
+                let running = ctx
+                    .running
+                    .iter()
+                    .filter(|r| r.partition == ctx.partition && r.predicted_end.0 == t)
+                    .take(running_here as usize)
+                    .map(|r| r.procs);
+                let phase1 = extra[first_extra..j].iter().map(|&(_, procs)| procs);
+                let mut members = 0;
+                for (slot, procs) in group.iter_mut().zip(running.chain(phase1)) {
+                    *slot = procs;
+                    members += 1;
+                }
+                debug_assert_eq!(members, jobs_here, "release set out of step with running");
+                crossing_excess(&group[..members], need)
+            };
+            return ExtraBounds {
+                shadow: Time(t),
+                lo,
+                hi,
+            };
         }
         // Releases exhausted without covering the head: the degrade
-        // branch is order-free, so the fast path may take it.
-        Some(Reservation {
-            shadow: now,
-            extra: 0,
-        })
+        // branch is order-free.
+        ExtraBounds {
+            shadow: ctx.now,
+            lo: 0,
+            hi: 0,
+        }
     }
+
+    /// Phase 3 — backfill the rest of the queue without delaying the
+    /// reservation, given only that the legacy `extra` lies in
+    /// `[lo, hi]`. A candidate that outlives the shadow is admitted when
+    /// it fits `lo` (it fits whatever the true value is; both bounds
+    /// shrink by its size, as the true value does) and refused when it
+    /// exceeds `hi`. Returns `false` — with `starts` partly filled —
+    /// at the first candidate in between, the only kind whose admission
+    /// depends on the tie order.
+    ///
+    /// Candidates are the queue positions after the head; in SJBF order
+    /// they come from the incrementally maintained shortest-first view
+    /// (a sorted list restricted to a subset is the sorted subset —
+    /// identical to sorting the candidates per pass, without the
+    /// per-pass sort).
+    fn backfill(
+        order: BackfillOrder,
+        ctx: &SchedulerContext<'_>,
+        head_idx: usize,
+        reservation: ExtraBounds,
+        mut free: u32,
+        starts: &mut Vec<JobId>,
+    ) -> bool {
+        let ExtraBounds {
+            shadow,
+            mut lo,
+            mut hi,
+        } = reservation;
+        // `false`: the interval cannot decide this candidate.
+        let mut decide = |job: &WaitingJob, free: &mut u32| {
+            if job.procs > *free {
+                return true;
+            }
+            let ends_by_shadow = ctx.now.plus(job.predicted) <= shadow;
+            if !ends_by_shadow {
+                if job.procs > hi {
+                    return true;
+                }
+                if job.procs > lo {
+                    return false;
+                }
+                lo -= job.procs;
+                hi -= job.procs;
+            }
+            *free -= job.procs;
+            starts.push(job.id);
+            true
+        };
+        // Once no processor is free, no candidate can start (every
+        // valid job needs at least one), so the remaining iterations
+        // are provably no-ops and the walk stops early — identical
+        // decisions, less per-pass work on deep queues.
+        match order {
+            BackfillOrder::Fcfs => {
+                for job in &ctx.queue[head_idx + 1..] {
+                    if free == 0 {
+                        break;
+                    }
+                    if !decide(job, &mut free) {
+                        return false;
+                    }
+                }
+            }
+            BackfillOrder::ShortestFirst => {
+                for &position in ctx.shortest_first {
+                    if free == 0 {
+                        break;
+                    }
+                    if (position as usize) <= head_idx {
+                        continue;
+                    }
+                    if !decide(&ctx.queue[position as usize], &mut free) {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
+    }
+}
+
+/// Largest crossing-instant tie whose orders are enumerated; a larger
+/// group keeps the trivial bounds.
+const MAX_ENUMERATED_TIE: usize = 3;
+
+/// What the sort-free reservation knows about the head: the shadow time,
+/// and a closed interval holding the `extra` [`head_reservation`] would
+/// report. `lo == hi` whenever no tie order can change it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ExtraBounds {
+    shadow: Time,
+    lo: u32,
+    hi: u32,
+}
+
+/// Least and greatest excess with which a per-release walk can cross
+/// `need` inside the tied `group`, over all the orders a sort might
+/// leave it in: the walk crosses on member `e` after a set `S` of the
+/// others exactly when `sum(S) < need ≤ sum(S) + e`, so every such pair
+/// is tried. `need` is positive and at most the group's total.
+fn crossing_excess(group: &[u32], need: u32) -> (u32, u32) {
+    let (mut lo, mut hi) = (u32::MAX, 0);
+    for (e, &last) in group.iter().enumerate() {
+        for others in (0u32..1 << group.len()).filter(|set| set & (1 << e) == 0) {
+            let before: u32 = group
+                .iter()
+                .enumerate()
+                .filter(|&(m, _)| others & (1 << m) != 0)
+                .map(|(_, &procs)| procs)
+                .sum();
+            if before < need && before + last >= need {
+                lo = lo.min(before + last - need);
+                hi = hi.max(before + last - need);
+            }
+        }
+    }
+    debug_assert!(lo <= hi, "no order of {group:?} crosses {need}");
+    (lo, hi)
 }
 
 /// Computes the head job's reservation: the shadow time and extra
@@ -238,6 +369,7 @@ impl Scheduler for EasyScheduler {
             // started in phase 1 also release processors at their
             // predicted ends and must be part of the computation; the
             // running jobs' releases come pre-sorted from `ctx.releases`.
+            // Phase 3 runs on what that determines without a sort.
             let head = &ctx.queue[head_idx];
             self.phase1.clear();
             self.phase1.extend(
@@ -246,74 +378,43 @@ impl Scheduler for EasyScheduler {
                     .map(|w| (ctx.now.plus(w.predicted).0, w.procs)),
             );
             self.phase1.sort_unstable_by_key(|&(t, _)| t);
-            let reservation = match self.fast_reservation(ctx.now, free, head.procs, ctx.releases) {
-                Some(r) => r,
-                None => {
-                    // Tie at the crossing instant: recompute exactly as
-                    // the from-scratch oracle would (legacy vector
-                    // order, unstable sort, per-release walk).
-                    self.stats.slow_passes += 1;
-                    self.fallback.clear();
-                    self.fallback.extend(
-                        ctx.running
-                            .iter()
-                            .filter(|r| r.partition == ctx.partition)
-                            .map(|r| (r.predicted_end, r.procs)),
-                    );
-                    self.fallback.extend(
-                        ctx.queue[..head_idx]
-                            .iter()
-                            .map(|w| (ctx.now.plus(w.predicted), w.procs)),
-                    );
-                    head_reservation(ctx.now, free, head.procs, &mut self.fallback)
-                }
-            };
-            let Reservation { shadow, mut extra } = reservation;
-
-            // Phase 3 — backfill the rest of the queue without delaying
-            // the reservation. Candidates are the queue positions after
-            // the head; in SJBF order they come from the incrementally
-            // maintained shortest-first view (a sorted list restricted
-            // to a subset is the sorted subset — identical to sorting
-            // the candidates per pass, without the per-pass sort).
-            let mut backfill = |job: &crate::state::WaitingJob, free: &mut u32| {
-                if job.procs > *free {
-                    return;
-                }
-                let ends_by_shadow = ctx.now.plus(job.predicted) <= shadow;
-                if ends_by_shadow {
-                    *free -= job.procs;
-                    starts.push(job.id);
-                } else if job.procs <= extra {
-                    extra -= job.procs;
-                    *free -= job.procs;
-                    starts.push(job.id);
-                }
-            };
-            // Once no processor is free, no candidate can start (every
-            // valid job needs at least one), so the remaining iterations
-            // are provably no-ops and the walk stops early — identical
-            // decisions, less per-pass work on deep queues.
-            match self.order {
-                BackfillOrder::Fcfs => {
-                    for job in &ctx.queue[head_idx + 1..] {
-                        if free == 0 {
-                            break;
-                        }
-                        backfill(job, &mut free);
-                    }
-                }
-                BackfillOrder::ShortestFirst => {
-                    for &position in ctx.shortest_first {
-                        if free == 0 {
-                            break;
-                        }
-                        if (position as usize) <= head_idx {
-                            continue;
-                        }
-                        backfill(&ctx.queue[position as usize], &mut free);
-                    }
-                }
+            if self.fallback.capacity() == 0 {
+                // Every release holds at least one processor, so the
+                // sort path's vector never outgrows this. Sized once,
+                // up front: letting a rare tie grow it late in a run
+                // cost 8 % of peak RSS through heap layout alone.
+                self.fallback.reserve(ctx.machine_size as usize);
+            }
+            let after_phase1 = starts.len();
+            let bounds = self.fast_reservation(ctx, free, head.procs);
+            if !Self::backfill(self.order, ctx, head_idx, bounds, free, starts) {
+                // A candidate's admission hangs on the tie order: undo
+                // phase 3 and recompute exactly as the from-scratch
+                // oracle would (legacy vector order, unstable sort,
+                // per-release walk).
+                starts.truncate(after_phase1);
+                self.stats.slow_passes += 1;
+                self.fallback.clear();
+                self.fallback.extend(
+                    ctx.running
+                        .iter()
+                        .filter(|r| r.partition == ctx.partition)
+                        .map(|r| (r.predicted_end, r.procs)),
+                );
+                self.fallback.extend(
+                    ctx.queue[..head_idx]
+                        .iter()
+                        .map(|w| (ctx.now.plus(w.predicted), w.procs)),
+                );
+                let Reservation { shadow, extra } =
+                    head_reservation(ctx.now, free, head.procs, &mut self.fallback);
+                let exact = ExtraBounds {
+                    shadow,
+                    lo: extra,
+                    hi: extra,
+                };
+                let decided = Self::backfill(self.order, ctx, head_idx, exact, free, starts);
+                debug_assert!(decided, "an exact reservation leaves no gap");
             }
         }
 
@@ -356,6 +457,48 @@ mod tests {
         let r = head_reservation(Time(0), 0, 1, &mut releases);
         assert_eq!(r.shadow, Time(10));
         assert_eq!(r.extra, 0);
+    }
+
+    /// `crossing_excess` against the walk it summarises: every order of
+    /// every group of two or three widths 1–6, for every need the group
+    /// can cover.
+    #[test]
+    fn crossing_excess_spans_every_order_of_the_group() {
+        fn walk(order: &[u32], need: u32) -> u32 {
+            let mut sum = 0;
+            for &procs in order {
+                sum += procs;
+                if sum >= need {
+                    return sum - need;
+                }
+            }
+            unreachable!("need exceeds the group")
+        }
+        for (a, b, c) in
+            (1..=6).flat_map(|a| (1..=6).flat_map(move |b| (0..=6).map(move |c| (a, b, c))))
+        {
+            // c = 0 stands for a group of two.
+            let group: Vec<u32> = [a, b, c].into_iter().filter(|&p| p > 0).collect();
+            let n = group.len();
+            for need in 1..=group.iter().sum() {
+                let mut seen = Vec::new();
+                for i in 0..n {
+                    for j in (0..n).filter(|&j| j != i) {
+                        let mut order = vec![group[i], group[j]];
+                        order.extend((0..n).filter(|&k| k != i && k != j).map(|k| group[k]));
+                        seen.push(walk(&order, need));
+                    }
+                }
+                let bounds = (*seen.iter().min().unwrap(), *seen.iter().max().unwrap());
+                assert_eq!(
+                    crossing_excess(&group, need),
+                    bounds,
+                    "{group:?} need {need}"
+                );
+            }
+        }
+        assert_eq!(crossing_excess(&[8, 2], 2), (0, 6));
+        assert_eq!(crossing_excess(&[2, 3], 5), (0, 0));
     }
 
     #[test]

@@ -79,7 +79,9 @@ pub struct ScratchStats {
     pub reallocating_passes: u64,
     /// Passes that fell back to a from-scratch computation because the
     /// incremental fast path could not prove byte-identity (EASY only:
-    /// a release tie at the reservation's crossing instant).
+    /// a backfill candidate whose admission depends on the order of
+    /// releases of different widths tied at the reservation's crossing
+    /// instant).
     pub slow_passes: u64,
 }
 

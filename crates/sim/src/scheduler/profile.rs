@@ -188,13 +188,12 @@ impl Profile {
     }
 
     /// Refills this profile from `now`, `free` idle processors, and the
-    /// incrementally maintained release set — the allocation-free
-    /// equivalent of [`Profile::new`] (byte-identical result for the
-    /// same release multiset: both aggregate per instant, and
-    /// aggregation is order-free).
+    /// incrementally maintained release set, without sorting or
+    /// allocating: each release adds its processors at its instant.
     ///
     /// Releases at or before `now` fold into the immediately-free
-    /// capacity, exactly as in [`Profile::new`].
+    /// capacity (they can occur transiently while corrections are being
+    /// applied).
     pub fn rebuild_from(&mut self, now: Time, free: u32, releases: &ReleaseSet) {
         self.points.clear();
         let pts = releases.points();
@@ -212,30 +211,6 @@ impl Profile {
         }
     }
 
-    /// Builds the profile as seen at `now` with `free` processors idle and
-    /// each `(end, procs)` release adding capacity at its (predicted) end.
-    ///
-    /// Releases at or before `now` are treated as immediately free (they
-    /// can occur transiently while corrections are being applied).
-    pub fn new(now: Time, free: u32, releases: &[(Time, u32)]) -> Self {
-        let mut deltas: Vec<(i64, i64)> = releases
-            .iter()
-            .map(|&(t, p)| (t.0.max(now.0), p as i64))
-            .collect();
-        deltas.sort_unstable();
-        let mut points = Vec::with_capacity(deltas.len() + 1);
-        points.push((now.0, free as i64));
-        for (t, p) in deltas {
-            let (last_t, last_free) = *points.last().expect("profile never empty");
-            if t == last_t {
-                points.last_mut().expect("non-empty").1 = last_free + p;
-            } else {
-                points.push((t, last_free + p));
-            }
-        }
-        Self { points }
-    }
-
     /// Free processors at instant `t` (clamped to the profile's start).
     pub fn free_at(&self, t: i64) -> i64 {
         match self.points.binary_search_by_key(&t, |&(pt, _)| pt) {
@@ -248,57 +223,46 @@ impl Profile {
     /// Earliest start `s ≥ from` such that at least `procs` processors are
     /// free during the whole interval `[s, s + duration)`.
     ///
+    /// One forward sweep from the segment holding `from` (segment `i`
+    /// spans `[points[i].0, points[i + 1].0)`; the first also covers
+    /// everything before it, as in [`Profile::free_at`]). A segment with
+    /// too little capacity rules out every start whose window would
+    /// overlap it, so the candidate jumps to that segment's end and the
+    /// sweep carries on from there: each breakpoint is read once, and the
+    /// result is the first feasible instant among `from` and the
+    /// breakpoints after it.
+    ///
     /// Feasibility is guaranteed whenever `procs` does not exceed the
     /// machine size, because capacity is non-decreasing after the last
     /// breakpoint.
     pub fn earliest_start(&self, from: i64, procs: u32, duration: i64) -> i64 {
         let procs = procs as i64;
         debug_assert!(duration > 0, "reservation must have positive duration");
-        // Candidate starts: `from` itself, then every later breakpoint —
-        // examined in place (this runs once per queued job per scheduling
-        // pass, so it must not allocate).
-        if self.feasible_at(from, procs, duration) {
-            return from;
-        }
-        for i in 0..self.points.len() {
-            let s = self.points[i].0;
-            if s <= from {
-                continue;
+        let first = self
+            .points
+            .partition_point(|&(t, _)| t <= from)
+            .saturating_sub(1);
+        let segments = &self.points[first..];
+        let mut start = from;
+        for (i, &(begin, free)) in segments.iter().enumerate() {
+            let end = segments.get(i + 1).map(|&(t, _)| t);
+            if free < procs {
+                match end {
+                    Some(end) => start = end,
+                    // With procs ≤ machine size this is unreachable;
+                    // degrade to the profile's horizon for robustness.
+                    None => return begin.max(from),
+                }
+            } else if end.is_none_or(|end| end >= start + duration) {
+                return start;
             }
-            if self.feasible_at(s, procs, duration) {
-                return s;
-            }
         }
-        // With procs ≤ machine size this is unreachable; degrade to the
-        // profile's horizon for robustness.
-        self.points
-            .last()
-            .map(|&(t, _)| t.max(from))
-            .unwrap_or(from)
+        // Only an empty profile gets here, and it constrains nothing.
+        from
     }
 
-    /// True when at least `procs` processors stay free during the whole
-    /// interval `[s, s + duration)`.
-    fn feasible_at(&self, s: i64, procs: i64, duration: i64) -> bool {
-        if self.free_at(s) < procs {
-            return false;
-        }
-        // Check every breakpoint inside (s, s+duration).
-        for &(t, f) in &self.points {
-            if t <= s {
-                continue;
-            }
-            if t >= s + duration {
-                break;
-            }
-            if f < procs {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Removes `procs` processors during `[start, start + duration)`.
+    /// Removes `procs` processors during `[start, start + duration)`,
+    /// touching only the breakpoints of that interval.
     ///
     /// # Panics
     ///
@@ -306,33 +270,27 @@ impl Profile {
     /// — callers must only reserve what [`Profile::earliest_start`]
     /// declared feasible.
     pub fn reserve(&mut self, start: i64, duration: i64, procs: u32) {
+        debug_assert!(duration > 0, "reservation must have positive duration");
         let procs = procs as i64;
-        let end = start + duration;
-        self.ensure_breakpoint(start);
-        self.ensure_breakpoint(end);
-        for (t, f) in self.points.iter_mut() {
-            if *t >= start && *t < end {
-                *f -= procs;
-                debug_assert!(*f >= 0, "over-reserved profile at t={t}: {f}");
-            }
+        let from = self.breakpoint(start);
+        let to = self.breakpoint(start + duration);
+        for (t, f) in &mut self.points[from..to] {
+            *f -= procs;
+            debug_assert!(*f >= 0, "over-reserved profile at t={t}: {f}");
         }
     }
 
-    fn ensure_breakpoint(&mut self, t: i64) {
-        match self.points.binary_search_by_key(&t, |&(pt, _)| pt) {
-            Ok(_) => {}
-            Err(0) => {
-                // Before profile start: extend backwards with the same free
-                // count (callers only reserve from `now` on, so this is a
-                // defensive path).
-                let f = self.points[0].1;
-                self.points.insert(0, (t, f));
-            }
-            Err(i) => {
-                let f = self.points[i - 1].1;
-                self.points.insert(i, (t, f));
-            }
+    /// Index of the breakpoint at `t`, inserted if absent with the free
+    /// count of the segment it splits (before the profile's start: of the
+    /// first segment — callers only reserve from `now` on, so that is a
+    /// defensive path).
+    fn breakpoint(&mut self, t: i64) -> usize {
+        let i = self.points.partition_point(|&(pt, _)| pt < t);
+        if self.points.get(i).is_none_or(|&(pt, _)| pt != t) {
+            let free = self.points[i.saturating_sub(1)].1;
+            self.points.insert(i, (t, free));
         }
+        i
     }
 
     /// The breakpoints, for inspection in tests.
@@ -350,9 +308,21 @@ impl Profile {
 mod tests {
     use super::*;
 
+    /// The profile at `now` with `free` idle and one job releasing
+    /// `procs` at each `(end, procs)`.
+    fn built(now: i64, free: u32, releases: &[(i64, u32)]) -> Profile {
+        let mut set = ReleaseSet::new();
+        for &(end, procs) in releases {
+            set.add(end, procs);
+        }
+        let mut p = Profile::empty();
+        p.rebuild_from(Time(now), free, &set);
+        p
+    }
+
     fn profile() -> Profile {
         // now=0, 2 free; +4 at t=100; +2 at t=50 -> [(0,2),(50,4),(100,8)]
-        Profile::new(Time(0), 2, &[(Time(100), 4), (Time(50), 2)])
+        built(0, 2, &[(100, 4), (50, 2)])
     }
 
     #[test]
@@ -363,13 +333,13 @@ mod tests {
 
     #[test]
     fn releases_at_same_instant_merge() {
-        let p = Profile::new(Time(0), 0, &[(Time(10), 1), (Time(10), 2)]);
+        let p = built(0, 0, &[(10, 1), (10, 2)]);
         assert_eq!(p.points(), &[(0, 0), (10, 3)]);
     }
 
     #[test]
     fn past_releases_count_as_immediate() {
-        let p = Profile::new(Time(100), 1, &[(Time(50), 3)]);
+        let p = built(100, 1, &[(50, 3)]);
         assert_eq!(p.points(), &[(100, 4)]);
     }
 
@@ -437,12 +407,40 @@ mod tests {
 
     #[test]
     fn sequential_reservations_stack() {
-        let mut p = Profile::new(Time(0), 4, &[]);
+        let mut p = built(0, 4, &[]);
         let s1 = p.earliest_start(0, 3, 100);
         p.reserve(s1, 100, 3);
         let s2 = p.earliest_start(0, 3, 100);
         assert_eq!(s1, 0);
         assert_eq!(s2, 100); // must queue behind the first
+    }
+
+    /// Complexity guard that reads no clock. 20 000 breakpoints whose
+    /// capacity alternates 1, 0, 1, 0, … and 2 000 one-processor
+    /// reservations two seconds long: none fits before the horizon, so
+    /// every search crosses the whole profile. The sweep reads each
+    /// breakpoint once per search (4 × 10⁷ steps in all, milliseconds);
+    /// trying every breakpoint as a candidate and re-scanning from index
+    /// 0 for each — the search this replaced, now `reference.rs`'s — is
+    /// 10⁸ steps *per reservation* and would not finish in minutes, so
+    /// the quadratic shape cannot come back unnoticed.
+    #[test]
+    fn alternating_profile_is_swept_in_linear_time() {
+        const BREAKPOINTS: i64 = 20_000;
+        let mut p = Profile {
+            points: (0..BREAKPOINTS)
+                .map(|t| (t, (t + 1) % 2))
+                .chain([(BREAKPOINTS, 1)])
+                .collect(),
+        };
+        for k in 0..2_000 {
+            let start = p.earliest_start(0, 1, 2);
+            assert_eq!(start, BREAKPOINTS + 2 * k, "reservation {k}");
+            p.reserve(start, 2, 1);
+        }
+        assert_eq!(p.points().len() as i64, BREAKPOINTS + 2_001);
+        assert_eq!(p.free_at(BREAKPOINTS + 3_999), 0);
+        assert_eq!(p.free_at(BREAKPOINTS + 4_000), 1);
     }
 
     #[test]
@@ -510,8 +508,10 @@ mod tests {
         set.add(100, 2);
         let mut incremental = Profile::empty();
         incremental.rebuild_from(Time(0), 2, &set);
-        let scratch = Profile::new(Time(0), 2, &[(Time(100), 4), (Time(50), 2), (Time(100), 2)]);
-        assert_eq!(incremental, scratch);
+        // What sorting and accumulating the three releases from scratch
+        // gives (the oracle's constructor; `reference.rs` compares the two
+        // on random inputs).
+        assert_eq!(incremental.points(), &[(0, 2), (50, 4), (100, 10)]);
     }
 
     #[test]
@@ -522,10 +522,6 @@ mod tests {
         let mut incremental = Profile::empty();
         incremental.rebuild_from(Time(100), 1, &set);
         assert_eq!(incremental.points(), &[(100, 4), (200, 5)]);
-        assert_eq!(
-            incremental,
-            Profile::new(Time(100), 1, &[(Time(50), 3), (Time(200), 1)])
-        );
     }
 
     #[test]

@@ -19,7 +19,10 @@ use predictsim_sim::engine::{simulate, SimConfig};
 use predictsim_sim::job::{Job, JobId};
 use predictsim_sim::predict::RequestedTimePredictor;
 use predictsim_sim::scheduler::easy::BackfillOrder;
-use predictsim_sim::scheduler::{EasyScheduler, ReferenceEasy, ReferenceHetero, Scheduler};
+use predictsim_sim::scheduler::{
+    ConservativeScheduler, EasyScheduler, ReferenceConservative, ReferenceEasy, ReferenceHetero,
+    Scheduler,
+};
 use predictsim_sim::state::{RunningJob, SchedulerContext, SimState, WaitingJob};
 use predictsim_sim::time::Time;
 
@@ -54,20 +57,19 @@ fn arb_cluster() -> impl Strategy<Value = ClusterSpec> {
     })
 }
 
-/// One engine-style routing instant over `state` at `now`: a production
-/// scheduler pass per partition in first-fit order, applying starts and
-/// compacting the queue between passes — exactly the engine's loop. The
-/// `(job, partition)` placements are returned in decision order.
+/// One engine-style routing instant over `state` at `now`: a pass of
+/// `scheduler` per partition in first-fit order, applying starts and
+/// compacting the queue between passes — exactly the engine's loop.
+/// `referee` sees each pass's context and starts before they are
+/// applied. The `(job, partition)` placements are returned in decision
+/// order.
 fn route_like_engine(
     state: &mut SimState,
     cluster: ClusterSpec,
     now: Time,
-    order: BackfillOrder,
+    scheduler: &mut dyn Scheduler,
+    mut referee: impl FnMut(&SchedulerContext<'_>, &[JobId]),
 ) -> Vec<(JobId, u32)> {
-    let mut scheduler = match order {
-        BackfillOrder::Fcfs => EasyScheduler::new(),
-        BackfillOrder::ShortestFirst => EasyScheduler::sjbf(),
-    };
     let mut placements = Vec::new();
     for partition in 0..cluster.len() as u32 {
         if state.queue_is_empty() {
@@ -76,7 +78,7 @@ fn route_like_engine(
         if state.free_in(partition) == 0 {
             continue;
         }
-        let starts = scheduler.schedule(&SchedulerContext {
+        let ctx = SchedulerContext {
             now,
             partition,
             machine_size: cluster.part(partition as usize).size,
@@ -85,7 +87,9 @@ fn route_like_engine(
             running: state.running(),
             releases: state.releases_in(partition),
             shortest_first: state.shortest_first(),
-        });
+        };
+        let starts = scheduler.schedule(&ctx);
+        referee(&ctx, &starts);
         for &id in &starts {
             let index = state
                 .waiting_index(id)
@@ -164,11 +168,72 @@ proptest! {
                     let running = state.running().to_vec();
                     let expected = ReferenceHetero { order }
                         .schedule(Time(0), cluster, &queue, &running);
-                    let placed = route_like_engine(&mut state, cluster, Time(0), order);
+                    let mut production = EasyScheduler::with_order(order);
+                    let placed =
+                        route_like_engine(&mut state, cluster, Time(0), &mut production, |_, _| {});
                     prop_assert_eq!(
                         placed, expected,
                         "engine routing diverged from ReferenceHetero"
                     );
+                }
+                // Finish or correct a running job.
+                _ => {
+                    if state.running().is_empty() {
+                        continue;
+                    }
+                    let index = pick % state.running().len();
+                    let id = state.running()[index].id;
+                    if pick % 2 == 0 {
+                        state.finish(id);
+                    } else {
+                        let index = state.running_index(id).unwrap();
+                        state.apply_correction(index, Time(TIE_TIMES[t_index] + 1));
+                    }
+                }
+            }
+            state.assert_consistent();
+        }
+    }
+
+    /// The per-partition conservative pass against its oracle on a
+    /// two-partition machine. Random submits, routed starts, finishes and
+    /// corrections leave running jobs on both partitions, often tied at
+    /// the same instants; each partition's pass must plan from its own
+    /// running jobs only — `ctx.running` holds the other partition's too
+    /// — and start what `ReferenceConservative` starts.
+    #[test]
+    fn conservative_matches_oracle_per_partition(
+        sizes in (8u32..=16, 8u32..=16),
+        ops in prop::collection::vec((0u8..4, 0usize..8, 0usize..TIE_TIMES.len()), 1..40),
+    ) {
+        let cluster = ClusterSpec::from_partitions(&[
+            Partition { size: sizes.0, speed: 1.0 },
+            Partition { size: sizes.1, speed: 0.5 },
+        ]).expect("valid partitions");
+        let n = 64usize;
+        let mut state = SimState::new_cluster(cluster, n);
+        let mut production = ConservativeScheduler::new();
+        let mut next_id = 0u32;
+        for (op, pick, t_index) in ops {
+            match op {
+                // Submit a job no wider than the narrower partition (the
+                // conservative precondition: procs ≤ machine).
+                0 | 1 => {
+                    if (next_id as usize) < n {
+                        let procs = 1 + pick as u32;
+                        state.enqueue(waiting(next_id, procs, TIE_TIMES[t_index], next_id as i64));
+                        next_id += 1;
+                    }
+                }
+                // One routing instant, first-fit, each pass refereed.
+                2 => {
+                    let mut diverged = None;
+                    route_like_engine(&mut state, cluster, Time(0), &mut production, |ctx, starts| {
+                        if starts != ReferenceConservative.schedule(ctx) {
+                            diverged.get_or_insert(ctx.partition);
+                        }
+                    });
+                    prop_assert_eq!(diverged, None, "conservative diverged from its oracle");
                 }
                 // Finish or correct a running job.
                 _ => {
