@@ -77,7 +77,7 @@ impl OnlineRegression {
         )
     }
 
-    /// Full control over every component (used by the ablation benches).
+    /// Full control over every component (used by the ablations).
     pub fn with_parts(
         basis: Basis,
         optimizer: Box<dyn OnlineOptimizer>,
@@ -178,11 +178,6 @@ impl OnlineRegression {
     /// The configured weighting scheme.
     pub fn weighting(&self) -> WeightingScheme {
         self.weighting
-    }
-
-    /// The optimizer's display name.
-    pub fn optimizer_name(&self) -> &'static str {
-        self.optimizer.name()
     }
 }
 

@@ -193,16 +193,6 @@ impl MlPredictor {
         Self::new(MlConfig::e_loss())
     }
 
-    /// The symmetric squared-loss learner ("standard squared loss
-    /// regression problem, learned in an on-line manner", §4.2) — the
-    /// comparison curve of Figures 4 and 5.
-    pub fn squared_loss() -> Self {
-        Self::new(MlConfig::new(
-            AsymmetricLoss::SQUARED,
-            WeightingScheme::Constant,
-        ))
-    }
-
     /// The configuration this predictor was built from.
     pub fn config(&self) -> &MlConfig {
         &self.config

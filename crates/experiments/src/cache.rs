@@ -99,7 +99,7 @@ use predictsim_sim::{ClusterSpec, NullObserver, SimObserver};
 use serde::{Deserialize, Serialize};
 
 use crate::campaign::TripleResult;
-use crate::scenario::{Scenario, ScenarioError};
+use crate::scenario::ScenarioError;
 use crate::source::JobArena;
 use crate::triple::HeuristicTriple;
 
@@ -463,14 +463,7 @@ impl Lease<'_> {
     /// Installs the finished cell in its shard and hands it to every
     /// waiter.
     fn fulfill(mut self, cell: CachedCell) {
-        let replaced = self.cache.install(self.key.clone(), cell.clone());
-        if let Some(other) = replaced {
-            // `record_simulated` (or a racing leader) left a different
-            // flight in the slot; resolve it too so its waiters wake.
-            if !Arc::ptr_eq(&other, &self.flight) {
-                other.finish(Some(cell.clone()));
-            }
-        }
+        self.cache.install(self.key.clone(), cell.clone());
         self.flight.finish(Some(cell));
         self.fulfilled = true;
     }
@@ -532,7 +525,7 @@ impl SimCache {
     /// retried and surfaces as [`ScenarioError::CellPanicked`].
     pub const PANIC_RETRIES: u32 = 3;
 
-    /// An independent cache instance (tests, benches, embedding several
+    /// An independent cache instance (tests, `bench/`, embedding several
     /// cache domains). Experiments route through [`SimCache::global`].
     pub fn new() -> Self {
         Self {
@@ -835,47 +828,6 @@ impl SimCache {
         }
     }
 
-    /// A non-simulating lookup: the memoized cell if either layer holds
-    /// it, else `None` (counted as a hit only when found). Joins an
-    /// in-flight simulation of the cell rather than returning `None` —
-    /// the exact value another worker is already computing beats
-    /// anything the caller would do on a miss. The `--prune` sweep uses
-    /// this to prefer an exact memoized value over an early-abort bound.
-    pub fn peek(
-        &self,
-        arena: &JobArena,
-        cluster: ClusterSpec,
-        triple: &HeuristicTriple,
-    ) -> Option<CachedCell> {
-        let key = CellKey::new(arena, cluster, triple);
-        loop {
-            match self.claim(&key) {
-                Claim::Hit(cell) => {
-                    self.memory_hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(cell);
-                }
-                Claim::Wait(flight) => {
-                    if let Some(cell) = flight.wait() {
-                        self.memory_hits.fetch_add(1, Ordering::Relaxed);
-                        self.coalesced.fetch_add(1, Ordering::Relaxed);
-                        return Some(cell);
-                    }
-                    // Leader failed; re-examine the shard.
-                }
-                Claim::Lead(lease) => {
-                    return match self.load_disk(&key) {
-                        Some(cell) => {
-                            self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                            lease.fulfill(cell.clone());
-                            Some(cell)
-                        }
-                        None => None, // lease drop withdraws the marker
-                    };
-                }
-            }
-        }
-    }
-
     /// Runs (or recalls) one cell: `triple` on the `arena` workload on
     /// `cluster`. The returned aggregates are byte-identical to a
     /// fresh simulation's whichever layer serves them.
@@ -909,8 +861,10 @@ impl SimCache {
     /// [`SimObserver::keep_running`] turns `false` aborts the in-flight
     /// simulation with [`predictsim_sim::SimError::Aborted`], the lease
     /// is withdrawn, and any coalesced waiters retry (one becomes the
-    /// next leader). Progress heartbeats (`--progress`) and the serve
-    /// daemon's streamed `metrics` frames both ride this path.
+    /// next leader). Progress heartbeats (`--progress`), the serve
+    /// daemon's streamed `metrics` frames and the `--prune` sweep's
+    /// early-abort observer all ride this path; an aborted run counts
+    /// in [`CacheStats::simulated`] and stores nothing.
     pub fn run_cell_observed_traced(
         &self,
         arena: &JobArena,
@@ -970,20 +924,9 @@ impl SimCache {
         }
     }
 
-    /// Like [`SimCache::run_cell`], but guarantees the predictions are
-    /// present (re-simulating without caching when the budget dropped
-    /// them).
-    pub fn run_cell_full(
-        &self,
-        arena: &JobArena,
-        cluster: ClusterSpec,
-        triple: &HeuristicTriple,
-    ) -> Result<(TripleResult, Arc<Vec<i64>>), ScenarioError> {
-        self.run_cell_full_traced(arena, cluster, triple)
-            .map(|(result, predictions, _)| (result, predictions))
-    }
-
-    /// [`SimCache::run_cell_full`], also reporting the serving layer.
+    /// Like [`SimCache::run_cell_traced`], but guarantees the predictions
+    /// are present (re-simulating without caching when the budget
+    /// dropped them).
     pub fn run_cell_full_traced(
         &self,
         arena: &JobArena,
@@ -995,44 +938,15 @@ impl SimCache {
             return Ok((cell.result, predictions, source));
         }
         self.simulated.fetch_add(1, Ordering::Relaxed);
-        let sim =
-            Scenario::from_triple(triple).run_on(arena, predictsim_sim::SimConfig { cluster })?;
+        let sim = self.simulate_isolated(triple, arena, cluster, &mut NullObserver)?;
         let predictions: Vec<i64> = sim.outcomes.iter().map(|o| o.initial_prediction).collect();
         Ok((cell.result, Arc::new(predictions), CellSource::Simulated))
     }
 
-    /// Records a cell that was simulated outside [`SimCache::run_cell`]
-    /// (the prune sweep's fully completed, non-aborted phase-2 runs):
-    /// counts it as simulated, memoizes it, and persists it like any
-    /// run_cell miss. If another worker has the same cell in flight,
-    /// its waiters are handed this value. Never call this with
-    /// early-abort bounds — only exact results belong in the cache.
-    pub(crate) fn record_simulated(
-        &self,
-        arena: &JobArena,
-        cluster: ClusterSpec,
-        triple: &HeuristicTriple,
-        result: TripleResult,
-        predictions: Vec<i64>,
-    ) {
-        self.simulated.fetch_add(1, Ordering::Relaxed);
-        let key = CellKey::new(arena, cluster, triple);
-        let cell = CachedCell {
-            result,
-            predictions: Some(Arc::new(predictions)),
-        };
-        self.store_disk(&key, &cell);
-        if let Some(flight) = self.install(key, cell.clone()) {
-            flight.finish(Some(cell));
-        }
-    }
-
     /// Installs a finished cell into its shard, enforcing the shard's
     /// prediction-budget slice. Replacing an existing cell refunds its
-    /// vector first (budget-neutral re-insert). Returns the in-flight
-    /// marker this install displaced, if any — the caller must resolve
-    /// it so its waiters wake.
-    fn install(&self, key: CellKey, mut cell: CachedCell) -> Option<Arc<Flight>> {
+    /// vector first (budget-neutral re-insert).
+    fn install(&self, key: CellKey, mut cell: CachedCell) {
         let mut shard = self.shard(&key).lock().expect("cache shard lock");
         if let Some(Slot::Ready(old)) = shard.cells.get(&key) {
             if let Some(old_predictions) = &old.predictions {
@@ -1046,10 +960,7 @@ impl SimCache {
                 cell.predictions = None;
             }
         }
-        match shard.cells.insert(key, Slot::Ready(cell)) {
-            Some(Slot::InFlight(flight)) => Some(flight),
-            _ => None,
-        }
+        shard.cells.insert(key, Slot::Ready(cell));
     }
 
     /// Name of the LRU index file inside a persistent cache directory.
@@ -1263,6 +1174,7 @@ impl SimCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Scenario;
     use crate::triple::Variant;
     use predictsim_workload::{generate, WorkloadSpec};
 
@@ -1455,40 +1367,6 @@ mod tests {
     }
 
     #[test]
-    fn record_simulated_memoizes_persists_and_counts() {
-        let dir = temp_dir("record");
-        let (arena, m) = tiny_arena(12);
-        let triple = HeuristicTriple::easy_plus_plus();
-
-        // The value an external driver (the prune sweep) simulated.
-        let sim = Scenario::from_triple(&triple)
-            .run_on(&arena, predictsim_sim::SimConfig { cluster: m })
-            .unwrap();
-        let result = TripleResult::from_sim(&triple, &sim);
-        let predictions: Vec<i64> = sim.outcomes.iter().map(|o| o.initial_prediction).collect();
-
-        let cache = private();
-        cache.set_persist_dir(Some(dir.clone()));
-        cache.record_simulated(&arena, m, &triple, result.clone(), predictions.clone());
-        assert_eq!(cache.stats().simulated, 1, "recorded runs count as work");
-
-        // Memoized for this process...
-        let peeked = cache.peek(&arena, m, &triple).expect("cell memoized");
-        assert_eq!(peeked.result, result);
-        // ...and persisted for the next one.
-        let reader = private();
-        reader.set_persist_dir(Some(dir.clone()));
-        let recalled = reader.run_cell(&arena, m, &triple).unwrap();
-        assert_eq!(reader.stats().simulated, 0);
-        assert_eq!(recalled.result, result);
-        assert_eq!(
-            recalled.predictions.as_deref().map(|p| p.as_slice()),
-            Some(predictions.as_slice())
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn exhausted_budget_drops_predictions_but_keeps_aggregates() {
         let cache = private();
         cache.set_prediction_budget(10); // tiny budget
@@ -1499,8 +1377,9 @@ mod tests {
         let again = cache.run_cell(&arena, m, &triple).unwrap();
         assert!(again.predictions.is_none(), "budget dropped the vector");
         assert_eq!(again.result, cell.result);
-        // run_cell_full re-simulates to recover them.
-        let (result, predictions) = cache.run_cell_full(&arena, m, &triple).unwrap();
+        // run_cell_full_traced re-simulates to recover them.
+        let (result, predictions, source) = cache.run_cell_full_traced(&arena, m, &triple).unwrap();
+        assert_eq!(source, CellSource::Simulated);
         assert_eq!(result, cell.result);
         assert_eq!(
             Some(predictions.as_slice()),
@@ -1519,17 +1398,21 @@ mod tests {
         let sim = Scenario::from_triple(&triple)
             .run_on(&arena, predictsim_sim::SimConfig { cluster: m })
             .unwrap();
-        let result = TripleResult::from_sim(&triple, &sim);
         let predictions: Vec<i64> = sim.outcomes.iter().map(|o| o.initial_prediction).collect();
+        let cell = CachedCell {
+            result: TripleResult::from_sim(&triple, &sim),
+            predictions: Some(Arc::new(predictions.clone())),
+        };
+        let key = CellKey::new(&arena, m, &triple);
 
         let cache = private();
         let full = cache.prediction_budget_remaining();
-        cache.record_simulated(&arena, m, &triple, result.clone(), predictions.clone());
+        cache.install(key.clone(), cell.clone());
         let after_first = cache.prediction_budget_remaining();
         assert_eq!(after_first, full - predictions.len());
-        // Same key again (racing miss / disk-hit promotion / repeated
-        // prune record): spend must not double.
-        cache.record_simulated(&arena, m, &triple, result.clone(), predictions.clone());
+        // Same key again (two leaders racing across a `clear_memory`):
+        // spend must not double.
+        cache.install(key, cell);
         assert_eq!(
             cache.prediction_budget_remaining(),
             after_first,

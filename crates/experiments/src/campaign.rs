@@ -10,10 +10,10 @@ use serde::{Deserialize, Serialize};
 
 use predictsim_metrics::DEFAULT_TAU;
 use predictsim_sim::{ClusterSpec, SimResult};
-use predictsim_workload::GeneratedWorkload;
 
 use crate::cache::SimCache;
-use crate::source::{JobArena, LoadedWorkload, SourceError, WorkloadSource};
+use crate::scenario::ScenarioError;
+use crate::source::LoadedWorkload;
 use crate::triple::HeuristicTriple;
 
 /// Aggregated metrics of one triple on one workload.
@@ -154,17 +154,20 @@ impl CampaignResult {
     }
 }
 
-/// Runs `triples` on a shared workload arena, in parallel, through the
+/// Runs `triples` on a loaded workload placed on an explicit
+/// [`ClusterSpec`] instead of the workload's own single machine — the
+/// heterogeneous campaign entry point — in parallel, through the
 /// process-wide [`SimCache`] (cells already simulated by *any*
 /// experiment this process — or found in the persistent `--cache`
-/// layer — are recalled instead of re-simulated).
-fn run_campaign_arena(
-    log: &str,
+/// layer — are recalled instead of re-simulated). The result's
+/// `machine_size` is the cluster's total processor count.
+pub fn run_campaign_cluster(
+    workload: &LoadedWorkload,
     cluster: ClusterSpec,
-    arena: &JobArena,
     triples: &[HeuristicTriple],
 ) -> CampaignResult {
     let cache = SimCache::global();
+    let (log, arena) = (&workload.name, &workload.jobs);
     let progress = crate::progress::CellProgress::new(format!("campaign {log}"), triples.len());
     let results: Vec<TripleResult> = triples
         .par_iter()
@@ -192,25 +195,20 @@ fn run_campaign_arena(
         })
         .collect();
     CampaignResult {
-        log: log.to_string(),
+        log: log.clone(),
         machine_size: cluster.total_procs(),
         jobs: arena.len(),
         results,
     }
 }
 
-/// Runs `triples` on `workload`, in parallel.
+/// Runs `triples` on an already loaded workload (synthetic or SWF — see
+/// [`crate::source`]) on the workload's own single machine, in parallel.
 ///
 /// # Panics
 ///
-/// Panics if any simulation rejects the workload — the generator's output
-/// is validated, so a failure here is a bug, not an input condition.
-pub fn run_campaign(workload: &GeneratedWorkload, triples: &[HeuristicTriple]) -> CampaignResult {
-    run_campaign_loaded(&workload.into(), triples)
-}
-
-/// Runs `triples` on an already loaded workload (synthetic or SWF — see
-/// [`crate::source`]), in parallel.
+/// Panics if any simulation rejects the workload — a loaded workload is
+/// validated, so a failure here is a bug, not an input condition.
 pub fn run_campaign_loaded(
     workload: &LoadedWorkload,
     triples: &[HeuristicTriple],
@@ -220,28 +218,6 @@ pub fn run_campaign_loaded(
         ClusterSpec::single(workload.machine_size),
         triples,
     )
-}
-
-/// Runs `triples` on a loaded workload placed on an explicit
-/// [`ClusterSpec`] instead of the workload's own single machine — the
-/// heterogeneous campaign entry point. The result's `machine_size` is
-/// the cluster's total processor count.
-pub fn run_campaign_cluster(
-    workload: &LoadedWorkload,
-    cluster: ClusterSpec,
-    triples: &[HeuristicTriple],
-) -> CampaignResult {
-    run_campaign_arena(&workload.name, cluster, &workload.jobs, triples)
-}
-
-/// Loads `source` and runs `triples` on it: the one-call campaign for
-/// any [`WorkloadSource`].
-pub fn run_campaign_source(
-    source: &dyn WorkloadSource,
-    triples: &[HeuristicTriple],
-) -> Result<CampaignResult, SourceError> {
-    let loaded = source.load()?;
-    Ok(run_campaign_loaded(&loaded, triples))
 }
 
 /// A campaign run in the opt-in `--prune` sweep mode: dominated triples
@@ -399,11 +375,17 @@ pub fn prune_exempt(triple: &HeuristicTriple) -> bool {
 /// triple whose running prefix-AVEbsld lower bound exceeds the
 /// threshold; aborted cells record that lower bound.
 ///
-/// The winner is preserved exactly: a pruned triple's true AVEbsld is ≥
-/// its recorded lower bound > threshold ≥ the winner's value, so
-/// neither per-log ordering against the winner nor the cross-validated
-/// selection can change. Aborted cells are never written to the
-/// [`SimCache`] (their metrics are bounds, not values).
+/// This log's winner is preserved exactly: a pruned triple's true
+/// AVEbsld is ≥ its recorded lower bound > threshold ≥ the winner's
+/// value. Nothing holds across logs: `repro` drops a triple pruned on
+/// any log from every log — including logs it wins and folds where the
+/// exhaustive sweep would have selected it — so its tables and
+/// cross-validated selection differ from the exhaustive run's (measured
+/// headline at scale 0.02: 38 % with `--prune`, 31 % exhaustive).
+/// Aborted cells are never written to the [`SimCache`] (their metrics
+/// are bounds, not values) but do count in
+/// [`crate::cache::CacheStats::simulated`], like every other aborted
+/// run.
 pub fn run_campaign_pruned(
     workload: &LoadedWorkload,
     triples: &[HeuristicTriple],
@@ -451,38 +433,19 @@ pub fn run_campaign_pruned(
             if let Some(result) = exempt_by_name.get(triple.name().as_str()) {
                 return ((*result).clone(), false);
             }
-            // An exact memoized value beats an early-abort bound.
-            if let Some(cell) = cache.peek(arena, cluster, triple) {
-                progress.cell_recalled(&triple.name());
-                return (cell.result, false);
-            }
+            // The cache's own cell path with the early-abort observer on
+            // the miss: a memoized or on-disk cell comes back exact
+            // without the observer seeing an event; a completed run is
+            // memoized and persisted like any miss; an abort leaves the
+            // cache untouched and the bound in the observer.
             let started = crate::progress::start();
             let mut observer = PruneObserver::new(arena.len(), threshold);
-            let outcome = crate::scenario::run_triple_with_scratch(
-                triple,
-                arena,
-                predictsim_sim::SimConfig { cluster },
-                &mut observer,
-            );
-            match outcome {
-                Ok(sim) => {
-                    // A fully completed run is exact — memoize it like
-                    // any cache miss, so cross-experiment dedup, the
-                    // persistent layer and the cache accounting keep
-                    // working under `--prune` (only aborted cells, whose
-                    // metrics are bounds, stay out of the cache).
-                    let result = TripleResult::from_sim(triple, &sim);
-                    let predictions: Vec<i64> =
-                        sim.outcomes.iter().map(|o| o.initial_prediction).collect();
-                    cache.record_simulated(arena, cluster, triple, result.clone(), predictions);
-                    progress.cell_done(
-                        &triple.name(),
-                        crate::cache::CellSource::Simulated,
-                        started,
-                    );
-                    (result, false)
+            match cache.run_cell_observed_traced(arena, cluster, triple, &mut observer) {
+                Ok((cell, source)) => {
+                    progress.cell_done(&triple.name(), source, started);
+                    (cell.result, false)
                 }
-                Err(predictsim_sim::SimError::Aborted { .. }) => {
+                Err(ScenarioError::Sim(predictsim_sim::SimError::Aborted { .. })) => {
                     progress.cell_pruned(&triple.name(), started);
                     (observer.partial_result(triple, machine_size), true)
                 }
@@ -514,11 +477,11 @@ mod tests {
     use crate::triple::{reference_triples, HeuristicTriple, Variant};
     use predictsim_workload::{generate, WorkloadSpec};
 
-    fn tiny_workload() -> GeneratedWorkload {
+    fn tiny_workload() -> LoadedWorkload {
         let mut spec = WorkloadSpec::toy();
         spec.jobs = 300;
         spec.duration = 3 * 86_400;
-        generate(&spec, 11)
+        generate(&spec, 11).into()
     }
 
     #[test]
@@ -530,7 +493,7 @@ mod tests {
             HeuristicTriple::paper_winner(),
             HeuristicTriple::clairvoyant(Variant::EasySjbf),
         ];
-        let campaign = run_campaign(&w, &triples);
+        let campaign = run_campaign_loaded(&w, &triples);
         assert_eq!(campaign.results.len(), 4);
         assert_eq!(campaign.jobs, 300);
         for r in &campaign.results {
@@ -551,15 +514,15 @@ mod tests {
             HeuristicTriple::standard_easy(),
             HeuristicTriple::paper_winner(),
         ];
-        let a = run_campaign(&w, &triples);
-        let b = run_campaign(&w, &triples);
+        let a = run_campaign_loaded(&w, &triples);
+        let b = run_campaign_loaded(&w, &triples);
         assert_eq!(a, b);
     }
 
     #[test]
     fn reference_triples_have_no_corrections() {
         let w = tiny_workload();
-        let campaign = run_campaign(&w, &reference_triples());
+        let campaign = run_campaign_loaded(&w, &reference_triples());
         for r in &campaign.results {
             assert_eq!(r.corrections, 0, "clairvoyant must never correct");
             assert_eq!(r.mae, 0.0, "clairvoyant MAE is zero by definition");
@@ -569,7 +532,7 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let w = tiny_workload();
-        let campaign = run_campaign(&w, &[HeuristicTriple::standard_easy()]);
+        let campaign = run_campaign_loaded(&w, &[HeuristicTriple::standard_easy()]);
         let json = serde_json::to_string(&campaign).unwrap();
         let back: CampaignResult = serde_json::from_str(&json).unwrap();
         assert_eq!(back, campaign);

@@ -20,7 +20,7 @@ pub struct ExperimentSetup {
 
 impl ExperimentSetup {
     /// Quick setup (5% of the full log sizes): the default for `repro`,
-    /// test suites and benches; a full campaign finishes in seconds.
+    /// test suites and `bench/`; a full campaign finishes in seconds.
     pub fn quick() -> Self {
         Self {
             scale: QUICK_SCALE,

@@ -10,8 +10,7 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::campaign::{run_campaign_source, CampaignResult};
-use crate::source::{SourceError, WorkloadSource};
+use crate::campaign::CampaignResult;
 use crate::triple::HeuristicTriple;
 
 /// One Table 7 row: the held-out log and the cross-validated selection.
@@ -169,21 +168,6 @@ pub fn cross_validate(campaigns: &[CampaignResult]) -> CvOutcome {
         rows,
         global_winner: select_triple(campaigns, campaigns.len()),
     }
-}
-
-/// The whole §6.3.3 pipeline over any mix of [`WorkloadSource`]s
-/// (synthetic specs, SWF logs, pre-loaded workloads): one campaign per
-/// source through the `Scenario` API, then leave-one-out
-/// cross-validation.
-pub fn cross_validate_sources(
-    sources: &[&dyn WorkloadSource],
-    triples: &[HeuristicTriple],
-) -> Result<CvOutcome, SourceError> {
-    let campaigns: Vec<CampaignResult> = sources
-        .iter()
-        .map(|source| run_campaign_source(*source, triples))
-        .collect::<Result<_, _>>()?;
-    Ok(cross_validate(&campaigns))
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! * [`ablation`] — additional ablations (scheduler, correction,
 //!   optimizer, basis, loss shape);
 //! * [`context`] — workload setup shared by the `repro` binary, tests
-//!   and benches;
+//!   and `bench/`;
 //! * [`timing`] — per-phase wall-clock accounting for `repro --timing`;
 //! * [`progress`] — opt-in per-cell progress lines for long runs
 //!   (`repro --progress`, implied by `--full`).
@@ -56,9 +56,7 @@ pub mod triple;
 
 pub use cache::{CacheStats, CachedCell, CellSource, SimCache};
 
-pub use campaign::{
-    run_campaign, run_campaign_cluster, run_campaign_loaded, CampaignResult, TripleResult,
-};
+pub use campaign::{run_campaign_cluster, run_campaign_loaded, CampaignResult, TripleResult};
 pub use context::{ExperimentSetup, DEFAULT_SEED, QUICK_SCALE};
 pub use cv::{cross_validate, CvOutcome, CvRow};
 /// The deterministic fault-injection layer (`REPRO_FAULTS`, chaos

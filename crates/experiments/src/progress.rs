@@ -101,15 +101,6 @@ impl CellProgress {
         self.line(cell, &how);
     }
 
-    /// Reports a cell served by a non-simulating recall whose layer the
-    /// caller cannot see (a `peek`).
-    pub fn cell_recalled(&self, cell: &str) {
-        if !enabled() {
-            return;
-        }
-        self.line(cell, "recalled");
-    }
-
     fn line(&self, cell: &str, how: &str) {
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         eprintln!(

@@ -82,10 +82,11 @@ thread_local! {
 }
 
 /// Runs `triple` on `jobs` against the calling thread's
-/// [`WorkerScratch`] with an explicit observer — the shared engine-call
-/// seam behind [`Scenario::run_on`] and the `--prune` sweep (which
-/// needs to read its observer back after an abort, so it cannot hand it
-/// to a `Scenario`).
+/// [`WorkerScratch`] with a borrowed observer — the one engine-call
+/// seam, behind [`Scenario::run_on`] and the cache's miss path
+/// ([`crate::cache::SimCache::run_cell_observed_traced`], whose callers
+/// read their observer back afterwards, so they cannot hand it to a
+/// `Scenario`).
 pub(crate) fn run_triple_with_scratch(
     triple: &HeuristicTriple,
     jobs: &[Job],
@@ -203,7 +204,7 @@ pub struct ScenarioBuilder {
     scheduler: Option<Spec<Variant>>,
     predictor: Option<Spec<PredictionTechnique>>,
     correction: Option<Spec<CorrectionKind>>,
-    cluster: Option<Spec<ClusterSpec>>,
+    cluster: Option<String>,
     observer: Option<Box<dyn SimObserver + Send>>,
 }
 
@@ -248,25 +249,13 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Selects the correction mechanism by typed value.
-    pub fn correction_kind(mut self, kind: CorrectionKind) -> Self {
-        self.correction = Some(Spec::Typed(kind));
-        self
-    }
-
     /// Places the workload on an explicit cluster, given as a spec
     /// string — the legacy `"64"` shorthand or the
     /// `"cluster:64x1+32x0.5"` grammar (see
     /// [`crate::registry::parse_cluster`]). Omit to run on the
     /// workload's own single homogeneous machine.
     pub fn cluster(mut self, spec: &str) -> Self {
-        self.cluster = Some(Spec::Named(spec.to_string()));
-        self
-    }
-
-    /// Places the workload on an explicit cluster by typed value.
-    pub fn cluster_spec(mut self, cluster: ClusterSpec) -> Self {
-        self.cluster = Some(Spec::Typed(cluster));
+        self.cluster = Some(spec.to_string());
         self
     }
 
@@ -310,11 +299,10 @@ impl ScenarioBuilder {
             Some(Spec::Typed(c)) => Some(c),
             Some(Spec::Named(name)) => Some(name.parse()?),
         };
-        let cluster = match self.cluster {
-            None => None,
-            Some(Spec::Typed(c)) => Some(c),
-            Some(Spec::Named(name)) => Some(crate::registry::parse_cluster(&name)?),
-        };
+        let cluster = self
+            .cluster
+            .map(|spec| crate::registry::parse_cluster(&spec))
+            .transpose()?;
         Ok(Scenario {
             workload: Some(workload),
             triple: HeuristicTriple {

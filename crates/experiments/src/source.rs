@@ -363,7 +363,6 @@ pub struct SwfSource {
     input: SwfInput,
     rules: CleaningRules,
     machine_size: Option<u32>,
-    eager: bool,
 }
 
 impl SwfSource {
@@ -373,7 +372,6 @@ impl SwfSource {
             input: SwfInput::File(path.as_ref().to_path_buf()),
             rules: CleaningRules::default(),
             machine_size: None,
-            eager: false,
         }
     }
 
@@ -386,7 +384,6 @@ impl SwfSource {
             },
             rules: CleaningRules::default(),
             machine_size: None,
-            eager: false,
         }
     }
 
@@ -401,14 +398,6 @@ impl SwfSource {
     /// cleaning rules).
     pub fn with_machine_size(mut self, machine_size: u32) -> Self {
         self.machine_size = Some(machine_size);
-        self
-    }
-
-    /// Forces the buffered (parse-everything-then-clean) path instead of
-    /// the streaming one. The two are byte-identical; this exists for
-    /// differential tests and for benchmarking the streaming win.
-    pub fn with_eager(mut self) -> Self {
-        self.eager = true;
         self
     }
 
@@ -591,7 +580,7 @@ impl WorkloadSource for SwfSource {
         // Streaming conversion needs `drop_unrunnable` so every kept
         // record is convertible on sight; oddball rule sets fall back to
         // the buffered reference path.
-        if self.eager || !self.rules.drop_unrunnable {
+        if !self.rules.drop_unrunnable {
             return self.load_eager();
         }
         match &self.input {
@@ -651,8 +640,8 @@ mod tests {
     /// Streaming and buffered loads of the same source must agree on
     /// everything except the `stats` accounting.
     fn assert_stream_eager_identical(source: SwfSource, parsed_records: usize) -> LoadedWorkload {
-        let streamed = source.clone().load().unwrap();
-        let eager = source.with_eager().load().unwrap();
+        let streamed = source.load().unwrap();
+        let eager = source.load_eager().unwrap();
         assert_eq!(streamed.name, eager.name);
         assert_eq!(streamed.machine_size, eager.machine_size);
         assert_eq!(streamed.cleaning, eager.cleaning);
@@ -817,14 +806,14 @@ mod tests {
     fn streaming_error_parity_with_eager() {
         // Parse errors surface identically.
         let bad = SwfSource::from_text("bad", "1 2 three\n");
-        let s = bad.clone().load().unwrap_err();
-        let e = bad.with_eager().load().unwrap_err();
+        let s = bad.load().unwrap_err();
+        let e = bad.load_eager().unwrap_err();
         assert_eq!(s, e);
         assert!(matches!(s, SourceError::Parse(_)));
         // Unknown machine size surfaces identically.
         let empty = SwfSource::from_text("empty", "; Note: nothing\n");
-        let s = empty.clone().load().unwrap_err();
-        let e = empty.with_eager().load().unwrap_err();
+        let s = empty.load().unwrap_err();
+        let e = empty.load_eager().unwrap_err();
         assert_eq!(s, SourceError::UnknownMachineSize);
         assert_eq!(s, e);
         // Disabled oversize dropping rejects the shrunk machine the same
@@ -836,8 +825,8 @@ mod tests {
         let src = SwfSource::from_text("mini", MINI)
             .with_rules(rules)
             .with_machine_size(1);
-        let s = src.clone().load().unwrap_err();
-        let e = src.with_eager().load().unwrap_err();
+        let s = src.load().unwrap_err();
+        let e = src.load_eager().unwrap_err();
         assert_eq!(s, e);
         assert!(matches!(s, SourceError::Invalid(_)));
     }

@@ -1,19 +1,7 @@
-//! Wall-clock accounting for `repro --timing`: per-phase timers plus
-//! the machinery that records the rendered table into `EXPERIMENTS.md`
-//! between stable markers (so repeated runs replace, not append).
+//! Wall-clock accounting for `repro --timing`: per-phase timers and the
+//! markdown section `repro` prints from them.
 
 use std::time::Instant;
-
-/// Marker opening the generated timing section in `EXPERIMENTS.md`.
-pub const TIMING_BEGIN: &str = "<!-- repro:timing:begin -->";
-/// Marker closing the generated timing section in `EXPERIMENTS.md`.
-pub const TIMING_END: &str = "<!-- repro:timing:end -->";
-/// Marker opening the generated pool-width scaling table in
-/// `EXPERIMENTS.md` (written by the `parallel_scaling` bench under
-/// `RECORD_SCALING=<path>`).
-pub const SCALING_BEGIN: &str = "<!-- repro:scaling:begin -->";
-/// Marker closing the generated scaling table in `EXPERIMENTS.md`.
-pub const SCALING_END: &str = "<!-- repro:scaling:end -->";
 
 /// Accumulates named phase durations for one `repro` run.
 #[derive(Debug)]
@@ -70,10 +58,10 @@ impl PhaseTimer {
         self.started.elapsed().as_secs_f64()
     }
 
-    /// Renders the timing section recorded into `EXPERIMENTS.md`:
-    /// a heading, the run configuration (including which experiments
-    /// ran, so a partial run can never masquerade as a full one), and
-    /// one row per phase.
+    /// Renders the timing section `repro --timing` prints: a heading,
+    /// the run configuration (including which experiments ran, so a
+    /// partial run can never masquerade as a full one), and one row per
+    /// phase.
     pub fn render_markdown(
         &self,
         scale: f64,
@@ -100,51 +88,6 @@ impl PhaseTimer {
         }
         out
     }
-}
-
-/// Replaces the section of `document` delimited by the `begin`/`end`
-/// marker pair with `section` (appending markers and section at the end
-/// when absent). Pure string surgery so it is directly testable; each
-/// marker pair owns its own region, so the timing table and the scaling
-/// table can coexist in one file and be refreshed independently.
-pub fn splice_between(document: &str, begin: &str, end: &str, section: &str) -> String {
-    let block = format!("{begin}\n{section}{end}");
-    match (document.find(begin), document.find(end)) {
-        (Some(b), Some(e)) if e >= b => {
-            let after = e + end.len();
-            format!("{}{}{}", &document[..b], block, &document[after..])
-        }
-        _ => {
-            let sep = if document.ends_with('\n') {
-                "\n"
-            } else {
-                "\n\n"
-            };
-            format!("{document}{sep}{block}\n")
-        }
-    }
-}
-
-/// Replaces the marked timing section of `document` with `section`.
-pub fn splice_timing_section(document: &str, section: &str) -> String {
-    splice_between(document, TIMING_BEGIN, TIMING_END, section)
-}
-
-/// Rewrites `path` with its `begin`/`end`-marked section replaced by
-/// `section`.
-pub fn record_section(
-    path: &std::path::Path,
-    begin: &str,
-    end: &str,
-    section: &str,
-) -> std::io::Result<()> {
-    let document = std::fs::read_to_string(path)?;
-    std::fs::write(path, splice_between(&document, begin, end, section))
-}
-
-/// Rewrites `path` with its timing section replaced by `section`.
-pub fn record_timing(path: &std::path::Path, section: &str) -> std::io::Result<()> {
-    record_section(path, TIMING_BEGIN, TIMING_END, section)
 }
 
 #[cfg(test)]
@@ -174,57 +117,5 @@ mod tests {
         assert!(md.contains("experiments: all"));
         assert!(md.contains("| campaigns |"));
         assert!(md.contains("**total**"));
-    }
-
-    #[test]
-    fn splice_appends_when_absent_then_replaces() {
-        let doc = "# EXPERIMENTS\n\nbody\n";
-        let first = splice_timing_section(doc, "SECTION-A\n");
-        assert!(first.contains("body"));
-        assert!(first.contains("SECTION-A"));
-        assert_eq!(first.matches(TIMING_BEGIN).count(), 1);
-
-        let second = splice_timing_section(&first, "SECTION-B\n");
-        assert!(
-            !second.contains("SECTION-A"),
-            "old section must be replaced"
-        );
-        assert!(second.contains("SECTION-B"));
-        assert_eq!(second.matches(TIMING_BEGIN).count(), 1);
-        assert!(second.contains("body"), "surrounding document is preserved");
-    }
-
-    #[test]
-    fn marker_pairs_are_independent_regions() {
-        // The timing and scaling sections live in the same document;
-        // refreshing one must never clobber the other.
-        let doc = "# EXPERIMENTS\n\nbody\n";
-        let with_timing = splice_timing_section(doc, "TIMING-A\n");
-        let both = splice_between(&with_timing, SCALING_BEGIN, SCALING_END, "SCALING-A\n");
-        assert!(both.contains("TIMING-A") && both.contains("SCALING-A"));
-
-        let timing_refreshed = splice_timing_section(&both, "TIMING-B\n");
-        assert!(timing_refreshed.contains("TIMING-B"));
-        assert!(!timing_refreshed.contains("TIMING-A"));
-        assert!(
-            timing_refreshed.contains("SCALING-A"),
-            "scaling section must survive a timing refresh"
-        );
-
-        let scaling_refreshed =
-            splice_between(&timing_refreshed, SCALING_BEGIN, SCALING_END, "SCALING-B\n");
-        assert!(scaling_refreshed.contains("SCALING-B"));
-        assert!(!scaling_refreshed.contains("SCALING-A"));
-        assert!(scaling_refreshed.contains("TIMING-B"));
-    }
-
-    #[test]
-    fn splice_tolerates_markers_with_surrounding_edits() {
-        let doc = format!("head\n{TIMING_BEGIN}\nstale\n{TIMING_END}\ntail\n");
-        let out = splice_timing_section(&doc, "fresh\n");
-        assert!(out.starts_with("head\n"));
-        assert!(out.ends_with("tail\n"));
-        assert!(out.contains("fresh"));
-        assert!(!out.contains("stale"));
     }
 }

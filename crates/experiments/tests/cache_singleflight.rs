@@ -1,13 +1,12 @@
 //! The single-flight contract of the sharded [`SimCache`]: one cold
 //! cell requested from many workers at once simulates exactly once,
 //! every requester gets a byte-identical payload, and the prediction
-//! budget is charged exactly once. Also pins the failure-safety of the
-//! in-flight marker (an abandoned lookup must not poison the cell).
+//! budget is charged exactly once.
 
 use std::sync::Barrier;
 
 use predictsim_experiments::cache::{CellSource, SimCache};
-use predictsim_experiments::source::{JobArena, LoadedWorkload};
+use predictsim_experiments::source::JobArena;
 use predictsim_experiments::triple::HeuristicTriple;
 use predictsim_sim::ClusterSpec;
 use predictsim_workload::{generate, WorkloadSpec};
@@ -122,36 +121,4 @@ fn distinct_cells_under_concurrency_each_simulate_once() {
         "each distinct cell simulates exactly once"
     );
     assert_eq!(stats.lookups() as usize, triples.len() * 2);
-}
-
-/// A `peek` miss abandons its in-flight marker: the next `run_cell`
-/// must lead a fresh simulation, not hang on (or get poisoned by) the
-/// abandoned lookup.
-#[test]
-fn abandoned_peek_does_not_poison_the_cell() {
-    let mut spec = WorkloadSpec::toy();
-    spec.jobs = 200;
-    spec.duration = 2 * 86_400;
-    let loaded: LoadedWorkload = generate(&spec, 73).into();
-    let cluster = ClusterSpec::single(loaded.machine_size);
-    let triple = HeuristicTriple::standard_easy();
-
-    let cache = SimCache::new();
-    assert!(
-        cache.peek(&loaded.jobs, cluster, &triple).is_none(),
-        "peek must not simulate"
-    );
-    let (_, source) = cache
-        .run_cell_traced(&loaded.jobs, cluster, &triple)
-        .unwrap();
-    assert_eq!(
-        source,
-        CellSource::Simulated,
-        "run_cell after a peek miss leads a fresh simulation"
-    );
-    // And the cell is now a plain hit for both entry points.
-    assert!(cache.peek(&loaded.jobs, cluster, &triple).is_some());
-    let stats = cache.stats();
-    assert_eq!(stats.simulated, 1);
-    assert_eq!(stats.memory_hits, 1);
 }

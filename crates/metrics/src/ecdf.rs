@@ -92,11 +92,6 @@ impl Ecdf {
             })
             .collect()
     }
-
-    /// Access to the underlying sorted sample.
-    pub fn sorted_values(&self) -> &[f64] {
-        &self.sorted
-    }
 }
 
 #[cfg(test)]

@@ -153,7 +153,8 @@ pub fn simulate(
     predictor: &mut dyn RuntimePredictor,
     correction: Option<&dyn CorrectionPolicy>,
 ) -> Result<SimResult, SimError> {
-    simulate_observed(
+    simulate_in(
+        &mut SimArena::new(),
         jobs,
         config,
         scheduler,
@@ -163,37 +164,16 @@ pub fn simulate(
     )
 }
 
-/// Runs one complete simulation, reporting every engine state change to
-/// `observer` (see [`crate::observe`]).
-///
-/// Identical to [`simulate`] in every other respect: the observer only
-/// receives shared references, so observation cannot perturb the
-/// schedule, and a run with [`NullObserver`] is bit-identical to the
-/// plain entry point.
-pub fn simulate_observed(
-    jobs: &[Job],
-    config: SimConfig,
-    scheduler: &mut dyn Scheduler,
-    predictor: &mut dyn RuntimePredictor,
-    correction: Option<&dyn CorrectionPolicy>,
-    observer: &mut dyn SimObserver,
-) -> Result<SimResult, SimError> {
-    simulate_in(
-        &mut SimArena::new(),
-        jobs,
-        config,
-        scheduler,
-        predictor,
-        correction,
-        observer,
-    )
-}
-
 /// Runs one complete simulation *in* `arena`, reusing its buffers
-/// instead of allocating fresh ones (see [`crate::arena`]). Identical
-/// in behavior to [`simulate_observed`] — the arena retains capacity
-/// between runs, never state — so a warm worker simulates without
-/// allocating.
+/// instead of allocating fresh ones (see [`crate::arena`]), and reporting
+/// every engine state change to `observer` (see [`crate::observe`]).
+///
+/// Identical to [`simulate`] in every other respect: the arena retains
+/// capacity between runs, never state — so a warm worker simulates
+/// without allocating — and the observer only receives shared
+/// references, so observation cannot perturb the schedule: a run with
+/// [`NullObserver`] on a fresh arena is bit-identical to the plain entry
+/// point.
 pub fn simulate_in(
     arena: &mut SimArena,
     jobs: &[Job],
@@ -220,10 +200,9 @@ pub fn simulate_in(
 /// [`SimArena`] holding the indexed state, the event queue, and every
 /// reusable buffer of the hot loop.
 ///
-/// [`simulate`] / [`simulate_observed`] construct one per run over a
-/// fresh arena; the struct exists separately so tests can drive the
-/// loop with injected event sequences (stale expiries, fabricated
-/// batches).
+/// [`simulate`] / [`simulate_in`] construct one per run; the struct
+/// exists separately so tests can drive the loop with injected event
+/// sequences (stale expiries, fabricated batches).
 struct Engine<'a> {
     jobs: &'a [Job],
     cluster: ClusterSpec,

@@ -99,7 +99,7 @@ pub mod time;
 pub use arena::{ArenaStats, SimArena};
 pub use audit::{audit, AuditReport, AuditViolation};
 pub use cluster::{ClusterSpec, ClusterSpecError, Partition, MAX_PARTITIONS};
-pub use engine::{simulate, simulate_in, simulate_observed, SimConfig, SimError};
+pub use engine::{simulate, simulate_in, SimConfig, SimError};
 pub use job::{intern_users, job_from_swf, jobs_from_swf, Job, JobId};
 pub use observe::{
     MetricsObserver, NullObserver, SharedMetrics, SimEvent, SimObserver, Ticker,

@@ -1,6 +1,6 @@
 //! Observation hooks for the simulation engine.
 //!
-//! [`crate::engine::simulate_observed`] emits a [`SimEvent`] at every
+//! [`crate::engine::simulate_in`] emits a [`SimEvent`] at every
 //! state change of the simulation — submission, start, §5.2 correction,
 //! completion, and the final result — to a caller-supplied
 //! [`SimObserver`]. This turns metrics collection from a post-hoc scan of
@@ -16,7 +16,8 @@
 //! through the plain [`crate::engine::simulate`] entry point.
 //!
 //! ```
-//! use predictsim_sim::engine::{simulate_observed, SimConfig};
+//! use predictsim_sim::arena::SimArena;
+//! use predictsim_sim::engine::{simulate_in, SimConfig};
 //! use predictsim_sim::job::{Job, JobId};
 //! use predictsim_sim::observe::{MetricsObserver, SimEvent};
 //! use predictsim_sim::predict::RequestedTimePredictor;
@@ -36,7 +37,8 @@
 //!     })
 //!     .collect();
 //! let mut metrics = MetricsObserver::new(4);
-//! let result = simulate_observed(
+//! let result = simulate_in(
+//!     &mut SimArena::new(),
 //!     &jobs,
 //!     SimConfig::single(4),
 //!     &mut EasyScheduler::new(),
@@ -156,7 +158,6 @@ impl SimObserver for NullObserver {
 #[derive(Debug, Clone)]
 pub struct MetricsObserver {
     machine_size: u32,
-    tau: f64,
     submitted: usize,
     started: usize,
     finished: usize,
@@ -176,7 +177,6 @@ impl MetricsObserver {
     pub fn new(machine_size: u32) -> Self {
         Self {
             machine_size,
-            tau: DEFAULT_TAU,
             submitted: 0,
             started: 0,
             finished: 0,
@@ -188,14 +188,6 @@ impl MetricsObserver {
             busy_work: 0.0,
             first_submit: None,
             last_end: 0,
-        }
-    }
-
-    /// Same accumulator with an explicit bounded-slowdown threshold τ.
-    pub fn with_tau(machine_size: u32, tau: f64) -> Self {
-        Self {
-            tau,
-            ..Self::new(machine_size)
         }
     }
 
@@ -289,7 +281,7 @@ impl SimObserver for MetricsObserver {
                     self.killed += 1;
                 }
                 let wait = outcome.wait() as f64;
-                let bsld = bounded_slowdown(wait, outcome.run as f64, self.tau);
+                let bsld = bounded_slowdown(wait, outcome.run as f64, DEFAULT_TAU);
                 self.bsld_sum += bsld;
                 self.max_bsld = self.max_bsld.max(bsld);
                 self.wait_sum += wait;
@@ -484,7 +476,8 @@ impl SimObserver for UtilizationObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{simulate, simulate_observed, SimConfig};
+    use crate::arena::SimArena;
+    use crate::engine::{simulate, simulate_in, SimConfig};
     use crate::job::JobId;
     use crate::predict::{RequestedTimeCorrection, RequestedTimePredictor, RuntimePredictor};
     use crate::scheduler::EasyScheduler;
@@ -522,7 +515,8 @@ mod tests {
             }
             SimEvent::Corrected { .. } => {}
         };
-        simulate_observed(
+        simulate_in(
+            &mut SimArena::new(),
             &js,
             SimConfig::single(4),
             &mut EasyScheduler::new(),
@@ -539,7 +533,8 @@ mod tests {
         let js = jobs(20);
         let cfg = SimConfig::single(5);
         let mut metrics = MetricsObserver::new(cfg.machine_size());
-        let observed = simulate_observed(
+        let observed = simulate_in(
+            &mut SimArena::new(),
             &js,
             cfg,
             &mut EasyScheduler::sjbf(),
@@ -600,7 +595,8 @@ mod tests {
                 corrected.push((*expired_prediction, *new_prediction, *corrections));
             }
         };
-        simulate_observed(
+        simulate_in(
+            &mut SimArena::new(),
             &js,
             SimConfig::single(2),
             &mut EasyScheduler::new(),
@@ -617,7 +613,8 @@ mod tests {
         let js = jobs(8);
         let cfg = SimConfig::single(4);
         let (handle, mut observer) = MetricsObserver::shared(cfg.machine_size());
-        simulate_observed(
+        simulate_in(
+            &mut SimArena::new(),
             &js,
             cfg,
             &mut EasyScheduler::new(),
@@ -683,7 +680,8 @@ mod tests {
         let js = jobs(30);
         let cfg = SimConfig::single(5);
         let mut util = UtilizationObserver::new(cfg.cluster, 60);
-        let result = simulate_observed(
+        let result = simulate_in(
+            &mut SimArena::new(),
             &js,
             cfg,
             &mut EasyScheduler::sjbf(),

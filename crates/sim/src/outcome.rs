@@ -151,14 +151,6 @@ impl SimResult {
             .map(|o| o.bsld_record().bsld(DEFAULT_TAU))
             .collect()
     }
-
-    /// Initial-prediction signed errors (prediction − actual), by job id.
-    pub fn prediction_errors(&self) -> Vec<f64> {
-        self.outcomes
-            .iter()
-            .map(|o| o.initial_prediction_error() as f64)
-            .collect()
-    }
 }
 
 #[cfg(test)]

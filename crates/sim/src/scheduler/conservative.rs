@@ -12,7 +12,8 @@
 //! job completion) while in the second, the process is purely on-line".
 //! We follow that description: each scheduling pass rebuilds the plan from
 //! the current predictions. Provided as an extension beyond the paper's
-//! two evaluated variants; exercised by the ablation benches.
+//! two evaluated variants; exercised by the scheduler ablation
+//! (`repro ablation`) and the `conservative_deep` benchmark workload.
 
 use crate::job::JobId;
 use crate::scheduler::profile::Profile;

@@ -129,7 +129,7 @@ pub fn all_six() -> Vec<WorkloadSpec> {
 }
 
 /// All six presets scaled by `factor` (see [`WorkloadSpec::scaled`]) —
-/// the fast variants the test-suite and benches default to.
+/// the fast variants the test-suite and `bench/` default to.
 pub fn all_six_scaled(factor: f64) -> Vec<WorkloadSpec> {
     all_six().into_iter().map(|s| s.scaled(factor)).collect()
 }

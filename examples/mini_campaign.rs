@@ -19,7 +19,8 @@ fn main() {
         presets::kth_sp2().scaled(0.02),
         presets::sdsc_sp2().scaled(0.02),
     ];
-    let workloads: Vec<GeneratedWorkload> = specs.iter().map(|s| generate(s, 20150101)).collect();
+    let workloads: Vec<LoadedWorkload> =
+        specs.iter().map(|s| generate(s, 20150101).into()).collect();
 
     let mut triples = campaign_triples();
     triples.extend(reference_triples());
@@ -32,7 +33,7 @@ fn main() {
 
     let campaigns: Vec<CampaignResult> = workloads
         .iter()
-        .map(|w| run_campaign(w, &triples))
+        .map(|w| run_campaign_loaded(w, &triples))
         .collect();
 
     for c in &campaigns {

@@ -27,12 +27,13 @@
 //!   --out DIR        also write JSON artifacts (campaigns, figures) to DIR
 //!   --threads N      pin the worker-pool width (default: RAYON_NUM_THREADS
 //!                    or the machine's parallelism)
-//!   --timing         record per-phase wall-clock into EXPERIMENTS.md
+//!   --timing         print a per-phase wall-clock section on stdout
 //!   --cache DIR      persist simulated cells to DIR; later runs reuse them
 //!   --cache-budget B size budget for the cache dir in bytes (K/M/G
 //!                    suffixes; default 8G); LRU cells past it are evicted
 //!   --progress       per-cell progress lines on stderr (a resume journal)
-//!   --prune          early-abort dominated campaign triples (sweep mode)
+//!   --prune          early-abort dominated campaign triples (sweep mode;
+//!                    skips Table 6)
 //!   --list           print every registered scheduler/predictor/correction
 //!
 //! SCENARIO OPTIONS (with the `scenario` experiment)
@@ -72,7 +73,7 @@ use predictsim_experiments::source::{LoadedWorkload, SwfSource, SyntheticSource,
 use predictsim_experiments::tables::{
     render_table1, render_table6, render_table7, render_table8, table1, table6, table7, table8,
 };
-use predictsim_experiments::timing::{record_timing, PhaseTimer};
+use predictsim_experiments::timing::PhaseTimer;
 use predictsim_experiments::triple::{campaign_triples, reference_triples, HeuristicTriple};
 
 struct Options {
@@ -131,6 +132,13 @@ fn parse_bytes(v: &str) -> Option<u64> {
     };
     digits.parse::<u64>().ok()?.checked_mul(unit)
 }
+
+/// Every positional `repro` accepts; anything else is a typo, not a
+/// silent no-op.
+const EXPERIMENTS: [&str; 13] = [
+    "table1", "table6", "table7", "table8", "fig3", "fig4", "fig5", "ablation", "all", "scenario",
+    "serve", "list", "help",
+];
 
 fn parse_args() -> Result<Options, String> {
     let mut setup = ExperimentSetup {
@@ -237,7 +245,13 @@ fn parse_args() -> Result<Options, String> {
                 experiments.push("help".into());
                 break;
             }
-            other if !other.starts_with('-') => experiments.push(other.to_string()),
+            other if EXPERIMENTS.contains(&other) => experiments.push(other.to_string()),
+            other if !other.starts_with('-') => {
+                return Err(format!(
+                    "unknown experiment {other:?} (valid: {})",
+                    EXPERIMENTS.join(" ")
+                ));
+            }
             other => return Err(format!("unknown option {other:?}")),
         }
     }
@@ -387,8 +401,10 @@ fn campaigns(
     // not values), keeping the downstream tables, figures and the
     // cross-validated selection on fully simulated triples — with a
     // consistent triple set across logs, which the leave-one-out
-    // selection requires. Per-log winners are unaffected (a pruned
-    // triple is, by construction, dominated on the log that pruned it).
+    // selection requires. A triple is only ever dominated on the log
+    // that pruned it, so this drop can remove another log's winner and
+    // change the cross-validated selection (README § Campaign
+    // performance has the measured difference).
     if prune && !pruned_anywhere.is_empty() {
         eprintln!(
             "  pruning: {} of {} triples dominated somewhere; reporting the rest",
@@ -610,7 +626,11 @@ fn run(opts: &Options) {
             .iter()
             .any(|e| e == name || (e == "all" && name != "scenario" && name != "list"))
     };
-    let needs_campaigns = wants("table6") || wants("table7") || wants("fig3");
+    // Table 6 reports the best–worst range over *all* ML triples — what
+    // a dominated-triple sweep cannot know (the worst are exactly the
+    // cells it aborts, and a triple pruned on any log leaves every
+    // campaign) — so `--prune` skips it instead of tabulating bounds.
+    let needs_campaigns = (wants("table6") && !opts.prune) || wants("table7") || wants("fig3");
     let needs_presets = [
         "table1", "table6", "table7", "table8", "fig3", "fig4", "fig5",
     ]
@@ -691,7 +711,12 @@ fn run(opts: &Options) {
         None
     };
 
-    if wants("table6") {
+    if wants("table6") && opts.prune {
+        let note = "Table 6 skipped under --prune: its best-worst ML range needs the \
+                    dominated triples the sweep aborts (run without --prune for it)";
+        println!("{note}\n");
+        eprintln!("note: {note}");
+    } else if wants("table6") {
         let cs = campaign_results.as_ref().expect("campaigns computed");
         println!("## Table 6 — AVEbsld overview (§6.3.1)\n");
         let rows = timer.time("table6", || table6(cs));
@@ -835,28 +860,10 @@ fn run(opts: &Options) {
     eprintln!("\ntotal wall time: {:.1}s", timer.total());
     if opts.timing {
         let experiments = opts.experiments.join(" ");
-        let section =
-            timer.render_markdown(opts.setup.scale, opts.setup.seed, threads, &experiments);
-        // Only a pure `all` run may replace the recorded section — a
-        // partial run would overwrite the committed full-pipeline
-        // numbers with a table missing most phases, and an ad-hoc
-        // scenario run would splice arbitrary extra phases into them.
-        if !wants("all") || wants("scenario") {
-            eprintln!("--timing: non-standard run ({experiments}); printing instead of updating EXPERIMENTS.md");
-            println!("{section}");
-            return;
-        }
-        let path = std::path::Path::new("EXPERIMENTS.md");
-        match record_timing(path, &section) {
-            Ok(()) => eprintln!("recorded per-phase timing into {}", path.display()),
-            Err(e) => {
-                eprintln!(
-                    "could not update {} ({e}); timing section follows:",
-                    path.display()
-                );
-                println!("{section}");
-            }
-        }
+        println!(
+            "{}",
+            timer.render_markdown(opts.setup.scale, opts.setup.seed, threads, &experiments)
+        );
     }
 }
 
@@ -889,7 +896,7 @@ OPTIONS
   --out DIR    also write JSON artifacts to DIR
   --threads N  pin the worker-pool width (default: RAYON_NUM_THREADS or
                the machine's parallelism); results are identical at any N
-  --timing     record per-phase wall-clock into ./EXPERIMENTS.md (with a
+  --timing     print a per-phase wall-clock section on stdout (with a
                per-log campaigns breakdown and cache-effectiveness counts)
   --cache DIR  persist simulated cells to DIR and reuse them across runs
                (a repeated run over unchanged workloads simulates nothing;
@@ -902,10 +909,11 @@ OPTIONS
                KTH-SP2 [17/130] ... — simulated in 12.4s`); redirect
                stderr to a file to get a resume journal
   --prune      early-abort campaign triples whose AVEbsld lower bound
-               already exceeds the best baseline (sweep mode; winner
-               preserved, pruned cells record lower bounds; default off —
-               without it all outputs are byte-identical to previous
-               releases)
+               already exceeds the best baseline (sweep mode: a triple
+               pruned on any log is dropped from every log, so tables
+               and selection differ from the exhaustive run, and Table 6
+               is skipped; default off — without it all outputs are
+               byte-identical to previous releases)
   --list       print every registered scheduler/predictor/correction name
 
 SCENARIO OPTIONS (imply the scenario experiment when no other is named)

@@ -64,10 +64,10 @@
 //! ```
 //!
 //! regenerates Tables 1, 6, 7, 8 and Figures 3, 4, 5 (see EXPERIMENTS.md
-//! for the recorded paper-vs-measured comparison), and `cargo bench`
-//! runs the Criterion harness over the same experiments. `repro serve`
-//! keeps the process (and its warm [`serve`] simulation cache) resident
-//! as a local daemon.
+//! for the recorded paper-vs-measured comparison); `bench/` (its own
+//! package, see `bench/README.md`) is the performance ledger over the
+//! same entry points. `repro serve` keeps the process (and its warm
+//! [`serve`] simulation cache) resident as a local daemon.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -88,15 +88,15 @@ pub mod prelude {
     pub use predictsim_core::predictor::{Ave2Predictor, MlConfig, MlPredictor};
     pub use predictsim_core::{AsymmetricLoss, WeightingScheme};
     pub use predictsim_experiments::{
-        campaign_triples, cross_validate, run_campaign, run_campaign_cluster, CorrectionKind,
-        ExperimentSetup, HeuristicTriple, LoadedWorkload, PredictionTechnique, RegistryError,
-        Scenario, ScenarioBuilder, ScenarioError, SourceError, SwfSource, SyntheticSource, Variant,
-        WorkloadSource,
+        campaign_triples, cross_validate, run_campaign_cluster, run_campaign_loaded,
+        CorrectionKind, ExperimentSetup, HeuristicTriple, LoadedWorkload, PredictionTechnique,
+        RegistryError, Scenario, ScenarioBuilder, ScenarioError, SourceError, SwfSource,
+        SyntheticSource, Variant, WorkloadSource,
     };
     pub use predictsim_metrics::{ave_bsld, bounded_slowdown, Ecdf, DEFAULT_TAU};
     pub use predictsim_sim::{
-        simulate, simulate_observed, ClairvoyantPredictor, EasyScheduler, FcfsScheduler, Job,
-        JobId, MetricsObserver, RequestedTimePredictor, SimConfig, SimEvent, SimObserver, Time,
+        simulate, ClairvoyantPredictor, EasyScheduler, FcfsScheduler, Job, JobId, MetricsObserver,
+        RequestedTimePredictor, SimConfig, SimEvent, SimObserver, Time,
     };
     pub use predictsim_workload::{generate, GeneratedWorkload, WorkloadSpec};
 }

@@ -1,11 +1,11 @@
 //! Integration tests of the campaign and cross-validation machinery on a
-//! reduced triple set (full 128-triple campaigns run in the benches and
-//! the `repro` binary; here we keep debug-build runtimes short).
+//! reduced triple set (full 128-triple campaigns run in `bench/` and the
+//! `repro` binary; here we keep debug-build runtimes short).
 
 use predictsim::experiments::{reference_triples, CampaignResult, CorrectionKind};
 use predictsim::prelude::*;
 
-fn workloads() -> Vec<GeneratedWorkload> {
+fn workloads() -> Vec<LoadedWorkload> {
     ["W1", "W2", "W3"]
         .iter()
         .enumerate()
@@ -15,7 +15,7 @@ fn workloads() -> Vec<GeneratedWorkload> {
             spec.jobs = 250;
             spec.duration = 3 * 86_400;
             spec.utilization = 0.8 + 0.05 * i as f64;
-            generate(&spec, 100 + i as u64)
+            generate(&spec, 100 + i as u64).into()
         })
         .collect()
 }
@@ -47,7 +47,7 @@ fn reduced_triples() -> Vec<HeuristicTriple> {
 fn campaign_covers_every_triple_exactly_once() {
     let ws = workloads();
     let triples = reduced_triples();
-    let campaign = run_campaign(&ws[0], &triples);
+    let campaign = run_campaign_loaded(&ws[0], &triples);
     assert_eq!(campaign.results.len(), triples.len());
     let mut names: Vec<&str> = campaign.results.iter().map(|r| r.triple.as_str()).collect();
     names.sort_unstable();
@@ -59,7 +59,10 @@ fn campaign_covers_every_triple_exactly_once() {
 fn cross_validation_selects_a_non_clairvoyant_triple_and_reports_rows() {
     let ws = workloads();
     let triples = reduced_triples();
-    let campaigns: Vec<CampaignResult> = ws.iter().map(|w| run_campaign(w, &triples)).collect();
+    let campaigns: Vec<CampaignResult> = ws
+        .iter()
+        .map(|w| run_campaign_loaded(w, &triples))
+        .collect();
     let outcome = cross_validate(&campaigns);
     assert_eq!(outcome.rows.len(), 3);
     assert!(
@@ -78,7 +81,7 @@ fn cross_validation_selects_a_non_clairvoyant_triple_and_reports_rows() {
 #[test]
 fn campaign_json_artifacts_round_trip() {
     let ws = workloads();
-    let campaign = run_campaign(&ws[0], &reduced_triples());
+    let campaign = run_campaign_loaded(&ws[0], &reduced_triples());
     let json = serde_json::to_string(&campaign).expect("serialize");
     let back: CampaignResult = serde_json::from_str(&json).expect("deserialize");
     // Float text formatting may differ in the last ULP; a second
@@ -97,8 +100,7 @@ fn campaign_json_artifacts_round_trip() {
 #[test]
 fn table_helpers_work_on_reduced_campaigns() {
     use predictsim::experiments::tables::{render_table1, render_table8, table1, table8};
-    let ws: Vec<predictsim::experiments::LoadedWorkload> =
-        workloads().into_iter().map(Into::into).collect();
+    let ws = workloads();
     let rows = table1(&ws[..1]);
     assert_eq!(rows.len(), 1);
     assert!(render_table1(&rows).contains("W1"));
@@ -113,11 +115,14 @@ fn figure_helpers_work_on_reduced_campaigns() {
     use predictsim::experiments::figures::{fig3, fig4_fig5};
     let ws = workloads();
     let triples = reduced_triples();
-    let campaigns: Vec<CampaignResult> = ws.iter().map(|w| run_campaign(w, &triples)).collect();
+    let campaigns: Vec<CampaignResult> = ws
+        .iter()
+        .map(|w| run_campaign_loaded(w, &triples))
+        .collect();
     let fig = fig3(&campaigns, "W1", "W2");
     assert_eq!(fig.points.len(), triples.len());
 
-    let f45 = fig4_fig5(&ws[0].clone().into(), 25);
+    let f45 = fig4_fig5(&ws[0], 25);
     assert_eq!(f45.error_series.len(), 4);
     assert_eq!(f45.value_series.len(), 5);
 }

@@ -88,16 +88,16 @@ fn parallel_campaign_equals_itself() {
     let mut spec = WorkloadSpec::toy();
     spec.jobs = 200;
     spec.duration = 2 * 86_400;
-    let w = generate(&spec, 9);
+    let w: LoadedWorkload = generate(&spec, 9).into();
     let triples = vec![
         HeuristicTriple::standard_easy(),
         HeuristicTriple::easy_plus_plus(),
         HeuristicTriple::paper_winner(),
     ];
     fresh();
-    let a = run_campaign(&w, &triples);
+    let a = run_campaign_loaded(&w, &triples);
     fresh();
-    let b = run_campaign(&w, &triples);
+    let b = run_campaign_loaded(&w, &triples);
     assert_eq!(a, b, "rayon parallelism must not leak into results");
 }
 

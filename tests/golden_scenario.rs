@@ -8,7 +8,7 @@
 //! golden file (`tests/golden/mini_pipeline.json`) was produced by the
 //! legacy construction path and is deliberately NOT regenerated here.
 
-use predictsim::experiments::campaign::{run_campaign_source, CampaignResult};
+use predictsim::experiments::campaign::CampaignResult;
 use predictsim::experiments::figures::fig4_fig5;
 use predictsim::prelude::*;
 
@@ -56,7 +56,7 @@ fn scenario_pipeline_json() -> String {
     let triples = golden_triples_by_name();
     let campaigns: Vec<CampaignResult> = golden_sources()
         .iter()
-        .map(|source| run_campaign_source(source, &triples).expect("campaign over source"))
+        .map(|source| run_campaign_loaded(&source.load().expect("load source"), &triples))
         .collect();
     let outcome = cross_validate(&campaigns);
     format!(

@@ -17,7 +17,7 @@ const GOLDEN_PATH: &str = "tests/golden/mini_pipeline.json";
 
 /// Three fixed mini-logs: deterministic stand-ins for the Table 4 set,
 /// small enough for debug-build CI.
-fn golden_workloads() -> Vec<GeneratedWorkload> {
+fn golden_workloads() -> Vec<LoadedWorkload> {
     [("G1", 0.80), ("G2", 0.88), ("G3", 0.95)]
         .iter()
         .enumerate()
@@ -27,7 +27,7 @@ fn golden_workloads() -> Vec<GeneratedWorkload> {
             spec.jobs = 260;
             spec.duration = 3 * 86_400;
             spec.utilization = *util;
-            generate(&spec, 20150101 + i as u64)
+            generate(&spec, 20150101 + i as u64).into()
         })
         .collect()
 }
@@ -69,7 +69,7 @@ fn mini_pipeline_matches_golden_trace() {
     let triples = golden_triples();
     let campaigns: Vec<_> = workloads
         .iter()
-        .map(|w| run_campaign(w, &triples))
+        .map(|w| run_campaign_loaded(w, &triples))
         .collect();
     let outcome = cross_validate(&campaigns);
 
@@ -118,7 +118,7 @@ fn quick_scale_headline_numbers_hold() {
     triples.extend(reference_triples());
     let campaigns: Vec<_> = workloads
         .iter()
-        .map(|w| run_campaign(w, &triples))
+        .map(|w| run_campaign_loaded(&w.into(), &triples))
         .collect();
     let outcome = cross_validate(&campaigns);
 

@@ -1,5 +1,5 @@
-//! The pool-size probe: `run_campaign` must demonstrably fan out over
-//! more than one OS thread.
+//! The pool-size probe: `run_campaign_loaded` must demonstrably fan out
+//! over more than one OS thread.
 //!
 //! This file deliberately contains a single test and no other parallel
 //! work: integration-test files are separate processes, so the global
@@ -15,7 +15,7 @@ fn campaign_fans_out_across_multiple_os_threads() {
     spec.jobs = 4_000;
     spec.duration = 40 * 86_400;
     spec.utilization = 0.85;
-    let w = generate(&spec, 7);
+    let w: LoadedWorkload = generate(&spec, 7).into();
     // Eight triples, several of them expensive learning simulations
     // spanning multiple OS timeslices each, so every worker has time to
     // claim work before the first one drains the queue — even on a
@@ -47,7 +47,7 @@ fn campaign_fans_out_across_multiple_os_threads() {
     ];
 
     let before = rayon::pool::stats();
-    let campaign = rayon::pool::with_num_threads(4, || run_campaign(&w, &triples));
+    let campaign = rayon::pool::with_num_threads(4, || run_campaign_loaded(&w, &triples));
     let after = rayon::pool::stats();
 
     assert_eq!(campaign.results.len(), triples.len());
@@ -69,6 +69,6 @@ fn campaign_fans_out_across_multiple_os_threads() {
     // compared against a *fresh* sequential simulation, not the
     // memoized cells of the parallel run.
     predictsim::experiments::SimCache::global().clear_memory();
-    let sequential = rayon::pool::with_num_threads(1, || run_campaign(&w, &triples));
+    let sequential = rayon::pool::with_num_threads(1, || run_campaign_loaded(&w, &triples));
     assert_eq!(campaign, sequential);
 }
