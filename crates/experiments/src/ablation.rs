@@ -13,7 +13,6 @@ use predictsim_core::loss::AsymmetricLoss;
 use predictsim_core::predictor::{BasisKind, MlConfig, OptimizerKind};
 use predictsim_core::weighting::WeightingScheme;
 
-use crate::cache::SimCache;
 use crate::source::LoadedWorkload;
 use crate::triple::{CorrectionKind, HeuristicTriple, PredictionTechnique, Variant};
 
@@ -29,19 +28,15 @@ pub struct AblationRow {
 }
 
 fn run_rows(workload: &LoadedWorkload, runs: Vec<(String, HeuristicTriple)>) -> Vec<AblationRow> {
-    let cache = SimCache::global();
     let progress = crate::progress::CellProgress::new("ablation", runs.len());
     runs.into_par_iter()
         .map(|(label, triple)| {
-            let started = crate::progress::start();
-            let (cell, source) = cache
-                .run_cell_traced(
-                    &workload.jobs,
-                    predictsim_sim::ClusterSpec::single(workload.machine_size),
-                    &triple,
-                )
-                .unwrap_or_else(|e| panic!("ablation {label} failed: {e}"));
-            progress.cell_done(&label, source, started);
+            let cell = progress.run_cell(
+                &label,
+                &workload.jobs,
+                predictsim_sim::ClusterSpec::single(workload.machine_size),
+                &triple,
+            );
             AblationRow {
                 label,
                 ave_bsld: cell.result.ave_bsld,

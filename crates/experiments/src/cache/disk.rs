@@ -1,0 +1,643 @@
+//! The opt-in persistent layer of the [`SimCache`](super::SimCache):
+//! the only code that knows the cell-file format, file and temp naming,
+//! the LRU index and the fault ladder.
+//!
+//! # Persistent layer
+//!
+//! The layer (`repro --cache DIR`) writes each cell to `DIR` as JSON
+//! and reads it back in later invocations: a repeated `repro` run over
+//! unchanged workloads simulates nothing, and a run killed mid-campaign
+//! resumes from the cells it already wrote. Entries are verified
+//! against the full key on load — a corrupt or key-mismatched file is
+//! *rejected*: counted in
+//! [`CacheStats::disk_rejects`](super::CacheStats::disk_rejects),
+//! deleted, and re-simulated (once, not silently re-written every run).
+//! The fingerprint is a fixed, platform-independent encoding, so a
+//! cache directory is portable. Cached cells reproduce fresh runs
+//! *byte-identically*: the stored [`TripleResult`] is the same value a
+//! fresh simulation aggregates, and prediction vectors round-trip
+//! losslessly through JSON (they are `i64`s).
+//!
+//! The directory carries a size budget ([`DiskStore::set_budget`],
+//! `repro --cache-budget BYTES`, default [`DISK_BUDGET`]) tracked by an
+//! `index.json` of per-cell file size and logical last-use time. When a
+//! write pushes the directory past its budget, least-recently-used
+//! cells are evicted — but never cells touched by the current run, so
+//! an in-progress campaign cannot evict its own working set. The clock
+//! is a logical counter (no wall time), so the index is deterministic
+//! for a given access sequence.
+//!
+//! # Fault tolerance
+//!
+//! Every disk operation sits behind a named fault-injection site
+//! (`cache.read` / `cache.write` / `cache.rename` / `cache.remove` /
+//! `index.flush` — see `predictsim_faultline`) and a bounded
+//! retry-with-backoff that absorbs transient
+//! [`std::io::ErrorKind::Interrupted`] errors
+//! ([`CacheStats::disk_retries`](super::CacheStats::disk_retries)).
+//! After [`HARD_FAILURE_LIMIT`] *consecutive* hard failures the layer
+//! degrades to memory-only — warned once, campaign unaffected
+//! ([`CacheStats::degraded`](super::CacheStats::degraded)); the next
+//! healthy [`DiskStore::attach`] restores persistence (the ladder lives
+//! in [`DiskStore::classified`]). Cell and index writes are
+//! crash-consistent (temp file → fsync → atomic rename → best-effort
+//! directory sync), so a torn write never shadows good data.
+
+use std::collections::HashMap;
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use serde::{Deserialize, Serialize};
+
+use super::{CacheStats, CachedCell, CellKey};
+use crate::campaign::TripleResult;
+
+/// Name of the LRU index file inside a persistent cache directory.
+pub(super) const INDEX_NAME: &str = "index.json";
+
+/// Default size budget: 8 GiB of cell files — generous (a full-scale
+/// repro writes well under 1 GiB) but a hard ceiling against unbounded
+/// growth of a long-lived `--cache DIR`.
+const DISK_BUDGET: u64 = 8 * 1024 * 1024 * 1024;
+
+/// Bounded retries absorbed per disk operation before its error is
+/// surfaced (transient [`std::io::ErrorKind::Interrupted`] only; each
+/// absorbed retry counts in
+/// [`CacheStats::disk_retries`](super::CacheStats::disk_retries)).
+const IO_RETRIES: u32 = 3;
+
+/// [`SimCache::HARD_FAILURE_LIMIT`](super::SimCache::HARD_FAILURE_LIMIT).
+pub(super) const HARD_FAILURE_LIMIT: u64 = 5;
+
+/// Stable persistent file name for a key.
+pub(super) fn file_name(key: &CellKey) -> String {
+    format!("cell-{:016x}.json", key.fnv())
+}
+
+/// The on-disk form of a cell: the full key (verified on load) plus the
+/// payload.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct DiskCell {
+    fingerprint: u64,
+    cluster: String,
+    triple: String,
+    result: TripleResult,
+    predictions: Vec<i64>,
+}
+
+/// Per-cell bookkeeping of the persistent directory.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct DiskEntry {
+    /// File size in bytes (the serialized cell).
+    bytes: u64,
+    /// Logical last-use time ([`DiskIndex::clock`] at the last touch).
+    last_use: u64,
+}
+
+/// The persisted `index.json`: a logical clock plus one entry per cell
+/// file, used for LRU eviction decisions.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct DiskIndex {
+    clock: u64,
+    entries: HashMap<String, DiskEntry>,
+}
+
+/// Directory state, under one lock (file I/O happens *outside* it where
+/// possible; index mutations inside).
+struct PersistLayer {
+    dir: Option<PathBuf>,
+    /// Directory size budget in bytes (cell files only; the index is
+    /// exempt).
+    budget: u64,
+    index: DiskIndex,
+    /// Sum of `index.entries[*].bytes` (maintained incrementally).
+    total_bytes: u64,
+    /// Entries with `last_use >= run_floor` were touched by the current
+    /// run and are never evicted.
+    run_floor: u64,
+}
+
+impl PersistLayer {
+    fn touch(&mut self, file_name: &str, bytes_hint: u64) {
+        self.index.clock += 1;
+        let clock = self.index.clock;
+        match self.index.entries.get_mut(file_name) {
+            Some(entry) => entry.last_use = clock,
+            None => {
+                // A file another process wrote: adopt it.
+                self.index.entries.insert(
+                    file_name.to_string(),
+                    DiskEntry {
+                        bytes: bytes_hint,
+                        last_use: clock,
+                    },
+                );
+                self.total_bytes += bytes_hint;
+            }
+        }
+    }
+
+    fn forget(&mut self, file_name: &str) {
+        if let Some(entry) = self.index.entries.remove(file_name) {
+            self.total_bytes -= entry.bytes;
+        }
+    }
+}
+
+/// The persistent cell store — see the module docs.
+pub(super) struct DiskStore {
+    persist: Mutex<PersistLayer>,
+    disk_rejects: AtomicU64,
+    disk_evictions: AtomicU64,
+    disk_retries: AtomicU64,
+    /// Consecutive hard (non-retryable, non-NotFound) disk failures; a
+    /// healthy disk operation resets it. At [`HARD_FAILURE_LIMIT`] the
+    /// layer degrades.
+    hard_fail_streak: AtomicU64,
+    /// Layer degraded to memory-only (warned once; cleared by the next
+    /// [`DiskStore::attach`]).
+    degraded: AtomicBool,
+    /// Per-process sequence for unique temp-file names (two threads —
+    /// or two processes, via the pid component — sharing one cache
+    /// directory must never interleave writes into one temp file).
+    tmp_seq: AtomicU64,
+}
+
+impl DiskStore {
+    /// A detached store: a no-op until [`DiskStore::attach`].
+    pub(super) fn new() -> Self {
+        DiskStore {
+            persist: Mutex::new(PersistLayer {
+                dir: None,
+                budget: DISK_BUDGET,
+                index: DiskIndex::default(),
+                total_bytes: 0,
+                run_floor: 0,
+            }),
+            disk_rejects: AtomicU64::new(0),
+            disk_evictions: AtomicU64::new(0),
+            disk_retries: AtomicU64::new(0),
+            hard_fail_streak: AtomicU64::new(0),
+            degraded: AtomicBool::new(false),
+            tmp_seq: AtomicU64::new(0),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, PersistLayer> {
+        self.persist.lock().expect("cache persist lock")
+    }
+
+    /// This layer's slice of the cache accounting.
+    pub(super) fn stats(&self) -> CacheStats {
+        CacheStats {
+            disk_rejects: self.disk_rejects.load(Ordering::Relaxed),
+            disk_evictions: self.disk_evictions.load(Ordering::Relaxed),
+            disk_retries: self.disk_retries.load(Ordering::Relaxed),
+            degraded: self.degraded.load(Ordering::Relaxed),
+            ..CacheStats::default()
+        }
+    }
+
+    /// Attaches the store to `dir` (or detaches it, with `None`) — see
+    /// [`SimCache::set_persist_dir`](super::SimCache::set_persist_dir).
+    pub(super) fn attach(&self, dir: Option<PathBuf>) {
+        let mut persist = self.lock();
+        persist.index = DiskIndex::default();
+        persist.total_bytes = 0;
+        persist.run_floor = 0;
+        persist.dir = dir;
+        // A fresh attach is a declaration that the disk is healthy
+        // again: clear any degradation so resumability survives the
+        // next run even if this one limped home memory-only.
+        self.hard_fail_streak.store(0, Ordering::Relaxed);
+        self.degraded.store(false, Ordering::Relaxed);
+        let Some(dir) = persist.dir.clone() else {
+            return;
+        };
+        // Load the index (a corrupt index just starts empty — it is
+        // bookkeeping, not data) and reconcile it with the directory:
+        // drop entries whose file vanished, adopt files it never saw
+        // (another process, an older layout) as least-recently used,
+        // and sweep stale temp files from crashed writers.
+        if let Ok(text) = std::fs::read_to_string(dir.join(INDEX_NAME)) {
+            if let Ok(index) = serde_json::from_str::<DiskIndex>(&text) {
+                persist.index = index;
+            }
+        }
+        let mut present: HashMap<String, u64> = HashMap::new();
+        if let Ok(entries) = std::fs::read_dir(&dir) {
+            for entry in entries.flatten() {
+                let name = entry.file_name().to_string_lossy().into_owned();
+                if name.ends_with(".tmp") {
+                    let _ = std::fs::remove_file(entry.path());
+                    continue;
+                }
+                if name.starts_with("cell-") && name.ends_with(".json") {
+                    let bytes = entry.metadata().map(|m| m.len()).unwrap_or(0);
+                    present.insert(name, bytes);
+                }
+            }
+        }
+        persist
+            .index
+            .entries
+            .retain(|name, _| present.contains_key(name));
+        for (name, bytes) in present {
+            persist
+                .index
+                .entries
+                .entry(name)
+                .or_insert(DiskEntry { bytes, last_use: 0 });
+        }
+        persist.total_bytes = persist.index.entries.values().map(|e| e.bytes).sum();
+        persist.run_floor = persist.index.clock + 1;
+    }
+
+    /// Sets the size budget in bytes (takes effect on the next write).
+    pub(super) fn set_budget(&self, bytes: u64) {
+        self.lock().budget = bytes;
+    }
+
+    /// Runs one disk operation with bounded retry of transient
+    /// ([`std::io::ErrorKind::Interrupted`]) errors, consulting the
+    /// fault-injection `site` ahead of each real attempt. Absorbed
+    /// retries count in
+    /// [`CacheStats::disk_retries`](super::CacheStats::disk_retries);
+    /// the final error — transient or not — is returned for the caller
+    /// to classify.
+    fn with_retry<T>(
+        &self,
+        site: &str,
+        mut op: impl FnMut() -> std::io::Result<T>,
+    ) -> std::io::Result<T> {
+        let mut attempt = 0;
+        loop {
+            let outcome = match predictsim_faultline::io_fault(site) {
+                Some(injected) => Err(injected),
+                None => op(),
+            };
+            match outcome {
+                Err(err)
+                    if err.kind() == std::io::ErrorKind::Interrupted && attempt < IO_RETRIES =>
+                {
+                    attempt += 1;
+                    self.disk_retries.fetch_add(1, Ordering::Relaxed);
+                    // A whisper of backoff: enough to step over a
+                    // transient hiccup, far too small to show up in
+                    // campaign wall-clock.
+                    std::thread::sleep(std::time::Duration::from_micros(50 << attempt));
+                }
+                other => return other,
+            }
+        }
+    }
+
+    /// Runs one *classified* step — one whose outcome says something
+    /// about the disk — against the attached directory, and settles it
+    /// on the degradation ladder. Short-circuits (`None`, `step` never
+    /// runs) when the store is detached or already degraded. `Ok(Some)`
+    /// is a completed operation: the failure streak resets. `Ok(None)`
+    /// is a probe that found nothing: deliberately *not* a reset — it
+    /// completes without moving any data, so it proves nothing about a
+    /// disk whose writes are failing (read-only mounts and full disks
+    /// answer probes just fine). `Err` failed for keeps (retries
+    /// exhausted or a hard error): at [`HARD_FAILURE_LIMIT`]
+    /// consecutive failures the layer degrades to memory-only — warned
+    /// exactly once — so a campaign on a dying disk finishes instead of
+    /// grinding through error paths on every cell.
+    fn classified<T>(
+        &self,
+        what: &str,
+        step: impl FnOnce(PathBuf) -> std::io::Result<Option<T>>,
+    ) -> Option<T> {
+        if self.degraded.load(Ordering::Relaxed) {
+            return None;
+        }
+        let dir = self.lock().dir.clone()?;
+        match step(dir) {
+            Ok(found) => {
+                if found.is_some() {
+                    self.hard_fail_streak.store(0, Ordering::Relaxed);
+                }
+                found
+            }
+            Err(err) => {
+                let streak = self.hard_fail_streak.fetch_add(1, Ordering::Relaxed) + 1;
+                if streak >= HARD_FAILURE_LIMIT && !self.degraded.swap(true, Ordering::Relaxed) {
+                    eprintln!(
+                        "warning: disk cache degraded to memory-only after {streak} consecutive \
+                         hard failures (last: {what}: {err}); the run continues uncached on disk — \
+                         re-attach a healthy --cache dir to restore persistence"
+                    );
+                }
+                None
+            }
+        }
+    }
+
+    /// Best-effort delete (retried, never classified): if it fails the
+    /// file is simply met again — rejected or evicted — next run.
+    fn remove(&self, path: &Path) {
+        let _ = self.with_retry("cache.remove", || std::fs::remove_file(path));
+    }
+
+    /// A collision-free temp path next to `path`: pid + per-process
+    /// sequence, so concurrent threads *and* concurrent processes
+    /// sharing one cache directory each write their own temp file and
+    /// the final rename stays atomic-or-nothing.
+    fn unique_tmp(&self, path: &Path) -> PathBuf {
+        let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
+        let mut name = path.as_os_str().to_owned();
+        name.push(format!(".{}-{}.tmp", std::process::id(), seq));
+        PathBuf::from(name)
+    }
+
+    /// Crash-consistent atomic write: serialize to a unique temp file,
+    /// sync it to the platter, rename into place, then best-effort sync
+    /// the directory so the rename itself survives a crash. A failure
+    /// at any step removes the temp file and leaves whatever `path`
+    /// held before — a torn write can never shadow good data. Transient
+    /// errors are absorbed by the bounded retry at both fault sites.
+    fn write_atomic(
+        &self,
+        path: &Path,
+        contents: &str,
+        write_site: &str,
+        rename_site: &str,
+    ) -> std::io::Result<()> {
+        let tmp = self.unique_tmp(path);
+        let written = self.with_retry(write_site, || {
+            let mut file = std::fs::File::create(&tmp)?;
+            file.write_all(contents.as_bytes())?;
+            // The data must be durable *before* the rename publishes
+            // the name, or a crash can expose an empty/torn file under
+            // the final path.
+            file.sync_all()
+        });
+        if let Err(err) = written {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(err);
+        }
+        if let Err(err) = self.with_retry(rename_site, || std::fs::rename(&tmp, path)) {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(err);
+        }
+        if let Some(parent) = path.parent() {
+            // Not every filesystem lets a directory be opened/synced;
+            // the rename is already atomic, this only tightens crash
+            // durability where supported.
+            if let Ok(dir) = std::fs::File::open(parent) {
+                let _ = dir.sync_all();
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes a snapshot of the LRU index into `dir` (takes the lock
+    /// only long enough to snapshot it). A failed write leaves the
+    /// previous `index.json` intact — the index is bookkeeping and the
+    /// next attach reconciles it with the directory, so losing one
+    /// flush costs recency, never cells.
+    fn write_index(&self, dir: &Path) -> std::io::Result<Option<()>> {
+        let index = self.lock().index.clone();
+        let Ok(json) = serde_json::to_string(&index) else {
+            return Ok(None);
+        };
+        self.write_atomic(&dir.join(INDEX_NAME), &json, "index.flush", "index.flush")
+            .map(Some)
+    }
+
+    /// Persists the LRU index after a store or a reject.
+    fn flush_index(&self) {
+        self.classified("index flush", |dir| self.write_index(&dir));
+    }
+
+    /// Persists the LRU index *now* and sweeps this process's leftover
+    /// `*.tmp` files. The graceful-shutdown path: `index.json` is
+    /// normally only rewritten after a store, so a run that was serving
+    /// disk hits (which touch entries' last-use clocks in memory) and
+    /// then gets interrupted would otherwise lose that recency — and a
+    /// writer killed between temp write and rename would leave its temp
+    /// file for the *next* attach to sweep. No-op when detached, or
+    /// degraded: the layer already gave up on this disk, and the
+    /// previous `index.json` (if any) stays intact for the next attach.
+    pub(super) fn flush(&self) {
+        self.classified("index flush", |dir| {
+            // An interrupt can land before any cell was stored; the
+            // flushed (possibly empty) index must still appear on disk.
+            let _ = std::fs::create_dir_all(&dir);
+            let flushed = self.write_index(&dir);
+            let own_tmp = format!(".{}-", std::process::id());
+            if let Ok(entries) = std::fs::read_dir(&dir) {
+                for entry in entries.flatten() {
+                    let name = entry.file_name().to_string_lossy().into_owned();
+                    if name.ends_with(".tmp") && name.contains(&own_tmp) {
+                        let _ = std::fs::remove_file(entry.path());
+                    }
+                }
+            }
+            flushed
+        });
+    }
+
+    /// Reads `key`'s cell back, if the directory holds a valid one.
+    pub(super) fn load(&self, key: &CellKey) -> Option<CachedCell> {
+        let (file_name, path, text) = self.classified("cell read", |dir| {
+            let file_name = file_name(key);
+            let path = dir.join(&file_name);
+            match self.with_retry("cache.read", || std::fs::read_to_string(&path)) {
+                Ok(text) => Ok(Some((file_name, path, text))),
+                Err(err) if err.kind() == std::io::ErrorKind::NotFound => {
+                    // No file: a plain miss. Drop any stale index entry
+                    // so the LRU accounting stays honest after an
+                    // external deletion.
+                    self.lock().forget(&file_name);
+                    Ok(None)
+                }
+                // Unreadable beyond retry: miss (the cell re-simulates)
+                // and one step down the degradation ladder. The index
+                // entry stays — the file is probably still there.
+                Err(err) => Err(err),
+            }
+        })?;
+        // Verify both the encoding and the full key: a truncated write,
+        // a file-name hash collision or a stale entry must never serve
+        // the wrong cell — and must not be silently re-read (and
+        // re-missed) every run. Reject: count, delete, re-simulate.
+        let verified = serde_json::from_str::<DiskCell>(&text).ok().filter(|disk| {
+            disk.fingerprint == key.fingerprint
+                && disk.cluster == key.cluster
+                && disk.triple == key.triple
+        });
+        let Some(disk) = verified else {
+            self.disk_rejects.fetch_add(1, Ordering::Relaxed);
+            self.remove(&path);
+            self.lock().forget(&file_name);
+            self.flush_index();
+            return None;
+        };
+        self.lock().touch(&file_name, text.len() as u64);
+        Some(CachedCell {
+            result: disk.result,
+            predictions: Some(Arc::new(disk.predictions)),
+        })
+    }
+
+    /// Writes `cell` under `key`, then evicts past-budget cells and
+    /// persists the index. Persistence is best-effort: a read-only or
+    /// full disk must not fail the experiment, only forgo the cache.
+    pub(super) fn store(&self, key: &CellKey, cell: &CachedCell) {
+        let Some(predictions) = &cell.predictions else {
+            return; // only complete cells are persisted
+        };
+        let Some((dir, file_name, bytes)) = self.classified("cell write", |dir| {
+            let disk = DiskCell {
+                fingerprint: key.fingerprint,
+                cluster: key.cluster.clone(),
+                triple: key.triple.clone(),
+                result: cell.result.clone(),
+                predictions: predictions.as_ref().clone(),
+            };
+            let file_name = file_name(key);
+            let _ = std::fs::create_dir_all(&dir);
+            let Ok(json) = serde_json::to_string(&disk) else {
+                return Ok(None);
+            };
+            self.write_atomic(&dir.join(&file_name), &json, "cache.write", "cache.rename")?;
+            Ok(Some((dir, file_name, json.len() as u64)))
+        }) else {
+            return;
+        };
+        // Account the write in the LRU index, then evict past-budget
+        // cells — least-recently-used first, never cells this run
+        // touched.
+        let mut persist = self.lock();
+        persist.forget(&file_name);
+        persist.touch(&file_name, bytes);
+        let mut evicted: Vec<PathBuf> = Vec::new();
+        while persist.total_bytes > persist.budget {
+            let run_floor = persist.run_floor;
+            let victim = persist
+                .index
+                .entries
+                .iter()
+                .filter(|(_, e)| e.last_use < run_floor)
+                .min_by_key(|(name, e)| (e.last_use, (*name).clone()))
+                .map(|(name, _)| name.clone());
+            let Some(victim) = victim else {
+                break; // only mid-run entries remain: never evict those
+            };
+            persist.forget(&victim);
+            evicted.push(dir.join(&victim));
+        }
+        drop(persist);
+        for path in &evicted {
+            self.remove(path);
+        }
+        self.disk_evictions
+            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
+        self.flush_index();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cache::tests::{temp_dir, tiny_arena};
+    use crate::cache::SimCache;
+    use crate::triple::HeuristicTriple;
+    use predictsim_faultline::{self as faultline, FaultKind, FaultPlan, FaultSpec};
+
+    /// `flush_persistent` writes the index immediately — the SIGINT path
+    /// for runs that would otherwise lose in-memory recency updates.
+    #[test]
+    fn flush_persistent_saves_index_and_sweeps_own_tmp() {
+        let dir = temp_dir("flush");
+        let (arena, m) = tiny_arena(33);
+        let cache = SimCache::new();
+        cache.set_persist_dir(Some(dir.clone()));
+        cache
+            .run_cell(&arena, m, &HeuristicTriple::standard_easy())
+            .unwrap();
+        let index_path = dir.join(INDEX_NAME);
+        std::fs::remove_file(&index_path).unwrap();
+        // A stranded temp file from *this* process (as after a kill
+        // between write and rename).
+        let tmp = dir.join(format!("cell-x.json.{}-999.tmp", std::process::id()));
+        std::fs::write(&tmp, "torn").unwrap();
+        cache.flush_persistent();
+        assert!(index_path.exists(), "index rewritten on flush");
+        assert!(!tmp.exists(), "own temp litter swept on flush");
+        let text = std::fs::read_to_string(&index_path).unwrap();
+        let index: DiskIndex = serde_json::from_str(&text).unwrap();
+        assert_eq!(index.entries.len(), 1);
+        // Without a persistent directory the flush is a no-op.
+        SimCache::new().flush_persistent();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The fault ladder, driven through the wrapper itself. The site
+    /// name is this test's own: plans are process-wide, and the other
+    /// tests of this binary do real cache IO while it runs.
+    #[test]
+    fn classified_steps_settle_on_the_degradation_ladder() {
+        const SITE: &str = "ladder.step";
+        let dir = temp_dir("ladder");
+        let store = DiskStore::new();
+        store.attach(Some(dir.clone()));
+        let streak = || store.hard_fail_streak.load(Ordering::Relaxed);
+        let step = || store.classified("step", |_| store.with_retry(SITE, || Ok(())).map(Some));
+        let consulted = || faultline::fired_counts()[0].1;
+        let plan = |spec| FaultPlan::builder().site(SITE, spec).build();
+        let hard = FaultSpec {
+            kind: FaultKind::Hard,
+            ..FaultSpec::default()
+        };
+
+        // Transient faults up to the retry bound are absorbed: the step
+        // completes, every retry is counted, the streak stays clear.
+        let transient = FaultSpec {
+            max: Some(u64::from(IO_RETRIES)),
+            ..FaultSpec::default()
+        };
+        faultline::with_plan(plan(transient), || assert_eq!(step(), Some(())));
+        assert_eq!(store.stats().disk_retries, u64::from(IO_RETRIES));
+        assert_eq!(streak(), 0);
+
+        faultline::with_plan(plan(hard), || {
+            assert_eq!(step(), None);
+            // Neither a probe that finds nothing nor a failed remove
+            // resets the streak or advances it.
+            assert_eq!(store.classified("probe", |_| Ok(None::<()>)), None);
+            store.remove(&dir.join("no-such-file"));
+            assert_eq!(streak(), 1);
+            for failures in 2..=HARD_FAILURE_LIMIT {
+                assert!(!store.stats().degraded);
+                assert_eq!(step(), None);
+                assert_eq!(streak(), failures);
+            }
+            assert!(store.stats().degraded);
+            // Degraded: later steps short-circuit without consulting
+            // the site.
+            assert_eq!(consulted(), HARD_FAILURE_LIMIT);
+            assert_eq!(step(), None);
+            assert_eq!(
+                (consulted(), streak()),
+                (HARD_FAILURE_LIMIT, HARD_FAILURE_LIMIT)
+            );
+        });
+
+        // Only a fresh attach clears the degradation; a completed step
+        // resets the streak.
+        store.attach(Some(dir));
+        assert!(!store.stats().degraded);
+        faultline::with_plan(plan(hard), || assert_eq!(step(), None));
+        assert_eq!(streak(), 1);
+        faultline::with_plan(plan(FaultSpec { p: 0.0, ..hard }), || {
+            assert_eq!(step(), Some(()));
+        });
+        assert_eq!(streak(), 0);
+    }
+}

@@ -1,0 +1,892 @@
+//! Process-wide simulation memoization — sharded, single-flight, with an
+//! opt-in persistent layer under a size-budgeted LRU.
+//!
+//! The repro pipeline re-simulates the same (workload × policy triple)
+//! cells from several experiments: the campaign grid is re-read by
+//! cross-validation, Table 1 runs two of the campaign's cells per log,
+//! Table 8 and Figures 4/5 re-run campaign cells on Curie, and the
+//! ablations overlap the grid on the first log. [`SimCache`] keys each
+//! simulated cell by (workload [fingerprint](JobArena::fingerprint) ×
+//! canonical triple name × canonical [`ClusterSpec`] string) and
+//! memoizes the cell's
+//! aggregate [`TripleResult`] plus its per-job initial predictions —
+//! everything any consumer reads — so every distinct cell simulates
+//! **once per process**, whichever experiment asks first.
+//!
+//! This module owns the cell identity, the `run_cell*` entry points,
+//! panic isolation and the cell counters; how a cell is *stored* is the
+//! business of the two layers below it. `memory` is the sharded,
+//! single-flight in-memory map with its prediction budget; `disk` is
+//! the persistent directory (`repro --cache DIR`): cell-file format and
+//! key verification, the `index.json` LRU, crash-consistent writes and
+//! the retry / degrade-to-memory fault ladder.
+//!
+//! # Panic isolation
+//!
+//! The miss path catches panics out of the simulation
+//! (`catch_unwind` + bounded retry, [`CacheStats::panicked_cells`]),
+//! surfacing a genuinely poisoned cell as
+//! [`ScenarioError::CellPanicked`] after the lease has withdrawn its
+//! marker and released coalesced waiters.
+
+mod disk;
+mod memory;
+
+use std::fmt::Write as _;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+
+use predictsim_sim::{ClusterSpec, NullObserver, SimObserver};
+
+use self::disk::DiskStore;
+use self::memory::{Claim, Memory};
+use crate::campaign::TripleResult;
+use crate::scenario::ScenarioError;
+use crate::source::JobArena;
+use crate::triple::HeuristicTriple;
+
+/// One memoized simulation cell.
+#[derive(Debug, Clone)]
+pub struct CachedCell {
+    /// The cell's aggregate metrics (bit-identical to a fresh
+    /// [`TripleResult::from_sim`]).
+    pub result: TripleResult,
+    /// The clamped initial prediction of every job, by dense job id —
+    /// `None` when the prediction budget was exhausted when this cell
+    /// was inserted (aggregates are still cached).
+    pub predictions: Option<Arc<Vec<i64>>>,
+}
+
+/// Where a [`SimCache::run_cell_traced`] result came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellSource {
+    /// This call ran the simulation (a true cache miss).
+    Simulated,
+    /// Served from the in-memory layer.
+    Memory,
+    /// Served from the persistent directory.
+    Disk,
+    /// Waited on another worker's in-flight simulation of the same cell.
+    Coalesced,
+}
+
+/// Cache identity of one cell. The cluster is keyed by its canonical
+/// [`ClusterSpec`] string, so two specs with equal total processors but
+/// different partitioning (or speeds) can never alias each other.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct CellKey {
+    fingerprint: u64,
+    cluster: String,
+    triple: String,
+}
+
+impl CellKey {
+    fn new(arena: &JobArena, cluster: ClusterSpec, triple: &HeuristicTriple) -> Self {
+        CellKey {
+            fingerprint: arena.fingerprint(),
+            cluster: cluster.to_string(),
+            triple: triple.name(),
+        }
+    }
+
+    /// FNV-1a over the key's fields — names the persistent file *and*
+    /// selects the shard, so disk layout and lock layout agree.
+    fn fnv(&self) -> u64 {
+        crate::source::fnv1a64(
+            self.fingerprint
+                .to_le_bytes()
+                .into_iter()
+                .chain(self.cluster.bytes())
+                .chain(self.triple.bytes()),
+        )
+    }
+}
+
+/// Cumulative cache accounting (process-wide).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Cells actually simulated (cache misses — a true work count under
+    /// single-flight).
+    pub simulated: u64,
+    /// Cells served from process memory (including coalesced waits).
+    pub memory_hits: u64,
+    /// Cells served from the persistent directory.
+    pub disk_hits: u64,
+    /// The subset of `memory_hits` that waited on another worker's
+    /// in-flight simulation instead of duplicating it.
+    pub coalesced: u64,
+    /// Corrupt or key-mismatched persistent files rejected (and
+    /// deleted) on load.
+    pub disk_rejects: u64,
+    /// Persistent cells evicted by the disk-layer LRU budget.
+    pub disk_evictions: u64,
+    /// Transient disk-IO errors absorbed by the bounded retry (each
+    /// retry attempt counts once).
+    pub disk_retries: u64,
+    /// Simulation attempts that panicked and were caught — the cell
+    /// either succeeded on a retry or surfaced
+    /// [`ScenarioError::CellPanicked`].
+    pub panicked_cells: u64,
+    /// True once the disk layer degraded to memory-only after
+    /// [`SimCache::HARD_FAILURE_LIMIT`] consecutive hard IO failures
+    /// (cleared by the next [`SimCache::set_persist_dir`]).
+    pub degraded: bool,
+}
+
+impl CacheStats {
+    /// Total lookups.
+    pub fn lookups(&self) -> u64 {
+        self.simulated + self.memory_hits + self.disk_hits
+    }
+
+    /// Hits from either layer.
+    pub fn hits(&self) -> u64 {
+        self.memory_hits + self.disk_hits
+    }
+
+    /// Difference since `earlier` (for per-phase attribution).
+    pub fn since(&self, earlier: CacheStats) -> CacheStats {
+        CacheStats {
+            simulated: self.simulated - earlier.simulated,
+            memory_hits: self.memory_hits - earlier.memory_hits,
+            disk_hits: self.disk_hits - earlier.disk_hits,
+            coalesced: self.coalesced - earlier.coalesced,
+            disk_rejects: self.disk_rejects - earlier.disk_rejects,
+            disk_evictions: self.disk_evictions - earlier.disk_evictions,
+            disk_retries: self.disk_retries - earlier.disk_retries,
+            panicked_cells: self.panicked_cells - earlier.panicked_cells,
+            // A state flag, not a counter: report the current state.
+            degraded: self.degraded,
+        }
+    }
+
+    /// Every field under its rendered name, in the pinned order of
+    /// [`CacheStats::summary_line`] and the serve `stats` frame: new
+    /// fields are **append-only** (tooling anchors on the `simulated=`
+    /// prefix and on ` field=value ` substrings, so existing fields
+    /// must never move or change spelling).
+    pub fn fields(&self) -> [(&'static str, u64); 9] {
+        [
+            ("simulated", self.simulated),
+            ("memory_hits", self.memory_hits),
+            ("disk_hits", self.disk_hits),
+            ("coalesced", self.coalesced),
+            ("disk_rejects", self.disk_rejects),
+            ("evicted", self.disk_evictions),
+            ("disk_retries", self.disk_retries),
+            ("degraded", u64::from(self.degraded)),
+            ("panicked_cells", self.panicked_cells),
+        ]
+    }
+
+    /// The canonical one-line rendering used by `repro` and pinned by a
+    /// format test.
+    pub fn summary_line(&self) -> String {
+        let mut line = String::from("cache summary:");
+        for (name, value) in self.fields() {
+            let _ = write!(line, " {name}={value}");
+        }
+        line
+    }
+}
+
+/// The process-wide simulation cache — see the module docs.
+pub struct SimCache {
+    memory: Memory,
+    disk: DiskStore,
+    simulated: AtomicU64,
+    memory_hits: AtomicU64,
+    disk_hits: AtomicU64,
+    coalesced: AtomicU64,
+    panicked_cells: AtomicU64,
+}
+
+static GLOBAL: OnceLock<SimCache> = OnceLock::new();
+
+/// Best-effort text of a caught panic payload (`panic!` with a string
+/// literal or a formatted message covers everything this codebase — and
+/// the fault injector — can throw).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(text) = payload.downcast_ref::<&str>() {
+        (*text).to_string()
+    } else if let Some(text) = payload.downcast_ref::<String>() {
+        text.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+impl Default for SimCache {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl SimCache {
+    /// Consecutive hard disk failures after which the persistent layer
+    /// degrades to memory-only for the rest of the attach (warned once;
+    /// the campaign continues, and the next healthy
+    /// [`SimCache::set_persist_dir`] restores persistence and with it
+    /// resumability).
+    pub const HARD_FAILURE_LIMIT: u64 = disk::HARD_FAILURE_LIMIT;
+
+    /// Simulation attempts per cell before a caught panic stops being
+    /// retried and surfaces as [`ScenarioError::CellPanicked`].
+    pub const PANIC_RETRIES: u32 = 3;
+
+    /// Name of the LRU index file inside a persistent cache directory.
+    pub const INDEX_NAME: &'static str = disk::INDEX_NAME;
+
+    /// An independent cache instance (tests, `bench/`, embedding several
+    /// cache domains). Experiments route through [`SimCache::global`].
+    pub fn new() -> Self {
+        Self {
+            memory: Memory::new(),
+            disk: DiskStore::new(),
+            simulated: AtomicU64::new(0),
+            memory_hits: AtomicU64::new(0),
+            disk_hits: AtomicU64::new(0),
+            coalesced: AtomicU64::new(0),
+            panicked_cells: AtomicU64::new(0),
+        }
+    }
+
+    /// The process-wide instance every experiment routes through.
+    pub fn global() -> &'static SimCache {
+        GLOBAL.get_or_init(SimCache::new)
+    }
+
+    /// Enables (or disables, with `None`) the persistent layer. Created
+    /// lazily on first write; existing entries are picked up on misses.
+    /// Loads (or initializes) the directory's LRU index and reconciles
+    /// it with the files actually present; entries touched from here on
+    /// belong to the current run and are exempt from eviction. A fresh
+    /// attach also clears any degradation of the disk layer.
+    pub fn set_persist_dir(&self, dir: Option<PathBuf>) {
+        self.disk.attach(dir);
+    }
+
+    /// Sets the persistent layer's size budget in bytes (`repro
+    /// --cache-budget`, default 8 GiB). Takes effect on the next write
+    /// — eviction only ever runs after a store, and never touches cells
+    /// used by the current run.
+    pub fn set_disk_budget(&self, bytes: u64) {
+        self.disk.set_budget(bytes);
+    }
+
+    /// Persists the LRU index *now* and sweeps this process's leftover
+    /// `*.tmp` files — the graceful-shutdown path, so an interrupted run
+    /// keeps the recency its disk hits earned. No-op without a
+    /// persistent directory.
+    pub fn flush_persistent(&self) {
+        self.disk.flush();
+    }
+
+    /// Drops every in-memory cell and restores the prediction budget
+    /// (the persistent directory, if any, is untouched). Intended for
+    /// tests that must observe *fresh* simulations — e.g. the pool-width
+    /// determinism suites, which would otherwise compare a simulation
+    /// against its own memoized result.
+    pub fn clear_memory(&self) {
+        self.memory.clear();
+    }
+
+    /// Overrides the total in-memory prediction budget, splitting it
+    /// evenly across shards (remainder to the first). Test/bench
+    /// instrumentation — experiments use the default.
+    pub fn set_prediction_budget(&self, total: usize) {
+        self.memory.set_prediction_budget(total);
+    }
+
+    /// Prediction-budget elements still unspent, summed over shards.
+    /// With [`SimCache::set_prediction_budget`], pins budget accounting
+    /// in tests (e.g. exactly-once accounting under single-flight).
+    pub fn prediction_budget_remaining(&self) -> usize {
+        self.memory.prediction_budget_remaining()
+    }
+
+    /// Cumulative accounting since process start.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            simulated: self.simulated.load(Ordering::Relaxed),
+            memory_hits: self.memory_hits.load(Ordering::Relaxed),
+            disk_hits: self.disk_hits.load(Ordering::Relaxed),
+            coalesced: self.coalesced.load(Ordering::Relaxed),
+            panicked_cells: self.panicked_cells.load(Ordering::Relaxed),
+            ..self.disk.stats()
+        }
+    }
+
+    /// Runs the cell simulation with panic isolation: a caught panic
+    /// (a poisoned cell) is retried up to [`SimCache::PANIC_RETRIES`]
+    /// attempts — safe because the engine re-initializes every scratch
+    /// buffer at run start — before surfacing as
+    /// [`ScenarioError::CellPanicked`]. Each caught panic counts in
+    /// [`CacheStats::panicked_cells`].
+    fn simulate_isolated(
+        &self,
+        triple: &HeuristicTriple,
+        arena: &JobArena,
+        cluster: ClusterSpec,
+        observer: &mut dyn SimObserver,
+    ) -> Result<predictsim_sim::SimResult, ScenarioError> {
+        let mut attempt = 0;
+        loop {
+            attempt += 1;
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                crate::scenario::run_triple_with_scratch(
+                    triple,
+                    arena,
+                    predictsim_sim::SimConfig { cluster },
+                    observer,
+                )
+            }));
+            match outcome {
+                Ok(result) => return result.map_err(ScenarioError::from),
+                Err(payload) => {
+                    self.panicked_cells.fetch_add(1, Ordering::Relaxed);
+                    if attempt >= Self::PANIC_RETRIES {
+                        return Err(ScenarioError::CellPanicked(panic_message(&payload)));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs (or recalls) one cell: `triple` on the `arena` workload on
+    /// `cluster`. The returned aggregates are byte-identical to a
+    /// fresh simulation's whichever layer serves them.
+    pub fn run_cell(
+        &self,
+        arena: &JobArena,
+        cluster: ClusterSpec,
+        triple: &HeuristicTriple,
+    ) -> Result<CachedCell, ScenarioError> {
+        self.run_cell_traced(arena, cluster, triple)
+            .map(|(cell, _)| cell)
+    }
+
+    /// [`SimCache::run_cell`], also reporting which layer served the
+    /// cell (progress lines and tests).
+    pub fn run_cell_traced(
+        &self,
+        arena: &JobArena,
+        cluster: ClusterSpec,
+        triple: &HeuristicTriple,
+    ) -> Result<(CachedCell, CellSource), ScenarioError> {
+        let mut null = NullObserver;
+        self.run_cell_observed_traced(arena, cluster, triple, &mut null)
+    }
+
+    /// [`SimCache::run_cell_traced`] with a caller-supplied
+    /// [`SimObserver`] on the miss path. The observer sees events only
+    /// when *this call* runs the simulation ([`CellSource::Simulated`]);
+    /// cached and coalesced cells return without replaying events. It is
+    /// also the cancellation seam: an observer whose
+    /// [`SimObserver::keep_running`] turns `false` aborts the in-flight
+    /// simulation with [`predictsim_sim::SimError::Aborted`], the lease
+    /// is withdrawn, and any coalesced waiters retry (one becomes the
+    /// next leader). Progress heartbeats (`--progress`) and the serve
+    /// daemon's streamed `metrics` frames and deadline / disconnect /
+    /// drain cancellation ride this path; an aborted run counts in
+    /// [`CacheStats::simulated`] and stores nothing.
+    pub fn run_cell_observed_traced(
+        &self,
+        arena: &JobArena,
+        cluster: ClusterSpec,
+        triple: &HeuristicTriple,
+        observer: &mut dyn SimObserver,
+    ) -> Result<(CachedCell, CellSource), ScenarioError> {
+        let key = CellKey::new(arena, cluster, triple);
+        loop {
+            match self.memory.claim(&key) {
+                Claim::Hit(cell) => {
+                    self.memory_hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok((cell, CellSource::Memory));
+                }
+                Claim::Wait(flight) => {
+                    if let Some(cell) = flight.wait() {
+                        self.memory_hits.fetch_add(1, Ordering::Relaxed);
+                        self.coalesced.fetch_add(1, Ordering::Relaxed);
+                        return Ok((cell, CellSource::Coalesced));
+                    }
+                    // Leader failed; retry — this thread may become the
+                    // next leader and surface the error itself.
+                }
+                Claim::Lead(lease) => {
+                    // Disk probe and simulation both run outside every
+                    // shard lock; only same-cell requesters wait.
+                    if let Some(cell) = self.disk.load(&key) {
+                        self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                        lease.fulfill(cell.clone());
+                        return Ok((cell, CellSource::Disk));
+                    }
+                    self.simulated.fetch_add(1, Ordering::Relaxed);
+                    // On error the lease drop withdraws the marker and
+                    // releases the waiters before `?` propagates. A
+                    // panicking cell is caught and retried inside
+                    // `simulate_isolated`; `simulated` still counts the
+                    // miss once — it is a true-work count of cells, not
+                    // of attempts.
+                    let sim = self.simulate_isolated(triple, arena, cluster, observer)?;
+                    let result = TripleResult::from_sim(triple, &sim);
+                    let predictions: Vec<i64> =
+                        sim.outcomes.iter().map(|o| o.initial_prediction).collect();
+                    let cell = CachedCell {
+                        result,
+                        predictions: Some(Arc::new(predictions)),
+                    };
+                    // Persist first: the disk layer's budget is far
+                    // larger, and dropping the predictions before
+                    // writing would silently break the "repeated
+                    // --cache run simulates zero cells" contract once
+                    // the in-memory budget is exhausted.
+                    self.disk.store(&key, &cell);
+                    lease.fulfill(cell.clone());
+                    return Ok((cell, CellSource::Simulated));
+                }
+            }
+        }
+    }
+
+    /// Like [`SimCache::run_cell_traced`], but guarantees the predictions
+    /// are present (re-simulating without caching when the budget
+    /// dropped them).
+    pub fn run_cell_full_traced(
+        &self,
+        arena: &JobArena,
+        cluster: ClusterSpec,
+        triple: &HeuristicTriple,
+    ) -> Result<(TripleResult, Arc<Vec<i64>>, CellSource), ScenarioError> {
+        let (cell, source) = self.run_cell_traced(arena, cluster, triple)?;
+        if let Some(predictions) = cell.predictions {
+            return Ok((cell.result, predictions, source));
+        }
+        self.simulated.fetch_add(1, Ordering::Relaxed);
+        let sim = self.simulate_isolated(triple, arena, cluster, &mut NullObserver)?;
+        let predictions: Vec<i64> = sim.outcomes.iter().map(|o| o.initial_prediction).collect();
+        Ok((cell.result, Arc::new(predictions), CellSource::Simulated))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::Scenario;
+    use crate::triple::Variant;
+    use predictsim_workload::{generate, WorkloadSpec};
+
+    pub(super) fn tiny_arena(seed: u64) -> (JobArena, ClusterSpec) {
+        let mut spec = WorkloadSpec::toy();
+        spec.jobs = 200;
+        spec.duration = 2 * 86_400;
+        let w = generate(&spec, seed);
+        (JobArena::new(w.jobs), ClusterSpec::single(w.machine_size))
+    }
+
+    /// A private cache instance (the global one is shared across tests).
+    fn private() -> SimCache {
+        SimCache::new()
+    }
+
+    pub(super) fn temp_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("predictsim-cache-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn summary_line_format_is_append_only() {
+        // The CI smokes anchor on the `simulated=` prefix and on
+        // ` field=value ` substrings: existing fields must never move,
+        // new fields only ever append. This pin is the contract.
+        let stats = CacheStats {
+            simulated: 1,
+            memory_hits: 2,
+            disk_hits: 3,
+            coalesced: 4,
+            disk_rejects: 5,
+            disk_evictions: 6,
+            disk_retries: 7,
+            panicked_cells: 8,
+            degraded: true,
+        };
+        assert_eq!(
+            stats.summary_line(),
+            "cache summary: simulated=1 memory_hits=2 disk_hits=3 coalesced=4 \
+             disk_rejects=5 evicted=6 disk_retries=7 degraded=1 panicked_cells=8"
+        );
+        let quiet = CacheStats::default().summary_line();
+        assert!(
+            quiet.ends_with("disk_retries=0 degraded=0 panicked_cells=0"),
+            "{quiet}"
+        );
+    }
+
+    #[test]
+    fn second_lookup_is_a_memory_hit_with_identical_payload() {
+        let cache = private();
+        let (arena, m) = tiny_arena(3);
+        let triple = HeuristicTriple::easy_plus_plus();
+        let (fresh, src) = cache.run_cell_traced(&arena, m, &triple).unwrap();
+        assert_eq!(src, CellSource::Simulated);
+        let (again, src) = cache.run_cell_traced(&arena, m, &triple).unwrap();
+        assert_eq!(src, CellSource::Memory);
+        assert_eq!(fresh.result, again.result);
+        assert_eq!(fresh.predictions.as_deref(), again.predictions.as_deref());
+        let stats = cache.stats();
+        assert_eq!(stats.simulated, 1);
+        assert_eq!(stats.memory_hits, 1);
+        assert_eq!(stats.disk_hits, 0);
+        assert_eq!(stats.coalesced, 0);
+    }
+
+    #[test]
+    fn cached_aggregates_match_a_direct_simulation() {
+        let cache = private();
+        let (arena, m) = tiny_arena(4);
+        let triple = HeuristicTriple::standard_easy();
+        let cell = cache.run_cell(&arena, m, &triple).unwrap();
+        let sim = Scenario::from_triple(&triple)
+            .run_on(&arena, predictsim_sim::SimConfig { cluster: m })
+            .unwrap();
+        assert_eq!(cell.result, TripleResult::from_sim(&triple, &sim));
+        let predictions: Vec<i64> = sim.outcomes.iter().map(|o| o.initial_prediction).collect();
+        assert_eq!(
+            cell.predictions.as_deref().map(|p| p.as_slice()),
+            Some(predictions.as_slice())
+        );
+    }
+
+    #[test]
+    fn distinct_workloads_and_triples_do_not_collide() {
+        let cache = private();
+        let (a, ma) = tiny_arena(5);
+        let (b, mb) = tiny_arena(6);
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        let easy = HeuristicTriple::standard_easy();
+        let clair = HeuristicTriple::clairvoyant(Variant::Easy);
+        let cells = [
+            cache.run_cell(&a, ma, &easy).unwrap(),
+            cache.run_cell(&b, mb, &easy).unwrap(),
+            cache.run_cell(&a, ma, &clair).unwrap(),
+        ];
+        assert_eq!(cache.stats().simulated, 3, "three distinct cells");
+        assert_ne!(cells[0].result.ave_bsld, cells[2].result.ave_bsld);
+    }
+
+    #[test]
+    fn equal_total_clusters_are_distinct_cells() {
+        // Two cluster specs with the same total processor count — the
+        // legacy single machine and a half-speed single partition — must
+        // never alias: each gets its own simulation, in memory and on
+        // disk (the key is the canonical cluster string, not the total).
+        let cache = private();
+        let (arena, legacy) = tiny_arena(14);
+        let slow: ClusterSpec = format!("cluster:{}x0.5", legacy.total_procs())
+            .parse()
+            .unwrap();
+        assert_eq!(legacy.total_procs(), slow.total_procs());
+        assert_ne!(legacy.fingerprint(), slow.fingerprint());
+        // Equal totals with different partitioning also fingerprint apart.
+        let split: ClusterSpec = "cluster:32x1+32x1".parse().unwrap();
+        assert_eq!(split.total_procs(), ClusterSpec::single(64).total_procs());
+        assert_ne!(split.fingerprint(), ClusterSpec::single(64).fingerprint());
+
+        let triple = HeuristicTriple::standard_easy();
+        cache.run_cell(&arena, legacy, &triple).unwrap();
+        cache.run_cell(&arena, slow, &triple).unwrap();
+        assert_eq!(
+            cache.stats().simulated,
+            2,
+            "equal-total specs must not share a cell"
+        );
+        assert_eq!(cache.stats().hits(), 0);
+        // And each spec is a hit against itself.
+        cache.run_cell(&arena, slow, &triple).unwrap();
+        assert_eq!(cache.stats().memory_hits, 1);
+    }
+
+    #[test]
+    fn persistent_layer_round_trips_and_verifies_keys() {
+        let dir = temp_dir("roundtrip");
+        let (arena, m) = tiny_arena(7);
+        let triple = HeuristicTriple::easy_plus_plus();
+
+        let writer = private();
+        writer.set_persist_dir(Some(dir.clone()));
+        let fresh = writer.run_cell(&arena, m, &triple).unwrap();
+        assert_eq!(writer.stats().simulated, 1);
+
+        // A new process (modeled by a new cache instance) reads it back.
+        let reader = private();
+        reader.set_persist_dir(Some(dir.clone()));
+        let recalled = reader.run_cell(&arena, m, &triple).unwrap();
+        assert_eq!(reader.stats().simulated, 0, "disk must serve the cell");
+        assert_eq!(reader.stats().disk_hits, 1);
+        assert_eq!(recalled.result, fresh.result);
+        assert_eq!(
+            recalled.predictions.as_deref(),
+            fresh.predictions.as_deref()
+        );
+
+        // A different workload misses (and must not be served the file).
+        let (other, mo) = tiny_arena(8);
+        reader.run_cell(&other, mo, &triple).unwrap();
+        assert_eq!(reader.stats().simulated, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn exhausted_budget_still_persists_full_cells_to_disk() {
+        let dir = temp_dir("budget-disk");
+        let (arena, m) = tiny_arena(11);
+        let triple = HeuristicTriple::standard_easy();
+
+        let writer = private();
+        writer.set_persist_dir(Some(dir.clone()));
+        writer.set_prediction_budget(0); // memory budget gone
+        let fresh = writer.run_cell(&arena, m, &triple).unwrap();
+
+        // The disk layer has no prediction budget: a fresh process must
+        // still be served the complete cell without simulating.
+        let reader = private();
+        reader.set_persist_dir(Some(dir.clone()));
+        let recalled = reader.run_cell(&arena, m, &triple).unwrap();
+        assert_eq!(reader.stats().simulated, 0);
+        assert_eq!(reader.stats().disk_hits, 1);
+        assert_eq!(recalled.result, fresh.result);
+        assert_eq!(
+            recalled.predictions.as_deref(),
+            fresh.predictions.as_deref()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn exhausted_budget_drops_predictions_but_keeps_aggregates() {
+        let cache = private();
+        cache.set_prediction_budget(10); // tiny budget
+        let (arena, m) = tiny_arena(9);
+        let triple = HeuristicTriple::standard_easy();
+        let cell = cache.run_cell(&arena, m, &triple).unwrap();
+        assert!(cell.predictions.is_some(), "caller still gets them");
+        let again = cache.run_cell(&arena, m, &triple).unwrap();
+        assert!(again.predictions.is_none(), "budget dropped the vector");
+        assert_eq!(again.result, cell.result);
+        // run_cell_full_traced re-simulates to recover them.
+        let (result, predictions, source) = cache.run_cell_full_traced(&arena, m, &triple).unwrap();
+        assert_eq!(source, CellSource::Simulated);
+        assert_eq!(result, cell.result);
+        assert_eq!(
+            Some(predictions.as_slice()),
+            cell.predictions.as_deref().map(|p| p.as_slice())
+        );
+    }
+
+    /// A truncated (or otherwise unparseable) cache file is rejected:
+    /// counted, deleted, and the cell re-simulated exactly once — after
+    /// which the rewritten file serves future runs again.
+    #[test]
+    fn corrupt_cache_file_is_rejected_deleted_and_resimulated() {
+        let dir = temp_dir("corrupt");
+        let (arena, m) = tiny_arena(21);
+        let triple = HeuristicTriple::standard_easy();
+
+        let writer = private();
+        writer.set_persist_dir(Some(dir.clone()));
+        let fresh = writer.run_cell(&arena, m, &triple).unwrap();
+
+        // Truncate the cell file mid-JSON.
+        let key = CellKey::new(&arena, m, &triple);
+        let path = dir.join(disk::file_name(&key));
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, &text[..text.len() / 2]).unwrap();
+
+        let reader = private();
+        reader.set_persist_dir(Some(dir.clone()));
+        let recovered = reader.run_cell(&arena, m, &triple).unwrap();
+        let stats = reader.stats();
+        assert_eq!(stats.disk_rejects, 1, "corrupt file must be counted");
+        assert_eq!(stats.disk_hits, 0);
+        assert_eq!(stats.simulated, 1, "the cell re-simulates once");
+        assert_eq!(recovered.result, fresh.result);
+
+        // The rewritten file is valid again for a third process.
+        let third = private();
+        third.set_persist_dir(Some(dir.clone()));
+        third.run_cell(&arena, m, &triple).unwrap();
+        assert_eq!(third.stats().disk_hits, 1);
+        assert_eq!(third.stats().disk_rejects, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A parseable file whose embedded key disagrees with its name
+    /// (hash collision or a stale/foreign entry) is rejected the same
+    /// way, not served and not left to be re-read every run.
+    #[test]
+    fn key_mismatched_cache_file_is_rejected() {
+        let dir = temp_dir("mismatch");
+        let (arena, m) = tiny_arena(22);
+        let (other, mo) = tiny_arena(23);
+        let triple = HeuristicTriple::standard_easy();
+
+        let writer = private();
+        writer.set_persist_dir(Some(dir.clone()));
+        writer.run_cell(&other, mo, &triple).unwrap();
+
+        // Masquerade the other workload's cell as this workload's file.
+        let theirs = dir.join(disk::file_name(&CellKey::new(&other, mo, &triple)));
+        let ours = dir.join(disk::file_name(&CellKey::new(&arena, m, &triple)));
+        std::fs::copy(&theirs, &ours).unwrap();
+
+        let reader = private();
+        reader.set_persist_dir(Some(dir.clone()));
+        reader.run_cell(&arena, m, &triple).unwrap();
+        assert_eq!(reader.stats().disk_rejects, 1);
+        assert_eq!(reader.stats().simulated, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The disk layer's LRU: past the size budget, the least recently
+    /// used cells of *previous* runs are evicted; cells touched by the
+    /// current run never are.
+    #[test]
+    fn disk_layer_evicts_lru_past_budget_but_never_current_run_cells() {
+        let dir = temp_dir("lru");
+        let (a, ma) = tiny_arena(24);
+        let (b, mb) = tiny_arena(25);
+        let (c, mc) = tiny_arena(26);
+        let triple = HeuristicTriple::standard_easy();
+
+        // Run 1: store A then B (B more recently used), generous budget.
+        let run1 = private();
+        run1.set_persist_dir(Some(dir.clone()));
+        run1.run_cell(&a, ma, &triple).unwrap();
+        run1.run_cell(&b, mb, &triple).unwrap();
+        let file_a = dir.join(disk::file_name(&CellKey::new(&a, ma, &triple)));
+        let file_b = dir.join(disk::file_name(&CellKey::new(&b, mb, &triple)));
+        assert!(file_a.exists() && file_b.exists());
+
+        // Run 2: a budget that fits roughly one cell. Touch B (making
+        // it a current-run cell), then store C: A — the LRU entry from
+        // a previous run — must be evicted; B and C must survive.
+        let cell_bytes = std::fs::metadata(&file_a).unwrap().len();
+        let run2 = private();
+        run2.set_persist_dir(Some(dir.clone()));
+        run2.set_disk_budget(2 * cell_bytes);
+        run2.run_cell(&b, mb, &triple).unwrap(); // disk hit: touches B
+        run2.run_cell(&c, mc, &triple).unwrap(); // store pushes past budget
+        let file_c = dir.join(disk::file_name(&CellKey::new(&c, mc, &triple)));
+        assert!(!file_a.exists(), "LRU cell from a previous run evicted");
+        assert!(file_b.exists(), "cell touched by the current run kept");
+        assert!(file_c.exists(), "the fresh cell is kept");
+        assert_eq!(run2.stats().disk_evictions, 1);
+
+        // Even a zero budget never evicts current-run cells.
+        let run3 = private();
+        run3.set_persist_dir(Some(dir.clone()));
+        run3.set_disk_budget(0);
+        run3.run_cell(&a, ma, &triple).unwrap(); // re-simulates, stores A
+        assert!(file_a.exists(), "the cell this run wrote is protected");
+        assert!(
+            !file_b.exists() && !file_c.exists(),
+            "previous-run cells go"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Temp files are unique and never left behind: after any mix of
+    /// stores, the directory holds only final `cell-*.json` files and
+    /// the index.
+    #[test]
+    fn stores_leave_no_temp_files() {
+        let dir = temp_dir("tmpfiles");
+        let (a, ma) = tiny_arena(27);
+        let (b, mb) = tiny_arena(28);
+        let cache = private();
+        cache.set_persist_dir(Some(dir.clone()));
+        cache
+            .run_cell(&a, ma, &HeuristicTriple::standard_easy())
+            .unwrap();
+        cache
+            .run_cell(&b, mb, &HeuristicTriple::easy_plus_plus())
+            .unwrap();
+        for entry in std::fs::read_dir(&dir).unwrap().flatten() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            assert!(
+                !name.ends_with(".tmp"),
+                "temp file {name} must not survive a store"
+            );
+        }
+        // And stale temp litter from a crashed writer is swept when the
+        // directory is (re)opened.
+        std::fs::write(dir.join("cell-dead.json.999-0.tmp"), "torn").unwrap();
+        let reopened = private();
+        reopened.set_persist_dir(Some(dir.clone()));
+        assert!(!dir.join("cell-dead.json.999-0.tmp").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The observed miss path sees the simulation's events and produces
+    /// the same cell as the unobserved path; hits replay nothing.
+    #[test]
+    fn observed_path_streams_events_only_on_misses() {
+        let cache = private();
+        let (arena, m) = tiny_arena(31);
+        let triple = HeuristicTriple::standard_easy();
+        let mut metrics = predictsim_sim::MetricsObserver::new(m.total_procs());
+        let (cell, src) = cache
+            .run_cell_observed_traced(&arena, m, &triple, &mut metrics)
+            .unwrap();
+        assert_eq!(src, CellSource::Simulated);
+        assert_eq!(metrics.finished(), arena.len());
+        assert!((metrics.ave_bsld() - cell.result.ave_bsld).abs() < 1e-9);
+        // Second call hits memory: the observer stays silent.
+        let mut silent = predictsim_sim::MetricsObserver::new(m.total_procs());
+        let (again, src) = cache
+            .run_cell_observed_traced(&arena, m, &triple, &mut silent)
+            .unwrap();
+        assert_eq!(src, CellSource::Memory);
+        assert_eq!(silent.finished(), 0);
+        assert_eq!(again.result, cell.result);
+    }
+
+    /// A cancelling observer aborts the leader, withdraws the lease, and
+    /// leaves the cell re-runnable.
+    #[test]
+    fn observed_cancellation_aborts_and_releases_the_cell() {
+        struct CancelAfter {
+            left: u32,
+        }
+        impl SimObserver for CancelAfter {
+            fn on_event(&mut self, _event: &predictsim_sim::SimEvent<'_>) {
+                self.left = self.left.saturating_sub(1);
+            }
+            fn keep_running(&self) -> bool {
+                self.left > 0
+            }
+        }
+        let cache = private();
+        let (arena, m) = tiny_arena(32);
+        let triple = HeuristicTriple::standard_easy();
+        let mut cancel = CancelAfter { left: 5 };
+        let err = cache
+            .run_cell_observed_traced(&arena, m, &triple, &mut cancel)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ScenarioError::Sim(predictsim_sim::SimError::Aborted { .. })
+            ),
+            "got {err:?}"
+        );
+        // The withdrawn lease does not wedge the cell: a fresh request
+        // simulates it to completion.
+        let (_, src) = cache.run_cell_traced(&arena, m, &triple).unwrap();
+        assert_eq!(src, CellSource::Simulated);
+        assert_eq!(cache.stats().simulated, 2, "abort still counted as work");
+    }
+}

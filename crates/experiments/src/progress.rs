@@ -21,9 +21,13 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use predictsim_sim::{MetricsObserver, SimEvent, SimObserver, Ticker, UtilizationObserver};
+use predictsim_sim::{
+    ClusterSpec, MetricsObserver, SimEvent, SimObserver, Ticker, UtilizationObserver,
+};
 
-use crate::cache::CellSource;
+use crate::cache::{CachedCell, CellSource, SimCache};
+use crate::source::JobArena;
+use crate::triple::HeuristicTriple;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -39,7 +43,7 @@ pub fn enabled() -> bool {
 
 /// A start-of-cell timestamp — `None` when reporting is off, so the
 /// disabled path never reads the clock.
-pub fn start() -> Option<Instant> {
+pub(crate) fn start() -> Option<Instant> {
     enabled().then(Instant::now)
 }
 
@@ -53,7 +57,7 @@ pub fn emit(line: &str) {
 /// Per-fan-out progress: counts finished cells against a known total
 /// and reports each with its serving layer. Shared by reference across
 /// parallel workers.
-pub struct CellProgress {
+pub(crate) struct CellProgress {
     label: String,
     total: usize,
     done: AtomicUsize,
@@ -62,7 +66,7 @@ pub struct CellProgress {
 impl CellProgress {
     /// A new counter for `total` cells under the given display label
     /// (e.g. `campaign KTH-SP2`).
-    pub fn new(label: impl Into<String>, total: usize) -> Self {
+    pub(crate) fn new(label: impl Into<String>, total: usize) -> Self {
         CellProgress {
             label: label.into(),
             total,
@@ -73,7 +77,7 @@ impl CellProgress {
     /// Reports one finished cell: where it came from and — for true
     /// simulations, when the caller captured [`start`] — how long it
     /// took.
-    pub fn cell_done(&self, cell: &str, source: CellSource, started: Option<Instant>) {
+    pub(crate) fn cell_done(&self, cell: &str, source: CellSource, started: Option<Instant>) {
         if !enabled() {
             return;
         }
@@ -86,27 +90,43 @@ impl CellProgress {
             CellSource::Disk => "disk hit".to_string(),
             CellSource::Coalesced => "coalesced with an in-flight simulation".to_string(),
         };
-        self.line(cell, &how);
-    }
-
-    /// Reports a cell the `--prune` sweep early-aborted as dominated.
-    pub fn cell_pruned(&self, cell: &str, started: Option<Instant>) {
-        if !enabled() {
-            return;
-        }
-        let how = match started {
-            Some(t0) => format!("pruned (dominated) in {:.2}s", t0.elapsed().as_secs_f64()),
-            None => "pruned (dominated)".to_string(),
-        };
-        self.line(cell, &how);
-    }
-
-    fn line(&self, cell: &str, how: &str) {
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         eprintln!(
             "progress: {} [{}/{}] {} — {}",
             self.label, done, self.total, cell, how
         );
+    }
+
+    /// Runs (or recalls) one cell of this fan-out through the
+    /// process-wide [`SimCache`] and reports it as `cell`. With
+    /// `--progress` on, the miss goes through the observed cache path so
+    /// hour-long cells journal an intra-cell heartbeat every N events;
+    /// either way the cached cell is byte-identical. Panics if the
+    /// simulation fails — fan-outs run validated workloads, so that is a
+    /// bug, not an input condition.
+    pub(crate) fn run_cell(
+        &self,
+        cell: &str,
+        arena: &JobArena,
+        cluster: ClusterSpec,
+        triple: &HeuristicTriple,
+    ) -> CachedCell {
+        let cache = SimCache::global();
+        let started = start();
+        let outcome = if enabled() {
+            let mut heartbeat = Heartbeat::journal(
+                format!("{} {cell}", self.label),
+                cluster.total_procs(),
+                arena.len(),
+            );
+            cache.run_cell_observed_traced(arena, cluster, triple, &mut heartbeat)
+        } else {
+            cache.run_cell_traced(arena, cluster, triple)
+        };
+        let (cached, source) = outcome
+            .unwrap_or_else(|e| panic!("{} {cell} ({}) failed: {e}", self.label, triple.name()));
+        self.cell_done(cell, source, started);
+        cached
     }
 }
 
@@ -254,7 +274,7 @@ mod tests {
         let progress = CellProgress::new("test", 3);
         progress.cell_done("a", CellSource::Memory, None);
         progress.cell_done("b", CellSource::Simulated, start());
-        progress.cell_pruned("c", None);
+        progress.cell_done("c", CellSource::Disk, None);
         assert_eq!(progress.done.load(Ordering::Relaxed), 3);
         set_enabled(was);
     }

@@ -8,7 +8,6 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::SimCache;
 use crate::campaign::CampaignResult;
 use crate::cv::{cross_validate, CvOutcome};
 use crate::source::LoadedWorkload;
@@ -37,25 +36,23 @@ impl Table1Row {
 ///
 /// The per-log pairs of simulations are independent and fan out in
 /// parallel; both cells per log are campaign cells, so they route
-/// through the process-wide [`SimCache`] (a later campaign reuses them,
-/// and vice versa).
+/// through the process-wide [`SimCache`](crate::cache::SimCache) (a
+/// later campaign reuses them, and vice versa).
 pub fn table1(workloads: &[LoadedWorkload]) -> Vec<Table1Row> {
-    let cache = SimCache::global();
     let progress = crate::progress::CellProgress::new("table1", workloads.len() * 2);
     workloads
         .par_iter()
         .map(|w| {
             let cell = |triple: &HeuristicTriple| {
-                let started = crate::progress::start();
-                let (cell, source) = cache
-                    .run_cell_traced(
+                progress
+                    .run_cell(
+                        &format!("{} {}", w.name, triple.name()),
                         &w.jobs,
                         predictsim_sim::ClusterSpec::single(w.machine_size),
                         triple,
                     )
-                    .expect("table 1 simulation failed");
-                progress.cell_done(&format!("{} {}", w.name, triple.name()), source, started);
-                cell.result.ave_bsld
+                    .result
+                    .ave_bsld
             };
             Table1Row {
                 log: w.name.clone(),
@@ -213,7 +210,6 @@ pub struct Table8Row {
 /// preceding campaign on the same workload makes this a pure cache
 /// read.
 pub fn table8(workload: &LoadedWorkload) -> Vec<Table8Row> {
-    let cache = SimCache::global();
     let progress = crate::progress::CellProgress::new("table8", 2);
     [
         (
@@ -228,15 +224,12 @@ pub fn table8(workload: &LoadedWorkload) -> Vec<Table8Row> {
     ]
     .into_par_iter()
     .map(|(label, triple)| {
-        let started = crate::progress::start();
-        let (cell, source) = cache
-            .run_cell_traced(
-                &workload.jobs,
-                predictsim_sim::ClusterSpec::single(workload.machine_size),
-                &triple,
-            )
-            .expect("table 8 simulation failed");
-        progress.cell_done(&triple.name(), source, started);
+        let cell = progress.run_cell(
+            &triple.name(),
+            &workload.jobs,
+            predictsim_sim::ClusterSpec::single(workload.machine_size),
+            &triple,
+        );
         Table8Row {
             technique: label.to_string(),
             mae: cell.result.mae,

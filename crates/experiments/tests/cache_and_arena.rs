@@ -1,13 +1,13 @@
-//! Correctness of the simulation cache and the `--prune` sweep mode:
-//! cached campaigns serialize byte-identically to fresh ones, pruning
-//! preserves the winner, and warm cross-simulation runs allocate
-//! nothing (the [`ArenaStats`] pin at the experiment layer).
+//! Correctness of the simulation cache at the campaign layer: cached
+//! campaigns serialize byte-identically to fresh ones, and warm
+//! cross-simulation runs allocate nothing (the [`ArenaStats`] pin at
+//! the experiment layer).
 
 use predictsim_core::loss::AsymmetricLoss;
 use predictsim_core::predictor::MlConfig;
 use predictsim_core::weighting::WeightingScheme;
 use predictsim_experiments::cache::SimCache;
-use predictsim_experiments::campaign::{prune_exempt, run_campaign_loaded, run_campaign_pruned};
+use predictsim_experiments::campaign::run_campaign_loaded;
 use predictsim_experiments::scenario::{reset_thread_arena_stats, thread_arena_stats};
 use predictsim_experiments::source::LoadedWorkload;
 use predictsim_experiments::triple::{
@@ -69,74 +69,6 @@ fn cached_campaign_serializes_byte_identically_to_fresh() {
     assert_eq!(
         serde_json::to_string(&refreshed).expect("serialize"),
         fresh_json
-    );
-}
-
-/// `--prune` keeps the same winner as the exhaustive sweep: every
-/// pruned cell records a certain lower bound that exceeds the
-/// threshold, so the best (and best-per-variant) triples are unchanged.
-#[test]
-fn pruned_sweep_keeps_the_same_winner() {
-    let w = golden_workload(52);
-    let triples = sweep_triples();
-
-    SimCache::global().clear_memory();
-    let full = run_campaign_loaded(&w, &triples);
-
-    // Fresh cache so pruning actually engages instead of reading the
-    // full run's memoized cells.
-    SimCache::global().clear_memory();
-    let pruned = run_campaign_pruned(&w, &triples);
-
-    let full_winner = full.best_where(|r| r.predictor != "clairvoyant").unwrap();
-    let sweep_winner = pruned
-        .campaign
-        .best_where(|r| r.predictor != "clairvoyant")
-        .unwrap();
-    assert_eq!(
-        full_winner.triple, sweep_winner.triple,
-        "pruning must preserve the winner"
-    );
-    assert_eq!(
-        full_winner.ave_bsld, sweep_winner.ave_bsld,
-        "the winner's value must be exact, not a bound"
-    );
-
-    // Every exempt triple is exact; every pruned cell's recorded bound
-    // exceeds the threshold and lower-bounds the true value.
-    for (t, r) in triples.iter().zip(&pruned.campaign.results) {
-        assert_eq!(t.name(), r.triple);
-        let exact = full.get(&r.triple).expect("full campaign has every cell");
-        if pruned.pruned.contains(&r.triple) {
-            assert!(
-                !prune_exempt(t),
-                "{}: exempt triples must never be pruned",
-                r.triple
-            );
-            assert!(
-                r.ave_bsld > pruned.threshold,
-                "{}: pruned bound {} must exceed threshold {}",
-                r.triple,
-                r.ave_bsld,
-                pruned.threshold
-            );
-            assert!(
-                r.ave_bsld <= exact.ave_bsld + 1e-9,
-                "{}: recorded bound {} must lower-bound the true {}",
-                r.triple,
-                r.ave_bsld,
-                exact.ave_bsld
-            );
-        } else {
-            assert_eq!(r, exact, "{}: unpruned cells must be exact", r.triple);
-        }
-    }
-    // The sweep actually pruned something (otherwise this test pins
-    // nothing) — the sweep set contains learners far worse than the
-    // baselines.
-    assert!(
-        !pruned.pruned.is_empty(),
-        "expected at least one dominated triple to be pruned"
     );
 }
 

@@ -15,11 +15,11 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use predictsim_experiments::campaign::{run_campaign_loaded, run_campaign_pruned};
+use predictsim_experiments::campaign::run_campaign_loaded;
 use predictsim_experiments::faultline::{self, FaultKind, FaultPlan, FaultSpec};
 use predictsim_experiments::scenario::ScenarioError;
 use predictsim_experiments::source::LoadedWorkload;
-use predictsim_experiments::triple::{campaign_triples, reference_triples, HeuristicTriple};
+use predictsim_experiments::triple::HeuristicTriple;
 use predictsim_experiments::SimCache;
 use predictsim_sim::ClusterSpec;
 use predictsim_workload::{generate, WorkloadSpec};
@@ -404,75 +404,6 @@ fn waiters_re_elect_a_leader_after_a_poisoned_leader() {
     faultline::with_plan(FaultPlan::builder().build(), || {
         cache.run_cell(&arena, cluster, &triple).expect("clean");
     });
-}
-
-/// The `--prune` sweep runs every cell through the cache's own miss
-/// path, so it inherits the cache's guarantees: an injected cell panic
-/// in phase 2 is caught and retried instead of killing the sweep, and a
-/// second sweep over the warm cache re-simulates only the cells it
-/// aborts again — every exact cell is a memory hit.
-#[test]
-fn pruned_sweep_absorbs_a_cell_panic_and_recalls_exact_cells() {
-    let w = toy_workload(300, 97);
-    let mut triples = campaign_triples();
-    triples.extend(reference_triples());
-    let cache = SimCache::global();
-
-    let (baseline, again, warm) = faultline::with_plan(FaultPlan::builder().build(), || {
-        cache.clear_memory();
-        let first = run_campaign_pruned(&w, &triples);
-        let before = cache.stats();
-        let second = run_campaign_pruned(&w, &triples);
-        (first, second, cache.stats().since(before))
-    });
-    assert!(
-        !baseline.pruned.is_empty(),
-        "the sweep must prune something"
-    );
-    assert!(
-        baseline.pruned.len() < triples.len() - 5,
-        "some non-exempt cell must complete, or the recall check is vacuous"
-    );
-    assert_eq!(again, baseline, "a warm sweep reports the same campaign");
-    assert_eq!(
-        warm.simulated,
-        baseline.pruned.len() as u64,
-        "only the aborted cells run again: {warm:?}"
-    );
-    assert_eq!(
-        warm.memory_hits as usize,
-        triples.len() - baseline.pruned.len(),
-        "every exact cell is recalled from memory: {warm:?}"
-    );
-
-    // Phase 1 makes five `simulate_in` calls (the exempt baselines), so
-    // the 21st lands in phase 2, under a `PruneObserver`. The site fires
-    // at engine entry, before the observer has seen an event: the retry
-    // starts from a clean observer, and an aborted cell's bound — which
-    // a dirty retry would inflate — is the fault-free one.
-    let plan = FaultPlan::builder()
-        .site(
-            "cell.panic",
-            FaultSpec {
-                p: 1.0,
-                max: Some(1),
-                after: 20,
-                ..FaultSpec::default()
-            },
-        )
-        .build();
-    let (chaos, delta) = faultline::with_plan(plan, || {
-        cache.clear_memory();
-        let before = cache.stats();
-        let result = run_campaign_pruned(&w, &triples);
-        (result, cache.stats().since(before))
-    });
-    assert_eq!(delta.panicked_cells, 1, "exactly the injected poison fired");
-    assert_eq!(delta.simulated as usize, triples.len());
-    assert_eq!(
-        chaos, baseline,
-        "the sweep under fault equals the fault-free one"
-    );
 }
 
 proptest! {

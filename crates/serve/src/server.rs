@@ -140,10 +140,13 @@ impl ConnWriter {
     }
 }
 
-/// A validated submission waiting for a worker.
+/// A validated submission waiting for a worker, with the policies
+/// [`validate`] resolved for its ack.
 struct Pending {
     id: u64,
     submission: Submission,
+    triple: HeuristicTriple,
+    cluster: Option<ClusterSpec>,
     conn: Arc<ConnWriter>,
 }
 
@@ -261,7 +264,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 let handle = std::thread::spawn(move || handle_conn(stream, shared_conn));
                 shared.conns.lock().expect("conns lock").push(handle);
             }
-            Err(e) if is_timeout(&e) => std::thread::sleep(ACCEPT_POLL),
+            // Nothing pending (`WouldBlock`) or a transient accept
+            // failure: poll again either way.
             Err(_) => std::thread::sleep(ACCEPT_POLL),
         }
     }
@@ -326,9 +330,9 @@ fn handle_request(line: &str, writer: &Arc<ConnWriter>, shared: &Arc<Shared>) ->
         Request::Ping => writer.send(&pong_frame()),
         Request::Stats => writer.send(&stats_frame(shared)),
         Request::Submit(submission) => {
-            // Validate the policy names and cluster spec up front so a
-            // bad request fails fast, before queueing.
-            let (triple, _) = match validate(&submission) {
+            // Validate the policy names, cluster spec and preset scale
+            // up front so a bad request fails fast, before queueing.
+            let (triple, cluster) = match validate(&submission) {
                 Ok(resolved) => resolved,
                 Err(err) => return writer.send(&error_frame(None, &err)),
             };
@@ -360,6 +364,8 @@ fn handle_request(line: &str, writer: &Arc<ConnWriter>, shared: &Arc<Shared>) ->
             queue.push_back(Pending {
                 id,
                 submission: *submission,
+                triple,
+                cluster,
                 conn: writer.clone(),
             });
             drop(queue);
@@ -372,28 +378,30 @@ fn handle_request(line: &str, writer: &Arc<ConnWriter>, shared: &Arc<Shared>) ->
 fn stats_frame(shared: &Arc<Shared>) -> Value {
     let stats = SimCache::global().stats();
     let queued = shared.queue.lock().expect("queue lock").len();
-    Value::Map(vec![
-        ("type".into(), Value::Str("stats".into())),
-        ("simulated".into(), Value::UInt(stats.simulated)),
-        ("memory_hits".into(), Value::UInt(stats.memory_hits)),
-        ("disk_hits".into(), Value::UInt(stats.disk_hits)),
-        ("coalesced".into(), Value::UInt(stats.coalesced)),
-        ("disk_rejects".into(), Value::UInt(stats.disk_rejects)),
-        ("evicted".into(), Value::UInt(stats.disk_evictions)),
-        ("disk_retries".into(), Value::UInt(stats.disk_retries)),
-        ("degraded".into(), Value::UInt(u64::from(stats.degraded))),
-        ("panicked_cells".into(), Value::UInt(stats.panicked_cells)),
-        ("queued".into(), Value::UInt(queued as u64)),
-        (
-            "active".into(),
-            Value::UInt(shared.active.load(Ordering::Relaxed) as u64),
-        ),
-    ])
+    let active = shared.active.load(Ordering::Relaxed);
+    let mut frame = vec![("type".into(), Value::Str("stats".into()))];
+    frame.extend(
+        stats
+            .fields()
+            .map(|(name, value)| (name.into(), Value::UInt(value))),
+    );
+    frame.push(("queued".into(), Value::UInt(queued as u64)));
+    frame.push(("active".into(), Value::UInt(active as u64)));
+    Value::Map(frame)
 }
 
-/// Resolves the submission's policy strings against the registry
+/// Resolves the submission's policy strings against the registry and
+/// range-checks what workload generation would otherwise assert
 /// (without loading the workload).
 fn validate(submission: &Submission) -> Result<(HeuristicTriple, Option<ClusterSpec>), ProtoError> {
+    if let WorkloadRequest::Preset { scale, .. } = &submission.workload {
+        if !(scale.is_finite() && *scale > 0.0) {
+            return Err(ProtoError::new(
+                ErrorCode::BadWorkload,
+                format!("scale must be a positive number, got {scale}"),
+            ));
+        }
+    }
     let registry = |e: predictsim_experiments::RegistryError| {
         ProtoError::new(ErrorCode::UnknownPolicy, e.to_string())
     };
@@ -535,15 +543,13 @@ fn run_job(pending: &Pending, shared: &Arc<Shared>) {
     let fail = |err: ProtoError| {
         conn.send(&error_frame(Some(id), &err));
     };
-    let (triple, cluster_override) = match validate(submission) {
-        Ok(v) => v,
-        Err(err) => return fail(err),
-    };
     let workload = match load_workload(&submission.workload, shared) {
         Ok(w) => w,
         Err(err) => return fail(err),
     };
-    let cluster = cluster_override.unwrap_or_else(|| ClusterSpec::single(workload.machine_size));
+    let cluster = pending
+        .cluster
+        .unwrap_or_else(|| ClusterSpec::single(workload.machine_size));
 
     // The heartbeat streams `metrics` frames and carries cancellation:
     // deadline, server drain, or the submitting client vanishing.
@@ -576,7 +582,7 @@ fn run_job(pending: &Pending, shared: &Arc<Shared>) {
     let run = SimCache::global().run_cell_observed_traced(
         &workload.jobs,
         cluster,
-        &triple,
+        &pending.triple,
         &mut heartbeat,
     );
     match run {

@@ -106,8 +106,8 @@ pub enum SimError {
     },
     /// The observer requested an abort (see
     /// [`crate::observe::SimObserver::keep_running`]). Not an error
-    /// condition of the simulation itself — the control outcome of an
-    /// early-abort sweep.
+    /// condition of the simulation itself — the control outcome of a
+    /// cooperative cancellation.
     Aborted {
         /// Simulation instant at which the abort took effect.
         at: Time,

@@ -124,10 +124,9 @@ pub trait SimObserver {
     /// aborts the simulation (the engine returns
     /// [`crate::engine::SimError::Aborted`]). The default never aborts,
     /// so plain observers — including the closure blanket impl — are
-    /// unaffected. This is the early-abort seam sweep drivers use to
-    /// stop simulating a configuration that is already provably
-    /// dominated (e.g. its running prefix-AVEbsld lower bound exceeds a
-    /// known-better alternative).
+    /// unaffected. This is the cooperative-cancellation seam: the serve
+    /// daemon's deadline, client-disconnect and drain cancellation all
+    /// reach a running simulation through it.
     fn keep_running(&self) -> bool {
         true
     }

@@ -1,60 +1,8 @@
 //! `repro` — regenerate every table and figure of the paper, or run any
 //! single scenario by registry name.
 //!
-//! ```text
-//! repro [OPTIONS] <EXPERIMENT>...
-//!
-//! EXPERIMENTS
-//!   table1     EASY vs EASY-Clairvoyant per log           (§2.2, Table 1)
-//!   table6     AVEbsld overview of all heuristic triples  (§6.3, Table 6)
-//!   table7     cross-validated triple selection           (§6.3, Table 7)
-//!   table8     MAE vs mean E-Loss on Curie                (§6.4, Table 8)
-//!   fig3       inter-log scatter + Pearson aggregate      (§6.3, Figure 3)
-//!   fig4       ECDF of prediction errors on Curie         (§6.4, Figure 4)
-//!   fig5       ECDF of predicted values on Curie          (§6.4, Figure 5)
-//!   ablation   scheduler/correction/optimizer/basis/loss ablations
-//!   all        everything above (campaigns are shared)
-//!   scenario   one simulation picked by the policy flags below
-//!   serve      long-running simulation daemon (newline-delimited JSON
-//!              over TCP; see the `predictsim-serve` crate docs)
-//!
-//! OPTIONS
-//!   --scale F        preset scale factor (default 0.05; 1.0 = full Table 4)
-//!   --full           the resumable full-scale run: --scale 1.0 composed
-//!                    with --cache (default dir repro-cache), --prune and
-//!                    --progress — kill it and relaunch to resume
-//!   --seed N         workload generation seed (default 20150101)
-//!   --out DIR        also write JSON artifacts (campaigns, figures) to DIR
-//!   --threads N      pin the worker-pool width (default: RAYON_NUM_THREADS
-//!                    or the machine's parallelism)
-//!   --timing         print a per-phase wall-clock section on stdout
-//!   --cache DIR      persist simulated cells to DIR; later runs reuse them
-//!   --cache-budget B size budget for the cache dir in bytes (K/M/G
-//!                    suffixes; default 8G); LRU cells past it are evicted
-//!   --progress       per-cell progress lines on stderr (a resume journal)
-//!   --prune          early-abort dominated campaign triples (sweep mode;
-//!                    skips Table 6)
-//!   --list           print every registered scheduler/predictor/correction
-//!
-//! SCENARIO OPTIONS (with the `scenario` experiment)
-//!   --swf FILE       simulate this SWF log instead of a synthetic preset
-//!   --log NAME       synthetic Table 4 preset to use (prefix match;
-//!                    default: the first, KTH-SP2)
-//!   --scheduler S    registry name, e.g. easy, easy-sjbf   (default easy)
-//!   --predictor P    registry name, e.g. ave2, ml:u=lin,o=sq,g=area
-//!                    (default requested)
-//!   --correction C   registry name, e.g. incremental       (default none)
-//!   --cluster SPEC   place the workload on this cluster: `64` (one
-//!                    homogeneous machine) or `cluster:64x1+32x0.5`
-//!                    (ordered partitions, first-fit routing;
-//!                    default: the workload's own machine)
-//!
-//! SERVE OPTIONS (with the `serve` experiment)
-//!   --listen ADDR      bind address (default 127.0.0.1:0, ephemeral)
-//!   --serve-workers N  simulation worker threads (default: --threads
-//!                      or 2)
-//!   --serve-queue N    queued-submission bound before `busy` (16)
-//! ```
+//! The usage text — experiments, options, environment — is [`USAGE`]
+//! at the bottom of this file, printed by `repro --help`.
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -62,9 +10,7 @@ use std::time::Instant;
 
 use predictsim_experiments::ablation;
 use predictsim_experiments::cache::SimCache;
-use predictsim_experiments::campaign::{
-    run_campaign_loaded, run_campaign_pruned, CampaignResult, TripleResult,
-};
+use predictsim_experiments::campaign::{run_campaign_loaded, CampaignResult, TripleResult};
 use predictsim_experiments::context::{ExperimentSetup, DEFAULT_SEED, QUICK_SCALE};
 use predictsim_experiments::figures::{fig3, fig4_fig5, render_ecdf_series, render_fig3};
 use predictsim_experiments::registry::render_registry;
@@ -85,7 +31,6 @@ struct Options {
     cache_dir: Option<std::path::PathBuf>,
     cache_budget: Option<u64>,
     progress: bool,
-    prune: bool,
     swf: Option<std::path::PathBuf>,
     log: Option<String>,
     scheduler: Option<String>,
@@ -153,7 +98,6 @@ fn parse_args() -> Result<Options, String> {
     let mut cache_budget = None;
     let mut progress = false;
     let mut full = false;
-    let mut prune = false;
     let mut swf = None;
     let mut log = None;
     let mut scheduler = None;
@@ -188,6 +132,11 @@ fn parse_args() -> Result<Options, String> {
             "--scale" => {
                 let v = args.next().ok_or("--scale needs a value")?;
                 setup.scale = v.parse().map_err(|_| format!("bad scale {v:?}"))?;
+                // Workload generation asserts this; reject it as a typo
+                // here rather than as a panic there.
+                if !(setup.scale.is_finite() && setup.scale > 0.0) {
+                    return Err("--scale must be a positive number".into());
+                }
             }
             "--full" => {
                 setup.scale = 1.0;
@@ -222,7 +171,6 @@ fn parse_args() -> Result<Options, String> {
                     Some(parse_bytes(&v).ok_or(format!("bad byte count {v:?} (try 512M, 8G)"))?);
             }
             "--progress" => progress = true,
-            "--prune" => prune = true,
             "--listen" => listen = Some(args.next().ok_or("--listen needs an address")?),
             "--serve-workers" => {
                 let v = args.next().ok_or("--serve-workers needs a value")?;
@@ -292,12 +240,11 @@ fn parse_args() -> Result<Options, String> {
     }
     // `--full` is the one-command resumable full-scale run: it composes
     // the persistent cache (default directory `repro-cache` unless
-    // `--cache` names one), the dominated-triple prune sweep and the
-    // per-cell progress journal, so a killed run can be relaunched and
-    // resumes from the cells it already wrote.
+    // `--cache` names one) and the per-cell progress journal, so a
+    // killed run can be relaunched and resumes from the cells it already
+    // wrote.
     if full {
         progress = true;
-        prune = true;
         if cache_dir.is_none() {
             cache_dir = Some(std::path::PathBuf::from("repro-cache"));
         }
@@ -311,7 +258,6 @@ fn parse_args() -> Result<Options, String> {
         cache_dir,
         cache_budget,
         progress,
-        prune,
         swf,
         log,
         scheduler,
@@ -341,81 +287,44 @@ struct CampaignLogStat {
     secs: f64,
     simulated: u64,
     hits: u64,
-    pruned: usize,
 }
 
 /// Campaigns (128 triples + 2 clairvoyant references per log) are the
 /// expensive shared input of table6/table7/fig3; compute them once —
-/// through the process-wide simulation cache, and with dominated-triple
-/// pruning when `--prune` is given.
+/// through the process-wide simulation cache.
 fn campaigns(
     workloads: &[LoadedWorkload],
-    prune: bool,
     stats_out: &mut Vec<CampaignLogStat>,
 ) -> Vec<CampaignResult> {
     let mut triples = campaign_triples();
     triples.extend(reference_triples());
     let cache = SimCache::global();
-    let mut pruned_anywhere = std::collections::HashSet::new();
-    let mut results: Vec<CampaignResult> = workloads
+    workloads
         .iter()
         .map(|w| {
             let t0 = Instant::now();
             let before = cache.stats();
-            let (c, pruned) = if prune {
-                let p = run_campaign_pruned(w, &triples);
-                let count = p.pruned.len();
-                pruned_anywhere.extend(p.pruned);
-                (p.campaign, count)
-            } else {
-                (run_campaign_loaded(w, &triples), 0)
-            };
+            let c = run_campaign_loaded(w, &triples);
             let delta = cache.stats().since(before);
             let secs = t0.elapsed().as_secs_f64();
             eprintln!(
-                "  campaign {}: {} triples x {} jobs in {:.1}s ({} simulated, {} cache hits{})",
+                "  campaign {}: {} triples x {} jobs in {:.1}s ({} simulated, {} cache hits)",
                 c.log,
                 c.results.len(),
                 c.jobs,
                 secs,
                 delta.simulated,
                 delta.hits(),
-                if prune {
-                    format!(", {pruned} pruned")
-                } else {
-                    String::new()
-                },
             );
             stats_out.push(CampaignLogStat {
                 log: c.log.clone(),
                 secs,
                 simulated: delta.simulated,
                 hits: delta.hits(),
-                pruned,
             });
             c
         })
-        .collect();
-    // Sweep mode reports only exact numbers: cells pruned on *any* log
-    // leave every campaign (their recorded metrics are lower bounds,
-    // not values), keeping the downstream tables, figures and the
-    // cross-validated selection on fully simulated triples — with a
-    // consistent triple set across logs, which the leave-one-out
-    // selection requires. A triple is only ever dominated on the log
-    // that pruned it, so this drop can remove another log's winner and
-    // change the cross-validated selection (README § Campaign
-    // performance has the measured difference).
-    if prune && !pruned_anywhere.is_empty() {
-        eprintln!(
-            "  pruning: {} of {} triples dominated somewhere; reporting the rest",
-            pruned_anywhere.len(),
-            triples.len(),
-        );
-        for c in &mut results {
-            c.results.retain(|r| !pruned_anywhere.contains(&r.triple));
-        }
-    }
-    results
+        .collect()
 }
 
 fn main() {
@@ -626,11 +535,7 @@ fn run(opts: &Options) {
             .iter()
             .any(|e| e == name || (e == "all" && name != "scenario" && name != "list"))
     };
-    // Table 6 reports the best–worst range over *all* ML triples — what
-    // a dominated-triple sweep cannot know (the worst are exactly the
-    // cells it aborts, and a triple pruned on any log leaves every
-    // campaign) — so `--prune` skips it instead of tabulating bounds.
-    let needs_campaigns = (wants("table6") && !opts.prune) || wants("table7") || wants("fig3");
+    let needs_campaigns = wants("table6") || wants("table7") || wants("fig3");
     let needs_presets = [
         "table1", "table6", "table7", "table8", "fig3", "fig4", "fig5",
     ]
@@ -683,26 +588,16 @@ fn run(opts: &Options) {
 
     let campaign_results = if needs_campaigns {
         eprintln!(
-            "running campaigns ({} sims/log{})...",
+            "running campaigns ({} sims/log)...",
             campaign_triples().len() + 2,
-            if opts.prune { ", pruning" } else { "" },
         );
         let mut per_log = Vec::new();
-        let cs = timer.time("campaigns", || {
-            campaigns(&workloads, opts.prune, &mut per_log)
-        });
+        let cs = timer.time("campaigns", || campaigns(&workloads, &mut per_log));
         for stat in per_log {
             timer.record(&format!("campaigns · {}", stat.log), stat.secs);
             timer.note(format!(
-                "campaigns · {}: {} cells simulated, {} cache hits{}",
-                stat.log,
-                stat.simulated,
-                stat.hits,
-                if opts.prune {
-                    format!(", {} pruned", stat.pruned)
-                } else {
-                    String::new()
-                },
+                "campaigns · {}: {} cells simulated, {} cache hits",
+                stat.log, stat.simulated, stat.hits,
             ));
         }
         write_json(&opts.out_dir, "campaigns.json", &cs);
@@ -711,12 +606,7 @@ fn run(opts: &Options) {
         None
     };
 
-    if wants("table6") && opts.prune {
-        let note = "Table 6 skipped under --prune: its best-worst ML range needs the \
-                    dominated triples the sweep aborts (run without --prune for it)";
-        println!("{note}\n");
-        eprintln!("note: {note}");
-    } else if wants("table6") {
+    if wants("table6") {
         let cs = campaign_results.as_ref().expect("campaigns computed");
         println!("## Table 6 — AVEbsld overview (§6.3.1)\n");
         let rows = timer.time("table6", || table6(cs));
@@ -889,9 +779,9 @@ EXPERIMENTS
 OPTIONS
   --scale F    preset scale factor (default 0.05; 1.0 = full Table 4)
   --full       the resumable full-scale run: --scale 1.0 composed with
-               --cache (default directory ./repro-cache), --prune and
-               --progress; kill it at any point and relaunch the same
-               command to resume from the cells already on disk
+               --cache (default directory ./repro-cache) and --progress;
+               kill it at any point and relaunch the same command to
+               simulate exactly the cells not yet on disk
   --seed N     workload generation seed (default 20150101)
   --out DIR    also write JSON artifacts to DIR
   --threads N  pin the worker-pool width (default: RAYON_NUM_THREADS or
@@ -908,12 +798,6 @@ OPTIONS
   --progress   per-cell progress lines on stderr (`progress: campaign
                KTH-SP2 [17/130] ... — simulated in 12.4s`); redirect
                stderr to a file to get a resume journal
-  --prune      early-abort campaign triples whose AVEbsld lower bound
-               already exceeds the best baseline (sweep mode: a triple
-               pruned on any log is dropped from every log, so tables
-               and selection differ from the exhaustive run, and Table 6
-               is skipped; default off — without it all outputs are
-               byte-identical to previous releases)
   --list       print every registered scheduler/predictor/correction name
 
 SCENARIO OPTIONS (imply the scenario experiment when no other is named)

@@ -4,8 +4,6 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use predictsim::experiments::CampaignResult;
-
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("predictsim-cli-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -26,32 +24,13 @@ fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-fn campaigns(dir: &Path) -> Vec<CampaignResult> {
-    let text = std::fs::read_to_string(dir.join("campaigns.json")).expect("campaigns.json");
-    serde_json::from_str(&text).expect("campaigns.json parses")
-}
-
-/// The rendered body of one `## `-headed stdout section: from its header
-/// to the `  wrote <artifact>` line that follows it under `--out`.
-fn section<'a>(stdout: &'a str, header: &str) -> &'a str {
-    let start = stdout
-        .find(header)
-        .unwrap_or_else(|| panic!("no {header:?} in:\n{stdout}"));
-    let rest = &stdout[start..];
-    &rest[..rest
-        .find("\n  wrote ")
-        .expect("section ends in a wrote line")]
-}
-
 const SENTINEL: &str =
     "# sentinel\n\n<!-- repro:timing:begin -->\nold\n<!-- repro:timing:end -->\n";
 
-/// `repro all` twice at scale 0.01 — exhaustive with `--timing` in a
-/// directory holding a sentinel `EXPERIMENTS.md`, then with `--prune` —
-/// in one test because the exhaustive run is both the `--timing`
-/// subject and the reference the sweep is compared against.
+/// `repro all --timing` at scale 0.01, in a directory holding a
+/// sentinel `EXPERIMENTS.md`.
 #[test]
-fn all_prints_timing_on_stdout_and_survives_prune() {
+fn all_prints_timing_on_stdout_and_keeps_table6() {
     let dir = scratch("all");
     std::fs::write(dir.join("EXPERIMENTS.md"), SENTINEL).expect("write sentinel");
 
@@ -75,63 +54,48 @@ fn all_prints_timing_on_stdout_and_survives_prune() {
         full_text.contains("## Table 6"),
         "default runs keep Table 6"
     );
-
-    let swept = repro(
-        &dir,
-        &["all", "--scale", "0.01", "--prune", "--out", "swept"],
-    );
-    assert!(
-        swept.status.success(),
-        "`repro all --prune` (what `--full` runs) must finish: {swept:?}"
-    );
-    let text = stdout(&swept);
-    let note = "Table 6 skipped under --prune";
-    assert!(text.contains(note), "skip note on stdout:\n{text}");
-    assert!(
-        String::from_utf8_lossy(&swept.stderr).contains(note),
-        "skip note on stderr"
-    );
-    assert!(!text.contains("## Table 6"));
-    assert!(!dir.join("swept/table6.json").exists());
-    assert!(text.contains("Headline: C-V triple reduces AVEbsld by"));
-    assert_eq!(
-        section(&text, "## Table 1"),
-        section(&full_text, "## Table 1"),
-        "Table 1 does not depend on the sweep mode"
-    );
-    // Every cell the sweep reports is the exhaustive run's cell, and the
-    // surviving triple set is the same on every log.
-    let exact = campaigns(&dir.join("full"));
-    let swept = campaigns(&dir.join("swept"));
-    assert_eq!(swept.len(), exact.len());
-    let names = |c: &CampaignResult| -> Vec<String> {
-        c.results.iter().map(|r| r.triple.clone()).collect()
-    };
-    for (s, e) in swept.iter().zip(&exact) {
-        assert_eq!(s.log, e.log);
-        assert_eq!(names(s), names(&swept[0]), "{}: ragged triple set", s.log);
-        assert!(
-            s.results.len() < e.results.len(),
-            "{}: nothing pruned",
-            s.log
-        );
-        for r in &s.results {
-            assert_eq!(Some(r), e.get(&r.triple), "{} {}", s.log, r.triple);
-        }
-    }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Exit 2, the reason on stderr (returned), nothing run.
+fn assert_rejected(args: &[&str], reason: &str) -> String {
+    let out = repro(&std::env::temp_dir(), args);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(err.contains(reason), "{args:?}: {err}");
+    assert!(out.stdout.is_empty(), "{args:?} ran something: {out:?}");
+    err
 }
 
 #[test]
 fn misspelt_experiment_is_rejected_with_the_valid_names() {
-    let dir = scratch("typo");
-    let out = repro(&dir, &["tabel6"]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown experiment \"tabel6\""), "{err}");
+    let err = assert_rejected(&["tabel6"], "unknown experiment \"tabel6\"");
     for name in ["table1", "table6", "ablation", "all", "scenario", "serve"] {
         assert!(err.contains(name), "valid name {name} listed: {err}");
     }
-    assert!(out.stdout.is_empty(), "nothing ran: {out:?}");
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A non-positive scale used to reach an assertion in workload
+/// generation (exit 101).
+#[test]
+fn non_positive_scale_is_rejected() {
+    for scale in ["0", "-1", "nan", "inf"] {
+        assert_rejected(
+            &["table1", "--scale", scale],
+            "error: --scale must be a positive number",
+        );
+    }
+}
+
+/// The dominated-triple sweep is gone: its flag is an unknown option,
+/// and the usage text no longer mentions it or its Table 6 caveat.
+#[test]
+fn prune_flag_is_gone() {
+    assert_rejected(&["all", "--prune"], "unknown option \"--prune\"");
+    let help = repro(&std::env::temp_dir(), &["--help"]);
+    assert!(help.status.success(), "{help:?}");
+    let usage = stdout(&help);
+    assert!(usage.contains("--full"), "{usage}");
+    assert!(!usage.contains("prune"), "{usage}");
+    assert!(!usage.contains("Table 6 skipped"), "{usage}");
 }

@@ -1,11 +1,11 @@
 //! Wire-protocol robustness for the `serve` daemon, over real
 //! sockets: malformed and oversized requests get typed `error` frames
-//! (not disconnects), unknown registry names are rejected before
-//! queueing, half-closed connections still stream their results,
-//! per-request timeouts cancel cooperatively, a full queue answers
-//! `busy`, concurrent cold submissions of the same cell coalesce into
-//! exactly one simulation, and shutdown drains instead of dropping
-//! work.
+//! (not disconnects), unknown registry names and non-positive scales
+//! are rejected before queueing, half-closed connections still stream
+//! their results, per-request timeouts cancel cooperatively, a full
+//! queue answers `busy`, concurrent cold submissions of the same cell
+//! coalesce into exactly one simulation, and shutdown drains instead
+//! of dropping work.
 //!
 //! Every test starts its own daemon on an ephemeral port; workload
 //! seeds are test-unique so the process-wide `SimCache` cannot turn an
@@ -92,8 +92,26 @@ fn unknown_policy_names_are_rejected_before_queueing() {
         "the offending name is echoed: {message}"
     );
 
-    // A bad workload is only discovered at load time, after the ack —
-    // so that error is job-tagged.
+    // So is a non-positive preset scale, which used to be acked and then
+    // panic the worker in workload generation (an `internal` frame).
+    for scale in ["0", "-1"] {
+        let workload = format!(r#"{{"log":"KTH","scale":{scale}}}"#);
+        client
+            .send_line(&format!(r#"{{"type":"submit","workload":{workload}}}"#))
+            .expect("send");
+        // The very next frame: no ack came first.
+        match next_ok(&mut client) {
+            Frame::Error { job, code, .. } => {
+                assert_eq!((job, code.as_str()), (None, "bad-workload"))
+            }
+            other => panic!("expected a bad-workload error, got {other:?}"),
+        }
+    }
+    client.ping().expect("ping");
+    assert!(matches!(next_ok(&mut client), Frame::Pong));
+
+    // A workload that only fails at load time is discovered after the
+    // ack — so that error is job-tagged.
     client
         .submit(&Submission::new(WorkloadRequest::Preset {
             log: "NO-SUCH-LOG".into(),
