@@ -60,35 +60,6 @@ impl PolynomialBasis {
         }
         debug_assert_eq!(idx, out.len());
     }
-
-    /// Allocating convenience form of [`PolynomialBasis::expand_into`].
-    pub fn expand(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.output_dim()];
-        self.expand_into(x, &mut out);
-        out
-    }
-
-    /// Name of the expanded component at `index`, given raw-feature
-    /// `names`; used for model inspection dumps.
-    pub fn component_name(&self, index: usize, names: &[&str]) -> String {
-        assert_eq!(names.len(), self.n);
-        if index == 0 {
-            return "bias".to_string();
-        }
-        if index <= self.n {
-            return names[index - 1].to_string();
-        }
-        let mut idx = self.n + 1;
-        for k in 0..self.n {
-            for l in k..self.n {
-                if idx == index {
-                    return format!("{}*{}", names[k], names[l]);
-                }
-                idx += 1;
-            }
-        }
-        panic!("component index {index} out of range");
-    }
 }
 
 /// A linear (degree-1) basis used by the basis-ablation bench: `Φ(x) =
@@ -174,6 +145,12 @@ impl Basis {
 mod tests {
     use super::*;
 
+    fn expand(b: &PolynomialBasis, x: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; b.output_dim()];
+        b.expand_into(x, &mut out);
+        out
+    }
+
     #[test]
     fn dimensions_match_the_paper() {
         // w ∈ R^(1+2n+C(n,2)) — §4.2, Equation (1).
@@ -187,30 +164,18 @@ mod tests {
     #[test]
     fn expansion_layout() {
         let b = PolynomialBasis::new(2);
-        let phi = b.expand(&[3.0, 5.0]);
+        let phi = expand(&b, &[3.0, 5.0]);
         assert_eq!(phi, vec![1.0, 3.0, 5.0, 9.0, 15.0, 25.0]);
     }
 
     #[test]
     fn three_feature_expansion() {
         let b = PolynomialBasis::new(3);
-        let phi = b.expand(&[1.0, 2.0, 3.0]);
+        let phi = expand(&b, &[1.0, 2.0, 3.0]);
         assert_eq!(
             phi,
             vec![1.0, 1.0, 2.0, 3.0, /* squares+crosses */ 1.0, 2.0, 3.0, 4.0, 6.0, 9.0]
         );
-    }
-
-    #[test]
-    fn component_names() {
-        let b = PolynomialBasis::new(2);
-        let names = ["a", "b"];
-        assert_eq!(b.component_name(0, &names), "bias");
-        assert_eq!(b.component_name(1, &names), "a");
-        assert_eq!(b.component_name(2, &names), "b");
-        assert_eq!(b.component_name(3, &names), "a*a");
-        assert_eq!(b.component_name(4, &names), "a*b");
-        assert_eq!(b.component_name(5, &names), "b*b");
     }
 
     #[test]
@@ -235,6 +200,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "input dimension mismatch")]
     fn wrong_input_dim_panics() {
-        PolynomialBasis::new(3).expand(&[1.0]);
+        expand(&PolynomialBasis::new(3), &[1.0]);
     }
 }

@@ -44,33 +44,13 @@ pub const TSAFRIR_INCREMENTS: [i64; 11] = [
 /// Incremental correction: add the next increment from a fixed list to
 /// the expired estimate; the list index grows with each correction of the
 /// same job, and saturates at the last entry.
-#[derive(Debug, Clone)]
-pub struct IncrementalCorrection {
-    increments: Vec<i64>,
-}
-
-impl Default for IncrementalCorrection {
-    fn default() -> Self {
-        Self {
-            increments: TSAFRIR_INCREMENTS.to_vec(),
-        }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct IncrementalCorrection;
 
 impl IncrementalCorrection {
     /// The paper's increment list.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A custom increment list (must be non-empty); used by ablations.
-    pub fn with_increments(increments: Vec<i64>) -> Self {
-        assert!(!increments.is_empty(), "increment list cannot be empty");
-        assert!(
-            increments.iter().all(|&i| i > 0),
-            "increments must be positive"
-        );
-        Self { increments }
+        Self
     }
 }
 
@@ -82,10 +62,10 @@ impl CorrectionPolicy for IncrementalCorrection {
         expired_prediction: i64,
         corrections_so_far: u32,
     ) -> f64 {
-        let idx = (corrections_so_far as usize).min(self.increments.len() - 1);
+        let idx = (corrections_so_far as usize).min(TSAFRIR_INCREMENTS.len() - 1);
         // The expired prediction can sit below the elapsed time when the
         // expiry fired late in event order; grow from whichever is larger.
-        (expired_prediction.max(elapsed) + self.increments[idx]) as f64
+        (expired_prediction.max(elapsed) + TSAFRIR_INCREMENTS[idx]) as f64
     }
 
     fn name(&self) -> String {
@@ -164,21 +144,6 @@ mod tests {
             TSAFRIR_INCREMENTS,
             [60, 300, 900, 1800, 3600, 7200, 18000, 36000, 72000, 180000, 360000]
         );
-    }
-
-    #[test]
-    fn custom_increments() {
-        let c = IncrementalCorrection::with_increments(vec![10, 100]);
-        let j = job();
-        assert_eq!(c.correct(&j, 5, 5, 0), 15.0);
-        assert_eq!(c.correct(&j, 15, 15, 1), 115.0);
-        assert_eq!(c.correct(&j, 115, 115, 7), 215.0); // saturates
-    }
-
-    #[test]
-    #[should_panic(expected = "increment list cannot be empty")]
-    fn empty_increments_rejected() {
-        IncrementalCorrection::with_increments(vec![]);
     }
 
     #[test]

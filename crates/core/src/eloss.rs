@@ -14,8 +14,9 @@
 //! ```
 //!
 //! (reading Eq. 3's printed `log(r_j·p_j)` as the Table 3 large-area
-//! weight `log(q_j·p_j)` — see DESIGN.md §2 — and with the weight clamped
-//! positive exactly as during training).
+//! weight `log(q_j·p_j)` — see README § "Where we read the paper
+//! differently" — and with the weight clamped positive exactly as during
+//! training).
 
 use predictsim_sim::outcome::JobOutcome;
 

@@ -16,7 +16,8 @@
 //! giving the 2×2 grid of Table 5; γ_j comes from
 //! [`crate::weighting::WeightingScheme`] (Table 3).
 //!
-//! *Erratum note* (documented in DESIGN.md §2): the displayed equation in
+//! *Erratum note* (listed in README § "Where we read the paper
+//! differently"): the displayed equation in
 //! §4.2 swaps the `L_u`/`L_o` condition labels relative to Figure 1 and
 //! §6.4. We follow the self-consistent reading used everywhere else in
 //! the paper: the **over**-prediction branch applies when `f ≥ p`, the
@@ -52,7 +53,7 @@ impl BasisLoss {
 
     /// Derivative with respect to `z` at `z ≥ 0`.
     #[inline]
-    pub fn derivative(self, z: f64) -> f64 {
+    fn derivative(self, z: f64) -> f64 {
         match self {
             BasisLoss::Linear => 1.0,
             BasisLoss::Squared => 2.0 * z,

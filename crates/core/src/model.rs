@@ -19,7 +19,7 @@
 //! objective is therefore exactly Equation (2) — in particular the
 //! asymmetry between a linear and a squared branch keeps its real-seconds
 //! meaning — while weight magnitudes stay O(1) for the optimizer.
-//! Documented as an implementation note in DESIGN.md §2.
+//! Listed in README § "Where we read the paper differently".
 
 use crate::basis::Basis;
 use crate::loss::AsymmetricLoss;

@@ -8,8 +8,8 @@
 //! Time*) are unbounded and impossible to normalize a priori (§4.2).
 //!
 //! [`NagOptimizer`] is the paper's choice; [`SgdOptimizer`] and
-//! [`AdaGradOptimizer`] are provided for the optimizer ablation bench
-//! (DESIGN.md §6.3).
+//! [`AdaGradOptimizer`] are provided for the optimizer ablation
+//! (`experiments::ablation`).
 //!
 //! ## Contract
 //!

@@ -21,9 +21,9 @@
 //! one-hour 128-proc job, while with **base-10 logs** all four
 //! non-constant weights stay positive across the whole typical HPC
 //! envelope (seconds–days × 1–10k processors). We therefore use log₁₀
-//! (documented as a fidelity note in DESIGN.md §2). Degenerate synthetic
-//! jobs can still stray outside the envelope, so every weight is clamped
-//! to [`MIN_GAMMA`].
+//! (listed in README § "Where we read the paper differently").
+//! Degenerate synthetic jobs can still stray outside the envelope, so
+//! every weight is clamped to [`MIN_GAMMA`].
 
 /// Lower clamp keeping weights positive on degenerate jobs (e.g. 1-second
 /// 1-proc crashers, where `log(q·p) = 0`).
@@ -45,7 +45,7 @@ pub enum WeightingScheme {
     /// γ = log(q·p): jobs of large area should be well-predicted — the
     /// weight of the winning E-Loss triple (Eq. 3, reading the printed
     /// `log(r_j·p_j)` as the Table 3 large-area weight `log(q_j·p_j)`;
-    /// see DESIGN.md §2).
+    /// see README § "Where we read the paper differently").
     LargeArea,
 }
 

@@ -1,4 +1,5 @@
-//! Ablation studies for the design choices DESIGN.md §6 calls out.
+//! Ablation studies for the design choices README § "Where we read the
+//! paper differently" calls out.
 //!
 //! Beyond the paper's own comparisons, these isolate the contribution of
 //! each ingredient of the winning heuristic triple: the backfill

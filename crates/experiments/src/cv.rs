@@ -41,7 +41,7 @@ impl CvRow {
     }
 
     /// Percentage reduction of the C-V triple vs EASY++.
-    pub fn reduction_vs_easypp(&self) -> f64 {
+    fn reduction_vs_easypp(&self) -> f64 {
         100.0 * (1.0 - self.cv_bsld / self.easy_pp_bsld)
     }
 }
@@ -99,7 +99,7 @@ fn eligible(campaign: &CampaignResult) -> impl Iterator<Item = &str> {
 
 /// Selects the triple minimizing the summed AVEbsld over `campaigns`,
 /// skipping the campaign at `exclude` (pass `campaigns.len()` to use all).
-pub fn select_triple(campaigns: &[CampaignResult], exclude: usize) -> String {
+fn select_triple(campaigns: &[CampaignResult], exclude: usize) -> String {
     assert!(!campaigns.is_empty(), "need at least one campaign");
     let reference = if exclude == 0 && campaigns.len() > 1 {
         1

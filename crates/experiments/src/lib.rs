@@ -51,7 +51,6 @@ pub mod scenario;
 pub mod source;
 pub mod tables;
 pub mod timing;
-pub mod trace;
 pub mod triple;
 
 pub use cache::{CacheStats, CachedCell, CellSource, SimCache};
@@ -71,7 +70,6 @@ pub use scenario::{Scenario, ScenarioBuilder, ScenarioError};
 pub use source::{
     JobArena, LoadStats, LoadedWorkload, SourceError, SwfSource, SyntheticSource, WorkloadSource,
 };
-pub use trace::{AlibabaSource, GoogleSource};
 pub use triple::{
     campaign_triples, reference_triples, CorrectionKind, HeuristicTriple, PredictionTechnique,
     Variant,

@@ -28,7 +28,7 @@
 
 use std::str::FromStr;
 
-use predictsim_core::loss::{loss_shapes, AsymmetricLoss, BasisLoss};
+use predictsim_core::loss::{AsymmetricLoss, BasisLoss};
 use predictsim_core::predictor::{ml_grid, BasisKind, MlConfig, OptimizerKind};
 use predictsim_core::weighting::WeightingScheme;
 use predictsim_sim::ClusterSpec;
@@ -381,12 +381,6 @@ pub fn render_registry() -> String {
     out
 }
 
-/// The four basis-loss shapes of Table 5 exist only through [`loss_shapes`];
-/// re-check the registry covers them (used by the property tests).
-pub fn registered_loss_shape_count() -> usize {
-    loss_shapes().len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,6 +539,5 @@ mod tests {
         assert!(listing.contains("ml(u=lin,o=sq,g=area)"));
         assert!(listing.contains("rec-doubling"));
         assert_eq!(registered_predictors().len(), 3 + 20);
-        assert_eq!(registered_loss_shape_count(), 4);
     }
 }

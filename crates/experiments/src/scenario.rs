@@ -269,10 +269,7 @@ impl ScenarioBuilder {
     }
 
     /// Installs a per-event observer (see `predictsim_sim::observe`).
-    /// Use `MetricsObserver::shared()` to keep a readable handle. When
-    /// the observer needs workload facts unknown until load time (e.g.
-    /// the machine size of an SWF log), build first, then
-    /// [`Scenario::load_workload`] and [`Scenario::set_observer`].
+    /// Use `MetricsObserver::shared()` to keep a readable handle.
     pub fn observer(mut self, observer: Box<dyn SimObserver + Send>) -> Self {
         self.observer = Some(observer);
         self
@@ -372,14 +369,6 @@ impl Scenario {
         self.triple.name()
     }
 
-    /// Installs or replaces the per-event observer after build time —
-    /// typically once [`Scenario::load_workload`] has revealed the
-    /// machine size an observer such as
-    /// `predictsim_sim::MetricsObserver` needs.
-    pub fn set_observer(&mut self, observer: Box<dyn SimObserver + Send>) {
-        self.observer = Some(observer);
-    }
-
     /// Loads the workload source without simulating (to inspect cleaning
     /// reports or job counts).
     pub fn load_workload(&self) -> Result<LoadedWorkload, ScenarioError> {
@@ -405,7 +394,7 @@ impl Scenario {
     /// Runs the policy triple on externally managed jobs (already
     /// validated, submit-ordered, densely numbered).
     ///
-    /// Runs execute against the calling thread's [`WorkerScratch`] — the
+    /// Runs execute against the calling thread's `WorkerScratch` — the
     /// engine arena and the scheduler's scratch buffers are reused
     /// across simulations (behavior-identical: only capacity survives a
     /// run, never state), which is what lets a campaign worker simulate
@@ -512,28 +501,6 @@ mod tests {
         assert_eq!(snap.finished(), result.outcomes.len());
         assert!((snap.ave_bsld() - result.ave_bsld()).abs() < 1e-9);
         assert_eq!(snap.corrections(), result.total_corrections());
-    }
-
-    #[test]
-    fn observer_can_be_installed_after_load() {
-        // The SWF/MetricsObserver pattern: the machine size is only
-        // known after loading, so the observer is installed post-build.
-        let mut scenario = Scenario::builder()
-            .workload(SyntheticSource::new(tiny_spec(), 3))
-            .scheduler("easy")
-            .predictor("ave2")
-            .correction("incremental")
-            .build()
-            .unwrap();
-        let workload = scenario.load_workload().unwrap();
-        let (metrics, observer) = MetricsObserver::shared(workload.machine_size);
-        scenario.set_observer(observer);
-        let result = scenario
-            .run_on(&workload.jobs, workload.sim_config())
-            .unwrap();
-        let snap = metrics.snapshot();
-        assert_eq!(snap.finished(), result.outcomes.len());
-        assert!((snap.utilization() - result.utilization()).abs() < 1e-9);
     }
 
     #[test]

@@ -23,9 +23,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use predictsim_sim::job::JobConversionError;
-use predictsim_sim::{intern_users, job_from_swf, jobs_from_swf, Job, JobId, SimConfig};
+use predictsim_sim::{intern_users, job_from_swf, Job, JobId, SimConfig};
 use predictsim_swf::reader::ParseError;
-use predictsim_swf::{clean, parse_log, CleaningReport, CleaningRules, SwfStream};
+use predictsim_swf::{CleaningReport, SwfStream};
 use predictsim_workload::{generate, GeneratedWorkload, WorkloadSpec};
 
 /// Why a workload source failed to produce simulator-ready jobs.
@@ -202,7 +202,7 @@ pub struct LoadStats {
     /// SWF records held in an intermediate `Vec<SwfRecord>` before job
     /// conversion. `0` on the streaming path — records become engine
     /// jobs as they are parsed — and the full pre-clean record count on
-    /// the buffered path.
+    /// the buffered test oracle.
     pub buffered_records: usize,
 }
 
@@ -361,7 +361,8 @@ enum SwfInput {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwfSource {
     input: SwfInput,
-    rules: CleaningRules,
+    /// Overrides the header's machine size; set only by the oracle
+    /// tests (a shrunk machine is how they reach the oversize drop).
     machine_size: Option<u32>,
 }
 
@@ -370,7 +371,6 @@ impl SwfSource {
     pub fn new(path: impl AsRef<Path>) -> Self {
         Self {
             input: SwfInput::File(path.as_ref().to_path_buf()),
-            rules: CleaningRules::default(),
             machine_size: None,
         }
     }
@@ -382,23 +382,8 @@ impl SwfSource {
                 name: name.into(),
                 text: text.into(),
             },
-            rules: CleaningRules::default(),
             machine_size: None,
         }
-    }
-
-    /// Replaces the cleaning conventions.
-    pub fn with_rules(mut self, rules: CleaningRules) -> Self {
-        self.rules = rules;
-        self
-    }
-
-    /// Overrides the machine size (for headerless logs, or to simulate a
-    /// log on a smaller machine — oversize jobs are then dropped by the
-    /// cleaning rules).
-    pub fn with_machine_size(mut self, machine_size: u32) -> Self {
-        self.machine_size = Some(machine_size);
-        self
     }
 
     fn name(&self) -> String {
@@ -422,18 +407,15 @@ const WANT_INVERSION: u8 = 1 << 1;
 
 impl SwfSource {
     /// Single-pass load: records become engine jobs as they stream off
-    /// the parser; no intermediate record vector is ever built. Produces
-    /// bit-for-bit the same `LoadedWorkload` (jobs, machine size,
-    /// cleaning report) as [`SwfSource::load_eager`].
-    ///
-    /// Requires `rules.drop_unrunnable` (the default): inline conversion
-    /// needs every kept record to carry a run time and processor count.
+    /// the parser; no intermediate record vector is ever built. Applies
+    /// the default cleaning conventions (`CleaningRules::default()`) and
+    /// produces bit-for-bit the same `LoadedWorkload` (jobs, machine
+    /// size, cleaning report) as parsing the whole log, `clean`ing it and
+    /// converting — the test module's `load_eager` oracle.
     fn load_streaming<R: std::io::BufRead>(
         &self,
         mut stream: SwfStream<R>,
     ) -> Result<LoadedWorkload, SourceError> {
-        let rules = self.rules;
-        debug_assert!(rules.drop_unrunnable, "streaming needs inline conversion");
         let mut report = CleaningReport::default();
         let mut jobs: Vec<Job> = Vec::new();
         let mut repairs: Vec<u8> = Vec::new();
@@ -456,8 +438,8 @@ impl SwfSource {
             }
             let mut want = 0u8;
             match r.requested_time_opt() {
-                None if rules.repair_missing_estimates => want |= WANT_ESTIMATE,
-                Some(pt) if rules.repair_estimate_inversions && pt < p => want |= WANT_INVERSION,
+                None => want |= WANT_ESTIMATE,
+                Some(pt) if pt < p => want |= WANT_INVERSION,
                 _ => {}
             }
             jobs.push(job_from_swf(JobId(jobs.len() as u32), &r)?);
@@ -471,31 +453,27 @@ impl SwfSource {
                 .or((max_procs > 0).then_some(max_procs))
                 .ok_or(SourceError::UnknownMachineSize)?,
         };
-        if rules.drop_oversize {
-            // Stable in-place compaction, keeping the repair sidecar in
-            // tandem so repairs on oversize records are not counted.
-            let mut keep = 0;
-            for i in 0..jobs.len() {
-                if jobs[i].procs as u64 > machine_size {
-                    report.dropped_oversize += 1;
-                } else {
-                    jobs.swap(keep, i);
-                    repairs.swap(keep, i);
-                    keep += 1;
-                }
+        // Stable in-place compaction, keeping the repair sidecar in
+        // tandem so repairs on oversize records are not counted.
+        let mut keep = 0;
+        for i in 0..jobs.len() {
+            if jobs[i].procs as u64 > machine_size {
+                report.dropped_oversize += 1;
+            } else {
+                jobs.swap(keep, i);
+                repairs.swap(keep, i);
+                keep += 1;
             }
-            jobs.truncate(keep);
-            repairs.truncate(keep);
         }
+        jobs.truncate(keep);
+        repairs.truncate(keep);
         report.repaired_estimates = repairs.iter().filter(|w| **w & WANT_ESTIMATE != 0).count();
         report.repaired_inversions = repairs.iter().filter(|w| **w & WANT_INVERSION != 0).count();
         drop(repairs);
-        if rules.sort_by_submit {
-            let sorted = jobs.windows(2).all(|w| w[0].submit <= w[1].submit);
-            if !sorted {
-                report.reordered = true;
-                jobs.sort_by_key(|j| (j.submit, j.swf_id));
-            }
+        let sorted = jobs.windows(2).all(|w| w[0].submit <= w[1].submit);
+        if !sorted {
+            report.reordered = true;
+            jobs.sort_by_key(|j| (j.submit, j.swf_id));
         }
         for (i, job) in jobs.iter_mut().enumerate() {
             job.id = JobId(i as u32);
@@ -513,37 +491,6 @@ impl SwfSource {
         )
     }
 
-    /// The buffered reference path: parse the whole log, clean it, then
-    /// convert.
-    fn load_eager(&self) -> Result<LoadedWorkload, SourceError> {
-        let mut log = match &self.input {
-            SwfInput::File(path) => {
-                let text = std::fs::read_to_string(path).map_err(|e| SourceError::Io {
-                    path: path.clone(),
-                    message: e.to_string(),
-                })?;
-                parse_log(&text)?
-            }
-            SwfInput::Text { text, .. } => parse_log(text)?,
-        };
-        let buffered_records = log.records.len();
-        let machine_size = match self.machine_size {
-            Some(m) => m as u64,
-            None => log.machine_size().ok_or(SourceError::UnknownMachineSize)?,
-        };
-        let report = clean(&mut log, machine_size, self.rules);
-        let jobs = jobs_from_swf(&log.records)?;
-        self.finish(
-            jobs,
-            machine_size,
-            report,
-            LoadStats {
-                streamed: false,
-                buffered_records,
-            },
-        )
-    }
-
     /// Shared tail: validate and assemble the `LoadedWorkload`.
     fn finish(
         &self,
@@ -556,8 +503,7 @@ impl SwfSource {
             job.validate().map_err(SourceError::Invalid)?;
             if job.procs as u64 > machine_size {
                 return Err(SourceError::Invalid(format!(
-                    "{} requests {} procs on a {machine_size}-proc machine \
-                     (enable the oversize cleaning rule?)",
+                    "{} requests {} procs on a {machine_size}-proc machine",
                     job.id, job.procs
                 )));
             }
@@ -577,12 +523,6 @@ impl SwfSource {
 
 impl WorkloadSource for SwfSource {
     fn load(&self) -> Result<LoadedWorkload, SourceError> {
-        // Streaming conversion needs `drop_unrunnable` so every kept
-        // record is convertible on sight; oddball rule sets fall back to
-        // the buffered reference path.
-        if !self.rules.drop_unrunnable {
-            return self.load_eager();
-        }
         match &self.input {
             SwfInput::File(path) => {
                 let file = std::fs::File::open(path).map_err(|e| SourceError::Io {
@@ -613,7 +553,53 @@ impl WorkloadSource for SwfSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use predictsim_swf::write_log;
+    use predictsim_sim::jobs_from_swf;
+    use predictsim_swf::{
+        clean, parse_log, write_log, CleaningRules, SwfHeader, SwfLog, SwfRecord,
+    };
+    use proptest::prelude::*;
+
+    impl SwfSource {
+        /// Overrides the machine size (for headerless logs, or to
+        /// simulate a log on a smaller machine — oversize jobs are then
+        /// dropped by the cleaning rules).
+        fn with_machine_size(mut self, machine_size: u32) -> Self {
+            self.machine_size = Some(machine_size);
+            self
+        }
+
+        /// The buffered reference path — parse the whole log, `clean` it
+        /// under the default rules, then convert: the oracle that states
+        /// what [`SwfSource::load`]'s streaming cleaning means.
+        fn load_eager(&self) -> Result<LoadedWorkload, SourceError> {
+            let mut log = match &self.input {
+                SwfInput::File(path) => {
+                    let text = std::fs::read_to_string(path).map_err(|e| SourceError::Io {
+                        path: path.clone(),
+                        message: e.to_string(),
+                    })?;
+                    parse_log(&text)?
+                }
+                SwfInput::Text { text, .. } => parse_log(text)?,
+            };
+            let buffered_records = log.records.len();
+            let machine_size = match self.machine_size {
+                Some(m) => m as u64,
+                None => log.machine_size().ok_or(SourceError::UnknownMachineSize)?,
+            };
+            let report = clean(&mut log, machine_size, CleaningRules::default());
+            let jobs = jobs_from_swf(&log.records)?;
+            self.finish(
+                jobs,
+                machine_size,
+                report,
+                LoadStats {
+                    streamed: false,
+                    buffered_records,
+                },
+            )
+        }
+    }
 
     const MINI: &str = "\
 ; MaxProcs: 8
@@ -637,11 +623,19 @@ mod tests {
 ; Computer: nasty-cluster
 ";
 
-    /// Streaming and buffered loads of the same source must agree on
-    /// everything except the `stats` accounting.
-    fn assert_stream_eager_identical(source: SwfSource, parsed_records: usize) -> LoadedWorkload {
-        let streamed = source.load().unwrap();
-        let eager = source.load_eager().unwrap();
+    /// Streaming and buffered loads of the same source must agree: on
+    /// the error, or on everything except the `stats` accounting.
+    fn assert_stream_eager_identical(
+        source: SwfSource,
+        parsed_records: usize,
+    ) -> Result<LoadedWorkload, SourceError> {
+        let (streamed, eager) = match (source.load(), source.load_eager()) {
+            (Ok(streamed), Ok(eager)) => (streamed, eager),
+            (streamed, eager) => {
+                assert_eq!(streamed.as_ref().err(), eager.as_ref().err());
+                return Err(streamed.unwrap_err());
+            }
+        };
         assert_eq!(streamed.name, eager.name);
         assert_eq!(streamed.machine_size, eager.machine_size);
         assert_eq!(streamed.cleaning, eager.cleaning);
@@ -666,7 +660,7 @@ mod tests {
                 buffered_records: parsed_records
             }
         );
-        streamed
+        Ok(streamed)
     }
 
     #[test]
@@ -752,8 +746,8 @@ mod tests {
 
     #[test]
     fn streaming_matches_eager_on_every_fixture() {
-        assert_stream_eager_identical(SwfSource::from_text("mini", MINI), 3);
-        let nasty = assert_stream_eager_identical(SwfSource::from_text("nasty", NASTY), 6);
+        assert_stream_eager_identical(SwfSource::from_text("mini", MINI), 3).unwrap();
+        let nasty = assert_stream_eager_identical(SwfSource::from_text("nasty", NASTY), 6).unwrap();
         let report = nasty.cleaning.unwrap();
         assert_eq!(report.dropped_unrunnable, 2);
         assert_eq!(report.dropped_oversize, 1);
@@ -779,14 +773,16 @@ mod tests {
         // Headerless fragment: machine size inferred from records on
         // both paths.
         let headerless = "1 0 -1 100 2 -1 -1 2 200 -1 1 3 1 1 1 -1 -1 -1\n";
-        let frag = assert_stream_eager_identical(SwfSource::from_text("frag", headerless), 1);
+        let frag =
+            assert_stream_eager_identical(SwfSource::from_text("frag", headerless), 1).unwrap();
         assert_eq!(frag.machine_size, 2);
         // Machine-size override shrinks the machine and drops oversize
         // jobs identically.
         let small = assert_stream_eager_identical(
             SwfSource::from_text("mini-small", MINI).with_machine_size(1),
             3,
-        );
+        )
+        .unwrap();
         assert_eq!(small.machine_size, 1);
         assert_eq!(small.cleaning.unwrap().dropped_oversize, 1);
     }
@@ -797,53 +793,72 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join("predictsim_stream_eager_test.swf");
         std::fs::write(&path, write_log(&w.to_swf())).unwrap();
-        let loaded = assert_stream_eager_identical(SwfSource::new(&path), w.jobs.len());
+        let loaded = assert_stream_eager_identical(SwfSource::new(&path), w.jobs.len()).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(&loaded.jobs[..], &w.jobs[..]);
     }
 
     #[test]
     fn streaming_error_parity_with_eager() {
-        // Parse errors surface identically.
         let bad = SwfSource::from_text("bad", "1 2 three\n");
-        let s = bad.load().unwrap_err();
-        let e = bad.load_eager().unwrap_err();
-        assert_eq!(s, e);
-        assert!(matches!(s, SourceError::Parse(_)));
-        // Unknown machine size surfaces identically.
+        let err = assert_stream_eager_identical(bad, 0).unwrap_err();
+        assert!(matches!(err, SourceError::Parse(_)));
         let empty = SwfSource::from_text("empty", "; Note: nothing\n");
-        let s = empty.load().unwrap_err();
-        let e = empty.load_eager().unwrap_err();
-        assert_eq!(s, SourceError::UnknownMachineSize);
-        assert_eq!(s, e);
-        // Disabled oversize dropping rejects the shrunk machine the same
-        // way on both paths (streaming still applies: drop_unrunnable on).
-        let rules = CleaningRules {
-            drop_oversize: false,
-            ..CleaningRules::default()
-        };
-        let src = SwfSource::from_text("mini", MINI)
-            .with_rules(rules)
-            .with_machine_size(1);
-        let s = src.load().unwrap_err();
-        let e = src.load_eager().unwrap_err();
-        assert_eq!(s, e);
-        assert!(matches!(s, SourceError::Invalid(_)));
+        let err = assert_stream_eager_identical(empty, 0).unwrap_err();
+        assert_eq!(err, SourceError::UnknownMachineSize);
     }
 
-    #[test]
-    fn non_streamable_rules_fall_back_to_the_buffered_path() {
-        let rules = CleaningRules {
-            drop_unrunnable: false,
-            ..CleaningRules::default()
-        };
-        // MINI's record 3 has no run time: with the drop disabled it
-        // must fail conversion — via the buffered path.
-        let err = SwfSource::from_text("mini", MINI)
-            .with_rules(rules)
-            .load()
-            .unwrap_err();
-        assert!(matches!(err, SourceError::Conversion(_)));
+    /// One dirty field value: the SWF "missing" sentinel, zero, a small
+    /// value, and one larger than [`DIRTY_MACHINE`].
+    fn dirty() -> impl Strategy<Value = i64> {
+        (0usize..4).prop_map(|i| [-1, 0, 3, 500][i])
+    }
+
+    const DIRTY_MACHINE: u64 = 8;
+
+    proptest! {
+        /// The oracle is the only statement of what cleaning means:
+        /// on logs where any field of any record may be missing, zero
+        /// or oversize, submits tie and run backwards, and the machine
+        /// size may have to be inferred, the streaming loader returns
+        /// what parse → `clean` → convert returns, or the same error.
+        #[test]
+        fn streaming_matches_eager_on_dirty_random_logs(
+            fields in prop::collection::vec(
+                (dirty(), dirty(), dirty(), dirty(), dirty(), dirty()),
+                0..41,
+            ),
+            sorted in 0u8..2,
+            headerless in 0u8..2,
+        ) {
+            let mut records: Vec<SwfRecord> = fields
+                .iter()
+                .enumerate()
+                .map(|(i, &(submit, run, procs, req_procs, req_time, user))| SwfRecord {
+                    submit_time: submit,
+                    run_time: run,
+                    allocated_procs: procs,
+                    requested_procs: req_procs,
+                    requested_time: req_time,
+                    user_id: user,
+                    // Distinct ids, not in file order: submit ties are
+                    // broken by id, so the tie-break must be observable.
+                    ..SwfRecord::empty((i as u64 * 7) % 41 + 1)
+                })
+                .collect();
+            if sorted == 1 {
+                records.sort_by_key(|r| r.submit_time);
+            }
+            let header = if headerless == 1 {
+                SwfHeader::default()
+            } else {
+                SwfHeader::synthetic(DIRTY_MACHINE, "dirty")
+            };
+            let parsed = records.len();
+            let text = write_log(&SwfLog { header, records });
+            // Panics on any divergence; either outcome is fine if shared.
+            let _ = assert_stream_eager_identical(SwfSource::from_text("dirty", text), parsed);
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Each function computes the same rows the paper reports and renders
 //! them as a markdown table. Absolute values differ from the paper (the
-//! workloads are synthetic stand-ins — DESIGN.md §3); the *shape* claims
+//! workloads are synthetic stand-ins — README § "Where we read the paper
+//! differently"); the *shape* claims
 //! are what EXPERIMENTS.md tracks.
 
 use rayon::prelude::*;
@@ -26,7 +27,7 @@ pub struct Table1Row {
 
 impl Table1Row {
     /// "Values between parentheses show the corresponding decrease."
-    pub fn decrease_percent(&self) -> f64 {
+    fn decrease_percent(&self) -> f64 {
         100.0 * (1.0 - self.clairvoyant / self.easy)
     }
 }

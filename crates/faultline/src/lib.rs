@@ -2,7 +2,7 @@
 //!
 //! Seeded, **deterministic** fault injection for the IO surfaces of the
 //! reproduction: the disk cache (`experiments::cache`), the serve
-//! socket loop, the SWF/CSV trace readers, and the simulation worker
+//! socket loop, the SWF trace reader, and the simulation worker
 //! cells. Production code asks this crate — at named *injection sites*
 //! such as `"cache.write"` or `"cell.panic"` — whether a fault should
 //! fire *now*; with no plan installed every query is a zero-cost
@@ -25,8 +25,10 @@
 //! the same per-site call sequences fire the same faults.
 //!
 //! Plans come from the `REPRO_FAULTS` environment variable (parsed
-//! once, on first query) or from [`FaultPlan::builder`] + [`install`]
-//! in tests. Grammar, comma-separated clauses:
+//! once, on first query; it may only name the sites production code
+//! consults — [`active_summary`] is the startup check) or from
+//! [`FaultPlan::builder`] + [`with_plan`] in tests. Grammar,
+//! comma-separated clauses:
 //!
 //! ```text
 //! REPRO_FAULTS="seed=42,cache.write:p=0.05:max=3,cell.panic:p=1:max=1,swf.read:p=0.01:kind=transient"
@@ -91,8 +93,7 @@ impl Default for FaultSpec {
 /// A complete fault plan: a seed plus per-site firing rules.
 ///
 /// Build one with [`FaultPlan::parse`] (the `REPRO_FAULTS` grammar) or
-/// [`FaultPlan::builder`], then activate it with [`install`] or
-/// [`with_plan`].
+/// [`FaultPlan::builder`], then activate it with [`with_plan`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
@@ -111,8 +112,8 @@ impl FaultPlan {
     }
 
     /// Parse the `REPRO_FAULTS` grammar (see the crate docs). An empty
-    /// (or all-whitespace) string yields an empty plan, which
-    /// [`install`] treats as "no faults".
+    /// (or all-whitespace) string yields an empty plan, which installs
+    /// as "no faults".
     pub fn parse(text: &str) -> Result<FaultPlan, PlanError> {
         let mut plan = FaultPlan {
             seed: 0,
@@ -265,7 +266,7 @@ impl PlanBuilder {
     }
 }
 
-/// Error from [`FaultPlan::parse`].
+/// Error from [`FaultPlan::parse`] or the [`active_summary`] check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanError(String);
 
@@ -303,17 +304,52 @@ fn plan_slot() -> &'static Mutex<Option<Arc<ActivePlan>>> {
     &SLOT
 }
 
+/// Every site production code consults. A `REPRO_FAULTS` clause naming
+/// anything else could never fire, so the environment plan rejects it;
+/// plans built in code ([`with_plan`]) may use any name.
+const KNOWN_SITES: [&str; 9] = [
+    "cache.read",
+    "cache.write",
+    "cache.rename",
+    "cache.remove",
+    "index.flush",
+    "serve.read",
+    "serve.write",
+    "swf.read",
+    "cell.panic",
+];
+
+/// Parses, validates and installs the `REPRO_FAULTS` plan. Runs under
+/// `ENV_INIT`, i.e. at most once per process.
+fn install_env_plan() -> Result<(), PlanError> {
+    let Ok(text) = std::env::var("REPRO_FAULTS") else {
+        return Ok(());
+    };
+    let plan = FaultPlan::parse(&text)
+        .and_then(|plan| {
+            match plan
+                .sites
+                .keys()
+                .find(|s| !KNOWN_SITES.contains(&s.as_str()))
+            {
+                Some(site) => Err(PlanError(format!("unknown site `{site}`"))),
+                None => Ok(plan),
+            }
+        })
+        .map_err(|PlanError(why)| {
+            PlanError(format!("{why} (known sites: {})", KNOWN_SITES.join(", ")))
+        })?;
+    install(Some(plan));
+    Ok(())
+}
+
 fn current_plan() -> Option<Arc<ActivePlan>> {
     ENV_INIT.call_once(|| {
-        if let Ok(text) = std::env::var("REPRO_FAULTS") {
-            match FaultPlan::parse(&text) {
-                Ok(plan) => install(Some(plan)),
-                Err(err) => {
-                    // A typo'd plan silently running fault-free would be
-                    // worse than noise on stderr.
-                    eprintln!("warning: ignoring REPRO_FAULTS: {err}");
-                }
-            }
+        if let Err(err) = install_env_plan() {
+            // A binary that skipped the `active_summary` startup check:
+            // a typo'd plan silently running fault-free would be worse
+            // than noise on stderr.
+            eprintln!("warning: ignoring REPRO_FAULTS: {err}");
         }
     });
     if !ENABLED.load(Ordering::Relaxed) {
@@ -327,8 +363,8 @@ fn current_plan() -> Option<Arc<ActivePlan>> {
 
 /// Install `plan` process-wide (replacing any previous plan, resetting
 /// all per-site counters); `None` — or an empty plan — restores the
-/// zero-cost passthrough. Prefer [`with_plan`] in tests.
-pub fn install(plan: Option<FaultPlan>) {
+/// zero-cost passthrough.
+fn install(plan: Option<FaultPlan>) {
     let active = plan.filter(|p| !p.is_empty()).map(|p| {
         Arc::new(ActivePlan {
             seed: p.seed,
@@ -351,7 +387,7 @@ pub fn install(plan: Option<FaultPlan>) {
 
 /// True when a non-empty fault plan is active. One relaxed atomic load
 /// (plus a one-time `REPRO_FAULTS` parse on the very first call).
-pub fn enabled() -> bool {
+fn enabled() -> bool {
     if !ENV_INIT.is_completed() {
         return current_plan().is_some();
     }
@@ -389,15 +425,23 @@ pub fn fired_counts() -> Vec<(String, u64)> {
     }
 }
 
-/// One-line description of the active plan for log banners, `None` in
-/// passthrough mode.
-pub fn active_summary() -> Option<String> {
-    let plan = current_plan()?;
-    let mut out = format!("seed={}", plan.seed);
-    for site in &plan.sites {
-        out.push_str(&format!(" {}(p={})", site.name, site.spec.p));
-    }
-    Some(out)
+/// The startup check for binaries that honour `REPRO_FAULTS`: parses
+/// the environment plan (if this call is the first query) and returns a
+/// one-line description of the active plan for log banners, `None` in
+/// passthrough mode. A plan that does not parse, or that names a site
+/// nothing consults, is an error listing the known sites — the caller
+/// should refuse to run rather than run fault-free.
+pub fn active_summary() -> Result<Option<String>, PlanError> {
+    let mut checked = Ok(());
+    ENV_INIT.call_once(|| checked = install_env_plan());
+    checked?;
+    Ok(current_plan().map(|plan| {
+        let mut out = format!("seed={}", plan.seed);
+        for site in &plan.sites {
+            out.push_str(&format!(" {}(p={})", site.name, site.spec.p));
+        }
+        out
+    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -452,18 +496,18 @@ fn roll(plan: &ActivePlan, site: &ActiveSite) -> Option<FaultKind> {
     Some(site.spec.kind)
 }
 
-/// Decide whether `site` fires on this call, consuming one call index.
-/// Always `None` in passthrough mode or for sites the plan doesn't
-/// name.
-pub fn fault_at(site: &str) -> Option<FaultKind> {
+/// The decision behind [`io_fault`], [`maybe_panic`] and [`FaultyRead`].
+fn fault_at(site: &str) -> Option<FaultKind> {
     let plan = current_plan()?;
     let active = plan.sites.iter().find(|s| s.name == site)?;
     roll(&plan, active)
 }
 
-/// Like [`fault_at`], mapped to an [`io::Error`]: transient faults
-/// become [`io::ErrorKind::Interrupted`] (retryable), hard faults a
-/// generic error. `None` means "proceed with the real operation".
+/// Decide whether `site` fires on this call (consuming one call index),
+/// mapped to an [`io::Error`]: transient faults become
+/// [`io::ErrorKind::Interrupted`] (retryable), hard faults a generic
+/// error. `None` means "proceed with the real operation" — always, in
+/// passthrough mode or for sites the plan doesn't name.
 pub fn io_fault(site: &str) -> Option<io::Error> {
     match fault_at(site)? {
         FaultKind::Transient => Some(io::Error::new(
@@ -613,7 +657,7 @@ mod tests {
             assert!(io_fault("cache.write").is_none());
             maybe_panic("cell.panic");
             assert!(fired_counts().is_empty());
-            assert!(active_summary().is_none());
+            assert_eq!(active_summary(), Ok(None));
         });
     }
 

@@ -3,8 +3,7 @@
 //! Table 8 compares prediction techniques on two axes: the Mean Absolute
 //! Error (MAE) and the mean value of the paper's custom *E-Loss*. The E-Loss
 //! itself lives in `predictsim-core` (it needs job features); this module
-//! provides the generic error aggregations, plus a helper to aggregate any
-//! per-job loss values.
+//! provides the generic error aggregations.
 
 /// Mean absolute error between `predicted` and `actual`.
 ///
@@ -71,24 +70,6 @@ pub fn mean_signed_error(predicted: &[f64], actual: &[f64]) -> f64 {
     sum / predicted.len() as f64
 }
 
-/// Mean of arbitrary per-job loss values (e.g. per-job E-Loss), ignoring
-/// non-finite entries so a single degenerate job cannot poison Table 8.
-pub fn mean_loss(losses: &[f64]) -> f64 {
-    let mut n = 0usize;
-    let mut sum = 0.0;
-    for &l in losses {
-        if l.is_finite() {
-            sum += l;
-            n += 1;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
-    }
-}
-
 /// Fraction of jobs that are *under-predicted* (`predicted < actual`).
 ///
 /// §2.2 defines under-/over-prediction; §6.4 analyses how the E-Loss shifts
@@ -142,12 +123,6 @@ mod tests {
         assert_eq!(rmse(&[], &[]), 0.0);
         assert_eq!(mean_signed_error(&[], &[]), 0.0);
         assert_eq!(underprediction_rate(&[], &[]), 0.0);
-        assert_eq!(mean_loss(&[]), 0.0);
-    }
-
-    #[test]
-    fn mean_loss_skips_non_finite() {
-        assert_eq!(mean_loss(&[1.0, f64::NAN, 3.0, f64::INFINITY]), 2.0);
     }
 
     #[test]

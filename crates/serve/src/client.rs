@@ -56,7 +56,7 @@ impl Client {
     }
 
     /// Sends one request value.
-    pub fn send_value(&mut self, value: &Value) -> std::io::Result<()> {
+    fn send_value(&mut self, value: &Value) -> std::io::Result<()> {
         let line = serde_json::to_string(value)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.0))?;
         self.send_line(&line)

@@ -307,7 +307,7 @@ pub enum Request {
 
 impl Request {
     /// Parses one request line (already known to be valid JSON).
-    pub fn from_value(v: &Value) -> Result<Self, ProtoError> {
+    fn from_value(v: &Value) -> Result<Self, ProtoError> {
         let kind: String = serde::get_field(v, "type").map_err(|_| {
             ProtoError::new(ErrorCode::Malformed, "request needs a string `type` field")
         })?;

@@ -11,7 +11,7 @@
 //!   submissions, and enqueue them;
 //! - **worker** threads drain the queue and run each job through
 //!   [`SimCache::run_cell_observed_traced`] with a
-//!   [`Heartbeat`](predictsim_experiments::progress::Heartbeat)
+//!   [`Heartbeat`]
 //!   observer that streams `metrics` frames back over the submitting
 //!   connection and carries the cancellation hook (deadline, shutdown,
 //!   client gone).

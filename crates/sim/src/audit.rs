@@ -82,7 +82,7 @@ pub fn audit(result: &SimResult) -> Result<AuditReport, AuditViolation> {
 }
 
 /// [`audit`] on a raw outcome slice.
-pub fn audit_outcomes(
+fn audit_outcomes(
     outcomes: &[JobOutcome],
     machine_size: u32,
 ) -> Result<AuditReport, AuditViolation> {

@@ -23,8 +23,8 @@
 //!
 //! ## Hot-loop discipline
 //!
-//! One [`Engine`] owns every per-run buffer — the indexed
-//! [`SimState`], the outcome table (written by job index, so no final
+//! One `Engine` owns every per-run buffer — the indexed
+//! [`SimState`](crate::state::SimState), the outcome table (written by job index, so no final
 //! sort), the event batch and start lists — all allocated once and
 //! reused. Submit events are heapified in O(n) at startup. Event
 //! handlers resolve jobs through the slot map in O(1) (no scans), and

@@ -92,23 +92,12 @@ impl EventQueue {
         Self::default()
     }
 
-    /// Builds a queue from `items` in O(n). Sequence numbers are
+    /// Refills the queue from `items` in O(n), reusing its buffers (the
+    /// cross-simulation scratch-reuse seam). Sequence numbers are
     /// assigned in iteration order, so the pop order is identical to
-    /// pushing the items one by one (events are totally ordered by
-    /// `(time, rank, seq)`; out-of-order items just fall back to the
-    /// heap).
-    pub fn from_schedule<I>(items: I) -> Self
-    where
-        I: IntoIterator<Item = (Time, EventKind)>,
-    {
-        let mut queue = Self::new();
-        queue.reset_from_schedule(items);
-        queue
-    }
-
-    /// Like [`EventQueue::from_schedule`], but reuses this queue's
-    /// buffers (the cross-simulation scratch-reuse seam). The pop order
-    /// is identical to a freshly built queue.
+    /// pushing the items one by one onto a fresh queue (events are
+    /// totally ordered by `(time, rank, seq)`; out-of-order items just
+    /// fall back to the heap).
     pub fn reset_from_schedule<I>(&mut self, items: I)
     where
         I: IntoIterator<Item = (Time, EventKind)>,
@@ -260,7 +249,8 @@ mod tests {
         for &(t, k) in &items {
             pushed.push(t, k);
         }
-        let mut bulk = EventQueue::from_schedule(items);
+        let mut bulk = EventQueue::new();
+        bulk.reset_from_schedule(items);
         loop {
             match (pushed.pop(), bulk.pop()) {
                 (None, None) => break,
@@ -271,7 +261,8 @@ mod tests {
 
     #[test]
     fn from_schedule_continues_sequence_numbers() {
-        let mut q = EventQueue::from_schedule([(Time(5), EventKind::Submit(JobId(0)))]);
+        let mut q = EventQueue::new();
+        q.reset_from_schedule([(Time(5), EventKind::Submit(JobId(0)))]);
         // A later push at the same (time, rank) must order after the
         // bulk-scheduled event: its seq continues where the bulk left off.
         q.push(Time(5), EventKind::Submit(JobId(1)));

@@ -1,6 +1,6 @@
 //! A deterministic, allocation-free hasher for the hot-path maps.
 //!
-//! The per-user history maps ([`crate::features::FeatureExtractor`]) are
+//! The per-user history maps (`predictsim_core`'s `FeatureExtractor`) are
 //! hit several times per simulated job; `std`'s default SipHash is
 //! needlessly expensive for 4-byte integer keys there. [`FxHasher`] is
 //! the classic Firefox/rustc multiply-xor hash: not DoS-resistant (keys

@@ -65,12 +65,6 @@ impl Job {
         self.run.min(self.requested)
     }
 
-    /// Whether the platform kills this job at its requested time.
-    #[inline]
-    pub fn is_killed(&self) -> bool {
-        self.run > self.requested
-    }
-
     /// Job *area* `p · q`, the quantity the Table 3 weighting factors and
     /// the E-Loss weight are built from.
     #[inline]
@@ -208,7 +202,6 @@ mod tests {
     fn inverted_estimate_is_raised() {
         let j = job_from_swf(JobId(0), &swf(100, 8, 10, 4)).unwrap();
         assert_eq!(j.requested, 100);
-        assert!(!j.is_killed());
     }
 
     #[test]
@@ -228,10 +221,8 @@ mod tests {
     fn granted_run_and_kill_flag() {
         let mut j = job_from_swf(JobId(0), &swf(100, 1, 200, 1)).unwrap();
         assert_eq!(j.granted_run(), 100);
-        assert!(!j.is_killed());
         j.run = 500; // exceeds requested=200
         assert_eq!(j.granted_run(), 200);
-        assert!(j.is_killed());
     }
 
     #[test]

@@ -395,21 +395,9 @@ impl UtilizationObserver {
         self.bucket_seconds
     }
 
-    /// Simulated instant of bucket 0's left edge (the first submission),
-    /// or `None` before any job was submitted.
-    pub fn origin(&self) -> Option<Time> {
-        self.origin.map(Time)
-    }
-
     /// Number of partitions tracked.
     pub fn partitions(&self) -> usize {
         self.busy.len()
-    }
-
-    /// Busy processor-seconds per bucket for `partition` (empty until the
-    /// first completion there).
-    pub fn busy_seconds(&self, partition: usize) -> &[f64] {
-        &self.busy[partition]
     }
 
     /// Utilization fraction per bucket for `partition`: busy
@@ -668,10 +656,10 @@ mod tests {
         };
         let mut u = UtilizationObserver::new(ClusterSpec::single(4), 100);
         u.on_event(&SimEvent::Finished { outcome: &outcome });
-        assert_eq!(u.busy_seconds(0), &[100.0, 200.0, 100.0]);
+        assert_eq!(u.busy[0], [100.0, 200.0, 100.0]);
         let frac = u.utilization(0);
         assert_eq!(frac, vec![0.25, 0.5, 0.25]);
-        assert_eq!(u.origin(), Some(Time(0)));
+        assert_eq!(u.origin, Some(0));
     }
 
     #[test]
@@ -689,7 +677,7 @@ mod tests {
             &mut util,
         )
         .unwrap();
-        let total: f64 = util.busy_seconds(0).iter().sum();
+        let total: f64 = util.busy[0].iter().sum();
         let work: f64 = result
             .outcomes
             .iter()
@@ -731,8 +719,8 @@ mod tests {
             outcome: &mk(1, 10, 30),
         });
         assert_eq!(u.partitions(), 2);
-        assert_eq!(u.busy_seconds(0), &[10.0]);
-        assert_eq!(u.busy_seconds(1), &[0.0, 10.0, 10.0]);
+        assert_eq!(u.busy[0], [10.0]);
+        assert_eq!(u.busy[1], [0.0, 10.0, 10.0]);
         // Partition capacity differs: 4 procs vs 2.
         assert_eq!(u.utilization(0), vec![0.25]);
         assert_eq!(u.utilization(1), vec![0.0, 0.5, 0.5]);

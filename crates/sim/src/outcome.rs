@@ -49,12 +49,6 @@ impl JobOutcome {
     pub fn bsld_record(&self) -> BsldRecord {
         BsldRecord::new(self.wait() as f64, self.run as f64)
     }
-
-    /// Signed error of the *initial* prediction (prediction − actual).
-    #[inline]
-    pub fn initial_prediction_error(&self) -> i64 {
-        self.initial_prediction - self.run
-    }
 }
 
 /// The result of simulating a workload under one heuristic triple.
@@ -75,13 +69,8 @@ pub struct SimResult {
 impl SimResult {
     /// `AVEbsld` with the paper's τ = 10 s — the objective of every table.
     pub fn ave_bsld(&self) -> f64 {
-        self.ave_bsld_tau(DEFAULT_TAU)
-    }
-
-    /// `AVEbsld` with an explicit τ.
-    pub fn ave_bsld_tau(&self, tau: f64) -> f64 {
         let records: Vec<BsldRecord> = self.outcomes.iter().map(|o| o.bsld_record()).collect();
-        ave_bsld(&records, tau)
+        ave_bsld(&records, DEFAULT_TAU)
     }
 
     /// Mean waiting time, seconds.
@@ -143,14 +132,6 @@ impl SimResult {
     pub fn total_corrections(&self) -> u64 {
         self.outcomes.iter().map(|o| o.corrections as u64).sum()
     }
-
-    /// Per-job bounded slowdowns (τ = 10 s), ordered by job id.
-    pub fn bslds(&self) -> Vec<f64> {
-        self.outcomes
-            .iter()
-            .map(|o| o.bsld_record().bsld(DEFAULT_TAU))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -197,7 +178,6 @@ mod tests {
         let r = result(vec![outcome(0, 0, 0, 100, 1), outcome(1, 0, 100, 100, 1)]);
         // bslds: 1.0 and 2.0.
         assert_eq!(r.ave_bsld(), 1.5);
-        assert_eq!(r.bslds(), vec![1.0, 2.0]);
     }
 
     #[test]
@@ -234,14 +214,5 @@ mod tests {
         assert_eq!(r.mean_wait(), 0.0);
         assert_eq!(r.utilization(), 0.0);
         assert_eq!(r.makespan(), 0);
-    }
-
-    #[test]
-    fn prediction_error_sign() {
-        let mut o = outcome(0, 0, 0, 100, 1);
-        o.initial_prediction = 150;
-        assert_eq!(o.initial_prediction_error(), 50);
-        o.initial_prediction = 60;
-        assert_eq!(o.initial_prediction_error(), -40);
     }
 }

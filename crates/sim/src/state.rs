@@ -67,13 +67,6 @@ impl RunningJob {
     pub fn elapsed(&self, now: Time) -> i64 {
         now.since(self.start)
     }
-
-    /// Predicted remaining running time as of `now` (can be negative if
-    /// the prediction already expired and is awaiting correction).
-    #[inline]
-    pub fn predicted_remaining(&self, now: Time) -> i64 {
-        self.predicted_end.since(now)
-    }
 }
 
 /// Incrementally maintained per-user view of the running set.
@@ -807,8 +800,6 @@ mod tests {
     fn elapsed_and_remaining() {
         let r = rj(1, 1, 4, 100, 500);
         assert_eq!(r.elapsed(Time(250)), 150);
-        assert_eq!(r.predicted_remaining(Time(250)), 250);
-        assert_eq!(r.predicted_remaining(Time(600)), -100);
     }
 
     fn wj(id: u32, procs: u32, predicted: i64) -> WaitingJob {

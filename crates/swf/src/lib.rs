@@ -47,6 +47,6 @@ pub mod writer;
 
 pub use filter::{clean, CleaningReport, CleaningRules};
 pub use header::SwfHeader;
-pub use reader::{parse_log, read_log, ParseError, SwfLog, SwfStream};
-pub use record::{JobStatus, SwfRecord, MISSING};
-pub use writer::{write_log, write_records};
+pub use reader::{parse_log, ParseError, SwfLog, SwfStream};
+pub use record::{SwfRecord, MISSING};
+pub use writer::write_log;

@@ -64,7 +64,7 @@ pub fn parse_log(text: &str) -> Result<SwfLog, ParseError> {
 /// reached, so callers have a single error channel. Callers that do not
 /// need the whole record vector at once should iterate a [`SwfStream`]
 /// instead.
-pub fn read_log<R: BufRead>(reader: R) -> Result<SwfLog, ParseError> {
+fn read_log<R: BufRead>(reader: R) -> Result<SwfLog, ParseError> {
     let mut stream = SwfStream::new(reader);
     let mut records = Vec::new();
     for record in &mut stream {
@@ -117,11 +117,6 @@ impl<R: BufRead> SwfStream<R> {
     /// Consumes the stream, returning the accumulated header.
     pub fn into_header(self) -> SwfHeader {
         self.header
-    }
-
-    /// 1-based number of the last line read (0 before the first read).
-    pub fn line_number(&self) -> usize {
-        self.lineno
     }
 }
 
@@ -391,7 +386,7 @@ mod tests {
         assert_eq!(second.job_id, 3);
         assert!(stream.next().is_none());
         assert!(stream.next().is_none(), "stream is fused");
-        assert_eq!(stream.line_number(), 5);
+        assert_eq!(stream.lineno, 5);
     }
 
     #[test]

@@ -9,45 +9,6 @@
 /// The SWF sentinel for "value not available" (`-1`).
 pub const MISSING: i64 = -1;
 
-/// Completion status of a job (SWF field 11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum JobStatus {
-    /// Job failed (status 0).
-    Failed,
-    /// Job completed successfully (status 1).
-    Completed,
-    /// Partial execution — used by logs that checkpoint (status 2, 3).
-    Partial(u8),
-    /// Job was canceled before or during execution (status 5).
-    Canceled,
-    /// Unknown / missing status (`-1` or unrecognized code).
-    Unknown,
-}
-
-impl JobStatus {
-    /// Decodes the SWF integer status code.
-    pub fn from_code(code: i64) -> Self {
-        match code {
-            0 => JobStatus::Failed,
-            1 => JobStatus::Completed,
-            2 | 3 => JobStatus::Partial(code as u8),
-            5 => JobStatus::Canceled,
-            _ => JobStatus::Unknown,
-        }
-    }
-
-    /// Encodes back to the SWF integer status code.
-    pub fn to_code(self) -> i64 {
-        match self {
-            JobStatus::Failed => 0,
-            JobStatus::Completed => 1,
-            JobStatus::Partial(c) => c as i64,
-            JobStatus::Canceled => 5,
-            JobStatus::Unknown => MISSING,
-        }
-    }
-}
-
 /// One SWF job record (one line of an SWF file).
 ///
 /// All times are in seconds. `-1` ([`MISSING`]) denotes a missing value,
@@ -117,11 +78,6 @@ impl SwfRecord {
             preceding_job: MISSING,
             think_time: MISSING,
         }
-    }
-
-    /// Decoded completion status.
-    pub fn job_status(&self) -> JobStatus {
-        JobStatus::from_code(self.status)
     }
 
     /// Actual run time, if recorded.
@@ -196,15 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn status_round_trip() {
-        for code in [-1, 0, 1, 2, 3, 5] {
-            let st = JobStatus::from_code(code);
-            assert_eq!(st.to_code(), code, "status {code}");
-        }
-        assert_eq!(JobStatus::from_code(99), JobStatus::Unknown);
-    }
-
-    #[test]
     fn accessors_decode_sentinels() {
         let r = sample();
         assert_eq!(r.run_time_opt(), Some(3600));
@@ -253,7 +200,6 @@ mod tests {
     #[test]
     fn empty_record_is_not_simulatable() {
         assert!(!SwfRecord::empty(1).is_simulatable());
-        assert_eq!(SwfRecord::empty(1).job_status(), JobStatus::Unknown);
     }
 
     #[test]

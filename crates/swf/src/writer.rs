@@ -10,7 +10,7 @@ use crate::reader::SwfLog;
 use crate::record::SwfRecord;
 
 /// Serializes one record as a canonical SWF data line (no newline).
-pub fn format_record(r: &SwfRecord) -> String {
+fn format_record(r: &SwfRecord) -> String {
     format!(
         "{} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
         r.job_id,
@@ -35,7 +35,7 @@ pub fn format_record(r: &SwfRecord) -> String {
 }
 
 /// Serializes records only (no header).
-pub fn write_records(records: &[SwfRecord]) -> String {
+fn write_records(records: &[SwfRecord]) -> String {
     let mut out = String::with_capacity(records.len() * 64);
     for r in records {
         out.push_str(&format_record(r));

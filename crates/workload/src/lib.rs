@@ -43,5 +43,5 @@ pub mod spec;
 pub mod users;
 
 pub use generator::{generate, GeneratedWorkload, WorkloadStats};
-pub use presets::{all_six, all_six_scaled, by_name};
+pub use presets::{all_six, by_name};
 pub use spec::WorkloadSpec;

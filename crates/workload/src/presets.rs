@@ -14,8 +14,8 @@
 //! published characteristics of each log (all six were "selected for
 //! their high resource utilization"). The *real* logs remain fully
 //! usable through `predictsim-swf` — these presets are the
-//! redistributable stand-ins (see DESIGN.md §3 for the substitution
-//! argument).
+//! redistributable stand-ins (README § "Where we read the paper
+//! differently" has the substitution argument).
 
 use crate::spec::WorkloadSpec;
 
@@ -56,7 +56,7 @@ pub fn kth_sp2() -> WorkloadSpec {
 }
 
 /// CTC-SP2: the 338-node Cornell Theory Center SP2 (1996).
-pub fn ctc_sp2() -> WorkloadSpec {
+fn ctc_sp2() -> WorkloadSpec {
     let mut s = base("CTC-SP2", 338, 77_000, 11, 0.84, 250);
     s.procs_mean_log2 = 2.2;
     s
@@ -71,7 +71,7 @@ pub fn sdsc_sp2() -> WorkloadSpec {
 }
 
 /// SDSC-BLUE: the 1 152-processor Blue Horizon (2003).
-pub fn sdsc_blue() -> WorkloadSpec {
+fn sdsc_blue() -> WorkloadSpec {
     let mut s = base("SDSC-BLUE", 1_152, 243_000, 32, 0.84, 470);
     s.procs_mean_log2 = 3.5;
     s
@@ -80,7 +80,7 @@ pub fn sdsc_blue() -> WorkloadSpec {
 /// Curie: the 80 640-core Bull/CEA petascale machine (2012). Very wide
 /// jobs, short trace, bursty — the log on which the paper's approach
 /// shines most (86% AVEbsld reduction).
-pub fn curie() -> WorkloadSpec {
+fn curie() -> WorkloadSpec {
     let mut s = base("Curie", 80_640, 312_000, 3, 0.80, 580);
     s.procs_mean_log2 = 7.0;
     s.procs_sigma_log2 = 2.2;
@@ -91,7 +91,7 @@ pub fn curie() -> WorkloadSpec {
 
 /// Metacentrum: the Czech national grid (2013) — many users, mixed
 /// hardware, moderate utilization.
-pub fn metacentrum() -> WorkloadSpec {
+fn metacentrum() -> WorkloadSpec {
     let mut s = base("Metacentrum", 3_356, 495_000, 6, 0.75, 800);
     s.procs_mean_log2 = 3.2;
     s.procs_sigma_log2 = 1.7;
@@ -106,7 +106,7 @@ pub fn metacentrum() -> WorkloadSpec {
 /// environment can generate. Exercises the streaming ingestion path and
 /// the dense-interned per-user slabs at ≥ 10^5 *active* users; not part
 /// of [`all_six`], so no paper experiment is affected.
-pub fn millions_of_users() -> WorkloadSpec {
+fn millions_of_users() -> WorkloadSpec {
     let mut s = base("millions-of-users", 65_536, 1_000_000, 1, 0.70, 400_000);
     s.session_len_mean = 2.0; // short sessions → many distinct submitters
     s.session_repeat_prob = 0.8;
@@ -126,12 +126,6 @@ pub fn all_six() -> Vec<WorkloadSpec> {
         curie(),
         metacentrum(),
     ]
-}
-
-/// All six presets scaled by `factor` (see [`WorkloadSpec::scaled`]) —
-/// the fast variants the test-suite and `bench/` default to.
-pub fn all_six_scaled(factor: f64) -> Vec<WorkloadSpec> {
-    all_six().into_iter().map(|s| s.scaled(factor)).collect()
 }
 
 /// Looks a preset up by its (case-insensitive) Table 4 name.
@@ -219,7 +213,7 @@ mod tests {
 
     #[test]
     fn scaled_presets_stay_valid() {
-        for s in all_six_scaled(0.02) {
+        for s in all_six().into_iter().map(|s| s.scaled(0.02)) {
             assert!(s.validate().is_ok(), "{} invalid", s.name);
             assert!(s.jobs >= 50);
         }

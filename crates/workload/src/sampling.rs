@@ -9,7 +9,7 @@
 use rand::Rng;
 
 /// Standard normal via the Box–Muller transform.
-pub fn normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Avoid u1 == 0 (log of zero).
     let u1: f64 = loop {
         let v = rng.gen::<f64>();

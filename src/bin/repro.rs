@@ -339,6 +339,17 @@ fn main() {
         print!("{USAGE}");
         return;
     }
+    // Check and announce a REPRO_FAULTS plan before any work: a chaos
+    // run must never be mistaken for a clean one when comparing
+    // artifacts, and a plan that cannot fire must not pass as one.
+    match predictsim_experiments::faultline::active_summary() {
+        Ok(Some(plan)) => eprintln!("fault injection active (REPRO_FAULTS): {plan}"),
+        Ok(None) => {}
+        Err(e) => {
+            eprintln!("error: REPRO_FAULTS: {e}");
+            std::process::exit(2);
+        }
+    }
     if opts.experiments.iter().any(|e| e == "list") {
         print!("{}", render_registry());
         if opts.experiments.iter().all(|e| e == "list") {
@@ -346,11 +357,6 @@ fn main() {
         }
     }
     predictsim_experiments::progress::set_enabled(opts.progress);
-    // Announce a REPRO_FAULTS plan up front: a chaos run must never be
-    // mistaken for a clean one when comparing artifacts.
-    if let Some(plan) = predictsim_experiments::faultline::active_summary() {
-        eprintln!("fault injection active (REPRO_FAULTS): {plan}");
-    }
     if let Some(dir) = &opts.cache_dir {
         SimCache::global().set_persist_dir(Some(dir.clone()));
         eprintln!("persistent simulation cache: {}", dir.display());
@@ -827,7 +833,8 @@ ENVIRONMENT
                 `site[:p=F][:max=N][:after=N][:kind=transient|hard]`.
                 Sites: cache.read, cache.write, cache.rename,
                 cache.remove, index.flush, serve.read, serve.write,
-                swf.read, trace.read, cell.panic. Artifacts stay
+                swf.read, cell.panic; an unknown site or a malformed
+                plan is an error (exit 2). Artifacts stay
                 byte-identical to a fault-free run (the hardening under
                 test); absorbed faults show up in the cache summary
                 counters (disk_retries, degraded, panicked_cells).

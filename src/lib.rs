@@ -19,7 +19,7 @@
 //!
 //! ## Quickstart: the `Scenario` API
 //!
-//! Every simulation runs through one entry point: a [`Scenario`] is a
+//! Every simulation runs through one entry point: a [`experiments::Scenario`] is a
 //! workload source crossed with registry-named policies (run
 //! `repro --list` for the full inventory).
 //!

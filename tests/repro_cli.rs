@@ -12,12 +12,18 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 fn repro(cwd: &Path, args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(args)
-        .current_dir(cwd)
-        .env_remove("REPRO_FAULTS")
-        .output()
-        .expect("spawn repro")
+    repro_under(None, cwd, args)
+}
+
+/// `repro` with `REPRO_FAULTS` set to `faults` (unset for `None`).
+fn repro_under(faults: Option<&str>, cwd: &Path, args: &[&str]) -> Output {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_repro"));
+    command.args(args).current_dir(cwd);
+    match faults {
+        Some(plan) => command.env("REPRO_FAULTS", plan),
+        None => command.env_remove("REPRO_FAULTS"),
+    };
+    command.output().expect("spawn repro")
 }
 
 fn stdout(out: &Output) -> String {
@@ -59,7 +65,11 @@ fn all_prints_timing_on_stdout_and_keeps_table6() {
 
 /// Exit 2, the reason on stderr (returned), nothing run.
 fn assert_rejected(args: &[&str], reason: &str) -> String {
-    let out = repro(&std::env::temp_dir(), args);
+    assert_rejected_under(None, args, reason)
+}
+
+fn assert_rejected_under(faults: Option<&str>, args: &[&str], reason: &str) -> String {
+    let out = repro_under(faults, &std::env::temp_dir(), args);
     assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
     let err = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(err.contains(reason), "{args:?}: {err}");
@@ -98,4 +108,38 @@ fn prune_flag_is_gone() {
     assert!(usage.contains("--full"), "{usage}");
     assert!(!usage.contains("prune"), "{usage}");
     assert!(!usage.contains("Table 6 skipped"), "{usage}");
+}
+
+/// A `REPRO_FAULTS` plan that cannot do what it says — a site nothing
+/// consults (a typo, or a site since deleted), or a clause that does
+/// not parse — must not run fault-free with exit 0: "chaos artifacts
+/// equal clean ones" would then pass vacuously.
+#[test]
+fn fault_plan_that_cannot_fire_is_rejected() {
+    for (plan, token) in [
+        ("cache.raed:p=1", "cache.raed"),
+        ("seed=1,cache.read:p=0.5,disk.sync:max=1", "disk.sync"),
+        ("cache.read:p=oops", "oops"),
+    ] {
+        let err = assert_rejected_under(Some(plan), &["--list"], "error: REPRO_FAULTS:");
+        assert!(err.contains(token), "{plan}: offending token named: {err}");
+        for site in ["cache.read", "index.flush", "serve.write", "cell.panic"] {
+            assert!(
+                err.contains(site),
+                "{plan}: known site {site} listed: {err}"
+            );
+        }
+    }
+    // A valid plan is announced and runs.
+    let ok = repro_under(
+        Some("seed=3,cache.read:p=0.5"),
+        &std::env::temp_dir(),
+        &["--list"],
+    );
+    assert!(ok.status.success(), "{ok:?}");
+    let err = String::from_utf8_lossy(&ok.stderr).into_owned();
+    assert!(
+        err.contains("fault injection active (REPRO_FAULTS): seed=3 cache.read(p=0.5)"),
+        "{err}"
+    );
 }

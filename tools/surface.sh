@@ -8,6 +8,17 @@ cd "$(dirname "$0")/.."
 lines() { find "$@" -name '*.rs' -print0 | xargs -0 cat | wc -l; }
 pubs() { grep -rhE '^\s*pub (fn|struct|enum|trait|const|static|type|mod|use) ' "$@" | wc -l; }
 entries() { grep -rhoE "pub fn $1\w*" crates/*/src src | sort -u | wc -l; }
+# Names defined exactly once as `pub fn` in product source and
+# word-matched in no other `*.rs` file (tests, examples and bench/
+# included): exported, and nothing outside the defining file says so.
+unreferenced() {
+  grep -rHoE --include='*.rs' 'pub fn \w+' crates/*/src src | sed -E 's/:pub fn / /' |
+    awk 'NR == FNR { defs[$2]++; home[$2] = $1; next }
+         { i = index($0, ":"); file = substr($0, 1, i - 1); word = substr($0, i + 1)
+           if ((word in defs) && defs[word] == 1 && home[word] != file) named[word] = 1 }
+         END { for (w in defs) if (defs[w] == 1 && !(w in named)) n++; print n + 0 }' \
+      - <(grep -roE --include='*.rs' --exclude-dir=target '\w+' crates src tests examples bench)
+}
 
 echo "rust_lines $(lines crates src tests examples vendor)"
 echo "pub_items $(pubs crates/*/src src)"
@@ -16,3 +27,4 @@ echo "experiments_pub_items $(pubs crates/experiments/src)"
 echo "run_cell_entries $(entries run_cell)"
 echo "run_campaign_entries $(entries run_campaign)"
 echo "simulate_entries $(entries simulate)"
+echo "unreferenced_pub_fns $(unreferenced)"
