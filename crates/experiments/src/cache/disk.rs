@@ -1,6 +1,6 @@
 //! The opt-in persistent layer of the [`SimCache`](super::SimCache):
-//! the only code that knows the cell-file format, file and temp naming,
-//! the LRU index and the fault ladder.
+//! the only code that knows the cell-file format, file and temp naming
+//! and the fault ladder.
 //!
 //! # Persistent layer
 //!
@@ -18,49 +18,35 @@
 //! fresh simulation aggregates, and prediction vectors round-trip
 //! losslessly through JSON (they are `i64`s).
 //!
-//! The directory carries a size budget ([`DiskStore::set_budget`],
-//! `repro --cache-budget BYTES`, default [`DISK_BUDGET`]) tracked by an
-//! `index.json` of per-cell file size and logical last-use time. When a
-//! write pushes the directory past its budget, least-recently-used
-//! cells are evicted — but never cells touched by the current run, so
-//! an in-progress campaign cannot evict its own working set. The clock
-//! is a logical counter (no wall time), so the index is deterministic
-//! for a given access sequence.
+//! The directory holds one `cell-<key hash>.json` per cell and nothing
+//! else. It is never trimmed — a full-scale repro writes well under
+//! 1 GiB — so `rm -r DIR` is how it shrinks. (An `index.json` left by an
+//! older build is neither read nor written.)
 //!
 //! # Fault tolerance
 //!
 //! Every disk operation sits behind a named fault-injection site
-//! (`cache.read` / `cache.write` / `cache.rename` / `cache.remove` /
-//! `index.flush` — see `predictsim_faultline`) and a bounded
-//! retry-with-backoff that absorbs transient
-//! [`std::io::ErrorKind::Interrupted`] errors
+//! (`cache.read` / `cache.write` / `cache.rename` / `cache.remove` —
+//! see `predictsim_faultline`) and a bounded retry-with-backoff that
+//! absorbs transient [`std::io::ErrorKind::Interrupted`] errors
 //! ([`CacheStats::disk_retries`](super::CacheStats::disk_retries)).
 //! After [`HARD_FAILURE_LIMIT`] *consecutive* hard failures the layer
 //! degrades to memory-only — warned once, campaign unaffected
 //! ([`CacheStats::degraded`](super::CacheStats::degraded)); the next
 //! healthy [`DiskStore::attach`] restores persistence (the ladder lives
-//! in [`DiskStore::classified`]). Cell and index writes are
-//! crash-consistent (temp file → fsync → atomic rename → best-effort
-//! directory sync), so a torn write never shadows good data.
+//! in [`DiskStore::classified`]). Cell writes are crash-consistent
+//! (temp file → fsync → atomic rename → best-effort directory sync), so
+//! a torn write never shadows good data.
 
-use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
 use super::{CacheStats, CachedCell, CellKey};
 use crate::campaign::TripleResult;
-
-/// Name of the LRU index file inside a persistent cache directory.
-pub(super) const INDEX_NAME: &str = "index.json";
-
-/// Default size budget: 8 GiB of cell files — generous (a full-scale
-/// repro writes well under 1 GiB) but a hard ceiling against unbounded
-/// growth of a long-lived `--cache DIR`.
-const DISK_BUDGET: u64 = 8 * 1024 * 1024 * 1024;
 
 /// Bounded retries absorbed per disk operation before its error is
 /// surfaced (transient [`std::io::ErrorKind::Interrupted`] only; each
@@ -87,70 +73,26 @@ struct DiskCell {
     predictions: Vec<i64>,
 }
 
-/// Per-cell bookkeeping of the persistent directory.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-struct DiskEntry {
-    /// File size in bytes (the serialized cell).
-    bytes: u64,
-    /// Logical last-use time ([`DiskIndex::clock`] at the last touch).
-    last_use: u64,
-}
-
-/// The persisted `index.json`: a logical clock plus one entry per cell
-/// file, used for LRU eviction decisions.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct DiskIndex {
-    clock: u64,
-    entries: HashMap<String, DiskEntry>,
-}
-
-/// Directory state, under one lock (file I/O happens *outside* it where
-/// possible; index mutations inside).
-struct PersistLayer {
-    dir: Option<PathBuf>,
-    /// Directory size budget in bytes (cell files only; the index is
-    /// exempt).
-    budget: u64,
-    index: DiskIndex,
-    /// Sum of `index.entries[*].bytes` (maintained incrementally).
-    total_bytes: u64,
-    /// Entries with `last_use >= run_floor` were touched by the current
-    /// run and are never evicted.
-    run_floor: u64,
-}
-
-impl PersistLayer {
-    fn touch(&mut self, file_name: &str, bytes_hint: u64) {
-        self.index.clock += 1;
-        let clock = self.index.clock;
-        match self.index.entries.get_mut(file_name) {
-            Some(entry) => entry.last_use = clock,
-            None => {
-                // A file another process wrote: adopt it.
-                self.index.entries.insert(
-                    file_name.to_string(),
-                    DiskEntry {
-                        bytes: bytes_hint,
-                        last_use: clock,
-                    },
-                );
-                self.total_bytes += bytes_hint;
-            }
-        }
-    }
-
-    fn forget(&mut self, file_name: &str) {
-        if let Some(entry) = self.index.entries.remove(file_name) {
-            self.total_bytes -= entry.bytes;
+/// Removes every `*.tmp` file in `dir` whose name contains `marker`
+/// (best-effort: a survivor is met again by the next sweep).
+fn sweep_tmp(dir: &Path, marker: &str) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if name.ends_with(".tmp") && name.contains(marker) {
+            let _ = std::fs::remove_file(entry.path());
         }
     }
 }
 
 /// The persistent cell store — see the module docs.
 pub(super) struct DiskStore {
-    persist: Mutex<PersistLayer>,
+    /// The attached directory (`None`: detached, every operation a
+    /// no-op).
+    dir: Mutex<Option<PathBuf>>,
     disk_rejects: AtomicU64,
-    disk_evictions: AtomicU64,
     disk_retries: AtomicU64,
     /// Consecutive hard (non-retryable, non-NotFound) disk failures; a
     /// healthy disk operation resets it. At [`HARD_FAILURE_LIMIT`] the
@@ -169,15 +111,8 @@ impl DiskStore {
     /// A detached store: a no-op until [`DiskStore::attach`].
     pub(super) fn new() -> Self {
         DiskStore {
-            persist: Mutex::new(PersistLayer {
-                dir: None,
-                budget: DISK_BUDGET,
-                index: DiskIndex::default(),
-                total_bytes: 0,
-                run_floor: 0,
-            }),
+            dir: Mutex::new(None),
             disk_rejects: AtomicU64::new(0),
-            disk_evictions: AtomicU64::new(0),
             disk_retries: AtomicU64::new(0),
             hard_fail_streak: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
@@ -185,15 +120,14 @@ impl DiskStore {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, PersistLayer> {
-        self.persist.lock().expect("cache persist lock")
+    fn dir(&self) -> Option<PathBuf> {
+        self.dir.lock().expect("cache dir lock").clone()
     }
 
     /// This layer's slice of the cache accounting.
     pub(super) fn stats(&self) -> CacheStats {
         CacheStats {
             disk_rejects: self.disk_rejects.load(Ordering::Relaxed),
-            disk_evictions: self.disk_evictions.load(Ordering::Relaxed),
             disk_retries: self.disk_retries.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
             ..CacheStats::default()
@@ -203,61 +137,16 @@ impl DiskStore {
     /// Attaches the store to `dir` (or detaches it, with `None`) — see
     /// [`SimCache::set_persist_dir`](super::SimCache::set_persist_dir).
     pub(super) fn attach(&self, dir: Option<PathBuf>) {
-        let mut persist = self.lock();
-        persist.index = DiskIndex::default();
-        persist.total_bytes = 0;
-        persist.run_floor = 0;
-        persist.dir = dir;
+        // Stale temp files from crashed writers — anyone's — go first.
+        if let Some(dir) = &dir {
+            sweep_tmp(dir, "");
+        }
+        *self.dir.lock().expect("cache dir lock") = dir;
         // A fresh attach is a declaration that the disk is healthy
         // again: clear any degradation so resumability survives the
         // next run even if this one limped home memory-only.
         self.hard_fail_streak.store(0, Ordering::Relaxed);
         self.degraded.store(false, Ordering::Relaxed);
-        let Some(dir) = persist.dir.clone() else {
-            return;
-        };
-        // Load the index (a corrupt index just starts empty — it is
-        // bookkeeping, not data) and reconcile it with the directory:
-        // drop entries whose file vanished, adopt files it never saw
-        // (another process, an older layout) as least-recently used,
-        // and sweep stale temp files from crashed writers.
-        if let Ok(text) = std::fs::read_to_string(dir.join(INDEX_NAME)) {
-            if let Ok(index) = serde_json::from_str::<DiskIndex>(&text) {
-                persist.index = index;
-            }
-        }
-        let mut present: HashMap<String, u64> = HashMap::new();
-        if let Ok(entries) = std::fs::read_dir(&dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if name.ends_with(".tmp") {
-                    let _ = std::fs::remove_file(entry.path());
-                    continue;
-                }
-                if name.starts_with("cell-") && name.ends_with(".json") {
-                    let bytes = entry.metadata().map(|m| m.len()).unwrap_or(0);
-                    present.insert(name, bytes);
-                }
-            }
-        }
-        persist
-            .index
-            .entries
-            .retain(|name, _| present.contains_key(name));
-        for (name, bytes) in present {
-            persist
-                .index
-                .entries
-                .entry(name)
-                .or_insert(DiskEntry { bytes, last_use: 0 });
-        }
-        persist.total_bytes = persist.index.entries.values().map(|e| e.bytes).sum();
-        persist.run_floor = persist.index.clock + 1;
-    }
-
-    /// Sets the size budget in bytes (takes effect on the next write).
-    pub(super) fn set_budget(&self, bytes: u64) {
-        self.lock().budget = bytes;
     }
 
     /// Runs one disk operation with bounded retry of transient
@@ -315,7 +204,7 @@ impl DiskStore {
         if self.degraded.load(Ordering::Relaxed) {
             return None;
         }
-        let dir = self.lock().dir.clone()?;
+        let dir = self.dir()?;
         match step(dir) {
             Ok(found) => {
                 if found.is_some() {
@@ -338,7 +227,7 @@ impl DiskStore {
     }
 
     /// Best-effort delete (retried, never classified): if it fails the
-    /// file is simply met again — rejected or evicted — next run.
+    /// file is simply met — and rejected — again next run.
     fn remove(&self, path: &Path) {
         let _ = self.with_retry("cache.remove", || std::fs::remove_file(path));
     }
@@ -360,15 +249,9 @@ impl DiskStore {
     /// at any step removes the temp file and leaves whatever `path`
     /// held before — a torn write can never shadow good data. Transient
     /// errors are absorbed by the bounded retry at both fault sites.
-    fn write_atomic(
-        &self,
-        path: &Path,
-        contents: &str,
-        write_site: &str,
-        rename_site: &str,
-    ) -> std::io::Result<()> {
+    fn write_atomic(&self, path: &Path, contents: &str) -> std::io::Result<()> {
         let tmp = self.unique_tmp(path);
-        let written = self.with_retry(write_site, || {
+        let written = self.with_retry("cache.write", || {
             let mut file = std::fs::File::create(&tmp)?;
             file.write_all(contents.as_bytes())?;
             // The data must be durable *before* the rename publishes
@@ -380,7 +263,7 @@ impl DiskStore {
             let _ = std::fs::remove_file(&tmp);
             return Err(err);
         }
-        if let Err(err) = self.with_retry(rename_site, || std::fs::rename(&tmp, path)) {
+        if let Err(err) = self.with_retry("cache.rename", || std::fs::rename(&tmp, path)) {
             let _ = std::fs::remove_file(&tmp);
             return Err(err);
         }
@@ -395,70 +278,26 @@ impl DiskStore {
         Ok(())
     }
 
-    /// Writes a snapshot of the LRU index into `dir` (takes the lock
-    /// only long enough to snapshot it). A failed write leaves the
-    /// previous `index.json` intact — the index is bookkeeping and the
-    /// next attach reconciles it with the directory, so losing one
-    /// flush costs recency, never cells.
-    fn write_index(&self, dir: &Path) -> std::io::Result<Option<()>> {
-        let index = self.lock().index.clone();
-        let Ok(json) = serde_json::to_string(&index) else {
-            return Ok(None);
-        };
-        self.write_atomic(&dir.join(INDEX_NAME), &json, "index.flush", "index.flush")
-            .map(Some)
-    }
-
-    /// Persists the LRU index after a store or a reject.
-    fn flush_index(&self) {
-        self.classified("index flush", |dir| self.write_index(&dir));
-    }
-
-    /// Persists the LRU index *now* and sweeps this process's leftover
-    /// `*.tmp` files. The graceful-shutdown path: `index.json` is
-    /// normally only rewritten after a store, so a run that was serving
-    /// disk hits (which touch entries' last-use clocks in memory) and
-    /// then gets interrupted would otherwise lose that recency — and a
-    /// writer killed between temp write and rename would leave its temp
-    /// file for the *next* attach to sweep. No-op when detached, or
-    /// degraded: the layer already gave up on this disk, and the
-    /// previous `index.json` (if any) stays intact for the next attach.
+    /// Sweeps this process's leftover `*.tmp` files — the
+    /// graceful-shutdown path: a writer interrupted between temp write
+    /// and rename would otherwise leave its temp file for the *next*
+    /// attach to sweep. No-op when detached.
     pub(super) fn flush(&self) {
-        self.classified("index flush", |dir| {
-            // An interrupt can land before any cell was stored; the
-            // flushed (possibly empty) index must still appear on disk.
-            let _ = std::fs::create_dir_all(&dir);
-            let flushed = self.write_index(&dir);
-            let own_tmp = format!(".{}-", std::process::id());
-            if let Ok(entries) = std::fs::read_dir(&dir) {
-                for entry in entries.flatten() {
-                    let name = entry.file_name().to_string_lossy().into_owned();
-                    if name.ends_with(".tmp") && name.contains(&own_tmp) {
-                        let _ = std::fs::remove_file(entry.path());
-                    }
-                }
-            }
-            flushed
-        });
+        if let Some(dir) = self.dir() {
+            sweep_tmp(&dir, &format!(".{}-", std::process::id()));
+        }
     }
 
     /// Reads `key`'s cell back, if the directory holds a valid one.
     pub(super) fn load(&self, key: &CellKey) -> Option<CachedCell> {
-        let (file_name, path, text) = self.classified("cell read", |dir| {
-            let file_name = file_name(key);
-            let path = dir.join(&file_name);
+        let (path, text) = self.classified("cell read", |dir| {
+            let path = dir.join(file_name(key));
             match self.with_retry("cache.read", || std::fs::read_to_string(&path)) {
-                Ok(text) => Ok(Some((file_name, path, text))),
-                Err(err) if err.kind() == std::io::ErrorKind::NotFound => {
-                    // No file: a plain miss. Drop any stale index entry
-                    // so the LRU accounting stays honest after an
-                    // external deletion.
-                    self.lock().forget(&file_name);
-                    Ok(None)
-                }
+                Ok(text) => Ok(Some((path, text))),
+                // No file: a plain miss.
+                Err(err) if err.kind() == std::io::ErrorKind::NotFound => Ok(None),
                 // Unreadable beyond retry: miss (the cell re-simulates)
-                // and one step down the degradation ladder. The index
-                // entry stays — the file is probably still there.
+                // and one step down the degradation ladder.
                 Err(err) => Err(err),
             }
         })?;
@@ -474,25 +313,22 @@ impl DiskStore {
         let Some(disk) = verified else {
             self.disk_rejects.fetch_add(1, Ordering::Relaxed);
             self.remove(&path);
-            self.lock().forget(&file_name);
-            self.flush_index();
             return None;
         };
-        self.lock().touch(&file_name, text.len() as u64);
         Some(CachedCell {
             result: disk.result,
             predictions: Some(Arc::new(disk.predictions)),
         })
     }
 
-    /// Writes `cell` under `key`, then evicts past-budget cells and
-    /// persists the index. Persistence is best-effort: a read-only or
-    /// full disk must not fail the experiment, only forgo the cache.
+    /// Writes `cell` under `key`. Persistence is best-effort: a
+    /// read-only or full disk must not fail the experiment, only forgo
+    /// the cache.
     pub(super) fn store(&self, key: &CellKey, cell: &CachedCell) {
         let Some(predictions) = &cell.predictions else {
             return; // only complete cells are persisted
         };
-        let Some((dir, file_name, bytes)) = self.classified("cell write", |dir| {
+        self.classified("cell write", |dir| {
             let disk = DiskCell {
                 fingerprint: key.fingerprint,
                 cluster: key.cluster.clone(),
@@ -500,45 +336,13 @@ impl DiskStore {
                 result: cell.result.clone(),
                 predictions: predictions.as_ref().clone(),
             };
-            let file_name = file_name(key);
             let _ = std::fs::create_dir_all(&dir);
             let Ok(json) = serde_json::to_string(&disk) else {
                 return Ok(None);
             };
-            self.write_atomic(&dir.join(&file_name), &json, "cache.write", "cache.rename")?;
-            Ok(Some((dir, file_name, json.len() as u64)))
-        }) else {
-            return;
-        };
-        // Account the write in the LRU index, then evict past-budget
-        // cells — least-recently-used first, never cells this run
-        // touched.
-        let mut persist = self.lock();
-        persist.forget(&file_name);
-        persist.touch(&file_name, bytes);
-        let mut evicted: Vec<PathBuf> = Vec::new();
-        while persist.total_bytes > persist.budget {
-            let run_floor = persist.run_floor;
-            let victim = persist
-                .index
-                .entries
-                .iter()
-                .filter(|(_, e)| e.last_use < run_floor)
-                .min_by_key(|(name, e)| (e.last_use, (*name).clone()))
-                .map(|(name, _)| name.clone());
-            let Some(victim) = victim else {
-                break; // only mid-run entries remain: never evict those
-            };
-            persist.forget(&victim);
-            evicted.push(dir.join(&victim));
-        }
-        drop(persist);
-        for path in &evicted {
-            self.remove(path);
-        }
-        self.disk_evictions
-            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
-        self.flush_index();
+            self.write_atomic(&dir.join(file_name(key)), &json)?;
+            Ok(Some(()))
+        });
     }
 }
 
@@ -550,10 +354,10 @@ mod tests {
     use crate::triple::HeuristicTriple;
     use predictsim_faultline::{self as faultline, FaultKind, FaultPlan, FaultSpec};
 
-    /// `flush_persistent` writes the index immediately — the SIGINT path
-    /// for runs that would otherwise lose in-memory recency updates.
+    /// `flush_persistent` sweeps the temp files this process stranded
+    /// and writes nothing.
     #[test]
-    fn flush_persistent_saves_index_and_sweeps_own_tmp() {
+    fn flush_persistent_sweeps_own_tmp_and_writes_no_index() {
         let dir = temp_dir("flush");
         let (arena, m) = tiny_arena(33);
         let cache = SimCache::new();
@@ -561,18 +365,16 @@ mod tests {
         cache
             .run_cell(&arena, m, &HeuristicTriple::standard_easy())
             .unwrap();
-        let index_path = dir.join(INDEX_NAME);
-        std::fs::remove_file(&index_path).unwrap();
         // A stranded temp file from *this* process (as after a kill
-        // between write and rename).
-        let tmp = dir.join(format!("cell-x.json.{}-999.tmp", std::process::id()));
-        std::fs::write(&tmp, "torn").unwrap();
+        // between write and rename), and one from another process.
+        let own = dir.join(format!("cell-x.json.{}-999.tmp", std::process::id()));
+        let foreign = dir.join("cell-y.json.0-0.tmp");
+        std::fs::write(&own, "torn").unwrap();
+        std::fs::write(&foreign, "torn").unwrap();
         cache.flush_persistent();
-        assert!(index_path.exists(), "index rewritten on flush");
-        assert!(!tmp.exists(), "own temp litter swept on flush");
-        let text = std::fs::read_to_string(&index_path).unwrap();
-        let index: DiskIndex = serde_json::from_str(&text).unwrap();
-        assert_eq!(index.entries.len(), 1);
+        assert!(!own.exists(), "own temp litter swept on flush");
+        assert!(foreign.exists(), "another writer's temp file is not ours");
+        assert!(!dir.join("index.json").exists(), "no index is ever created");
         // Without a persistent directory the flush is a no-op.
         SimCache::new().flush_persistent();
         let _ = std::fs::remove_dir_all(&dir);

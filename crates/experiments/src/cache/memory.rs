@@ -1,14 +1,13 @@
 //! The in-memory layer of the [`SimCache`](super::SimCache): sharded,
-//! single-flight, prediction-budgeted. Knows nothing of the disk layer
-//! or of the cache's counters.
+//! single-flight, aggregates only. Knows nothing of the disk layer or
+//! of the cache's counters.
 //!
 //! # Sharding
 //!
 //! The layer is split into [`SHARD_COUNT`] shards selected by the cell
 //! key's FNV-1a hash (the same hash that names persistent files), each
-//! with its own lock and its own slice of the prediction budget.
-//! Parallel campaign workers therefore contend only when they touch the
-//! *same* shard, not on one global lock.
+//! with its own lock. Parallel campaign workers therefore contend only
+//! when they touch the *same* shard, not on one global lock.
 //!
 //! # Single-flight
 //!
@@ -26,32 +25,26 @@
 //!
 //! # Memory discipline
 //!
-//! Aggregates are tiny and kept for every cell; prediction vectors are
-//! kept only while the shard's slice of the prediction budget
-//! ([`PREDICTION_BUDGET`]) lasts — past it, new entries drop them
-//! (consumers that need predictions then re-simulate that cell;
-//! aggregates stay served from the cache). Re-inserting a key refunds
-//! the replaced cell's vector before charging the new one, so repeated
-//! inserts are budget-neutral.
+//! The layer keeps each cell's aggregate [`TripleResult`] — tiny, and
+//! what every table reads — and never its per-job prediction vector:
+//! only the Figure 4/5 ECDFs read those, and
+//! [`SimCache::run_cell_full_traced`](super::SimCache::run_cell_full_traced)
+//! recovers them from the cell file (or a re-simulation).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
-use super::{CachedCell, CellKey};
+use super::CellKey;
+use crate::campaign::TripleResult;
 
 /// Number of independently locked shards (power of two; the shard is
 /// the key hash's low bits).
 const SHARD_COUNT: usize = 16;
 
-/// Prediction elements (8 bytes each) the layer may hold across all
-/// shards: 64M ≈ 512 MB, far above any quick-scale run and a sane
-/// ceiling for full-scale ones. Each shard owns a `1/SHARD_COUNT` slice.
-const PREDICTION_BUDGET: usize = 64_000_000;
-
-/// A slot in a shard's map: either a finished cell or a marker for the
-/// worker currently simulating it.
+/// A slot in a shard's map: either a finished cell's aggregates or a
+/// marker for the worker currently simulating it.
 enum Slot {
-    Ready(CachedCell),
+    Ready(TripleResult),
     InFlight(Arc<Flight>),
 }
 
@@ -63,7 +56,7 @@ pub(super) struct Flight {
 
 enum FlightState {
     Pending,
-    Ready(CachedCell),
+    Ready(TripleResult),
     /// The leader failed (simulation error or panic); waiters retry the
     /// lookup and one of them becomes the next leader.
     Failed,
@@ -78,24 +71,24 @@ impl Flight {
     }
 
     /// Blocks until the leader finishes; `None` means it failed.
-    pub(super) fn wait(&self) -> Option<CachedCell> {
+    pub(super) fn wait(&self) -> Option<TripleResult> {
         let mut state = self.state.lock().expect("flight lock");
         while matches!(*state, FlightState::Pending) {
             state = self.done.wait(state).expect("flight lock");
         }
         match &*state {
-            FlightState::Ready(cell) => Some(cell.clone()),
+            FlightState::Ready(result) => Some(result.clone()),
             FlightState::Failed => None,
             FlightState::Pending => unreachable!("waited past Pending"),
         }
     }
 
     /// Resolves the flight (first resolution wins) and wakes waiters.
-    fn finish(&self, outcome: Option<CachedCell>) {
+    fn finish(&self, outcome: Option<TripleResult>) {
         let mut state = self.state.lock().expect("flight lock");
         if matches!(*state, FlightState::Pending) {
             *state = match outcome {
-                Some(cell) => FlightState::Ready(cell),
+                Some(result) => FlightState::Ready(result),
                 None => FlightState::Failed,
             };
         }
@@ -105,17 +98,12 @@ impl Flight {
 }
 
 /// One independently locked slice of the layer.
-struct Shard {
-    cells: HashMap<CellKey, Slot>,
-    /// Prediction elements still storable in this shard before its
-    /// budget slice is exhausted.
-    prediction_budget: usize,
-}
+type Shard = HashMap<CellKey, Slot>;
 
-/// What a shard lookup produced: a finished cell, a flight to wait on,
-/// or leadership of the miss (the `Lease` below).
+/// What a shard lookup produced: a finished cell's aggregates, a flight
+/// to wait on, or leadership of the miss (the `Lease` below).
 pub(super) enum Claim<'a> {
-    Hit(CachedCell),
+    Hit(TripleResult),
     Wait(Arc<Flight>),
     Lead(Lease<'a>),
 }
@@ -131,11 +119,15 @@ pub(super) struct Lease<'a> {
 }
 
 impl Lease<'_> {
-    /// Installs the finished cell in its shard and hands it to every
-    /// waiter.
-    pub(super) fn fulfill(mut self, cell: CachedCell) {
-        self.memory.install(self.key.clone(), cell.clone());
-        self.flight.finish(Some(cell));
+    /// Installs the finished cell's aggregates in its shard and hands
+    /// them to every waiter.
+    pub(super) fn fulfill(mut self, result: TripleResult) {
+        self.memory
+            .shard(&self.key)
+            .lock()
+            .expect("cache shard lock")
+            .insert(self.key.clone(), Slot::Ready(result.clone()));
+        self.flight.finish(Some(result));
         self.fulfilled = true;
     }
 }
@@ -152,9 +144,9 @@ impl Drop for Lease<'_> {
             .shard(&self.key)
             .lock()
             .expect("cache shard lock");
-        if let Some(Slot::InFlight(flight)) = shard.cells.get(&self.key) {
+        if let Some(Slot::InFlight(flight)) = shard.get(&self.key) {
             if Arc::ptr_eq(flight, &self.flight) {
-                shard.cells.remove(&self.key);
+                shard.remove(&self.key);
             }
         }
         drop(shard);
@@ -170,12 +162,7 @@ pub(super) struct Memory {
 impl Memory {
     pub(super) fn new() -> Self {
         Memory {
-            shards: std::array::from_fn(|_| {
-                Mutex::new(Shard {
-                    cells: HashMap::new(),
-                    prediction_budget: PREDICTION_BUDGET / SHARD_COUNT,
-                })
-            }),
+            shards: std::array::from_fn(|_| Mutex::new(Shard::new())),
         }
     }
 
@@ -187,14 +174,12 @@ impl Memory {
     /// of the miss.
     pub(super) fn claim(&self, key: &CellKey) -> Claim<'_> {
         let mut shard = self.shard(key).lock().expect("cache shard lock");
-        match shard.cells.get(key) {
-            Some(Slot::Ready(cell)) => Claim::Hit(cell.clone()),
+        match shard.get(key) {
+            Some(Slot::Ready(result)) => Claim::Hit(result.clone()),
             Some(Slot::InFlight(flight)) => Claim::Wait(flight.clone()),
             None => {
                 let flight = Arc::new(Flight::new());
-                shard
-                    .cells
-                    .insert(key.clone(), Slot::InFlight(flight.clone()));
+                shard.insert(key.clone(), Slot::InFlight(flight.clone()));
                 Claim::Lead(Lease {
                     memory: self,
                     key: key.clone(),
@@ -205,99 +190,10 @@ impl Memory {
         }
     }
 
-    /// Installs a finished cell into its shard, enforcing the shard's
-    /// prediction-budget slice. Replacing an existing cell refunds its
-    /// vector first (budget-neutral re-insert).
-    fn install(&self, key: CellKey, mut cell: CachedCell) {
-        let mut shard = self.shard(&key).lock().expect("cache shard lock");
-        if let Some(Slot::Ready(old)) = shard.cells.get(&key) {
-            if let Some(old_predictions) = &old.predictions {
-                shard.prediction_budget += old_predictions.len();
-            }
-        }
-        if let Some(predictions) = &cell.predictions {
-            if shard.prediction_budget >= predictions.len() {
-                shard.prediction_budget -= predictions.len();
-            } else {
-                cell.predictions = None;
-            }
-        }
-        shard.cells.insert(key, Slot::Ready(cell));
-    }
-
-    /// Drops every cell and restores the prediction budget.
+    /// Drops every cell.
     pub(super) fn clear(&self) {
         for shard in &self.shards {
-            let mut shard = shard.lock().expect("cache shard lock");
-            shard.cells.clear();
-            shard.prediction_budget = PREDICTION_BUDGET / SHARD_COUNT;
+            shard.lock().expect("cache shard lock").clear();
         }
-    }
-
-    /// Overrides the total prediction budget, splitting it evenly
-    /// across shards (remainder to the first).
-    pub(super) fn set_prediction_budget(&self, total: usize) {
-        let slice = total / SHARD_COUNT;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let mut shard = shard.lock().expect("cache shard lock");
-            shard.prediction_budget = if i == 0 {
-                slice + total % SHARD_COUNT
-            } else {
-                slice
-            };
-        }
-    }
-
-    /// Prediction-budget elements still unspent, summed over shards.
-    pub(super) fn prediction_budget_remaining(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard lock").prediction_budget)
-            .sum()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::cache::tests::tiny_arena;
-    use crate::campaign::TripleResult;
-    use crate::scenario::Scenario;
-    use crate::triple::HeuristicTriple;
-
-    /// Re-inserting a key must refund the replaced cell's prediction
-    /// vector before charging the new one: the budget is neutral across
-    /// double-inserts (the pre-sharding cache leaked it until
-    /// `clear_memory`).
-    #[test]
-    fn reinsert_is_prediction_budget_neutral() {
-        let (arena, m) = tiny_arena(16);
-        let triple = HeuristicTriple::easy_plus_plus();
-        let sim = Scenario::from_triple(&triple)
-            .run_on(&arena, predictsim_sim::SimConfig { cluster: m })
-            .unwrap();
-        let predictions: Vec<i64> = sim.outcomes.iter().map(|o| o.initial_prediction).collect();
-        let cell = CachedCell {
-            result: TripleResult::from_sim(&triple, &sim),
-            predictions: Some(Arc::new(predictions.clone())),
-        };
-        let key = CellKey::new(&arena, m, &triple);
-
-        let memory = Memory::new();
-        let full = memory.prediction_budget_remaining();
-        memory.install(key.clone(), cell.clone());
-        let after_first = memory.prediction_budget_remaining();
-        assert_eq!(after_first, full - predictions.len());
-        // Same key again (two leaders racing across a `clear_memory`):
-        // spend must not double.
-        memory.install(key, cell);
-        assert_eq!(
-            memory.prediction_budget_remaining(),
-            after_first,
-            "double insert must be budget-neutral"
-        );
-        // And clearing restores the full budget exactly.
-        memory.clear();
-        assert_eq!(memory.prediction_budget_remaining(), PREDICTION_BUDGET);
     }
 }

@@ -1,5 +1,5 @@
 //! Process-wide simulation memoization — sharded, single-flight, with an
-//! opt-in persistent layer under a size-budgeted LRU.
+//! opt-in persistent layer.
 //!
 //! The repro pipeline re-simulates the same (workload × policy triple)
 //! cells from several experiments: the campaign grid is re-read by
@@ -8,18 +8,20 @@
 //! ablations overlap the grid on the first log. [`SimCache`] keys each
 //! simulated cell by (workload [fingerprint](JobArena::fingerprint) ×
 //! canonical triple name × canonical [`ClusterSpec`] string) and
-//! memoizes the cell's
-//! aggregate [`TripleResult`] plus its per-job initial predictions —
-//! everything any consumer reads — so every distinct cell simulates
-//! **once per process**, whichever experiment asks first.
+//! memoizes the cell's aggregate [`TripleResult`] — what every table
+//! and Figure 3 read — so every distinct cell simulates **once per
+//! process**, whichever experiment asks first. The per-job initial
+//! predictions, read only by the Figure 4/5 ECDFs, go with the cell to
+//! the caller that simulated it and to its cell file, not into memory
+//! (see [`CachedCell::predictions`]).
 //!
 //! This module owns the cell identity, the `run_cell*` entry points,
 //! panic isolation and the cell counters; how a cell is *stored* is the
 //! business of the two layers below it. `memory` is the sharded,
-//! single-flight in-memory map with its prediction budget; `disk` is
-//! the persistent directory (`repro --cache DIR`): cell-file format and
-//! key verification, the `index.json` LRU, crash-consistent writes and
-//! the retry / degrade-to-memory fault ladder.
+//! single-flight in-memory map of aggregates; `disk` is the persistent
+//! directory (`repro --cache DIR`): cell-file format and key
+//! verification, crash-consistent writes and the retry /
+//! degrade-to-memory fault ladder.
 //!
 //! # Panic isolation
 //!
@@ -52,9 +54,12 @@ pub struct CachedCell {
     /// The cell's aggregate metrics (bit-identical to a fresh
     /// [`TripleResult::from_sim`]).
     pub result: TripleResult,
-    /// The clamped initial prediction of every job, by dense job id —
-    /// `None` when the prediction budget was exhausted when this cell
-    /// was inserted (aggregates are still cached).
+    /// The clamped initial prediction of every job, by dense job id.
+    /// Present on the call that simulated the cell or read it from disk
+    /// ([`CellSource::Simulated`] / [`CellSource::Disk`]); `None` on an
+    /// answer from memory ([`CellSource::Memory`] /
+    /// [`CellSource::Coalesced`]), which keeps aggregates only —
+    /// [`SimCache::run_cell_full_traced`] recovers the vector.
     pub predictions: Option<Arc<Vec<i64>>>,
 }
 
@@ -119,8 +124,6 @@ pub struct CacheStats {
     /// Corrupt or key-mismatched persistent files rejected (and
     /// deleted) on load.
     pub disk_rejects: u64,
-    /// Persistent cells evicted by the disk-layer LRU budget.
-    pub disk_evictions: u64,
     /// Transient disk-IO errors absorbed by the bounded retry (each
     /// retry attempt counts once).
     pub disk_retries: u64,
@@ -153,7 +156,6 @@ impl CacheStats {
             disk_hits: self.disk_hits - earlier.disk_hits,
             coalesced: self.coalesced - earlier.coalesced,
             disk_rejects: self.disk_rejects - earlier.disk_rejects,
-            disk_evictions: self.disk_evictions - earlier.disk_evictions,
             disk_retries: self.disk_retries - earlier.disk_retries,
             panicked_cells: self.panicked_cells - earlier.panicked_cells,
             // A state flag, not a counter: report the current state.
@@ -166,14 +168,13 @@ impl CacheStats {
     /// fields are **append-only** (tooling anchors on the `simulated=`
     /// prefix and on ` field=value ` substrings, so existing fields
     /// must never move or change spelling).
-    pub fn fields(&self) -> [(&'static str, u64); 9] {
+    pub fn fields(&self) -> [(&'static str, u64); 8] {
         [
             ("simulated", self.simulated),
             ("memory_hits", self.memory_hits),
             ("disk_hits", self.disk_hits),
             ("coalesced", self.coalesced),
             ("disk_rejects", self.disk_rejects),
-            ("evicted", self.disk_evictions),
             ("disk_retries", self.disk_retries),
             ("degraded", u64::from(self.degraded)),
             ("panicked_cells", self.panicked_cells),
@@ -235,9 +236,6 @@ impl SimCache {
     /// retried and surfaces as [`ScenarioError::CellPanicked`].
     pub const PANIC_RETRIES: u32 = 3;
 
-    /// Name of the LRU index file inside a persistent cache directory.
-    pub const INDEX_NAME: &'static str = disk::INDEX_NAME;
-
     /// An independent cache instance (tests, `bench/`, embedding several
     /// cache domains). Experiments route through [`SimCache::global`].
     pub fn new() -> Self {
@@ -259,51 +257,27 @@ impl SimCache {
 
     /// Enables (or disables, with `None`) the persistent layer. Created
     /// lazily on first write; existing entries are picked up on misses.
-    /// Loads (or initializes) the directory's LRU index and reconciles
-    /// it with the files actually present; entries touched from here on
-    /// belong to the current run and are exempt from eviction. A fresh
-    /// attach also clears any degradation of the disk layer.
+    /// Sweeps stale `*.tmp` files crashed writers left in the directory,
+    /// and clears any degradation of the disk layer.
     pub fn set_persist_dir(&self, dir: Option<PathBuf>) {
         self.disk.attach(dir);
     }
 
-    /// Sets the persistent layer's size budget in bytes (`repro
-    /// --cache-budget`, default 8 GiB). Takes effect on the next write
-    /// — eviction only ever runs after a store, and never touches cells
-    /// used by the current run.
-    pub fn set_disk_budget(&self, bytes: u64) {
-        self.disk.set_budget(bytes);
-    }
-
-    /// Persists the LRU index *now* and sweeps this process's leftover
-    /// `*.tmp` files — the graceful-shutdown path, so an interrupted run
-    /// keeps the recency its disk hits earned. No-op without a
-    /// persistent directory.
+    /// Sweeps this process's leftover `*.tmp` files out of the
+    /// persistent directory — the graceful-shutdown path. Cells need no
+    /// flushing: each is durable before its lookup returns. No-op
+    /// without a persistent directory.
     pub fn flush_persistent(&self) {
         self.disk.flush();
     }
 
-    /// Drops every in-memory cell and restores the prediction budget
-    /// (the persistent directory, if any, is untouched). Intended for
+    /// Drops every in-memory cell (the persistent directory, if any, is
+    /// untouched). Intended for
     /// tests that must observe *fresh* simulations — e.g. the pool-width
     /// determinism suites, which would otherwise compare a simulation
     /// against its own memoized result.
     pub fn clear_memory(&self) {
         self.memory.clear();
-    }
-
-    /// Overrides the total in-memory prediction budget, splitting it
-    /// evenly across shards (remainder to the first). Test/bench
-    /// instrumentation — experiments use the default.
-    pub fn set_prediction_budget(&self, total: usize) {
-        self.memory.set_prediction_budget(total);
-    }
-
-    /// Prediction-budget elements still unspent, summed over shards.
-    /// With [`SimCache::set_prediction_budget`], pins budget accounting
-    /// in tests (e.g. exactly-once accounting under single-flight).
-    pub fn prediction_budget_remaining(&self) -> usize {
-        self.memory.prediction_budget_remaining()
     }
 
     /// Cumulative accounting since process start.
@@ -399,17 +373,22 @@ impl SimCache {
         observer: &mut dyn SimObserver,
     ) -> Result<(CachedCell, CellSource), ScenarioError> {
         let key = CellKey::new(arena, cluster, triple);
+        // Memory answers with aggregates only.
+        let from_memory = |result| CachedCell {
+            result,
+            predictions: None,
+        };
         loop {
             match self.memory.claim(&key) {
-                Claim::Hit(cell) => {
+                Claim::Hit(result) => {
                     self.memory_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((cell, CellSource::Memory));
+                    return Ok((from_memory(result), CellSource::Memory));
                 }
                 Claim::Wait(flight) => {
-                    if let Some(cell) = flight.wait() {
+                    if let Some(result) = flight.wait() {
                         self.memory_hits.fetch_add(1, Ordering::Relaxed);
                         self.coalesced.fetch_add(1, Ordering::Relaxed);
-                        return Ok((cell, CellSource::Coalesced));
+                        return Ok((from_memory(result), CellSource::Coalesced));
                     }
                     // Leader failed; retry — this thread may become the
                     // next leader and surface the error itself.
@@ -419,7 +398,7 @@ impl SimCache {
                     // shard lock; only same-cell requesters wait.
                     if let Some(cell) = self.disk.load(&key) {
                         self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        lease.fulfill(cell.clone());
+                        lease.fulfill(cell.result.clone());
                         return Ok((cell, CellSource::Disk));
                     }
                     self.simulated.fetch_add(1, Ordering::Relaxed);
@@ -437,13 +416,10 @@ impl SimCache {
                         result,
                         predictions: Some(Arc::new(predictions)),
                     };
-                    // Persist first: the disk layer's budget is far
-                    // larger, and dropping the predictions before
-                    // writing would silently break the "repeated
-                    // --cache run simulates zero cells" contract once
-                    // the in-memory budget is exhausted.
+                    // The file gets the whole cell, memory only the
+                    // aggregates.
                     self.disk.store(&key, &cell);
-                    lease.fulfill(cell.clone());
+                    lease.fulfill(cell.result.clone());
                     return Ok((cell, CellSource::Simulated));
                 }
             }
@@ -451,8 +427,9 @@ impl SimCache {
     }
 
     /// Like [`SimCache::run_cell_traced`], but guarantees the predictions
-    /// are present (re-simulating without caching when the budget
-    /// dropped them).
+    /// are present: an answer from memory carries none, so they are read
+    /// back from the cell file (counted as a disk hit) or, with no valid
+    /// file, re-simulated without caching.
     pub fn run_cell_full_traced(
         &self,
         arena: &JobArena,
@@ -462,6 +439,11 @@ impl SimCache {
         let (cell, source) = self.run_cell_traced(arena, cluster, triple)?;
         if let Some(predictions) = cell.predictions {
             return Ok((cell.result, predictions, source));
+        }
+        let on_disk = self.disk.load(&CellKey::new(arena, cluster, triple));
+        if let Some(predictions) = on_disk.and_then(|cell| cell.predictions) {
+            self.disk_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((cell.result, predictions, CellSource::Disk));
         }
         self.simulated.fetch_add(1, Ordering::Relaxed);
         let sim = self.simulate_isolated(triple, arena, cluster, &mut NullObserver)?;
@@ -508,7 +490,6 @@ mod tests {
             disk_hits: 3,
             coalesced: 4,
             disk_rejects: 5,
-            disk_evictions: 6,
             disk_retries: 7,
             panicked_cells: 8,
             degraded: true,
@@ -516,7 +497,7 @@ mod tests {
         assert_eq!(
             stats.summary_line(),
             "cache summary: simulated=1 memory_hits=2 disk_hits=3 coalesced=4 \
-             disk_rejects=5 evicted=6 disk_retries=7 degraded=1 panicked_cells=8"
+             disk_rejects=5 disk_retries=7 degraded=1 panicked_cells=8"
         );
         let quiet = CacheStats::default().summary_line();
         assert!(
@@ -535,7 +516,8 @@ mod tests {
         let (again, src) = cache.run_cell_traced(&arena, m, &triple).unwrap();
         assert_eq!(src, CellSource::Memory);
         assert_eq!(fresh.result, again.result);
-        assert_eq!(fresh.predictions.as_deref(), again.predictions.as_deref());
+        assert!(fresh.predictions.is_some(), "the simulating call gets them");
+        assert!(again.predictions.is_none(), "memory keeps aggregates only");
         let stats = cache.stats();
         assert_eq!(stats.simulated, 1);
         assert_eq!(stats.memory_hits, 1);
@@ -647,11 +629,12 @@ mod tests {
 
         let writer = private();
         writer.set_persist_dir(Some(dir.clone()));
-        writer.set_prediction_budget(0); // memory budget gone
         let fresh = writer.run_cell(&arena, m, &triple).unwrap();
+        let held = writer.run_cell(&arena, m, &triple).unwrap();
+        assert!(held.predictions.is_none(), "memory holds no vector");
 
-        // The disk layer has no prediction budget: a fresh process must
-        // still be served the complete cell without simulating.
+        // The cell file does: a fresh process is served the complete
+        // cell without simulating.
         let reader = private();
         reader.set_persist_dir(Some(dir.clone()));
         let recalled = reader.run_cell(&arena, m, &triple).unwrap();
@@ -668,22 +651,44 @@ mod tests {
     #[test]
     fn exhausted_budget_drops_predictions_but_keeps_aggregates() {
         let cache = private();
-        cache.set_prediction_budget(10); // tiny budget
         let (arena, m) = tiny_arena(9);
         let triple = HeuristicTriple::standard_easy();
         let cell = cache.run_cell(&arena, m, &triple).unwrap();
         assert!(cell.predictions.is_some(), "caller still gets them");
         let again = cache.run_cell(&arena, m, &triple).unwrap();
-        assert!(again.predictions.is_none(), "budget dropped the vector");
+        assert!(again.predictions.is_none(), "memory dropped the vector");
         assert_eq!(again.result, cell.result);
-        // run_cell_full_traced re-simulates to recover them.
+        // With no directory to read them back from, run_cell_full_traced
+        // re-simulates to recover them.
         let (result, predictions, source) = cache.run_cell_full_traced(&arena, m, &triple).unwrap();
         assert_eq!(source, CellSource::Simulated);
+        assert_eq!(cache.stats().simulated, 2);
         assert_eq!(result, cell.result);
         assert_eq!(
             Some(predictions.as_slice()),
             cell.predictions.as_deref().map(|p| p.as_slice())
         );
+    }
+
+    /// With a directory attached, the vector a memory hit lacks comes
+    /// back from the cell file, not from a second simulation.
+    #[test]
+    fn full_cell_after_a_memory_hit_is_read_back_from_disk() {
+        let dir = temp_dir("full-from-disk");
+        let (arena, m) = tiny_arena(12);
+        let triple = HeuristicTriple::easy_plus_plus();
+        let cache = private();
+        cache.set_persist_dir(Some(dir.clone()));
+        let fresh = cache.run_cell(&arena, m, &triple).unwrap();
+        let (_, source) = cache.run_cell_traced(&arena, m, &triple).unwrap();
+        assert_eq!(source, CellSource::Memory);
+        let (result, predictions, source) = cache.run_cell_full_traced(&arena, m, &triple).unwrap();
+        assert_eq!(source, CellSource::Disk);
+        assert_eq!(result, fresh.result);
+        assert_eq!(Some(&predictions), fresh.predictions.as_ref());
+        let stats = cache.stats();
+        assert_eq!((stats.simulated, stats.disk_hits), (1, 1), "{stats:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A truncated (or otherwise unparseable) cache file is rejected:
@@ -750,57 +755,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The disk layer's LRU: past the size budget, the least recently
-    /// used cells of *previous* runs are evicted; cells touched by the
-    /// current run never are.
-    #[test]
-    fn disk_layer_evicts_lru_past_budget_but_never_current_run_cells() {
-        let dir = temp_dir("lru");
-        let (a, ma) = tiny_arena(24);
-        let (b, mb) = tiny_arena(25);
-        let (c, mc) = tiny_arena(26);
-        let triple = HeuristicTriple::standard_easy();
-
-        // Run 1: store A then B (B more recently used), generous budget.
-        let run1 = private();
-        run1.set_persist_dir(Some(dir.clone()));
-        run1.run_cell(&a, ma, &triple).unwrap();
-        run1.run_cell(&b, mb, &triple).unwrap();
-        let file_a = dir.join(disk::file_name(&CellKey::new(&a, ma, &triple)));
-        let file_b = dir.join(disk::file_name(&CellKey::new(&b, mb, &triple)));
-        assert!(file_a.exists() && file_b.exists());
-
-        // Run 2: a budget that fits roughly one cell. Touch B (making
-        // it a current-run cell), then store C: A — the LRU entry from
-        // a previous run — must be evicted; B and C must survive.
-        let cell_bytes = std::fs::metadata(&file_a).unwrap().len();
-        let run2 = private();
-        run2.set_persist_dir(Some(dir.clone()));
-        run2.set_disk_budget(2 * cell_bytes);
-        run2.run_cell(&b, mb, &triple).unwrap(); // disk hit: touches B
-        run2.run_cell(&c, mc, &triple).unwrap(); // store pushes past budget
-        let file_c = dir.join(disk::file_name(&CellKey::new(&c, mc, &triple)));
-        assert!(!file_a.exists(), "LRU cell from a previous run evicted");
-        assert!(file_b.exists(), "cell touched by the current run kept");
-        assert!(file_c.exists(), "the fresh cell is kept");
-        assert_eq!(run2.stats().disk_evictions, 1);
-
-        // Even a zero budget never evicts current-run cells.
-        let run3 = private();
-        run3.set_persist_dir(Some(dir.clone()));
-        run3.set_disk_budget(0);
-        run3.run_cell(&a, ma, &triple).unwrap(); // re-simulates, stores A
-        assert!(file_a.exists(), "the cell this run wrote is protected");
-        assert!(
-            !file_b.exists() && !file_c.exists(),
-            "previous-run cells go"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// Temp files are unique and never left behind: after any mix of
-    /// stores, the directory holds only final `cell-*.json` files and
-    /// the index.
+    /// stores, the directory holds only final `cell-*.json` files. And a
+    /// directory from an older build — valid cells, its `index.json`, a
+    /// crashed writer's temp file — is served as is: every cell a disk
+    /// hit, the temp file swept, the index neither read nor rewritten.
     #[test]
     fn stores_leave_no_temp_files() {
         let dir = temp_dir("tmpfiles");
@@ -817,16 +776,32 @@ mod tests {
         for entry in std::fs::read_dir(&dir).unwrap().flatten() {
             let name = entry.file_name().to_string_lossy().into_owned();
             assert!(
-                !name.ends_with(".tmp"),
-                "temp file {name} must not survive a store"
+                name.starts_with("cell-") && name.ends_with(".json"),
+                "{name} must not survive a store"
             );
         }
-        // And stale temp litter from a crashed writer is swept when the
-        // directory is (re)opened.
-        std::fs::write(dir.join("cell-dead.json.999-0.tmp"), "torn").unwrap();
+        let tmp = dir.join("cell-dead.json.999-0.tmp");
+        std::fs::write(&tmp, "torn").unwrap();
+        let index = dir.join("index.json");
+        let stale = r#"{"clock":7,"entries":{"cell-gone.json":{"bytes":1,"last_use":7}}}"#;
+        std::fs::write(&index, stale).unwrap();
         let reopened = private();
         reopened.set_persist_dir(Some(dir.clone()));
-        assert!(!dir.join("cell-dead.json.999-0.tmp").exists());
+        assert!(!tmp.exists(), "stale temp litter swept on attach");
+        reopened
+            .run_cell(&a, ma, &HeuristicTriple::standard_easy())
+            .unwrap();
+        reopened
+            .run_cell(&b, mb, &HeuristicTriple::easy_plus_plus())
+            .unwrap();
+        // One more store, then the shutdown path.
+        reopened
+            .run_cell(&a, ma, &HeuristicTriple::easy_plus_plus())
+            .unwrap();
+        reopened.flush_persistent();
+        let stats = reopened.stats();
+        assert_eq!((stats.disk_hits, stats.simulated), (2, 1), "{stats:?}");
+        assert_eq!(std::fs::read_to_string(&index).unwrap(), stale);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -279,6 +279,28 @@ pub fn parse_ml(spec: &str) -> Result<MlConfig, RegistryError> {
     Ok(config)
 }
 
+/// Resolves the three policy names of a scenario into a triple — the
+/// one place that knows the defaults: an unset name is the standard
+/// EASY configuration (scheduler `easy`, predictor `requested`, no
+/// correction).
+pub fn parse_triple(
+    scheduler: Option<&str>,
+    predictor: Option<&str>,
+    correction: Option<&str>,
+) -> Result<HeuristicTriple, RegistryError> {
+    Ok(HeuristicTriple {
+        prediction: match predictor {
+            Some(name) => name.parse()?,
+            None => PredictionTechnique::RequestedTime,
+        },
+        correction: correction.map(str::parse).transpose()?,
+        variant: match scheduler {
+            Some(name) => name.parse()?,
+            None => Variant::Easy,
+        },
+    })
+}
+
 /// Parses a cluster spec — the legacy `"64"` shorthand or the
 /// `"cluster:64x1+32x0.5"` grammar (see [`ClusterSpec`]) — into a typed
 /// value, folding parse failures into a [`RegistryError`] like every

@@ -2,9 +2,9 @@
 //! simulations.
 //!
 //! A scenario is a workload (any [`WorkloadSource`]) crossed with a
-//! policy triple — scheduler × predictor × correction, each addressable
-//! by its registry name ([`crate::registry`]) or by its typed value —
-//! plus an optional per-event [`SimObserver`]. The builder defers all
+//! policy triple — scheduler × predictor × correction, each addressed
+//! by its registry name ([`crate::registry`]) — plus an optional
+//! per-event [`SimObserver`]. The builder defers all
 //! resolution to [`ScenarioBuilder::build`], so misspelled policy names
 //! surface as typed [`ScenarioError`]s instead of panics, and the same
 //! `Scenario` can be rerun (predictor and scheduler state is rebuilt
@@ -41,7 +41,7 @@ use predictsim_sim::{
 
 use crate::registry::RegistryError;
 use crate::source::{LoadedWorkload, SourceError, WorkloadSource};
-use crate::triple::{CorrectionKind, HeuristicTriple, PredictionTechnique, Variant};
+use crate::triple::{HeuristicTriple, Variant};
 
 /// Per-worker scratch kept across the simulations a pool worker
 /// executes: the engine's [`SimArena`] plus one reusable scheduler
@@ -189,21 +189,13 @@ impl From<SimError> for ScenarioError {
     }
 }
 
-/// A policy field that may be given by registry name or by typed value;
-/// names resolve at [`ScenarioBuilder::build`] time.
-#[derive(Debug, Clone)]
-enum Spec<T> {
-    Named(String),
-    Typed(T),
-}
-
 /// Fluent constructor for [`Scenario`]s — see the module docs.
 #[derive(Default)]
 pub struct ScenarioBuilder {
     workload: Option<Box<dyn WorkloadSource + Send>>,
-    scheduler: Option<Spec<Variant>>,
-    predictor: Option<Spec<PredictionTechnique>>,
-    correction: Option<Spec<CorrectionKind>>,
+    scheduler: Option<String>,
+    predictor: Option<String>,
+    correction: Option<String>,
     cluster: Option<String>,
     observer: Option<Box<dyn SimObserver + Send>>,
 }
@@ -218,26 +210,14 @@ impl ScenarioBuilder {
 
     /// Selects the scheduler by registry name (e.g. `"easy-sjbf"`).
     pub fn scheduler(mut self, name: &str) -> Self {
-        self.scheduler = Some(Spec::Named(name.to_string()));
-        self
-    }
-
-    /// Selects the scheduler by typed value.
-    pub fn variant(mut self, variant: Variant) -> Self {
-        self.scheduler = Some(Spec::Typed(variant));
+        self.scheduler = Some(name.to_string());
         self
     }
 
     /// Selects the prediction technique by registry name (e.g. `"ave2"`,
     /// `"ml:u=lin,o=sq,g=area"`).
     pub fn predictor(mut self, name: &str) -> Self {
-        self.predictor = Some(Spec::Named(name.to_string()));
-        self
-    }
-
-    /// Selects the prediction technique by typed value.
-    pub fn prediction(mut self, prediction: PredictionTechnique) -> Self {
-        self.predictor = Some(Spec::Typed(prediction));
+        self.predictor = Some(name.to_string());
         self
     }
 
@@ -245,7 +225,7 @@ impl ScenarioBuilder {
     /// (e.g. `"incremental"`). Omit for techniques that never
     /// under-predict.
     pub fn correction(mut self, name: &str) -> Self {
-        self.correction = Some(Spec::Named(name.to_string()));
+        self.correction = Some(name.to_string());
         self
     }
 
@@ -259,15 +239,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the whole policy triple at once (scheduler, predictor, and
-    /// correction taken from `triple`).
-    pub fn triple(mut self, triple: &HeuristicTriple) -> Self {
-        self.scheduler = Some(Spec::Typed(triple.variant));
-        self.predictor = Some(Spec::Typed(triple.prediction.clone()));
-        self.correction = triple.correction.map(Spec::Typed);
-        self
-    }
-
     /// Installs a per-event observer (see `predictsim_sim::observe`).
     /// Use `MetricsObserver::shared()` to keep a readable handle.
     pub fn observer(mut self, observer: Box<dyn SimObserver + Send>) -> Self {
@@ -277,36 +248,22 @@ impl ScenarioBuilder {
 
     /// Resolves every registry name and finalizes the scenario.
     ///
-    /// Unset policies default to the standard EASY configuration:
-    /// scheduler `easy`, predictor `requested`, no correction.
+    /// Unset policies take [`crate::registry::parse_triple`]'s
+    /// defaults.
     pub fn build(self) -> Result<Scenario, ScenarioError> {
         let workload = self.workload.ok_or(ScenarioError::MissingWorkload)?;
-        let variant = match self.scheduler {
-            None => Variant::Easy,
-            Some(Spec::Typed(v)) => v,
-            Some(Spec::Named(name)) => name.parse()?,
-        };
-        let prediction = match self.predictor {
-            None => PredictionTechnique::RequestedTime,
-            Some(Spec::Typed(p)) => p,
-            Some(Spec::Named(name)) => name.parse()?,
-        };
-        let correction = match self.correction {
-            None => None,
-            Some(Spec::Typed(c)) => Some(c),
-            Some(Spec::Named(name)) => Some(name.parse()?),
-        };
+        let triple = crate::registry::parse_triple(
+            self.scheduler.as_deref(),
+            self.predictor.as_deref(),
+            self.correction.as_deref(),
+        )?;
         let cluster = self
             .cluster
             .map(|spec| crate::registry::parse_cluster(&spec))
             .transpose()?;
         Ok(Scenario {
             workload: Some(workload),
-            triple: HeuristicTriple {
-                prediction,
-                correction,
-                variant,
-            },
+            triple,
             cluster,
             observer: self.observer,
         })
@@ -525,14 +482,13 @@ mod tests {
             .predictor("clairvoyant")
             .build()
             .unwrap();
-        let mut typed = Scenario::builder()
-            .workload(SyntheticSource::new(tiny_spec(), 6))
-            .variant(Variant::Conservative)
-            .prediction(PredictionTechnique::Clairvoyant)
-            .build()
-            .unwrap();
+        let mut typed = Scenario::from_triple(&HeuristicTriple::clairvoyant(Variant::Conservative));
         assert_eq!(by_name.name(), typed.name());
-        assert_eq!(by_name.run().unwrap(), typed.run().unwrap());
+        let w = generate(&tiny_spec(), 6);
+        assert_eq!(
+            by_name.run().unwrap(),
+            typed.run_on(&w.jobs, w.sim_config()).unwrap()
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cross-experiment deduplication through the process-wide
 //! [`SimCache`]: cells first simulated by the campaign must be *recalled*
 //! — not re-simulated — when Table 1, Table 8 or Figures 4/5 ask for
-//! them later.
+//! their aggregates later.
 //!
 //! This file deliberately contains a single test and no other
 //! simulations: integration-test files are separate processes, so the
@@ -59,14 +59,17 @@ fn later_experiments_hit_the_campaigns_cells() {
     // Figures 4/5 run four techniques; three are campaign cells
     // (E-Loss, squared-loss and AVE2 under Incremental + EASY-SJBF) and
     // exactly one is not (Requested Time + Incremental — the campaign
-    // pairs Requested Time with no correction).
+    // pairs Requested Time with no correction). The figures are the one
+    // reader of per-job predictions, which memory does not keep: with
+    // no `--cache` directory to read them back from, the three campaign
+    // cells are memory hits *and* re-derive their vector by simulating.
     let fig = fig4_fig5(&workload, 25);
     assert_eq!(fig.error_series.len(), 4);
     let after_fig = cache.stats();
     assert_eq!(
         after_fig.since(after_t8).simulated,
-        1,
-        "figures 4/5 simulate only their one non-campaign cell"
+        4,
+        "one non-campaign cell plus three prediction vectors"
     );
     assert_eq!(after_fig.since(after_t8).memory_hits, 3);
 

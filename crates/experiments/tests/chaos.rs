@@ -54,8 +54,8 @@ fn transient(p: f64) -> FaultSpec {
 }
 
 /// The tentpole acceptance pin: a campaign under a seeded plan
-/// injecting **four** site types (disk read, disk write, index flush,
-/// and a poisoned cell) completes with artifacts byte-identical to the
+/// injecting **three** site types (disk read, disk write and a
+/// poisoned cell) completes with artifacts byte-identical to the
 /// fault-free run, `simulated` equal to true work done, and the
 /// absorbed faults visible in the counters. A third, fault-free pass
 /// over the surviving cache directory then proves resumability.
@@ -83,7 +83,6 @@ fn campaign_under_mixed_faults_is_byte_identical() {
         .seed(42)
         .site("cache.read", transient(0.3))
         .site("cache.write", transient(0.3))
-        .site("index.flush", transient(0.3))
         .site(
             "cell.panic",
             FaultSpec {
@@ -141,79 +140,6 @@ fn campaign_under_mixed_faults_is_byte_identical() {
 
     let _ = std::fs::remove_dir_all(&clean_dir);
     let _ = std::fs::remove_dir_all(&chaos_dir);
-}
-
-/// Satellite pin: a failed `index.json` flush (torn rename) leaves the
-/// *previous* index intact on disk, leaves no temp litter behind, and
-/// the next attach reconciles the directory so no cell is lost.
-#[test]
-fn torn_index_flush_leaves_previous_index_intact() {
-    let w = toy_workload(200, 92);
-    let arena = &w.jobs;
-    let cluster = ClusterSpec::single(w.machine_size);
-    let dir = temp_dir("torn-index");
-    let easy = HeuristicTriple::standard_easy();
-    let winner = HeuristicTriple::paper_winner();
-
-    // Healthy start: one cell on disk, index flushed.
-    let cache = SimCache::new();
-    cache.set_persist_dir(Some(dir.clone()));
-    faultline::with_plan(FaultPlan::builder().build(), || {
-        cache.run_cell(arena, cluster, &easy).expect("clean run");
-        cache.flush_persistent();
-    });
-    let index_path = dir.join(SimCache::INDEX_NAME);
-    let before = std::fs::read_to_string(&index_path).expect("index exists after clean flush");
-
-    // Every index flush now dies at the write/rename step.
-    let plan = FaultPlan::builder()
-        .site(
-            "index.flush",
-            FaultSpec {
-                p: 1.0,
-                kind: FaultKind::Hard,
-                ..FaultSpec::default()
-            },
-        )
-        .build();
-    faultline::with_plan(plan, || {
-        cache
-            .run_cell(arena, cluster, &winner)
-            .expect("cell itself succeeds");
-        cache.flush_persistent();
-    });
-    let after = std::fs::read_to_string(&index_path).expect("index still present");
-    assert_eq!(
-        after, before,
-        "a torn flush must leave the previous index intact"
-    );
-    let tmp_litter: Vec<_> = std::fs::read_dir(&dir)
-        .expect("dir readable")
-        .flatten()
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|name| name.ends_with(".tmp"))
-        .collect();
-    assert!(
-        tmp_litter.is_empty(),
-        "failed flushes must clean their temp files: {tmp_litter:?}"
-    );
-
-    // The stale index costs recency only: a fresh attach reconciles the
-    // directory and serves *both* cells from disk.
-    let reader = SimCache::new();
-    reader.set_persist_dir(Some(dir.clone()));
-    faultline::with_plan(FaultPlan::builder().build(), || {
-        reader.run_cell(arena, cluster, &easy).expect("clean");
-        reader.run_cell(arena, cluster, &winner).expect("clean");
-    });
-    let stats = reader.stats();
-    assert_eq!(
-        stats.disk_hits, 2,
-        "no cell lost to the torn index: {stats:?}"
-    );
-    assert_eq!(stats.simulated, 0);
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Degradation ladder: persistent hard write failures flip the disk
@@ -300,12 +226,9 @@ fn hard_disk_failures_degrade_to_memory_only_and_recover_on_reattach() {
             serde_json::to_string(&cell.result).expect("serialize"),
             reference[0]
         );
-        cache.flush_persistent();
     });
-    assert!(
-        dir.join(SimCache::INDEX_NAME).exists(),
-        "a healthy attach persists again"
-    );
+    let files = std::fs::read_dir(&dir).expect("dir readable").count();
+    assert_eq!(files, 1, "a healthy attach persists again");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -439,7 +362,6 @@ proptest! {
             .seed(plan_seed)
             .site("cache.read", transient(p))
             .site("cache.write", transient(p))
-            .site("index.flush", transient(p))
             .site("cache.remove", transient(p))
             .site("cell.panic", FaultSpec { p: 1.0, max: Some(1), ..FaultSpec::default() })
             .build();

@@ -307,12 +307,11 @@ fn plan_slot() -> &'static Mutex<Option<Arc<ActivePlan>>> {
 /// Every site production code consults. A `REPRO_FAULTS` clause naming
 /// anything else could never fire, so the environment plan rejects it;
 /// plans built in code ([`with_plan`]) may use any name.
-const KNOWN_SITES: [&str; 9] = [
+const KNOWN_SITES: [&str; 8] = [
     "cache.read",
     "cache.write",
     "cache.rename",
     "cache.remove",
-    "index.flush",
     "serve.read",
     "serve.write",
     "swf.read",

@@ -12,9 +12,7 @@
 //! * [`ecdf`] — empirical cumulative distribution functions (Figures 4 and 5);
 //! * [`pearson`] — Pearson's correlation coefficient (Figure 3's inter-log
 //!   correlation analysis, §6.3.2);
-//! * [`error`] — prediction-error metrics: MAE and mean E-Loss (Table 8);
-//! * [`summary`] — generic descriptive statistics (mean/median/percentiles)
-//!   used by the experiment reports.
+//! * [`error`] — the under-prediction rate of §2.2 / §6.4.
 //!
 //! All functions operate on plain `f64` slices so they can be used on any
 //! simulator output without conversion glue.
@@ -26,10 +24,7 @@ pub mod bsld;
 pub mod ecdf;
 pub mod error;
 pub mod pearson;
-pub mod summary;
 
 pub use bsld::{ave_bsld, bounded_slowdown, BsldRecord, DEFAULT_TAU};
 pub use ecdf::Ecdf;
-pub use error::{mae, mean_signed_error, rmse};
 pub use pearson::pearson_correlation;
-pub use summary::Summary;

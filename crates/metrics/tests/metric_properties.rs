@@ -3,10 +3,9 @@
 use proptest::prelude::*;
 
 use predictsim_metrics::bsld::{fraction_bsld_above, max_bsld};
-use predictsim_metrics::error::{mean_signed_error, underprediction_rate};
+use predictsim_metrics::error::underprediction_rate;
 use predictsim_metrics::{
-    ave_bsld, bounded_slowdown, mae, pearson_correlation, rmse, BsldRecord, Ecdf, Summary,
-    DEFAULT_TAU,
+    ave_bsld, bounded_slowdown, pearson_correlation, BsldRecord, Ecdf, DEFAULT_TAU,
 };
 
 proptest! {
@@ -39,28 +38,6 @@ proptest! {
         // The fraction above the max is zero; above 0 it is 1.
         prop_assert_eq!(fraction_bsld_above(&records, DEFAULT_TAU, max), 0.0);
         prop_assert_eq!(fraction_bsld_above(&records, DEFAULT_TAU, 0.5), 1.0);
-    }
-
-    /// MAE ≤ RMSE (Jensen), both zero iff identical.
-    #[test]
-    fn mae_rmse_relationship(
-        pairs in prop::collection::vec((-1e6f64..1e6, -1e6f64..1e6), 1..80)
-    ) {
-        let p: Vec<f64> = pairs.iter().map(|&(a, _)| a).collect();
-        let a: Vec<f64> = pairs.iter().map(|&(_, b)| b).collect();
-        prop_assert!(mae(&p, &a) <= rmse(&p, &a) + 1e-9);
-        prop_assert!(mae(&p, &p) == 0.0);
-        prop_assert!(rmse(&p, &p) == 0.0);
-    }
-
-    /// Signed error decomposes: |mean signed error| ≤ MAE.
-    #[test]
-    fn signed_error_bounded_by_mae(
-        pairs in prop::collection::vec((-1e6f64..1e6, -1e6f64..1e6), 1..80)
-    ) {
-        let p: Vec<f64> = pairs.iter().map(|&(a, _)| a).collect();
-        let a: Vec<f64> = pairs.iter().map(|&(_, b)| b).collect();
-        prop_assert!(mean_signed_error(&p, &a).abs() <= mae(&p, &a) + 1e-9);
     }
 
     /// Pearson is symmetric, bounded by 1 in absolute value, and exactly
@@ -108,18 +85,6 @@ proptest! {
             prop_assert!(f >= prev - 1e-12);
             prev = f;
         }
-    }
-
-    /// Summary invariants: min ≤ p25 ≤ median ≤ p75 ≤ max; sd ≥ 0.
-    #[test]
-    fn summary_order_statistics(sample in prop::collection::vec(-1e6f64..1e6, 1..200)) {
-        let s = Summary::of(&sample);
-        prop_assert!(s.min() <= s.percentile(25.0) + 1e-9);
-        prop_assert!(s.percentile(25.0) <= s.median() + 1e-9);
-        prop_assert!(s.median() <= s.percentile(75.0) + 1e-9);
-        prop_assert!(s.percentile(75.0) <= s.max() + 1e-9);
-        prop_assert!(s.std_dev() >= 0.0);
-        prop_assert!(s.mean() >= s.min() - 1e-9 && s.mean() <= s.max() + 1e-9);
     }
 
     /// Under-prediction rate is a probability and flips under swap.

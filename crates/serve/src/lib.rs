@@ -20,10 +20,10 @@
 //!
 //! Robustness is part of the protocol: per-request timeouts cancel
 //! cooperatively through `SimObserver::keep_running`, the submission
-//! queue is bounded (`busy` rejection, not OOM), malformed requests get
-//! typed `error` frames instead of disconnects, and shutdown drains —
-//! queued jobs are rejected, in-flight simulations cancel, and the
-//! persistent cache index is flushed.
+//! queue is bounded (`busy` rejection, not OOM) and so is the size of
+//! one requested workload, malformed requests get typed `error` frames
+//! instead of disconnects, and shutdown drains — queued jobs are
+//! rejected and in-flight simulations cancel.
 //!
 //! ```no_run
 //! use predictsim_serve::{Client, Frame, ServeConfig, Server, Submission, WorkloadRequest};

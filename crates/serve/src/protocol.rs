@@ -50,7 +50,8 @@ pub enum ErrorCode {
     /// Scheduler/predictor/correction/cluster name the registry rejects.
     UnknownPolicy,
     /// The workload could not be built (missing preset, bad SWF path,
-    /// invalid toy spec).
+    /// invalid toy spec) or asks for more jobs than one request may
+    /// generate.
     BadWorkload,
     /// The submission queue is full; resubmit later.
     Busy,
@@ -180,10 +181,19 @@ impl WorkloadRequest {
                 let field = |name: &str| {
                     serde::get_field::<f64>(&toy, name).map_err(|e| malformed(e.0.clone()))
                 };
+                // A count: the casts below would silently turn -5, NaN
+                // or 2.5 into some other workload.
+                let count = |name: &str| match field(name)? {
+                    n if n.is_finite() && n >= 0.0 && n.fract() == 0.0 => Ok(n),
+                    n => Err(ProtoError::new(
+                        ErrorCode::BadWorkload,
+                        format!("toy {name} must be a non-negative integer, got {n}"),
+                    )),
+                };
                 let name: String =
                     serde::get_field(&toy, "name").unwrap_or_else(|_| "toy".to_string());
-                let jobs = field("jobs")? as usize;
-                let duration = field("duration")? as i64;
+                let jobs = count("jobs")? as usize;
+                let duration = count("duration")? as i64;
                 let utilization = field("utilization")?;
                 let seed: u64 =
                     opt_field(v, "seed")?.unwrap_or(predictsim_experiments::DEFAULT_SEED);

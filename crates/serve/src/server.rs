@@ -31,10 +31,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use predictsim_experiments::progress::Heartbeat;
-use predictsim_experiments::registry::parse_cluster;
+use predictsim_experiments::registry::{parse_cluster, parse_triple};
 use predictsim_experiments::{
-    CellSource, ExperimentSetup, HeuristicTriple, LoadedWorkload, PredictionTechnique, Scenario,
-    ScenarioError, SimCache, SwfSource, SyntheticSource, Variant, WorkloadSource,
+    CellSource, ExperimentSetup, HeuristicTriple, LoadedWorkload, Scenario, ScenarioError,
+    SimCache, SwfSource, SyntheticSource, WorkloadSource,
 };
 use predictsim_sim::{ClusterSpec, SimError, UtilizationObserver};
 use predictsim_workload::WorkloadSpec;
@@ -225,8 +225,8 @@ impl Server {
 
     /// Graceful drain: stop accepting, reject everything still queued
     /// with `shutdown` errors, cancel in-flight simulations through
-    /// their observers' cancel hooks, join every thread, and flush the
-    /// persistent cache index.
+    /// their observers' cancel hooks, join every thread, and sweep this
+    /// process's temp files out of the persistent cache directory.
     pub fn shutdown(mut self) {
         self.drain();
     }
@@ -390,45 +390,51 @@ fn stats_frame(shared: &Arc<Shared>) -> Value {
     Value::Map(frame)
 }
 
+/// Most jobs one request may ask the daemon to generate: ten times the
+/// largest registered preset (`millions-of-users@1.0`). Generation
+/// allocates per job, and a failed allocation aborts the process — it
+/// does not unwind into `worker_loop`'s `catch_unwind`.
+const MAX_REQUEST_JOBS: usize = 10_000_000;
+
 /// Resolves the submission's policy strings against the registry and
-/// range-checks what workload generation would otherwise assert
-/// (without loading the workload).
+/// range-checks what workload generation would otherwise assert or
+/// abort on (without loading the workload).
 fn validate(submission: &Submission) -> Result<(HeuristicTriple, Option<ClusterSpec>), ProtoError> {
-    if let WorkloadRequest::Preset { scale, .. } = &submission.workload {
-        if !(scale.is_finite() && *scale > 0.0) {
-            return Err(ProtoError::new(
-                ErrorCode::BadWorkload,
-                format!("scale must be a positive number, got {scale}"),
-            ));
+    let bad = |m: String| ProtoError::new(ErrorCode::BadWorkload, m);
+    let jobs = match &submission.workload {
+        WorkloadRequest::Preset { log, scale, seed } => {
+            if !(scale.is_finite() && *scale > 0.0) {
+                return Err(bad(format!("scale must be a positive number, got {scale}")));
+            }
+            let setup = ExperimentSetup {
+                scale: *scale,
+                seed: *seed,
+            };
+            // An unknown preset is reported by the load, as before.
+            setup.spec(log).map_or(0, |spec| spec.jobs)
         }
+        WorkloadRequest::Toy { jobs, .. } => *jobs,
+        WorkloadRequest::Swf { .. } => 0,
+    };
+    if jobs > MAX_REQUEST_JOBS {
+        return Err(bad(format!(
+            "{jobs} jobs requested; one request may generate at most {MAX_REQUEST_JOBS}"
+        )));
     }
     let registry = |e: predictsim_experiments::RegistryError| {
         ProtoError::new(ErrorCode::UnknownPolicy, e.to_string())
     };
-    let variant: Variant = match &submission.scheduler {
-        Some(name) => name.parse().map_err(registry)?,
-        None => Variant::Easy,
-    };
-    let prediction: PredictionTechnique = match &submission.predictor {
-        Some(name) => name.parse().map_err(registry)?,
-        None => PredictionTechnique::RequestedTime,
-    };
-    let correction = match &submission.correction {
-        Some(name) => Some(name.parse().map_err(registry)?),
-        None => None,
-    };
+    let triple = parse_triple(
+        submission.scheduler.as_deref(),
+        submission.predictor.as_deref(),
+        submission.correction.as_deref(),
+    )
+    .map_err(registry)?;
     let cluster = match &submission.cluster {
         Some(spec) => Some(parse_cluster(spec).map_err(registry)?),
         None => None,
     };
-    Ok((
-        HeuristicTriple {
-            prediction,
-            correction,
-            variant,
-        },
-        cluster,
-    ))
+    Ok((triple, cluster))
 }
 
 /// Loads (or recalls from the daemon's memo) the submission's workload.

@@ -29,7 +29,6 @@ struct Options {
     threads: Option<usize>,
     timing: bool,
     cache_dir: Option<std::path::PathBuf>,
-    cache_budget: Option<u64>,
     progress: bool,
     swf: Option<std::path::PathBuf>,
     log: Option<String>,
@@ -50,9 +49,8 @@ extern "C" fn note_sigint(_signum: i32) {
     INTERRUPTED.store(true, Ordering::SeqCst);
 }
 
-/// Routes SIGINT to [`note_sigint`] so an interrupted run can flush
-/// the persistent cache index (batch) or drain the daemon (serve)
-/// instead of dying mid-write.
+/// Routes SIGINT to [`note_sigint`] so the daemon can drain instead of
+/// dying with jobs in flight.
 fn install_sigint_handler() {
     #[cfg(unix)]
     {
@@ -64,18 +62,6 @@ fn install_sigint_handler() {
             signal(SIGINT, note_sigint);
         }
     }
-}
-
-/// Parses a byte count with an optional `K`/`M`/`G` (binary) suffix.
-fn parse_bytes(v: &str) -> Option<u64> {
-    let v = v.trim();
-    let (digits, unit) = match v.chars().last()? {
-        'k' | 'K' => (&v[..v.len() - 1], 1024u64),
-        'm' | 'M' => (&v[..v.len() - 1], 1024 * 1024),
-        'g' | 'G' => (&v[..v.len() - 1], 1024 * 1024 * 1024),
-        _ => (v, 1),
-    };
-    digits.parse::<u64>().ok()?.checked_mul(unit)
 }
 
 /// Every positional `repro` accepts; anything else is a typo, not a
@@ -95,7 +81,6 @@ fn parse_args() -> Result<Options, String> {
     let mut threads = None;
     let mut timing = false;
     let mut cache_dir = None;
-    let mut cache_budget = None;
     let mut progress = false;
     let mut full = false;
     let mut swf = None;
@@ -164,11 +149,6 @@ fn parse_args() -> Result<Options, String> {
                 cache_dir = Some(std::path::PathBuf::from(
                     args.next().ok_or("--cache needs a directory")?,
                 ));
-            }
-            "--cache-budget" => {
-                let v = args.next().ok_or("--cache-budget needs a byte count")?;
-                cache_budget =
-                    Some(parse_bytes(&v).ok_or(format!("bad byte count {v:?} (try 512M, 8G)"))?);
             }
             "--progress" => progress = true,
             "--listen" => listen = Some(args.next().ok_or("--listen needs an address")?),
@@ -256,7 +236,6 @@ fn parse_args() -> Result<Options, String> {
         threads,
         timing,
         cache_dir,
-        cache_budget,
         progress,
         swf,
         log,
@@ -361,27 +340,10 @@ fn main() {
         SimCache::global().set_persist_dir(Some(dir.clone()));
         eprintln!("persistent simulation cache: {}", dir.display());
     }
-    if let Some(bytes) = opts.cache_budget {
-        SimCache::global().set_disk_budget(bytes);
-        eprintln!("persistent cache budget: {bytes} bytes");
-    }
-    install_sigint_handler();
     if opts.experiments.iter().any(|e| e == "serve") {
         run_serve(&opts);
         return;
     }
-    // Batch mode: a watcher thread turns the SIGINT flag into an
-    // orderly exit — flush the persistent cache index and sweep this
-    // process's temp files so a `--cache` run killed mid-campaign
-    // resumes from every cell already simulated.
-    std::thread::spawn(|| loop {
-        if INTERRUPTED.load(Ordering::SeqCst) {
-            eprintln!("\ninterrupted: flushing the persistent cache index");
-            SimCache::global().flush_persistent();
-            std::process::exit(130);
-        }
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    });
     match opts.threads {
         // The override is thread-local; every fan-out in `run` starts
         // from this thread, so the whole pipeline inherits the width.
@@ -391,9 +353,9 @@ fn main() {
 }
 
 /// `repro serve` — start the simulation daemon and run until SIGINT,
-/// then drain: reject queued jobs, cancel in-flight simulations, and
-/// flush the persistent cache index.
+/// then drain: reject queued jobs and cancel in-flight simulations.
 fn run_serve(opts: &Options) {
+    install_sigint_handler();
     let mut cfg = predictsim_serve::ServeConfig::default();
     if let Some(addr) = &opts.listen {
         cfg.addr = addr.clone();
@@ -424,7 +386,7 @@ fn run_serve(opts: &Options) {
         server.active_jobs()
     );
     server.shutdown();
-    eprintln!("repro serve: cache index flushed, bye");
+    eprintln!("repro serve: drained, bye");
 }
 
 /// Runs one scenario picked entirely by registry names — the Scenario
@@ -729,12 +691,6 @@ fn run(opts: &Options) {
             cache_stats.disk_rejects
         ));
     }
-    if cache_stats.disk_evictions > 0 {
-        timer.note(format!(
-            "persistent cache: {} cell(s) evicted by the size budget",
-            cache_stats.disk_evictions
-        ));
-    }
     if cache_stats.disk_retries > 0 {
         timer.note(format!(
             "persistent cache: {} transient IO error(s) absorbed by retry",
@@ -796,11 +752,8 @@ OPTIONS
                per-log campaigns breakdown and cache-effectiveness counts)
   --cache DIR  persist simulated cells to DIR and reuse them across runs
                (a repeated run over unchanged workloads simulates nothing;
-               a killed run resumes)
-  --cache-budget BYTES
-               size budget for the cache directory (K/M/G suffixes, e.g.
-               512M, 8G; default 8G). Past it, least-recently-used cells
-               are evicted — never cells the current run touched
+               a killed run resumes). The directory is never trimmed:
+               `rm -r DIR` is how it shrinks
   --progress   per-cell progress lines on stderr (`progress: campaign
                KTH-SP2 [17/130] ... — simulated in 12.4s`); redirect
                stderr to a file to get a resume journal
@@ -832,15 +785,15 @@ ENVIRONMENT
                 Clause grammar: `seed=N` or
                 `site[:p=F][:max=N][:after=N][:kind=transient|hard]`.
                 Sites: cache.read, cache.write, cache.rename,
-                cache.remove, index.flush, serve.read, serve.write,
-                swf.read, cell.panic; an unknown site or a malformed
-                plan is an error (exit 2). Artifacts stay
+                cache.remove, serve.read, serve.write, swf.read,
+                cell.panic; an unknown site or a malformed plan is an
+                error (exit 2). Artifacts stay
                 byte-identical to a fault-free run (the hardening under
                 test); absorbed faults show up in the cache summary
                 counters (disk_retries, degraded, panicked_cells).
                 Unset (the default) = zero-overhead passthrough.
 
-Ctrl-C drains the daemon (in-flight jobs cancel cooperatively, the
-cache index is flushed); in batch mode it flushes the persistent cache
-index before exiting, so a killed --cache run still resumes cleanly.
+Ctrl-C drains the daemon (in-flight jobs cancel cooperatively). A batch
+run can be killed at any point: every cell already simulated is a
+complete file in the --cache directory, and the relaunch resumes there.
 ";

@@ -110,6 +110,16 @@ fn prune_flag_is_gone() {
     assert!(!usage.contains("Table 6 skipped"), "{usage}");
 }
 
+/// The cache directory is never trimmed, so its size knob is an
+/// unknown option rather than a silent no-op.
+#[test]
+fn cache_budget_flag_is_gone() {
+    assert_rejected(
+        &["all", "--cache-budget", "8G"],
+        "unknown option \"--cache-budget\"",
+    );
+}
+
 /// A `REPRO_FAULTS` plan that cannot do what it says — a site nothing
 /// consults (a typo, or a site since deleted), or a clause that does
 /// not parse — must not run fault-free with exit 0: "chaos artifacts
@@ -120,10 +130,11 @@ fn fault_plan_that_cannot_fire_is_rejected() {
         ("cache.raed:p=1", "cache.raed"),
         ("seed=1,cache.read:p=0.5,disk.sync:max=1", "disk.sync"),
         ("cache.read:p=oops", "oops"),
+        ("index.flush:p=1", "index.flush"),
     ] {
         let err = assert_rejected_under(Some(plan), &["--list"], "error: REPRO_FAULTS:");
         assert!(err.contains(token), "{plan}: offending token named: {err}");
-        for site in ["cache.read", "index.flush", "serve.write", "cell.panic"] {
+        for site in ["cache.read", "cache.remove", "serve.write", "cell.panic"] {
             assert!(
                 err.contains(site),
                 "{plan}: known site {site} listed: {err}"

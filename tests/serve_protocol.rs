@@ -1,7 +1,7 @@
 //! Wire-protocol robustness for the `serve` daemon, over real
 //! sockets: malformed and oversized requests get typed `error` frames
-//! (not disconnects), unknown registry names and non-positive scales
-//! are rejected before queueing, half-closed connections still stream
+//! (not disconnects), unknown registry names, non-positive scales and
+//! workloads too large to generate are rejected before queueing, half-closed connections still stream
 //! their results, per-request timeouts cancel cooperatively, a full
 //! queue answers `busy`, concurrent cold submissions of the same cell
 //! coalesce into exactly one simulation, and shutdown drains instead
@@ -71,6 +71,39 @@ fn malformed_requests_get_typed_errors_and_the_session_survives() {
     assert_eq!(code, "malformed");
 
     // The connection is still usable.
+    client.ping().expect("ping");
+    assert!(matches!(next_ok(&mut client), Frame::Pong));
+    server.shutdown();
+}
+
+/// One request must not be able to take the daemon down: a workload
+/// too large to generate (a failed allocation aborts the process, it
+/// does not unwind) or a toy count that is not a count is refused
+/// before the ack, and the connection keeps working.
+#[test]
+fn oversized_and_misshapen_workloads_are_rejected_before_queueing() {
+    let server = Server::start(ServeConfig::default()).expect("daemon starts");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let toy = |jobs: &str, duration: &str| {
+        format!(r#"{{"toy":{{"jobs":{jobs},"duration":{duration},"utilization":0.8}}}}"#)
+    };
+    for workload in [
+        toy("3000000000", "7776000"),
+        r#"{"log":"KTH","scale":1e6}"#.to_string(),
+        toy("2.5", "86400"),
+        toy("100", "-86400"),
+    ] {
+        client
+            .send_line(&format!(r#"{{"type":"submit","workload":{workload}}}"#))
+            .expect("send");
+        // The very next frame: no ack came first.
+        match next_ok(&mut client) {
+            Frame::Error { job, code, .. } => {
+                assert_eq!((job, code.as_str()), (None, "bad-workload"), "{workload}")
+            }
+            other => panic!("{workload}: expected a bad-workload error, got {other:?}"),
+        }
+    }
     client.ping().expect("ping");
     assert!(matches!(next_ok(&mut client), Frame::Pong));
     server.shutdown();
