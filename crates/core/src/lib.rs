@@ -36,8 +36,10 @@
 //! ```
 //! use predictsim_core::correction::IncrementalCorrection;
 //! use predictsim_core::predictor::MlPredictor;
-//! use predictsim_sim::engine::{simulate, SimConfig};
+//! use predictsim_sim::arena::SimArena;
+//! use predictsim_sim::engine::{simulate_in, SimConfig};
 //! use predictsim_sim::job::{Job, JobId};
+//! use predictsim_sim::observe::NullObserver;
 //! use predictsim_sim::scheduler::EasyScheduler;
 //! use predictsim_sim::time::Time;
 //!
@@ -57,12 +59,14 @@
 //!
 //! let mut predictor = MlPredictor::e_loss();
 //! let correction = IncrementalCorrection::new();
-//! let result = simulate(
+//! let result = simulate_in(
+//!     &mut SimArena::new(),
 //!     &jobs,
 //!     SimConfig::single(16),
 //!     &mut EasyScheduler::sjbf(),
 //!     &mut predictor,
 //!     Some(&correction),
+//!     &mut NullObserver,
 //! )
 //! .unwrap();
 //! assert_eq!(result.outcomes.len(), 200);

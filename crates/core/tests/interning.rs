@@ -13,7 +13,9 @@
 use proptest::prelude::*;
 
 use predictsim_core::{IncrementalCorrection, MlPredictor};
-use predictsim_sim::{intern_users, simulate, EasyScheduler, Job, JobId, SimConfig, Time};
+use predictsim_sim::{
+    intern_users, simulate_in, EasyScheduler, Job, JobId, NullObserver, SimArena, SimConfig, Time,
+};
 
 const MACHINE: u32 = 16;
 
@@ -66,12 +68,14 @@ fn relabel(user: u32, mode: u8) -> u32 {
 fn run(jobs: &[Job]) -> Vec<predictsim_sim::JobOutcome> {
     let mut predictor = MlPredictor::e_loss();
     let correction = IncrementalCorrection::new();
-    simulate(
+    simulate_in(
+        &mut SimArena::new(),
         jobs,
         SimConfig::single(MACHINE),
         &mut EasyScheduler::sjbf(),
         &mut predictor,
         Some(&correction),
+        &mut NullObserver,
     )
     .expect("simulation succeeds")
     .outcomes

@@ -32,7 +32,7 @@ fn run_rows(workload: &LoadedWorkload, runs: Vec<(String, HeuristicTriple)>) -> 
     let progress = crate::progress::CellProgress::new("ablation", runs.len());
     runs.into_par_iter()
         .map(|(label, triple)| {
-            let cell = progress.run_cell(
+            let cell = progress.run(
                 &label,
                 &workload.jobs,
                 predictsim_sim::ClusterSpec::single(workload.machine_size),

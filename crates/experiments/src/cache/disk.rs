@@ -363,7 +363,7 @@ mod tests {
         let cache = SimCache::new();
         cache.set_persist_dir(Some(dir.clone()));
         cache
-            .run_cell(&arena, m, &HeuristicTriple::standard_easy())
+            .run_cell_traced(&arena, m, &HeuristicTriple::standard_easy())
             .unwrap();
         // A stranded temp file from *this* process (as after a kill
         // between write and rename), and one from another process.

@@ -329,20 +329,9 @@ impl SimCache {
     }
 
     /// Runs (or recalls) one cell: `triple` on the `arena` workload on
-    /// `cluster`. The returned aggregates are byte-identical to a
-    /// fresh simulation's whichever layer serves them.
-    pub fn run_cell(
-        &self,
-        arena: &JobArena,
-        cluster: ClusterSpec,
-        triple: &HeuristicTriple,
-    ) -> Result<CachedCell, ScenarioError> {
-        self.run_cell_traced(arena, cluster, triple)
-            .map(|(cell, _)| cell)
-    }
-
-    /// [`SimCache::run_cell`], also reporting which layer served the
-    /// cell (progress lines and tests).
+    /// `cluster`, reporting which layer served it. The returned
+    /// aggregates are byte-identical to a fresh simulation's whichever
+    /// layer serves them.
     pub fn run_cell_traced(
         &self,
         arena: &JobArena,
@@ -530,7 +519,7 @@ mod tests {
         let cache = private();
         let (arena, m) = tiny_arena(4);
         let triple = HeuristicTriple::standard_easy();
-        let cell = cache.run_cell(&arena, m, &triple).unwrap();
+        let cell = cache.run_cell_traced(&arena, m, &triple).unwrap().0;
         let sim = Scenario::from_triple(&triple)
             .run_on(&arena, predictsim_sim::SimConfig { cluster: m })
             .unwrap();
@@ -551,9 +540,9 @@ mod tests {
         let easy = HeuristicTriple::standard_easy();
         let clair = HeuristicTriple::clairvoyant(Variant::Easy);
         let cells = [
-            cache.run_cell(&a, ma, &easy).unwrap(),
-            cache.run_cell(&b, mb, &easy).unwrap(),
-            cache.run_cell(&a, ma, &clair).unwrap(),
+            cache.run_cell_traced(&a, ma, &easy).unwrap().0,
+            cache.run_cell_traced(&b, mb, &easy).unwrap().0,
+            cache.run_cell_traced(&a, ma, &clair).unwrap().0,
         ];
         assert_eq!(cache.stats().simulated, 3, "three distinct cells");
         assert_ne!(cells[0].result.ave_bsld, cells[2].result.ave_bsld);
@@ -578,8 +567,8 @@ mod tests {
         assert_ne!(split.fingerprint(), ClusterSpec::single(64).fingerprint());
 
         let triple = HeuristicTriple::standard_easy();
-        cache.run_cell(&arena, legacy, &triple).unwrap();
-        cache.run_cell(&arena, slow, &triple).unwrap();
+        cache.run_cell_traced(&arena, legacy, &triple).unwrap();
+        cache.run_cell_traced(&arena, slow, &triple).unwrap();
         assert_eq!(
             cache.stats().simulated,
             2,
@@ -587,7 +576,7 @@ mod tests {
         );
         assert_eq!(cache.stats().hits(), 0);
         // And each spec is a hit against itself.
-        cache.run_cell(&arena, slow, &triple).unwrap();
+        cache.run_cell_traced(&arena, slow, &triple).unwrap();
         assert_eq!(cache.stats().memory_hits, 1);
     }
 
@@ -599,13 +588,13 @@ mod tests {
 
         let writer = private();
         writer.set_persist_dir(Some(dir.clone()));
-        let fresh = writer.run_cell(&arena, m, &triple).unwrap();
+        let fresh = writer.run_cell_traced(&arena, m, &triple).unwrap().0;
         assert_eq!(writer.stats().simulated, 1);
 
         // A new process (modeled by a new cache instance) reads it back.
         let reader = private();
         reader.set_persist_dir(Some(dir.clone()));
-        let recalled = reader.run_cell(&arena, m, &triple).unwrap();
+        let recalled = reader.run_cell_traced(&arena, m, &triple).unwrap().0;
         assert_eq!(reader.stats().simulated, 0, "disk must serve the cell");
         assert_eq!(reader.stats().disk_hits, 1);
         assert_eq!(recalled.result, fresh.result);
@@ -616,7 +605,7 @@ mod tests {
 
         // A different workload misses (and must not be served the file).
         let (other, mo) = tiny_arena(8);
-        reader.run_cell(&other, mo, &triple).unwrap();
+        reader.run_cell_traced(&other, mo, &triple).unwrap();
         assert_eq!(reader.stats().simulated, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -629,15 +618,15 @@ mod tests {
 
         let writer = private();
         writer.set_persist_dir(Some(dir.clone()));
-        let fresh = writer.run_cell(&arena, m, &triple).unwrap();
-        let held = writer.run_cell(&arena, m, &triple).unwrap();
+        let fresh = writer.run_cell_traced(&arena, m, &triple).unwrap().0;
+        let held = writer.run_cell_traced(&arena, m, &triple).unwrap().0;
         assert!(held.predictions.is_none(), "memory holds no vector");
 
         // The cell file does: a fresh process is served the complete
         // cell without simulating.
         let reader = private();
         reader.set_persist_dir(Some(dir.clone()));
-        let recalled = reader.run_cell(&arena, m, &triple).unwrap();
+        let recalled = reader.run_cell_traced(&arena, m, &triple).unwrap().0;
         assert_eq!(reader.stats().simulated, 0);
         assert_eq!(reader.stats().disk_hits, 1);
         assert_eq!(recalled.result, fresh.result);
@@ -653,9 +642,9 @@ mod tests {
         let cache = private();
         let (arena, m) = tiny_arena(9);
         let triple = HeuristicTriple::standard_easy();
-        let cell = cache.run_cell(&arena, m, &triple).unwrap();
+        let cell = cache.run_cell_traced(&arena, m, &triple).unwrap().0;
         assert!(cell.predictions.is_some(), "caller still gets them");
-        let again = cache.run_cell(&arena, m, &triple).unwrap();
+        let again = cache.run_cell_traced(&arena, m, &triple).unwrap().0;
         assert!(again.predictions.is_none(), "memory dropped the vector");
         assert_eq!(again.result, cell.result);
         // With no directory to read them back from, run_cell_full_traced
@@ -679,7 +668,7 @@ mod tests {
         let triple = HeuristicTriple::easy_plus_plus();
         let cache = private();
         cache.set_persist_dir(Some(dir.clone()));
-        let fresh = cache.run_cell(&arena, m, &triple).unwrap();
+        let fresh = cache.run_cell_traced(&arena, m, &triple).unwrap().0;
         let (_, source) = cache.run_cell_traced(&arena, m, &triple).unwrap();
         assert_eq!(source, CellSource::Memory);
         let (result, predictions, source) = cache.run_cell_full_traced(&arena, m, &triple).unwrap();
@@ -702,7 +691,7 @@ mod tests {
 
         let writer = private();
         writer.set_persist_dir(Some(dir.clone()));
-        let fresh = writer.run_cell(&arena, m, &triple).unwrap();
+        let fresh = writer.run_cell_traced(&arena, m, &triple).unwrap().0;
 
         // Truncate the cell file mid-JSON.
         let key = CellKey::new(&arena, m, &triple);
@@ -712,7 +701,7 @@ mod tests {
 
         let reader = private();
         reader.set_persist_dir(Some(dir.clone()));
-        let recovered = reader.run_cell(&arena, m, &triple).unwrap();
+        let recovered = reader.run_cell_traced(&arena, m, &triple).unwrap().0;
         let stats = reader.stats();
         assert_eq!(stats.disk_rejects, 1, "corrupt file must be counted");
         assert_eq!(stats.disk_hits, 0);
@@ -722,7 +711,7 @@ mod tests {
         // The rewritten file is valid again for a third process.
         let third = private();
         third.set_persist_dir(Some(dir.clone()));
-        third.run_cell(&arena, m, &triple).unwrap();
+        third.run_cell_traced(&arena, m, &triple).unwrap();
         assert_eq!(third.stats().disk_hits, 1);
         assert_eq!(third.stats().disk_rejects, 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -740,7 +729,7 @@ mod tests {
 
         let writer = private();
         writer.set_persist_dir(Some(dir.clone()));
-        writer.run_cell(&other, mo, &triple).unwrap();
+        writer.run_cell_traced(&other, mo, &triple).unwrap();
 
         // Masquerade the other workload's cell as this workload's file.
         let theirs = dir.join(disk::file_name(&CellKey::new(&other, mo, &triple)));
@@ -749,7 +738,7 @@ mod tests {
 
         let reader = private();
         reader.set_persist_dir(Some(dir.clone()));
-        reader.run_cell(&arena, m, &triple).unwrap();
+        reader.run_cell_traced(&arena, m, &triple).unwrap();
         assert_eq!(reader.stats().disk_rejects, 1);
         assert_eq!(reader.stats().simulated, 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -768,10 +757,10 @@ mod tests {
         let cache = private();
         cache.set_persist_dir(Some(dir.clone()));
         cache
-            .run_cell(&a, ma, &HeuristicTriple::standard_easy())
+            .run_cell_traced(&a, ma, &HeuristicTriple::standard_easy())
             .unwrap();
         cache
-            .run_cell(&b, mb, &HeuristicTriple::easy_plus_plus())
+            .run_cell_traced(&b, mb, &HeuristicTriple::easy_plus_plus())
             .unwrap();
         for entry in std::fs::read_dir(&dir).unwrap().flatten() {
             let name = entry.file_name().to_string_lossy().into_owned();
@@ -789,14 +778,14 @@ mod tests {
         reopened.set_persist_dir(Some(dir.clone()));
         assert!(!tmp.exists(), "stale temp litter swept on attach");
         reopened
-            .run_cell(&a, ma, &HeuristicTriple::standard_easy())
+            .run_cell_traced(&a, ma, &HeuristicTriple::standard_easy())
             .unwrap();
         reopened
-            .run_cell(&b, mb, &HeuristicTriple::easy_plus_plus())
+            .run_cell_traced(&b, mb, &HeuristicTriple::easy_plus_plus())
             .unwrap();
         // One more store, then the shutdown path.
         reopened
-            .run_cell(&a, ma, &HeuristicTriple::easy_plus_plus())
+            .run_cell_traced(&a, ma, &HeuristicTriple::easy_plus_plus())
             .unwrap();
         reopened.flush_persistent();
         let stats = reopened.stats();

@@ -168,11 +168,7 @@ pub fn run_campaign_cluster(
     let progress = crate::progress::CellProgress::new(format!("campaign {log}"), triples.len());
     let results: Vec<TripleResult> = triples
         .par_iter()
-        .map(|triple| {
-            progress
-                .run_cell(&triple.name(), arena, cluster, triple)
-                .result
-        })
+        .map(|triple| progress.run(&triple.name(), arena, cluster, triple).result)
         .collect();
     CampaignResult {
         log: log.clone(),

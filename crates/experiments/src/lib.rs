@@ -2,13 +2,13 @@
 //!
 //! The experiment campaign of §6 of Gaussier et al. (SC '15), end to end:
 //!
-//! * [`scenario`] — the `Scenario` builder: the single public entry
-//!   point for running simulations (workload × policies × observer);
+//! * [`scenario`] — a `Scenario` is one resolved policy triple, run on
+//!   a loaded workload;
 //! * [`registry`] — the string-keyed policy registry (`"easy-sjbf"`,
 //!   `"ave2"`, `"ml(u=lin,o=sq,g=area)"`, …) with parse/display
 //!   round-tripping and typed errors;
-//! * [`source`] — the unified `WorkloadSource`: synthetic generation and
-//!   real SWF logs behind one trait;
+//! * [`source`] — `WorkloadSource::load`: synthetic generation and real
+//!   SWF logs into one `LoadedWorkload`;
 //! * [`triple`] — the heuristic-triple space (prediction × correction ×
 //!   backfilling variant), exactly 128 per log as in §6.2;
 //! * [`campaign`] — the parallel campaign runner;
@@ -66,7 +66,7 @@ pub use registry::{
     registered_corrections, registered_predictors, registered_schedulers, render_registry,
     PolicyEntry, RegistryError,
 };
-pub use scenario::{Scenario, ScenarioBuilder, ScenarioError};
+pub use scenario::{Scenario, ScenarioError};
 pub use source::{
     JobArena, LoadStats, LoadedWorkload, SourceError, SwfSource, SyntheticSource, WorkloadSource,
 };

@@ -104,7 +104,7 @@ impl CellProgress {
     /// either way the cached cell is byte-identical. Panics if the
     /// simulation fails — fan-outs run validated workloads, so that is a
     /// bug, not an input condition.
-    pub(crate) fn run_cell(
+    pub(crate) fn run(
         &self,
         cell: &str,
         arena: &JobArena,

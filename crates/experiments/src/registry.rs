@@ -4,9 +4,9 @@
 //! mechanism in the workspace is addressable by a stable name —
 //! `"easy-sjbf"`, `"ave2"`, `"ml(u=lin,o=sq,g=area)"`, `"incremental"` —
 //! and every name round-trips: `parse(name).to_string() == name`. The
-//! [`crate::scenario::Scenario`] builder, the `repro` binary's
-//! `--scheduler/--predictor/--correction` flags, and `repro --list` are
-//! all fronts over this module, so adding a policy here makes it reach
+//! `repro` binary's `--scheduler/--predictor/--correction/--cluster`
+//! flags, the serve daemon's submissions, and `repro --list` are all
+//! fronts over this module, so adding a policy here makes it reach
 //! every entry point at once.
 //!
 //! Accepted spellings:
@@ -470,6 +470,13 @@ mod tests {
             assert_eq!(parsed, triple);
             assert_eq!(parsed.to_string(), triple.name());
         }
+    }
+
+    #[test]
+    fn defaults_are_standard_easy() {
+        let defaults = parse_triple(None, None, None).unwrap();
+        assert_eq!(defaults, HeuristicTriple::standard_easy());
+        assert_eq!(defaults.name(), "requested+easy");
     }
 
     #[test]

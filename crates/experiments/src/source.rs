@@ -9,14 +9,12 @@
 //!   Table 4 synthetic stand-ins, or any custom [`WorkloadSpec`]);
 //! * [`SwfSource`] reads a Standard Workload Format log — from a file or
 //!   from in-memory text — through `predictsim_swf`'s parser, applies the
-//!   cleaning conventions, and converts the records into engine jobs;
-//! * an already-generated [`GeneratedWorkload`] or [`LoadedWorkload`] is
-//!   itself a source (trivially).
+//!   cleaning conventions, and converts the records into engine jobs.
 //!
-//! The [`crate::scenario::Scenario`] builder accepts any of these behind
-//! one `.workload(..)` call, which is what lets the same campaign run on
-//! a synthetic log one day and a Parallel Workloads Archive trace the
-//! next — the ROADMAP's "real SWF logs" loader path.
+//! An already-generated [`GeneratedWorkload`] converts with
+//! `LoadedWorkload::from`. Whichever way the jobs arrive, the same
+//! campaign runs on a synthetic log one day and a Parallel Workloads
+//! Archive trace the next.
 
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
@@ -256,45 +254,8 @@ impl From<&GeneratedWorkload> for LoadedWorkload {
 
 /// Anything that can produce a simulator-ready workload.
 pub trait WorkloadSource {
-    /// Loads (or copies) the workload.
+    /// Loads the workload.
     fn load(&self) -> Result<LoadedWorkload, SourceError>;
-
-    /// One-line description for logs and error messages.
-    fn describe(&self) -> String;
-}
-
-impl<T: WorkloadSource + ?Sized> WorkloadSource for Box<T> {
-    fn load(&self) -> Result<LoadedWorkload, SourceError> {
-        (**self).load()
-    }
-
-    fn describe(&self) -> String {
-        (**self).describe()
-    }
-}
-
-impl WorkloadSource for LoadedWorkload {
-    fn load(&self) -> Result<LoadedWorkload, SourceError> {
-        Ok(self.clone())
-    }
-
-    fn describe(&self) -> String {
-        format!("loaded workload {} ({} jobs)", self.name, self.jobs.len())
-    }
-}
-
-impl WorkloadSource for GeneratedWorkload {
-    fn load(&self) -> Result<LoadedWorkload, SourceError> {
-        Ok(self.into())
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "generated workload {} ({} jobs)",
-            self.name,
-            self.jobs.len()
-        )
-    }
 }
 
 /// Synthetic workload generation as a source: a [`WorkloadSpec`] plus a
@@ -318,13 +279,6 @@ impl WorkloadSource for SyntheticSource {
     fn load(&self) -> Result<LoadedWorkload, SourceError> {
         self.spec.validate().map_err(SourceError::Invalid)?;
         Ok(generate(&self.spec, self.seed).into())
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "synthetic {} ({} jobs, seed {})",
-            self.spec.name, self.spec.jobs, self.seed
-        )
     }
 }
 
@@ -539,13 +493,6 @@ impl WorkloadSource for SwfSource {
             SwfInput::Text { text, .. } => {
                 self.load_streaming(SwfStream::new(std::io::Cursor::new(text.as_bytes())))
             }
-        }
-    }
-
-    fn describe(&self) -> String {
-        match &self.input {
-            SwfInput::File(path) => format!("SWF log {}", path.display()),
-            SwfInput::Text { name, .. } => format!("SWF text {name}"),
         }
     }
 }
@@ -859,15 +806,5 @@ mod tests {
             // Panics on any divergence; either outcome is fine if shared.
             let _ = assert_stream_eager_identical(SwfSource::from_text("dirty", text), parsed);
         }
-    }
-
-    #[test]
-    fn generated_workload_is_a_source() {
-        let w = generate(&WorkloadSpec::toy(), 5);
-        let loaded = w.load().unwrap();
-        assert_eq!(loaded.jobs.len(), w.jobs.len());
-        assert!(w.describe().contains("toy"));
-        // LoadedWorkload is idempotently a source too.
-        assert_eq!(loaded.load().unwrap(), loaded);
     }
 }

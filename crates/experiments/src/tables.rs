@@ -46,7 +46,7 @@ pub fn table1(workloads: &[LoadedWorkload]) -> Vec<Table1Row> {
         .map(|w| {
             let cell = |triple: &HeuristicTriple| {
                 progress
-                    .run_cell(
+                    .run(
                         &format!("{} {}", w.name, triple.name()),
                         &w.jobs,
                         predictsim_sim::ClusterSpec::single(w.machine_size),
@@ -225,7 +225,7 @@ pub fn table8(workload: &LoadedWorkload) -> Vec<Table8Row> {
     ]
     .into_par_iter()
     .map(|(label, triple)| {
-        let cell = progress.run_cell(
+        let cell = progress.run(
             &triple.name(),
             &workload.jobs,
             predictsim_sim::ClusterSpec::single(workload.machine_size),

@@ -20,7 +20,7 @@ use predictsim_sim::predict::{
 use predictsim_sim::scheduler::{ConservativeScheduler, EasyScheduler, FcfsScheduler, Scheduler};
 use predictsim_sim::{Job, SimConfig, SimError, SimResult};
 
-use crate::scenario::{Scenario, ScenarioError};
+use crate::scenario::Scenario;
 
 /// A prediction technique of §6.2.
 #[derive(Debug, Clone, PartialEq)]
@@ -197,17 +197,9 @@ impl HeuristicTriple {
         s
     }
 
-    /// Runs this triple on a workload (a veneer over the
-    /// [`Scenario`] API — the single simulation entry point).
+    /// Runs this triple on a workload: [`Scenario::run_on`].
     pub fn run(&self, jobs: &[Job], config: SimConfig) -> Result<SimResult, SimError> {
-        Scenario::from_triple(self)
-            .run_on(jobs, config)
-            .map_err(|e| match e {
-                ScenarioError::Sim(sim) => sim,
-                // A typed triple needs no registry or workload
-                // resolution, so no other error can occur.
-                other => unreachable!("typed triple cannot fail resolution: {other}"),
-            })
+        Scenario::from_triple(self).run_on(jobs, config)
     }
 }
 

@@ -34,7 +34,7 @@ fn same_cold_cell_from_eight_workers_simulates_once() {
 
     // The reference payload, from an independent serial cache.
     let serial = SimCache::new();
-    let reference = serial.run_cell(&arena, cluster, &triple).unwrap();
+    let (reference, _) = serial.run_cell_traced(&arena, cluster, &triple).unwrap();
     let reference_bytes = serde_json::to_string(&reference.result).unwrap();
     let reference_predictions = reference.predictions.clone().unwrap();
 
@@ -107,7 +107,7 @@ fn distinct_cells_under_concurrency_each_simulate_once() {
             for _ in 0..2 {
                 scope.spawn(|| {
                     barrier.wait();
-                    cache.run_cell(&arena, cluster, triple).unwrap();
+                    cache.run_cell_traced(&arena, cluster, triple).unwrap();
                 });
             }
         }

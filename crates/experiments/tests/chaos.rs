@@ -166,8 +166,8 @@ fn hard_disk_failures_degrade_to_memory_only_and_recover_on_reattach() {
             .iter()
             .map(|(i, t)| {
                 let w = &workloads[*i];
-                let cell = clean
-                    .run_cell(&w.jobs, ClusterSpec::single(w.machine_size), t)
+                let (cell, _) = clean
+                    .run_cell_traced(&w.jobs, ClusterSpec::single(w.machine_size), t)
                     .expect("clean run");
                 serde_json::to_string(&cell.result).expect("serialize")
             })
@@ -191,8 +191,8 @@ fn hard_disk_failures_degrade_to_memory_only_and_recover_on_reattach() {
             .iter()
             .map(|(i, t)| {
                 let w = &workloads[*i];
-                let cell = cache
-                    .run_cell(&w.jobs, ClusterSpec::single(w.machine_size), t)
+                let (cell, _) = cache
+                    .run_cell_traced(&w.jobs, ClusterSpec::single(w.machine_size), t)
                     .expect("campaign must continue");
                 serde_json::to_string(&cell.result).expect("serialize")
             })
@@ -219,8 +219,8 @@ fn hard_disk_failures_degrade_to_memory_only_and_recover_on_reattach() {
         cache.clear_memory();
         let (i, t) = &cells[0];
         let w = &workloads[*i];
-        let cell = cache
-            .run_cell(&w.jobs, ClusterSpec::single(w.machine_size), t)
+        let (cell, _) = cache
+            .run_cell_traced(&w.jobs, ClusterSpec::single(w.machine_size), t)
             .expect("clean");
         assert_eq!(
             serde_json::to_string(&cell.result).expect("serialize"),
@@ -248,7 +248,7 @@ fn poisoned_cell_surfaces_typed_error_and_cache_recovers() {
     let plan = FaultPlan::builder().transient("cell.panic", 1.0).build();
     faultline::with_plan(plan, || {
         let err = cache
-            .run_cell(arena, cluster, &triple)
+            .run_cell_traced(arena, cluster, &triple)
             .expect_err("every attempt panics");
         assert!(
             matches!(err, ScenarioError::CellPanicked(_)),
@@ -269,8 +269,8 @@ fn poisoned_cell_surfaces_typed_error_and_cache_recovers() {
     // The marker was withdrawn with the lease: the next (clean) lookup
     // leads a fresh simulation instead of deadlocking on the failure.
     faultline::with_plan(FaultPlan::builder().build(), || {
-        let cell = cache
-            .run_cell(arena, cluster, &triple)
+        let (cell, _) = cache
+            .run_cell_traced(arena, cluster, &triple)
             .expect("clean after faults");
         assert!(cell.predictions.is_some());
     });
@@ -309,7 +309,7 @@ fn waiters_re_elect_a_leader_after_a_poisoned_leader() {
                     let cache = cache.clone();
                     let arena = arena.clone();
                     let triple = triple.clone();
-                    scope.spawn(move || cache.run_cell(&arena, cluster, &triple).is_ok())
+                    scope.spawn(move || cache.run_cell_traced(&arena, cluster, &triple).is_ok())
                 })
                 .collect();
             workers
@@ -325,7 +325,9 @@ fn waiters_re_elect_a_leader_after_a_poisoned_leader() {
     );
     // And the cache still works.
     faultline::with_plan(FaultPlan::builder().build(), || {
-        cache.run_cell(&arena, cluster, &triple).expect("clean");
+        cache
+            .run_cell_traced(&arena, cluster, &triple)
+            .expect("clean");
     });
 }
 
@@ -351,7 +353,7 @@ proptest! {
             triples
                 .iter()
                 .map(|t| {
-                    let cell = clean.run_cell(arena, cluster, t).expect("clean run");
+                    let (cell, _) = clean.run_cell_traced(arena, cluster, t).expect("clean run");
                     serde_json::to_string(&cell.result).expect("serialize")
                 })
                 .collect()
@@ -371,7 +373,7 @@ proptest! {
             triples
                 .iter()
                 .map(|t| {
-                    let cell = chaotic.run_cell(arena, cluster, t).expect("campaign continues");
+                    let (cell, _) = chaotic.run_cell_traced(arena, cluster, t).expect("campaign continues");
                     serde_json::to_string(&cell.result).expect("serialize")
                 })
                 .collect()

@@ -197,8 +197,9 @@ impl FaultPlan {
         self.sites.is_empty()
     }
 
-    /// One-line human summary, used by the `repro` banner.
-    pub fn summary(&self) -> String {
+    /// One-line human summary: every site's `p`, and its `max`, `after`
+    /// and `hard` when set — the `repro` banner, via [`active_summary`].
+    fn summary(&self) -> String {
         let mut out = format!("seed={}", self.seed);
         for (site, spec) in &self.sites {
             out.push_str(&format!(" {site}(p={}", spec.p));
@@ -291,6 +292,8 @@ struct ActiveSite {
 
 struct ActivePlan {
     seed: u64,
+    /// [`FaultPlan::summary`] of the installed plan.
+    summary: String,
     // Linear scan: plans name a handful of sites and lookups are off
     // the zero-fault fast path anyway.
     sites: Vec<ActiveSite>,
@@ -367,6 +370,7 @@ fn install(plan: Option<FaultPlan>) {
     let active = plan.filter(|p| !p.is_empty()).map(|p| {
         Arc::new(ActivePlan {
             seed: p.seed,
+            summary: p.summary(),
             sites: p
                 .sites
                 .into_iter()
@@ -434,13 +438,7 @@ pub fn active_summary() -> Result<Option<String>, PlanError> {
     let mut checked = Ok(());
     ENV_INIT.call_once(|| checked = install_env_plan());
     checked?;
-    Ok(current_plan().map(|plan| {
-        let mut out = format!("seed={}", plan.seed);
-        for site in &plan.sites {
-            out.push_str(&format!(" {}(p={})", site.name, site.spec.p));
-        }
-        out
-    }))
+    Ok(current_plan().map(|plan| plan.summary.clone()))
 }
 
 // ---------------------------------------------------------------------------
@@ -834,13 +832,18 @@ mod tests {
         );
     }
 
+    /// The banner `repro` prints is the installed plan's full summary,
+    /// `max`, `after` and `hard` included.
     #[test]
     fn summary_mentions_sites() {
-        let plan =
-            FaultPlan::parse("seed=9,cache.write:p=0.25:max=2,cell.panic:kind=hard").unwrap();
-        let summary = plan.summary();
-        assert!(summary.contains("seed=9"), "{summary}");
-        assert!(summary.contains("cache.write(p=0.25,max=2)"), "{summary}");
-        assert!(summary.contains("cell.panic(p=1,hard)"), "{summary}");
+        let plan = FaultPlan::parse("seed=9,cache.write:p=0.25:max=2,cell.panic:kind=hard:after=4")
+            .unwrap();
+        let banner = with_plan(plan, active_summary)
+            .unwrap()
+            .expect("plan active");
+        assert_eq!(
+            banner,
+            "seed=9 cache.write(p=0.25,max=2) cell.panic(p=1,after=4,hard)"
+        );
     }
 }

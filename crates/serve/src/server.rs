@@ -60,9 +60,6 @@ pub struct ServeConfig {
     /// Per-request-line byte cap; longer lines are rejected with
     /// `oversized`.
     pub max_line_bytes: usize,
-    /// Default `metrics` cadence (events) when a submission does not
-    /// set `metrics_every`.
-    pub metrics_every: u64,
 }
 
 impl Default for ServeConfig {
@@ -72,7 +69,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_depth: 16,
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
-            metrics_every: DEFAULT_METRICS_EVERY,
         }
     }
 }
@@ -438,7 +434,10 @@ fn validate(submission: &Submission) -> Result<(HeuristicTriple, Option<ClusterS
 }
 
 /// Loads (or recalls from the daemon's memo) the submission's workload.
-fn load_workload(request: &WorkloadRequest, shared: &Shared) -> Result<LoadedWorkload, ProtoError> {
+fn memoized_workload(
+    request: &WorkloadRequest,
+    shared: &Shared,
+) -> Result<LoadedWorkload, ProtoError> {
     let memo_key = request.describe();
     if let Some(hit) = shared
         .workloads
@@ -549,7 +548,7 @@ fn run_job(pending: &Pending, shared: &Arc<Shared>) {
     let fail = |err: ProtoError| {
         conn.send(&error_frame(Some(id), &err));
     };
-    let workload = match load_workload(&submission.workload, shared) {
+    let workload = match memoized_workload(&submission.workload, shared) {
         Ok(w) => w,
         Err(err) => return fail(err),
     };
@@ -562,7 +561,7 @@ fn run_job(pending: &Pending, shared: &Arc<Shared>) {
     let deadline = submission
         .timeout_ms
         .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let every = submission.metrics_every.unwrap_or(shared.cfg.metrics_every);
+    let every = submission.metrics_every.unwrap_or(DEFAULT_METRICS_EVERY);
     let sink_conn = conn.clone();
     let mut heartbeat = Heartbeat::new(
         cluster.total_procs(),

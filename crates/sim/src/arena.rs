@@ -32,9 +32,9 @@ pub struct ArenaStats {
 /// Reusable per-run engine buffers — see the module docs.
 ///
 /// Construct once (per worker, typically), then pass to
-/// [`crate::engine::simulate_in`] for every run. A fresh arena behaves
-/// identically to the plain [`crate::engine::simulate`] entry points;
-/// reuse only retains *capacity*, never state.
+/// [`crate::engine::simulate_in`] for every run. A warm arena behaves
+/// identically to a fresh one: reuse only retains *capacity*, never
+/// state.
 #[derive(Debug, Default)]
 pub struct SimArena {
     pub(crate) state: SimState,

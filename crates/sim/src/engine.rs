@@ -38,7 +38,7 @@ use crate::arena::SimArena;
 use crate::cluster::ClusterSpec;
 use crate::event::EventKind;
 use crate::job::{Job, JobId};
-use crate::observe::{NullObserver, SimEvent, SimObserver};
+use crate::observe::{SimEvent, SimObserver};
 use crate::outcome::{JobOutcome, SimResult};
 use crate::predict::{CorrectionPolicy, RuntimePredictor};
 use crate::scheduler::Scheduler;
@@ -139,41 +139,21 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Runs one complete simulation.
+/// Runs one complete simulation *in* `arena`, reusing its buffers
+/// instead of allocating fresh ones (see [`crate::arena`]), and reporting
+/// every engine state change to `observer` (see [`crate::observe`]).
 ///
 /// `jobs` must be sorted by (submit, id) with dense ids `0..n` — exactly
 /// what [`crate::job::jobs_from_swf`] on a cleaned log produces. The
 /// `correction` policy is consulted on under-predictions; when `None`,
 /// expired predictions fall back to the requested time (the safest
 /// assumption, and the paper's *Requested Time* correction).
-pub fn simulate(
-    jobs: &[Job],
-    config: SimConfig,
-    scheduler: &mut dyn Scheduler,
-    predictor: &mut dyn RuntimePredictor,
-    correction: Option<&dyn CorrectionPolicy>,
-) -> Result<SimResult, SimError> {
-    simulate_in(
-        &mut SimArena::new(),
-        jobs,
-        config,
-        scheduler,
-        predictor,
-        correction,
-        &mut NullObserver,
-    )
-}
-
-/// Runs one complete simulation *in* `arena`, reusing its buffers
-/// instead of allocating fresh ones (see [`crate::arena`]), and reporting
-/// every engine state change to `observer` (see [`crate::observe`]).
 ///
-/// Identical to [`simulate`] in every other respect: the arena retains
-/// capacity between runs, never state — so a warm worker simulates
-/// without allocating — and the observer only receives shared
-/// references, so observation cannot perturb the schedule: a run with
-/// [`NullObserver`] on a fresh arena is bit-identical to the plain entry
-/// point.
+/// The arena retains capacity between runs, never state — so a warm
+/// worker simulates without allocating — and the observer only receives
+/// shared references, so observation cannot perturb the schedule: a
+/// warm arena or any observer gives the result of a fresh
+/// `SimArena::new()` with [`NullObserver`](crate::observe::NullObserver).
 pub fn simulate_in(
     arena: &mut SimArena,
     jobs: &[Job],
@@ -200,7 +180,7 @@ pub fn simulate_in(
 /// [`SimArena`] holding the indexed state, the event queue, and every
 /// reusable buffer of the hot loop.
 ///
-/// [`simulate`] / [`simulate_in`] construct one per run; the struct
+/// [`simulate_in`] constructs one per run; the struct
 /// exists separately so tests can drive the loop with injected event
 /// sequences (stale expiries, fabricated batches).
 struct Engine<'a> {
@@ -593,12 +573,31 @@ mod tests {
         SimConfig::single(m)
     }
 
+    /// One run on a fresh arena, unobserved.
+    fn simulate_fresh(
+        jobs: &[Job],
+        config: SimConfig,
+        scheduler: &mut dyn Scheduler,
+        predictor: &mut dyn RuntimePredictor,
+        correction: Option<&dyn CorrectionPolicy>,
+    ) -> Result<SimResult, SimError> {
+        simulate_in(
+            &mut SimArena::new(),
+            jobs,
+            config,
+            scheduler,
+            predictor,
+            correction,
+            &mut crate::observe::NullObserver,
+        )
+    }
+
     #[test]
     fn single_job_runs_immediately() {
         let jobs = [job(0, 5, 100, 200, 4, 1)];
         let mut sched = FcfsScheduler;
         let mut pred = RequestedTimePredictor;
-        let res = simulate(&jobs, config(8), &mut sched, &mut pred, None).unwrap();
+        let res = simulate_fresh(&jobs, config(8), &mut sched, &mut pred, None).unwrap();
         assert_eq!(res.outcomes.len(), 1);
         let o = &res.outcomes[0];
         assert_eq!(o.start, Time(5));
@@ -613,7 +612,7 @@ mod tests {
         let jobs = [job(0, 0, 100, 100, 8, 1), job(1, 0, 50, 50, 8, 2)];
         let mut sched = FcfsScheduler;
         let mut pred = ClairvoyantPredictor;
-        let res = simulate(&jobs, config(8), &mut sched, &mut pred, None).unwrap();
+        let res = simulate_fresh(&jobs, config(8), &mut sched, &mut pred, None).unwrap();
         assert_eq!(res.outcomes[0].start, Time(0));
         assert_eq!(res.outcomes[1].start, Time(100));
         assert_eq!(res.outcomes[1].wait(), 100);
@@ -630,7 +629,7 @@ mod tests {
         ];
         let mut sched = EasyScheduler::new();
         let mut pred = ClairvoyantPredictor;
-        let res = simulate(&jobs, config(10), &mut sched, &mut pred, None).unwrap();
+        let res = simulate_fresh(&jobs, config(10), &mut sched, &mut pred, None).unwrap();
         assert_eq!(res.outcomes[0].start, Time(0));
         assert_eq!(res.outcomes[2].start, Time(2)); // backfilled on arrival
         assert_eq!(res.outcomes[1].start, Time(100)); // head waits for j0
@@ -648,7 +647,7 @@ mod tests {
         ];
         let mut sched = EasyScheduler::new();
         let mut pred = RequestedTimePredictor;
-        let res = simulate(&jobs, config(10), &mut sched, &mut pred, None).unwrap();
+        let res = simulate_fresh(&jobs, config(10), &mut sched, &mut pred, None).unwrap();
         // j2 cannot backfill at t=2 (its requested 200s overshoots the
         // shadow and the 2 extra procs are too few); at t=100 the head j1
         // takes 8 procs, so j2 finally starts when j1 ends.
@@ -660,7 +659,7 @@ mod tests {
         let jobs = [job(0, 0, 500, 200, 1, 1)];
         let mut sched = FcfsScheduler;
         let mut pred = RequestedTimePredictor;
-        let res = simulate(&jobs, config(4), &mut sched, &mut pred, None).unwrap();
+        let res = simulate_fresh(&jobs, config(4), &mut sched, &mut pred, None).unwrap();
         let o = &res.outcomes[0];
         assert_eq!(o.end, Time(200));
         assert_eq!(o.run, 200);
@@ -684,7 +683,7 @@ mod tests {
         let mut sched = EasyScheduler::new();
         let mut pred = Ten;
         let corr = RequestedTimeCorrection;
-        let res = simulate(&jobs, config(4), &mut sched, &mut pred, Some(&corr)).unwrap();
+        let res = simulate_fresh(&jobs, config(4), &mut sched, &mut pred, Some(&corr)).unwrap();
         let o = &res.outcomes[0];
         assert_eq!(o.initial_prediction, 10);
         // One expiry at t=10 -> corrected to requested (1000) -> no more.
@@ -707,7 +706,7 @@ mod tests {
         let jobs = [job(0, 0, 100, 1000, 1, 1)];
         let mut sched = EasyScheduler::new();
         let mut pred = Ten;
-        let res = simulate(&jobs, config(4), &mut sched, &mut pred, None).unwrap();
+        let res = simulate_fresh(&jobs, config(4), &mut sched, &mut pred, None).unwrap();
         assert_eq!(res.outcomes[0].corrections, 1);
     }
 
@@ -721,7 +720,7 @@ mod tests {
         let mut sched = EasyScheduler::sjbf();
         let mut pred = ClairvoyantPredictor;
         let corr = RequestedTimeCorrection;
-        let res = simulate(&jobs, config(4), &mut sched, &mut pred, Some(&corr)).unwrap();
+        let res = simulate_fresh(&jobs, config(4), &mut sched, &mut pred, Some(&corr)).unwrap();
         assert_eq!(res.total_corrections(), 0);
     }
 
@@ -740,7 +739,7 @@ mod tests {
         let jobs = [job(0, 0, 50, 300, 1, 1)];
         let mut sched = FcfsScheduler;
         let mut pred = Huge;
-        let res = simulate(&jobs, config(4), &mut sched, &mut pred, None).unwrap();
+        let res = simulate_fresh(&jobs, config(4), &mut sched, &mut pred, None).unwrap();
         assert_eq!(res.outcomes[0].initial_prediction, 300);
     }
 
@@ -759,14 +758,14 @@ mod tests {
         let jobs = [job(0, 0, 50, 300, 1, 1)];
         let mut sched = FcfsScheduler;
         let mut pred = Nan;
-        let res = simulate(&jobs, config(4), &mut sched, &mut pred, None).unwrap();
+        let res = simulate_fresh(&jobs, config(4), &mut sched, &mut pred, None).unwrap();
         assert_eq!(res.outcomes[0].initial_prediction, 300);
     }
 
     #[test]
     fn rejects_unsorted_jobs() {
         let jobs = [job(0, 100, 10, 10, 1, 1), job(1, 50, 10, 10, 1, 1)];
-        let err = simulate(
+        let err = simulate_fresh(
             &jobs,
             config(4),
             &mut FcfsScheduler,
@@ -780,7 +779,7 @@ mod tests {
     #[test]
     fn rejects_oversized_job() {
         let jobs = [job(0, 0, 10, 10, 64, 1)];
-        let err = simulate(
+        let err = simulate_fresh(
             &jobs,
             config(4),
             &mut FcfsScheduler,
@@ -794,7 +793,7 @@ mod tests {
     #[test]
     fn rejects_misnumbered_jobs() {
         let jobs = [job(7, 0, 10, 10, 1, 1)];
-        let err = simulate(
+        let err = simulate_fresh(
             &jobs,
             config(4),
             &mut FcfsScheduler,
@@ -817,7 +816,7 @@ mod tests {
             }
         }
         let jobs = [job(0, 0, 10, 10, 3, 1), job(1, 0, 10, 10, 3, 1)];
-        let err = simulate(
+        let err = simulate_fresh(
             &jobs,
             config(4),
             &mut Greedy,
@@ -912,7 +911,7 @@ mod tests {
         // reopens the machine.
         let jobs = [job(0, 0, 100, 100, 4, 1), job(1, 10, 50, 50, 4, 2)];
         let mut sched = CountingFcfs { passes: 0 };
-        let res = simulate(
+        let res = simulate_fresh(
             &jobs,
             config(4),
             &mut sched,
@@ -939,7 +938,7 @@ mod tests {
             }
         }
         let jobs = [job(0, 0, 10, 10, 1, 1)];
-        let err = simulate(
+        let err = simulate_fresh(
             &jobs,
             config(4),
             &mut Never,
@@ -972,7 +971,7 @@ mod tests {
         }
         let mut sched = EasyScheduler::sjbf();
         let mut pred = ClairvoyantPredictor;
-        let res = simulate(&sorted, config(4), &mut sched, &mut pred, None).unwrap();
+        let res = simulate_fresh(&sorted, config(4), &mut sched, &mut pred, None).unwrap();
         assert_eq!(res.outcomes.len(), 50);
         for (i, o) in res.outcomes.iter().enumerate() {
             assert_eq!(o.id, JobId(i as u32));

@@ -16,7 +16,7 @@
 //! ## Architecture
 //!
 //! ```text
-//!  Vec<Job> ──► engine::simulate ──► SimResult (JobOutcome per job)
+//!  Vec<Job> ──► engine::simulate_in ──► SimResult (JobOutcome per job)
 //!                 │        ▲
 //!      Scheduler ─┘        └─ RuntimePredictor + CorrectionPolicy
 //!      (EASY, EASY-SJBF,      (clairvoyant/requested here;
@@ -45,8 +45,10 @@
 //! miniature)
 //!
 //! ```
-//! use predictsim_sim::engine::{simulate, SimConfig};
+//! use predictsim_sim::arena::SimArena;
+//! use predictsim_sim::engine::{simulate_in, SimConfig};
 //! use predictsim_sim::job::{Job, JobId};
+//! use predictsim_sim::observe::NullObserver;
 //! use predictsim_sim::predict::{ClairvoyantPredictor, RequestedTimePredictor};
 //! use predictsim_sim::scheduler::EasyScheduler;
 //! use predictsim_sim::time::Time;
@@ -64,11 +66,13 @@
 //!     })
 //!     .collect();
 //! let cfg = SimConfig::single(8);
+//! // One arena serves both runs: it keeps capacity, never state.
+//! let mut arena = SimArena::new();
 //!
-//! let easy = simulate(&jobs, cfg, &mut EasyScheduler::new(),
-//!                     &mut RequestedTimePredictor, None).unwrap();
-//! let clair = simulate(&jobs, cfg, &mut EasyScheduler::new(),
-//!                      &mut ClairvoyantPredictor, None).unwrap();
+//! let easy = simulate_in(&mut arena, &jobs, cfg, &mut EasyScheduler::new(),
+//!                        &mut RequestedTimePredictor, None, &mut NullObserver).unwrap();
+//! let clair = simulate_in(&mut arena, &jobs, cfg, &mut EasyScheduler::new(),
+//!                         &mut ClairvoyantPredictor, None, &mut NullObserver).unwrap();
 //! assert_eq!(easy.outcomes.len(), 20);
 //! assert_eq!(clair.outcomes.len(), 20);
 //! println!("EASY AVEbsld = {:.2}, clairvoyant = {:.2}",
@@ -99,11 +103,10 @@ pub mod time;
 pub use arena::{ArenaStats, SimArena};
 pub use audit::{audit, AuditReport, AuditViolation};
 pub use cluster::{ClusterSpec, ClusterSpecError, Partition, MAX_PARTITIONS};
-pub use engine::{simulate, simulate_in, SimConfig, SimError};
+pub use engine::{simulate_in, SimConfig, SimError};
 pub use job::{intern_users, job_from_swf, jobs_from_swf, Job, JobId};
 pub use observe::{
-    MetricsObserver, NullObserver, SharedMetrics, SimEvent, SimObserver, Ticker,
-    UtilizationObserver,
+    MetricsObserver, NullObserver, SimEvent, SimObserver, Ticker, UtilizationObserver,
 };
 pub use outcome::{JobOutcome, SimResult};
 pub use predict::{

@@ -12,8 +12,8 @@
 //!
 //! Observers are strictly read-only: the engine hands out shared
 //! references, so an observer can never perturb the schedule. A
-//! simulation run with [`NullObserver`] is bit-identical to one run
-//! through the plain [`crate::engine::simulate`] entry point.
+//! simulation observed by any observer is bit-identical to the same run
+//! with [`NullObserver`].
 //!
 //! ```
 //! use predictsim_sim::arena::SimArena;
@@ -50,8 +50,6 @@
 //! assert_eq!(metrics.finished(), 10);
 //! assert!((metrics.ave_bsld() - result.ave_bsld()).abs() < 1e-9);
 //! ```
-
-use std::sync::{Arc, Mutex};
 
 use predictsim_metrics::{bounded_slowdown, DEFAULT_TAU};
 
@@ -114,7 +112,7 @@ pub enum SimEvent<'a> {
 /// Receives every [`SimEvent`] of a simulation run.
 ///
 /// Implemented by [`NullObserver`], [`MetricsObserver`],
-/// [`SharedMetrics`], and — through the blanket impl — any
+/// [`UtilizationObserver`], and — through the blanket impl — any
 /// `FnMut(&SimEvent<'_>)` closure.
 pub trait SimObserver {
     /// Called once per engine state change, in event order.
@@ -138,7 +136,7 @@ impl<F: FnMut(&SimEvent<'_>)> SimObserver for F {
     }
 }
 
-/// The do-nothing observer: [`crate::engine::simulate`] runs with this.
+/// The do-nothing observer, for runs nobody watches.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullObserver;
 
@@ -188,15 +186,6 @@ impl MetricsObserver {
             first_submit: None,
             last_end: 0,
         }
-    }
-
-    /// A `(handle, observer)` pair for use through an owning API such as
-    /// `Scenario::builder().observer(..)`: hand the boxed observer to the
-    /// runner and read the metrics from the retained handle afterwards
-    /// (or concurrently, from another thread).
-    pub fn shared(machine_size: u32) -> (SharedMetrics, Box<dyn SimObserver + Send>) {
-        let shared = SharedMetrics(Arc::new(Mutex::new(Self::new(machine_size))));
-        (shared.clone(), Box::new(shared))
     }
 
     /// Jobs submitted so far.
@@ -289,31 +278,6 @@ impl SimObserver for MetricsObserver {
             }
             SimEvent::Completed { .. } => {}
         }
-    }
-}
-
-/// A cloneable, thread-safe handle over a [`MetricsObserver`] — see
-/// [`MetricsObserver::shared`].
-#[derive(Debug, Clone)]
-pub struct SharedMetrics(Arc<Mutex<MetricsObserver>>);
-
-impl SharedMetrics {
-    /// A copy of the current metrics state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an observer callback panicked while holding the lock.
-    pub fn snapshot(&self) -> MetricsObserver {
-        self.0.lock().expect("metrics lock poisoned").clone()
-    }
-}
-
-impl SimObserver for SharedMetrics {
-    fn on_event(&mut self, event: &SimEvent<'_>) {
-        self.0
-            .lock()
-            .expect("metrics lock poisoned")
-            .on_event(event);
     }
 }
 
@@ -464,7 +428,7 @@ impl SimObserver for UtilizationObserver {
 mod tests {
     use super::*;
     use crate::arena::SimArena;
-    use crate::engine::{simulate, simulate_in, SimConfig};
+    use crate::engine::{simulate_in, SimConfig};
     use crate::job::JobId;
     use crate::predict::{RequestedTimeCorrection, RequestedTimePredictor, RuntimePredictor};
     use crate::scheduler::EasyScheduler;
@@ -530,12 +494,14 @@ mod tests {
             &mut metrics,
         )
         .unwrap();
-        let plain = simulate(
+        let plain = simulate_in(
+            &mut SimArena::new(),
             &js,
             cfg,
             &mut EasyScheduler::sjbf(),
             &mut RequestedTimePredictor,
             None,
+            &mut NullObserver,
         )
         .unwrap();
         assert_eq!(observed, plain, "observation must not perturb the engine");
@@ -593,26 +559,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(corrected, vec![(10, 1000, 1)]);
-    }
-
-    #[test]
-    fn shared_metrics_handle_reads_after_run() {
-        let js = jobs(8);
-        let cfg = SimConfig::single(4);
-        let (handle, mut observer) = MetricsObserver::shared(cfg.machine_size());
-        simulate_in(
-            &mut SimArena::new(),
-            &js,
-            cfg,
-            &mut EasyScheduler::new(),
-            &mut RequestedTimePredictor,
-            None,
-            observer.as_mut(),
-        )
-        .unwrap();
-        let snap = handle.snapshot();
-        assert_eq!(snap.finished(), 8);
-        assert!(snap.ave_bsld() >= 1.0);
     }
 
     #[test]

@@ -2,12 +2,32 @@
 //! scheduling, generation invalidation, clamping, and the starvation
 //! hazard the paper warns about.
 
-use predictsim_sim::engine::{simulate, SimConfig};
+use predictsim_sim::engine::{simulate_in, SimConfig};
 use predictsim_sim::job::{Job, JobId};
 use predictsim_sim::predict::{CorrectionPolicy, RuntimePredictor};
 use predictsim_sim::scheduler::EasyScheduler;
 use predictsim_sim::state::SystemView;
 use predictsim_sim::time::Time;
+use predictsim_sim::{NullObserver, SimArena};
+
+/// One unobserved run on a fresh arena.
+fn simulate_fresh(
+    jobs: &[Job],
+    config: SimConfig,
+    scheduler: &mut dyn predictsim_sim::Scheduler,
+    predictor: &mut dyn RuntimePredictor,
+    correction: Option<&dyn CorrectionPolicy>,
+) -> Result<predictsim_sim::SimResult, predictsim_sim::SimError> {
+    simulate_in(
+        &mut SimArena::new(),
+        jobs,
+        config,
+        scheduler,
+        predictor,
+        correction,
+        &mut NullObserver,
+    )
+}
 
 fn job(id: u32, submit: i64, run: i64, requested: i64, procs: u32) -> Job {
     Job {
@@ -59,7 +79,7 @@ fn corrections_fire_in_sequence_until_the_job_ends() {
         calls: Default::default(),
     };
     let mut pred = Fixed(100.0);
-    let res = simulate(
+    let res = simulate_fresh(
         &jobs,
         SimConfig::single(4),
         &mut EasyScheduler::new(),
@@ -92,7 +112,7 @@ fn correction_output_is_clamped_to_requested() {
     }
     let jobs = [job(0, 0, 500, 600, 1)];
     let mut pred = Fixed(10.0);
-    let res = simulate(
+    let res = simulate_fresh(
         &jobs,
         SimConfig::single(4),
         &mut EasyScheduler::new(),
@@ -121,7 +141,7 @@ fn correction_below_elapsed_is_raised() {
     }
     let jobs = [job(0, 0, 50, 100_000, 1)];
     let mut pred = Fixed(10.0);
-    let res = simulate(
+    let res = simulate_fresh(
         &jobs,
         SimConfig::single(4),
         &mut EasyScheduler::new(),
@@ -154,7 +174,7 @@ fn underprediction_can_delay_a_reservation_the_starvation_hazard() {
         add: 20,
         calls: Default::default(),
     };
-    let res_under = simulate(
+    let res_under = simulate_fresh(
         &jobs,
         SimConfig::single(4),
         &mut EasyScheduler::new(),
@@ -164,7 +184,7 @@ fn underprediction_can_delay_a_reservation_the_starvation_hazard() {
     .unwrap();
 
     let mut exact = predictsim_sim::predict::ClairvoyantPredictor;
-    let res_exact = simulate(
+    let res_exact = simulate_fresh(
         &jobs,
         SimConfig::single(4),
         &mut EasyScheduler::new(),
@@ -192,7 +212,7 @@ fn overprediction_never_triggers_corrections() {
         calls: Default::default(),
     };
     let mut pred = Fixed(50_000.0);
-    let res = simulate(
+    let res = simulate_fresh(
         &jobs,
         SimConfig::single(4),
         &mut EasyScheduler::new(),

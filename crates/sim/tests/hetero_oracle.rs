@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 
 use predictsim_sim::cluster::{ClusterSpec, Partition};
-use predictsim_sim::engine::{simulate, SimConfig};
+use predictsim_sim::engine::{simulate_in, SimConfig};
 use predictsim_sim::job::{Job, JobId};
 use predictsim_sim::predict::RequestedTimePredictor;
 use predictsim_sim::scheduler::easy::BackfillOrder;
@@ -25,6 +25,26 @@ use predictsim_sim::scheduler::{
 };
 use predictsim_sim::state::{RunningJob, SchedulerContext, SimState, WaitingJob};
 use predictsim_sim::time::Time;
+use predictsim_sim::{NullObserver, SimArena};
+
+/// One unobserved run on a fresh arena.
+fn simulate_fresh(
+    jobs: &[Job],
+    config: SimConfig,
+    scheduler: &mut dyn Scheduler,
+    predictor: &mut dyn predictsim_sim::RuntimePredictor,
+    correction: Option<&dyn predictsim_sim::CorrectionPolicy>,
+) -> Result<predictsim_sim::SimResult, predictsim_sim::SimError> {
+    simulate_in(
+        &mut SimArena::new(),
+        jobs,
+        config,
+        scheduler,
+        predictor,
+        correction,
+        &mut NullObserver,
+    )
+}
 
 /// Release instants drawn from a handful of values so ties are common
 /// (the EASY fast path's fallback trigger).
@@ -323,7 +343,7 @@ proptest! {
         specs in prop::collection::vec((1u32..=8, 1i64..400, 1i64..400), 1..30),
     ) {
         let jobs = jobs_from(&specs);
-        let legacy = simulate(
+        let legacy = simulate_fresh(
             &jobs,
             SimConfig::single(8),
             &mut EasyScheduler::sjbf(),
@@ -331,7 +351,7 @@ proptest! {
             None,
         ).unwrap();
         let spelled: ClusterSpec = "cluster:8x1.0".parse().unwrap();
-        let via_spec = simulate(
+        let via_spec = simulate_fresh(
             &jobs,
             SimConfig { cluster: spelled },
             &mut EasyScheduler::sjbf(),
@@ -358,10 +378,10 @@ proptest! {
     ) {
         let jobs = jobs_from(&specs);
         let config = SimConfig { cluster };
-        let a = simulate(&jobs, config, &mut EasyScheduler::sjbf(),
-                         &mut RequestedTimePredictor, None).unwrap();
-        let b = simulate(&jobs, config, &mut EasyScheduler::sjbf(),
-                         &mut RequestedTimePredictor, None).unwrap();
+        let a = simulate_fresh(&jobs, config, &mut EasyScheduler::sjbf(),
+                               &mut RequestedTimePredictor, None).unwrap();
+        let b = simulate_fresh(&jobs, config, &mut EasyScheduler::sjbf(),
+                               &mut RequestedTimePredictor, None).unwrap();
         prop_assert_eq!(&a, &b, "hetero simulation must be deterministic");
         for o in &a.outcomes {
             let part = cluster.part(o.partition as usize);

@@ -20,7 +20,7 @@
 
 use proptest::prelude::*;
 
-use predictsim_sim::engine::{simulate, SimConfig};
+use predictsim_sim::engine::{simulate_in, SimConfig};
 use predictsim_sim::job::{Job, JobId};
 use predictsim_sim::predict::RequestedTimePredictor;
 use predictsim_sim::scheduler::easy::{head_reservation, Reservation};
@@ -637,12 +637,14 @@ fn deep_queue_sorts_stay_rare() {
         (EasyScheduler::sjbf(), 4_636, 86, 304),
         (EasyScheduler::new(), 4_262, 78, 247),
     ] {
-        simulate(
+        simulate_in(
+            &mut predictsim_sim::SimArena::new(),
             &jobs,
             SimConfig::single(64),
             &mut scheduler,
             &mut RequestedTimePredictor,
             None,
+            &mut predictsim_sim::NullObserver,
         )
         .unwrap();
         let stats = scheduler.stats();

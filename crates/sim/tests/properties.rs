@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use predictsim_sim::audit::audit;
-use predictsim_sim::engine::{simulate, SimConfig};
+use predictsim_sim::engine::{simulate_in, SimConfig};
 use predictsim_sim::job::{Job, JobId};
 use predictsim_sim::predict::{
     ClairvoyantPredictor, RequestedTimeCorrection, RequestedTimePredictor, RuntimePredictor,
@@ -16,6 +16,26 @@ use predictsim_sim::predict::{
 use predictsim_sim::scheduler::{ConservativeScheduler, EasyScheduler, FcfsScheduler, Scheduler};
 use predictsim_sim::state::SystemView;
 use predictsim_sim::time::Time;
+use predictsim_sim::{NullObserver, SimArena};
+
+/// One unobserved run on a fresh arena.
+fn simulate_fresh(
+    jobs: &[Job],
+    config: SimConfig,
+    scheduler: &mut dyn Scheduler,
+    predictor: &mut dyn RuntimePredictor,
+    correction: Option<&dyn predictsim_sim::CorrectionPolicy>,
+) -> Result<predictsim_sim::SimResult, predictsim_sim::SimError> {
+    simulate_in(
+        &mut SimArena::new(),
+        jobs,
+        config,
+        scheduler,
+        predictor,
+        correction,
+        &mut NullObserver,
+    )
+}
 
 const MACHINE: u32 = 16;
 
@@ -86,8 +106,8 @@ proptest! {
     fn schedules_pass_audit_clairvoyant(jobs in arb_workload(60)) {
         for mut sched in schedulers() {
             let mut pred = ClairvoyantPredictor;
-            let res = simulate(&jobs, SimConfig::single(MACHINE),
-                               sched.as_mut(), &mut pred, None).unwrap();
+            let res = simulate_fresh(&jobs, SimConfig::single(MACHINE),
+                                     sched.as_mut(), &mut pred, None).unwrap();
             prop_assert_eq!(res.outcomes.len(), jobs.len());
             let report = audit(&res);
             prop_assert!(report.is_ok(), "{:?} audit: {:?}", res.scheduler, report);
@@ -101,8 +121,8 @@ proptest! {
         for mut sched in schedulers() {
             let mut pred = Tenth;
             let corr = RequestedTimeCorrection;
-            let res = simulate(&jobs, SimConfig::single(MACHINE),
-                               sched.as_mut(), &mut pred, Some(&corr)).unwrap();
+            let res = simulate_fresh(&jobs, SimConfig::single(MACHINE),
+                                     sched.as_mut(), &mut pred, Some(&corr)).unwrap();
             prop_assert_eq!(res.outcomes.len(), jobs.len());
             let report = audit(&res);
             prop_assert!(report.is_ok(), "{:?} audit: {:?}", res.scheduler, report);
@@ -113,8 +133,8 @@ proptest! {
     #[test]
     fn fcfs_preserves_arrival_order(jobs in arb_workload(40)) {
         let mut pred = RequestedTimePredictor;
-        let res = simulate(&jobs, SimConfig::single(MACHINE),
-                           &mut FcfsScheduler, &mut pred, None).unwrap();
+        let res = simulate_fresh(&jobs, SimConfig::single(MACHINE),
+                                 &mut FcfsScheduler, &mut pred, None).unwrap();
         let mut outcomes = res.outcomes.clone();
         outcomes.sort_by_key(|o| (o.start, o.id));
         for w in outcomes.windows(2) {
@@ -134,8 +154,8 @@ proptest! {
         let run = |jobs: &[Job]| {
             let mut pred = Tenth;
             let corr = RequestedTimeCorrection;
-            simulate(jobs, SimConfig::single(MACHINE),
-                     &mut EasyScheduler::sjbf(), &mut pred, Some(&corr)).unwrap()
+            simulate_fresh(jobs, SimConfig::single(MACHINE),
+                           &mut EasyScheduler::sjbf(), &mut pred, Some(&corr)).unwrap()
         };
         let a = run(&jobs);
         let b = run(&jobs);
@@ -147,8 +167,8 @@ proptest! {
     #[test]
     fn kill_bound_respected(jobs in arb_workload(40)) {
         let mut pred = RequestedTimePredictor;
-        let res = simulate(&jobs, SimConfig::single(MACHINE),
-                           &mut EasyScheduler::new(), &mut pred, None).unwrap();
+        let res = simulate_fresh(&jobs, SimConfig::single(MACHINE),
+                                 &mut EasyScheduler::new(), &mut pred, None).unwrap();
         for o in &res.outcomes {
             let original = &jobs[o.id.index()];
             prop_assert_eq!(o.run, original.run.min(original.requested));
@@ -166,10 +186,10 @@ proptest! {
     #[test]
     fn easy_does_not_meaningfully_lose_to_fcfs_clairvoyant(jobs in arb_workload(40)) {
         let cfg = SimConfig::single(MACHINE);
-        let easy = simulate(&jobs, cfg, &mut EasyScheduler::new(),
-                            &mut ClairvoyantPredictor, None).unwrap();
-        let fcfs = simulate(&jobs, cfg, &mut FcfsScheduler,
-                            &mut ClairvoyantPredictor, None).unwrap();
+        let easy = simulate_fresh(&jobs, cfg, &mut EasyScheduler::new(),
+                                  &mut ClairvoyantPredictor, None).unwrap();
+        let fcfs = simulate_fresh(&jobs, cfg, &mut FcfsScheduler,
+                                  &mut ClairvoyantPredictor, None).unwrap();
         prop_assert!(easy.mean_wait() <= fcfs.mean_wait() * 1.02 + 1.0,
                      "easy {} far above fcfs {}", easy.mean_wait(), fcfs.mean_wait());
     }

@@ -2,8 +2,10 @@
 //! scratch buffer. Verified through the pool-stats-style
 //! [`ScratchStats`] counters the schedulers expose.
 
-use predictsim_sim::engine::{simulate, SimConfig};
+use predictsim_sim::arena::SimArena;
+use predictsim_sim::engine::{simulate_in, SimConfig};
 use predictsim_sim::job::{Job, JobId};
+use predictsim_sim::observe::NullObserver;
 use predictsim_sim::predict::RequestedTimePredictor;
 use predictsim_sim::scheduler::{ConservativeScheduler, EasyScheduler, ReleaseSet, Scheduler};
 use predictsim_sim::state::{sorted_shortest_first, RunningJob, SchedulerContext, WaitingJob};
@@ -108,8 +110,20 @@ fn simulation_passes_are_warm_after_startup() {
     let jobs = contended_jobs(1_500);
     let cfg = SimConfig::single(MACHINE);
 
+    let run = |sched: &mut EasyScheduler| {
+        simulate_in(
+            &mut SimArena::new(),
+            &jobs,
+            cfg,
+            sched,
+            &mut RequestedTimePredictor,
+            None,
+            &mut NullObserver,
+        )
+        .unwrap()
+    };
     let mut sched = EasyScheduler::sjbf();
-    simulate(&jobs, cfg, &mut sched, &mut RequestedTimePredictor, None).unwrap();
+    run(&mut sched);
     let cold = sched.stats();
     assert!(cold.passes > 1_000, "contended workload must pass often");
     assert!(
@@ -120,7 +134,7 @@ fn simulation_passes_are_warm_after_startup() {
     );
 
     sched.reset_stats();
-    simulate(&jobs, cfg, &mut sched, &mut RequestedTimePredictor, None).unwrap();
+    run(&mut sched);
     let warm = sched.stats();
     assert!(
         warm.reallocating_passes <= 16,

@@ -67,12 +67,14 @@ proptest! {
         let w = generate(&spec, seed);
         let mut sched = predictsim_sim::scheduler::EasyScheduler::new();
         let mut pred = predictsim_sim::predict::RequestedTimePredictor;
-        let res = predictsim_sim::simulate(
+        let res = predictsim_sim::simulate_in(
+            &mut predictsim_sim::SimArena::new(),
             &w.jobs,
             w.sim_config(),
             &mut sched,
             &mut pred,
             None,
+            &mut predictsim_sim::NullObserver,
         ).expect("simulation");
         prop_assert_eq!(res.outcomes.len(), w.jobs.len());
         prop_assert!(predictsim_sim::audit(&res).is_ok());

@@ -36,14 +36,18 @@ fn main() {
         Box::new(ConservativeScheduler::new()),
     ];
 
+    // One engine arena serves every run: it keeps capacity, never state.
+    let mut arena = SimArena::new();
     for scheduler in schedulers.iter_mut() {
         let mut predictor = ClairvoyantPredictor;
-        let res = simulate(
+        let res = simulate_in(
+            &mut arena,
             &workload.jobs,
             cfg,
             scheduler.as_mut(),
             &mut predictor,
             None,
+            &mut NullObserver,
         )
         .expect("simulation failed");
         // Every schedule must pass the independent invariant audit.

@@ -13,7 +13,7 @@ use predictsim_experiments::cache::SimCache;
 use predictsim_experiments::campaign::{run_campaign_loaded, CampaignResult, TripleResult};
 use predictsim_experiments::context::{ExperimentSetup, DEFAULT_SEED, QUICK_SCALE};
 use predictsim_experiments::figures::{fig3, fig4_fig5, render_ecdf_series, render_fig3};
-use predictsim_experiments::registry::render_registry;
+use predictsim_experiments::registry::{parse_cluster, parse_triple, render_registry};
 use predictsim_experiments::scenario::Scenario;
 use predictsim_experiments::source::{LoadedWorkload, SwfSource, SyntheticSource, WorkloadSource};
 use predictsim_experiments::tables::{
@@ -389,14 +389,15 @@ fn run_serve(opts: &Options) {
     eprintln!("repro serve: drained, bye");
 }
 
-/// Runs one scenario picked entirely by registry names — the Scenario
-/// API as a command line.
+/// Runs one scenario picked entirely by registry names. The preset
+/// resolves first, then the policy names and the cluster (as the serve
+/// daemon resolves a submission), and only then does the workload load.
 fn run_scenario(opts: &Options, timer: &mut PhaseTimer) {
     let fail = |e: &dyn std::fmt::Display| -> ! {
         eprintln!("error: {e}\nrun `repro --list` for the registered policy names");
         std::process::exit(2);
     };
-    let source: Box<dyn WorkloadSource + Send> = match &opts.swf {
+    let source: Box<dyn WorkloadSource> = match &opts.swf {
         Some(path) => Box::new(SwfSource::new(path)),
         None => {
             let spec = match &opts.log {
@@ -414,23 +415,21 @@ fn run_scenario(opts: &Options, timer: &mut PhaseTimer) {
             Box::new(SyntheticSource::new(spec, opts.setup.seed))
         }
     };
-    let mut builder = Scenario::builder().workload(source);
-    if let Some(s) = &opts.scheduler {
-        builder = builder.scheduler(s);
-    }
-    if let Some(p) = &opts.predictor {
-        builder = builder.predictor(p);
-    }
-    if let Some(c) = &opts.correction {
-        builder = builder.correction(c);
-    }
-    if let Some(c) = &opts.cluster {
-        builder = builder.cluster(c);
-    }
-    let mut scenario = builder.build().unwrap_or_else(|e| fail(&e));
+    let triple = parse_triple(
+        opts.scheduler.as_deref(),
+        opts.predictor.as_deref(),
+        opts.correction.as_deref(),
+    )
+    .unwrap_or_else(|e| fail(&e));
+    let cluster = opts
+        .cluster
+        .as_deref()
+        .map(parse_cluster)
+        .transpose()
+        .unwrap_or_else(|e| fail(&e));
 
-    println!("## Scenario — {}\n", scenario.name());
-    let loaded = timer.time("scenario workload load", || scenario.load_workload());
+    println!("## Scenario — {}\n", triple.name());
+    let loaded = timer.time("scenario workload load", || source.load());
     let loaded = loaded.unwrap_or_else(|e| fail(&e));
     eprintln!(
         "  loaded {}: {} jobs, m={}",
@@ -466,7 +465,7 @@ fn run_scenario(opts: &Options, timer: &mut PhaseTimer) {
         loaded.jobs.len(),
         loaded.jobs.user_count(),
     ));
-    let config = match scenario.cluster() {
+    let config = match cluster {
         Some(cluster) => {
             eprintln!("  cluster: {cluster} ({} procs)", cluster.total_procs());
             predictsim_sim::SimConfig { cluster }
@@ -474,10 +473,10 @@ fn run_scenario(opts: &Options, timer: &mut PhaseTimer) {
         None => loaded.sim_config(),
     };
     let result = timer.time("scenario simulation", || {
-        scenario.run_on(&loaded.jobs, config)
+        Scenario::from_triple(&triple).run_on(&loaded.jobs, config)
     });
     let result = result.unwrap_or_else(|e| fail(&e));
-    let summary = TripleResult::from_sim(scenario.triple(), &result);
+    let summary = TripleResult::from_sim(&triple, &result);
     println!("| metric | value |\n|---|---|");
     println!(
         "| workload | {} ({} jobs, m={}) |",

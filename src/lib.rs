@@ -19,42 +19,30 @@
 //!
 //! ## Quickstart: the `Scenario` API
 //!
-//! Every simulation runs through one entry point: a [`experiments::Scenario`] is a
-//! workload source crossed with registry-named policies (run
-//! `repro --list` for the full inventory).
+//! A [`experiments::Scenario`] is one heuristic triple — parsed from its
+//! registry name (run `repro --list` for the full inventory) — run on a
+//! loaded workload.
 //!
 //! ```
 //! use predictsim::prelude::*;
 //!
-//! // 1. A workload source: synthetic here; `SwfSource::new("log.swf")`
-//! //    loads a real Parallel Workloads Archive trace the same way.
-//! let source = SyntheticSource::new(WorkloadSpec::toy(), 42);
+//! // 1. A workload: synthetic here; `SwfSource::new("log.swf").load()`
+//! //    reads a real Parallel Workloads Archive trace the same way.
+//! let workload = SyntheticSource::new(WorkloadSpec::toy(), 42).load()?;
 //!
 //! // 2. Standard EASY (user-requested times) ...
-//! let easy = Scenario::builder()
-//!     .workload(source.clone())
-//!     .scheduler("easy")
-//!     .predictor("requested")
-//!     .build()
-//!     .unwrap()
-//!     .run()
-//!     .unwrap();
+//! let easy: HeuristicTriple = "requested+easy".parse()?;
+//! let easy = Scenario::from_triple(&easy).run_on(&workload.jobs, workload.sim_config())?;
 //!
 //! // 3. ... versus the paper's prediction-augmented scheduler:
 //! //    E-Loss-trained NAG regression + incremental correction + SJBF.
-//! let ml = Scenario::builder()
-//!     .workload(source)
-//!     .scheduler("easy-sjbf")
-//!     .predictor("ml:u=lin,o=sq,g=area")
-//!     .correction("incremental")
-//!     .build()
-//!     .unwrap()
-//!     .run()
-//!     .unwrap();
+//! let ml: HeuristicTriple = "ml(u=lin,o=sq,g=area)+incremental+easy-sjbf".parse()?;
+//! let ml = Scenario::from_triple(&ml).run_on(&workload.jobs, workload.sim_config())?;
 //!
 //! println!("EASY AVEbsld = {:.1}", easy.ave_bsld());
 //! println!("ML   AVEbsld = {:.1}", ml.ave_bsld());
 //! assert_eq!(easy.outcomes.len(), ml.outcomes.len());
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
 //! ## Reproducing the paper
@@ -90,13 +78,14 @@ pub mod prelude {
     pub use predictsim_experiments::{
         campaign_triples, cross_validate, run_campaign_cluster, run_campaign_loaded,
         CorrectionKind, ExperimentSetup, HeuristicTriple, LoadedWorkload, PredictionTechnique,
-        RegistryError, Scenario, ScenarioBuilder, ScenarioError, SourceError, SwfSource,
-        SyntheticSource, Variant, WorkloadSource,
+        RegistryError, Scenario, ScenarioError, SourceError, SwfSource, SyntheticSource, Variant,
+        WorkloadSource,
     };
     pub use predictsim_metrics::{ave_bsld, bounded_slowdown, Ecdf, DEFAULT_TAU};
     pub use predictsim_sim::{
-        simulate, ClairvoyantPredictor, EasyScheduler, FcfsScheduler, Job, JobId, MetricsObserver,
-        RequestedTimePredictor, SimConfig, SimEvent, SimObserver, Time,
+        simulate_in, ClairvoyantPredictor, EasyScheduler, FcfsScheduler, Job, JobId,
+        MetricsObserver, NullObserver, RequestedTimePredictor, SimArena, SimConfig, SimEvent,
+        SimObserver, Time,
     };
     pub use predictsim_workload::{generate, GeneratedWorkload, WorkloadSpec};
 }

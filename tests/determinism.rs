@@ -39,7 +39,7 @@ fn learning_simulation_is_reproducible() {
     assert_eq!(a.ave_bsld(), b.ave_bsld());
 }
 
-/// The core contract, stated directly against `simulate`: two runs of
+/// The core contract, stated directly against `simulate_in`: two runs of
 /// the engine on the same seed-derived workload produce identical
 /// `JobOutcome` vectors — every field of every outcome, not just the
 /// aggregates. Exercises the full prediction + correction path (the
@@ -55,12 +55,14 @@ fn simulate_twice_with_same_seed_yields_identical_outcome_vectors() {
         let w = generate(&spec, seed);
         let mut predictor = MlPredictor::e_loss();
         let correction = IncrementalCorrection::new();
-        let result = simulate(
+        let result = simulate_in(
+            &mut SimArena::new(),
             &w.jobs,
             w.sim_config(),
             &mut EasyScheduler::sjbf(),
             &mut predictor,
             Some(&correction),
+            &mut NullObserver,
         )
         .expect("simulation");
         (w.jobs.len(), result.outcomes)

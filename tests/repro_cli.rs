@@ -4,6 +4,9 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+use predictsim::experiments::DEFAULT_SEED;
+use predictsim::serve::{batch_result_json, Submission, WorkloadRequest};
+
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("predictsim-cli-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -118,6 +121,74 @@ fn cache_budget_flag_is_gone() {
         &["all", "--cache-budget", "8G"],
         "unknown option \"--cache-budget\"",
     );
+}
+
+/// `repro scenario` and the serve daemon resolve the same names the
+/// same way: the CLI's `scenario.json` is byte-equal to the daemon's
+/// batch result for the same submission.
+#[test]
+fn scenario_json_is_the_daemon_batch_result() {
+    let dir = scratch("scenario");
+    let out = repro(
+        &dir,
+        &[
+            "scenario",
+            "--log",
+            "KTH",
+            "--scale",
+            "0.01",
+            "--scheduler",
+            "easy-sjbf",
+            "--predictor",
+            "ave2",
+            "--correction",
+            "incremental",
+            "--out",
+            "out",
+        ],
+    );
+    assert!(out.status.success(), "{out:?}");
+    let written = std::fs::read_to_string(dir.join("out/scenario.json")).expect("scenario.json");
+    let mut submission = Submission::new(WorkloadRequest::Preset {
+        log: "KTH".into(),
+        scale: 0.01,
+        seed: DEFAULT_SEED,
+    });
+    submission.scheduler = Some("easy-sjbf".into());
+    submission.predictor = Some("ave2".into());
+    submission.correction = Some("incremental".into());
+    assert_eq!(written, batch_result_json(&submission).expect("batch run"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Policy names and the cluster resolve before the workload loads: a
+/// misspelt scheduler on a missing log is a registry error, not an IO
+/// error, and nothing is simulated.
+#[test]
+fn scenario_resolves_names_before_loading() {
+    for (args, reason) in [
+        (
+            &[
+                "scenario",
+                "--swf",
+                "/nonexistent.swf",
+                "--scheduler",
+                "round-robin",
+            ][..],
+            "error: unknown scheduler \"round-robin\"",
+        ),
+        (
+            &["scenario", "--cluster", "cluster:8xturbo"],
+            "error: malformed cluster \"cluster:8xturbo\"",
+        ),
+    ] {
+        let out = repro(&std::env::temp_dir(), args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(reason), "{args:?}: {err}");
+        assert!(!err.contains("cannot read"), "{args:?} loaded first: {err}");
+        assert!(!stdout(&out).contains("## Scenario"), "{args:?}: {out:?}");
+    }
 }
 
 /// A `REPRO_FAULTS` plan that cannot do what it says — a site nothing

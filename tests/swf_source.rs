@@ -72,15 +72,14 @@ fn swf_file_on_disk_behaves_like_the_text_fixture() {
     let w = fixture_workload();
     let path = std::env::temp_dir().join("predictsim_swf_source_fixture.swf");
     std::fs::write(&path, write_log(&w.to_swf())).expect("write fixture");
-    let mut scenario = Scenario::builder()
-        .workload(SwfSource::new(&path))
-        .scheduler("easy-sjbf")
-        .predictor("ave2")
-        .correction("incremental")
-        .build()
-        .expect("registry names resolve");
-    let via_file = scenario.run().expect("file-backed scenario");
+    let loaded = SwfSource::new(&path).load().expect("file-backed load");
     std::fs::remove_file(&path).ok();
+    let triple: HeuristicTriple = "ave2+incremental+easy-sjbf"
+        .parse()
+        .expect("registry names resolve");
+    let via_file = Scenario::from_triple(&triple)
+        .run_on(&loaded.jobs, loaded.sim_config())
+        .expect("file-backed scenario");
 
     let direct = Scenario::from_triple(&HeuristicTriple::easy_plus_plus())
         .run_on(&w.jobs, w.sim_config())
