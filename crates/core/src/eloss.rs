@@ -30,14 +30,6 @@ pub fn eloss(f: f64, p: f64, q: f64) -> f64 {
     AsymmetricLoss::E_LOSS.value(f, p, gamma)
 }
 
-/// Mean E-Loss of a set of `(prediction, actual, procs)` triples.
-pub fn mean_eloss(triples: &[(f64, f64, f64)]) -> f64 {
-    if triples.is_empty() {
-        return 0.0;
-    }
-    triples.iter().map(|&(f, p, q)| eloss(f, p, q)).sum::<f64>() / triples.len() as f64
-}
-
 /// Mean E-Loss of the *initial* predictions recorded in simulation
 /// outcomes — the Table 8 aggregation.
 pub fn mean_eloss_of_outcomes(outcomes: &[JobOutcome]) -> f64 {
@@ -91,14 +83,6 @@ mod tests {
         let e_req = eloss(36_000.0, p, 16.0);
         let e_under = eloss(600.0, p, 16.0);
         assert!(e_req / e_under > 1000.0, "ratio {}", e_req / e_under);
-    }
-
-    #[test]
-    fn mean_over_triples() {
-        let triples = [(100.0, 100.0, 1.0), (200.0, 100.0, 1.0)];
-        let expected = (0.0 + eloss(200.0, 100.0, 1.0)) / 2.0;
-        assert!((mean_eloss(&triples) - expected).abs() < 1e-12);
-        assert_eq!(mean_eloss(&[]), 0.0);
     }
 
     fn outcome(pred: i64, run: i64, procs: u32) -> JobOutcome {

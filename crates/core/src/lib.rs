@@ -89,7 +89,7 @@ pub mod weighting;
 
 pub use basis::{Basis, LinearBasis, PolynomialBasis};
 pub use correction::{IncrementalCorrection, RecursiveDoublingCorrection, RequestedTimeCorrection};
-pub use eloss::{eloss, mae_of_outcomes, mean_eloss, mean_eloss_of_outcomes};
+pub use eloss::{eloss, mae_of_outcomes, mean_eloss_of_outcomes};
 pub use features::{FeatureExtractor, FEATURE_NAMES, N_FEATURES};
 pub use loss::{loss_shapes, AsymmetricLoss, BasisLoss};
 pub use model::{LearnRecord, OnlineRegression};

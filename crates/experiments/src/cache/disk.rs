@@ -352,7 +352,7 @@ mod tests {
     use crate::cache::tests::{temp_dir, tiny_arena};
     use crate::cache::SimCache;
     use crate::triple::HeuristicTriple;
-    use predictsim_faultline::{self as faultline, FaultKind, FaultPlan, FaultSpec};
+    use predictsim_faultline::{self as faultline, FaultPlan};
 
     /// `flush_persistent` sweeps the temp files this process stranded
     /// and writes nothing.
@@ -392,19 +392,13 @@ mod tests {
         let streak = || store.hard_fail_streak.load(Ordering::Relaxed);
         let step = || store.classified("step", |_| store.with_retry(SITE, || Ok(())).map(Some));
         let consulted = || faultline::fired_counts()[0].1;
-        let plan = |spec| FaultPlan::builder().site(SITE, spec).build();
-        let hard = FaultSpec {
-            kind: FaultKind::Hard,
-            ..FaultSpec::default()
-        };
+        let plan = |rule: &str| FaultPlan::parse(&format!("{SITE}:{rule}")).unwrap();
+        let hard = "kind=hard";
 
         // Transient faults up to the retry bound are absorbed: the step
         // completes, every retry is counted, the streak stays clear.
-        let transient = FaultSpec {
-            max: Some(u64::from(IO_RETRIES)),
-            ..FaultSpec::default()
-        };
-        faultline::with_plan(plan(transient), || assert_eq!(step(), Some(())));
+        let transient = format!("max={IO_RETRIES}");
+        faultline::with_plan(plan(&transient), || assert_eq!(step(), Some(())));
         assert_eq!(store.stats().disk_retries, u64::from(IO_RETRIES));
         assert_eq!(streak(), 0);
 
@@ -437,7 +431,7 @@ mod tests {
         assert!(!store.stats().degraded);
         faultline::with_plan(plan(hard), || assert_eq!(step(), None));
         assert_eq!(streak(), 1);
-        faultline::with_plan(plan(FaultSpec { p: 0.0, ..hard }), || {
+        faultline::with_plan(plan("p=0:kind=hard"), || {
             assert_eq!(step(), Some(()));
         });
         assert_eq!(streak(), 0);

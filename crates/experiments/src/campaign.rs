@@ -8,7 +8,6 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use predictsim_metrics::DEFAULT_TAU;
 use predictsim_sim::{ClusterSpec, SimResult};
 
 use crate::source::LoadedWorkload;
@@ -29,7 +28,8 @@ pub struct TripleResult {
     pub ave_bsld: f64,
     /// Maximum bounded slowdown (the §6.5 extreme-value diagnostic).
     pub max_bsld: f64,
-    /// Fraction of jobs with bsld > 1000 (§6.5's "extremely high").
+    /// Fraction of jobs with bsld > [`SimResult::EXTREME_BSLD`] (§6.5's
+    /// "extremely high").
     pub extreme_fraction: f64,
     /// Mean waiting time, seconds.
     pub mean_wait: f64,
@@ -44,64 +44,24 @@ pub struct TripleResult {
 }
 
 impl TripleResult {
-    /// Builds the aggregate from a finished simulation.
-    ///
-    /// Every metric is accumulated in one pass over the outcomes, in job
-    /// order — the same element expressions and accumulation order as
-    /// the per-metric functions (`SimResult::ave_bsld`,
-    /// `predictsim_metrics::bsld::max_bsld`/`fraction_bsld_above`,
-    /// `SimResult::mean_wait`, `SimResult::utilization`,
-    /// `predictsim_core::mae_of_outcomes`/`mean_eloss_of_outcomes`), so
-    /// the values are bit-identical to calling them individually without
-    /// re-walking a campaign cell's outcome vector eight times.
+    /// Builds the aggregate from a finished simulation: the triple's
+    /// names, the scheduling metrics of [`SimResult`] and the Table 8
+    /// prediction metrics of [`predictsim_core::mae_of_outcomes`] and
+    /// [`predictsim_core::mean_eloss_of_outcomes`].
     pub fn from_sim(triple: &HeuristicTriple, result: &SimResult) -> Self {
-        let n = result.outcomes.len();
-        let mut bsld_sum = 0.0f64;
-        let mut bsld_max = 0.0f64;
-        let mut extreme = 0usize;
-        let mut wait_sum = 0.0f64;
-        let mut busy = 0.0f64;
-        let mut first_submit = i64::MAX;
-        let mut last_end = i64::MIN;
-        let mut corrections = 0u64;
-        let mut mae_sum = 0.0f64;
-        let mut eloss_sum = 0.0f64;
-        for o in &result.outcomes {
-            let bsld = o.bsld_record().bsld(DEFAULT_TAU);
-            bsld_sum += bsld;
-            bsld_max = f64::max(bsld_max, bsld);
-            if bsld > 1000.0 {
-                extreme += 1;
-            }
-            wait_sum += o.wait() as f64;
-            busy += o.run as f64 * o.procs as f64;
-            first_submit = first_submit.min(o.submit.0);
-            last_end = last_end.max(o.end.0);
-            corrections += o.corrections as u64;
-            mae_sum += (o.initial_prediction as f64 - o.run as f64).abs();
-            eloss_sum +=
-                predictsim_core::eloss(o.initial_prediction as f64, o.run as f64, o.procs as f64);
-        }
-        let mean = |sum: f64| if n == 0 { 0.0 } else { sum / n as f64 };
-        let utilization = if n == 0 {
-            0.0
-        } else {
-            let span = (last_end - first_submit).max(1) as f64;
-            busy / (span * result.machine_size as f64)
-        };
         Self {
             triple: triple.name(),
             predictor: triple.prediction.name(),
             correction: triple.correction.map(|c| c.name().to_string()),
             variant: triple.variant.name().to_string(),
-            ave_bsld: mean(bsld_sum),
-            max_bsld: bsld_max,
-            extreme_fraction: mean(extreme as f64),
-            mean_wait: mean(wait_sum),
-            utilization,
-            corrections,
-            mae: mean(mae_sum),
-            mean_eloss: mean(eloss_sum),
+            ave_bsld: result.ave_bsld(),
+            max_bsld: result.max_bsld(),
+            extreme_fraction: result.extreme_fraction(),
+            mean_wait: result.mean_wait(),
+            utilization: result.utilization(),
+            corrections: result.total_corrections(),
+            mae: predictsim_core::mae_of_outcomes(&result.outcomes),
+            mean_eloss: predictsim_core::mean_eloss_of_outcomes(&result.outcomes),
         }
     }
 }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use predictsim_experiments::campaign::run_campaign_loaded;
-use predictsim_experiments::faultline::{self, FaultKind, FaultPlan, FaultSpec};
+use predictsim_experiments::faultline::{self, FaultPlan};
 use predictsim_experiments::scenario::ScenarioError;
 use predictsim_experiments::source::LoadedWorkload;
 use predictsim_experiments::triple::HeuristicTriple;
@@ -46,11 +46,9 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn transient(p: f64) -> FaultSpec {
-    FaultSpec {
-        p,
-        ..FaultSpec::default()
-    }
+/// A fault plan in the `REPRO_FAULTS` grammar.
+fn fault_plan(text: &str) -> FaultPlan {
+    FaultPlan::parse(text).expect("valid fault plan")
 }
 
 /// The tentpole acceptance pin: a campaign under a seeded plan
@@ -68,7 +66,7 @@ fn campaign_under_mixed_faults_is_byte_identical() {
     // Fault-free baseline (empty plan: passthrough, but serialized
     // against every other chaos test in this binary).
     let clean_dir = temp_dir("clean");
-    let baseline = faultline::with_plan(FaultPlan::builder().build(), || {
+    let baseline = faultline::with_plan(fault_plan(""), || {
         cache.clear_memory();
         cache.set_persist_dir(Some(clean_dir.clone()));
         let result = run_campaign_loaded(&w, &triples);
@@ -79,19 +77,7 @@ fn campaign_under_mixed_faults_is_byte_identical() {
 
     // The same campaign under fire.
     let chaos_dir = temp_dir("mixed");
-    let plan = FaultPlan::builder()
-        .seed(42)
-        .site("cache.read", transient(0.3))
-        .site("cache.write", transient(0.3))
-        .site(
-            "cell.panic",
-            FaultSpec {
-                p: 1.0,
-                max: Some(1),
-                ..FaultSpec::default()
-            },
-        )
-        .build();
+    let plan = fault_plan("seed=42,cache.read:p=0.3,cache.write:p=0.3,cell.panic:max=1");
     let (chaos_json, delta) = faultline::with_plan(plan, || {
         cache.clear_memory();
         cache.set_persist_dir(Some(chaos_dir.clone()));
@@ -122,7 +108,7 @@ fn campaign_under_mixed_faults_is_byte_identical() {
     // Resumability: a fault-free attach over the chaos run's directory
     // serves every fully persisted cell from disk and re-simulates only
     // what a lost write left behind — artifacts still byte-identical.
-    let resumed = faultline::with_plan(FaultPlan::builder().build(), || {
+    let resumed = faultline::with_plan(fault_plan(""), || {
         cache.clear_memory();
         cache.set_persist_dir(Some(chaos_dir.clone()));
         let before = cache.stats();
@@ -160,7 +146,7 @@ fn hard_disk_failures_degrade_to_memory_only_and_recover_on_reattach() {
     let dir = temp_dir("degrade");
 
     // Reference values, fault-free, memory-only.
-    let reference: Vec<String> = faultline::with_plan(FaultPlan::builder().build(), || {
+    let reference: Vec<String> = faultline::with_plan(fault_plan(""), || {
         let clean = SimCache::new();
         cells
             .iter()
@@ -176,16 +162,7 @@ fn hard_disk_failures_degrade_to_memory_only_and_recover_on_reattach() {
 
     let cache = SimCache::new();
     cache.set_persist_dir(Some(dir.clone()));
-    let plan = FaultPlan::builder()
-        .site(
-            "cache.write",
-            FaultSpec {
-                p: 1.0,
-                kind: FaultKind::Hard,
-                ..FaultSpec::default()
-            },
-        )
-        .build();
+    let plan = fault_plan("cache.write:kind=hard");
     let under_fault: Vec<String> = faultline::with_plan(plan, || {
         cells
             .iter()
@@ -215,7 +192,7 @@ fn hard_disk_failures_degrade_to_memory_only_and_recover_on_reattach() {
         !cache.stats().degraded,
         "re-attach clears the degraded flag"
     );
-    faultline::with_plan(FaultPlan::builder().build(), || {
+    faultline::with_plan(fault_plan(""), || {
         cache.clear_memory();
         let (i, t) = &cells[0];
         let w = &workloads[*i];
@@ -245,7 +222,7 @@ fn poisoned_cell_surfaces_typed_error_and_cache_recovers() {
     let triple = HeuristicTriple::standard_easy();
     let cache = SimCache::new();
 
-    let plan = FaultPlan::builder().transient("cell.panic", 1.0).build();
+    let plan = fault_plan("cell.panic:p=1");
     faultline::with_plan(plan, || {
         let err = cache
             .run_cell_traced(arena, cluster, &triple)
@@ -268,7 +245,7 @@ fn poisoned_cell_surfaces_typed_error_and_cache_recovers() {
 
     // The marker was withdrawn with the lease: the next (clean) lookup
     // leads a fresh simulation instead of deadlocking on the failure.
-    faultline::with_plan(FaultPlan::builder().build(), || {
+    faultline::with_plan(fault_plan(""), || {
         let (cell, _) = cache
             .run_cell_traced(arena, cluster, &triple)
             .expect("clean after faults");
@@ -292,16 +269,7 @@ fn waiters_re_elect_a_leader_after_a_poisoned_leader() {
 
     // Exactly one cell's worth of panics: the first leader burns all
     // its attempts, the re-elected leader runs clean.
-    let plan = FaultPlan::builder()
-        .site(
-            "cell.panic",
-            FaultSpec {
-                p: 1.0,
-                max: Some(u64::from(SimCache::PANIC_RETRIES)),
-                ..FaultSpec::default()
-            },
-        )
-        .build();
+    let plan = fault_plan(&format!("cell.panic:max={}", SimCache::PANIC_RETRIES));
     let outcomes = faultline::with_plan(plan, || {
         std::thread::scope(|scope| {
             let workers: Vec<_> = (0..4)
@@ -324,7 +292,7 @@ fn waiters_re_elect_a_leader_after_a_poisoned_leader() {
         "at most the first leader fails; everyone else gets the re-elected leader's cell: {outcomes:?}"
     );
     // And the cache still works.
-    faultline::with_plan(FaultPlan::builder().build(), || {
+    faultline::with_plan(fault_plan(""), || {
         cache
             .run_cell_traced(&arena, cluster, &triple)
             .expect("clean");
@@ -348,7 +316,7 @@ proptest! {
             HeuristicTriple::easy_plus_plus(),
         ];
 
-        let reference: Vec<String> = faultline::with_plan(FaultPlan::builder().build(), || {
+        let reference: Vec<String> = faultline::with_plan(fault_plan(""), || {
             let clean = SimCache::new();
             triples
                 .iter()
@@ -360,13 +328,9 @@ proptest! {
         });
 
         let dir = temp_dir(&format!("prop-{plan_seed}"));
-        let plan = FaultPlan::builder()
-            .seed(plan_seed)
-            .site("cache.read", transient(p))
-            .site("cache.write", transient(p))
-            .site("cache.remove", transient(p))
-            .site("cell.panic", FaultSpec { p: 1.0, max: Some(1), ..FaultSpec::default() })
-            .build();
+        let plan = fault_plan(&format!(
+            "seed={plan_seed},cache.read:p={p},cache.write:p={p},cache.remove:p={p},cell.panic:max=1"
+        ));
         let chaotic = SimCache::new();
         chaotic.set_persist_dir(Some(dir.clone()));
         let under_fault: Vec<String> = faultline::with_plan(plan, || {

@@ -24,11 +24,11 @@
 //! atomically takes the next index). Two runs with the same plan and
 //! the same per-site call sequences fire the same faults.
 //!
-//! Plans come from the `REPRO_FAULTS` environment variable (parsed
-//! once, on first query; it may only name the sites production code
-//! consults — [`active_summary`] is the startup check) or from
-//! [`FaultPlan::builder`] + [`with_plan`] in tests. Grammar,
-//! comma-separated clauses:
+//! A plan has one spelling, the grammar below. Binaries read it from the
+//! `REPRO_FAULTS` environment variable (parsed once, on first query; it
+//! may only name the sites production code consults — [`active_summary`]
+//! is the startup check); tests pass it to [`FaultPlan::parse`] and
+//! install the result with [`with_plan`]. Comma-separated clauses:
 //!
 //! ```text
 //! REPRO_FAULTS="seed=42,cache.write:p=0.05:max=3,cell.panic:p=1:max=1,swf.read:p=0.01:kind=transient"
@@ -55,7 +55,7 @@ use std::sync::{Arc, Mutex, Once};
 
 /// How a fired fault is surfaced to the injection site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
+enum FaultKind {
     /// A retryable hiccup: IO sites surface it as
     /// [`std::io::ErrorKind::Interrupted`]; hardened callers absorb it
     /// with a bounded retry.
@@ -68,15 +68,15 @@ pub enum FaultKind {
 
 /// Firing rule for one injection site.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultSpec {
+struct FaultSpec {
     /// Probability in `[0, 1]` that any given call fires.
-    pub p: f64,
+    p: f64,
     /// Cap on the total number of fires (`None` = unlimited).
-    pub max: Option<u64>,
+    max: Option<u64>,
     /// Number of initial calls that never fire.
-    pub after: u64,
+    after: u64,
     /// How a fire is surfaced.
-    pub kind: FaultKind,
+    kind: FaultKind,
 }
 
 impl Default for FaultSpec {
@@ -92,8 +92,8 @@ impl Default for FaultSpec {
 
 /// A complete fault plan: a seed plus per-site firing rules.
 ///
-/// Build one with [`FaultPlan::parse`] (the `REPRO_FAULTS` grammar) or
-/// [`FaultPlan::builder`], then activate it with [`with_plan`].
+/// Build one with [`FaultPlan::parse`] (the `REPRO_FAULTS` grammar),
+/// then activate it with [`with_plan`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
@@ -101,16 +101,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Start building a plan in code (the test-side API).
-    pub fn builder() -> PlanBuilder {
-        PlanBuilder {
-            plan: FaultPlan {
-                seed: 0,
-                sites: BTreeMap::new(),
-            },
-        }
-    }
-
     /// Parse the `REPRO_FAULTS` grammar (see the crate docs). An empty
     /// (or all-whitespace) string yields an empty plan, which installs
     /// as "no faults".
@@ -215,55 +205,6 @@ impl FaultPlan {
             out.push(')');
         }
         out
-    }
-}
-
-/// Builder for [`FaultPlan`] (test-side counterpart of the
-/// `REPRO_FAULTS` grammar).
-#[derive(Debug, Clone)]
-pub struct PlanBuilder {
-    plan: FaultPlan,
-}
-
-impl PlanBuilder {
-    /// Set the plan seed (default 0).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.plan.seed = seed;
-        self
-    }
-
-    /// Add a site with an explicit spec.
-    pub fn site(mut self, name: &str, spec: FaultSpec) -> Self {
-        self.plan.sites.insert(name.to_string(), spec);
-        self
-    }
-
-    /// Add a site firing with probability `p`, transient kind, no cap.
-    pub fn transient(self, name: &str, p: f64) -> Self {
-        self.site(
-            name,
-            FaultSpec {
-                p,
-                ..FaultSpec::default()
-            },
-        )
-    }
-
-    /// Add a site firing with probability `p`, hard kind, no cap.
-    pub fn hard(self, name: &str, p: f64) -> Self {
-        self.site(
-            name,
-            FaultSpec {
-                p,
-                kind: FaultKind::Hard,
-                ..FaultSpec::default()
-            },
-        )
-    }
-
-    /// Finish the plan.
-    pub fn build(self) -> FaultPlan {
-        self.plan
     }
 }
 
@@ -649,7 +590,7 @@ mod tests {
         // Note: other tests in this binary install plans via with_plan,
         // which serializes on a lock and uninstalls afterwards; outside
         // it, every query must be inert.
-        with_plan(FaultPlan::builder().build(), || {
+        with_plan(FaultPlan::parse("").unwrap(), || {
             assert!(fault_at("cache.write").is_none());
             assert!(io_fault("cache.write").is_none());
             maybe_panic("cell.panic");
@@ -660,18 +601,7 @@ mod tests {
 
     #[test]
     fn deterministic_across_installs() {
-        let plan = || {
-            FaultPlan::builder()
-                .seed(7)
-                .site(
-                    "s",
-                    FaultSpec {
-                        p: 0.3,
-                        ..FaultSpec::default()
-                    },
-                )
-                .build()
-        };
+        let plan = || FaultPlan::parse("seed=7,s:p=0.3").unwrap();
         let run = || {
             with_plan(plan(), || {
                 (0..200)
@@ -690,16 +620,7 @@ mod tests {
     #[test]
     fn seed_changes_decisions() {
         let decisions = |seed| {
-            let plan = FaultPlan::builder()
-                .seed(seed)
-                .site(
-                    "s",
-                    FaultSpec {
-                        p: 0.5,
-                        ..FaultSpec::default()
-                    },
-                )
-                .build();
+            let plan = FaultPlan::parse(&format!("seed={seed},s:p=0.5")).unwrap();
             with_plan(plan, || {
                 (0..64).map(|_| fault_at("s").is_some()).collect::<Vec<_>>()
             })
@@ -709,18 +630,7 @@ mod tests {
 
     #[test]
     fn max_and_after_are_honored() {
-        let plan = FaultPlan::builder()
-            .seed(0)
-            .site(
-                "s",
-                FaultSpec {
-                    p: 1.0,
-                    max: Some(3),
-                    after: 5,
-                    kind: FaultKind::Hard,
-                },
-            )
-            .build();
+        let plan = FaultPlan::parse("seed=0,s:p=1:max=3:after=5:kind=hard").unwrap();
         with_plan(plan, || {
             let fires: Vec<bool> = (0..12).map(|_| fault_at("s").is_some()).collect();
             assert_eq!(&fires[..5], &[false; 5], "first `after` calls must pass");
@@ -731,24 +641,7 @@ mod tests {
 
     #[test]
     fn io_fault_kinds_map_to_errorkind() {
-        let plan = FaultPlan::builder()
-            .seed(0)
-            .site(
-                "t",
-                FaultSpec {
-                    max: Some(1),
-                    ..FaultSpec::default()
-                },
-            )
-            .site(
-                "h",
-                FaultSpec {
-                    kind: FaultKind::Hard,
-                    max: Some(1),
-                    ..FaultSpec::default()
-                },
-            )
-            .build();
+        let plan = FaultPlan::parse("seed=0,t:max=1,h:kind=hard:max=1").unwrap();
         with_plan(plan, || {
             assert_eq!(io_fault("t").unwrap().kind(), io::ErrorKind::Interrupted);
             let hard = io_fault("h").unwrap();
@@ -759,15 +652,7 @@ mod tests {
 
     #[test]
     fn maybe_panic_fires() {
-        let plan = FaultPlan::builder()
-            .site(
-                "boom",
-                FaultSpec {
-                    max: Some(1),
-                    ..FaultSpec::default()
-                },
-            )
-            .build();
+        let plan = FaultPlan::parse("boom:max=1").unwrap();
         with_plan(plan, || {
             let err = std::panic::catch_unwind(|| maybe_panic("boom")).unwrap_err();
             let text = err.downcast_ref::<String>().expect("panic payload");
@@ -779,16 +664,7 @@ mod tests {
     #[test]
     fn faulty_read_transient_is_transparent_under_bufreader() {
         let data = b"line one\nline two\nline three\n";
-        let plan = FaultPlan::builder()
-            .seed(3)
-            .site(
-                "test.read",
-                FaultSpec {
-                    p: 0.7,
-                    ..FaultSpec::default()
-                },
-            )
-            .build();
+        let plan = FaultPlan::parse("seed=3,test.read:p=0.7").unwrap();
         let lines = with_plan(plan, || {
             // Tiny capacity so the reader takes many inner reads.
             let faulty = FaultyRead::new(&data[..], "test.read");
@@ -801,15 +677,7 @@ mod tests {
     #[test]
     fn faulty_read_hard_truncates_to_eof() {
         let data = vec![0xABu8; 1024];
-        let plan = FaultPlan::builder()
-            .site(
-                "test.trunc",
-                FaultSpec {
-                    kind: FaultKind::Hard,
-                    ..FaultSpec::default()
-                },
-            )
-            .build();
+        let plan = FaultPlan::parse("test.trunc:kind=hard").unwrap();
         let total = with_plan(plan, || {
             let mut faulty = FaultyRead::new(&data[..], "test.trunc");
             let mut out = Vec::new();
@@ -822,7 +690,7 @@ mod tests {
 
     #[test]
     fn with_plan_uninstalls_on_panic() {
-        let plan = FaultPlan::builder().transient("s", 1.0).build();
+        let plan = FaultPlan::parse("s:p=1").unwrap();
         let _ = std::panic::catch_unwind(|| {
             with_plan(plan, || panic!("boom"));
         });

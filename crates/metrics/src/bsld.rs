@@ -12,36 +12,11 @@
 //! `τ = 10` seconds; this is [`DEFAULT_TAU`].
 //!
 //! The scheduling objective used throughout the paper's evaluation is the
-//! average of `bsld` over all jobs, `AVEbsld` ([`ave_bsld`]).
+//! average of `bsld` over all jobs, `AVEbsld`; a simulation result
+//! computes it (`SimResult::ave_bsld` in `predictsim-sim`).
 
 /// The paper's value of the bounding constant τ, in seconds (§5.3).
 pub const DEFAULT_TAU: f64 = 10.0;
-
-/// Waiting time and running time of one completed job, in seconds.
-///
-/// This is the minimal per-job information needed to evaluate the paper's
-/// objective function. The simulator produces one record per completed job.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BsldRecord {
-    /// Time spent between submission and the start of execution (seconds).
-    pub wait: f64,
-    /// Actual running time of the job (seconds).
-    pub run: f64,
-}
-
-impl BsldRecord {
-    /// Creates a record, asserting basic sanity (non-negative times).
-    pub fn new(wait: f64, run: f64) -> Self {
-        debug_assert!(wait >= 0.0, "negative waiting time {wait}");
-        debug_assert!(run >= 0.0, "negative running time {run}");
-        Self { wait, run }
-    }
-
-    /// Bounded slowdown of this job with bounding constant `tau`.
-    pub fn bsld(&self, tau: f64) -> f64 {
-        bounded_slowdown(self.wait, self.run, tau)
-    }
-}
 
 /// Bounded slowdown of a single job (§5.3).
 ///
@@ -66,37 +41,6 @@ pub fn bounded_slowdown(wait: f64, run: f64, tau: f64) -> f64 {
     let denom = run.max(tau);
     debug_assert!(denom > 0.0, "bounded_slowdown denominator must be positive");
     ((wait + run) / denom).max(1.0)
-}
-
-/// `AVEbsld`: the mean bounded slowdown over a set of jobs (§5.3).
-///
-/// Returns 0 for an empty slice (an empty schedule has no slowdown), which
-/// keeps campaign aggregation total.
-pub fn ave_bsld(records: &[BsldRecord], tau: f64) -> f64 {
-    if records.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = records.iter().map(|r| r.bsld(tau)).sum();
-    sum / records.len() as f64
-}
-
-/// Maximum bounded slowdown over a set of jobs.
-///
-/// Used by the §6.5 discussion of extreme slowdown values ("roughly 0.1% of
-/// jobs have extremely high values of bounded slowdowns").
-pub fn max_bsld(records: &[BsldRecord], tau: f64) -> f64 {
-    records.iter().map(|r| r.bsld(tau)).fold(0.0, f64::max)
-}
-
-/// Fraction of jobs whose bounded slowdown exceeds `threshold`.
-///
-/// Supports the §6.5 analysis of extreme-value prevalence.
-pub fn fraction_bsld_above(records: &[BsldRecord], tau: f64, threshold: f64) -> f64 {
-    if records.is_empty() {
-        return 0.0;
-    }
-    let n = records.iter().filter(|r| r.bsld(tau) > threshold).count();
-    n as f64 / records.len() as f64
 }
 
 #[cfg(test)]
@@ -125,42 +69,5 @@ mod tests {
     fn slowdown_never_below_one() {
         assert_eq!(bounded_slowdown(0.0, 1.0, DEFAULT_TAU), 1.0);
         assert_eq!(bounded_slowdown(0.0, 0.0, DEFAULT_TAU), 1.0);
-    }
-
-    #[test]
-    fn ave_bsld_empty_is_zero() {
-        assert_eq!(ave_bsld(&[], DEFAULT_TAU), 0.0);
-    }
-
-    #[test]
-    fn ave_bsld_averages() {
-        let recs = [
-            BsldRecord::new(0.0, 100.0),   // 1.0
-            BsldRecord::new(100.0, 100.0), // 2.0
-            BsldRecord::new(300.0, 100.0), // 4.0
-        ];
-        let got = ave_bsld(&recs, DEFAULT_TAU);
-        assert!((got - 7.0 / 3.0).abs() < 1e-12, "got {got}");
-    }
-
-    #[test]
-    fn max_and_fraction() {
-        let recs = [
-            BsldRecord::new(0.0, 100.0),    // 1.0
-            BsldRecord::new(900.0, 100.0),  // 10.0
-            BsldRecord::new(9900.0, 100.0), // 100.0
-        ];
-        assert_eq!(max_bsld(&recs, DEFAULT_TAU), 100.0);
-        let frac = fraction_bsld_above(&recs, DEFAULT_TAU, 5.0);
-        assert!((frac - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn record_constructor_matches_free_function() {
-        let r = BsldRecord::new(50.0, 25.0);
-        assert_eq!(
-            r.bsld(DEFAULT_TAU),
-            bounded_slowdown(50.0, 25.0, DEFAULT_TAU)
-        );
     }
 }

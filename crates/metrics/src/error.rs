@@ -1,8 +1,8 @@
 //! Prediction-error metrics.
 //!
-//! Table 8's MAE and mean E-Loss are folded in one pass by the
-//! experiment layer (the E-Loss needs job features); what lives here is
-//! the generic aggregation the examples use.
+//! Table 8's MAE and mean E-Loss over simulation outcomes live in
+//! `predictsim-core` (the E-Loss weighs each job by its area); what
+//! lives here is the generic aggregation the examples use.
 
 /// Fraction of jobs that are *under-predicted* (`predicted < actual`).
 ///

@@ -2,11 +2,8 @@
 
 use proptest::prelude::*;
 
-use predictsim_metrics::bsld::{fraction_bsld_above, max_bsld};
 use predictsim_metrics::error::underprediction_rate;
-use predictsim_metrics::{
-    ave_bsld, bounded_slowdown, pearson_correlation, BsldRecord, Ecdf, DEFAULT_TAU,
-};
+use predictsim_metrics::{bounded_slowdown, pearson_correlation, Ecdf, DEFAULT_TAU};
 
 proptest! {
     /// Bounded slowdown is always ≥ 1, finite, and monotone in the wait.
@@ -21,23 +18,6 @@ proptest! {
         prop_assert!(b.is_finite());
         let b2 = bounded_slowdown(wait + extra, run, DEFAULT_TAU);
         prop_assert!(b2 >= b, "more waiting cannot reduce slowdown");
-    }
-
-    /// AVEbsld lies between the min and max per-job slowdown, and max
-    /// dominates the threshold fraction logic.
-    #[test]
-    fn ave_bsld_is_bounded_by_extremes(
-        recs in prop::collection::vec((0.0f64..1e6, 1.0f64..1e6), 1..100)
-    ) {
-        let records: Vec<BsldRecord> =
-            recs.iter().map(|&(w, r)| BsldRecord::new(w, r)).collect();
-        let ave = ave_bsld(&records, DEFAULT_TAU);
-        let max = max_bsld(&records, DEFAULT_TAU);
-        prop_assert!(ave <= max + 1e-9);
-        prop_assert!(ave >= 1.0 - 1e-9);
-        // The fraction above the max is zero; above 0 it is 1.
-        prop_assert_eq!(fraction_bsld_above(&records, DEFAULT_TAU, max), 0.0);
-        prop_assert_eq!(fraction_bsld_above(&records, DEFAULT_TAU, 0.5), 1.0);
     }
 
     /// Pearson is symmetric, bounded by 1 in absolute value, and exactly

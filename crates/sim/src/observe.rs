@@ -3,12 +3,11 @@
 //! [`crate::engine::simulate_in`] emits a [`SimEvent`] at every
 //! state change of the simulation — submission, start, §5.2 correction,
 //! completion, and the final result — to a caller-supplied
-//! [`SimObserver`]. This turns metrics collection from a post-hoc scan of
-//! the [`SimResult`] into an incremental computation: [`MetricsObserver`]
-//! maintains the campaign aggregates (AVEbsld, mean wait, utilization,
-//! correction counts) as jobs finish, and a closure observer can stream
-//! progress, enforce invariants, or abort-log long simulations without
-//! touching the engine.
+//! [`SimObserver`]. [`MetricsObserver`] keeps a live view of the
+//! scheduling aggregates (AVEbsld, mean wait, utilization, correction
+//! counts) as jobs finish, and a closure observer can stream progress,
+//! enforce invariants, or abort-log long simulations without touching
+//! the engine. The final numbers come from the [`SimResult`].
 //!
 //! Observers are strictly read-only: the engine hands out shared
 //! references, so an observer can never perturb the schedule. A
@@ -50,8 +49,6 @@
 //! assert_eq!(metrics.finished(), 10);
 //! assert!((metrics.ave_bsld() - result.ave_bsld()).abs() < 1e-9);
 //! ```
-
-use predictsim_metrics::{bounded_slowdown, DEFAULT_TAU};
 
 use crate::cluster::ClusterSpec;
 use crate::job::Job;
@@ -144,14 +141,13 @@ impl SimObserver for NullObserver {
     fn on_event(&mut self, _event: &SimEvent<'_>) {}
 }
 
-/// Incremental scheduling metrics, maintained per event.
+/// The live view of a running simulation's scheduling metrics — what
+/// `--progress` heartbeats and the serve daemon's `metrics` frames read.
 ///
-/// Every aggregate the campaign layer reports is available *during* the
-/// simulation — after each `Finished` event the values reflect all jobs
-/// completed so far — with no post-hoc scan over the outcome vector.
-/// Sums accumulate in completion order; for the sorted-by-id aggregation
-/// the tables pin byte-for-byte, derive metrics from the final
-/// [`SimResult`] instead.
+/// After each `Finished` event the values reflect all jobs completed so
+/// far. Sums accumulate in completion order, so they may differ in the
+/// last bits from the final numbers, which come from the job-id-ordered
+/// [`SimResult`] methods ([`SimResult::ave_bsld`] and co).
 #[derive(Debug, Clone)]
 pub struct MetricsObserver {
     machine_size: u32,
@@ -268,11 +264,10 @@ impl SimObserver for MetricsObserver {
                 if outcome.killed {
                     self.killed += 1;
                 }
-                let wait = outcome.wait() as f64;
-                let bsld = bounded_slowdown(wait, outcome.run as f64, DEFAULT_TAU);
+                let bsld = outcome.bsld();
                 self.bsld_sum += bsld;
                 self.max_bsld = self.max_bsld.max(bsld);
-                self.wait_sum += wait;
+                self.wait_sum += outcome.wait() as f64;
                 self.busy_work += outcome.run as f64 * outcome.procs as f64;
                 self.last_end = self.last_end.max(outcome.end.0);
             }
@@ -508,6 +503,7 @@ mod tests {
         assert_eq!(metrics.finished(), plain.outcomes.len());
         assert_eq!(metrics.in_flight(), 0);
         assert!((metrics.ave_bsld() - plain.ave_bsld()).abs() < 1e-9);
+        assert_eq!(metrics.max_bsld(), plain.max_bsld());
         assert!((metrics.mean_wait() - plain.mean_wait()).abs() < 1e-9);
         assert!((metrics.utilization() - plain.utilization()).abs() < 1e-9);
         assert_eq!(metrics.corrections(), plain.total_corrections());

@@ -1,6 +1,11 @@
 //! Per-job outcomes and whole-simulation results.
+//!
+//! [`SimResult`] defines the scheduling aggregates a campaign cell
+//! stores, each a fold over the outcomes in job-id order (0 for an empty
+//! result); the prediction-quality aggregates (MAE, mean E-Loss) live
+//! beside the E-Loss in `predictsim-core`.
 
-use predictsim_metrics::{ave_bsld, BsldRecord, DEFAULT_TAU};
+use predictsim_metrics::{bounded_slowdown, DEFAULT_TAU};
 
 use crate::job::JobId;
 use crate::time::Time;
@@ -44,10 +49,10 @@ impl JobOutcome {
         self.start.since(self.submit)
     }
 
-    /// Bounded-slowdown record for this job.
+    /// Bounded slowdown with the paper's τ = 10 s (§5.3).
     #[inline]
-    pub fn bsld_record(&self) -> BsldRecord {
-        BsldRecord::new(self.wait() as f64, self.run as f64)
+    pub fn bsld(&self) -> f64 {
+        bounded_slowdown(self.wait() as f64, self.run as f64, DEFAULT_TAU)
     }
 }
 
@@ -67,18 +72,46 @@ pub struct SimResult {
 }
 
 impl SimResult {
+    /// Bounded slowdown above which a job counts as §6.5's "extremely
+    /// high" values.
+    pub const EXTREME_BSLD: f64 = 1000.0;
+
+    /// Mean of `term` over the outcomes (0 when there are none).
+    fn mean_of(&self, term: impl Fn(&JobOutcome) -> f64) -> f64 {
+        if self.outcomes.is_empty() {
+            return 0.0;
+        }
+        self.outcomes.iter().map(term).sum::<f64>() / self.outcomes.len() as f64
+    }
+
     /// `AVEbsld` with the paper's τ = 10 s — the objective of every table.
     pub fn ave_bsld(&self) -> f64 {
-        let records: Vec<BsldRecord> = self.outcomes.iter().map(|o| o.bsld_record()).collect();
-        ave_bsld(&records, DEFAULT_TAU)
+        self.mean_of(JobOutcome::bsld)
+    }
+
+    /// Maximum bounded slowdown (0 when there are no jobs).
+    pub fn max_bsld(&self) -> f64 {
+        self.outcomes
+            .iter()
+            .map(JobOutcome::bsld)
+            .fold(0.0, f64::max)
+    }
+
+    /// Fraction of jobs whose bounded slowdown exceeds
+    /// [`Self::EXTREME_BSLD`].
+    pub fn extreme_fraction(&self) -> f64 {
+        self.mean_of(|o| {
+            if o.bsld() > Self::EXTREME_BSLD {
+                1.0
+            } else {
+                0.0
+            }
+        })
     }
 
     /// Mean waiting time, seconds.
     pub fn mean_wait(&self) -> f64 {
-        if self.outcomes.is_empty() {
-            return 0.0;
-        }
-        self.outcomes.iter().map(|o| o.wait() as f64).sum::<f64>() / self.outcomes.len() as f64
+        self.mean_of(|o| o.wait() as f64)
     }
 
     /// Machine utilization: busy processor-seconds over the span between
@@ -87,19 +120,7 @@ impl SimResult {
         if self.outcomes.is_empty() {
             return 0.0;
         }
-        let first_submit = self
-            .outcomes
-            .iter()
-            .map(|o| o.submit.0)
-            .min()
-            .expect("non-empty");
-        let last_end = self
-            .outcomes
-            .iter()
-            .map(|o| o.end.0)
-            .max()
-            .expect("non-empty");
-        let span = (last_end - first_submit).max(1) as f64;
+        let span = self.makespan().max(1) as f64;
         let busy: f64 = self
             .outcomes
             .iter()
@@ -170,7 +191,9 @@ mod tests {
     fn wait_and_bsld() {
         let o = outcome(0, 100, 300, 100, 1);
         assert_eq!(o.wait(), 200);
-        assert_eq!(o.bsld_record().bsld(10.0), 3.0);
+        assert_eq!(o.bsld(), 3.0);
+        // A 1 s job that waited 99 s is bounded by τ = 10 s, not slowed 100×.
+        assert_eq!(outcome(1, 0, 99, 1, 1).bsld(), 10.0);
     }
 
     #[test]
@@ -178,6 +201,17 @@ mod tests {
         let r = result(vec![outcome(0, 0, 0, 100, 1), outcome(1, 0, 100, 100, 1)]);
         // bslds: 1.0 and 2.0.
         assert_eq!(r.ave_bsld(), 1.5);
+    }
+
+    #[test]
+    fn max_and_extreme_fraction() {
+        let r = result(vec![
+            outcome(0, 0, 0, 100, 1),       // 1.0
+            outcome(1, 0, 99_900, 100, 1),  // 1000.0: at the threshold, not above
+            outcome(2, 0, 199_900, 100, 1), // 2000.0
+        ]);
+        assert_eq!(r.max_bsld(), 2000.0);
+        assert_eq!(r.extreme_fraction(), 1.0 / 3.0);
     }
 
     #[test]
@@ -211,6 +245,8 @@ mod tests {
     fn empty_result() {
         let r = result(vec![]);
         assert_eq!(r.ave_bsld(), 0.0);
+        assert_eq!(r.max_bsld(), 0.0);
+        assert_eq!(r.extreme_fraction(), 0.0);
         assert_eq!(r.mean_wait(), 0.0);
         assert_eq!(r.utilization(), 0.0);
         assert_eq!(r.makespan(), 0);

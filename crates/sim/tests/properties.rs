@@ -16,7 +16,7 @@ use predictsim_sim::predict::{
 use predictsim_sim::scheduler::{ConservativeScheduler, EasyScheduler, FcfsScheduler, Scheduler};
 use predictsim_sim::state::SystemView;
 use predictsim_sim::time::Time;
-use predictsim_sim::{NullObserver, SimArena};
+use predictsim_sim::{NullObserver, SimArena, SimResult};
 
 /// One unobserved run on a fresh arena.
 fn simulate_fresh(
@@ -173,6 +173,23 @@ proptest! {
             let original = &jobs[o.id.index()];
             prop_assert_eq!(o.run, original.run.min(original.requested));
             prop_assert!(o.end.since(o.start) <= original.requested);
+        }
+    }
+
+    /// AVEbsld lies between 1 and the maximum per-job slowdown, and the
+    /// §6.5 extreme fraction is a probability that is positive exactly
+    /// when that maximum crosses the threshold.
+    #[test]
+    fn ave_bsld_is_bounded_by_extremes(jobs in arb_workload(60)) {
+        let res = simulate_fresh(&jobs, SimConfig::single(MACHINE),
+                                 &mut FcfsScheduler, &mut RequestedTimePredictor, None).unwrap();
+        let (ave, max, extreme) = (res.ave_bsld(), res.max_bsld(), res.extreme_fraction());
+        if jobs.is_empty() {
+            prop_assert_eq!((ave, max, extreme), (0.0, 0.0, 0.0));
+        } else {
+            prop_assert!(1.0 - 1e-9 <= ave && ave <= max + 1e-9, "ave {ave}, max {max}");
+            prop_assert!((0.0..=1.0).contains(&extreme));
+            prop_assert_eq!(extreme > 0.0, max > SimResult::EXTREME_BSLD);
         }
     }
 

@@ -37,8 +37,6 @@ struct Options {
     correction: Option<String>,
     cluster: Option<String>,
     listen: Option<String>,
-    serve_workers: Option<usize>,
-    serve_queue: Option<usize>,
 }
 
 /// Set by the SIGINT handler; everything else happens on normal
@@ -90,8 +88,6 @@ fn parse_args() -> Result<Options, String> {
     let mut correction = None;
     let mut cluster = None;
     let mut listen = None;
-    let mut serve_workers = None;
-    let mut serve_queue = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -152,22 +148,6 @@ fn parse_args() -> Result<Options, String> {
             }
             "--progress" => progress = true,
             "--listen" => listen = Some(args.next().ok_or("--listen needs an address")?),
-            "--serve-workers" => {
-                let v = args.next().ok_or("--serve-workers needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad worker count {v:?}"))?;
-                if n == 0 {
-                    return Err("--serve-workers must be at least 1".into());
-                }
-                serve_workers = Some(n);
-            }
-            "--serve-queue" => {
-                let v = args.next().ok_or("--serve-queue needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad queue depth {v:?}"))?;
-                if n == 0 {
-                    return Err("--serve-queue must be at least 1".into());
-                }
-                serve_queue = Some(n);
-            }
             "--help" | "-h" => {
                 experiments.clear();
                 experiments.push("help".into());
@@ -201,16 +181,11 @@ fn parse_args() -> Result<Options, String> {
                 .into(),
         );
     }
-    // Same rule for the serve flags: they only configure the daemon.
-    let serve_flags = listen.is_some() || serve_workers.is_some() || serve_queue.is_some();
-    if serve_flags && experiments.is_empty() {
+    // Same rule for `--listen`: it only configures the daemon.
+    if listen.is_some() && experiments.is_empty() {
         experiments.push("serve".into());
-    } else if serve_flags && !experiments.iter().any(|e| e == "serve" || e == "help") {
-        return Err(
-            "--listen/--serve-workers/--serve-queue only apply to the `serve` experiment; \
-             run `repro serve`"
-                .into(),
-        );
+    } else if listen.is_some() && !experiments.iter().any(|e| e == "serve" || e == "help") {
+        return Err("--listen only applies to the `serve` experiment; run `repro serve`".into());
     }
     if experiments.iter().any(|e| e == "serve") && experiments.len() > 1 {
         return Err("`serve` runs alone; drop the other experiments".into());
@@ -244,8 +219,6 @@ fn parse_args() -> Result<Options, String> {
         correction,
         cluster,
         listen,
-        serve_workers,
-        serve_queue,
     })
 }
 
@@ -360,13 +333,8 @@ fn run_serve(opts: &Options) {
     if let Some(addr) = &opts.listen {
         cfg.addr = addr.clone();
     }
-    if let Some(n) = opts.serve_workers {
+    if let Some(n) = opts.threads {
         cfg.workers = n;
-    } else if let Some(n) = opts.threads {
-        cfg.workers = n;
-    }
-    if let Some(n) = opts.serve_queue {
-        cfg.queue_depth = n;
     }
     let server = match predictsim_serve::Server::start(cfg) {
         Ok(s) => s,
@@ -773,10 +741,10 @@ SCENARIO OPTIONS (imply the scenario experiment when no other is named)
                   first-fit (default: the workload's own machine)
 
 SERVE OPTIONS (imply the serve experiment when no other is named)
-  --listen ADDR      bind address (default 127.0.0.1:0 — an ephemeral
-                     port, printed on stderr once the daemon is up)
-  --serve-workers N  simulation worker threads (default: --threads, or 2)
-  --serve-queue N    max queued submissions before `busy` (default 16)
+  --listen ADDR  bind address (default 127.0.0.1:0 — an ephemeral port,
+                 printed on stderr once the daemon is up). The daemon runs
+                 --threads simulation workers (default 2) and queues up
+                 to 16 submissions before answering `busy`
 
 ENVIRONMENT
   REPRO_FAULTS  seeded deterministic fault injection for robustness

@@ -10,11 +10,11 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`core`] | `predictsim-core` | the paper's contribution: Table 2 features, Eq. 1 polynomial model, the §4.2 asymmetric weighted loss family, NAG training, §5.2 corrections |
+//! | [`core`] | `predictsim-core` | the paper's contribution: Table 2 features, Eq. 1 polynomial model, the §4.2 asymmetric weighted loss family, NAG training, §5.2 corrections, Table 8's MAE and mean E-Loss |
 //! | [`sim`] | `predictsim-sim` | event-driven batch simulator, EASY / EASY-SJBF / FCFS / conservative schedulers, prediction + correction interfaces, audit |
 //! | [`swf`] | `predictsim-swf` | Standard Workload Format parsing, writing, cleaning |
 //! | [`workload`] | `predictsim-workload` | synthetic stand-ins for the six Table 4 logs |
-//! | [`metrics`] | `predictsim-metrics` | bounded slowdown, ECDF, Pearson, MAE |
+//! | [`metrics`] | `predictsim-metrics` | bounded slowdown, ECDF, Pearson, under-prediction rate |
 //! | [`experiments`] | `predictsim-experiments` | the §6 campaign: 128 heuristic triples/log, cross-validation, every table and figure |
 //!
 //! ## Quickstart: the `Scenario` API
@@ -81,7 +81,7 @@ pub mod prelude {
         RegistryError, Scenario, ScenarioError, SourceError, SwfSource, SyntheticSource, Variant,
         WorkloadSource,
     };
-    pub use predictsim_metrics::{ave_bsld, bounded_slowdown, Ecdf, DEFAULT_TAU};
+    pub use predictsim_metrics::{bounded_slowdown, Ecdf, DEFAULT_TAU};
     pub use predictsim_sim::{
         simulate_in, ClairvoyantPredictor, EasyScheduler, FcfsScheduler, Job, JobId,
         MetricsObserver, NullObserver, RequestedTimePredictor, SimArena, SimConfig, SimEvent,

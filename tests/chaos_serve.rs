@@ -10,7 +10,7 @@
 //! sibling and uninstalls the plan even on panic.
 
 use predictsim::experiments::SimCache;
-use predictsim::serve::faultline::{self, FaultPlan, FaultSpec};
+use predictsim::serve::faultline::{self, FaultPlan};
 use predictsim::serve::{Client, Frame, ServeConfig, Server, Submission, WorkloadRequest};
 
 fn toy(name: &str, seed: u64) -> Submission {
@@ -46,16 +46,8 @@ fn await_ack(client: &mut Client) -> u64 {
 fn poisoned_cell_answers_a_typed_internal_error_and_the_daemon_keeps_serving() {
     // Exactly enough injected panics to exhaust one cell's bounded
     // retries; after that the site is spent and the daemon is healthy.
-    let plan = FaultPlan::builder()
-        .site(
-            "cell.panic",
-            FaultSpec {
-                p: 1.0,
-                max: Some(u64::from(SimCache::PANIC_RETRIES)),
-                ..FaultSpec::default()
-            },
-        )
-        .build();
+    let plan = FaultPlan::parse(&format!("cell.panic:max={}", SimCache::PANIC_RETRIES))
+        .expect("valid fault plan");
     faultline::with_plan(plan, || {
         let server = Server::start(ServeConfig::default()).expect("daemon starts");
         let mut client = Client::connect(server.addr()).expect("connect");

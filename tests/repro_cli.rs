@@ -6,6 +6,7 @@ use std::process::{Command, Output};
 
 use predictsim::experiments::DEFAULT_SEED;
 use predictsim::serve::{batch_result_json, Submission, WorkloadRequest};
+use predictsim::sim::hash::fnv1a64;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("predictsim-cli-{tag}-{}", std::process::id()));
@@ -36,8 +37,39 @@ fn stdout(out: &Output) -> String {
 const SENTINEL: &str =
     "# sentinel\n\n<!-- repro:timing:begin -->\nold\n<!-- repro:timing:end -->\n";
 
+/// Byte identity of `repro all --scale 0.01 --out`, pinned. Regenerate
+/// after an intentional change (and review the diff) with
+/// `GOLDEN_REGEN=1 cargo test --test repro_cli`.
+const ARTIFACTS_GOLDEN: &str = "tests/golden/artifacts.fnv";
+
+/// One `fnv1a64-hex  file-name` line per file in `out`, sorted by name,
+/// then the run's `cache summary:` line.
+fn artifact_manifest(out: &Path, stderr: &str) -> String {
+    let mut names: Vec<String> = std::fs::read_dir(out)
+        .expect("read --out dir")
+        .map(|entry| {
+            entry
+                .expect("dir entry")
+                .file_name()
+                .into_string()
+                .expect("UTF-8 name")
+        })
+        .collect();
+    names.sort();
+    let mut manifest = String::new();
+    for name in names {
+        let bytes = std::fs::read(out.join(&name)).expect("read artifact");
+        manifest.push_str(&format!("{:016x}  {name}\n", fnv1a64(&bytes)));
+    }
+    let summary = stderr
+        .lines()
+        .find(|line| line.starts_with("cache summary:"))
+        .expect("cache summary on stderr");
+    manifest + summary + "\n"
+}
+
 /// `repro all --timing` at scale 0.01, in a directory holding a
-/// sentinel `EXPERIMENTS.md`.
+/// sentinel `EXPERIMENTS.md`; its artifacts match [`ARTIFACTS_GOLDEN`].
 #[test]
 fn all_prints_timing_on_stdout_and_keeps_table6() {
     let dir = scratch("all");
@@ -62,6 +94,20 @@ fn all_prints_timing_on_stdout_and_keeps_table6() {
     assert!(
         full_text.contains("## Table 6"),
         "default runs keep Table 6"
+    );
+
+    let manifest = artifact_manifest(&dir.join("full"), &String::from_utf8_lossy(&full.stderr));
+    if std::env::var_os("GOLDEN_REGEN").is_some() {
+        std::fs::write(ARTIFACTS_GOLDEN, &manifest).expect("write golden");
+        panic!("artifact manifest regenerated at {ARTIFACTS_GOLDEN} — rerun without GOLDEN_REGEN");
+    }
+    let golden = std::fs::read_to_string(ARTIFACTS_GOLDEN).unwrap_or_else(|e| {
+        panic!("missing golden file {ARTIFACTS_GOLDEN} ({e}); regenerate with GOLDEN_REGEN=1")
+    });
+    assert_eq!(
+        manifest, golden,
+        "`repro all --scale 0.01` artifacts drifted from {ARTIFACTS_GOLDEN}; if the change is \
+         intentional, regenerate with GOLDEN_REGEN=1 and review the diff"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

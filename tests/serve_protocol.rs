@@ -4,8 +4,9 @@
 //! workloads too large to generate are rejected before queueing, half-closed connections still stream
 //! their results, per-request timeouts cancel cooperatively, a full
 //! queue answers `busy`, concurrent cold submissions of the same cell
-//! coalesce into exactly one simulation, and shutdown drains instead
-//! of dropping work.
+//! coalesce into exactly one simulation, shutdown drains instead of
+//! dropping work, and `metrics` progress frames stream ahead of a job's
+//! result.
 //!
 //! Every test starts its own daemon on an ephemeral port; workload
 //! seeds are test-unique so the process-wide `SimCache` cannot turn an
@@ -14,6 +15,7 @@
 use std::time::Duration;
 
 use predictsim::serve::{Client, Frame, ServeConfig, Server, Submission, WorkloadRequest};
+use serde::Value;
 
 /// A test-unique toy workload: `seed` keys the cache identity.
 fn toy(name: &str, jobs: usize, seed: u64) -> Submission {
@@ -351,4 +353,62 @@ fn shutdown_drains_queued_and_in_flight_work() {
         "in-flight job resolves on drain: {outcomes:?}"
     );
     assert_eq!(of(job_b), "shutdown", "queued job is rejected on drain");
+}
+
+/// A cold cell with a 64-event cadence streams consistent `metrics`
+/// frames — monotone event counts, bounded job counts, a live AVEbsld
+/// and one hourly utilization series — before its `result`.
+#[test]
+fn metrics_frames_stream_ahead_of_the_result() {
+    let server = Server::start(ServeConfig::default()).expect("daemon starts");
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    let jobs = 300;
+    let mut submission = toy("metrics", jobs, 9_111);
+    submission.metrics_every = Some(64);
+    client.submit(&submission).expect("submit");
+    let job = await_ack(&mut client);
+    let frames = client.drain_job(job).expect("frames stream back");
+
+    let (last, progress) = frames.split_last().expect("a terminal frame");
+    match last {
+        Frame::Result { source, .. } => assert_eq!(source, "simulated", "a cold cell"),
+        other => panic!("expected the result last, got {other:?}"),
+    }
+    let mut previous_events = 0;
+    for frame in progress {
+        let Frame::Metrics {
+            job: tagged,
+            events,
+            finished,
+            submitted,
+            ave_bsld,
+            raw,
+        } = frame
+        else {
+            panic!("only metrics frames precede the result, got {frame:?}");
+        };
+        assert_eq!(*tagged, job);
+        assert!(
+            *events > previous_events && events % 64 == 0,
+            "events {events}"
+        );
+        previous_events = *events;
+        assert!(
+            finished <= submitted && *submitted <= jobs as u64,
+            "{frame:?}"
+        );
+        if *finished > 0 {
+            assert!(*ave_bsld >= 1.0, "{frame:?}");
+        }
+        let utilization: Vec<Value> = serde::get_field(raw, "utilization").expect("series");
+        assert_eq!(utilization.len(), 1, "one partition");
+        let bucket: u64 = serde::get_field(&utilization[0], "bucket_seconds").expect("bucket");
+        assert_eq!(bucket, 3_600);
+    }
+    assert!(
+        previous_events > 0,
+        "at least one metrics frame: {frames:?}"
+    );
+    server.shutdown();
 }
