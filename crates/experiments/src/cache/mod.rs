@@ -98,7 +98,7 @@ impl CellKey {
     /// FNV-1a over the key's fields — names the persistent file *and*
     /// selects the shard, so disk layout and lock layout agree.
     fn fnv(&self) -> u64 {
-        crate::source::fnv1a64(
+        predictsim_sim::hash::fnv1a64(
             self.fingerprint
                 .to_le_bytes()
                 .into_iter()
@@ -801,7 +801,7 @@ mod tests {
         let cache = private();
         let (arena, m) = tiny_arena(31);
         let triple = HeuristicTriple::standard_easy();
-        let mut metrics = predictsim_sim::MetricsObserver::new(m.total_procs());
+        let mut metrics = predictsim_sim::MetricsObserver::new();
         let (cell, src) = cache
             .run_cell_observed_traced(&arena, m, &triple, &mut metrics)
             .unwrap();
@@ -809,7 +809,7 @@ mod tests {
         assert_eq!(metrics.finished(), arena.len());
         assert!((metrics.ave_bsld() - cell.result.ave_bsld).abs() < 1e-9);
         // Second call hits memory: the observer stays silent.
-        let mut silent = predictsim_sim::MetricsObserver::new(m.total_procs());
+        let mut silent = predictsim_sim::MetricsObserver::new();
         let (again, src) = cache
             .run_cell_observed_traced(&arena, m, &triple, &mut silent)
             .unwrap();

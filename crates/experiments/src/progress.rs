@@ -12,7 +12,13 @@
 //! ```
 //!
 //! so `repro ... 2>progress.log` doubles as a resume journal: grep the
-//! last line per experiment to see where a killed run stopped.
+//! last line per experiment to see where a killed run stopped. A cell
+//! that simulates also journals a heartbeat every 250 000 engine
+//! events, from a private observer over a [`MetricsObserver`]:
+//!
+//! ```text
+//! progress: campaign KTH-SP2 ave2+easy — in flight: 250000 events, 8123/13115 jobs finished, AVEbsld so far 41.3
+//! ```
 //!
 //! Disabled (the default) this module is a handful of relaxed atomic
 //! loads — no formatting, no clock reads, no lock — so the quick-scale
@@ -21,9 +27,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use predictsim_sim::{
-    ClusterSpec, MetricsObserver, SimEvent, SimObserver, Ticker, UtilizationObserver,
-};
+use predictsim_sim::{ClusterSpec, MetricsObserver, SimEvent, SimObserver};
 
 use crate::cache::{CachedCell, CellSource, SimCache};
 use crate::source::JobArena;
@@ -114,12 +118,13 @@ impl CellProgress {
         let cache = SimCache::global();
         let started = start();
         let outcome = if enabled() {
-            let mut heartbeat = Heartbeat::journal(
-                format!("{} {cell}", self.label),
-                cluster.total_procs(),
-                arena.len(),
-            );
-            cache.run_cell_observed_traced(arena, cluster, triple, &mut heartbeat)
+            let mut journal = Journal {
+                label: format!("{} {cell}", self.label),
+                jobs: arena.len(),
+                every: HEARTBEAT_EVENTS,
+                metrics: MetricsObserver::new(),
+            };
+            cache.run_cell_observed_traced(arena, cluster, triple, &mut journal)
         } else {
             cache.run_cell_traced(arena, cluster, triple)
         };
@@ -130,122 +135,42 @@ impl CellProgress {
     }
 }
 
-/// Default heartbeat cadence: one report every this many simulated
-/// events (submissions + starts + corrections + completions).
-pub const HEARTBEAT_EVENTS: u64 = 250_000;
+/// Intra-cell heartbeat cadence: one `--progress` line every this many
+/// simulated events (submissions + starts + corrections + completions).
+const HEARTBEAT_EVENTS: u64 = 250_000;
 
-/// An intra-cell heartbeat snapshot, handed to a [`Heartbeat`] sink
-/// every [`HEARTBEAT_EVENTS`] (or a configured cadence) events.
-pub struct HeartbeatPulse<'a> {
-    /// Raw engine events seen so far.
-    pub events: u64,
-    /// Incremental scheduling metrics at this instant.
-    pub metrics: &'a MetricsObserver,
-    /// Per-partition utilization series, when the heartbeat tracks one.
-    pub utilization: Option<&'a UtilizationObserver>,
-}
-
-/// The intra-cell progress observer: maintains incremental metrics (and
-/// optionally a per-partition utilization series) while a simulation
-/// runs, and calls a sink with a [`HeartbeatPulse`] every N events.
-///
-/// One journaling seam, two consumers: `--progress` journals pulses to
-/// stderr ([`Heartbeat::journal`]), and the serve daemon turns the same
-/// pulses into streamed `metrics` frames. A cancel hook makes it the
-/// cooperative-cancellation carrier too — the engine polls
-/// [`SimObserver::keep_running`], so a hook returning `true` (cancel)
-/// aborts the in-flight simulation.
-pub struct Heartbeat {
+/// The `--progress` observer of one simulating cell: folds every event
+/// into a [`MetricsObserver`] and journals a heartbeat line every
+/// `every` events.
+struct Journal {
+    label: String,
+    jobs: usize,
+    every: u64,
     metrics: MetricsObserver,
-    utilization: Option<UtilizationObserver>,
-    ticker: Ticker,
-    sink: Box<dyn FnMut(HeartbeatPulse<'_>) + Send>,
-    cancel: Option<Box<dyn Fn() -> bool + Send>>,
 }
 
-impl Heartbeat {
-    /// A heartbeat for a machine of `machine_size` processors, pulsing
-    /// `sink` every `every` events.
-    pub fn new(
-        machine_size: u32,
-        every: u64,
-        sink: Box<dyn FnMut(HeartbeatPulse<'_>) + Send>,
-    ) -> Self {
-        Heartbeat {
-            metrics: MetricsObserver::new(machine_size),
-            utilization: None,
-            ticker: Ticker::new(every),
-            sink,
-            cancel: None,
-        }
-    }
-
-    /// Adds a per-partition utilization series to each pulse.
-    pub fn with_utilization(mut self, utilization: UtilizationObserver) -> Self {
-        self.utilization = Some(utilization);
-        self
-    }
-
-    /// Adds a cancel hook, polled by the engine between event batches:
-    /// returning `true` aborts the simulation
-    /// ([`predictsim_sim::SimError::Aborted`]).
-    pub fn with_cancel(mut self, cancel: Box<dyn Fn() -> bool + Send>) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
-    /// The `--progress` heartbeat: journals each pulse through [`emit`]
-    /// as e.g.
-    ///
-    /// ```text
-    /// progress: campaign KTH-SP2 ave2+easy — in flight: 250000 events, 8123/13115 jobs finished, AVEbsld so far 41.3
-    /// ```
-    pub fn journal(label: String, machine_size: u32, total_jobs: usize) -> Self {
-        Heartbeat::new(
-            machine_size,
-            HEARTBEAT_EVENTS,
-            Box::new(move |pulse: HeartbeatPulse<'_>| {
-                emit(&format!(
-                    "{label} — in flight: {} events, {}/{} jobs finished, AVEbsld so far {:.1}",
-                    pulse.events,
-                    pulse.metrics.finished(),
-                    total_jobs,
-                    pulse.metrics.ave_bsld(),
-                ));
-            }),
-        )
-    }
-
-    /// Raw events seen so far.
-    pub fn events(&self) -> u64 {
-        self.ticker.seen()
-    }
-
-    /// The incremental metrics accumulated so far.
-    pub fn metrics(&self) -> &MetricsObserver {
-        &self.metrics
-    }
-}
-
-impl SimObserver for Heartbeat {
-    fn on_event(&mut self, event: &SimEvent<'_>) {
+impl Journal {
+    /// Folds one event; returns the heartbeat line when the event count
+    /// lands on the cadence.
+    fn pulse(&mut self, event: &SimEvent<'_>) -> Option<String> {
         self.metrics.on_event(event);
-        if let Some(utilization) = self.utilization.as_mut() {
-            utilization.on_event(event);
-        }
-        if self.ticker.tick() {
-            (self.sink)(HeartbeatPulse {
-                events: self.ticker.seen(),
-                metrics: &self.metrics,
-                utilization: self.utilization.as_ref(),
-            });
-        }
+        let events = self.metrics.events();
+        events.is_multiple_of(self.every).then(|| {
+            format!(
+                "{} — in flight: {events} events, {}/{} jobs finished, AVEbsld so far {:.1}",
+                self.label,
+                self.metrics.finished(),
+                self.jobs,
+                self.metrics.ave_bsld(),
+            )
+        })
     }
+}
 
-    fn keep_running(&self) -> bool {
-        match &self.cancel {
-            Some(cancel) => !cancel(),
-            None => true,
+impl SimObserver for Journal {
+    fn on_event(&mut self, event: &SimEvent<'_>) {
+        if let Some(line) = self.pulse(event) {
+            emit(&line);
         }
     }
 }
@@ -281,53 +206,41 @@ mod tests {
 
     #[test]
     fn heartbeat_pulses_on_cadence_and_carries_metrics() {
-        use std::sync::atomic::AtomicU64;
-        use std::sync::Arc;
+        use predictsim_sim::{JobId, JobOutcome, Time};
 
-        let pulses = Arc::new(AtomicU64::new(0));
-        let sink_pulses = pulses.clone();
-        let mut hb = Heartbeat::new(
-            4,
-            10,
-            Box::new(move |pulse: HeartbeatPulse<'_>| {
-                assert_eq!(pulse.events % 10, 0);
-                sink_pulses.fetch_add(1, Ordering::Relaxed);
-            }),
-        );
-        let job = predictsim_sim::Job {
-            id: predictsim_sim::JobId(0),
-            submit: predictsim_sim::Time(0),
+        // Waits 100 s, runs 100 s: bounded slowdown 2.
+        let outcome = JobOutcome {
+            id: JobId(0),
+            swf_id: 0,
+            user: 0,
+            procs: 1,
             run: 100,
             requested: 200,
-            procs: 1,
-            user: 0,
-            user_ix: 0,
-            swf_id: 0,
+            submit: Time(0),
+            start: Time(100),
+            end: Time(200),
+            initial_prediction: 200,
+            corrections: 0,
+            killed: false,
+            partition: 0,
         };
-        for _ in 0..25 {
-            hb.on_event(&SimEvent::Submitted {
-                job: &job,
-                prediction: 200,
-                now: predictsim_sim::Time(0),
-            });
-        }
-        assert_eq!(pulses.load(Ordering::Relaxed), 2);
-        assert_eq!(hb.events(), 25);
-        assert_eq!(hb.metrics().submitted(), 25);
-        assert!(hb.keep_running(), "no cancel hook: never aborts");
-    }
-
-    #[test]
-    fn heartbeat_cancel_hook_flips_keep_running() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let hook = stop.clone();
-        let hb = Heartbeat::new(4, 10, Box::new(|_| {}))
-            .with_cancel(Box::new(move || hook.load(Ordering::Relaxed)));
-        assert!(hb.keep_running());
-        stop.store(true, Ordering::Relaxed);
-        assert!(!hb.keep_running());
+        let mut journal = Journal {
+            label: "table1 KTH-SP2 easy".into(),
+            jobs: 30,
+            every: 10,
+            metrics: MetricsObserver::new(),
+        };
+        let lines: Vec<String> = (0..25)
+            .filter_map(|_| journal.pulse(&SimEvent::Finished { outcome: &outcome }))
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                "table1 KTH-SP2 easy — in flight: 10 events, 10/30 jobs finished, AVEbsld so far 2.0",
+                "table1 KTH-SP2 easy — in flight: 20 events, 20/30 jobs finished, AVEbsld so far 2.0",
+            ]
+        );
+        assert_eq!(journal.metrics.events(), 25);
+        assert!(journal.keep_running(), "a journal never aborts a cell");
     }
 }

@@ -204,7 +204,7 @@ mod tests {
     fn observer_receives_the_run() {
         let w = tiny(3);
         let triple = parse_triple(Some("easy"), Some("ave2"), Some("incremental")).unwrap();
-        let mut metrics = MetricsObserver::new(w.machine_size);
+        let mut metrics = MetricsObserver::new();
         let result =
             run_triple_with_scratch(&triple, &w.jobs, w.sim_config(), &mut metrics).unwrap();
         assert_eq!(metrics.finished(), result.outcomes.len());

@@ -20,6 +20,7 @@ use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use predictsim_sim::hash::fnv1a64;
 use predictsim_sim::job::JobConversionError;
 use predictsim_sim::{intern_users, job_from_swf, Job, JobId, SimConfig};
 use predictsim_swf::reader::ParseError;
@@ -160,17 +161,6 @@ impl PartialEq for JobArena {
             || (self.inner.fingerprint == other.inner.fingerprint
                 && self.inner.jobs == other.inner.jobs)
     }
-}
-
-/// FNV-1a over a byte stream — the stable (cross-process,
-/// cross-platform) hash behind workload fingerprints and the persistent
-/// cache's file names.
-pub(crate) fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    bytes.into_iter().fold(OFFSET, |hash, byte| {
-        (hash ^ byte as u64).wrapping_mul(PRIME)
-    })
 }
 
 /// [`fnv1a64`] over a canonical little-endian encoding of every job

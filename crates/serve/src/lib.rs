@@ -12,9 +12,11 @@
 //!
 //! 1. `ack` — job id, resolved triple, resolved workload;
 //! 2. `metrics` — every N simulated events: incremental AVEbsld, jobs
-//!    started/finished, and a per-partition utilization time series on
-//!    simulated-time buckets
-//!    ([`UtilizationObserver`](predictsim_sim::UtilizationObserver));
+//!    started/finished
+//!    ([`MetricsObserver`](predictsim_sim::MetricsObserver)), and a
+//!    per-partition utilization time series on simulated-time buckets
+//!    ([`UtilizationObserver`](predictsim_sim::UtilizationObserver)),
+//!    both fed by the job's own observer;
 //! 3. `result` — the exact `TripleResult` JSON batch mode produces
 //!    (byte-identical to `repro scenario`'s `scenario.json`).
 //!

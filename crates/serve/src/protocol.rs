@@ -372,17 +372,32 @@ pub fn ack_frame(job: u64, triple: &str, workload: &str) -> Value {
     ])
 }
 
-/// Builds a `metrics` frame from a heartbeat pulse.
+/// Builds a `metrics` frame from a running job's live view.
 pub fn metrics_frame(
     job: u64,
-    events: u64,
     metrics: &predictsim_sim::MetricsObserver,
-    utilization: Option<&predictsim_sim::UtilizationObserver>,
+    util: &predictsim_sim::UtilizationObserver,
 ) -> Value {
-    let mut entries = vec![
+    let partitions: Vec<Value> = (0..util.partitions())
+        .map(|p| {
+            let series: Vec<Value> = util
+                .compressed(p)
+                .into_iter()
+                .map(|(value, repeat)| {
+                    Value::Seq(vec![Value::Float(value), Value::UInt(repeat as u64)])
+                })
+                .collect();
+            Value::Map(vec![
+                ("partition".into(), Value::UInt(p as u64)),
+                ("bucket_seconds".into(), Value::Int(util.bucket_seconds())),
+                ("series".into(), Value::Seq(series)),
+            ])
+        })
+        .collect();
+    Value::Map(vec![
         ("type".into(), Value::Str("metrics".into())),
         ("job".into(), Value::UInt(job)),
-        ("events".into(), Value::UInt(events)),
+        ("events".into(), Value::UInt(metrics.events())),
         ("submitted".into(), Value::UInt(metrics.submitted() as u64)),
         ("started".into(), Value::UInt(metrics.started() as u64)),
         ("finished".into(), Value::UInt(metrics.finished() as u64)),
@@ -391,27 +406,8 @@ pub fn metrics_frame(
         ("ave_bsld".into(), Value::Float(metrics.ave_bsld())),
         ("max_bsld".into(), Value::Float(metrics.max_bsld())),
         ("mean_wait".into(), Value::Float(metrics.mean_wait())),
-    ];
-    if let Some(util) = utilization {
-        let partitions: Vec<Value> = (0..util.partitions())
-            .map(|p| {
-                let series: Vec<Value> = util
-                    .compressed(p)
-                    .into_iter()
-                    .map(|(value, repeat)| {
-                        Value::Seq(vec![Value::Float(value), Value::UInt(repeat as u64)])
-                    })
-                    .collect();
-                Value::Map(vec![
-                    ("partition".into(), Value::UInt(p as u64)),
-                    ("bucket_seconds".into(), Value::Int(util.bucket_seconds())),
-                    ("series".into(), Value::Seq(series)),
-                ])
-            })
-            .collect();
-        entries.push(("utilization".into(), Value::Seq(partitions)));
-    }
-    Value::Map(entries)
+        ("utilization".into(), Value::Seq(partitions)),
+    ])
 }
 
 /// Builds the final `result` frame. `result` is the cell's
@@ -758,15 +754,14 @@ mod tests {
     #[test]
     fn metrics_frame_carries_utilization_series() {
         use predictsim_sim::{ClusterSpec, MetricsObserver, UtilizationObserver};
-        let metrics = MetricsObserver::new(4);
         let util = UtilizationObserver::new(ClusterSpec::single(4), 100);
-        let frame = metrics_frame(9, 1_000, &metrics, Some(&util));
+        let frame = metrics_frame(9, &MetricsObserver::new(), &util);
         let line = serde_json::to_string(&frame).unwrap();
         match Frame::parse(&line).unwrap() {
             Frame::Metrics {
                 job, events, raw, ..
             } => {
-                assert_eq!((job, events), (9, 1_000));
+                assert_eq!((job, events), (9, 0));
                 let util: Vec<Value> = serde::get_field(&raw, "utilization").unwrap();
                 assert_eq!(util.len(), 1);
             }

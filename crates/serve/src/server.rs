@@ -10,11 +10,11 @@
 //!   they notice shutdown), answer `ping`/`stats` inline, validate
 //!   submissions, and enqueue them;
 //! - **worker** threads drain the queue and run each job through
-//!   [`SimCache::run_cell_observed_traced`] with a
-//!   [`Heartbeat`]
-//!   observer that streams `metrics` frames back over the submitting
-//!   connection and carries the cancellation hook (deadline, shutdown,
-//!   client gone).
+//!   [`SimCache::run_cell_observed_traced`] with the job's own observer:
+//!   a [`MetricsObserver`] and a [`UtilizationObserver`] whose live view
+//!   streams back as `metrics` frames over the submitting connection,
+//!   and whose `keep_running` cancels the simulation on the deadline,
+//!   shutdown, or the client going away.
 //!
 //! Because every worker goes through the shared cache's single-flight
 //! layer, two clients submitting the same cold cell coalesce: exactly
@@ -30,13 +30,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use predictsim_experiments::progress::Heartbeat;
 use predictsim_experiments::registry::{parse_cluster, parse_triple};
 use predictsim_experiments::{
     CellSource, ExperimentSetup, HeuristicTriple, LoadedWorkload, Scenario, ScenarioError,
     SimCache, SwfSource, SyntheticSource, WorkloadSource,
 };
-use predictsim_sim::{ClusterSpec, SimError, UtilizationObserver};
+use predictsim_sim::{
+    ClusterSpec, MetricsObserver, SimError, SimEvent, SimObserver, UtilizationObserver,
+};
 use predictsim_workload::WorkloadSpec;
 use serde::{Serialize, Value};
 
@@ -221,7 +222,7 @@ impl Server {
 
     /// Graceful drain: stop accepting, reject everything still queued
     /// with `shutdown` errors, cancel in-flight simulations through
-    /// their observers' cancel hooks, join every thread, and sweep this
+    /// their observers' `keep_running`, join every thread, and sweep this
     /// process's temp files out of the persistent cache directory.
     pub fn shutdown(mut self) {
         self.drain();
@@ -524,7 +525,7 @@ fn worker_loop(shared: Arc<Shared>) {
         shared.active.fetch_add(1, Ordering::Relaxed);
         // Panic isolation: the cache already catches panics inside the
         // cell simulation, so this guards the rest of the job path
-        // (workload build, frame serialization, observer sinks). A
+        // (workload build, frame serialization, the job observer). A
         // poisoned job becomes a typed `internal` frame; the worker —
         // and the daemon — keep serving.
         let outcome =
@@ -537,6 +538,36 @@ fn worker_loop(shared: Arc<Shared>) {
             );
             pending.conn.send(&error_frame(Some(pending.id), &err));
         }
+    }
+}
+
+/// One running job's observer: it streams a `metrics` frame over the
+/// submitting connection every `every` events, and the engine polls it
+/// for cancellation (server drain, the client gone, or the deadline).
+struct JobObserver<'a> {
+    id: u64,
+    metrics: MetricsObserver,
+    utilization: UtilizationObserver,
+    every: u64,
+    conn: &'a ConnWriter,
+    shared: &'a Shared,
+    deadline: Option<Instant>,
+}
+
+impl SimObserver for JobObserver<'_> {
+    fn on_event(&mut self, event: &SimEvent<'_>) {
+        self.metrics.on_event(event);
+        self.utilization.on_event(event);
+        if self.metrics.events().is_multiple_of(self.every) {
+            self.conn
+                .send(&metrics_frame(self.id, &self.metrics, &self.utilization));
+        }
+    }
+
+    fn keep_running(&self) -> bool {
+        !self.shared.shutting_down()
+            && self.conn.alive()
+            && self.deadline.is_none_or(|d| Instant::now() < d)
     }
 }
 
@@ -556,39 +587,27 @@ fn run_job(pending: &Pending, shared: &Arc<Shared>) {
         .cluster
         .unwrap_or_else(|| ClusterSpec::single(workload.machine_size));
 
-    // The heartbeat streams `metrics` frames and carries cancellation:
-    // deadline, server drain, or the submitting client vanishing.
     let deadline = submission
         .timeout_ms
         .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let every = submission.metrics_every.unwrap_or(DEFAULT_METRICS_EVERY);
-    let sink_conn = conn.clone();
-    let mut heartbeat = Heartbeat::new(
-        cluster.total_procs(),
-        every,
-        Box::new(move |pulse| {
-            sink_conn.send(&metrics_frame(
-                id,
-                pulse.events,
-                pulse.metrics,
-                pulse.utilization,
-            ));
-        }),
-    )
-    .with_utilization(UtilizationObserver::hourly(cluster));
-    let cancel_conn = conn.clone();
-    let cancel_shared = shared.clone();
-    heartbeat = heartbeat.with_cancel(Box::new(move || {
-        cancel_shared.shutting_down()
-            || !cancel_conn.alive()
-            || deadline.is_some_and(|d| Instant::now() >= d)
-    }));
-
+    let mut observer = JobObserver {
+        id,
+        metrics: MetricsObserver::new(),
+        utilization: UtilizationObserver::new(cluster, UtilizationObserver::DEFAULT_BUCKET_SECONDS),
+        // `metrics_every: 0` means every event, not a division by zero.
+        every: submission
+            .metrics_every
+            .unwrap_or(DEFAULT_METRICS_EVERY)
+            .max(1),
+        conn,
+        shared,
+        deadline,
+    };
     let run = SimCache::global().run_cell_observed_traced(
         &workload.jobs,
         cluster,
         &pending.triple,
-        &mut heartbeat,
+        &mut observer,
     );
     match run {
         Ok((cell, source)) => {

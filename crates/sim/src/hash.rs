@@ -10,6 +10,7 @@
 //! iteration order ever leaked into results (it does not: these maps
 //! are only ever probed by key).
 
+use std::borrow::Borrow;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The FxHash multiplier (64-bit golden-ratio-derived odd constant).
@@ -60,21 +61,19 @@ impl Hasher for FxHasher {
 /// `BuildHasher` plugging [`FxHasher`] into `std` collections.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// FNV-1a over a byte slice — the stable content-fingerprint hash used
-/// for identities that must survive process boundaries (e.g.
-/// [`crate::cluster::ClusterSpec::fingerprint`], and the experiment
-/// layer's workload fingerprints). Unlike [`FxHasher`] it has a
-/// published fixed definition, so fingerprints are comparable across
-/// builds.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a over a byte stream (a slice, a `Vec`, or any iterator of
+/// bytes) — the stable content-fingerprint hash used for identities
+/// that must survive process boundaries:
+/// [`crate::cluster::ClusterSpec::fingerprint`], the experiment layer's
+/// workload fingerprints and its persistent cache's file names. Unlike
+/// [`FxHasher`] it has a published fixed definition, so fingerprints
+/// are comparable across builds.
+pub fn fnv1a64<B: Borrow<u8>>(bytes: impl IntoIterator<Item = B>) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
+    bytes.into_iter().fold(OFFSET, |hash, byte| {
+        (hash ^ *byte.borrow() as u64).wrapping_mul(PRIME)
+    })
 }
 
 /// `HashMap` keyed with [`FxHasher`].
@@ -113,6 +112,14 @@ mod tests {
         b.write_u64(u64::from_le_bytes([1, 2, 3, 4, 5, 6, 7, 8]));
         b.write(&[9]);
         assert_eq!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn fnv1a64_matches_the_published_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a64(b"foobar".iter().copied()), fnv1a64(b"foobar"));
     }
 
     #[test]

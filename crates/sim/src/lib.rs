@@ -105,9 +105,7 @@ pub use audit::{audit, AuditReport, AuditViolation};
 pub use cluster::{ClusterSpec, ClusterSpecError, Partition, MAX_PARTITIONS};
 pub use engine::{simulate_in, SimConfig, SimError};
 pub use job::{intern_users, job_from_swf, jobs_from_swf, Job, JobId};
-pub use observe::{
-    MetricsObserver, NullObserver, SimEvent, SimObserver, Ticker, UtilizationObserver,
-};
+pub use observe::{MetricsObserver, NullObserver, SimEvent, SimObserver, UtilizationObserver};
 pub use outcome::{JobOutcome, SimResult};
 pub use predict::{
     ClairvoyantPredictor, CorrectionPolicy, RequestedTimeCorrection, RequestedTimePredictor,

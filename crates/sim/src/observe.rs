@@ -4,10 +4,11 @@
 //! state change of the simulation — submission, start, §5.2 correction,
 //! completion, and the final result — to a caller-supplied
 //! [`SimObserver`]. [`MetricsObserver`] keeps a live view of the
-//! scheduling aggregates (AVEbsld, mean wait, utilization, correction
-//! counts) as jobs finish, and a closure observer can stream progress,
-//! enforce invariants, or abort-log long simulations without touching
-//! the engine. The final numbers come from the [`SimResult`].
+//! scheduling aggregates (AVEbsld, mean wait, job and correction
+//! counts, events seen) as jobs finish, and a closure observer can
+//! stream progress, enforce invariants, or abort-log long simulations
+//! without touching the engine. The final numbers come from the
+//! [`SimResult`].
 //!
 //! Observers are strictly read-only: the engine hands out shared
 //! references, so an observer can never perturb the schedule. A
@@ -35,7 +36,7 @@
 //!         swf_id: i as u64,
 //!     })
 //!     .collect();
-//! let mut metrics = MetricsObserver::new(4);
+//! let mut metrics = MetricsObserver::new();
 //! let result = simulate_in(
 //!     &mut SimArena::new(),
 //!     &jobs,
@@ -47,6 +48,8 @@
 //! )
 //! .unwrap();
 //! assert_eq!(metrics.finished(), 10);
+//! // 10 submissions, 10 starts, 10 completions and the final result.
+//! assert_eq!(metrics.events(), 31);
 //! assert!((metrics.ave_bsld() - result.ave_bsld()).abs() < 1e-9);
 //! ```
 
@@ -110,7 +113,9 @@ pub enum SimEvent<'a> {
 ///
 /// Implemented by [`NullObserver`], [`MetricsObserver`],
 /// [`UtilizationObserver`], and — through the blanket impl — any
-/// `FnMut(&SimEvent<'_>)` closure.
+/// `FnMut(&SimEvent<'_>)` closure. The live readers (`repro
+/// --progress`, the serve daemon's `metrics` frames) are private
+/// observers of their own that feed a [`MetricsObserver`].
 pub trait SimObserver {
     /// Called once per engine state change, in event order.
     fn on_event(&mut self, event: &SimEvent<'_>);
@@ -141,16 +146,18 @@ impl SimObserver for NullObserver {
     fn on_event(&mut self, _event: &SimEvent<'_>) {}
 }
 
-/// The live view of a running simulation's scheduling metrics — what
-/// `--progress` heartbeats and the serve daemon's `metrics` frames read.
+/// The live view of a running simulation's scheduling metrics: exactly
+/// what `--progress` heartbeat lines and the serve daemon's `metrics`
+/// frames print, including the count of events seen, which sets their
+/// cadence.
 ///
 /// After each `Finished` event the values reflect all jobs completed so
 /// far. Sums accumulate in completion order, so they may differ in the
 /// last bits from the final numbers, which come from the job-id-ordered
 /// [`SimResult`] methods ([`SimResult::ave_bsld`] and co).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsObserver {
-    machine_size: u32,
+    events: u64,
     submitted: usize,
     started: usize,
     finished: usize,
@@ -159,29 +166,17 @@ pub struct MetricsObserver {
     bsld_sum: f64,
     max_bsld: f64,
     wait_sum: f64,
-    busy_work: f64,
-    first_submit: Option<i64>,
-    last_end: i64,
 }
 
 impl MetricsObserver {
-    /// A fresh accumulator for a machine of `machine_size` processors,
-    /// with the paper's τ = 10 s.
-    pub fn new(machine_size: u32) -> Self {
-        Self {
-            machine_size,
-            submitted: 0,
-            started: 0,
-            finished: 0,
-            killed: 0,
-            corrections: 0,
-            bsld_sum: 0.0,
-            max_bsld: 0.0,
-            wait_sum: 0.0,
-            busy_work: 0.0,
-            first_submit: None,
-            last_end: 0,
-        }
+    /// A fresh accumulator (bounded slowdown with the paper's τ = 10 s).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Engine events seen so far, of every kind (`Completed` included).
+    pub fn events(&self) -> u64 {
+        self.events
     }
 
     /// Jobs submitted so far.
@@ -197,11 +192,6 @@ impl MetricsObserver {
     /// Jobs finished so far.
     pub fn finished(&self) -> usize {
         self.finished
-    }
-
-    /// Jobs waiting or running right now.
-    pub fn in_flight(&self) -> usize {
-        self.submitted - self.finished
     }
 
     /// Jobs killed at their requested-time bound so far.
@@ -237,26 +227,13 @@ impl MetricsObserver {
             self.wait_sum / self.finished as f64
         }
     }
-
-    /// Utilization achieved so far: completed work over the span from the
-    /// first submission to the latest completion.
-    pub fn utilization(&self) -> f64 {
-        let Some(first) = self.first_submit else {
-            return 0.0;
-        };
-        let span = (self.last_end - first).max(1) as f64;
-        self.busy_work / (span * self.machine_size as f64)
-    }
 }
 
 impl SimObserver for MetricsObserver {
     fn on_event(&mut self, event: &SimEvent<'_>) {
+        self.events += 1;
         match event {
-            SimEvent::Submitted { job, .. } => {
-                self.submitted += 1;
-                let submit = job.submit.0;
-                self.first_submit = Some(self.first_submit.map_or(submit, |f| f.min(submit)));
-            }
+            SimEvent::Submitted { .. } => self.submitted += 1,
             SimEvent::Started { .. } => self.started += 1,
             SimEvent::Corrected { .. } => self.corrections += 1,
             SimEvent::Finished { outcome } => {
@@ -268,43 +245,9 @@ impl SimObserver for MetricsObserver {
                 self.bsld_sum += bsld;
                 self.max_bsld = self.max_bsld.max(bsld);
                 self.wait_sum += outcome.wait() as f64;
-                self.busy_work += outcome.run as f64 * outcome.procs as f64;
-                self.last_end = self.last_end.max(outcome.end.0);
             }
             SimEvent::Completed { .. } => {}
         }
-    }
-}
-
-/// A modular event counter: `tick()` returns `true` once every `every`
-/// calls. The shared cadence primitive behind intra-cell `--progress`
-/// heartbeats and the serve daemon's periodic `metrics` frames — both
-/// count raw [`SimEvent`]s, so one simulation produces the same frame
-/// boundaries whichever journaling path consumes them.
-#[derive(Debug, Clone)]
-pub struct Ticker {
-    every: u64,
-    seen: u64,
-}
-
-impl Ticker {
-    /// Fires every `every` events (clamped to at least 1).
-    pub fn new(every: u64) -> Self {
-        Self {
-            every: every.max(1),
-            seen: 0,
-        }
-    }
-
-    /// Counts one event; `true` on every `every`-th call.
-    pub fn tick(&mut self) -> bool {
-        self.seen += 1;
-        self.seen.is_multiple_of(self.every)
-    }
-
-    /// Total events counted so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
     }
 }
 
@@ -342,11 +285,6 @@ impl UtilizationObserver {
             origin: None,
             busy,
         }
-    }
-
-    /// [`Self::new`] with [`Self::DEFAULT_BUCKET_SECONDS`].
-    pub fn hourly(cluster: ClusterSpec) -> Self {
-        Self::new(cluster, Self::DEFAULT_BUCKET_SECONDS)
     }
 
     /// The bucket width, simulated seconds.
@@ -478,7 +416,7 @@ mod tests {
     fn metrics_observer_matches_post_hoc_scan() {
         let js = jobs(20);
         let cfg = SimConfig::single(5);
-        let mut metrics = MetricsObserver::new(cfg.machine_size());
+        let mut metrics = MetricsObserver::new();
         let observed = simulate_in(
             &mut SimArena::new(),
             &js,
@@ -500,12 +438,16 @@ mod tests {
         )
         .unwrap();
         assert_eq!(observed, plain, "observation must not perturb the engine");
+        assert_eq!(metrics.submitted(), plain.outcomes.len());
+        assert_eq!(metrics.started(), plain.outcomes.len());
         assert_eq!(metrics.finished(), plain.outcomes.len());
-        assert_eq!(metrics.in_flight(), 0);
+        // Submitted, Started and Finished per job, each correction, and
+        // the final Completed.
+        let per_job = 3 * plain.outcomes.len() as u64;
+        assert_eq!(metrics.events(), per_job + metrics.corrections() + 1);
         assert!((metrics.ave_bsld() - plain.ave_bsld()).abs() < 1e-9);
         assert_eq!(metrics.max_bsld(), plain.max_bsld());
         assert!((metrics.mean_wait() - plain.mean_wait()).abs() < 1e-9);
-        assert!((metrics.utilization() - plain.utilization()).abs() < 1e-9);
         assert_eq!(metrics.corrections(), plain.total_corrections());
     }
 
@@ -559,22 +501,11 @@ mod tests {
 
     #[test]
     fn empty_metrics_are_zero() {
-        let m = MetricsObserver::new(16);
+        let m = MetricsObserver::new();
+        assert_eq!(m.events(), 0);
         assert_eq!(m.ave_bsld(), 0.0);
+        assert_eq!(m.max_bsld(), 0.0);
         assert_eq!(m.mean_wait(), 0.0);
-        assert_eq!(m.utilization(), 0.0);
-        assert_eq!(m.in_flight(), 0);
-    }
-
-    #[test]
-    fn ticker_fires_on_the_modulus() {
-        let mut t = Ticker::new(3);
-        let fired: Vec<bool> = (0..7).map(|_| t.tick()).collect();
-        assert_eq!(fired, vec![false, false, true, false, false, true, false]);
-        assert_eq!(t.seen(), 7);
-        // A zero interval clamps to 1 rather than dividing by zero.
-        let mut every = Ticker::new(0);
-        assert!(every.tick());
     }
 
     #[test]

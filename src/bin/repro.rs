@@ -81,6 +81,7 @@ fn parse_args() -> Result<Options, String> {
     let mut cache_dir = None;
     let mut progress = false;
     let mut full = false;
+    let mut scale_given = false;
     let mut swf = None;
     let mut log = None;
     let mut scheduler = None;
@@ -118,11 +119,9 @@ fn parse_args() -> Result<Options, String> {
                 if !(setup.scale.is_finite() && setup.scale > 0.0) {
                     return Err("--scale must be a positive number".into());
                 }
+                scale_given = true;
             }
-            "--full" => {
-                setup.scale = 1.0;
-                full = true;
-            }
+            "--full" => full = true,
             "--seed" => {
                 let v = args.next().ok_or("--seed needs a value")?;
                 setup.seed = v.parse().map_err(|_| format!("bad seed {v:?}"))?;
@@ -199,6 +198,10 @@ fn parse_args() -> Result<Options, String> {
     // killed run can be relaunched and resumes from the cells it already
     // wrote.
     if full {
+        if scale_given {
+            return Err("--full is --scale 1.0; pass one of --full and --scale".into());
+        }
+        setup.scale = 1.0;
         progress = true;
         if cache_dir.is_none() {
             cache_dir = Some(std::path::PathBuf::from("repro-cache"));
@@ -549,13 +552,14 @@ fn run(opts: &Options) {
         write_json(&opts.out_dir, "table6.json", &rows);
     }
 
-    if wants("table7") {
+    let cross_validation = wants("table7").then(|| {
         let cs = campaign_results.as_ref().expect("campaigns computed");
         println!("## Table 7 — cross-validated triple selection (§6.3.3)\n");
         let outcome = timer.time("table7 (cross-validation)", || table7(cs));
         println!("{}", render_table7(&outcome));
         write_json(&opts.out_dir, "table7.json", &outcome);
-    }
+        outcome
+    });
 
     if wants("fig3") {
         let cs = campaign_results.as_ref().expect("campaigns computed");
@@ -626,9 +630,7 @@ fn run(opts: &Options) {
 
     // Close with the headline comparison so `repro all` ends on the
     // paper's summary numbers.
-    if wants("table7") {
-        let cs = campaign_results.as_ref().expect("campaigns computed");
-        let outcome = table7(cs);
+    if let Some(outcome) = &cross_validation {
         println!("---");
         println!(
             "Headline: C-V triple reduces AVEbsld by {:.0}% vs EASY (paper: 28%), {:.0}% vs EASY++ (paper: 11%), max {:.0}% (paper: 86%).",
@@ -710,7 +712,8 @@ OPTIONS
   --full       the resumable full-scale run: --scale 1.0 composed with
                --cache (default directory ./repro-cache) and --progress;
                kill it at any point and relaunch the same command to
-               simulate exactly the cells not yet on disk
+               simulate exactly the cells not yet on disk. It sets the
+               scale, so it does not combine with --scale
   --seed N     workload generation seed (default 20150101)
   --out DIR    also write JSON artifacts to DIR
   --threads N  pin the worker-pool width (default: RAYON_NUM_THREADS or

@@ -42,11 +42,15 @@ const SENTINEL: &str =
 /// `GOLDEN_REGEN=1 cargo test --test repro_cli`.
 const ARTIFACTS_GOLDEN: &str = "tests/golden/artifacts.fnv";
 
-/// One `fnv1a64-hex  file-name` line per file in `out`, sorted by name,
-/// then the run's `cache summary:` line.
-fn artifact_manifest(out: &Path, stderr: &str) -> String {
-    let mut names: Vec<String> = std::fs::read_dir(out)
-        .expect("read --out dir")
+/// Byte identity of the cell files a cold `repro table1 --scale 0.01
+/// --cache` writes, plus the cold and warm `cache summary:` lines.
+/// `GOLDEN_REGEN=1` rewrites it, as for [`ARTIFACTS_GOLDEN`].
+const CACHE_CELLS_GOLDEN: &str = "tests/golden/cache_cells.fnv";
+
+/// One `fnv1a64-hex  file-name` line per file in `dir`, sorted by name.
+fn file_hashes(dir: &Path) -> String {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("read dir")
         .map(|entry| {
             entry
                 .expect("dir entry")
@@ -58,14 +62,35 @@ fn artifact_manifest(out: &Path, stderr: &str) -> String {
     names.sort();
     let mut manifest = String::new();
     for name in names {
-        let bytes = std::fs::read(out.join(&name)).expect("read artifact");
+        let bytes = std::fs::read(dir.join(&name)).expect("read file");
         manifest.push_str(&format!("{:016x}  {name}\n", fnv1a64(&bytes)));
     }
-    let summary = stderr
+    manifest
+}
+
+fn cache_summary(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr)
         .lines()
         .find(|line| line.starts_with("cache summary:"))
-        .expect("cache summary on stderr");
-    manifest + summary + "\n"
+        .expect("cache summary on stderr")
+        .to_string()
+}
+
+/// Compares `manifest` with the committed `golden` file, or rewrites it
+/// under `GOLDEN_REGEN`.
+fn assert_golden(golden: &str, manifest: &str, what: &str) {
+    if std::env::var_os("GOLDEN_REGEN").is_some() {
+        std::fs::write(golden, manifest).expect("write golden");
+        panic!("manifest regenerated at {golden} — rerun without GOLDEN_REGEN");
+    }
+    let pinned = std::fs::read_to_string(golden).unwrap_or_else(|e| {
+        panic!("missing golden file {golden} ({e}); regenerate with GOLDEN_REGEN=1")
+    });
+    assert_eq!(
+        manifest, pinned,
+        "{what} drifted from {golden}; if the change is intentional, regenerate with \
+         GOLDEN_REGEN=1 and review the diff"
+    );
 }
 
 /// `repro all --timing` at scale 0.01, in a directory holding a
@@ -96,19 +121,66 @@ fn all_prints_timing_on_stdout_and_keeps_table6() {
         "default runs keep Table 6"
     );
 
-    let manifest = artifact_manifest(&dir.join("full"), &String::from_utf8_lossy(&full.stderr));
-    if std::env::var_os("GOLDEN_REGEN").is_some() {
-        std::fs::write(ARTIFACTS_GOLDEN, &manifest).expect("write golden");
-        panic!("artifact manifest regenerated at {ARTIFACTS_GOLDEN} — rerun without GOLDEN_REGEN");
-    }
-    let golden = std::fs::read_to_string(ARTIFACTS_GOLDEN).unwrap_or_else(|e| {
-        panic!("missing golden file {ARTIFACTS_GOLDEN} ({e}); regenerate with GOLDEN_REGEN=1")
-    });
-    assert_eq!(
-        manifest, golden,
-        "`repro all --scale 0.01` artifacts drifted from {ARTIFACTS_GOLDEN}; if the change is \
-         intentional, regenerate with GOLDEN_REGEN=1 and review the diff"
+    let manifest = file_hashes(&dir.join("full")) + &cache_summary(&full) + "\n";
+    assert_golden(
+        ARTIFACTS_GOLDEN,
+        &manifest,
+        "`repro all --scale 0.01` artifacts",
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `progress: table1 [k/12] cell — source` lines of one run: one
+/// per cell, counters 1..=12 in some order, each source passing `how`.
+fn assert_progress(out: &Output, how: impl Fn(&str) -> bool) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let mut counters = Vec::new();
+    for line in stderr
+        .lines()
+        .filter_map(|l| l.strip_prefix("progress: table1 ["))
+    {
+        let (counter, rest) = line.split_once("/12] ").expect("a k/12 counter");
+        counters.push(counter.parse::<usize>().expect("numeric counter"));
+        let (_, source) = rest.split_once(" — ").expect("a source after the dash");
+        assert!(how(source), "{line}");
+    }
+    counters.sort_unstable();
+    assert_eq!(counters, (1..=12).collect::<Vec<_>>(), "{stderr}");
+}
+
+/// A cold then warm `table1 --progress --cache` pair: the cell files
+/// are byte-pinned by [`CACHE_CELLS_GOLDEN`] (equal cell bytes are what
+/// keep old cache directories resumable), the warm run is served from
+/// disk alone, and each run journals one progress line per cell.
+#[test]
+fn cache_cells_and_progress_lines_are_pinned() {
+    let dir = scratch("cells");
+    let args: Vec<&str> = "table1 --scale 0.01 --progress --cache cells"
+        .split(' ')
+        .collect();
+    let (cold, warm) = (repro(&dir, &args), repro(&dir, &args));
+    assert!(
+        cold.status.success() && warm.status.success(),
+        "{cold:?} {warm:?}"
+    );
+    assert_eq!(stdout(&cold), stdout(&warm), "warm stdout equals cold");
+    assert_progress(&cold, |source| {
+        let secs = source
+            .strip_prefix("simulated in ")
+            .and_then(|s| s.strip_suffix('s'));
+        secs.is_some_and(|secs| secs.parse::<f64>().is_ok())
+    });
+    assert_progress(&warm, |source| source == "disk hit");
+    let warm_summary = cache_summary(&warm);
+    assert!(
+        warm_summary.contains("simulated=0 memory_hits=0 disk_hits=12"),
+        "{warm_summary}"
+    );
+    // The directory holds `cell-*.json` files only: a stray file (a
+    // leaked temp file, say) fails the pin too.
+    let cells = file_hashes(&dir.join("cells"));
+    let manifest = format!("{cells}{}\n{warm_summary}\n", cache_summary(&cold));
+    assert_golden(CACHE_CELLS_GOLDEN, &manifest, "`table1 --cache` cell files");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -135,7 +207,9 @@ fn misspelt_experiment_is_rejected_with_the_valid_names() {
 }
 
 /// A non-positive scale used to reach an assertion in workload
-/// generation (exit 101).
+/// generation (exit 101). `--full` sets the scale too, so pairing it
+/// with `--scale` is refused in either order rather than won by the
+/// last flag.
 #[test]
 fn non_positive_scale_is_rejected() {
     for scale in ["0", "-1", "nan", "inf"] {
@@ -143,6 +217,12 @@ fn non_positive_scale_is_rejected() {
             &["table1", "--scale", scale],
             "error: --scale must be a positive number",
         );
+    }
+    for args in [
+        ["all", "--scale", "0.1", "--full"],
+        ["all", "--full", "--scale", "0.1"],
+    ] {
+        assert_rejected(&args, "error: --full is --scale 1.0");
     }
 }
 

@@ -355,60 +355,60 @@ fn shutdown_drains_queued_and_in_flight_work() {
     assert_eq!(of(job_b), "shutdown", "queued job is rejected on drain");
 }
 
-/// A cold cell with a 64-event cadence streams consistent `metrics`
-/// frames — monotone event counts, bounded job counts, a live AVEbsld
+/// A cold cell streams consistent `metrics` frames — one every
+/// `metrics_every` events (`0` means every event: 1, 2, 3, …, not a
+/// division by zero in the worker), bounded job counts, a live AVEbsld
 /// and one hourly utilization series — before its `result`.
 #[test]
 fn metrics_frames_stream_ahead_of_the_result() {
     let server = Server::start(ServeConfig::default()).expect("daemon starts");
     let mut client = Client::connect(server.addr()).expect("connect");
 
-    let jobs = 300;
-    let mut submission = toy("metrics", jobs, 9_111);
-    submission.metrics_every = Some(64);
-    client.submit(&submission).expect("submit");
-    let job = await_ack(&mut client);
-    let frames = client.drain_job(job).expect("frames stream back");
+    for (every, jobs, seed) in [(64, 300, 9_111), (0, 20, 9_112)] {
+        let mut submission = toy("metrics", jobs, seed);
+        submission.metrics_every = Some(every);
+        client.submit(&submission).expect("submit");
+        let job = await_ack(&mut client);
+        let frames = client.drain_job(job).expect("frames stream back");
 
-    let (last, progress) = frames.split_last().expect("a terminal frame");
-    match last {
-        Frame::Result { source, .. } => assert_eq!(source, "simulated", "a cold cell"),
-        other => panic!("expected the result last, got {other:?}"),
-    }
-    let mut previous_events = 0;
-    for frame in progress {
-        let Frame::Metrics {
-            job: tagged,
-            events,
-            finished,
-            submitted,
-            ave_bsld,
-            raw,
-        } = frame
-        else {
-            panic!("only metrics frames precede the result, got {frame:?}");
-        };
-        assert_eq!(*tagged, job);
-        assert!(
-            *events > previous_events && events % 64 == 0,
-            "events {events}"
-        );
-        previous_events = *events;
-        assert!(
-            finished <= submitted && *submitted <= jobs as u64,
-            "{frame:?}"
-        );
-        if *finished > 0 {
-            assert!(*ave_bsld >= 1.0, "{frame:?}");
+        let (last, progress) = frames.split_last().expect("a terminal frame");
+        match last {
+            Frame::Result { source, .. } => assert_eq!(source, "simulated", "a cold cell"),
+            other => panic!("expected the result last, got {other:?}"),
         }
-        let utilization: Vec<Value> = serde::get_field(raw, "utilization").expect("series");
-        assert_eq!(utilization.len(), 1, "one partition");
-        let bucket: u64 = serde::get_field(&utilization[0], "bucket_seconds").expect("bucket");
-        assert_eq!(bucket, 3_600);
+        let mut previous_events = 0;
+        for frame in progress {
+            let Frame::Metrics {
+                job: tagged,
+                events,
+                finished,
+                submitted,
+                ave_bsld,
+                raw,
+            } = frame
+            else {
+                panic!("only metrics frames precede the result, got {frame:?}");
+            };
+            assert_eq!(*tagged, job);
+            assert_eq!(*events, previous_events + every.max(1), "every {every}");
+            previous_events = *events;
+            assert!(
+                finished <= submitted && *submitted <= jobs as u64,
+                "{frame:?}"
+            );
+            if *finished > 0 {
+                assert!(*ave_bsld >= 1.0, "{frame:?}");
+            }
+            let utilization: Vec<Value> = serde::get_field(raw, "utilization").expect("series");
+            assert_eq!(utilization.len(), 1, "one partition");
+            let bucket: u64 = serde::get_field(&utilization[0], "bucket_seconds").expect("bucket");
+            assert_eq!(bucket, 3_600);
+        }
+        // At least a submission, a start and a completion per job.
+        assert!(
+            previous_events + every >= 3 * jobs as u64,
+            "every {every}: {frames:?}"
+        );
     }
-    assert!(
-        previous_events > 0,
-        "at least one metrics frame: {frames:?}"
-    );
     server.shutdown();
 }
