@@ -118,7 +118,7 @@ impl UserHistory {
 /// index (`Job::user_ix`, assigned at load time) — the extractor never
 /// hashes a user id on the per-event path. An untouched slab slot
 /// carries the same default feature values as an absent map entry did,
-/// so the slab is behavior-identical to the former `FxHashMap`.
+/// so the slab is behavior-identical to the per-user map it replaced.
 #[derive(Debug, Clone, Default)]
 pub struct FeatureExtractor {
     /// `users[user_ix]` = that user's history, grown lazily.

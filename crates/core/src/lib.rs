@@ -95,5 +95,4 @@ pub use loss::{loss_shapes, AsymmetricLoss, BasisLoss};
 pub use model::{LearnRecord, OnlineRegression};
 pub use optimizer::{AdaGradOptimizer, NagOptimizer, OnlineOptimizer, SgdOptimizer};
 pub use predictor::{ml_grid, Ave2Predictor, BasisKind, MlConfig, MlPredictor, OptimizerKind};
-pub use predictsim_sim::hash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use weighting::WeightingScheme;

@@ -34,7 +34,7 @@ use std::cell::RefCell;
 
 use predictsim_sim::observe::{NullObserver, SimObserver};
 use predictsim_sim::scheduler::Scheduler;
-use predictsim_sim::{simulate_in, ArenaStats, Job, SimArena, SimConfig, SimError, SimResult};
+use predictsim_sim::{simulate_in, Job, SimArena, SimConfig, SimError, SimResult};
 
 use crate::triple::{HeuristicTriple, Variant};
 
@@ -111,19 +111,6 @@ pub(crate) fn run_triple_with_scratch(
     })
 }
 
-/// The calling thread's cross-simulation scratch accounting (see
-/// [`ArenaStats`]): how many simulations this thread has run through its
-/// reusable arena, and how many of them grew any buffer.
-pub fn thread_arena_stats() -> ArenaStats {
-    WORKER_SCRATCH.with(|s| s.borrow().sim.stats())
-}
-
-/// Resets the calling thread's [`thread_arena_stats`] accounting
-/// (buffers stay warm).
-pub fn reset_thread_arena_stats() {
-    WORKER_SCRATCH.with(|s| s.borrow_mut().sim.reset_stats());
-}
-
 /// Why a cell simulation failed.
 #[derive(Debug)]
 pub enum ScenarioError {
@@ -178,7 +165,8 @@ impl Scenario {
     /// engine arena and the scheduler's scratch buffers are reused
     /// across simulations (behavior-identical: only capacity survives a
     /// run, never state), which is what lets a campaign worker simulate
-    /// hundreds of triples while allocating ~nothing after warm-up.
+    /// hundreds of triples while allocating, once warm, only each run's
+    /// result (counted in `tests/cache_and_arena.rs`).
     pub fn run_on(&self, jobs: &[Job], config: SimConfig) -> Result<SimResult, SimError> {
         run_triple_with_scratch(&self.triple, jobs, config, &mut NullObserver)
     }

@@ -1,24 +1,29 @@
 //! Correctness of the simulation cache at the campaign layer: cached
 //! campaigns serialize byte-identically to fresh ones, and warm
-//! cross-simulation runs allocate nothing (the [`ArenaStats`] pin at
-//! the experiment layer).
+//! cross-simulation runs allocate only their result (counted by the
+//! sim crate's test allocator, at the experiment layer).
+
+#[path = "../../sim/tests/support/counting_alloc.rs"]
+mod support;
 
 use predictsim_core::loss::AsymmetricLoss;
 use predictsim_core::predictor::MlConfig;
 use predictsim_core::weighting::WeightingScheme;
 use predictsim_experiments::cache::SimCache;
 use predictsim_experiments::campaign::run_campaign_loaded;
-use predictsim_experiments::scenario::{reset_thread_arena_stats, thread_arena_stats};
+use predictsim_experiments::scenario::Scenario;
 use predictsim_experiments::source::LoadedWorkload;
 use predictsim_experiments::triple::{
     reference_triples, CorrectionKind, HeuristicTriple, PredictionTechnique, Variant,
 };
 use predictsim_workload::{generate, WorkloadSpec};
+use support::allocs;
 
-fn golden_workload(seed: u64) -> LoadedWorkload {
+/// A toy workload of `jobs` jobs, a hundred a day.
+fn golden_workload(seed: u64, jobs: usize) -> LoadedWorkload {
     let mut spec = WorkloadSpec::toy();
-    spec.jobs = 300;
-    spec.duration = 3 * 86_400;
+    spec.jobs = jobs;
+    spec.duration = jobs as i64 / 100 * 86_400;
     spec.utilization = 0.9;
     generate(&spec, seed).into()
 }
@@ -53,7 +58,7 @@ fn sweep_triples() -> Vec<HeuristicTriple> {
 /// aggregates.
 #[test]
 fn cached_campaign_serializes_byte_identically_to_fresh() {
-    let w = golden_workload(51);
+    let w = golden_workload(51, 300);
     let triples = sweep_triples();
     SimCache::global().clear_memory();
     let fresh = run_campaign_loaded(&w, &triples);
@@ -73,28 +78,30 @@ fn cached_campaign_serializes_byte_identically_to_fresh() {
 }
 
 /// The experiment-layer half of the cross-simulation scratch-reuse pin:
-/// once a worker's arena has seen the workload shape, further campaign
-/// simulations on that worker allocate nothing (`reallocating_runs`
-/// stays 0). Runs single-threaded so the only worker is this thread.
+/// once the calling thread's scratch has seen the workloads, a
+/// `Scenario::run_on` of a non-learning triple allocates only its result
+/// — the outcome vector and two name strings — whatever the job count.
+/// Learners are rebuilt per run by design and are not pinned.
 #[test]
 fn warm_cross_simulation_runs_allocate_nothing() {
-    let w = golden_workload(53);
-    let triples = sweep_triples();
+    let workloads = [golden_workload(53, 3_000), golden_workload(53, 300)];
     rayon::pool::with_num_threads(1, || {
-        SimCache::global().clear_memory();
-        run_campaign_loaded(&w, &triples); // warm-up
-        SimCache::global().clear_memory();
-        reset_thread_arena_stats();
-        run_campaign_loaded(&w, &triples);
-        let stats = thread_arena_stats();
-        assert_eq!(
-            stats.runs,
-            triples.len() as u64,
-            "every cell must run through the thread's arena"
-        );
-        assert_eq!(
-            stats.reallocating_runs, 0,
-            "warm cross-simulation runs must not grow any engine buffer"
-        );
+        for name in [
+            "requested+easy",
+            "clairvoyant+easy",
+            "clairvoyant+easy-sjbf",
+        ] {
+            let triple: HeuristicTriple = name.parse().unwrap();
+            let scenario = Scenario::from_triple(&triple);
+            let run = |w: &LoadedWorkload| allocs(|| scenario.run_on(&w.jobs, w.sim_config()));
+            for w in &workloads {
+                run(w).0.unwrap();
+            }
+            for w in &workloads {
+                let (result, count) = run(w);
+                assert_eq!(result.unwrap().outcomes.len(), w.jobs.len());
+                assert_eq!(count, 3, "{name} on {} jobs", w.jobs.len());
+            }
+        }
     });
 }

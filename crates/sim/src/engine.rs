@@ -169,11 +169,8 @@ pub fn simulate_in(
     // isolation layer) re-enters a cleanly resettable arena. With no
     // plan installed this is one relaxed atomic load.
     predictsim_faultline::maybe_panic("cell.panic");
-    let capacity_before = arena.capacity_signature();
-    let result = Engine::new(arena, jobs, config, predictor.wants_user_running_index())?
-        .run(scheduler, predictor, correction, observer);
-    arena.record_run(capacity_before);
-    result
+    Engine::new(arena, jobs, config, predictor.wants_user_running_index())?
+        .run(scheduler, predictor, correction, observer)
 }
 
 /// One simulation run's machinery: the workload, the machine, and the

@@ -131,11 +131,6 @@ impl EventQueue {
         self.heap = BinaryHeap::from(heap_vec);
     }
 
-    /// Capacity of the underlying buffers (scratch-reuse accounting).
-    pub fn capacity(&self) -> usize {
-        self.schedule.capacity() + self.heap.capacity()
-    }
-
     /// Schedules `kind` at `time`.
     pub fn push(&mut self, time: Time, kind: EventKind) {
         let seq = self.next_seq;

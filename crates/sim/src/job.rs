@@ -156,8 +156,7 @@ pub fn jobs_from_swf(records: &[SwfRecord]) -> Result<Vec<Job>, JobConversionErr
 /// order is fixed, so equal job sequences always get equal interned
 /// indices regardless of which source produced them.
 pub fn intern_users(jobs: &mut [Job]) -> u32 {
-    let mut interned: crate::hash::FxHashMap<u32, u32> =
-        crate::hash::FxHashMap::with_capacity_and_hasher(1024, Default::default());
+    let mut interned = std::collections::HashMap::<u32, u32>::with_capacity(1024);
     for job in jobs.iter_mut() {
         let next = interned.len() as u32;
         job.user_ix = *interned.entry(job.user).or_insert(next);

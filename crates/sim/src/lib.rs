@@ -100,7 +100,7 @@ pub mod scheduler;
 pub mod state;
 pub mod time;
 
-pub use arena::{ArenaStats, SimArena};
+pub use arena::SimArena;
 pub use audit::{audit, AuditReport, AuditViolation};
 pub use cluster::{ClusterSpec, ClusterSpecError, Partition, MAX_PARTITIONS};
 pub use engine::{simulate_in, SimConfig, SimError};
@@ -113,7 +113,7 @@ pub use predict::{
 };
 pub use scheduler::{
     BackfillOrder, ConservativeScheduler, EasyScheduler, FcfsScheduler, ReleasePoint, ReleaseSet,
-    Scheduler, ScratchStats,
+    Scheduler,
 };
 pub use state::{RunningJob, SchedulerContext, SimState, Slot, SystemView, WaitingJob};
 pub use time::Time;

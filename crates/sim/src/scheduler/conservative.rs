@@ -17,7 +17,7 @@
 
 use crate::job::JobId;
 use crate::scheduler::profile::Profile;
-use crate::scheduler::{Scheduler, ScratchStats};
+use crate::scheduler::Scheduler;
 use crate::state::SchedulerContext;
 
 /// Conservative backfilling: plan every queued job, start those planned
@@ -31,7 +31,6 @@ use crate::state::SchedulerContext;
 #[derive(Debug, Default, Clone)]
 pub struct ConservativeScheduler {
     profile: Profile,
-    stats: ScratchStats,
 }
 
 impl ConservativeScheduler {
@@ -39,23 +38,10 @@ impl ConservativeScheduler {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Scratch-buffer accounting (test hook for the no-allocation
-    /// guarantee).
-    pub fn stats(&self) -> ScratchStats {
-        self.stats
-    }
-
-    /// Resets the scratch-buffer accounting (buffers stay warm).
-    pub fn reset_stats(&mut self) {
-        self.stats = ScratchStats::default();
-    }
 }
 
 impl Scheduler for ConservativeScheduler {
     fn schedule_into(&mut self, ctx: &SchedulerContext<'_>, starts: &mut Vec<JobId>) {
-        self.stats.passes += 1;
-        let caps_before = (self.profile.capacity(), starts.capacity());
         self.profile.rebuild_from(ctx.now, ctx.free, ctx.releases);
         for job in ctx.queue {
             let duration = job.predicted.max(1);
@@ -64,9 +50,6 @@ impl Scheduler for ConservativeScheduler {
             if start == ctx.now.0 {
                 starts.push(job.id);
             }
-        }
-        if (self.profile.capacity(), starts.capacity()) != caps_before {
-            self.stats.reallocating_passes += 1;
         }
     }
 

@@ -20,7 +20,7 @@
 //! what Figure 2 of the paper illustrates.
 
 use crate::job::JobId;
-use crate::scheduler::{Scheduler, ScratchStats};
+use crate::scheduler::Scheduler;
 use crate::state::{SchedulerContext, WaitingJob};
 use crate::time::Time;
 
@@ -37,21 +37,21 @@ pub enum BackfillOrder {
 
 /// The reservation EASY computes for the blocked head job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Reservation {
+struct Reservation {
     /// Earliest instant at which the head job can start, assuming running
     /// jobs end at their predicted ends.
-    pub shadow: Time,
+    shadow: Time,
     /// Processors that will be free at `shadow` beyond the head job's
     /// requirement — backfill jobs that outlive the shadow may use these.
-    pub extra: u32,
+    extra: u32,
 }
 
 /// EASY backfilling scheduler.
 ///
 /// Owns reusable scratch buffers (the phase-1 release list and the
 /// tie fallback's release vector) so a warm scheduling pass allocates
-/// nothing — see [`EasyScheduler::stats`]. SJBF candidates come from
-/// the state layer's incrementally maintained shortest-first view
+/// nothing. SJBF candidates come from the state layer's incrementally
+/// maintained shortest-first view
 /// ([`SchedulerContext::shortest_first`]), so no per-pass sort either.
 #[derive(Debug, Default, Clone)]
 pub struct EasyScheduler {
@@ -61,7 +61,9 @@ pub struct EasyScheduler {
     phase1: Vec<(i64, u32)>,
     /// Legacy-order release vector for the tie fallback.
     fallback: Vec<(Time, u32)>,
-    stats: ScratchStats,
+    /// Passes that took the tie fallback (see
+    /// [`EasyScheduler::slow_passes`]).
+    slow_passes: u64,
 }
 
 impl EasyScheduler {
@@ -88,15 +90,12 @@ impl EasyScheduler {
         self.order
     }
 
-    /// Scratch-buffer accounting (test hook for the no-allocation
-    /// guarantee).
-    pub fn stats(&self) -> ScratchStats {
-        self.stats
-    }
-
-    /// Resets the scratch-buffer accounting (buffers stay warm).
-    pub fn reset_stats(&mut self) {
-        self.stats = ScratchStats::default();
+    /// Passes so far that fell back to the from-scratch sort and walk
+    /// because a backfill candidate's admission depended on the order
+    /// of releases of different widths tied at the reservation's
+    /// crossing instant.
+    pub fn slow_passes(&self) -> u64 {
+        self.slow_passes
     }
 
     /// The head reservation from the incrementally maintained release
@@ -321,7 +320,7 @@ fn crossing_excess(group: &[u32], need: u32) -> (u32, u32) {
 ///
 /// `releases` must cumulatively free enough processors for the head,
 /// which holds whenever `head_procs ≤ machine_size`.
-pub fn head_reservation(
+fn head_reservation(
     now: Time,
     free: u32,
     head_procs: u32,
@@ -349,12 +348,6 @@ pub fn head_reservation(
 
 impl Scheduler for EasyScheduler {
     fn schedule_into(&mut self, ctx: &SchedulerContext<'_>, starts: &mut Vec<JobId>) {
-        self.stats.passes += 1;
-        let caps_before = (
-            self.phase1.capacity(),
-            self.fallback.capacity(),
-            starts.capacity(),
-        );
         let mut free = ctx.free;
 
         // Phase 1 — start the head of the queue while it fits (pure FCFS).
@@ -393,7 +386,7 @@ impl Scheduler for EasyScheduler {
                 // oracle would (legacy vector order, unstable sort,
                 // per-release walk).
                 starts.truncate(after_phase1);
-                self.stats.slow_passes += 1;
+                self.slow_passes += 1;
                 self.fallback.clear();
                 self.fallback.extend(
                     ctx.running
@@ -416,15 +409,6 @@ impl Scheduler for EasyScheduler {
                 let decided = Self::backfill(self.order, ctx, head_idx, exact, free, starts);
                 debug_assert!(decided, "an exact reservation leaves no gap");
             }
-        }
-
-        let caps_after = (
-            self.phase1.capacity(),
-            self.fallback.capacity(),
-            starts.capacity(),
-        );
-        if caps_after != caps_before {
-            self.stats.reallocating_passes += 1;
         }
     }
 
@@ -457,6 +441,19 @@ mod tests {
         let r = head_reservation(Time(0), 0, 1, &mut releases);
         assert_eq!(r.shadow, Time(10));
         assert_eq!(r.extra, 0);
+    }
+
+    #[test]
+    fn uncoverable_head_reserves_now_with_no_extra() {
+        let mut releases = vec![(Time(50), 8), (Time(100), 8)];
+        let r = head_reservation(Time(7), 0, 24, &mut releases);
+        assert_eq!(
+            r,
+            Reservation {
+                shadow: Time(7),
+                extra: 0
+            }
+        );
     }
 
     /// `crossing_excess` against the walk it summarises: every order of

@@ -14,6 +14,10 @@
 //! * [`ConservativeScheduler`] — conservative backfilling \[14\], where every
 //!   queued job holds a reservation (provided as an extension; the paper
 //!   discusses it in §2.1).
+//!
+//! The production policies keep their scratch buffers across passes, so
+//! a warm pass allocates nothing; `tests/scratch_reuse.rs` checks that
+//! with a counting global allocator, from outside the code it judges.
 
 pub mod conservative;
 pub mod easy;
@@ -64,25 +68,6 @@ pub trait Scheduler {
 
     /// Display name used in reports (e.g. `"easy-sjbf"`).
     fn name(&self) -> String;
-}
-
-/// Scratch-buffer accounting for a scheduler, in the style of the
-/// thread-pool stats: enough to verify that warm passes allocate
-/// nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScratchStats {
-    /// Scheduling passes executed.
-    pub passes: u64,
-    /// Passes during which some scratch buffer (including the caller's
-    /// `starts`) grew its capacity. After warm-up this must stop
-    /// increasing — the no-allocation property the engine relies on.
-    pub reallocating_passes: u64,
-    /// Passes that fell back to a from-scratch computation because the
-    /// incremental fast path could not prove byte-identity (EASY only:
-    /// a backfill candidate whose admission depends on the order of
-    /// releases of different widths tied at the reservation's crossing
-    /// instant).
-    pub slow_passes: u64,
 }
 
 #[cfg(test)]

@@ -155,11 +155,6 @@ impl ReleaseSet {
         self.points.clear();
     }
 
-    /// Capacity of the point buffer (scratch-reuse accounting).
-    pub fn capacity(&self) -> usize {
-        self.points.capacity()
-    }
-
     /// Number of distinct release instants.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -296,11 +291,6 @@ impl Profile {
     /// The breakpoints, for inspection in tests.
     pub fn points(&self) -> &[(i64, i64)] {
         &self.points
-    }
-
-    /// Capacity of the breakpoint buffer (scratch-reuse accounting).
-    pub fn capacity(&self) -> usize {
-        self.points.capacity()
     }
 }
 

@@ -6,7 +6,8 @@
 //! rebuilds the availability profile from scratch and searches it with
 //! the original quadratic candidate scan (`BruteProfile`, private to
 //! this module so the referee shares no code with the production
-//! [`crate::scheduler::profile::Profile`] it judges). They are
+//! [`crate::scheduler::profile::Profile`] it judges; the EASY oracle's
+//! sort-and-walk reservation is likewise its own copy). They are
 //! deliberately slow and allocation-heavy — their only job is to be
 //! *obviously* equivalent to the published algorithms, so the property
 //! tests can assert that the production schedulers (incremental release
@@ -19,7 +20,7 @@
 
 use crate::cluster::ClusterSpec;
 use crate::job::JobId;
-use crate::scheduler::easy::{head_reservation, BackfillOrder, Reservation};
+use crate::scheduler::easy::BackfillOrder;
 use crate::scheduler::profile::ReleaseSet;
 use crate::scheduler::Scheduler;
 use crate::state::{sorted_shortest_first, RunningJob, SchedulerContext, WaitingJob};
@@ -77,8 +78,19 @@ impl Scheduler for ReferenceEasy {
                     .map(|w| (ctx.now.plus(w.predicted), w.procs)),
             )
             .collect();
-        let Reservation { shadow, mut extra } =
-            head_reservation(ctx.now, free, head.procs, &mut releases);
+        releases.sort_unstable_by_key(|&(t, _)| t);
+        // Walk the releases until the head fits; releases that never
+        // cover it (a head wider than the machine) reserve now, with
+        // nothing extra.
+        let (mut shadow, mut extra) = (ctx.now, 0);
+        let mut avail = free;
+        for &(t, procs) in &releases {
+            avail += procs;
+            if avail >= head.procs {
+                (shadow, extra) = (t, avail - head.procs);
+                break;
+            }
+        }
 
         // Phase 3 — backfill the rest of the queue without delaying the
         // reservation.

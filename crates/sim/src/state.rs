@@ -149,11 +149,6 @@ impl UserRunning {
         }
         self.active = 0;
     }
-
-    /// Total capacity (in elements) of the owned buffers.
-    fn capacity(&self) -> usize {
-        self.users.capacity() + self.users.iter().map(Vec::capacity).sum::<usize>()
-    }
 }
 
 /// Snapshot handed to a [`crate::scheduler::Scheduler`] for one pass.
@@ -330,22 +325,6 @@ impl SimState {
         self.user_running.clear();
         self.pending_starts = 0;
         self.reset_capacity(cluster);
-    }
-
-    /// Total capacity (in elements) of the owned buffers — the
-    /// scratch-reuse accounting [`crate::arena::ArenaStats`] watches.
-    pub fn scratch_capacity(&self) -> usize {
-        self.queue.capacity()
-            + self.running.capacity()
-            + self.slots.capacity()
-            + self
-                .releases
-                .iter()
-                .map(ReleaseSet::capacity)
-                .sum::<usize>()
-            + self.shortest_first.capacity()
-            + self.remap.capacity()
-            + self.user_running.capacity()
     }
 
     /// The shortest-job-first key of a waiting job.

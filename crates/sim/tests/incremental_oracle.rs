@@ -8,22 +8,21 @@
 //! queue/running states (with release-time ties made *likely*, to drive
 //! EASY through its tie fallback) and on random operation sequences
 //! applied through [`SimState`] (so the release set is genuinely
-//! maintained, not rebuilt). Oversized head jobs exercise
-//! `head_reservation`'s degrade-gracefully branch.
+//! maintained, not rebuilt). Oversized head jobs exercise the
+//! reservation's degrade-gracefully branch.
 //!
 //! EASY resolves a heterogeneous tie at the reservation's crossing
 //! instant on an interval `[lo, hi]` that holds the legacy `extra`, and
 //! sorts only when a candidate falls between the bounds. Half of the
 //! random snapshots are built around such a tie ([`arb_tie_snapshot`]),
 //! and the unit cases at the end pin each side of that decision through
-//! `EasyScheduler::stats().slow_passes`.
+//! [`EasyScheduler::slow_passes`].
 
 use proptest::prelude::*;
 
 use predictsim_sim::engine::{simulate_in, SimConfig};
 use predictsim_sim::job::{Job, JobId};
 use predictsim_sim::predict::RequestedTimePredictor;
-use predictsim_sim::scheduler::easy::{head_reservation, Reservation};
 use predictsim_sim::scheduler::{
     ConservativeScheduler, EasyScheduler, ReferenceConservative, ReferenceEasy, ReleaseSet,
     Scheduler,
@@ -315,27 +314,18 @@ proptest! {
 /// to `(now, 0)` — and production still matches the oracle.
 #[test]
 fn oversized_head_takes_degrade_branch_identically() {
-    let mut releases = vec![(Time(50), 8), (Time(100), 8)];
-    let r = head_reservation(Time(7), 0, MACHINE + 8, &mut releases);
-    assert_eq!(
-        r,
-        Reservation {
-            shadow: Time(7),
-            extra: 0
-        }
-    );
-
     let snapshot = Snapshot {
         queue: vec![waiting(0, MACHINE + 8, 100, 0), waiting(1, 2, 40, 1)],
-        running: vec![running(1000, MACHINE, 50)],
+        running: vec![running(1000, MACHINE - 4, 50)],
     };
     let releases = ReleaseSet::from_running(&snapshot.running);
     let shortest = sorted_shortest_first(&snapshot.queue);
     let ctx = ctx_of(&snapshot, &releases, &shortest);
     let production = EasyScheduler::new().schedule(&ctx);
     assert_eq!(production, ReferenceEasy::new().schedule(&ctx));
-    // With shadow = now and extra = 0, nothing can backfill ahead of the
-    // impossible head (free is 0 here anyway).
+    // With shadow = now and extra = 0, nothing that outlives `now` can
+    // backfill ahead of the impossible head, though 4 processors are
+    // free (a shadow at the release, t=50, would admit job 1).
     assert!(production.is_empty());
 }
 
@@ -358,7 +348,7 @@ fn tie_fallback_engages_on_heterogeneous_crossing_ties() {
     let ctx = ctx_of(&snapshot, &releases, &shortest);
     let mut easy = EasyScheduler::new();
     let starts = easy.schedule(&ctx);
-    assert_eq!(easy.stats().slow_passes, 1, "tie must take the fallback");
+    assert_eq!(easy.slow_passes(), 1, "tie must take the fallback");
     assert_eq!(starts, ReferenceEasy::new().schedule(&ctx));
 }
 
@@ -389,7 +379,7 @@ fn uniform_crossing_ties_stay_on_the_fast_path() {
     let mut easy = EasyScheduler::new();
     let starts = easy.schedule(&ctx);
     assert_eq!(
-        easy.stats().slow_passes,
+        easy.slow_passes(),
         0,
         "uniform tie must stay on the fast path"
     );
@@ -419,7 +409,7 @@ fn tie_case(snapshot: &Snapshot) -> (Vec<JobId>, (u64, u64)) {
         ReferenceEasy::sjbf().schedule(&ctx),
         "EASY-SJBF"
     );
-    (starts, (fcfs.stats().slow_passes, sjbf.stats().slow_passes))
+    (starts, (fcfs.slow_passes(), sjbf.slow_passes()))
 }
 
 /// The blocked head (job 0) followed by candidates `(procs, predicted)`,
@@ -625,6 +615,23 @@ fn deep_queue_jobs(n: u32) -> Vec<Job> {
         .collect()
 }
 
+/// Counts the scheduling passes the engine asks of `S`.
+struct Counted<S> {
+    inner: S,
+    passes: u64,
+}
+
+impl<S: Scheduler> Scheduler for Counted<S> {
+    fn schedule_into(&mut self, ctx: &SchedulerContext<'_>, starts: &mut Vec<JobId>) {
+        self.passes += 1;
+        self.inner.schedule_into(ctx, starts);
+    }
+
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+}
+
 /// Complexity guard that reads no clock: how often a pass sorts is an
 /// exact count. The number of passes is the schedule's and must not
 /// move; the sorts must stay where interval tie resolution put them,
@@ -633,10 +640,11 @@ fn deep_queue_jobs(n: u32) -> Vec<Job> {
 #[test]
 fn deep_queue_sorts_stay_rare() {
     let jobs = deep_queue_jobs(4_000);
-    for (mut scheduler, passes, sorts, sorts_at_every_tie) in [
+    for (inner, passes, sorts, sorts_at_every_tie) in [
         (EasyScheduler::sjbf(), 4_636, 86, 304),
         (EasyScheduler::new(), 4_262, 78, 247),
     ] {
+        let mut scheduler = Counted { inner, passes: 0 };
         simulate_in(
             &mut predictsim_sim::SimArena::new(),
             &jobs,
@@ -647,9 +655,9 @@ fn deep_queue_sorts_stay_rare() {
             &mut predictsim_sim::NullObserver,
         )
         .unwrap();
-        let stats = scheduler.stats();
-        assert_eq!(stats.passes, passes, "{} passes", scheduler.name());
-        assert_eq!(stats.slow_passes, sorts, "{} sorts", scheduler.name());
+        let name = scheduler.name();
+        assert_eq!(scheduler.passes, passes, "{name} passes");
+        assert_eq!(scheduler.inner.slow_passes(), sorts, "{name} sorts");
         assert!(sorts < sorts_at_every_tie);
     }
 }

@@ -1,15 +1,22 @@
-//! The no-allocation guarantee: warm scheduler passes must not grow any
-//! scratch buffer. Verified through the pool-stats-style
-//! [`ScratchStats`] counters the schedulers expose.
+//! The no-allocation guarantee, measured from outside: a counting global
+//! allocator (`support/counting_alloc.rs`) counts what warm scheduler
+//! passes and warm simulation runs really allocate.
+
+#[path = "support/counting_alloc.rs"]
+mod support;
+
+use std::hint::black_box;
 
 use predictsim_sim::arena::SimArena;
+use predictsim_sim::cluster::{ClusterSpec, Partition};
 use predictsim_sim::engine::{simulate_in, SimConfig};
 use predictsim_sim::job::{Job, JobId};
 use predictsim_sim::observe::NullObserver;
-use predictsim_sim::predict::RequestedTimePredictor;
+use predictsim_sim::predict::{CorrectionPolicy, RequestedTimeCorrection, RequestedTimePredictor};
 use predictsim_sim::scheduler::{ConservativeScheduler, EasyScheduler, ReleaseSet, Scheduler};
 use predictsim_sim::state::{sorted_shortest_first, RunningJob, SchedulerContext, WaitingJob};
 use predictsim_sim::time::Time;
+use support::allocs;
 
 const MACHINE: u32 = 32;
 
@@ -28,9 +35,40 @@ fn contended_jobs(n: u32) -> Vec<Job> {
         .collect()
 }
 
+/// Heap allocations made by one run of `scheduler` on `jobs` in `arena`.
+fn run_allocs(
+    arena: &mut SimArena,
+    jobs: &[Job],
+    config: SimConfig,
+    scheduler: &mut dyn Scheduler,
+    correction: Option<&dyn CorrectionPolicy>,
+) -> u64 {
+    let (result, count) = allocs(|| {
+        simulate_in(
+            arena,
+            jobs,
+            config,
+            scheduler,
+            &mut RequestedTimePredictor,
+            correction,
+            &mut NullObserver,
+        )
+        .unwrap()
+    });
+    assert_eq!(black_box(result).outcomes.len(), jobs.len());
+    count
+}
+
+/// The counter is live: a pin of "0" cannot pass on a broken allocator.
+#[test]
+fn the_allocator_counts_a_one_byte_vec() {
+    let (_, count) = allocs(|| black_box(Vec::<u8>::with_capacity(1)));
+    assert_eq!(count, 1);
+}
+
 /// Hermetic pin: after a short warm-up on a fixed context shape, a
-/// thousand further passes must not grow any scratch buffer — neither
-/// the scheduler's own nor the caller's reused `starts` vector.
+/// thousand further passes allocate nothing — neither the schedulers'
+/// own scratch nor the caller's reused `starts` vector.
 #[test]
 fn warm_passes_never_reallocate() {
     let queue: Vec<WaitingJob> = (0..12)
@@ -72,73 +110,69 @@ fn warm_passes_never_reallocate() {
     let mut easy = EasyScheduler::sjbf();
     let mut conservative = ConservativeScheduler::new();
     let mut starts = Vec::new();
+    let mut pass = || {
+        starts.clear();
+        easy.schedule_into(&ctx, &mut starts);
+        starts.clear();
+        conservative.schedule_into(&ctx, &mut starts);
+    };
     for _ in 0..3 {
-        starts.clear();
-        easy.schedule_into(&ctx, &mut starts);
-        starts.clear();
-        conservative.schedule_into(&ctx, &mut starts);
+        pass();
     }
-    easy.reset_stats();
-    conservative.reset_stats();
-    for _ in 0..1_000 {
-        starts.clear();
-        easy.schedule_into(&ctx, &mut starts);
-        starts.clear();
-        conservative.schedule_into(&ctx, &mut starts);
-    }
-    assert_eq!(easy.stats().passes, 1_000);
-    assert_eq!(
-        easy.stats().reallocating_passes,
-        0,
-        "warm EASY passes must allocate nothing"
-    );
-    assert_eq!(conservative.stats().passes, 1_000);
-    assert_eq!(
-        conservative.stats().reallocating_passes,
-        0,
-        "warm conservative passes must allocate nothing"
-    );
+    let ((), count) = allocs(|| (0..1_000).for_each(|_| pass()));
+    assert_eq!(count, 0, "warm EASY-SJBF and conservative passes");
 }
 
-/// End-to-end: across a full contended simulation, buffer growth is
-/// confined to the warm-up tail — a vanishing fraction of passes — and
-/// a second run with the *same* scheduler instance (warm scratch, fresh
-/// engine) grows scheduler-owned buffers on at most the handful of
-/// passes where the engine's own reused `starts` list is still cold.
+/// End-to-end: on a warm arena with a warm scheduler, a whole run
+/// allocates only its result — the outcome vector and the scheduler's
+/// and predictor's name strings, plus the correction's name when there
+/// is one — whatever the job count.
 #[test]
 fn simulation_passes_are_warm_after_startup() {
     let jobs = contended_jobs(1_500);
-    let cfg = SimConfig::single(MACHINE);
+    let config = SimConfig::single(MACHINE);
+    let correction: &dyn CorrectionPolicy = &RequestedTimeCorrection;
+    let schedulers: [Box<dyn Scheduler>; 3] = [
+        Box::new(EasyScheduler::new()),
+        Box::new(EasyScheduler::sjbf()),
+        Box::new(ConservativeScheduler::new()),
+    ];
+    for mut scheduler in schedulers {
+        let scheduler = scheduler.as_mut();
+        let mut arena = SimArena::new();
+        let cold = run_allocs(&mut arena, &jobs, config, scheduler, None);
+        assert!(
+            cold > 4,
+            "{}: a cold run must grow buffers",
+            scheduler.name()
+        );
+        for n in [1_500, 300] {
+            let warm = run_allocs(&mut arena, &jobs[..n], config, scheduler, None);
+            assert_eq!(warm, 3, "{} on {n} jobs", scheduler.name());
+            let warm = run_allocs(&mut arena, &jobs[..n], config, scheduler, Some(correction));
+            assert_eq!(warm, 4, "{} on {n} jobs, corrected", scheduler.name());
+        }
+    }
+}
 
-    let run = |sched: &mut EasyScheduler| {
-        simulate_in(
-            &mut SimArena::new(),
-            &jobs,
-            cfg,
-            sched,
-            &mut RequestedTimePredictor,
-            None,
-            &mut NullObserver,
-        )
-        .unwrap()
+/// One arena serves a split cluster and the single machine of the same
+/// size: once it has run on both shapes, a run on either allocates only
+/// its result (the release sets of the wider shape are kept and reused).
+#[test]
+fn arena_stays_warm_across_cluster_shapes() {
+    let jobs = contended_jobs(1_500);
+    let half = |speed| Partition { size: 16, speed };
+    let split = SimConfig {
+        cluster: ClusterSpec::from_partitions(&[half(1.0), half(0.5)]).unwrap(),
     };
-    let mut sched = EasyScheduler::sjbf();
-    run(&mut sched);
-    let cold = sched.stats();
-    assert!(cold.passes > 1_000, "contended workload must pass often");
-    assert!(
-        cold.reallocating_passes * 50 < cold.passes,
-        "buffer growth must be confined to warm-up: {} of {} passes reallocated",
-        cold.reallocating_passes,
-        cold.passes
-    );
-
-    sched.reset_stats();
-    run(&mut sched);
-    let warm = sched.stats();
-    assert!(
-        warm.reallocating_passes <= 16,
-        "second run with warm scratch reallocated {} times",
-        warm.reallocating_passes
-    );
+    let single = SimConfig::single(MACHINE);
+    let mut arena = SimArena::new();
+    let mut scheduler = EasyScheduler::sjbf();
+    for config in [split, single] {
+        run_allocs(&mut arena, &jobs, config, &mut scheduler, None);
+    }
+    for config in [split, single, split, single] {
+        let warm = run_allocs(&mut arena, &jobs, config, &mut scheduler, None);
+        assert_eq!(warm, 3, "{:?}", config.cluster);
+    }
 }

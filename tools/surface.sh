@@ -27,6 +27,7 @@ echo "experiments_pub_items $(pubs crates/experiments/src)"
 echo "run_cell_entries $(entries run_cell)"
 echo "run_campaign_entries $(entries run_campaign)"
 echo "simulate_entries $(entries simulate)"
+echo "stats_structs $(grep -rhE 'pub struct \w*Stats\b' crates/*/src src | wc -l)"
 echo "unreferenced_pub_fns $(unreferenced)"
 echo "cli_flags $(grep -cE '^\s+"--[a-z-]+"( \| "-[a-z]")? =>' src/bin/repro.rs)"
 echo "fault_sites $(sed -n '/^const KNOWN_SITES/,/^];/p' crates/faultline/src/lib.rs | grep -c '^    "')"
