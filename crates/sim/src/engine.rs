@@ -26,7 +26,9 @@
 //! One `Engine` owns every per-run buffer — the indexed
 //! [`SimState`](crate::state::SimState), the outcome table (written by job index, so no final
 //! sort), the event batch and start lists — all allocated once and
-//! reused. Submit events are heapified in O(n) at startup. Event
+//! reused. Submit events are a pre-sorted vector drained by a cursor
+//! (only an out-of-order suffix is heapified — see
+//! [`EventQueue`](crate::event::EventQueue)). Event
 //! handlers resolve jobs through the slot map in O(1) (no scans), and
 //! the scheduling pass is *skipped* for batches that provably cannot
 //! start anything: an empty queue, or zero free processors (every valid
@@ -190,8 +192,9 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// Validates the workload and heapifies its submit events in O(n),
-    /// re-initializing `arena`'s buffers in place.
+    /// Validates the workload and loads its submit events as the event
+    /// queue's pre-sorted schedule, re-initializing `arena`'s buffers in
+    /// place.
     fn new(
         arena: &'a mut SimArena,
         jobs: &'a [Job],
@@ -838,7 +841,7 @@ mod tests {
         let engine = Engine::new(&mut arena, &jobs, cfg, false).unwrap();
         // The job will start at t=0 and finish at t=100; inject an expiry
         // for it at exactly t=100. Rank order puts Finish first, so the
-        // expiry sees Slot::Finished.
+        // expiry finds the job no longer running.
         engine
             .arena
             .events

@@ -32,14 +32,18 @@
 //!   release set and shortest-first view) plus the read-only snapshots
 //!   handed to policies;
 //! * [`scheduler`] — FCFS, EASY, EASY-SJBF, conservative backfilling
-//!   (allocation-free `schedule_into` passes), and the brute-force
-//!   [`scheduler::reference`] oracles;
+//!   (allocation-free `schedule_into` passes);
 //! * [`predict`] — predictor/correction traits and trivial baselines;
-//! * [`engine`] — the simulation driver (O(n) heapify, batched events,
-//!   provably-idle pass skipping);
+//! * [`engine`] — the simulation driver (pre-sorted submit schedule,
+//!   batched events, provably-idle pass skipping);
 //! * [`observe`] — per-event observer hook and incremental metrics;
 //! * [`outcome`] — per-job outcomes and aggregate objectives (AVEbsld);
 //! * [`mod@audit`] — independent re-verification of schedule invariants.
+//!
+//! The specification lives in the tests: `tests/support/reference.rs`
+//! holds brute-force oracles for every scheduler pass and a whole-run
+//! reference engine, and `tests/reference_engine.rs` asserts that
+//! [`engine::simulate_in`] reproduces its every [`outcome::JobOutcome`].
 //!
 //! ## Example: EASY vs clairvoyant EASY (the Table 1 experiment, in
 //! miniature)
@@ -115,5 +119,5 @@ pub use scheduler::{
     BackfillOrder, ConservativeScheduler, EasyScheduler, FcfsScheduler, ReleasePoint, ReleaseSet,
     Scheduler,
 };
-pub use state::{RunningJob, SchedulerContext, SimState, Slot, SystemView, WaitingJob};
+pub use state::{RunningJob, SchedulerContext, SimState, SystemView, WaitingJob};
 pub use time::Time;

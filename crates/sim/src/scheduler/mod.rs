@@ -18,18 +18,18 @@
 //! The production policies keep their scratch buffers across passes, so
 //! a warm pass allocates nothing; `tests/scratch_reuse.rs` checks that
 //! with a counting global allocator, from outside the code it judges.
+//! Their brute-force oracles live with the tests too
+//! (`tests/support/reference.rs`), beside a whole-run reference engine.
 
 pub mod conservative;
 pub mod easy;
 pub mod fcfs;
 pub mod profile;
-pub mod reference;
 
 pub use conservative::ConservativeScheduler;
 pub use easy::{BackfillOrder, EasyScheduler};
 pub use fcfs::FcfsScheduler;
 pub use profile::{ReleasePoint, ReleaseSet};
-pub use reference::{ReferenceConservative, ReferenceEasy, ReferenceHetero};
 
 use crate::job::JobId;
 use crate::state::SchedulerContext;

@@ -2,7 +2,7 @@
 //! handed to policies.
 //!
 //! [`SimState`] owns the waiting queue, the running set, and the free
-//! processor count, all cross-indexed by a dense per-job [`Slot`] map so
+//! processor count, all cross-indexed by a dense per-job slot map so
 //! every engine operation — start, finish, prediction expiry — resolves
 //! its job in O(1) instead of scanning. It also maintains the
 //! [`ReleaseSet`] availability substrate incrementally, so schedulers
@@ -191,7 +191,7 @@ pub struct SchedulerContext<'a> {
 /// Lifecycle position of one job, the value of [`SimState`]'s dense
 /// per-job slot map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Slot {
+enum Slot {
     /// Not yet submitted (no engine state holds the job).
     Unsubmitted,
     /// Waiting, at this index of the queue.
@@ -250,7 +250,7 @@ impl Default for SimState {
     /// An empty state for zero jobs on a zero-processor machine; reset
     /// it (see [`SimState::reset`]) before use.
     fn default() -> Self {
-        Self::new(0, 0)
+        Self::new_cluster(ClusterSpec::single(0), 0)
     }
 }
 
@@ -266,12 +266,6 @@ pub fn sorted_shortest_first(queue: &[WaitingJob]) -> Vec<u32> {
 }
 
 impl SimState {
-    /// Fresh state for `jobs` jobs on a single-partition
-    /// `machine_size`-processor machine (the legacy constructor).
-    pub fn new(machine_size: u32, jobs: usize) -> Self {
-        Self::new_cluster(ClusterSpec::single(machine_size), jobs)
-    }
-
     /// Fresh state for `jobs` jobs on `cluster`.
     pub fn new_cluster(cluster: ClusterSpec, jobs: usize) -> Self {
         let mut state = Self {
@@ -333,17 +327,6 @@ impl SimState {
         (w.predicted, w.submit, w.id)
     }
 
-    /// The cluster this state simulates.
-    pub fn cluster(&self) -> ClusterSpec {
-        self.cluster
-    }
-
-    /// Total processors across all partitions (the legacy machine size
-    /// `m` on a single-partition cluster).
-    pub fn machine_size(&self) -> u32 {
-        self.cluster.total_procs()
-    }
-
     /// Processors currently idle across all partitions.
     pub fn free(&self) -> u32 {
         self.total_free
@@ -383,14 +366,6 @@ impl SimState {
         &self.running
     }
 
-    /// The incrementally maintained release aggregate of partition 0 —
-    /// the whole machine's aggregate on the legacy single-partition
-    /// cluster (single-partition convenience; use
-    /// [`SimState::releases_in`] on multi-partition clusters).
-    pub fn releases(&self) -> &ReleaseSet {
-        &self.releases[0]
-    }
-
     /// The incrementally maintained release aggregate of `partition`.
     pub fn releases_in(&self, partition: u32) -> &ReleaseSet {
         &self.releases[partition as usize]
@@ -417,11 +392,6 @@ impl SimState {
             "shortest_first read while starts await compaction"
         );
         &self.shortest_first
-    }
-
-    /// The job's lifecycle slot.
-    pub fn slot(&self, id: JobId) -> Slot {
-        self.slots[id.index()]
     }
 
     /// O(1) lookup: the queue index of a waiting job.
@@ -814,7 +784,7 @@ mod tests {
 
     #[test]
     fn slot_map_tracks_enqueue_start_finish() {
-        let mut s = SimState::new(16, 4);
+        let mut s = SimState::new_cluster(ClusterSpec::single(16), 4);
         for id in 0..4 {
             s.enqueue(wj(id, 2 + id, 100 + id as i64));
         }
@@ -838,7 +808,7 @@ mod tests {
         let r = s.finish(JobId(0)).expect("running");
         assert_eq!(r.procs, 2);
         assert_eq!(s.running_index(JobId(2)), Some(0), "swap-remove fixup");
-        assert_eq!(s.slot(JobId(0)), Slot::Finished);
+        assert_eq!(s.slots[0], Slot::Finished);
         s.assert_consistent();
     }
 
@@ -846,7 +816,7 @@ mod tests {
     fn interleaved_finish_expiry_start_sequences_stay_consistent() {
         // A miniature engine batch: starts, corrections (expiry), and
         // finishes interleaved in every order the event ranks allow.
-        let mut s = SimState::new(32, 8);
+        let mut s = SimState::new_cluster(ClusterSpec::single(32), 8);
         for id in 0..8 {
             s.enqueue(wj(id, 4, 50 + id as i64));
         }
@@ -886,7 +856,7 @@ mod tests {
 
     #[test]
     fn release_set_follows_start_finish_correction() {
-        let mut s = SimState::new(8, 3);
+        let mut s = SimState::new_cluster(ClusterSpec::single(8), 3);
         for id in 0..3 {
             s.enqueue(wj(id, 2, 100));
         }
@@ -894,21 +864,21 @@ mod tests {
         start_job(&mut s, 1, 100);
         start_job(&mut s, 2, 250);
         s.compact_queue();
-        let pts = s.releases().points();
+        let pts = s.releases_in(0).points();
         assert_eq!(pts.len(), 2);
         assert_eq!((pts[0].time, pts[0].procs, pts[0].jobs), (100, 4, 2));
         assert_eq!((pts[1].time, pts[1].procs, pts[1].jobs), (250, 2, 1));
 
         let index = s.running_index(JobId(1)).unwrap();
         s.apply_correction(index, Time(250));
-        let pts = s.releases().points();
+        let pts = s.releases_in(0).points();
         assert_eq!((pts[0].time, pts[0].procs, pts[0].jobs), (100, 2, 1));
         assert_eq!((pts[1].time, pts[1].procs, pts[1].jobs), (250, 4, 2));
 
         s.finish(JobId(0));
         s.finish(JobId(1));
         s.finish(JobId(2));
-        assert!(s.releases().is_empty());
+        assert!(s.releases_in(0).is_empty());
         s.assert_consistent();
     }
 

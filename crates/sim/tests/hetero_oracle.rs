@@ -1,16 +1,19 @@
 //! The heterogeneous routing loop against the brute-force
-//! [`ReferenceHetero`] oracle.
+//! [`route`] oracle.
 //!
 //! The engine routes each scheduling instant first-fit across the
 //! cluster's ordered partitions: one production scheduler pass per
 //! partition against the partition-scoped context, queue compacted
-//! between passes so earlier partitions pick first. `ReferenceHetero`
-//! rebuilds the same decision from scratch (filtered running vectors,
-//! fresh release sets). These properties drive random operation
+//! between passes so earlier partitions pick first. [`route`] rebuilds
+//! the same decision from scratch over a pass oracle (filtered running
+//! vectors, no release sets). These properties drive random operation
 //! sequences through [`SimState`] on random 1–4-partition clusters and
 //! assert the two agree on every `(job, partition)` placement — and
 //! that on a 1-partition cluster the whole machinery degenerates to the
 //! legacy single-machine EASY path, byte for byte.
+
+#[path = "support/reference.rs"]
+mod reference;
 
 use proptest::prelude::*;
 
@@ -19,13 +22,11 @@ use predictsim_sim::engine::{simulate_in, SimConfig};
 use predictsim_sim::job::{Job, JobId};
 use predictsim_sim::predict::RequestedTimePredictor;
 use predictsim_sim::scheduler::easy::BackfillOrder;
-use predictsim_sim::scheduler::{
-    ConservativeScheduler, EasyScheduler, ReferenceConservative, ReferenceEasy, ReferenceHetero,
-    Scheduler,
-};
+use predictsim_sim::scheduler::{ConservativeScheduler, EasyScheduler, Scheduler};
 use predictsim_sim::state::{RunningJob, SchedulerContext, SimState, WaitingJob};
 use predictsim_sim::time::Time;
 use predictsim_sim::{NullObserver, SimArena};
+use reference::{route, ReferenceConservative, ReferenceEasy};
 
 /// One unobserved run on a fresh arena.
 fn simulate_fresh(
@@ -186,14 +187,16 @@ proptest! {
                 2 => {
                     let queue = state.queue().to_vec();
                     let running = state.running().to_vec();
-                    let expected = ReferenceHetero { order }
-                        .schedule(Time(0), cluster, &queue, &running);
+                    let easy = ReferenceEasy { order };
+                    let expected = route(Time(0), cluster, &queue, &running, &|n, p, f, q, r| {
+                        easy.decide(n, p, f, q, r)
+                    });
                     let mut production = EasyScheduler::with_order(order);
                     let placed =
                         route_like_engine(&mut state, cluster, Time(0), &mut production, |_, _| {});
                     prop_assert_eq!(
                         placed, expected,
-                        "engine routing diverged from ReferenceHetero"
+                        "engine routing diverged from the reference"
                     );
                 }
                 // Finish or correct a running job.
@@ -313,23 +316,14 @@ proptest! {
             })
             .collect();
 
-        let hetero = ReferenceHetero { order }.schedule(Time(0), cluster, &queue, &running);
+        let easy = ReferenceEasy { order };
+        let hetero = route(Time(0), cluster, &queue, &running, &|n, p, f, q, r| {
+            easy.decide(n, p, f, q, r)
+        });
         prop_assert!(hetero.iter().all(|&(_, p)| p == 0));
 
         let used: u32 = running.iter().map(|r| r.procs).sum();
-        let releases = predictsim_sim::ReleaseSet::from_running(&running);
-        let shortest = predictsim_sim::state::sorted_shortest_first(&queue);
-        let ctx = SchedulerContext {
-            now: Time(0),
-            partition: 0,
-            machine_size: machine,
-            free: machine - used,
-            queue: &queue,
-            running: &running,
-            releases: &releases,
-            shortest_first: &shortest,
-        };
-        let legacy = ReferenceEasy { order }.schedule(&ctx);
+        let legacy = easy.decide(Time(0), 0, machine - used, &queue, &running);
         let flat: Vec<JobId> = hetero.into_iter().map(|(id, _)| id).collect();
         prop_assert_eq!(flat, legacy, "1-partition hetero != legacy EASY");
     }

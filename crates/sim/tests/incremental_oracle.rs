@@ -16,21 +16,26 @@
 //! sorts only when a candidate falls between the bounds. Half of the
 //! random snapshots are built around such a tie ([`arb_tie_snapshot`]),
 //! and the unit cases at the end pin each side of that decision through
-//! [`EasyScheduler::slow_passes`].
+//! [`EasyScheduler::slow_passes`]. The oracles' own unit tests (the
+//! brute-force profile against the production sweep, the Figure 2
+//! scenario, the names) live here too, so they run once.
+
+#[path = "support/reference.rs"]
+mod reference;
 
 use proptest::prelude::*;
 
+use predictsim_sim::cluster::ClusterSpec;
 use predictsim_sim::engine::{simulate_in, SimConfig};
 use predictsim_sim::job::{Job, JobId};
 use predictsim_sim::predict::RequestedTimePredictor;
-use predictsim_sim::scheduler::{
-    ConservativeScheduler, EasyScheduler, ReferenceConservative, ReferenceEasy, ReleaseSet,
-    Scheduler,
-};
+use predictsim_sim::scheduler::profile::Profile;
+use predictsim_sim::scheduler::{ConservativeScheduler, EasyScheduler, ReleaseSet, Scheduler};
 use predictsim_sim::state::{
     sorted_shortest_first, RunningJob, SchedulerContext, SimState, WaitingJob,
 };
 use predictsim_sim::time::Time;
+use reference::{BruteProfile, ReferenceConservative, ReferenceEasy};
 
 const MACHINE: u32 = 16;
 
@@ -189,6 +194,53 @@ fn ctx_of<'a>(
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The production sweep against the brute-force search, on
+    /// random profiles carved by stacked reservations: `from` before
+    /// the first breakpoint, on one and between two; windows inside
+    /// one segment and across many; full-width reservations that
+    /// leave zero-capacity segments; and requests wider than the
+    /// machine, which take the "capacity never suffices" branch.
+    /// After every reservation the breakpoints must be equal too.
+    #[test]
+    fn sweep_matches_brute_force_on_random_profiles(
+        now in 0i64..40,
+        free in 0u32..6,
+        releases in prop::collection::vec((0i64..120, 1u32..5), 0..10),
+        ops in prop::collection::vec((-10i64..160, 0u32..64, 1i64..90, 0u8..4), 1..24),
+    ) {
+        let mut set = ReleaseSet::new();
+        for &(end, procs) in &releases {
+            set.add(end, procs);
+        }
+        let mut sweep = Profile::empty();
+        sweep.rebuild_from(Time(now), free, &set);
+        let timed: Vec<(Time, u32)> = releases.iter().map(|&(t, p)| (Time(t), p)).collect();
+        let mut brute = BruteProfile::new(Time(now), free, &timed);
+        prop_assert_eq!(sweep.points(), &brute.points[..], "rebuild_from != from scratch");
+
+        let machine = free + releases.iter().map(|&(_, p)| p).sum::<u32>();
+        for (from, width, duration, keep) in ops {
+            // 0 ..= machine + 1: nothing, a share, the whole machine
+            // (zero-capacity segments), more than there will ever be.
+            let procs = width % (machine + 2);
+            let start = brute.earliest_start(from, procs, duration);
+            prop_assert_eq!(
+                sweep.earliest_start(from, procs, duration),
+                start,
+                "from={} procs={} duration={} on {:?}", from, procs, duration, brute.points
+            );
+            if keep > 0 && brute.feasible_at(start, procs as i64, duration) {
+                brute.reserve(start, duration, procs);
+                sweep.reserve(start, duration, procs);
+                prop_assert_eq!(sweep.points(), &brute.points[..], "reserve diverged");
+            }
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// On arbitrary snapshots (tie-heavy release times, oversized jobs),
@@ -233,7 +285,7 @@ proptest! {
         ops in prop::collection::vec((0u8..4, 0usize..8, 0usize..TIE_TIMES.len()), 1..40)
     ) {
         let n = 64usize;
-        let mut state = SimState::new(MACHINE, n);
+        let mut state = SimState::new_cluster(ClusterSpec::single(MACHINE), n);
         let mut next_id = 0u32;
         let mut warm_easy = EasyScheduler::sjbf();
         let mut warm_conservative = ConservativeScheduler::new();
@@ -294,7 +346,7 @@ proptest! {
                 queue: state.queue().to_vec(),
                 running: state.running().to_vec(),
             };
-            let ctx = ctx_of(&snapshot, state.releases(), state.shortest_first());
+            let ctx = ctx_of(&snapshot, state.releases_in(0), state.shortest_first());
             prop_assert_eq!(
                 warm_easy.schedule(&ctx),
                 ReferenceEasy::sjbf().schedule(&ctx),
@@ -307,6 +359,41 @@ proptest! {
             );
         }
     }
+}
+
+#[test]
+fn oracles_match_production_on_the_figure2_scenario() {
+    let queue = [waiting(2, 8, 200, 1), waiting(3, 4, 90, 2)];
+    let running = [running(1, 6, 100)];
+    let (releases, shortest) = (
+        ReleaseSet::from_running(&running),
+        sorted_shortest_first(&queue),
+    );
+    let c = SchedulerContext {
+        now: Time(0),
+        partition: 0,
+        machine_size: 10,
+        free: 4,
+        queue: &queue,
+        running: &running,
+        releases: &releases,
+        shortest_first: &shortest,
+    };
+    assert_eq!(
+        ReferenceEasy::new().schedule(&c),
+        EasyScheduler::new().schedule(&c)
+    );
+    assert_eq!(
+        ReferenceConservative.schedule(&c),
+        ConservativeScheduler::new().schedule(&c)
+    );
+}
+
+#[test]
+fn names() {
+    assert_eq!(ReferenceEasy::new().name(), "reference-easy");
+    assert_eq!(ReferenceEasy::sjbf().name(), "reference-easy-sjbf");
+    assert_eq!(ReferenceConservative.name(), "reference-conservative");
 }
 
 /// Deterministic pin of the degrade-gracefully branch: a head job wider

@@ -16,7 +16,7 @@ use predictsim_sim::predict::{
 use predictsim_sim::scheduler::{ConservativeScheduler, EasyScheduler, FcfsScheduler, Scheduler};
 use predictsim_sim::state::SystemView;
 use predictsim_sim::time::Time;
-use predictsim_sim::{NullObserver, SimArena, SimResult};
+use predictsim_sim::{NullObserver, SimArena, SimError, SimEvent, SimObserver, SimResult};
 
 /// One unobserved run on a fresh arena.
 fn simulate_fresh(
@@ -210,4 +210,73 @@ proptest! {
         prop_assert!(easy.mean_wait() <= fcfs.mean_wait() * 1.02 + 1.0,
                      "easy {} far above fcfs {}", easy.mean_wait(), fcfs.mean_wait());
     }
+}
+
+/// The engine's abort path. An observer that stops wanting the run after
+/// the k-th submission gets `Aborted` at that job's submit instant: the
+/// engine polls it once the instant's whole event batch is applied (both
+/// submits of the pair) and before the instant's passes (nothing starts
+/// then, though every job would start on arrival). The arena the abort
+/// left mid-run then gives the fresh-arena result.
+#[test]
+fn observer_abort_stops_at_the_kth_submit_and_leaves_the_arena_reusable() {
+    struct StopAfter(usize, usize, Vec<Time>);
+    impl SimObserver for StopAfter {
+        fn on_event(&mut self, event: &SimEvent<'_>) {
+            match event {
+                SimEvent::Submitted { .. } => self.1 += 1,
+                SimEvent::Started { now, .. } => self.2.push(*now),
+                _ => {}
+            }
+        }
+        fn keep_running(&self) -> bool {
+            self.1 < self.0
+        }
+    }
+    // Pairs of 2-wide jobs every 100 s on an idle 16-processor machine.
+    let jobs: Vec<Job> = (0..10u32)
+        .map(|i| Job {
+            id: JobId(i),
+            submit: Time(100 * (i / 2) as i64),
+            run: 50,
+            requested: 60,
+            procs: 2,
+            user: 1,
+            user_ix: 0,
+            swf_id: i as u64 + 1,
+        })
+        .collect();
+    let config = SimConfig::single(MACHINE);
+    let mut arena = SimArena::new();
+    let mut run = |observer: &mut dyn SimObserver| {
+        let (mut easy, mut requested) = (EasyScheduler::new(), RequestedTimePredictor);
+        simulate_in(
+            &mut arena,
+            &jobs,
+            config,
+            &mut easy,
+            &mut requested,
+            None,
+            observer,
+        )
+    };
+    for k in [1, 4, 9] {
+        let mut observer = StopAfter(k, 0, Vec::new());
+        let at = jobs[k - 1].submit;
+        assert_eq!(run(&mut observer).unwrap_err(), SimError::Aborted { at });
+        assert_eq!(
+            observer.1,
+            k + k % 2,
+            "the batch at {at:?} is applied whole"
+        );
+        assert!(observer.2.iter().all(|&t| t < at), "no pass ran at {at:?}");
+    }
+    let fresh = simulate_fresh(
+        &jobs,
+        config,
+        &mut EasyScheduler::new(),
+        &mut RequestedTimePredictor,
+        None,
+    );
+    assert_eq!(run(&mut NullObserver).unwrap(), fresh.unwrap());
 }
