@@ -160,3 +160,68 @@ proptest! {
         }
     }
 }
+
+/// The paper's plain NAG step: forwards `step_bounded` without the
+/// bound, so one example may pull the prediction past its own label.
+struct PlainStep(NagOptimizer);
+
+impl OnlineOptimizer for PlainStep {
+    fn prepare(&mut self, weights: &mut [f64], phi: &[f64]) {
+        self.0.prepare(weights, phi);
+    }
+
+    fn step_bounded(&mut self, weights: &mut [f64], phi: &[f64], dloss_df: f64, l2: f64, _: f64) {
+        self.0
+            .step_bounded(weights, phi, dloss_df, l2, f64::INFINITY);
+    }
+
+    fn name(&self) -> &'static str {
+        "nag-plain"
+    }
+}
+
+/// Predictions, as a fraction of the target, on a repetitive stream —
+/// three job classes, each always running its request's half — that
+/// holds one crashed job (1 s) halfway, under the E-Loss shape (linear
+/// under-, squared over-prediction branch).
+fn crash_trace(optimizer: Box<dyn OnlineOptimizer>) -> Vec<f64> {
+    let mut model = OnlineRegression::with_parts(
+        Basis::polynomial(3),
+        optimizer,
+        AsymmetricLoss::E_LOSS,
+        WeightingScheme::Constant,
+        predictsim_core::model::DEFAULT_L2,
+    );
+    (0..600)
+        .map(|i| {
+            let class = (i % 3) as f64 + 1.0;
+            let target = 3600.0 * class;
+            let x = [2.0 * target, 3.0 + class, target];
+            let fraction = model.predict(&x) / target;
+            model.learn(&x, if i == 300 { 1.0 } else { target }, 16.0);
+            fraction
+        })
+        .collect()
+}
+
+/// README § "Where we read the paper differently", bounded step: under
+/// the plain step the crash's squared-branch gradient poisons NAG's
+/// accumulators and every later prediction is non-positive (the engine
+/// would clamp each to 1 s); the bounded step stays positive and climbs
+/// back.
+#[test]
+fn plain_nag_step_collapses_on_one_crash_and_the_bounded_step_does_not() {
+    let dim = Basis::polynomial(3).output_dim();
+    let eta = predictsim_core::model::DEFAULT_ETA;
+    let plain = crash_trace(Box::new(PlainStep(NagOptimizer::new(dim, eta))));
+    let bounded = crash_trace(Box::new(NagOptimizer::new(dim, eta)));
+    assert!(
+        plain[301..].iter().all(|&f| f <= 0.0),
+        "the plain step collapses"
+    );
+    assert!(
+        bounded[301..].iter().all(|&f| f > 0.0),
+        "the bounded step never does"
+    );
+    assert!(bounded[599] > 0.5, "and recovers: {}", bounded[599]);
+}

@@ -693,27 +693,30 @@ mod tests {
         writer.set_persist_dir(Some(dir.clone()));
         let fresh = writer.run_cell_traced(&arena, m, &triple).unwrap().0;
 
-        // Truncate the cell file mid-JSON.
+        // Truncate the cell file mid-JSON; then replace it with JSON
+        // nested deeper than any stack could parse by recursion.
         let key = CellKey::new(&arena, m, &triple);
         let path = dir.join(disk::file_name(&key));
         let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &text[..text.len() / 2]).unwrap();
+        for corrupt in [text[..text.len() / 2].to_string(), "[".repeat(20_000)] {
+            std::fs::write(&path, corrupt).unwrap();
 
-        let reader = private();
-        reader.set_persist_dir(Some(dir.clone()));
-        let recovered = reader.run_cell_traced(&arena, m, &triple).unwrap().0;
-        let stats = reader.stats();
-        assert_eq!(stats.disk_rejects, 1, "corrupt file must be counted");
-        assert_eq!(stats.disk_hits, 0);
-        assert_eq!(stats.simulated, 1, "the cell re-simulates once");
-        assert_eq!(recovered.result, fresh.result);
+            let reader = private();
+            reader.set_persist_dir(Some(dir.clone()));
+            let recovered = reader.run_cell_traced(&arena, m, &triple).unwrap().0;
+            let stats = reader.stats();
+            assert_eq!(stats.disk_rejects, 1, "corrupt file must be counted");
+            assert_eq!(stats.disk_hits, 0);
+            assert_eq!(stats.simulated, 1, "the cell re-simulates once");
+            assert_eq!(recovered.result, fresh.result);
 
-        // The rewritten file is valid again for a third process.
-        let third = private();
-        third.set_persist_dir(Some(dir.clone()));
-        third.run_cell_traced(&arena, m, &triple).unwrap();
-        assert_eq!(third.stats().disk_hits, 1);
-        assert_eq!(third.stats().disk_rejects, 0);
+            // The rewritten file is valid again for a third process.
+            let third = private();
+            third.set_persist_dir(Some(dir.clone()));
+            third.run_cell_traced(&arena, m, &triple).unwrap();
+            assert_eq!(third.stats().disk_hits, 1);
+            assert_eq!(third.stats().disk_rejects, 0);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -68,7 +68,8 @@ pub use registry::{
 };
 pub use scenario::{Scenario, ScenarioError};
 pub use source::{
-    JobArena, LoadStats, LoadedWorkload, SourceError, SwfSource, SyntheticSource, WorkloadSource,
+    CleaningReport, JobArena, LoadStats, LoadedWorkload, SourceError, SwfSource, SyntheticSource,
+    WorkloadSource,
 };
 pub use triple::{
     campaign_triples, reference_triples, CorrectionKind, HeuristicTriple, PredictionTechnique,

@@ -8,8 +8,9 @@
 //! * [`SyntheticSource`] wraps `predictsim_workload::generate` (the
 //!   Table 4 synthetic stand-ins, or any custom [`WorkloadSpec`]);
 //! * [`SwfSource`] reads a Standard Workload Format log — from a file or
-//!   from in-memory text — through `predictsim_swf`'s parser, applies the
-//!   cleaning conventions, and converts the records into engine jobs.
+//!   from in-memory text — through `predictsim_swf`'s parser, cleans it
+//!   (this module is the one place that says what a clean log is), and
+//!   converts the records into engine jobs.
 //!
 //! An already-generated [`GeneratedWorkload`] converts with
 //! `LoadedWorkload::from`. Whichever way the jobs arrive, the same
@@ -22,9 +23,8 @@ use std::sync::Arc;
 
 use predictsim_sim::hash::fnv1a64;
 use predictsim_sim::job::JobConversionError;
-use predictsim_sim::{intern_users, job_from_swf, Job, JobId, SimConfig};
-use predictsim_swf::reader::ParseError;
-use predictsim_swf::{CleaningReport, SwfStream};
+use predictsim_sim::{intern_users, job_from_swf, swf_user, Job, JobId, SimConfig};
+use predictsim_swf::{ParseError, SwfStream};
 use predictsim_workload::{generate, GeneratedWorkload, WorkloadSpec};
 
 /// Why a workload source failed to produce simulator-ready jobs.
@@ -39,8 +39,8 @@ pub enum SourceError {
     },
     /// The SWF text did not parse.
     Parse(ParseError),
-    /// The machine size is unknown (no `MaxProcs` header, no records,
-    /// and no explicit override).
+    /// The machine size is unknown: no `MaxProcs`/`MaxNodes` header and
+    /// no record with a processor count.
     UnknownMachineSize,
     /// A cleaned record still could not be converted into an engine job.
     Conversion(JobConversionError),
@@ -57,7 +57,7 @@ impl std::fmt::Display for SourceError {
             SourceError::Parse(e) => write!(f, "{e}"),
             SourceError::UnknownMachineSize => write!(
                 f,
-                "machine size unknown: no MaxProcs header, no records, no override"
+                "machine size unknown: no MaxProcs header and no record with a processor count"
             ),
             SourceError::Conversion(e) => write!(f, "{e}"),
             SourceError::Invalid(message) => write!(f, "invalid workload: {message}"),
@@ -194,6 +194,25 @@ pub struct LoadStats {
     pub buffered_records: usize,
 }
 
+/// What cleaning did to an SWF log (see [`SwfSource`] for the rules).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CleaningReport {
+    /// Records dropped because they had no positive run time or
+    /// processor count.
+    pub dropped_unrunnable: usize,
+    /// Records dropped because they exceeded the machine size.
+    pub dropped_oversize: usize,
+    /// Kept records whose missing requested time was repaired from the
+    /// run time.
+    pub repaired_estimates: usize,
+    /// Kept records whose requested time was raised to the run time.
+    pub repaired_inversions: usize,
+    /// Whether a submit-time sort actually changed the order.
+    pub reordered: bool,
+    /// Records remaining after cleaning.
+    pub kept: usize,
+}
+
 /// A simulator-ready workload, whatever it was loaded from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadedWorkload {
@@ -289,6 +308,29 @@ enum SwfInput {
 /// A Standard Workload Format log as a source: parse, clean, convert,
 /// validate.
 ///
+/// Production logs hold records that cannot be simulated, and the
+/// scheduling literature (and the pyss simulator the paper forked)
+/// cleans them first. Silent cleaning is a classic source of
+/// non-reproducibility (Frachtenberg & Feitelson, "Pitfalls in parallel
+/// job scheduling evaluation" — reference \[6\] of the paper), so these
+/// are the rules, all always on, and [`LoadedWorkload::cleaning`]
+/// reports what each did:
+///
+/// * a record without a positive run time or processor count (canceled
+///   before start, truncated logging) is dropped as *unrunnable*;
+/// * a record asking for more processors than the machine has is
+///   dropped as *oversize* — the machine is the header's `MaxProcs`
+///   (else `MaxNodes`), or for a headerless log the largest request of
+///   any record, dropped ones included;
+/// * a kept record's missing requested time is *repaired* to its run
+///   time, and one below its run time is raised to it: the engine kills
+///   a job at its request (§2.1), which needs `p ≤ p̃`;
+/// * an out-of-order log is sorted stably by `(submit, job number)`.
+///
+/// A processor count or user id the engine's `u32`s cannot hold is a
+/// typed error ([`SourceError::Conversion`]), except that a count wider
+/// than any `u32` machine is simply oversize.
+///
 /// ```
 /// use predictsim_experiments::source::{SwfSource, WorkloadSource};
 ///
@@ -305,17 +347,13 @@ enum SwfInput {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwfSource {
     input: SwfInput,
-    /// Overrides the header's machine size; set only by the oracle
-    /// tests (a shrunk machine is how they reach the oversize drop).
-    machine_size: Option<u32>,
 }
 
 impl SwfSource {
-    /// A source reading `path` with the default cleaning conventions.
+    /// A source reading `path`.
     pub fn new(path: impl AsRef<Path>) -> Self {
         Self {
             input: SwfInput::File(path.as_ref().to_path_buf()),
-            machine_size: None,
         }
     }
 
@@ -326,7 +364,6 @@ impl SwfSource {
                 name: name.into(),
                 text: text.into(),
             },
-            machine_size: None,
         }
     }
 
@@ -352,10 +389,10 @@ const WANT_INVERSION: u8 = 1 << 1;
 impl SwfSource {
     /// Single-pass load: records become engine jobs as they stream off
     /// the parser; no intermediate record vector is ever built. Applies
-    /// the default cleaning conventions (`CleaningRules::default()`) and
-    /// produces bit-for-bit the same `LoadedWorkload` (jobs, machine
-    /// size, cleaning report) as parsing the whole log, `clean`ing it and
-    /// converting — the test module's `load_eager` oracle.
+    /// the rules of [`SwfSource`] and produces bit-for-bit the same
+    /// `LoadedWorkload` (jobs, machine size, cleaning report), or the
+    /// same error, as parsing the whole log, cleaning it and converting —
+    /// the test module's `load_eager` oracle.
     fn load_streaming<R: std::io::BufRead>(
         &self,
         mut stream: SwfStream<R>,
@@ -363,21 +400,30 @@ impl SwfSource {
         let mut report = CleaningReport::default();
         let mut jobs: Vec<Job> = Vec::new();
         let mut repairs: Vec<u8> = Vec::new();
+        // The first runnable record the engine cannot represent, reported
+        // once the whole log has parsed (a parse error comes first).
+        let mut unconvertible = None;
         // Largest processor request over *all* parsed records (including
-        // dropped ones) — the headerless machine-size fallback matches
-        // `SwfLog::machine_size` on the pre-clean log.
+        // dropped ones) — the headerless machine-size fallback.
         let mut max_procs: u64 = 0;
         for record in stream.by_ref() {
             let r = record?;
-            if let Some(q) = r.effective_procs() {
+            let procs = r.effective_procs();
+            if let Some(q) = procs {
                 max_procs = max_procs.max(q as u64);
             }
-            let Some(p) = r.run_time_opt() else {
+            let (Some(p), Some(q)) = (r.run_time_opt(), procs) else {
                 report.dropped_unrunnable += 1;
                 continue;
             };
-            if r.effective_procs().is_none() {
-                report.dropped_unrunnable += 1;
+            if u32::try_from(q).is_err() {
+                // Wider than any machine a `LoadedWorkload` describes:
+                // oversize whatever the header says, and never converted
+                // — but its user is checked like every runnable record's.
+                report.dropped_oversize += 1;
+                if let Err(e) = swf_user(&r) {
+                    unconvertible.get_or_insert(e);
+                }
                 continue;
             }
             let mut want = 0u8;
@@ -386,22 +432,30 @@ impl SwfSource {
                 Some(pt) if pt < p => want |= WANT_INVERSION,
                 _ => {}
             }
-            jobs.push(job_from_swf(JobId(jobs.len() as u32), &r)?);
-            repairs.push(want);
+            match job_from_swf(JobId(jobs.len() as u32), &r) {
+                Ok(job) => {
+                    jobs.push(job);
+                    repairs.push(want);
+                }
+                Err(e) => {
+                    unconvertible.get_or_insert(e);
+                }
+            }
         }
-        let header = stream.into_header();
-        let machine_size = match self.machine_size {
-            Some(m) => m as u64,
-            None => header
-                .machine_size()
-                .or((max_procs > 0).then_some(max_procs))
-                .ok_or(SourceError::UnknownMachineSize)?,
-        };
+        if let Some(e) = unconvertible {
+            return Err(e.into());
+        }
+        let machine_size = stream
+            .into_header()
+            .machine_size()
+            .or((max_procs > 0).then_some(max_procs))
+            .ok_or(SourceError::UnknownMachineSize)?;
+        let machine_size = machine_u32(machine_size)?;
         // Stable in-place compaction, keeping the repair sidecar in
         // tandem so repairs on oversize records are not counted.
         let mut keep = 0;
         for i in 0..jobs.len() {
-            if jobs[i].procs as u64 > machine_size {
+            if jobs[i].procs > machine_size {
                 report.dropped_oversize += 1;
             } else {
                 jobs.swap(keep, i);
@@ -439,22 +493,19 @@ impl SwfSource {
     fn finish(
         &self,
         jobs: Vec<Job>,
-        machine_size: u64,
+        machine_size: u32,
         report: CleaningReport,
         stats: LoadStats,
     ) -> Result<LoadedWorkload, SourceError> {
         for job in &jobs {
             job.validate().map_err(SourceError::Invalid)?;
-            if job.procs as u64 > machine_size {
+            if job.procs > machine_size {
                 return Err(SourceError::Invalid(format!(
                     "{} requests {} procs on a {machine_size}-proc machine",
                     job.id, job.procs
                 )));
             }
         }
-        let machine_size = u32::try_from(machine_size).map_err(|_| {
-            SourceError::Invalid(format!("machine size {machine_size} exceeds u32"))
-        })?;
         Ok(LoadedWorkload {
             name: self.name(),
             machine_size,
@@ -463,6 +514,12 @@ impl SwfSource {
             stats,
         })
     }
+}
+
+/// The machine size as a `LoadedWorkload` holds it.
+fn machine_u32(machine_size: u64) -> Result<u32, SourceError> {
+    u32::try_from(machine_size)
+        .map_err(|_| SourceError::Invalid(format!("machine size {machine_size} exceeds u32")))
 }
 
 impl WorkloadSource for SwfSource {
@@ -490,24 +547,56 @@ impl WorkloadSource for SwfSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use predictsim_sim::jobs_from_swf;
-    use predictsim_swf::{
-        clean, parse_log, write_log, CleaningRules, SwfHeader, SwfLog, SwfRecord,
-    };
+    use crate::{HeuristicTriple, Scenario};
+    use predictsim_swf::{parse_log, write_log, SwfHeader, SwfLog, SwfRecord, MISSING};
     use proptest::prelude::*;
 
-    impl SwfSource {
-        /// Overrides the machine size (for headerless logs, or to
-        /// simulate a log on a smaller machine — oversize jobs are then
-        /// dropped by the cleaning rules).
-        fn with_machine_size(mut self, machine_size: u32) -> Self {
-            self.machine_size = Some(machine_size);
-            self
+    /// What a clean log is, restated over a parsed record vector with
+    /// every rule on and no option: drop unrunnable records (checking
+    /// the user of each runnable one), then records wider than
+    /// `machine_size` by their own `i64` count; count repairs over the
+    /// kept records; sort stably by `(submit, job number)` when the log
+    /// is out of order.
+    fn clean(
+        records: &mut Vec<SwfRecord>,
+        machine_size: u64,
+    ) -> Result<CleaningReport, SourceError> {
+        let mut report = CleaningReport::default();
+        let before = records.len();
+        records.retain(|r| r.run_time_opt().is_some() && r.effective_procs().is_some());
+        report.dropped_unrunnable = before - records.len();
+        if let Some(e) = records.iter().find_map(|r| swf_user(r).err()) {
+            return Err(e.into());
         }
+        let before = records.len();
+        records.retain(|r| {
+            r.effective_procs()
+                .is_some_and(|q| q as u64 <= machine_size)
+        });
+        report.dropped_oversize = before - records.len();
+        for r in records.iter_mut() {
+            match r.requested_time_opt() {
+                None => report.repaired_estimates += 1,
+                Some(requested) if requested < r.run_time => report.repaired_inversions += 1,
+                Some(_) => continue,
+            }
+            r.requested_time = r.run_time;
+        }
+        if !records
+            .windows(2)
+            .all(|w| w[0].submit_time <= w[1].submit_time)
+        {
+            report.reordered = true;
+            records.sort_by_key(|r| (r.submit_time, r.job_id));
+        }
+        report.kept = records.len();
+        Ok(report)
+    }
 
-        /// The buffered reference path — parse the whole log, `clean` it
-        /// under the default rules, then convert: the oracle that states
-        /// what [`SwfSource::load`]'s streaming cleaning means.
+    impl SwfSource {
+        /// The buffered reference path — parse the whole log, [`clean`]
+        /// it, then convert: the oracle that states what
+        /// [`SwfSource::load`]'s streaming pass means.
         fn load_eager(&self) -> Result<LoadedWorkload, SourceError> {
             let mut log = match &self.input {
                 SwfInput::File(path) => {
@@ -520,12 +609,17 @@ mod tests {
                 SwfInput::Text { text, .. } => parse_log(text)?,
             };
             let buffered_records = log.records.len();
-            let machine_size = match self.machine_size {
-                Some(m) => m as u64,
-                None => log.machine_size().ok_or(SourceError::UnknownMachineSize)?,
-            };
-            let report = clean(&mut log, machine_size, CleaningRules::default());
-            let jobs = jobs_from_swf(&log.records)?;
+            let largest = log.records.iter().filter_map(|r| r.effective_procs()).max();
+            let machine_size = (log.header.machine_size())
+                .or(largest.map(|q| q as u64))
+                .ok_or(SourceError::UnknownMachineSize)?;
+            let report = clean(&mut log.records, machine_size)?;
+            let machine_size = machine_u32(machine_size)?;
+            let mut jobs = (0u32..)
+                .zip(&log.records)
+                .map(|(i, r)| job_from_swf(JobId(i), r))
+                .collect::<Result<Vec<_>, _>>()?;
+            intern_users(&mut jobs);
             self.finish(
                 jobs,
                 machine_size,
@@ -536,6 +630,24 @@ mod tests {
                 },
             )
         }
+    }
+
+    /// A user-1 record with every optional field missing but these.
+    fn record(id: u64, submit: i64, run: i64, req_procs: i64, req_time: i64) -> SwfRecord {
+        SwfRecord {
+            submit_time: submit,
+            run_time: run,
+            requested_procs: req_procs,
+            requested_time: req_time,
+            user_id: 1,
+            ..SwfRecord::empty(id)
+        }
+    }
+
+    /// `records` under a `MaxProcs: 64` header.
+    fn source(records: Vec<SwfRecord>) -> SwfSource {
+        let header = SwfHeader::synthetic(64, "records");
+        SwfSource::from_text("records", write_log(&SwfLog { header, records }))
     }
 
     const MINI: &str = "\
@@ -672,13 +784,63 @@ mod tests {
         // Empty log: no way to infer.
         let err = SwfSource::from_text("empty", "").load().unwrap_err();
         assert_eq!(err, SourceError::UnknownMachineSize);
-        // Explicit override resolves it.
-        let w = SwfSource::from_text("empty", "")
-            .with_machine_size(16)
-            .load()
-            .unwrap();
-        assert_eq!(w.machine_size, 16);
-        assert!(w.jobs.is_empty());
+    }
+
+    #[test]
+    fn machine_size_inferred_without_header() {
+        let line = "3 120 30 600 8 -1 -1 8 900 -1 1 4 2 17 1 0 -1 -1\n";
+        let w = SwfSource::from_text("frag", line).load().unwrap();
+        assert_eq!(w.machine_size, 8);
+    }
+
+    #[test]
+    fn drops_unrunnable_and_oversize() {
+        let w = source(vec![
+            record(1, 0, 100, 4, 200),
+            record(2, 1, MISSING, 4, 200),   // no run time
+            record(3, 2, 100, 9999, 200),    // oversize
+            record(4, 3, 100, MISSING, 200), // no procs
+        ]);
+        let w = w.load().unwrap();
+        let report = w.cleaning.unwrap();
+        assert_eq!(report.dropped_unrunnable, 2);
+        assert_eq!(report.dropped_oversize, 1);
+        assert_eq!(report.kept, 1);
+        assert_eq!(w.jobs[0].swf_id, 1);
+    }
+
+    #[test]
+    fn repairs_missing_and_inverted_estimates() {
+        let w = source(vec![
+            record(1, 0, 100, 4, MISSING), // missing estimate
+            record(2, 1, 100, 4, 50),      // inverted estimate
+        ]);
+        let w = w.load().unwrap();
+        let report = w.cleaning.unwrap();
+        assert_eq!(report.repaired_estimates, 1);
+        assert_eq!(report.repaired_inversions, 1);
+        assert_eq!(w.jobs[0].requested, 100);
+        assert_eq!(w.jobs[1].requested, 100);
+    }
+
+    #[test]
+    fn sorts_by_submit_time() {
+        let w = source(vec![record(1, 50, 10, 1, 20), record(2, 10, 10, 1, 20)]);
+        let w = w.load().unwrap();
+        assert!(w.cleaning.unwrap().reordered);
+        assert_eq!(w.jobs[0].swf_id, 2);
+        // Already-sorted logs report no reorder.
+        let w = source(vec![record(2, 10, 10, 1, 20), record(1, 50, 10, 1, 20)]);
+        assert!(!w.load().unwrap().cleaning.unwrap().reordered);
+    }
+
+    #[test]
+    fn clean_default_uses_header_size() {
+        let text = "; MaxProcs: 8\n1 0 0 10 1 -1 -1 16 20 -1 1 0 0 0 0 0 -1 -1\n2 0 0 10 1 -1 -1 4 20 -1 1 0 0 0 0 0 -1 -1\n";
+        let report = SwfSource::from_text("sized", text).load().unwrap().cleaning;
+        let report = report.unwrap();
+        assert_eq!(report.dropped_oversize, 1);
+        assert_eq!(report.kept, 1);
     }
 
     #[test]
@@ -713,10 +875,9 @@ mod tests {
         let frag =
             assert_stream_eager_identical(SwfSource::from_text("frag", headerless), 1).unwrap();
         assert_eq!(frag.machine_size, 2);
-        // Machine-size override shrinks the machine and drops oversize
-        // jobs identically.
+        // A smaller header machine drops oversize jobs identically.
         let small = assert_stream_eager_identical(
-            SwfSource::from_text("mini-small", MINI).with_machine_size(1),
+            SwfSource::from_text("mini-small", MINI.replace("MaxProcs: 8", "MaxProcs: 1")),
             3,
         )
         .unwrap();
@@ -745,43 +906,87 @@ mod tests {
         assert_eq!(err, SourceError::UnknownMachineSize);
     }
 
-    /// One dirty field value: the SWF "missing" sentinel, zero, a small
-    /// value, and one larger than [`DIRTY_MACHINE`].
+    #[test]
+    fn unrepresentable_values_are_typed() {
+        let user = |user_id| SwfRecord {
+            user_id,
+            ..record(1, 0, 10, 1, 20)
+        };
+        // A request wider than any `u32` is oversize, not 1 processor.
+        let wide = source(vec![record(1, 0, 10, (1 << 32) + 1, 20)]);
+        let wide = assert_stream_eager_identical(wide, 1).unwrap();
+        assert_eq!(
+            (wide.cleaning.unwrap().dropped_oversize, wide.jobs.len()),
+            (1, 0)
+        );
+        // A user id + 1 beyond `u32` is an error, not user 0 or 4.
+        for id in [i64::from(u32::MAX), 1 << 32, (1 << 32) + 4] {
+            let err = assert_stream_eager_identical(source(vec![user(id)]), 1).unwrap_err();
+            assert!(matches!(err, SourceError::Conversion(_)), "{err}");
+        }
+        // ... but a parse error anywhere in the log comes first.
+        let text = write_log(&SwfLog {
+            header: SwfHeader::default(),
+            records: vec![user(1 << 32)],
+        });
+        let bad = SwfSource::from_text("bad", text + "not a record\n");
+        let err = assert_stream_eager_identical(bad, 0).unwrap_err();
+        assert!(matches!(err, SourceError::Parse(_)), "{err}");
+        // Submits at the end of the clock load; the engine runs a job that
+        // ends by `i64::MAX` and refuses one that would not.
+        let easy = |run| {
+            let end = 9_223_372_036_854_775_000;
+            let w = assert_stream_eager_identical(source(vec![record(1, end, run, 1, run)]), 1);
+            let w = w.unwrap();
+            Scenario::from_triple(&HeuristicTriple::standard_easy()).run_on(&w.jobs, w.sim_config())
+        };
+        assert!(easy(20).is_ok());
+        let err = easy(1_000).unwrap_err();
+        assert!(
+            matches!(err, predictsim_sim::SimError::InvalidJob { .. }),
+            "{err}"
+        );
+    }
+
+    /// One dirty field value: mostly the SWF "missing" sentinel, zero, a
+    /// small value, or one larger than [`DIRTY_MACHINE`]; sometimes the
+    /// largest `u32` or a value beyond it.
     fn dirty() -> impl Strategy<Value = i64> {
-        (0usize..4).prop_map(|i| [-1, 0, 3, 500][i])
+        const BEYOND: i64 = (1 << 32) + 3;
+        (0usize..20).prop_map(|i| match i {
+            18 => i64::from(u32::MAX),
+            19 => BEYOND,
+            _ => [-1, 0, 3, 500][i % 4],
+        })
     }
 
     const DIRTY_MACHINE: u64 = 8;
 
-    proptest! {
-        /// The oracle is the only statement of what cleaning means:
-        /// on logs where any field of any record may be missing, zero
-        /// or oversize, submits tie and run backwards, and the machine
-        /// size may have to be inferred, the streaming loader returns
-        /// what parse → `clean` → convert returns, or the same error.
-        #[test]
-        fn streaming_matches_eager_on_dirty_random_logs(
-            fields in prop::collection::vec(
-                (dirty(), dirty(), dirty(), dirty(), dirty(), dirty()),
-                0..41,
-            ),
-            sorted in 0u8..2,
-            headerless in 0u8..2,
-        ) {
+    /// A dirty log as SWF text, with its record count: any field of any
+    /// record may be missing, zero, oversize or beyond `u32`, submits tie
+    /// and run backwards, and the machine size may have to be inferred.
+    fn dirty_log() -> impl Strategy<Value = (String, usize)> {
+        let fields = prop::collection::vec(
+            (dirty(), dirty(), dirty(), dirty(), dirty(), dirty()),
+            0..41,
+        );
+        (fields, 0u8..2, 0u8..2).prop_map(|(fields, sorted, headerless)| {
             let mut records: Vec<SwfRecord> = fields
                 .iter()
                 .enumerate()
-                .map(|(i, &(submit, run, procs, req_procs, req_time, user))| SwfRecord {
-                    submit_time: submit,
-                    run_time: run,
-                    allocated_procs: procs,
-                    requested_procs: req_procs,
-                    requested_time: req_time,
-                    user_id: user,
-                    // Distinct ids, not in file order: submit ties are
-                    // broken by id, so the tie-break must be observable.
-                    ..SwfRecord::empty((i as u64 * 7) % 41 + 1)
-                })
+                .map(
+                    |(i, &(submit, run, procs, req_procs, req_time, user))| SwfRecord {
+                        submit_time: submit,
+                        run_time: run,
+                        allocated_procs: procs,
+                        requested_procs: req_procs,
+                        requested_time: req_time,
+                        user_id: user,
+                        // Distinct ids, not in file order: submit ties are
+                        // broken by id, so the tie-break must be observable.
+                        ..SwfRecord::empty((i as u64 * 7) % 41 + 1)
+                    },
+                )
                 .collect();
             if sorted == 1 {
                 records.sort_by_key(|r| r.submit_time);
@@ -792,9 +997,29 @@ mod tests {
                 SwfHeader::synthetic(DIRTY_MACHINE, "dirty")
             };
             let parsed = records.len();
-            let text = write_log(&SwfLog { header, records });
+            (write_log(&SwfLog { header, records }), parsed)
+        })
+    }
+
+    proptest! {
+        /// The oracle is the only statement of what cleaning means: on
+        /// dirty logs the streaming loader returns what parse → `clean` →
+        /// convert returns, or the same error.
+        #[test]
+        fn streaming_matches_eager_on_dirty_random_logs(log in dirty_log()) {
+            let (text, parsed) = log;
             // Panics on any divergence; either outcome is fine if shared.
             let _ = assert_stream_eager_identical(SwfSource::from_text("dirty", text), parsed);
+        }
+
+        /// Every dirty log either fails to load with a typed error, or
+        /// loads and simulates to a result or a typed error.
+        #[test]
+        fn dirty_logs_load_and_simulate_or_fail_typed(log in dirty_log()) {
+            if let Ok(w) = SwfSource::from_text("dirty", log.0).load() {
+                let easy = Scenario::from_triple(&HeuristicTriple::standard_easy());
+                let _ = easy.run_on(&w.jobs, w.sim_config());
+            }
         }
     }
 }

@@ -146,7 +146,8 @@ impl std::error::Error for SimError {}
 /// every engine state change to `observer` (see [`crate::observe`]).
 ///
 /// `jobs` must be sorted by (submit, id) with dense ids `0..n` — exactly
-/// what [`crate::job::jobs_from_swf`] on a cleaned log produces. The
+/// what a workload loader produces — and their time span, last submit
+/// plus every request, must fit an `i64` (see [`SimError::InvalidJob`]). The
 /// `correction` policy is consulted on under-predictions; when `None`,
 /// expired predictions fall back to the requested time (the safest
 /// assumption, and the paper's *Requested Time* correction).
@@ -511,6 +512,7 @@ impl<'a> Engine<'a> {
 }
 
 fn validate_workload(jobs: &[Job], config: SimConfig) -> Result<(), SimError> {
+    let mut requested = Some(0i64);
     for (i, job) in jobs.iter().enumerate() {
         if job.id.index() != i {
             return Err(SimError::MisnumberedJob { position: i });
@@ -527,6 +529,21 @@ fn validate_workload(jobs: &[Job], config: SimConfig) -> Result<(), SimError> {
         }
         if i > 0 && jobs[i - 1].submit > job.submit {
             return Err(SimError::UnsortedJobs { position: i });
+        }
+        requested = requested.and_then(|sum| sum.checked_add(job.requested));
+    }
+    // Every instant the engine computes is at most the last submit plus
+    // every granted run back to back, and every duration at most that
+    // minus the first submit: bound both once, so no clock arithmetic
+    // can overflow.
+    if let (Some(first), Some(last)) = (jobs.first(), jobs.last()) {
+        let span = requested
+            .and_then(|sum| sum.checked_add(last.submit.0))
+            .and_then(|end| end.checked_sub(first.submit.0));
+        if span.is_none() {
+            return Err(SimError::InvalidJob {
+                message: "submit times plus requested times overflow the clock".into(),
+            });
         }
     }
     Ok(())
@@ -802,6 +819,30 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SimError::MisnumberedJob { position: 0 }));
+    }
+
+    #[test]
+    fn rejects_workloads_whose_clock_would_overflow() {
+        let late = [job(0, i64::MAX - 1_000, 10, 2_000, 1, 1)];
+        let wide = [
+            job(0, -i64::MAX, 10, 10, 1, 1),
+            job(1, i64::MAX - 5, 10, 10, 1, 1),
+        ];
+        let many = [
+            job(0, 0, 10, i64::MAX / 2, 1, 1),
+            job(1, 0, 10, i64::MAX / 2 + 2, 1, 1),
+        ];
+        for jobs in [&late[..], &wide, &many] {
+            let err = simulate_fresh(
+                jobs,
+                config(4),
+                &mut FcfsScheduler,
+                &mut ClairvoyantPredictor,
+                None,
+            )
+            .unwrap_err();
+            assert!(matches!(err, SimError::InvalidJob { .. }), "{err}");
+        }
     }
 
     #[test]

@@ -109,10 +109,12 @@ impl std::error::Error for JobConversionError {}
 
 /// Converts a cleaned SWF record into a simulator job with dense id `id`.
 ///
-/// Requires the record to be simulatable (positive run time and processor
-/// count — see `predictsim_swf::filter`); a missing requested time falls
-/// back to the run time, and a missing user id maps to a synthetic
-/// "unknown" user 0 shared by all such records.
+/// Requires the record to be runnable (positive run time and processor
+/// count — the loader, `predictsim_experiments::source::SwfSource`,
+/// drops the rest); a missing requested time falls back to the run time,
+/// and a missing user id maps to a synthetic "unknown" user 0 shared by
+/// all such records. A processor count or user id the engine's `u32`s
+/// cannot hold is an error, never a wrapped or aliased value.
 pub fn job_from_swf(id: JobId, r: &SwfRecord) -> Result<Job, JobConversionError> {
     let run = r.run_time_opt().ok_or_else(|| JobConversionError {
         swf_id: r.job_id,
@@ -122,30 +124,38 @@ pub fn job_from_swf(id: JobId, r: &SwfRecord) -> Result<Job, JobConversionError>
         swf_id: r.job_id,
         reason: "missing processor count".into(),
     })?;
+    let procs = u32::try_from(procs).map_err(|_| JobConversionError {
+        swf_id: r.job_id,
+        reason: format!("processor count {procs} exceeds the engine's u32"),
+    })?;
+    let user = swf_user(r)?;
     let requested = r.effective_requested_time().unwrap_or(run).max(run);
-    let user = r.user_id_opt().map(|u| u as u32 + 1).unwrap_or(0);
     Ok(Job {
         id,
         submit: Time(r.submit_time),
         run,
         requested,
-        procs: procs as u32,
+        procs,
         user,
         user_ix: 0, // assigned by `intern_users` once the full set is known
         swf_id: r.job_id,
     })
 }
 
-/// Converts a whole cleaned record slice, assigning dense ids in order
-/// and interning user ids (see [`intern_users`]).
-pub fn jobs_from_swf(records: &[SwfRecord]) -> Result<Vec<Job>, JobConversionError> {
-    let mut jobs: Vec<Job> = records
-        .iter()
-        .enumerate()
-        .map(|(i, r)| job_from_swf(JobId(i as u32), r))
-        .collect::<Result<_, _>>()?;
-    intern_users(&mut jobs);
-    Ok(jobs)
+/// The engine's raw user id for an SWF record: the SWF user id + 1, so
+/// that 0 stays the shared "unknown" user of records without one. An id
+/// whose shifted value does not fit a `u32` is an error — it would
+/// otherwise alias another user's history.
+pub fn swf_user(r: &SwfRecord) -> Result<u32, JobConversionError> {
+    match r.user_id_opt() {
+        None => Ok(0),
+        Some(u) => (u32::try_from(u).ok())
+            .and_then(|u| u.checked_add(1))
+            .ok_or_else(|| JobConversionError {
+                swf_id: r.job_id,
+                reason: format!("user id {u} exceeds the engine's u32"),
+            }),
+    }
 }
 
 /// Interns the (arbitrary, possibly sparse) raw `user` ids of `jobs`
@@ -210,6 +220,21 @@ mod tests {
     }
 
     #[test]
+    fn values_beyond_u32_are_errors_not_wrapped() {
+        for (procs, user) in [
+            (1 << 32, 4),
+            (8, u32::MAX.into()),
+            (8, 1 << 32),
+            (8, i64::MAX),
+        ] {
+            let err = job_from_swf(JobId(0), &swf(100, procs, 200, user)).unwrap_err();
+            assert!(err.reason.contains("exceeds the engine's u32"), "{err}");
+        }
+        let last = job_from_swf(JobId(0), &swf(100, u32::MAX.into(), 200, 4_294_967_294));
+        assert_eq!(last.map(|j| (j.procs, j.user)), Ok((u32::MAX, u32::MAX)));
+    }
+
+    #[test]
     fn missing_run_time_is_an_error() {
         let err = job_from_swf(JobId(0), &swf(MISSING, 8, 200, 4)).unwrap_err();
         assert!(err.reason.contains("run time"));
@@ -235,10 +260,21 @@ mod tests {
         assert!(j.validate().is_err());
     }
 
+    /// Converts `records` with dense ids in order and interns their
+    /// users, as a loader does.
+    fn convert(records: &[SwfRecord]) -> Vec<Job> {
+        let mut jobs: Vec<Job> = (0u32..)
+            .zip(records)
+            .map(|(i, r)| job_from_swf(JobId(i), r).unwrap())
+            .collect();
+        intern_users(&mut jobs);
+        jobs
+    }
+
     #[test]
     fn batch_conversion_assigns_dense_ids() {
         let records = vec![swf(10, 1, 20, 1), swf(30, 2, 40, 2)];
-        let jobs = jobs_from_swf(&records).unwrap();
+        let jobs = convert(&records);
         assert_eq!(jobs[0].id, JobId(0));
         assert_eq!(jobs[1].id, JobId(1));
         assert_eq!(jobs[1].run, 30);
@@ -253,7 +289,7 @@ mod tests {
             swf(10, 1, 20, MISSING),
             swf(10, 1, 20, 3),
         ];
-        let jobs = jobs_from_swf(&records).unwrap();
+        let jobs = convert(&records);
         let ixs: Vec<u32> = jobs.iter().map(|j| j.user_ix).collect();
         assert_eq!(ixs, [0, 1, 0, 2, 1]);
         assert_eq!(jobs[0].user, 900_001, "raw ids survive interning");
@@ -263,7 +299,7 @@ mod tests {
     #[test]
     fn intern_users_returns_distinct_count() {
         let records = vec![swf(10, 1, 20, 5), swf(10, 1, 20, 5), swf(10, 1, 20, 9)];
-        let mut jobs = jobs_from_swf(&records).unwrap();
+        let mut jobs = convert(&records);
         assert_eq!(intern_users(&mut jobs), 2);
         assert_eq!(intern_users(&mut []), 0);
     }

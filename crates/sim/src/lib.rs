@@ -108,7 +108,7 @@ pub use arena::SimArena;
 pub use audit::{audit, AuditReport, AuditViolation};
 pub use cluster::{ClusterSpec, ClusterSpecError, Partition, MAX_PARTITIONS};
 pub use engine::{simulate_in, SimConfig, SimError};
-pub use job::{intern_users, job_from_swf, jobs_from_swf, Job, JobId};
+pub use job::{intern_users, job_from_swf, swf_user, Job, JobId};
 pub use observe::{MetricsObserver, NullObserver, SimEvent, SimObserver, UtilizationObserver};
 pub use outcome::{JobOutcome, SimResult};
 pub use predict::{

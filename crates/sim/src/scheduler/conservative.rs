@@ -23,6 +23,10 @@ use crate::state::SchedulerContext;
 /// Conservative backfilling: plan every queued job, start those planned
 /// now.
 ///
+/// On a heterogeneous cluster each partition plans only the jobs it can
+/// ever host: a job wider than the partition is left to a wider one and
+/// reserves nothing here.
+///
 /// The availability profile is a reusable scratch buffer refilled from
 /// the engine's incrementally maintained release set
 /// ([`Profile::rebuild_from`]) — no sort and, once warm, no allocation
@@ -43,7 +47,7 @@ impl ConservativeScheduler {
 impl Scheduler for ConservativeScheduler {
     fn schedule_into(&mut self, ctx: &SchedulerContext<'_>, starts: &mut Vec<JobId>) {
         self.profile.rebuild_from(ctx.now, ctx.free, ctx.releases);
-        for job in ctx.queue {
+        for job in ctx.queue.iter().filter(|j| j.procs <= ctx.machine_size) {
             let duration = job.predicted.max(1);
             let start = self.profile.earliest_start(ctx.now.0, job.procs, duration);
             self.profile.reserve(start, duration, job.procs);

@@ -375,8 +375,11 @@ impl Scheduler for EasyScheduler {
                 // Every release holds at least one processor, so the
                 // sort path's vector never outgrows this. Sized once,
                 // up front: letting a rare tie grow it late in a run
-                // cost 8 % of peak RSS through heap layout alone.
-                self.fallback.reserve(ctx.machine_size as usize);
+                // cost 8 % of peak RSS through heap layout alone. A
+                // machine too wide for the address space (a log may
+                // claim 2³² − 1 processors) grows on demand instead of
+                // aborting.
+                let _ = self.fallback.try_reserve(ctx.machine_size as usize);
             }
             let after_phase1 = starts.len();
             let bounds = self.fast_reservation(ctx, free, head.procs);

@@ -23,7 +23,7 @@ use predictsim_sim::predict::{CorrectionPolicy, RuntimePredictor};
 use predictsim_sim::scheduler::{ConservativeScheduler, EasyScheduler, FcfsScheduler, Scheduler};
 use predictsim_sim::state::{RunningJob, SystemView, WaitingJob};
 use predictsim_sim::time::Time;
-use predictsim_sim::{NullObserver, SimArena, SimError};
+use predictsim_sim::{NullObserver, SimArena};
 use reference::{ReferenceConservative, ReferenceEasy, ReferenceFcfs};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -169,20 +169,6 @@ fn both(
     cluster: ClusterSpec,
     (sched, pred, corr): (Sched, Pred, Option<Corr>),
 ) -> (Vec<JobOutcome>, Vec<JobOutcome>) {
-    // Conservative breaks on a job wider than a partition (pinned
-    // below), so it runs the jobs narrowed to the narrowest one.
-    let narrowest = cluster.partitions().iter().map(|p| p.size).min();
-    let narrowed: Vec<Job> = (jobs.iter())
-        .map(|j| Job {
-            procs: j.procs.min(narrowest.unwrap()),
-            ..j.clone()
-        })
-        .collect();
-    let jobs = if sched == Sched::Conservative {
-        &narrowed
-    } else {
-        jobs
-    };
     let engine = simulate_in(
         arena,
         jobs,
@@ -305,17 +291,13 @@ proptest! {
     }
 }
 
-/// A known defect, found by the property above: conservative plans every
-/// queued job on every partition, so a job wider than an idle earlier
-/// partition is "started" there. Release builds report the violation;
-/// debug builds trip the over-reservation assert first. (Behind a busy
-/// partition the job instead reserves past the profile's horizon and
-/// over-carves the plan.) README § "Where we read the paper
-/// differently" records it; fixing it changes bytes of heterogeneous
-/// conservative runs.
+/// A job wider than an earlier partition is left to a wider one:
+/// conservative plans each partition's jobs only among those it can
+/// host, so the 6-wide job behind the idle 4-wide partition starts at
+/// once on the 8-wide one. (Planning it on partition 0 too "started" it
+/// there, a scheduler violation, until the property above found it.)
 #[test]
-#[cfg_attr(debug_assertions, should_panic(expected = "over-reserved profile"))]
-fn conservative_plans_jobs_wider_than_their_partition() {
+fn conservative_skips_jobs_wider_than_their_partition() {
     let wide = Job {
         id: JobId(0),
         submit: Time(0),
@@ -336,7 +318,8 @@ fn conservative_plans_jobs_wider_than_their_partition() {
         &mut Pred::Requested,
         None,
         &mut NullObserver,
-    );
-    let message = "j0 needs 6 procs but only 4 are free in partition 0".into();
-    assert_eq!(run.unwrap_err(), SimError::SchedulerViolation { message });
+    )
+    .expect("the wide job runs on the wide partition");
+    let outcome = &run.outcomes[0];
+    assert_eq!((outcome.start, outcome.partition), (Time(0), 1));
 }

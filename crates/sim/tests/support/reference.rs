@@ -306,9 +306,12 @@ impl ReferenceConservative {
             .filter(|r| r.partition == partition)
             .map(|r| (r.predicted_end, r.procs))
             .collect();
+        // The partition is what is free plus what runs on it; a job
+        // wider than that waits for a wider partition.
+        let size = free + releases.iter().map(|&(_, procs)| procs).sum::<u32>();
         let mut profile = BruteProfile::new(now, free, &releases);
         let mut starts = Vec::new();
-        for job in queue {
+        for job in queue.iter().filter(|j| j.procs <= size) {
             let duration = job.predicted.max(1);
             let start = profile.earliest_start(now.0, job.procs, duration);
             profile.reserve(start, duration, job.procs);

@@ -64,8 +64,8 @@ impl SwfHeader {
     }
 
     /// Machine size to simulate with: `MaxProcs`, falling back to
-    /// `MaxNodes`. `None` means the caller must supply a size (the reader
-    /// can also infer one from the largest job).
+    /// `MaxNodes`. `None` when the header names neither (a loader then
+    /// falls back to the largest job).
     pub fn machine_size(&self) -> Option<u64> {
         self.max_procs.or(self.max_nodes)
     }

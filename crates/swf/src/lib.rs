@@ -6,17 +6,20 @@
 //! reproduced paper).
 //!
 //! The SC '15 paper evaluates its prediction-augmented backfilling on six
-//! production logs distributed in SWF (Table 4). This crate provides
-//! everything needed to consume such logs — or the synthetic equivalents
-//! produced by `predictsim-workload` — and feed them to the simulator:
+//! production logs distributed in SWF (Table 4). This crate handles the
+//! format only — reading and writing such logs, or the synthetic
+//! equivalents produced by `predictsim-workload`:
 //!
 //! * [`SwfRecord`] — the 18-field SWF job record ([`record`]);
 //! * [`SwfHeader`] — the `;`-prefixed header metadata (`MaxProcs`,
 //!   `UnixStartTime`, …) ([`header`]);
-//! * [`reader`] / [`writer`] — streaming parse and serialization;
-//! * [`filter`] — the cleaning conventions applied by the scheduling
-//!   literature before simulation (drop canceled jobs, repair missing
-//!   requested times, enforce submit-time ordering, …).
+//! * [`reader`] / [`writer`] — streaming parse ([`SwfStream`]) and
+//!   serialization.
+//!
+//! What makes a log *clean* enough to simulate (dropping canceled and
+//! oversize jobs, repairing requested times, submit-time ordering) is
+//! decided in one place, the loader that feeds the simulator:
+//! `predictsim_experiments::source::SwfSource`.
 //!
 //! ## Quick example
 //!
@@ -39,13 +42,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod filter;
 pub mod header;
 pub mod reader;
 pub mod record;
 pub mod writer;
 
-pub use filter::{clean, CleaningReport, CleaningRules};
 pub use header::SwfHeader;
 pub use reader::{parse_log, ParseError, SwfLog, SwfStream};
 pub use record::{SwfRecord, MISSING};

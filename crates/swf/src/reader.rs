@@ -20,21 +20,6 @@ pub struct SwfLog {
     pub records: Vec<SwfRecord>,
 }
 
-impl SwfLog {
-    /// Machine size: the header's `MaxProcs`/`MaxNodes` when present,
-    /// otherwise the largest processor request observed in the records
-    /// (the standard fallback when simulating headerless fragments).
-    pub fn machine_size(&self) -> Option<u64> {
-        self.header.machine_size().or_else(|| {
-            self.records
-                .iter()
-                .filter_map(|r| r.effective_procs())
-                .max()
-                .map(|m| m as u64)
-        })
-    }
-}
-
 /// Error produced when an SWF line cannot be parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -176,7 +161,7 @@ impl<R: BufRead> Iterator for SwfStream<R> {
 }
 
 /// Parses a single 18-field SWF data line.
-pub fn parse_record(lineno: usize, line: &str) -> Result<SwfRecord, ParseError> {
+fn parse_record(lineno: usize, line: &str) -> Result<SwfRecord, ParseError> {
     let mut fields = [0i64; 18];
     let mut count = 0;
     for tok in line.split_ascii_whitespace() {
@@ -357,13 +342,7 @@ mod tests {
         let log = parse_log(&text).unwrap();
         assert_eq!(log.header.max_procs, Some(64));
         assert_eq!(log.records.len(), 2);
-        assert_eq!(log.machine_size(), Some(64));
-    }
-
-    #[test]
-    fn machine_size_inferred_without_header() {
-        let log = parse_log(&format!("{LINE}\n")).unwrap();
-        assert_eq!(log.machine_size(), Some(8));
+        assert_eq!(log.header.machine_size(), Some(64));
     }
 
     #[test]

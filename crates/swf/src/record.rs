@@ -108,12 +108,6 @@ impl SwfRecord {
     pub fn user_id_opt(&self) -> Option<i64> {
         non_negative_opt(self.user_id)
     }
-
-    /// True if the record carries enough information to be simulated:
-    /// a positive run time and a positive processor count.
-    pub fn is_simulatable(&self) -> bool {
-        self.run_time_opt().is_some() && self.effective_procs().is_some()
-    }
 }
 
 fn positive_opt(v: i64) -> Option<i64> {
@@ -185,21 +179,27 @@ mod tests {
         assert_eq!(r.effective_requested_time(), Some(3600));
     }
 
+    /// A record is simulatable iff it has a positive run time and a
+    /// positive processor count (the loader's unrunnable rule).
+    fn simulatable(r: &SwfRecord) -> bool {
+        r.run_time_opt().is_some() && r.effective_procs().is_some()
+    }
+
     #[test]
     fn simulatable_requires_run_and_procs() {
-        assert!(sample().is_simulatable());
+        assert!(simulatable(&sample()));
         let mut r = sample();
         r.run_time = 0;
-        assert!(!r.is_simulatable());
+        assert!(!simulatable(&r));
         let mut r = sample();
         r.requested_procs = MISSING;
         r.allocated_procs = MISSING;
-        assert!(!r.is_simulatable());
+        assert!(!simulatable(&r));
     }
 
     #[test]
     fn empty_record_is_not_simulatable() {
-        assert!(!SwfRecord::empty(1).is_simulatable());
+        assert!(!simulatable(&SwfRecord::empty(1)));
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Property-based round-trip tests for the SWF toolkit.
+//! Property-based tests for the SWF toolkit: the writer/parser round
+//! trip, and a reader that gives records or a typed error on any bytes.
 
 use proptest::prelude::*;
 
-use predictsim_swf::{clean, parse_log, write_log, CleaningRules, SwfRecord, MISSING};
+use predictsim_swf::{parse_log, write_log, SwfRecord, SwfStream, MISSING};
 
 /// Strategy producing an arbitrary but structurally valid SWF record.
 fn arb_record() -> impl Strategy<Value = SwfRecord> {
@@ -51,48 +52,85 @@ proptest! {
         prop_assert_eq!(reparsed.records, records);
     }
 
-    /// Cleaning is idempotent: applying it twice changes nothing further.
-    #[test]
-    fn cleaning_is_idempotent(records in prop::collection::vec(arb_record(), 0..50)) {
-        let mut log = predictsim_swf::SwfLog { records, ..Default::default() };
-        let rules = CleaningRules::default();
-        clean(&mut log, 1024, rules);
-        let after_first = log.records.clone();
-        let second = clean(&mut log, 1024, rules);
-        prop_assert_eq!(&log.records, &after_first);
-        prop_assert_eq!(second.dropped_unrunnable, 0);
-        prop_assert_eq!(second.dropped_oversize, 0);
-        prop_assert_eq!(second.repaired_estimates, 0);
-        prop_assert_eq!(second.repaired_inversions, 0);
-        prop_assert!(!second.reordered);
-    }
-
-    /// After default cleaning every record is simulatable and consistent:
-    /// positive run time, procs within machine, requested >= run.
-    #[test]
-    fn cleaned_records_are_simulatable(records in prop::collection::vec(arb_record(), 0..50)) {
-        let mut log = predictsim_swf::SwfLog { records, ..Default::default() };
-        clean(&mut log, 1024, CleaningRules::default());
-        for r in &log.records {
-            prop_assert!(r.is_simulatable());
-            let q = r.effective_procs().unwrap();
-            prop_assert!((1..=1024).contains(&q));
-            let run = r.run_time_opt().unwrap();
-            let req = r.requested_time_opt().unwrap();
-            prop_assert!(req >= run, "requested {req} < run {run}");
-        }
-        // Monotone submit order.
-        for w in log.records.windows(2) {
-            prop_assert!(w[0].submit_time <= w[1].submit_time);
-        }
-    }
-
-    /// Parsing never panics on random whitespace-delimited numeric soup.
+    /// A line of random whitespace-delimited numbers is a record iff it
+    /// has exactly 18 fields and a non-negative job id, and a typed
+    /// error otherwise — never a panic.
     #[test]
     fn parser_never_panics_on_numeric_lines(
         nums in prop::collection::vec(-1000i64..1_000_000, 0..25)
     ) {
         let line: Vec<String> = nums.iter().map(|n| n.to_string()).collect();
-        let _ = predictsim_swf::reader::parse_record(1, &line.join(" "));
+        let items: Vec<_> = SwfStream::new(line.join(" ").as_bytes()).collect();
+        prop_assert_eq!(items.len(), usize::from(!nums.is_empty()));
+        if let Some(item) = items.first() {
+            prop_assert_eq!(item.is_ok(), nums.len() == 18 && nums[0] >= 0);
+        }
     }
+
+    /// Arbitrary bytes, 0–4 KiB: the stream yields records, then at most
+    /// one typed error, then fuses.
+    #[test]
+    fn stream_survives_arbitrary_bytes(bytes in arbitrary_bytes()) {
+        stream_is_total(&bytes)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// The deep variant, for release builds: `cargo test --release -p
+    /// predictsim-swf --test roundtrip -- --ignored`.
+    #[test]
+    #[ignore]
+    fn stream_survives_arbitrary_bytes_deep(bytes in arbitrary_bytes()) {
+        stream_is_total(&bytes)?;
+    }
+}
+
+/// The format's own bytes: digits, signs, separators, the header
+/// marker, both line ends and NUL.
+const ALPHABET: &[u8] = b"0123456789 -+.eE;:\t\n\r\0";
+
+/// Up to 4 KiB built from chunks: any byte (invalid UTF-8 included), a
+/// byte of [`ALPHABET`], a `MaxProcs` header line, or a well-formed
+/// 18-field line (weighted up, so streams reach records before their
+/// first stray byte) — records, header lines and every kind of error.
+fn arbitrary_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let line = || {
+        prop::collection::vec(-2i64..100, 18..19).prop_map(|fields| {
+            let line: Vec<String> = fields.iter().map(|f| f.to_string()).collect();
+            format!("{}\n", line.join(" ")).into_bytes()
+        })
+    };
+    let chunk = prop_oneof![
+        (0u8..=255).prop_map(|b| vec![b]),
+        (0..ALPHABET.len()).prop_map(|i| vec![ALPHABET[i]]),
+        (-2i64..1_000).prop_map(|m| format!("; MaxProcs: {m}\n").into_bytes()),
+        line(),
+        line(),
+        line(),
+    ];
+    prop::collection::vec(chunk, 0..300).prop_map(|chunks| {
+        let mut bytes = chunks.concat();
+        bytes.truncate(4096);
+        bytes
+    })
+}
+
+/// Drives a [`SwfStream`] over `bytes` to its end: no more items than
+/// lines, an error names a line of the input, and nothing follows it.
+fn stream_is_total(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let lines = bytes.split(|&b| b == b'\n').count();
+    let mut stream = SwfStream::new(bytes);
+    let mut items = 0;
+    for item in stream.by_ref() {
+        items += 1;
+        prop_assert!(items <= lines, "{items} items from {lines} lines");
+        if let Err(e) = item {
+            prop_assert!((1..=lines).contains(&e.line), "error at line {}", e.line);
+            break;
+        }
+    }
+    prop_assert!(stream.next().is_none(), "the stream fuses");
+    Ok(())
 }

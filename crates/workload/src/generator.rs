@@ -428,15 +428,19 @@ mod tests {
     fn swf_export_round_trips_through_parser() {
         let w = toy();
         let text = predictsim_swf::write_log(&w.to_swf());
-        let mut log = predictsim_swf::parse_log(&text).unwrap();
-        assert_eq!(log.machine_size(), Some(w.machine_size as u64));
-        let report = predictsim_swf::filter::clean_default(&mut log);
-        assert_eq!(report.kept, w.jobs.len(), "cleaning should drop nothing");
-        let jobs = predictsim_sim::jobs_from_swf(&log.records).unwrap();
+        let log = predictsim_swf::parse_log(&text).unwrap();
+        assert_eq!(log.header.machine_size(), Some(w.machine_size as u64));
+        // A generated log has nothing to clean (the SWF loader's own
+        // round trip pins that), so conversion alone must reproduce it.
+        let mut jobs: Vec<Job> = (0u32..)
+            .zip(&log.records)
+            .map(|(i, r)| predictsim_sim::job_from_swf(JobId(i), r).unwrap())
+            .collect();
+        predictsim_sim::intern_users(&mut jobs);
         assert_eq!(
             &jobs[..],
             &w.jobs[..],
-            "write → parse → clean → convert must reproduce every field, \
+            "write → parse → convert must reproduce every field, \
              interned user_ix included"
         );
     }

@@ -86,7 +86,11 @@ proptest! {
         let w = generate(&spec, seed);
         let text = predictsim_swf::write_log(&w.to_swf());
         let log = predictsim_swf::parse_log(&text).expect("reparse");
-        let jobs = predictsim_sim::jobs_from_swf(&log.records).expect("convert");
+        let mut jobs: Vec<_> = (0u32..)
+            .zip(&log.records)
+            .map(|(i, r)| predictsim_sim::job_from_swf(predictsim_sim::JobId(i), r).expect("convert"))
+            .collect();
+        predictsim_sim::intern_users(&mut jobs);
         prop_assert_eq!(jobs.len(), w.jobs.len());
         for (a, b) in jobs.iter().zip(&w.jobs) {
             prop_assert_eq!(a.run, b.run);

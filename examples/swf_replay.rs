@@ -9,12 +9,12 @@
 //!
 //! Without an argument, the example writes a synthetic SWF file to a
 //! temporary directory first and replays that — demonstrating the full
-//! round trip (generate → write SWF → parse → clean → simulate).
+//! round trip (generate → write SWF → load → simulate).
 
 use std::path::PathBuf;
 
 use predictsim::prelude::*;
-use predictsim::swf::{clean, parse_log, write_log, CleaningRules};
+use predictsim::swf::write_log;
 
 fn main() {
     let path = std::env::args()
@@ -31,23 +31,19 @@ fn main() {
             path
         });
 
-    // 1. Parse.
-    let text = std::fs::read_to_string(&path).expect("read SWF file");
-    let mut log = parse_log(&text).unwrap_or_else(|e| panic!("parse {}: {e}", path.display()));
-    let machine_size = log
-        .machine_size()
-        .expect("log has no MaxProcs header and no jobs to infer it from");
+    // 1. Load: parse, clean and convert in one streaming pass, reporting
+    //    what the cleaning conventions dropped/repaired (silent cleaning
+    //    is a reproducibility hazard — Frachtenberg & Feitelson [6]).
+    let loaded = SwfSource::new(&path)
+        .load()
+        .unwrap_or_else(|e| panic!("load {}: {e}", path.display()));
+    let report = loaded.cleaning.as_ref().expect("SWF path reports cleaning");
     println!(
-        "parsed {}: {} records, MaxProcs {}",
+        "loaded {}: {} jobs, MaxProcs {}",
         path.display(),
-        log.records.len(),
-        machine_size
+        loaded.jobs.len(),
+        loaded.machine_size
     );
-
-    // 2. Clean, reporting what the cleaning conventions dropped/repaired
-    //    (silent cleaning is a reproducibility hazard — Frachtenberg &
-    //    Feitelson [6]).
-    let report = clean(&mut log, machine_size, CleaningRules::default());
     println!(
         "cleaned: kept {} | dropped {} unrunnable, {} oversize | repaired {} estimates, {} inversions",
         report.kept,
@@ -57,16 +53,15 @@ fn main() {
         report.repaired_inversions,
     );
 
-    // 3. Convert and simulate under three schedulers.
-    let jobs = predictsim::sim::jobs_from_swf(&log.records).expect("convert records");
-    let cfg = SimConfig::single(machine_size as u32);
-
+    // 2. Simulate under three schedulers.
     for triple in [
         HeuristicTriple::standard_easy(),
         HeuristicTriple::easy_plus_plus(),
         HeuristicTriple::paper_winner(),
     ] {
-        let res = triple.run(&jobs, cfg).expect("simulation failed");
+        let res = triple
+            .run(&loaded.jobs, loaded.sim_config())
+            .expect("simulation failed");
         // Re-verify the schedule invariants independently of the engine.
         predictsim::sim::audit(&res).expect("schedule audit failed");
         println!(

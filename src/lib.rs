@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | [`core`] | `predictsim-core` | the paper's contribution: Table 2 features, Eq. 1 polynomial model, the §4.2 asymmetric weighted loss family, NAG training, §5.2 corrections, Table 8's MAE and mean E-Loss |
 //! | [`sim`] | `predictsim-sim` | event-driven batch simulator, EASY / EASY-SJBF / FCFS / conservative schedulers, prediction + correction interfaces, audit |
-//! | [`swf`] | `predictsim-swf` | Standard Workload Format parsing, writing, cleaning |
+//! | [`swf`] | `predictsim-swf` | Standard Workload Format parsing and writing (the cleaning rules live in [`experiments::SwfSource`]) |
 //! | [`workload`] | `predictsim-workload` | synthetic stand-ins for the six Table 4 logs |
 //! | [`metrics`] | `predictsim-metrics` | bounded slowdown, ECDF, Pearson, under-prediction rate |
 //! | [`experiments`] | `predictsim-experiments` | the §6 campaign: 128 heuristic triples/log, cross-validation, every table and figure |
@@ -77,9 +77,9 @@ pub mod prelude {
     pub use predictsim_core::{AsymmetricLoss, WeightingScheme};
     pub use predictsim_experiments::{
         campaign_triples, cross_validate, run_campaign_cluster, run_campaign_loaded,
-        CorrectionKind, ExperimentSetup, HeuristicTriple, LoadedWorkload, PredictionTechnique,
-        RegistryError, Scenario, ScenarioError, SourceError, SwfSource, SyntheticSource, Variant,
-        WorkloadSource,
+        CleaningReport, CorrectionKind, ExperimentSetup, HeuristicTriple, LoadedWorkload,
+        PredictionTechnique, RegistryError, Scenario, ScenarioError, SourceError, SwfSource,
+        SyntheticSource, Variant, WorkloadSource,
     };
     pub use predictsim_metrics::{bounded_slowdown, Ecdf, DEFAULT_TAU};
     pub use predictsim_sim::{

@@ -1,13 +1,8 @@
-//! End-to-end pipeline integration: generator → SWF → parser → cleaner →
+//! End-to-end pipeline integration: generator → SWF → loader →
 //! simulator → metrics, across all workspace crates through the facade.
 
 use predictsim::prelude::*;
-use predictsim::swf::{parse_log, write_log};
-
-// Re-exported under a submodule path in the crate; alias for clarity.
-mod swf_helpers {
-    pub use predictsim::swf::filter::clean_default;
-}
+use predictsim::swf::write_log;
 
 fn small_workload(seed: u64) -> GeneratedWorkload {
     let mut spec = WorkloadSpec::toy();
@@ -25,18 +20,19 @@ fn generated_workload_survives_swf_round_trip_and_simulates_identically() {
         .run(&w.jobs, w.sim_config())
         .expect("direct simulation");
 
-    // Export to SWF text, re-parse, clean, convert, simulate again.
+    // Export to SWF text, load (parse, clean, convert), simulate again.
     let text = write_log(&w.to_swf());
-    let mut log = parse_log(&text).expect("parse exported log");
-    let report = swf_helpers::clean_default(&mut log);
+    let loaded = SwfSource::from_text(w.name.clone(), text)
+        .load()
+        .expect("load exported log");
+    let report = loaded.cleaning.as_ref().expect("SWF path reports cleaning");
     assert_eq!(
         report.kept,
         w.jobs.len(),
         "cleaning must not drop synthetic jobs"
     );
-    let jobs = predictsim::sim::jobs_from_swf(&log.records).expect("conversion");
     let via_swf = HeuristicTriple::standard_easy()
-        .run(&jobs, w.sim_config())
+        .run(&loaded.jobs, loaded.sim_config())
         .expect("SWF-path simulation");
 
     assert_eq!(direct.ave_bsld(), via_swf.ave_bsld());

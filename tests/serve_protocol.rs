@@ -82,6 +82,25 @@ fn malformed_requests_get_typed_errors_and_the_session_survives() {
 /// too large to generate (a failed allocation aborts the process, it
 /// does not unwind) or a toy count that is not a count is refused
 /// before the ack, and the connection keeps working.
+/// A line nested deeper than a connection thread's stack could parse
+/// by recursion, yet well under the line cap, gets a `malformed` frame
+/// and the session survives.
+#[test]
+fn deeply_nested_lines_are_malformed_and_the_session_survives() {
+    let server = Server::start(ServeConfig::default()).expect("daemon starts");
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    client.send_line(&"[".repeat(20_000)).expect("send");
+    let (job, code, message) = await_error(&mut client);
+    assert_eq!(job, None);
+    assert_eq!(code, "malformed");
+    assert!(message.contains("recursion limit"), "{message}");
+
+    client.ping().expect("ping");
+    assert!(matches!(next_ok(&mut client), Frame::Pong));
+    server.shutdown();
+}
+
 #[test]
 fn oversized_and_misshapen_workloads_are_rejected_before_queueing() {
     let server = Server::start(ServeConfig::default()).expect("daemon starts");

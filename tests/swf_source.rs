@@ -2,10 +2,12 @@
 //! `swf::writer` and loaded back through [`SwfSource`] must simulate to
 //! the *byte-identical* engine outcome as the in-memory jobs — the
 //! guarantee that makes the SWF loader path a drop-in workload source
-//! for every experiment.
+//! for every experiment. And what the loader makes of a dirty log is
+//! clean: every job is simulatable, and a clean log loads unchanged.
 
 use predictsim::prelude::*;
-use predictsim::swf::write_log;
+use predictsim::swf::{write_log, SwfHeader, SwfLog, SwfRecord, MISSING};
+use proptest::prelude::*;
 
 fn fixture_workload() -> GeneratedWorkload {
     let mut spec = WorkloadSpec::toy();
@@ -85,4 +87,86 @@ fn swf_file_on_disk_behaves_like_the_text_fixture() {
         .run_on(&w.jobs, w.sim_config())
         .expect("direct simulation");
     assert_eq!(direct, via_file);
+}
+
+/// Strategy producing an arbitrary but structurally valid SWF record.
+fn arb_record() -> impl Strategy<Value = SwfRecord> {
+    (
+        0u64..1_000_000,
+        0i64..10_000_000,
+        prop_oneof![Just(MISSING), 0i64..1_000_000],
+        prop_oneof![Just(MISSING), 1i64..100_000],
+        prop_oneof![Just(MISSING), 1i64..100_000],
+        prop_oneof![Just(MISSING), 1i64..2_000_000],
+        prop_oneof![Just(MISSING), 0i64..10_000],
+    )
+        .prop_map(
+            |(job_id, submit, run, alloc, req_procs, req_time, user)| SwfRecord {
+                submit_time: submit,
+                run_time: run,
+                allocated_procs: alloc,
+                requested_procs: req_procs,
+                requested_time: req_time,
+                status: 1,
+                user_id: user,
+                ..SwfRecord::empty(job_id)
+            },
+        )
+}
+
+/// Loads `records` on a 1024-processor machine.
+fn load(records: Vec<SwfRecord>) -> LoadedWorkload {
+    let log = SwfLog {
+        header: SwfHeader::synthetic(1024, "dirty"),
+        records,
+    };
+    SwfSource::from_text("dirty", write_log(&log))
+        .load()
+        .expect("a parsed log of small values loads")
+}
+
+/// Writes a loaded workload back out the way a generated one is
+/// exported ([`GeneratedWorkload::to_swf`], which writes no statistics).
+fn export(w: &LoadedWorkload) -> String {
+    let generated = GeneratedWorkload {
+        name: w.name.clone(),
+        machine_size: w.machine_size,
+        jobs: w.jobs.to_vec(),
+        stats: fixture_workload().stats,
+    };
+    write_log(&generated.to_swf())
+}
+
+proptest! {
+    /// Cleaning is idempotent: a loaded log, exported and loaded again,
+    /// has nothing left to drop, repair or reorder, and gives the same
+    /// jobs.
+    #[test]
+    fn cleaning_is_idempotent(records in prop::collection::vec(arb_record(), 0..50)) {
+        let first = load(records);
+        let again = SwfSource::from_text("dirty", export(&first)).load().expect("reload");
+        let report = again.cleaning.expect("SWF path reports cleaning");
+        prop_assert_eq!(report.dropped_unrunnable, 0);
+        prop_assert_eq!(report.dropped_oversize, 0);
+        prop_assert_eq!(report.repaired_estimates, 0);
+        prop_assert_eq!(report.repaired_inversions, 0);
+        prop_assert!(!report.reordered);
+        prop_assert_eq!(report.kept, first.jobs.len());
+        prop_assert_eq!(&again.jobs[..], &first.jobs[..]);
+    }
+
+    /// Every loaded job is simulatable and consistent: positive run
+    /// time, procs within the machine, requested ≥ run, submit order.
+    #[test]
+    fn cleaned_records_are_simulatable(records in prop::collection::vec(arb_record(), 0..50)) {
+        let w = load(records);
+        for job in w.jobs.iter() {
+            prop_assert!(job.run >= 1);
+            prop_assert!((1..=w.machine_size).contains(&job.procs));
+            prop_assert!(job.requested >= job.run, "requested {} < run {}", job.requested, job.run);
+        }
+        for pair in w.jobs.windows(2) {
+            prop_assert!(pair[0].submit <= pair[1].submit);
+        }
+    }
 }

@@ -25,6 +25,7 @@ echo "pub_items $(pubs crates/*/src src)"
 echo "experiments_lines $(lines crates/experiments)"
 echo "experiments_pub_items $(pubs crates/experiments/src)"
 echo "sim_pub_items $(pubs crates/sim/src)"
+echo "swf_pub_items $(pubs crates/swf/src)"
 echo "run_cell_entries $(entries run_cell)"
 echo "run_campaign_entries $(entries run_campaign)"
 echo "simulate_entries $(entries simulate)"
