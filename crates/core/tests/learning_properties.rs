@@ -225,3 +225,114 @@ fn plain_nag_step_collapses_on_one_crash_and_the_bounded_step_does_not() {
     );
     assert!(bounded[599] > 0.5, "and recovers: {}", bounded[599]);
 }
+
+/// A learner fed one constant target, for counting its ramp.
+trait Ramp {
+    fn predict(&mut self, x: &[f64]) -> f64;
+    fn learn(&mut self, x: &[f64], p: f64);
+}
+
+impl Ramp for OnlineRegression {
+    fn predict(&mut self, x: &[f64]) -> f64 {
+        OnlineRegression::predict(self, x)
+    }
+
+    fn learn(&mut self, x: &[f64], p: f64) {
+        OnlineRegression::learn(self, x, p, 1.0);
+    }
+}
+
+/// The learner `OnlineRegression` would be without target
+/// normalisation: the same basis, NAG with its bounded step, loss and
+/// λ, but the weights fit the target in raw seconds.
+struct RawTargetLearner {
+    basis: Basis,
+    weights: Vec<f64>,
+    phi: Vec<f64>,
+    optimizer: NagOptimizer,
+    loss: AsymmetricLoss,
+}
+
+impl RawTargetLearner {
+    fn new(loss: AsymmetricLoss) -> Self {
+        let basis = Basis::polynomial(3);
+        let dim = basis.output_dim();
+        let optimizer = NagOptimizer::new(dim, predictsim_core::model::DEFAULT_ETA);
+        Self {
+            basis,
+            weights: vec![0.0; dim],
+            phi: vec![0.0; dim],
+            optimizer,
+            loss,
+        }
+    }
+
+    fn output(&self) -> f64 {
+        self.weights.iter().zip(&self.phi).map(|(w, p)| w * p).sum()
+    }
+}
+
+impl Ramp for RawTargetLearner {
+    fn predict(&mut self, x: &[f64]) -> f64 {
+        self.basis.expand_into(x, &mut self.phi);
+        self.output()
+    }
+
+    fn learn(&mut self, x: &[f64], p: f64) {
+        self.basis.expand_into(x, &mut self.phi);
+        self.optimizer.prepare(&mut self.weights, &self.phi);
+        let f = self.output();
+        let dloss = self.loss.dvalue_df(f, p, 1.0);
+        let l2 = predictsim_core::model::DEFAULT_L2;
+        self.optimizer
+            .step_bounded(&mut self.weights, &self.phi, dloss, l2, (f - p).abs());
+    }
+}
+
+/// Updates on the constant target `p` before the learner predicts
+/// within 50 % of it, or `None` if `cap` updates do not get there.
+fn updates_to_reach(learner: &mut impl Ramp, p: f64, cap: u64) -> Option<u64> {
+    let x = [1.0, 4.0, 16.0];
+    (0..=cap).find(|_| {
+        let reached = (learner.predict(&x) - p).abs() <= 0.5 * p;
+        if !reached {
+            learner.learn(&x, p);
+        }
+        reached
+    })
+}
+
+/// README § "Where we read the paper differently", `y_scale`: with
+/// target normalisation one update reaches a constant target of any
+/// magnitude from 10⁰ to 10⁶ s. Without it the same NAG step ramps the
+/// prediction by roughly the same number of seconds per update whatever
+/// the target, and ever more slowly: ≈ 300 updates at 10² s, none of the
+/// first 100 000 at 10⁴ s or 10⁶ s.
+#[test]
+fn target_normalisation_reaches_any_magnitude_in_one_update_and_raw_targets_do_not() {
+    const CAP: u64 = 100_000;
+    let eta = predictsim_core::model::DEFAULT_ETA;
+    for loss in [AsymmetricLoss::SQUARED, AsymmetricLoss::E_LOSS] {
+        for p in [1.0, 1e2, 1e4, 1e6] {
+            let mut model = OnlineRegression::with_parts(
+                Basis::polynomial(3),
+                Box::new(NagOptimizer::new(Basis::polynomial(3).output_dim(), eta)),
+                loss,
+                WeightingScheme::Constant,
+                predictsim_core::model::DEFAULT_L2,
+            );
+            let normalised = updates_to_reach(&mut model, p, CAP);
+            assert_eq!(normalised, Some(1), "{loss:?} at {p} s");
+
+            let raw = updates_to_reach(&mut RawTargetLearner::new(loss), p, CAP);
+            match p {
+                1.0 => assert_eq!(raw, Some(1), "{loss:?} at {p} s"),
+                1e2 => assert!(
+                    raw.is_some_and(|n| (100..1_000).contains(&n)),
+                    "{loss:?} at {p} s: {raw:?}"
+                ),
+                _ => assert_eq!(raw, None, "{loss:?} at {p} s"),
+            }
+        }
+    }
+}

@@ -290,10 +290,10 @@ impl DiskStore {
 
     /// Reads `key`'s cell back, if the directory holds a valid one.
     pub(super) fn load(&self, key: &CellKey) -> Option<CachedCell> {
-        let (path, text) = self.classified("cell read", |dir| {
+        let (path, bytes) = self.classified("cell read", |dir| {
             let path = dir.join(file_name(key));
-            match self.with_retry("cache.read", || std::fs::read_to_string(&path)) {
-                Ok(text) => Ok(Some((path, text))),
+            match self.with_retry("cache.read", || std::fs::read(&path)) {
+                Ok(bytes) => Ok(Some((path, bytes))),
                 // No file: a plain miss.
                 Err(err) if err.kind() == std::io::ErrorKind::NotFound => Ok(None),
                 // Unreadable beyond retry: miss (the cell re-simulates)
@@ -302,14 +302,18 @@ impl DiskStore {
             }
         })?;
         // Verify both the encoding and the full key: a truncated write,
-        // a file-name hash collision or a stale entry must never serve
-        // the wrong cell — and must not be silently re-read (and
-        // re-missed) every run. Reject: count, delete, re-simulate.
-        let verified = serde_json::from_str::<DiskCell>(&text).ok().filter(|disk| {
-            disk.fingerprint == key.fingerprint
-                && disk.cluster == key.cluster
-                && disk.triple == key.triple
-        });
+        // bytes that are not UTF-8, a file-name hash collision or a stale
+        // entry must never serve the wrong cell — and must not be
+        // silently re-read (and re-missed) every run. Reject: count,
+        // delete, re-simulate.
+        let verified = std::str::from_utf8(&bytes)
+            .ok()
+            .and_then(|text| serde_json::from_str::<DiskCell>(text).ok())
+            .filter(|disk| {
+                disk.fingerprint == key.fingerprint
+                    && disk.cluster == key.cluster
+                    && disk.triple == key.triple
+            });
         let Some(disk) = verified else {
             self.disk_rejects.fetch_add(1, Ordering::Relaxed);
             self.remove(&path);

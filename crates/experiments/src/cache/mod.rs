@@ -694,11 +694,16 @@ mod tests {
         let fresh = writer.run_cell_traced(&arena, m, &triple).unwrap().0;
 
         // Truncate the cell file mid-JSON; then replace it with JSON
-        // nested deeper than any stack could parse by recursion.
+        // nested deeper than any stack could parse by recursion; then
+        // with bytes that are not UTF-8.
         let key = CellKey::new(&arena, m, &triple);
         let path = dir.join(disk::file_name(&key));
-        let text = std::fs::read_to_string(&path).unwrap();
-        for corrupt in [text[..text.len() / 2].to_string(), "[".repeat(20_000)] {
+        let bytes = std::fs::read(&path).unwrap();
+        for corrupt in [
+            bytes[..bytes.len() / 2].to_vec(),
+            b"[".repeat(20_000),
+            vec![0xFF, b'{'],
+        ] {
             std::fs::write(&path, corrupt).unwrap();
 
             let reader = private();
@@ -718,6 +723,38 @@ mod tests {
             assert_eq!(third.stats().disk_rejects, 0);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Any 0–4 KiB of bytes as a cell's file is rejected once and
+        /// re-simulated, and the rewritten file then serves from disk.
+        #[test]
+        fn arbitrary_bytes_as_a_cell_file_are_rejected_and_resimulated(
+            bytes in proptest::collection::vec(0u8..=255, 0..4097),
+        ) {
+            let dir = temp_dir("arbitrary");
+            let (arena, m) = tiny_arena(24);
+            let triple = HeuristicTriple::standard_easy();
+            let fresh = private().run_cell_traced(&arena, m, &triple).unwrap().0;
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join(disk::file_name(&CellKey::new(&arena, m, &triple)));
+            std::fs::write(&path, &bytes).unwrap();
+
+            let reader = private();
+            reader.set_persist_dir(Some(dir.clone()));
+            let recovered = reader.run_cell_traced(&arena, m, &triple).unwrap().0;
+            let stats = reader.stats();
+            proptest::prop_assert_eq!(recovered.result, fresh.result);
+            proptest::prop_assert_eq!((stats.disk_rejects, stats.simulated), (1, 1), "{:?}", stats);
+
+            let second = private();
+            second.set_persist_dir(Some(dir.clone()));
+            let (_, source) = second.run_cell_traced(&arena, m, &triple).unwrap();
+            proptest::prop_assert_eq!(source, CellSource::Disk);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// A parseable file whose embedded key disagrees with its name

@@ -6,7 +6,7 @@
 //! queue answers `busy`, concurrent cold submissions of the same cell
 //! coalesce into exactly one simulation, shutdown drains instead of
 //! dropping work, and `metrics` progress frames stream ahead of a job's
-//! result.
+//! result. Off the socket, the parse surfaces survive arbitrary bytes.
 //!
 //! Every test starts its own daemon on an ephemeral port; workload
 //! seeds are test-unique so the process-wide `SimCache` cannot turn an
@@ -14,7 +14,11 @@
 
 use std::time::Duration;
 
-use predictsim::serve::{Client, Frame, ServeConfig, Server, Submission, WorkloadRequest};
+use predictsim::serve::{
+    Client, ErrorCode, Frame, Line, LineReader, Request, ServeConfig, Server, Submission,
+    WorkloadRequest,
+};
+use proptest::prelude::*;
 use serde::Value;
 
 /// A test-unique toy workload: `seed` keys the cache identity.
@@ -430,4 +434,122 @@ fn metrics_frames_stream_ahead_of_the_result() {
         );
     }
     server.shutdown();
+}
+
+/// The protocol's own tokens: whole requests and frames, the opening
+/// of a toy submission, field names, JSON punctuation and literals, and
+/// line breaks.
+const TOKENS: &[&str] = &[
+    r#"{"type":"ping"}"#,
+    r#"{"type":"stats"}"#,
+    r#"{"type":"pong"}"#,
+    r#"{"type":"ack","job":1,"triple":"t","workload":"w"}"#,
+    r#"{"type":"error","job":null,"code":"busy","message":"m"}"#,
+    r#"{"type":"result","job":2,"source":"memory","result":{}}"#,
+    r#"{"type":"metrics","job":3,"events":4,"finished":1,"submitted":2,"ave_bsld":1.5}"#,
+    r#"{"type":"submit","workload":{"log":"KTH","scale":0.02,"seed":1}}"#,
+    r#"{"type":"submit","workload":{"swf":"x.swf"},"scheduler":"easy","timeout_ms":5}"#,
+    r#"{"type":"submit","workload":{"toy":{"#,
+    r#""jobs":"#,
+    r#""duration":"#,
+    r#""utilization":"#,
+    r#""name":"t""#,
+    r#""seed":"#,
+    r#""scale":"#,
+    r#""log":"KTH""#,
+    r#""job":"#,
+    r#""metrics_every":"#,
+    r#""cluster":"#,
+    "}}}",
+    "{",
+    "}",
+    "[",
+    "]",
+    ",",
+    ":",
+    "\"",
+    "0",
+    "7",
+    "-1",
+    "2.5",
+    "1e400",
+    "18446744073709551616",
+    "true",
+    "null",
+    " ",
+    "\n",
+    "\r\n",
+];
+
+/// Up to 4 KiB of chunks — any byte (invalid UTF-8 included) or a
+/// protocol token — read back lossily, as the daemon reads its lines.
+/// Half the cases keep at most a dozen chunks, short enough to often
+/// parse.
+fn arbitrary_text() -> impl Strategy<Value = String> {
+    let chunk = prop_oneof![
+        (0u8..=255).prop_map(|b| vec![b]),
+        (0..TOKENS.len()).prop_map(|i| TOKENS[i].as_bytes().to_vec())
+    ];
+    let keep = prop_oneof![1usize..13, Just(usize::MAX)];
+    (prop::collection::vec(chunk, 0..1_500), keep).prop_map(|(mut chunks, keep)| {
+        chunks.truncate(keep);
+        let mut bytes = chunks.concat();
+        bytes.truncate(4096);
+        String::from_utf8_lossy(&bytes).into_owned()
+    })
+}
+
+/// Both parsers answer every line (and the whole text) with a value or
+/// a parse-time error code, and a 64-byte [`LineReader`] turns each
+/// newline-terminated segment into `Text` (≤ 64 bytes) or `Oversized`,
+/// drops the unterminated tail, then reports EOF.
+fn parse_surfaces_are_total(text: &str, capacity: usize) -> Result<(), TestCaseError> {
+    for line in std::iter::once(text).chain(text.split('\n')) {
+        if let Err(e) = Request::parse(line) {
+            prop_assert!(
+                matches!(e.code, ErrorCode::Malformed | ErrorCode::BadWorkload),
+                "request error {e}"
+            );
+        }
+        if let Err(e) = Frame::parse(line) {
+            prop_assert_eq!(e.code, ErrorCode::Malformed, "frame error {}", e);
+        }
+    }
+
+    let mut segments: Vec<&str> = text.split('\n').collect();
+    segments.pop();
+    let inner = std::io::BufReader::with_capacity(capacity, text.as_bytes());
+    let mut reader = LineReader::new(inner, 64);
+    for segment in segments {
+        let expected = if segment.len() > 64 {
+            Line::Oversized
+        } else {
+            Line::Text(segment.to_string())
+        };
+        prop_assert_eq!(reader.next_line().expect("in-memory read"), Some(expected));
+    }
+    prop_assert_eq!(reader.next_line().expect("in-memory read"), None);
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn parse_surfaces_survive_arbitrary_bytes(text in arbitrary_text(), capacity in 1usize..128) {
+        parse_surfaces_are_total(&text, capacity)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// The deep variant, for release builds: `cargo test --release -p
+    /// predictsim --test serve_protocol -- --ignored`.
+    #[test]
+    #[ignore]
+    fn parse_surfaces_survive_arbitrary_bytes_deep(
+        text in arbitrary_text(),
+        capacity in 1usize..128,
+    ) {
+        parse_surfaces_are_total(&text, capacity)?;
+    }
 }

@@ -21,6 +21,7 @@ unreferenced() {
 }
 
 echo "rust_lines $(lines crates src tests examples vendor)"
+echo "vendor_lines $(lines vendor)"
 echo "pub_items $(pubs crates/*/src src)"
 echo "experiments_lines $(lines crates/experiments)"
 echo "experiments_pub_items $(pubs crates/experiments/src)"
