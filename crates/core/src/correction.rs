@@ -6,7 +6,7 @@
 //! wrong value", and evaluates three policies:
 //!
 //! * **Requested Time** — fall back to `p̃_j`
-//!   ([`predictsim_sim::predict::RequestedTimeCorrection`], re-exported
+//!   ([`predictsim_sim::RequestedTimeCorrection`], re-exported
 //!   here for completeness);
 //! * **Incremental** ([`IncrementalCorrection`]) — Tsafrir et al.'s \[24\]
 //!   technique: bump the estimate by a fixed amount from a predefined
@@ -20,11 +20,9 @@
 //! `(elapsed, p̃_j]` — §5.2: estimates "remain bounded by the requested
 //! running times".
 
-pub use predictsim_sim::predict::RequestedTimeCorrection;
+pub use predictsim_sim::RequestedTimeCorrection;
 
-use predictsim_sim::predict::CorrectionPolicy;
-use predictsim_sim::time::{HOUR, MINUTE};
-use predictsim_sim::Job;
+use predictsim_sim::{CorrectionPolicy, Job, HOUR, MINUTE};
 
 /// The fixed increment sequence of \[24\] (§5.2), in seconds.
 pub const TSAFRIR_INCREMENTS: [i64; 11] = [
@@ -103,8 +101,7 @@ impl CorrectionPolicy for RecursiveDoublingCorrection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use predictsim_sim::job::JobId;
-    use predictsim_sim::time::Time;
+    use predictsim_sim::{JobId, Time};
 
     fn job() -> Job {
         Job {

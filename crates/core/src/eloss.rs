@@ -18,7 +18,7 @@
 //! differently" — and with the weight clamped positive exactly as during
 //! training).
 
-use predictsim_sim::outcome::JobOutcome;
+use predictsim_sim::JobOutcome;
 
 use crate::loss::AsymmetricLoss;
 use crate::weighting::WeightingScheme;
@@ -59,8 +59,7 @@ pub fn mae_of_outcomes(outcomes: &[JobOutcome]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use predictsim_sim::job::JobId;
-    use predictsim_sim::time::Time;
+    use predictsim_sim::{JobId, Time};
 
     #[test]
     fn eloss_branches() {

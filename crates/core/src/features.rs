@@ -11,9 +11,7 @@
 //! the running set at the job's release date — no information from the
 //! future ever enters a feature vector.
 
-use predictsim_sim::state::SystemView;
-use predictsim_sim::time::{DAY, WEEK};
-use predictsim_sim::Job;
+use predictsim_sim::{Job, SystemView, DAY, WEEK};
 
 /// Number of features in the Table 2 representation.
 pub const N_FEATURES: usize = 20;
@@ -277,9 +275,7 @@ impl FeatureExtractor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use predictsim_sim::job::JobId;
-    use predictsim_sim::state::RunningJob;
-    use predictsim_sim::time::Time;
+    use predictsim_sim::{JobId, RunningJob, Time};
 
     fn job(user: u32, procs: u32, requested: i64, submit: i64) -> Job {
         Job {

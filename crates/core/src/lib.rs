@@ -36,12 +36,9 @@
 //! ```
 //! use predictsim_core::correction::IncrementalCorrection;
 //! use predictsim_core::predictor::MlPredictor;
-//! use predictsim_sim::arena::SimArena;
-//! use predictsim_sim::engine::{simulate_in, SimConfig};
-//! use predictsim_sim::job::{Job, JobId};
-//! use predictsim_sim::observe::NullObserver;
-//! use predictsim_sim::scheduler::EasyScheduler;
-//! use predictsim_sim::time::Time;
+//! use predictsim_sim::{
+//!     simulate_in, EasyScheduler, Job, JobId, NullObserver, SimArena, SimConfig, Time,
+//! };
 //!
 //! // A user whose jobs always run ~900s but request 10h.
 //! let jobs: Vec<Job> = (0..200)

@@ -14,9 +14,7 @@
 //!   ([`MlConfig`]). [`MlPredictor::e_loss`] builds the winning E-Loss
 //!   configuration of §6.3.3.
 
-use predictsim_sim::predict::RuntimePredictor;
-use predictsim_sim::state::SystemView;
-use predictsim_sim::Job;
+use predictsim_sim::{Job, RuntimePredictor, SystemView};
 
 use crate::basis::Basis;
 use crate::features::{FeatureExtractor, N_FEATURES};
@@ -255,8 +253,7 @@ impl std::fmt::Debug for MlPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use predictsim_sim::job::JobId;
-    use predictsim_sim::time::Time;
+    use predictsim_sim::{JobId, Time};
 
     fn job(id: u32, user: u32, run: i64, requested: i64) -> Job {
         Job {

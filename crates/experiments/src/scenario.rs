@@ -32,9 +32,10 @@
 
 use std::cell::RefCell;
 
-use predictsim_sim::observe::{NullObserver, SimObserver};
-use predictsim_sim::scheduler::Scheduler;
-use predictsim_sim::{simulate_in, Job, SimArena, SimConfig, SimError, SimResult};
+use predictsim_sim::{
+    simulate_in, Job, NullObserver, Scheduler, SimArena, SimConfig, SimError, SimObserver,
+    SimResult,
+};
 
 use crate::triple::{HeuristicTriple, Variant};
 
@@ -177,8 +178,7 @@ mod tests {
     use super::*;
     use crate::registry::{parse_cluster, parse_triple};
     use crate::source::{LoadedWorkload, SyntheticSource, WorkloadSource};
-    use predictsim_sim::observe::MetricsObserver;
-    use predictsim_sim::{ClusterSpec, CorrectionPolicy};
+    use predictsim_sim::{ClusterSpec, CorrectionPolicy, MetricsObserver};
     use predictsim_workload::WorkloadSpec;
 
     fn tiny(seed: u64) -> LoadedWorkload {

@@ -22,8 +22,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use predictsim_sim::hash::fnv1a64;
-use predictsim_sim::job::JobConversionError;
-use predictsim_sim::{intern_users, job_from_swf, swf_user, Job, JobId, SimConfig};
+use predictsim_sim::{
+    intern_users, job_from_swf, swf_user, Job, JobConversionError, JobId, SimConfig,
+};
 use predictsim_swf::{ParseError, SwfStream};
 use predictsim_workload::{generate, GeneratedWorkload, WorkloadSpec};
 

@@ -14,11 +14,10 @@ use predictsim_core::correction::{
     IncrementalCorrection, RecursiveDoublingCorrection, RequestedTimeCorrection,
 };
 use predictsim_core::predictor::{ml_grid, Ave2Predictor, MlConfig, MlPredictor};
-use predictsim_sim::predict::{
-    ClairvoyantPredictor, CorrectionPolicy, RequestedTimePredictor, RuntimePredictor,
+use predictsim_sim::{
+    ClairvoyantPredictor, ConservativeScheduler, CorrectionPolicy, EasyScheduler, FcfsScheduler,
+    Job, RequestedTimePredictor, RuntimePredictor, Scheduler, SimConfig, SimError, SimResult,
 };
-use predictsim_sim::scheduler::{ConservativeScheduler, EasyScheduler, FcfsScheduler, Scheduler};
-use predictsim_sim::{Job, SimConfig, SimError, SimResult};
 
 use crate::scenario::Scenario;
 
@@ -283,8 +282,7 @@ mod tests {
 
     #[test]
     fn triples_run() {
-        use predictsim_sim::job::JobId;
-        use predictsim_sim::time::Time;
+        use predictsim_sim::{JobId, Time};
         let jobs: Vec<Job> = (0..30)
             .map(|i| Job {
                 id: JobId(i),

@@ -1,27 +1,26 @@
-//! Cross-simulation scratch reuse.
-//!
-//! Scheduler passes are allocation-free *within* one run; this module
-//! extends the property *across* runs. A [`SimArena`] owns every
-//! per-run buffer of the engine — the indexed [`SimState`], the event
-//! heap, the outcome and prediction tables, the batch and start lists —
-//! and [`crate::engine::simulate_in`] re-initializes them in place
-//! instead of allocating fresh ones. A worker that keeps one arena
-//! across the simulations it executes (the campaign fan-out pattern —
-//! see `predictsim-experiments`) therefore allocates only the run's
-//! result once the arena is warm; `tests/scratch_reuse.rs` pins the
-//! exact count with a counting global allocator.
+//! Cross-simulation scratch reuse: [`SimArena`].
 
 use crate::event::EventQueue;
 use crate::job::JobId;
 use crate::outcome::JobOutcome;
 use crate::state::SimState;
 
-/// Reusable per-run engine buffers — see the module docs.
+/// Reusable per-run engine buffers: cross-simulation scratch reuse.
 ///
-/// Construct once (per worker, typically), then pass to
-/// [`crate::engine::simulate_in`] for every run. A warm arena behaves
-/// identically to a fresh one: reuse only retains *capacity*, never
-/// state.
+/// Scheduler passes are allocation-free *within* one run; the arena
+/// extends the property *across* runs. It owns every per-run buffer of
+/// the engine — the indexed engine state, the event heap, the outcome
+/// and prediction tables, the batch and start lists — and
+/// [`simulate_in`](crate::simulate_in) re-initializes them in place
+/// instead of allocating fresh ones. A worker that keeps one arena
+/// across the simulations it executes (the campaign fan-out pattern —
+/// see `predictsim-experiments`) therefore allocates only the run's
+/// result once the arena is warm; `tests/scratch_reuse.rs` pins the
+/// exact count with a counting global allocator.
+///
+/// Construct once (per worker, typically), then pass to `simulate_in`
+/// for every run. A warm arena behaves identically to a fresh one:
+/// reuse only retains *capacity*, never state.
 #[derive(Debug, Default)]
 pub struct SimArena {
     pub(crate) state: SimState,

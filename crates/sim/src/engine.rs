@@ -142,8 +142,9 @@ impl std::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Runs one complete simulation *in* `arena`, reusing its buffers
-/// instead of allocating fresh ones (see [`crate::arena`]), and reporting
-/// every engine state change to `observer` (see [`crate::observe`]).
+/// instead of allocating fresh ones (see [`SimArena`](crate::SimArena)),
+/// and reporting every engine state change to `observer` (see
+/// [`SimObserver`](crate::SimObserver)).
 ///
 /// `jobs` must be sorted by (submit, id) with dense ids `0..n` — exactly
 /// what a workload loader produces — and their time span, last submit

@@ -18,7 +18,7 @@ use crate::time::Time;
 
 /// What happens at an event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
+pub(crate) enum EventKind {
     /// A running job completes (or is killed at its requested time).
     Finish(JobId),
     /// A running job's predicted end passed but the job is still running;
@@ -42,7 +42,7 @@ impl EventKind {
 
 /// A scheduled event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
+pub(crate) struct Event {
     /// When the event fires.
     pub time: Time,
     /// What fires.
@@ -82,7 +82,7 @@ impl PartialOrd for Event {
 /// (38.40 → 41.31 s) — 3 alternating pairs each on a 2-vCPU host, every
 /// single-heap run slower than every hybrid run.
 #[derive(Debug, Default)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     /// The pre-sorted bulk schedule, drained via `cursor`.
     schedule: Vec<Event>,
     cursor: usize,
@@ -93,18 +93,13 @@ pub struct EventQueue {
 }
 
 impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Refills the queue from `items` in O(n), reusing its buffers (the
     /// cross-simulation scratch-reuse seam). Sequence numbers are
     /// assigned in iteration order, so the pop order is identical to
     /// pushing the items one by one onto a fresh queue (events are
     /// totally ordered by `(time, rank, seq)`; out-of-order items just
     /// fall back to the heap).
-    pub fn reset_from_schedule<I>(&mut self, items: I)
+    pub(crate) fn reset_from_schedule<I>(&mut self, items: I)
     where
         I: IntoIterator<Item = (Time, EventKind)>,
     {
@@ -138,7 +133,7 @@ impl EventQueue {
     }
 
     /// Schedules `kind` at `time`.
-    pub fn push(&mut self, time: Time, kind: EventKind) {
+    pub(crate) fn push(&mut self, time: Time, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Event { time, kind, seq });
@@ -163,7 +158,7 @@ impl EventQueue {
     }
 
     /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<Event> {
+    pub(crate) fn pop(&mut self) -> Option<Event> {
         match self.bulk_first()? {
             true => {
                 let event = self.schedule[self.cursor];
@@ -175,7 +170,7 @@ impl EventQueue {
     }
 
     /// The time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Time> {
+    pub(crate) fn peek_time(&self) -> Option<Time> {
         match self.bulk_first()? {
             true => self.bulk_front().map(|e| e.time),
             false => self.heap.peek().map(|e| e.time),
@@ -183,12 +178,14 @@ impl EventQueue {
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         (self.schedule.len() - self.cursor) + self.heap.len()
     }
 
     /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
@@ -205,7 +202,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.push(Time(30), EventKind::Submit(JobId(3)));
         q.push(Time(10), EventKind::Submit(JobId(1)));
         q.push(Time(20), EventKind::Submit(JobId(2)));
@@ -215,7 +212,7 @@ mod tests {
 
     #[test]
     fn finish_before_expiry_before_submit_at_same_time() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.push(Time(5), EventKind::Submit(JobId(1)));
         q.push(Time(5), EventKind::PredictionExpiry(JobId(2), 0));
         q.push(Time(5), EventKind::Finish(JobId(3)));
@@ -229,7 +226,7 @@ mod tests {
 
     #[test]
     fn same_kind_same_time_is_fifo() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         for id in 0..100u32 {
             q.push(Time(1), EventKind::Submit(JobId(id)));
         }
@@ -246,11 +243,11 @@ mod tests {
         let items: Vec<(Time, EventKind)> = (0..200u32)
             .map(|i| (Time(((i * 7919) % 97) as i64), EventKind::Submit(JobId(i))))
             .collect();
-        let mut pushed = EventQueue::new();
+        let mut pushed = EventQueue::default();
         for &(t, k) in &items {
             pushed.push(t, k);
         }
-        let mut bulk = EventQueue::new();
+        let mut bulk = EventQueue::default();
         bulk.reset_from_schedule(items);
         loop {
             match (pushed.pop(), bulk.pop()) {
@@ -262,7 +259,7 @@ mod tests {
 
     #[test]
     fn from_schedule_continues_sequence_numbers() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.reset_from_schedule([(Time(5), EventKind::Submit(JobId(0)))]);
         // A later push at the same (time, rank) must order after the
         // bulk-scheduled event: its seq continues where the bulk left off.
@@ -273,7 +270,7 @@ mod tests {
 
     #[test]
     fn len_and_empty() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         assert!(q.is_empty());
         q.push(Time(1), EventKind::Finish(JobId(0)));
         assert_eq!(q.len(), 1);

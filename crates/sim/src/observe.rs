@@ -16,13 +16,10 @@
 //! with [`NullObserver`].
 //!
 //! ```
-//! use predictsim_sim::arena::SimArena;
-//! use predictsim_sim::engine::{simulate_in, SimConfig};
-//! use predictsim_sim::job::{Job, JobId};
-//! use predictsim_sim::observe::{MetricsObserver, SimEvent};
-//! use predictsim_sim::predict::RequestedTimePredictor;
-//! use predictsim_sim::scheduler::EasyScheduler;
-//! use predictsim_sim::time::Time;
+//! use predictsim_sim::{
+//!     simulate_in, EasyScheduler, Job, JobId, MetricsObserver, RequestedTimePredictor, SimArena,
+//!     SimConfig, Time,
+//! };
 //!
 //! let jobs: Vec<Job> = (0..10)
 //!     .map(|i| Job {

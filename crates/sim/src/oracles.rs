@@ -1,0 +1,342 @@
+//! The op-sequence oracle properties: random operation sequences
+//! applied to the engine's private state ([`SimState`], [`Profile`]),
+//! checked against the brute-force oracles of
+//! `tests/support/reference.rs` after every step. They run as unit tests
+//! because those types are not exported; the oracle properties that
+//! need only the crate's API stay in `tests/incremental_oracle.rs` and
+//! `tests/hetero_oracle.rs`.
+
+// Written for the integration tests, where its items are `pub`.
+#[allow(unreachable_pub)]
+#[path = "../tests/support/reference.rs"]
+mod reference;
+
+use proptest::prelude::*;
+
+use crate::scheduler::Profile;
+use crate::state::SimState;
+use crate::{
+    BackfillOrder, ClusterSpec, ConservativeScheduler, EasyScheduler, JobId, Partition, ReleaseSet,
+    RunningJob, Scheduler, SchedulerContext, Time,
+};
+use reference::{
+    arb_cluster, ctx_of, route, schedule, waiting, BruteProfile, ReferenceConservative,
+    ReferenceEasy, Snapshot, MACHINE, TIE_TIMES,
+};
+
+/// One engine-style routing instant over `state` at `now`: a pass of
+/// `scheduler` per partition in first-fit order, applying starts and
+/// compacting the queue between passes — exactly the engine's loop.
+/// `referee` sees each pass's context and starts before they are
+/// applied. The `(job, partition)` placements are returned in decision
+/// order.
+fn route_like_engine(
+    state: &mut SimState,
+    cluster: ClusterSpec,
+    now: Time,
+    scheduler: &mut dyn Scheduler,
+    mut referee: impl FnMut(&SchedulerContext<'_>, &[JobId]),
+) -> Vec<(JobId, u32)> {
+    let mut placements = Vec::new();
+    for partition in 0..cluster.len() as u32 {
+        if state.queue_is_empty() {
+            break;
+        }
+        if state.free_in(partition) == 0 {
+            continue;
+        }
+        let ctx = SchedulerContext {
+            now,
+            partition,
+            machine_size: cluster.part(partition as usize).size,
+            free: state.free_in(partition),
+            queue: state.queue(),
+            running: state.running(),
+            releases: state.releases_in(partition),
+            shortest_first: state.shortest_first(),
+        };
+        let starts = schedule(scheduler, &ctx);
+        referee(&ctx, &starts);
+        for &id in &starts {
+            let index = state
+                .waiting_index(id)
+                .expect("scheduler starts a waiting job");
+            let w = *state.waiting_at(index);
+            state.start(
+                index,
+                RunningJob {
+                    id,
+                    procs: w.procs,
+                    start: now,
+                    predicted_end: now.plus(w.predicted),
+                    deadline: now.plus(w.requested),
+                    user: w.user,
+                    corrections: 0,
+                    partition,
+                },
+            );
+            placements.push((id, partition));
+        }
+        state.compact_queue();
+    }
+    placements
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The production sweep against the brute-force search, on
+    /// random profiles carved by stacked reservations: `from` before
+    /// the first breakpoint, on one and between two; windows inside
+    /// one segment and across many; full-width reservations that
+    /// leave zero-capacity segments; and requests wider than the
+    /// machine, which take the "capacity never suffices" branch.
+    /// After every reservation the breakpoints must be equal too.
+    #[test]
+    fn sweep_matches_brute_force_on_random_profiles(
+        now in 0i64..40,
+        free in 0u32..6,
+        releases in prop::collection::vec((0i64..120, 1u32..5), 0..10),
+        ops in prop::collection::vec((-10i64..160, 0u32..64, 1i64..90, 0u8..4), 1..24),
+    ) {
+        let mut set = ReleaseSet::new();
+        for &(end, procs) in &releases {
+            set.add(end, procs);
+        }
+        let mut sweep = Profile::default();
+        sweep.rebuild_from(Time(now), free, &set);
+        let timed: Vec<(Time, u32)> = releases.iter().map(|&(t, p)| (Time(t), p)).collect();
+        let mut brute = BruteProfile::new(Time(now), free, &timed);
+        prop_assert_eq!(sweep.points(), &brute.points[..], "rebuild_from != from scratch");
+
+        let machine = free + releases.iter().map(|&(_, p)| p).sum::<u32>();
+        for (from, width, duration, keep) in ops {
+            // 0 ..= machine + 1: nothing, a share, the whole machine
+            // (zero-capacity segments), more than there will ever be.
+            let procs = width % (machine + 2);
+            let start = brute.earliest_start(from, procs, duration);
+            prop_assert_eq!(
+                sweep.earliest_start(from, procs, duration),
+                start,
+                "from={} procs={} duration={} on {:?}", from, procs, duration, brute.points
+            );
+            if keep > 0 && brute.feasible_at(start, procs as i64, duration) {
+                brute.reserve(start, duration, procs);
+                sweep.reserve(start, duration, procs);
+                prop_assert_eq!(sweep.points(), &brute.points[..], "reserve diverged");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random operation sequences driven through `SimState`, so the
+    /// release set is maintained incrementally across starts, finishes,
+    /// and corrections — after every step the schedulers must still
+    /// match the oracles, and the slot map must stay exact.
+    #[test]
+    fn incremental_maintenance_matches_oracle(
+        ops in prop::collection::vec((0u8..4, 0usize..8, 0usize..TIE_TIMES.len()), 1..40)
+    ) {
+        let n = 64usize;
+        let mut state = SimState::new_cluster(ClusterSpec::single(MACHINE), n);
+        let mut next_id = 0u32;
+        let mut warm_easy = EasyScheduler::sjbf();
+        let mut warm_conservative = ConservativeScheduler::new();
+        for (op, pick, t_index) in ops {
+            match op {
+                // Submit a new job.
+                0 | 1 => {
+                    if (next_id as usize) < n {
+                        let procs = 1 + (pick as u32 % 6);
+                        let predicted = TIE_TIMES[t_index];
+                        state.enqueue(waiting(next_id, procs, predicted, next_id as i64));
+                        next_id += 1;
+                    }
+                }
+                // Start the first waiting job that fits.
+                2 => {
+                    let fit = state
+                        .queue()
+                        .iter()
+                        .position(|w| w.procs <= state.free())
+                        .map(|i| state.queue()[i]);
+                    if let Some(w) = fit {
+                        let index = state.waiting_index(w.id).unwrap();
+                        state.start(index, RunningJob {
+                            id: w.id,
+                            procs: w.procs,
+                            start: Time(0),
+                            predicted_end: Time(TIE_TIMES[t_index]),
+                            deadline: Time(100_000),
+                            user: w.user,
+                            corrections: 0,
+                            partition: 0,
+                        });
+                        state.compact_queue();
+                    }
+                }
+                // Finish or correct a running job.
+                _ => {
+                    if state.running().is_empty() {
+                        continue;
+                    }
+                    let index = pick % state.running().len();
+                    let id = state.running()[index].id;
+                    if pick % 2 == 0 {
+                        state.finish(id);
+                    } else {
+                        let index = state.running_index(id).unwrap();
+                        state.apply_correction(index, Time(TIE_TIMES[t_index] + 1));
+                    }
+                }
+            }
+            state.assert_consistent();
+
+            // A scheduling pass over the current state must match the
+            // from-scratch oracles (warm scratch, so this also shakes
+            // stale-scratch bugs out).
+            let snapshot = Snapshot {
+                queue: state.queue().to_vec(),
+                running: state.running().to_vec(),
+            };
+            let ctx = ctx_of(&snapshot, state.releases_in(0), state.shortest_first());
+            prop_assert_eq!(
+                schedule(&mut warm_easy, &ctx),
+                schedule(&mut ReferenceEasy::sjbf(), &ctx),
+                "warm EASY-SJBF diverged after incremental ops"
+            );
+            prop_assert_eq!(
+                schedule(&mut warm_conservative, &ctx),
+                schedule(&mut ReferenceConservative, &ctx),
+                "warm conservative diverged after incremental ops"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Random op sequences (submits, engine-style routed starts,
+    /// finishes, corrections) on random clusters: after every step the
+    /// state stays consistent and the engine-style routing pass places
+    /// exactly what the brute-force oracle places.
+    #[test]
+    fn routing_matches_oracle_on_random_op_sequences(
+        cluster in arb_cluster(),
+        ops in prop::collection::vec((0u8..4, 0usize..8, 0usize..TIE_TIMES.len()), 1..40),
+        sjbf in 0u8..2,
+    ) {
+        let order = if sjbf == 1 { BackfillOrder::ShortestFirst } else { BackfillOrder::Fcfs };
+        let n = 64usize;
+        let mut state = SimState::new_cluster(cluster, n);
+        let mut next_id = 0u32;
+        for (op, pick, t_index) in ops {
+            match op {
+                // Submit a new job (never wider than the widest
+                // partition — the engine validates this up front).
+                0 | 1 => {
+                    if (next_id as usize) < n {
+                        let procs = 1 + (pick as u32 % cluster.max_partition_size());
+                        state.enqueue(waiting(next_id, procs, TIE_TIMES[t_index], next_id as i64));
+                        next_id += 1;
+                    }
+                }
+                // One engine-style routing instant, checked against the
+                // oracle on the pre-pass snapshot.
+                2 => {
+                    let queue = state.queue().to_vec();
+                    let running = state.running().to_vec();
+                    let easy = ReferenceEasy { order };
+                    let expected = route(Time(0), cluster, &queue, &running, &|n, p, f, q, r| {
+                        easy.decide(n, p, f, q, r)
+                    });
+                    let mut production = EasyScheduler::with_order(order);
+                    let placed =
+                        route_like_engine(&mut state, cluster, Time(0), &mut production, |_, _| {});
+                    prop_assert_eq!(
+                        placed, expected,
+                        "engine routing diverged from the reference"
+                    );
+                }
+                // Finish or correct a running job.
+                _ => {
+                    if state.running().is_empty() {
+                        continue;
+                    }
+                    let index = pick % state.running().len();
+                    let id = state.running()[index].id;
+                    if pick % 2 == 0 {
+                        state.finish(id);
+                    } else {
+                        let index = state.running_index(id).unwrap();
+                        state.apply_correction(index, Time(TIE_TIMES[t_index] + 1));
+                    }
+                }
+            }
+            state.assert_consistent();
+        }
+    }
+
+    /// The per-partition conservative pass against its oracle on a
+    /// two-partition machine. Random submits, routed starts, finishes and
+    /// corrections leave running jobs on both partitions, often tied at
+    /// the same instants; each partition's pass must plan from its own
+    /// running jobs only — `ctx.running` holds the other partition's too
+    /// — and start what `ReferenceConservative` starts.
+    #[test]
+    fn conservative_matches_oracle_per_partition(
+        sizes in (8u32..=16, 8u32..=16),
+        ops in prop::collection::vec((0u8..4, 0usize..8, 0usize..TIE_TIMES.len()), 1..40),
+    ) {
+        let cluster = ClusterSpec::from_partitions(&[
+            Partition { size: sizes.0, speed: 1.0 },
+            Partition { size: sizes.1, speed: 0.5 },
+        ]).expect("valid partitions");
+        let n = 64usize;
+        let mut state = SimState::new_cluster(cluster, n);
+        let mut production = ConservativeScheduler::new();
+        let mut next_id = 0u32;
+        for (op, pick, t_index) in ops {
+            match op {
+                // Submit a job no wider than the narrower partition (the
+                // conservative precondition: procs ≤ machine).
+                0 | 1 => {
+                    if (next_id as usize) < n {
+                        let procs = 1 + pick as u32;
+                        state.enqueue(waiting(next_id, procs, TIE_TIMES[t_index], next_id as i64));
+                        next_id += 1;
+                    }
+                }
+                // One routing instant, first-fit, each pass refereed.
+                2 => {
+                    let mut diverged = None;
+                    route_like_engine(&mut state, cluster, Time(0), &mut production, |ctx, starts| {
+                        if starts != schedule(&mut ReferenceConservative, ctx) {
+                            diverged.get_or_insert(ctx.partition);
+                        }
+                    });
+                    prop_assert_eq!(diverged, None, "conservative diverged from its oracle");
+                }
+                // Finish or correct a running job.
+                _ => {
+                    if state.running().is_empty() {
+                        continue;
+                    }
+                    let index = pick % state.running().len();
+                    let id = state.running()[index].id;
+                    if pick % 2 == 0 {
+                        state.finish(id);
+                    } else {
+                        let index = state.running_index(id).unwrap();
+                        state.apply_correction(index, Time(TIE_TIMES[t_index] + 1));
+                    }
+                }
+            }
+            state.assert_consistent();
+        }
+    }
+}

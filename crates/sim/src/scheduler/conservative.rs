@@ -16,8 +16,7 @@
 //! (`repro ablation`) and the `conservative_deep` benchmark workload.
 
 use crate::job::JobId;
-use crate::scheduler::profile::Profile;
-use crate::scheduler::Scheduler;
+use crate::scheduler::{Profile, Scheduler};
 use crate::state::SchedulerContext;
 
 /// Conservative backfilling: plan every queued job, start those planned
@@ -28,10 +27,10 @@ use crate::state::SchedulerContext;
 /// reserves nothing here.
 ///
 /// The availability profile is a reusable scratch buffer refilled from
-/// the engine's incrementally maintained release set
-/// ([`Profile::rebuild_from`]) — no sort and, once warm, no allocation
-/// per pass. Reservations for the tentative plan are carved into the
-/// scratch copy, which the next pass overwrites.
+/// the engine's incrementally maintained
+/// [`ReleaseSet`](crate::ReleaseSet) — no sort and, once warm, no
+/// allocation per pass. Reservations for the tentative plan are carved
+/// into the scratch copy, which the next pass overwrites.
 #[derive(Debug, Default, Clone)]
 pub struct ConservativeScheduler {
     profile: Profile,
@@ -65,13 +64,13 @@ impl Scheduler for ConservativeScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::testutil::{ctx, running, waiting};
+    use crate::scheduler::testutil::{ctx, running, schedule, waiting};
 
     #[test]
     fn starts_everything_on_free_machine() {
         let queue = [waiting(0, 4, 100, 0), waiting(1, 4, 100, 1)];
         let c = ctx(0, 8, &queue, &[]);
-        let starts = ConservativeScheduler::new().schedule(&c);
+        let starts = schedule(&mut ConservativeScheduler::new(), &c);
         assert_eq!(starts, vec![JobId(0), JobId(1)]);
     }
 
@@ -83,7 +82,7 @@ mod tests {
         let queue = [waiting(2, 8, 200, 1), waiting(3, 2, 90, 2)];
         let running = [running(1, 8, 0, 100)];
         let c = ctx(0, 10, &queue, &running);
-        let starts = ConservativeScheduler::new().schedule(&c);
+        let starts = schedule(&mut ConservativeScheduler::new(), &c);
         assert_eq!(starts, vec![JobId(3)]);
     }
 
@@ -105,7 +104,7 @@ mod tests {
         ];
         let running = [running(9, 8, 0, 100)];
         let c = ctx(0, 10, &queue, &running);
-        let starts = ConservativeScheduler::new().schedule(&c);
+        let starts = schedule(&mut ConservativeScheduler::new(), &c);
         assert_eq!(starts, vec![JobId(2)]);
     }
 
@@ -124,14 +123,14 @@ mod tests {
         ];
         let running = [running(9, 8, 0, 100)];
         let c = ctx(0, 10, &queue, &running);
-        let starts = ConservativeScheduler::new().schedule(&c);
+        let starts = schedule(&mut ConservativeScheduler::new(), &c);
         assert!(starts.is_empty());
     }
 
     #[test]
     fn empty_queue() {
         let c = ctx(0, 8, &[], &[]);
-        assert!(ConservativeScheduler::new().schedule(&c).is_empty());
+        assert!(schedule(&mut ConservativeScheduler::new(), &c).is_empty());
     }
 
     #[test]

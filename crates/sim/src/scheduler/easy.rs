@@ -426,7 +426,7 @@ impl Scheduler for EasyScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::testutil::{ctx, running, waiting};
+    use crate::scheduler::testutil::{ctx, running, schedule, waiting};
 
     #[test]
     fn reservation_math() {
@@ -509,7 +509,7 @@ mod tests {
         let queue = [waiting(2, 8, 200, 1), waiting(3, 4, 90, 2)];
         let running = [running(1, 6, 0, 100)];
         let c = ctx(0, 10, &queue, &running);
-        let starts = EasyScheduler::new().schedule(&c);
+        let starts = schedule(&mut EasyScheduler::new(), &c);
         // Job 3 ends (predicted) at 90 <= shadow 100: backfilled.
         assert_eq!(starts, vec![JobId(3)]);
     }
@@ -521,7 +521,7 @@ mod tests {
         let queue = [waiting(2, 8, 200, 1), waiting(3, 4, 150, 2)];
         let running = [running(1, 6, 0, 100)];
         let c = ctx(0, 10, &queue, &running);
-        let starts = EasyScheduler::new().schedule(&c);
+        let starts = schedule(&mut EasyScheduler::new(), &c);
         assert!(starts.is_empty());
     }
 
@@ -533,7 +533,7 @@ mod tests {
         let queue = [waiting(2, 6, 500, 1), waiting(3, 3, 400, 2)];
         let running = [running(1, 6, 0, 100)];
         let c = ctx(0, 10, &queue, &running);
-        let starts = EasyScheduler::new().schedule(&c);
+        let starts = schedule(&mut EasyScheduler::new(), &c);
         assert_eq!(starts, vec![JobId(3)]);
     }
 
@@ -547,7 +547,7 @@ mod tests {
         ];
         let running = [running(1, 6, 0, 100)];
         let c = ctx(0, 10, &queue, &running);
-        let starts = EasyScheduler::new().schedule(&c);
+        let starts = schedule(&mut EasyScheduler::new(), &c);
         assert_eq!(starts, vec![JobId(3)]);
     }
 
@@ -565,7 +565,7 @@ mod tests {
         ];
         let running = [running(1, 6, 0, 100)];
         let c = ctx(0, 12, &queue, &running);
-        let starts = EasyScheduler::new().schedule(&c);
+        let starts = schedule(&mut EasyScheduler::new(), &c);
         assert_eq!(starts, vec![JobId(3), JobId(4), JobId(5)]);
     }
 
@@ -583,12 +583,12 @@ mod tests {
         let running = [running(1, 8, 0, 100)];
         let c = ctx(0, 10, &queue, &running);
 
-        let fcfs_starts = EasyScheduler::new().schedule(&c);
+        let fcfs_starts = schedule(&mut EasyScheduler::new(), &c);
         // FCFS: job 3 rejected (ends at 300 > 100, extra=0 after head
         // needs all 10), job 4 accepted (ends 80 <= 100).
         assert_eq!(fcfs_starts, vec![JobId(4)]);
 
-        let sjbf_starts = EasyScheduler::sjbf().schedule(&c);
+        let sjbf_starts = schedule(&mut EasyScheduler::sjbf(), &c);
         assert_eq!(sjbf_starts, vec![JobId(4)]);
     }
 
@@ -609,9 +609,9 @@ mod tests {
         let running = [running(1, 8, 0, 100)];
         let c = ctx(0, 10, &queue, &running);
 
-        let fcfs = EasyScheduler::new().schedule(&c);
+        let fcfs = schedule(&mut EasyScheduler::new(), &c);
         assert_eq!(fcfs, vec![JobId(3)]); // long job grabbed the slot
-        let sjbf = EasyScheduler::sjbf().schedule(&c);
+        let sjbf = schedule(&mut EasyScheduler::sjbf(), &c);
         assert_eq!(sjbf, vec![JobId(4)]); // short job preferred
     }
 
@@ -623,7 +623,7 @@ mod tests {
             waiting(2, 4, 10, 2),
         ];
         let c = ctx(0, 10, &queue, &[]);
-        let starts = EasyScheduler::new().schedule(&c);
+        let starts = schedule(&mut EasyScheduler::new(), &c);
         assert_eq!(starts.len(), 3);
     }
 
@@ -642,7 +642,7 @@ mod tests {
         ];
         let running = [running(1, 2, 0, 50)];
         let c = ctx(0, 4, &queue, &running);
-        let starts = EasyScheduler::new().schedule(&c);
+        let starts = schedule(&mut EasyScheduler::new(), &c);
         assert_eq!(starts, vec![JobId(10)]);
     }
 

@@ -33,7 +33,7 @@ impl Scheduler for FcfsScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::testutil::{ctx, running, waiting};
+    use crate::scheduler::testutil::{ctx, running, schedule, waiting};
 
     #[test]
     fn starts_in_order_until_blocked() {
@@ -43,7 +43,7 @@ mod tests {
             waiting(2, 2, 100, 2),
         ];
         let c = ctx(0, 8, &queue, &[]);
-        let starts = FcfsScheduler.schedule(&c);
+        let starts = schedule(&mut FcfsScheduler, &c);
         // Jobs 0 and 1 fill the machine; job 2 must wait even though it fits
         // behind job 1 — FCFS never skips.
         assert_eq!(starts, vec![JobId(0), JobId(1)]);
@@ -55,13 +55,13 @@ mod tests {
         let running = [running(99, 1, 0, 50)];
         let c = ctx(10, 8, &queue, &running);
         // 7 free, head needs 8 -> nothing starts, not even the 1-proc job.
-        assert!(FcfsScheduler.schedule(&c).is_empty());
+        assert!(schedule(&mut FcfsScheduler, &c).is_empty());
     }
 
     #[test]
     fn empty_queue_starts_nothing() {
         let c = ctx(0, 8, &[], &[]);
-        assert!(FcfsScheduler.schedule(&c).is_empty());
+        assert!(schedule(&mut FcfsScheduler, &c).is_empty());
     }
 
     #[test]

@@ -21,14 +21,15 @@
 //! Their brute-force oracles live with the tests too
 //! (`tests/support/reference.rs`), beside a whole-run reference engine.
 
-pub mod conservative;
-pub mod easy;
-pub mod fcfs;
-pub mod profile;
+mod conservative;
+mod easy;
+mod fcfs;
+mod profile;
 
 pub use conservative::ConservativeScheduler;
 pub use easy::{BackfillOrder, EasyScheduler};
 pub use fcfs::FcfsScheduler;
+pub(crate) use profile::Profile;
 pub use profile::{ReleasePoint, ReleaseSet};
 
 use crate::job::JobId;
@@ -58,14 +59,6 @@ pub trait Scheduler {
     /// passes: each call decides from `ctx` alone.
     fn schedule_into(&mut self, ctx: &SchedulerContext<'_>, starts: &mut Vec<JobId>);
 
-    /// Allocating convenience wrapper around
-    /// [`Scheduler::schedule_into`] (tests, one-off callers).
-    fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Vec<JobId> {
-        let mut starts = Vec::new();
-        self.schedule_into(ctx, &mut starts);
-        starts
-    }
-
     /// Display name used in reports (e.g. `"easy-sjbf"`).
     fn name(&self) -> String;
 }
@@ -74,12 +67,22 @@ pub trait Scheduler {
 pub(crate) mod testutil {
     //! Helpers shared by the scheduler unit tests.
     use crate::job::JobId;
-    use crate::scheduler::profile::ReleaseSet;
+    use crate::scheduler::{ReleaseSet, Scheduler};
     use crate::state::{RunningJob, SchedulerContext, WaitingJob};
     use crate::time::Time;
 
+    /// One pass of `scheduler` over `ctx`: the jobs it starts.
+    pub(crate) fn schedule(
+        scheduler: &mut impl Scheduler,
+        ctx: &SchedulerContext<'_>,
+    ) -> Vec<JobId> {
+        let mut starts = Vec::new();
+        scheduler.schedule_into(ctx, &mut starts);
+        starts
+    }
+
     /// Builds a waiting job with prediction = requested.
-    pub fn waiting(id: u32, procs: u32, predicted: i64, submit: i64) -> WaitingJob {
+    pub(crate) fn waiting(id: u32, procs: u32, predicted: i64, submit: i64) -> WaitingJob {
         WaitingJob {
             id: JobId(id),
             procs,
@@ -91,7 +94,7 @@ pub(crate) mod testutil {
     }
 
     /// Builds a running job (on partition 0).
-    pub fn running(id: u32, procs: u32, start: i64, predicted_end: i64) -> RunningJob {
+    pub(crate) fn running(id: u32, procs: u32, start: i64, predicted_end: i64) -> RunningJob {
         RunningJob {
             id: JobId(id),
             procs,
@@ -107,7 +110,7 @@ pub(crate) mod testutil {
     /// Builds a context; `free` is derived from machine size minus
     /// running, and the release set from the running slice (leaked —
     /// test-only convenience that keeps call sites borrow-free).
-    pub fn ctx<'a>(
+    pub(crate) fn ctx<'a>(
         now: i64,
         machine: u32,
         queue: &'a [WaitingJob],

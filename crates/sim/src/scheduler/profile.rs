@@ -61,7 +61,7 @@ impl PartialEq for ReleasePoint {
 /// Maintained incrementally by the engine — O(log n) locate plus a
 /// memmove per update, no allocation after warm-up — so a scheduling
 /// pass never sorts the running set again. The invariant the engine
-/// upholds (and [`crate::state::SimState`] asserts in tests): the
+/// upholds (and its state asserts in tests): the
 /// multiset of `(predicted_end, procs)` over running jobs equals this
 /// set's aggregated contents.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -86,7 +86,7 @@ impl ReleaseSet {
     }
 
     /// Registers one job releasing `procs` processors at `time`.
-    pub fn add(&mut self, time: i64, procs: u32) {
+    pub(crate) fn add(&mut self, time: i64, procs: u32) {
         match self.points.binary_search_by_key(&time, |p| p.time) {
             Ok(i) => {
                 let p = &mut self.points[i];
@@ -115,7 +115,7 @@ impl ReleaseSet {
     ///
     /// Panics (debug builds) if no such release is registered — that is
     /// an engine bookkeeping bug, not a runtime condition.
-    pub fn remove(&mut self, time: i64, procs: u32) {
+    pub(crate) fn remove(&mut self, time: i64, procs: u32) {
         match self.points.binary_search_by_key(&time, |p| p.time) {
             Ok(i) => {
                 let p = &mut self.points[i];
@@ -136,7 +136,7 @@ impl ReleaseSet {
 
     /// Moves one job's release of `procs` from `from` to `to` (a
     /// correction re-predicted its end).
-    pub fn shift(&mut self, from: i64, to: i64, procs: u32) {
+    pub(crate) fn shift(&mut self, from: i64, to: i64, procs: u32) {
         if from == to {
             return;
         }
@@ -151,7 +151,7 @@ impl ReleaseSet {
 
     /// Empties the set, keeping the buffer's capacity (scratch reuse
     /// across simulations).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.points.clear();
     }
 
@@ -171,17 +171,11 @@ impl ReleaseSet {
 /// Internally a sorted list of `(time, free)` breakpoints; `free` of the
 /// last breakpoint extends to infinity.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Profile {
+pub(crate) struct Profile {
     points: Vec<(i64, i64)>,
 }
 
 impl Profile {
-    /// An empty profile, to be filled by [`Profile::rebuild_from`]
-    /// (scratch reuse: the points buffer is retained across rebuilds).
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
     /// Refills this profile from `now`, `free` idle processors, and the
     /// incrementally maintained release set, without sorting or
     /// allocating: each release adds its processors at its instant.
@@ -189,7 +183,7 @@ impl Profile {
     /// Releases at or before `now` fold into the immediately-free
     /// capacity (they can occur transiently while corrections are being
     /// applied).
-    pub fn rebuild_from(&mut self, now: Time, free: u32, releases: &ReleaseSet) {
+    pub(crate) fn rebuild_from(&mut self, now: Time, free: u32, releases: &ReleaseSet) {
         self.points.clear();
         let pts = releases.points();
         let mut base = free as i64;
@@ -207,7 +201,8 @@ impl Profile {
     }
 
     /// Free processors at instant `t` (clamped to the profile's start).
-    pub fn free_at(&self, t: i64) -> i64 {
+    #[cfg(test)]
+    pub(crate) fn free_at(&self, t: i64) -> i64 {
         match self.points.binary_search_by_key(&t, |&(pt, _)| pt) {
             Ok(i) => self.points[i].1,
             Err(0) => self.points[0].1,
@@ -220,7 +215,7 @@ impl Profile {
     ///
     /// One forward sweep from the segment holding `from` (segment `i`
     /// spans `[points[i].0, points[i + 1].0)`; the first also covers
-    /// everything before it, as in [`Profile::free_at`]). A segment with
+    /// everything before it). A segment with
     /// too little capacity rules out every start whose window would
     /// overlap it, so the candidate jumps to that segment's end and the
     /// sweep carries on from there: each breakpoint is read once, and the
@@ -230,7 +225,7 @@ impl Profile {
     /// Feasibility is guaranteed whenever `procs` does not exceed the
     /// machine size, because capacity is non-decreasing after the last
     /// breakpoint.
-    pub fn earliest_start(&self, from: i64, procs: u32, duration: i64) -> i64 {
+    pub(crate) fn earliest_start(&self, from: i64, procs: u32, duration: i64) -> i64 {
         let procs = procs as i64;
         debug_assert!(duration > 0, "reservation must have positive duration");
         let first = self
@@ -264,7 +259,7 @@ impl Profile {
     /// Panics (debug builds) if the interval would drive capacity negative
     /// — callers must only reserve what [`Profile::earliest_start`]
     /// declared feasible.
-    pub fn reserve(&mut self, start: i64, duration: i64, procs: u32) {
+    pub(crate) fn reserve(&mut self, start: i64, duration: i64, procs: u32) {
         debug_assert!(duration > 0, "reservation must have positive duration");
         let procs = procs as i64;
         let from = self.breakpoint(start);
@@ -289,7 +284,8 @@ impl Profile {
     }
 
     /// The breakpoints, for inspection in tests.
-    pub fn points(&self) -> &[(i64, i64)] {
+    #[cfg(test)]
+    pub(crate) fn points(&self) -> &[(i64, i64)] {
         &self.points
     }
 }
@@ -305,7 +301,7 @@ mod tests {
         for &(end, procs) in releases {
             set.add(end, procs);
         }
-        let mut p = Profile::empty();
+        let mut p = Profile::default();
         p.rebuild_from(Time(now), free, &set);
         p
     }
@@ -496,7 +492,7 @@ mod tests {
         set.add(100, 4);
         set.add(50, 2);
         set.add(100, 2);
-        let mut incremental = Profile::empty();
+        let mut incremental = Profile::default();
         incremental.rebuild_from(Time(0), 2, &set);
         // What sorting and accumulating the three releases from scratch
         // gives (the oracle's constructor; `reference.rs` compares the two
@@ -509,7 +505,7 @@ mod tests {
         let mut set = ReleaseSet::new();
         set.add(50, 3);
         set.add(200, 1);
-        let mut incremental = Profile::empty();
+        let mut incremental = Profile::default();
         incremental.rebuild_from(Time(100), 1, &set);
         assert_eq!(incremental.points(), &[(100, 4), (200, 5)]);
     }
@@ -520,7 +516,7 @@ mod tests {
         for t in 0..32 {
             set.add(100 + t, 1);
         }
-        let mut p = Profile::empty();
+        let mut p = Profile::default();
         p.rebuild_from(Time(0), 4, &set);
         let cap = {
             p.rebuild_from(Time(0), 4, &set);

@@ -15,7 +15,7 @@
 
 use crate::cluster::{ClusterSpec, MAX_PARTITIONS};
 use crate::job::JobId;
-use crate::scheduler::profile::ReleaseSet;
+use crate::scheduler::ReleaseSet;
 use crate::time::Time;
 
 /// A job sitting in the waiting queue.
@@ -217,7 +217,7 @@ enum Slot {
 /// queue contains already-started entries, so [`SimState::queue`]
 /// asserts no starts are pending.
 #[derive(Debug, Clone)]
-pub struct SimState {
+pub(crate) struct SimState {
     cluster: ClusterSpec,
     /// Idle processors per partition (entries past the cluster length
     /// are unused and zero).
@@ -255,10 +255,11 @@ impl Default for SimState {
 }
 
 /// Queue positions sorted by the shortest-job-first key
-/// `(predicted, submit, id)` — the order [`SimState`] maintains
-/// incrementally. The from-scratch form exists for tests and oracles
-/// (and [`SimState::assert_consistent`] checks the incremental view
-/// against it), so every consumer tracks one key definition.
+/// `(predicted, submit, id)` — the order the engine maintains
+/// incrementally as [`SchedulerContext::shortest_first`]. The
+/// from-scratch form exists for tests and oracles (the engine's own
+/// consistency check compares the two), so every consumer tracks one
+/// key definition.
 pub fn sorted_shortest_first(queue: &[WaitingJob]) -> Vec<u32> {
     let mut positions: Vec<u32> = (0..queue.len() as u32).collect();
     positions.sort_by_key(|&p| SimState::sjbf_key(&queue[p as usize]));
@@ -267,7 +268,7 @@ pub fn sorted_shortest_first(queue: &[WaitingJob]) -> Vec<u32> {
 
 impl SimState {
     /// Fresh state for `jobs` jobs on `cluster`.
-    pub fn new_cluster(cluster: ClusterSpec, jobs: usize) -> Self {
+    pub(crate) fn new_cluster(cluster: ClusterSpec, jobs: usize) -> Self {
         let mut state = Self {
             cluster,
             free: [0; MAX_PARTITIONS],
@@ -308,7 +309,7 @@ impl SimState {
     /// scratch-reuse seam — see [`crate::arena::SimArena`]).
     /// `user_index` controls whether the per-user running index is
     /// maintained for this run.
-    pub fn reset(&mut self, cluster: ClusterSpec, jobs: usize, user_index: bool) {
+    pub(crate) fn reset(&mut self, cluster: ClusterSpec, jobs: usize, user_index: bool) {
         self.user_index_enabled = user_index;
         self.queue.clear();
         self.running.clear();
@@ -328,12 +329,12 @@ impl SimState {
     }
 
     /// Processors currently idle across all partitions.
-    pub fn free(&self) -> u32 {
+    pub(crate) fn free(&self) -> u32 {
         self.total_free
     }
 
     /// Processors currently idle in `partition`.
-    pub fn free_in(&self, partition: u32) -> u32 {
+    pub(crate) fn free_in(&self, partition: u32) -> u32 {
         self.free[partition as usize]
     }
 
@@ -343,7 +344,7 @@ impl SimState {
     ///
     /// Panics (debug builds) while starts are pending compaction — the
     /// raw queue still contains the started entries then.
-    pub fn queue(&self) -> &[WaitingJob] {
+    pub(crate) fn queue(&self) -> &[WaitingJob] {
         debug_assert_eq!(
             self.pending_starts, 0,
             "queue read while starts await compaction"
@@ -352,22 +353,22 @@ impl SimState {
     }
 
     /// Number of waiting jobs (excluding started-but-uncompacted entries).
-    pub fn queue_len(&self) -> usize {
+    pub(crate) fn queue_len(&self) -> usize {
         self.queue.len() - self.pending_starts as usize
     }
 
     /// True when no job is waiting.
-    pub fn queue_is_empty(&self) -> bool {
+    pub(crate) fn queue_is_empty(&self) -> bool {
         self.queue_len() == 0
     }
 
     /// The running jobs, unordered.
-    pub fn running(&self) -> &[RunningJob] {
+    pub(crate) fn running(&self) -> &[RunningJob] {
         &self.running
     }
 
     /// The incrementally maintained release aggregate of `partition`.
-    pub fn releases_in(&self, partition: u32) -> &ReleaseSet {
+    pub(crate) fn releases_in(&self, partition: u32) -> &ReleaseSet {
         &self.releases[partition as usize]
     }
 
@@ -375,7 +376,7 @@ impl SimState {
     /// when it is being maintained this run (`None` when the predictor
     /// declined it — consumers then fall back to scanning `running`,
     /// which aggregates the same set).
-    pub fn user_running(&self) -> Option<&UserRunning> {
+    pub(crate) fn user_running(&self) -> Option<&UserRunning> {
         self.user_index_enabled.then_some(&self.user_running)
     }
 
@@ -386,7 +387,7 @@ impl SimState {
     ///
     /// Panics (debug builds) while starts are pending compaction, like
     /// [`SimState::queue`].
-    pub fn shortest_first(&self) -> &[u32] {
+    pub(crate) fn shortest_first(&self) -> &[u32] {
         debug_assert_eq!(
             self.pending_starts, 0,
             "shortest_first read while starts await compaction"
@@ -395,7 +396,7 @@ impl SimState {
     }
 
     /// O(1) lookup: the queue index of a waiting job.
-    pub fn waiting_index(&self, id: JobId) -> Option<usize> {
+    pub(crate) fn waiting_index(&self, id: JobId) -> Option<usize> {
         match self.slots[id.index()] {
             Slot::Waiting(i) => Some(i as usize),
             _ => None,
@@ -403,7 +404,7 @@ impl SimState {
     }
 
     /// O(1) lookup: the running-vector index of a running job.
-    pub fn running_index(&self, id: JobId) -> Option<usize> {
+    pub(crate) fn running_index(&self, id: JobId) -> Option<usize> {
         match self.slots[id.index()] {
             Slot::Running(i) => Some(i as usize),
             _ => None,
@@ -412,12 +413,12 @@ impl SimState {
 
     /// The waiting job at `index` (valid even while starts are pending
     /// compaction, unlike [`SimState::queue`]).
-    pub fn waiting_at(&self, index: usize) -> &WaitingJob {
+    pub(crate) fn waiting_at(&self, index: usize) -> &WaitingJob {
         &self.queue[index]
     }
 
     /// Appends a newly submitted job to the queue tail.
-    pub fn enqueue(&mut self, w: WaitingJob) {
+    pub(crate) fn enqueue(&mut self, w: WaitingJob) {
         debug_assert_eq!(
             self.slots[w.id.index()],
             Slot::Unsubmitted,
@@ -440,7 +441,7 @@ impl SimState {
     /// Transitions the waiting job at `queue_index` to running as `r`.
     /// The queue entry stays in place (tombstoned via the slot map) until
     /// [`SimState::compact_queue`].
-    pub fn start(&mut self, queue_index: usize, r: RunningJob) {
+    pub(crate) fn start(&mut self, queue_index: usize, r: RunningJob) {
         let w = self.queue[queue_index];
         debug_assert_eq!(w.id, r.id, "start() running job mismatches queue entry");
         debug_assert_eq!(self.slots[w.id.index()], Slot::Waiting(queue_index as u32));
@@ -468,7 +469,7 @@ impl SimState {
     /// sweep, reindexing the slots of every shifted waiter and remapping
     /// the shortest-first view (a sorted list stays sorted under subset
     /// removal, so no re-sort).
-    pub fn compact_queue(&mut self) {
+    pub(crate) fn compact_queue(&mut self) {
         if self.pending_starts == 0 {
             return;
         }
@@ -497,7 +498,7 @@ impl SimState {
     /// Completes a running job: swap-removes it (rewriting the moved
     /// job's slot), frees its processors, and retires its release.
     /// Returns `None` when the job is not running (a stale event).
-    pub fn finish(&mut self, id: JobId) -> Option<RunningJob> {
+    pub(crate) fn finish(&mut self, id: JobId) -> Option<RunningJob> {
         let index = self.running_index(id)?;
         let r = self.running.swap_remove(index);
         if index < self.running.len() {
@@ -517,7 +518,11 @@ impl SimState {
     /// Applies a correction to the running job at `running_index`: moves
     /// its release to `new_predicted_end` and bumps its generation
     /// counter. Returns the new generation.
-    pub fn apply_correction(&mut self, running_index: usize, new_predicted_end: Time) -> u32 {
+    pub(crate) fn apply_correction(
+        &mut self,
+        running_index: usize,
+        new_predicted_end: Time,
+    ) -> u32 {
         let r = &mut self.running[running_index];
         self.releases[r.partition as usize].shift(r.predicted_end.0, new_predicted_end.0, r.procs);
         r.predicted_end = new_predicted_end;
@@ -531,8 +536,8 @@ impl SimState {
     /// # Panics
     ///
     /// Panics on the first violated invariant.
-    #[doc(hidden)]
-    pub fn assert_consistent(&self) {
+    #[cfg(test)]
+    pub(crate) fn assert_consistent(&self) {
         assert_eq!(self.pending_starts, 0, "starts pending compaction");
         for (i, w) in self.queue.iter().enumerate() {
             assert_eq!(

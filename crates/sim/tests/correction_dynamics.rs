@@ -2,13 +2,10 @@
 //! scheduling, generation invalidation, clamping, and the starvation
 //! hazard the paper warns about.
 
-use predictsim_sim::engine::{simulate_in, SimConfig};
-use predictsim_sim::job::{Job, JobId};
-use predictsim_sim::predict::{CorrectionPolicy, RuntimePredictor};
-use predictsim_sim::scheduler::EasyScheduler;
-use predictsim_sim::state::SystemView;
-use predictsim_sim::time::Time;
-use predictsim_sim::{NullObserver, SimArena};
+use predictsim_sim::{
+    simulate_in, CorrectionPolicy, EasyScheduler, Job, JobId, NullObserver, RuntimePredictor,
+    SimArena, SimConfig, SystemView, Time,
+};
 
 /// One unobserved run on a fresh arena.
 fn simulate_fresh(
@@ -183,7 +180,7 @@ fn underprediction_can_delay_a_reservation_the_starvation_hazard() {
     )
     .unwrap();
 
-    let mut exact = predictsim_sim::predict::ClairvoyantPredictor;
+    let mut exact = predictsim_sim::ClairvoyantPredictor;
     let res_exact = simulate_fresh(
         &jobs,
         SimConfig::single(4),

@@ -6,27 +6,25 @@
 //! partition against the partition-scoped context, queue compacted
 //! between passes so earlier partitions pick first. [`route`] rebuilds
 //! the same decision from scratch over a pass oracle (filtered running
-//! vectors, no release sets). These properties drive random operation
-//! sequences through [`SimState`] on random 1–4-partition clusters and
-//! assert the two agree on every `(job, partition)` placement — and
-//! that on a 1-partition cluster the whole machinery degenerates to the
-//! legacy single-machine EASY path, byte for byte.
+//! vectors, no release sets). The properties that drive random
+//! operation sequences through the engine's private state on random
+//! 1–4-partition clusters, and assert the two agree on every
+//! `(job, partition)` placement, run as the crate's unit tests
+//! (`src/oracles.rs`). These pin, through the public API, that on a
+//! 1-partition cluster the whole machinery degenerates to the legacy
+//! single-machine EASY path, byte for byte, and that heterogeneous runs
+//! are deterministic and speed-scaled.
 
 #[path = "support/reference.rs"]
 mod reference;
 
 use proptest::prelude::*;
 
-use predictsim_sim::cluster::{ClusterSpec, Partition};
-use predictsim_sim::engine::{simulate_in, SimConfig};
-use predictsim_sim::job::{Job, JobId};
-use predictsim_sim::predict::RequestedTimePredictor;
-use predictsim_sim::scheduler::easy::BackfillOrder;
-use predictsim_sim::scheduler::{ConservativeScheduler, EasyScheduler, Scheduler};
-use predictsim_sim::state::{RunningJob, SchedulerContext, SimState, WaitingJob};
-use predictsim_sim::time::Time;
-use predictsim_sim::{NullObserver, SimArena};
-use reference::{route, ReferenceConservative, ReferenceEasy};
+use predictsim_sim::{
+    simulate_in, BackfillOrder, ClusterSpec, EasyScheduler, Job, JobId, NullObserver,
+    RequestedTimePredictor, RunningJob, Scheduler, SimArena, SimConfig, Time, WaitingJob,
+};
+use reference::{arb_cluster, route, waiting, ReferenceEasy, TIE_TIMES};
 
 /// One unobserved run on a fresh arena.
 fn simulate_fresh(
@@ -45,95 +43,6 @@ fn simulate_fresh(
         correction,
         &mut NullObserver,
     )
-}
-
-/// Release instants drawn from a handful of values so ties are common
-/// (the EASY fast path's fallback trigger).
-const TIE_TIMES: [i64; 5] = [50, 50, 100, 150, 200];
-
-fn waiting(id: u32, procs: u32, predicted: i64, submit: i64) -> WaitingJob {
-    WaitingJob {
-        id: JobId(id),
-        procs,
-        predicted,
-        requested: predicted,
-        submit: Time(submit),
-        user: 1,
-    }
-}
-
-/// A random 1–4-partition cluster: sizes 4..=16, speeds from the grid
-/// the engine treats specially (1.0 short-circuits) and generically.
-fn arb_cluster() -> impl Strategy<Value = ClusterSpec> {
-    prop::collection::vec((4u32..=16, 0usize..3), 1..5).prop_map(|parts| {
-        const SPEEDS: [f64; 3] = [0.5, 1.0, 2.0];
-        let partitions: Vec<Partition> = parts
-            .into_iter()
-            .map(|(size, speed)| Partition {
-                size,
-                speed: SPEEDS[speed],
-            })
-            .collect();
-        ClusterSpec::from_partitions(&partitions).expect("valid partitions")
-    })
-}
-
-/// One engine-style routing instant over `state` at `now`: a pass of
-/// `scheduler` per partition in first-fit order, applying starts and
-/// compacting the queue between passes — exactly the engine's loop.
-/// `referee` sees each pass's context and starts before they are
-/// applied. The `(job, partition)` placements are returned in decision
-/// order.
-fn route_like_engine(
-    state: &mut SimState,
-    cluster: ClusterSpec,
-    now: Time,
-    scheduler: &mut dyn Scheduler,
-    mut referee: impl FnMut(&SchedulerContext<'_>, &[JobId]),
-) -> Vec<(JobId, u32)> {
-    let mut placements = Vec::new();
-    for partition in 0..cluster.len() as u32 {
-        if state.queue_is_empty() {
-            break;
-        }
-        if state.free_in(partition) == 0 {
-            continue;
-        }
-        let ctx = SchedulerContext {
-            now,
-            partition,
-            machine_size: cluster.part(partition as usize).size,
-            free: state.free_in(partition),
-            queue: state.queue(),
-            running: state.running(),
-            releases: state.releases_in(partition),
-            shortest_first: state.shortest_first(),
-        };
-        let starts = scheduler.schedule(&ctx);
-        referee(&ctx, &starts);
-        for &id in &starts {
-            let index = state
-                .waiting_index(id)
-                .expect("scheduler starts a waiting job");
-            let w = *state.waiting_at(index);
-            state.start(
-                index,
-                RunningJob {
-                    id,
-                    procs: w.procs,
-                    start: now,
-                    predicted_end: now.plus(w.predicted),
-                    deadline: now.plus(w.requested),
-                    user: w.user,
-                    corrections: 0,
-                    partition,
-                },
-            );
-            placements.push((id, partition));
-        }
-        state.compact_queue();
-    }
-    placements
 }
 
 /// A tiny deterministic workload for the full-simulation properties.
@@ -156,126 +65,6 @@ fn jobs_from(specs: &[(u32, i64, i64)]) -> Vec<Job> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
-
-    /// Random op sequences (submits, engine-style routed starts,
-    /// finishes, corrections) on random clusters: after every step the
-    /// state stays consistent and the engine-style routing pass places
-    /// exactly what the brute-force oracle places.
-    #[test]
-    fn routing_matches_oracle_on_random_op_sequences(
-        cluster in arb_cluster(),
-        ops in prop::collection::vec((0u8..4, 0usize..8, 0usize..TIE_TIMES.len()), 1..40),
-        sjbf in 0u8..2,
-    ) {
-        let order = if sjbf == 1 { BackfillOrder::ShortestFirst } else { BackfillOrder::Fcfs };
-        let n = 64usize;
-        let mut state = SimState::new_cluster(cluster, n);
-        let mut next_id = 0u32;
-        for (op, pick, t_index) in ops {
-            match op {
-                // Submit a new job (never wider than the widest
-                // partition — the engine validates this up front).
-                0 | 1 => {
-                    if (next_id as usize) < n {
-                        let procs = 1 + (pick as u32 % cluster.max_partition_size());
-                        state.enqueue(waiting(next_id, procs, TIE_TIMES[t_index], next_id as i64));
-                        next_id += 1;
-                    }
-                }
-                // One engine-style routing instant, checked against the
-                // oracle on the pre-pass snapshot.
-                2 => {
-                    let queue = state.queue().to_vec();
-                    let running = state.running().to_vec();
-                    let easy = ReferenceEasy { order };
-                    let expected = route(Time(0), cluster, &queue, &running, &|n, p, f, q, r| {
-                        easy.decide(n, p, f, q, r)
-                    });
-                    let mut production = EasyScheduler::with_order(order);
-                    let placed =
-                        route_like_engine(&mut state, cluster, Time(0), &mut production, |_, _| {});
-                    prop_assert_eq!(
-                        placed, expected,
-                        "engine routing diverged from the reference"
-                    );
-                }
-                // Finish or correct a running job.
-                _ => {
-                    if state.running().is_empty() {
-                        continue;
-                    }
-                    let index = pick % state.running().len();
-                    let id = state.running()[index].id;
-                    if pick % 2 == 0 {
-                        state.finish(id);
-                    } else {
-                        let index = state.running_index(id).unwrap();
-                        state.apply_correction(index, Time(TIE_TIMES[t_index] + 1));
-                    }
-                }
-            }
-            state.assert_consistent();
-        }
-    }
-
-    /// The per-partition conservative pass against its oracle on a
-    /// two-partition machine. Random submits, routed starts, finishes and
-    /// corrections leave running jobs on both partitions, often tied at
-    /// the same instants; each partition's pass must plan from its own
-    /// running jobs only — `ctx.running` holds the other partition's too
-    /// — and start what `ReferenceConservative` starts.
-    #[test]
-    fn conservative_matches_oracle_per_partition(
-        sizes in (8u32..=16, 8u32..=16),
-        ops in prop::collection::vec((0u8..4, 0usize..8, 0usize..TIE_TIMES.len()), 1..40),
-    ) {
-        let cluster = ClusterSpec::from_partitions(&[
-            Partition { size: sizes.0, speed: 1.0 },
-            Partition { size: sizes.1, speed: 0.5 },
-        ]).expect("valid partitions");
-        let n = 64usize;
-        let mut state = SimState::new_cluster(cluster, n);
-        let mut production = ConservativeScheduler::new();
-        let mut next_id = 0u32;
-        for (op, pick, t_index) in ops {
-            match op {
-                // Submit a job no wider than the narrower partition (the
-                // conservative precondition: procs ≤ machine).
-                0 | 1 => {
-                    if (next_id as usize) < n {
-                        let procs = 1 + pick as u32;
-                        state.enqueue(waiting(next_id, procs, TIE_TIMES[t_index], next_id as i64));
-                        next_id += 1;
-                    }
-                }
-                // One routing instant, first-fit, each pass refereed.
-                2 => {
-                    let mut diverged = None;
-                    route_like_engine(&mut state, cluster, Time(0), &mut production, |ctx, starts| {
-                        if starts != ReferenceConservative.schedule(ctx) {
-                            diverged.get_or_insert(ctx.partition);
-                        }
-                    });
-                    prop_assert_eq!(diverged, None, "conservative diverged from its oracle");
-                }
-                // Finish or correct a running job.
-                _ => {
-                    if state.running().is_empty() {
-                        continue;
-                    }
-                    let index = pick % state.running().len();
-                    let id = state.running()[index].id;
-                    if pick % 2 == 0 {
-                        state.finish(id);
-                    } else {
-                        let index = state.running_index(id).unwrap();
-                        state.apply_correction(index, Time(TIE_TIMES[t_index] + 1));
-                    }
-                }
-            }
-            state.assert_consistent();
-        }
-    }
 
     /// On a 1-partition cluster the hetero oracle *is* the legacy EASY
     /// oracle: identical start sets, every placement on partition 0 —

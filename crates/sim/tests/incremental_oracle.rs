@@ -6,10 +6,12 @@
 //! refactor's core claim — identical starts to the brute-force
 //! [`ReferenceEasy`] / [`ReferenceConservative`] oracles — on random
 //! queue/running states (with release-time ties made *likely*, to drive
-//! EASY through its tie fallback) and on random operation sequences
-//! applied through [`SimState`] (so the release set is genuinely
-//! maintained, not rebuilt). Oversized head jobs exercise the
-//! reservation's degrade-gracefully branch.
+//! EASY through its tie fallback). Oversized head jobs exercise the
+//! reservation's degrade-gracefully branch. The properties that apply
+//! random operation sequences to the engine's private state (so the
+//! release set is genuinely maintained, not rebuilt) and the one that
+//! checks the production profile sweep against `BruteProfile` run as
+//! the crate's unit tests (`src/oracles.rs`).
 //!
 //! EASY resolves a heterogeneous tie at the reservation's crossing
 //! instant on an interval `[lo, hi]` that holds the legacy `extra`, and
@@ -17,42 +19,21 @@
 //! random snapshots are built around such a tie ([`arb_tie_snapshot`]),
 //! and the unit cases at the end pin each side of that decision through
 //! [`EasyScheduler::slow_passes`]. The oracles' own unit tests (the
-//! brute-force profile against the production sweep, the Figure 2
-//! scenario, the names) live here too, so they run once.
+//! Figure 2 scenario, the names) live here too, so they run once.
 
 #[path = "support/reference.rs"]
 mod reference;
 
 use proptest::prelude::*;
 
-use predictsim_sim::cluster::ClusterSpec;
-use predictsim_sim::engine::{simulate_in, SimConfig};
-use predictsim_sim::job::{Job, JobId};
-use predictsim_sim::predict::RequestedTimePredictor;
-use predictsim_sim::scheduler::profile::Profile;
-use predictsim_sim::scheduler::{ConservativeScheduler, EasyScheduler, ReleaseSet, Scheduler};
-use predictsim_sim::state::{
-    sorted_shortest_first, RunningJob, SchedulerContext, SimState, WaitingJob,
+use predictsim_sim::{
+    simulate_in, sorted_shortest_first, ConservativeScheduler, EasyScheduler, Job, JobId,
+    ReleaseSet, RequestedTimePredictor, RunningJob, Scheduler, SchedulerContext, SimConfig, Time,
+    WaitingJob,
 };
-use predictsim_sim::time::Time;
-use reference::{BruteProfile, ReferenceConservative, ReferenceEasy};
-
-const MACHINE: u32 = 16;
-
-/// Release instants are drawn from a handful of values so that ties —
-/// including ties at the reservation's crossing instant — are common.
-const TIE_TIMES: [i64; 5] = [50, 50, 100, 150, 200];
-
-fn waiting(id: u32, procs: u32, predicted: i64, submit: i64) -> WaitingJob {
-    WaitingJob {
-        id: JobId(id),
-        procs,
-        predicted,
-        requested: predicted,
-        submit: Time(submit),
-        user: 1,
-    }
-}
+use reference::{
+    ctx_of, schedule, waiting, ReferenceConservative, ReferenceEasy, Snapshot, MACHINE, TIE_TIMES,
+};
 
 fn running(id: u32, procs: u32, predicted_end: i64) -> RunningJob {
     RunningJob {
@@ -65,14 +46,6 @@ fn running(id: u32, procs: u32, predicted_end: i64) -> RunningJob {
         corrections: 0,
         partition: 0,
     }
-}
-
-/// A random system snapshot: running jobs packed within the machine,
-/// waiting jobs whose procs may exceed the machine (degrade branch).
-#[derive(Debug, Clone)]
-struct Snapshot {
-    queue: Vec<WaitingJob>,
-    running: Vec<RunningJob>,
 }
 
 fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
@@ -168,78 +141,6 @@ fn arb_loose_snapshot() -> impl Strategy<Value = Snapshot> {
         })
 }
 
-fn ctx_of<'a>(
-    snapshot: &'a Snapshot,
-    releases: &'a ReleaseSet,
-    shortest_first: &'a [u32],
-) -> SchedulerContext<'a> {
-    // The context is partition 0's; a snapshot may hold running jobs of
-    // other partitions, which the engine leaves in `running` too.
-    let used: u32 = snapshot
-        .running
-        .iter()
-        .filter(|r| r.partition == 0)
-        .map(|r| r.procs)
-        .sum();
-    SchedulerContext {
-        now: Time(0),
-        partition: 0,
-        machine_size: MACHINE,
-        free: MACHINE - used,
-        queue: &snapshot.queue,
-        running: &snapshot.running,
-        releases,
-        shortest_first,
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    /// The production sweep against the brute-force search, on
-    /// random profiles carved by stacked reservations: `from` before
-    /// the first breakpoint, on one and between two; windows inside
-    /// one segment and across many; full-width reservations that
-    /// leave zero-capacity segments; and requests wider than the
-    /// machine, which take the "capacity never suffices" branch.
-    /// After every reservation the breakpoints must be equal too.
-    #[test]
-    fn sweep_matches_brute_force_on_random_profiles(
-        now in 0i64..40,
-        free in 0u32..6,
-        releases in prop::collection::vec((0i64..120, 1u32..5), 0..10),
-        ops in prop::collection::vec((-10i64..160, 0u32..64, 1i64..90, 0u8..4), 1..24),
-    ) {
-        let mut set = ReleaseSet::new();
-        for &(end, procs) in &releases {
-            set.add(end, procs);
-        }
-        let mut sweep = Profile::empty();
-        sweep.rebuild_from(Time(now), free, &set);
-        let timed: Vec<(Time, u32)> = releases.iter().map(|&(t, p)| (Time(t), p)).collect();
-        let mut brute = BruteProfile::new(Time(now), free, &timed);
-        prop_assert_eq!(sweep.points(), &brute.points[..], "rebuild_from != from scratch");
-
-        let machine = free + releases.iter().map(|&(_, p)| p).sum::<u32>();
-        for (from, width, duration, keep) in ops {
-            // 0 ..= machine + 1: nothing, a share, the whole machine
-            // (zero-capacity segments), more than there will ever be.
-            let procs = width % (machine + 2);
-            let start = brute.earliest_start(from, procs, duration);
-            prop_assert_eq!(
-                sweep.earliest_start(from, procs, duration),
-                start,
-                "from={} procs={} duration={} on {:?}", from, procs, duration, brute.points
-            );
-            if keep > 0 && brute.feasible_at(start, procs as i64, duration) {
-                brute.reserve(start, duration, procs);
-                sweep.reserve(start, duration, procs);
-                prop_assert_eq!(sweep.points(), &brute.points[..], "reserve diverged");
-            }
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -251,13 +152,13 @@ proptest! {
         let shortest = sorted_shortest_first(&snapshot.queue);
         let ctx = ctx_of(&snapshot, &releases, &shortest);
         prop_assert_eq!(
-            EasyScheduler::new().schedule(&ctx),
-            ReferenceEasy::new().schedule(&ctx),
+            schedule(&mut EasyScheduler::new(), &ctx),
+            schedule(&mut ReferenceEasy::new(), &ctx),
             "EASY diverged from oracle"
         );
         prop_assert_eq!(
-            EasyScheduler::sjbf().schedule(&ctx),
-            ReferenceEasy::sjbf().schedule(&ctx),
+            schedule(&mut EasyScheduler::sjbf(), &ctx),
+            schedule(&mut ReferenceEasy::sjbf(), &ctx),
             "EASY-SJBF diverged from oracle"
         );
         // Conservative requires the engine precondition procs ≤ machine
@@ -270,94 +171,10 @@ proptest! {
         let shortest = sorted_shortest_first(&clamped.queue);
         let ctx = ctx_of(&clamped, &releases, &shortest);
         prop_assert_eq!(
-            ConservativeScheduler::new().schedule(&ctx),
-            ReferenceConservative.schedule(&ctx),
+            schedule(&mut ConservativeScheduler::new(), &ctx),
+            schedule(&mut ReferenceConservative, &ctx),
             "conservative diverged from oracle"
         );
-    }
-
-    /// Random operation sequences driven through `SimState`, so the
-    /// release set is maintained incrementally across starts, finishes,
-    /// and corrections — after every step the schedulers must still
-    /// match the oracles, and the slot map must stay exact.
-    #[test]
-    fn incremental_maintenance_matches_oracle(
-        ops in prop::collection::vec((0u8..4, 0usize..8, 0usize..TIE_TIMES.len()), 1..40)
-    ) {
-        let n = 64usize;
-        let mut state = SimState::new_cluster(ClusterSpec::single(MACHINE), n);
-        let mut next_id = 0u32;
-        let mut warm_easy = EasyScheduler::sjbf();
-        let mut warm_conservative = ConservativeScheduler::new();
-        for (op, pick, t_index) in ops {
-            match op {
-                // Submit a new job.
-                0 | 1 => {
-                    if (next_id as usize) < n {
-                        let procs = 1 + (pick as u32 % 6);
-                        let predicted = TIE_TIMES[t_index];
-                        state.enqueue(waiting(next_id, procs, predicted, next_id as i64));
-                        next_id += 1;
-                    }
-                }
-                // Start the first waiting job that fits.
-                2 => {
-                    let fit = state
-                        .queue()
-                        .iter()
-                        .position(|w| w.procs <= state.free())
-                        .map(|i| state.queue()[i]);
-                    if let Some(w) = fit {
-                        let index = state.waiting_index(w.id).unwrap();
-                        state.start(index, RunningJob {
-                            id: w.id,
-                            procs: w.procs,
-                            start: Time(0),
-                            predicted_end: Time(TIE_TIMES[t_index]),
-                            deadline: Time(100_000),
-                            user: w.user,
-                            corrections: 0,
-                            partition: 0,
-                        });
-                        state.compact_queue();
-                    }
-                }
-                // Finish or correct a running job.
-                _ => {
-                    if state.running().is_empty() {
-                        continue;
-                    }
-                    let index = pick % state.running().len();
-                    let id = state.running()[index].id;
-                    if pick % 2 == 0 {
-                        state.finish(id);
-                    } else {
-                        let index = state.running_index(id).unwrap();
-                        state.apply_correction(index, Time(TIE_TIMES[t_index] + 1));
-                    }
-                }
-            }
-            state.assert_consistent();
-
-            // A scheduling pass over the current state must match the
-            // from-scratch oracles (warm scratch, so this also shakes
-            // stale-scratch bugs out).
-            let snapshot = Snapshot {
-                queue: state.queue().to_vec(),
-                running: state.running().to_vec(),
-            };
-            let ctx = ctx_of(&snapshot, state.releases_in(0), state.shortest_first());
-            prop_assert_eq!(
-                warm_easy.schedule(&ctx),
-                ReferenceEasy::sjbf().schedule(&ctx),
-                "warm EASY-SJBF diverged after incremental ops"
-            );
-            prop_assert_eq!(
-                warm_conservative.schedule(&ctx),
-                ReferenceConservative.schedule(&ctx),
-                "warm conservative diverged after incremental ops"
-            );
-        }
     }
 }
 
@@ -380,12 +197,12 @@ fn oracles_match_production_on_the_figure2_scenario() {
         shortest_first: &shortest,
     };
     assert_eq!(
-        ReferenceEasy::new().schedule(&c),
-        EasyScheduler::new().schedule(&c)
+        schedule(&mut ReferenceEasy::new(), &c),
+        schedule(&mut EasyScheduler::new(), &c)
     );
     assert_eq!(
-        ReferenceConservative.schedule(&c),
-        ConservativeScheduler::new().schedule(&c)
+        schedule(&mut ReferenceConservative, &c),
+        schedule(&mut ConservativeScheduler::new(), &c)
     );
 }
 
@@ -408,8 +225,8 @@ fn oversized_head_takes_degrade_branch_identically() {
     let releases = ReleaseSet::from_running(&snapshot.running);
     let shortest = sorted_shortest_first(&snapshot.queue);
     let ctx = ctx_of(&snapshot, &releases, &shortest);
-    let production = EasyScheduler::new().schedule(&ctx);
-    assert_eq!(production, ReferenceEasy::new().schedule(&ctx));
+    let production = schedule(&mut EasyScheduler::new(), &ctx);
+    assert_eq!(production, schedule(&mut ReferenceEasy::new(), &ctx));
     // With shadow = now and extra = 0, nothing that outlives `now` can
     // backfill ahead of the impossible head, though 4 processors are
     // free (a shadow at the release, t=50, would admit job 1).
@@ -434,9 +251,9 @@ fn tie_fallback_engages_on_heterogeneous_crossing_ties() {
     let shortest = sorted_shortest_first(&snapshot.queue);
     let ctx = ctx_of(&snapshot, &releases, &shortest);
     let mut easy = EasyScheduler::new();
-    let starts = easy.schedule(&ctx);
+    let starts = schedule(&mut easy, &ctx);
     assert_eq!(easy.slow_passes(), 1, "tie must take the fallback");
-    assert_eq!(starts, ReferenceEasy::new().schedule(&ctx));
+    assert_eq!(starts, schedule(&mut ReferenceEasy::new(), &ctx));
 }
 
 /// A *uniform* tie — every release at the crossing instant frees the
@@ -464,13 +281,13 @@ fn uniform_crossing_ties_stay_on_the_fast_path() {
     let shortest = sorted_shortest_first(&snapshot.queue);
     let ctx = ctx_of(&snapshot, &releases, &shortest);
     let mut easy = EasyScheduler::new();
-    let starts = easy.schedule(&ctx);
+    let starts = schedule(&mut easy, &ctx);
     assert_eq!(
         easy.slow_passes(),
         0,
         "uniform tie must stay on the fast path"
     );
-    assert_eq!(starts, ReferenceEasy::new().schedule(&ctx));
+    assert_eq!(starts, schedule(&mut ReferenceEasy::new(), &ctx));
 }
 
 /// Plain EASY and EASY-SJBF over `snapshot` as partition 0 of the
@@ -489,11 +306,11 @@ fn tie_case(snapshot: &Snapshot) -> (Vec<JobId>, (u64, u64)) {
     let shortest = sorted_shortest_first(&snapshot.queue);
     let ctx = ctx_of(snapshot, &releases, &shortest);
     let (mut fcfs, mut sjbf) = (EasyScheduler::new(), EasyScheduler::sjbf());
-    let starts = fcfs.schedule(&ctx);
-    assert_eq!(starts, ReferenceEasy::new().schedule(&ctx), "EASY");
+    let starts = schedule(&mut fcfs, &ctx);
+    assert_eq!(starts, schedule(&mut ReferenceEasy::new(), &ctx), "EASY");
     assert_eq!(
-        sjbf.schedule(&ctx),
-        ReferenceEasy::sjbf().schedule(&ctx),
+        schedule(&mut sjbf, &ctx),
+        schedule(&mut ReferenceEasy::sjbf(), &ctx),
         "EASY-SJBF"
     );
     (starts, (fcfs.slow_passes(), sjbf.slow_passes()))

@@ -7,16 +7,11 @@
 
 use proptest::prelude::*;
 
-use predictsim_sim::audit::audit;
-use predictsim_sim::engine::{simulate_in, SimConfig};
-use predictsim_sim::job::{Job, JobId};
-use predictsim_sim::predict::{
-    ClairvoyantPredictor, RequestedTimeCorrection, RequestedTimePredictor, RuntimePredictor,
+use predictsim_sim::{
+    audit, simulate_in, ClairvoyantPredictor, ConservativeScheduler, EasyScheduler, FcfsScheduler,
+    Job, JobId, NullObserver, RequestedTimeCorrection, RequestedTimePredictor, RuntimePredictor,
+    Scheduler, SimArena, SimConfig, SimError, SimEvent, SimObserver, SimResult, SystemView, Time,
 };
-use predictsim_sim::scheduler::{ConservativeScheduler, EasyScheduler, FcfsScheduler, Scheduler};
-use predictsim_sim::state::SystemView;
-use predictsim_sim::time::Time;
-use predictsim_sim::{NullObserver, SimArena, SimError, SimEvent, SimObserver, SimResult};
 
 /// One unobserved run on a fresh arena.
 fn simulate_fresh(

@@ -15,15 +15,11 @@ mod reference;
 
 use proptest::prelude::*;
 
-use predictsim_sim::cluster::{ClusterSpec, Partition};
-use predictsim_sim::engine::{simulate_in, SimConfig};
-use predictsim_sim::job::{Job, JobId};
-use predictsim_sim::outcome::JobOutcome;
-use predictsim_sim::predict::{CorrectionPolicy, RuntimePredictor};
-use predictsim_sim::scheduler::{ConservativeScheduler, EasyScheduler, FcfsScheduler, Scheduler};
-use predictsim_sim::state::{RunningJob, SystemView, WaitingJob};
-use predictsim_sim::time::Time;
-use predictsim_sim::{NullObserver, SimArena};
+use predictsim_sim::{
+    simulate_in, ClusterSpec, ConservativeScheduler, CorrectionPolicy, EasyScheduler,
+    FcfsScheduler, Job, JobId, JobOutcome, NullObserver, Partition, RunningJob, RuntimePredictor,
+    Scheduler, SimArena, SimConfig, SystemView, Time, WaitingJob,
+};
 use reference::{ReferenceConservative, ReferenceEasy, ReferenceFcfs};
 
 #[derive(Debug, Clone, Copy, PartialEq)]

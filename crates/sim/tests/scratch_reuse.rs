@@ -7,15 +7,12 @@ mod support;
 
 use std::hint::black_box;
 
-use predictsim_sim::arena::SimArena;
-use predictsim_sim::cluster::{ClusterSpec, Partition};
-use predictsim_sim::engine::{simulate_in, SimConfig};
-use predictsim_sim::job::{Job, JobId};
-use predictsim_sim::observe::NullObserver;
-use predictsim_sim::predict::{CorrectionPolicy, RequestedTimeCorrection, RequestedTimePredictor};
-use predictsim_sim::scheduler::{ConservativeScheduler, EasyScheduler, ReleaseSet, Scheduler};
-use predictsim_sim::state::{sorted_shortest_first, RunningJob, SchedulerContext, WaitingJob};
-use predictsim_sim::time::Time;
+use predictsim_sim::{
+    simulate_in, sorted_shortest_first, ClusterSpec, ConservativeScheduler, CorrectionPolicy,
+    EasyScheduler, Job, JobId, NullObserver, Partition, ReleaseSet, RequestedTimeCorrection,
+    RequestedTimePredictor, RunningJob, Scheduler, SchedulerContext, SimArena, SimConfig, Time,
+    WaitingJob,
+};
 use support::allocs;
 
 const MACHINE: u32 = 32;

@@ -10,17 +10,20 @@
 //! impls are thin adapters. [`route`] is first-fit routing over the
 //! partitions and [`simulate`] the whole run, re-derived from the
 //! engine's docs; they share only types with `predictsim_sim`.
+//!
+//! The fixtures at the end are shared by the oracle properties here
+//! and by the ones the crate runs as unit tests (`src/oracles.rs`, which
+//! drive its private state and include this file).
 
 // Each including test binary uses a subset of the module.
 #![allow(dead_code)]
 
-use predictsim_sim::cluster::ClusterSpec;
-use predictsim_sim::job::{Job, JobId};
-use predictsim_sim::outcome::JobOutcome;
-use predictsim_sim::scheduler::easy::BackfillOrder;
-use predictsim_sim::scheduler::Scheduler;
-use predictsim_sim::state::{RunningJob, SchedulerContext, WaitingJob};
-use predictsim_sim::time::Time;
+use proptest::prelude::*;
+
+use predictsim_sim::{
+    BackfillOrder, ClusterSpec, Job, JobId, JobOutcome, Partition, ReleaseSet, RunningJob,
+    Scheduler, SchedulerContext, Time, WaitingJob,
+};
 
 /// A pass oracle as [`route`] and [`simulate`] call it:
 /// `(now, partition, free, queue, running)` → the jobs to start now.
@@ -513,4 +516,83 @@ pub fn simulate(
         .into_iter()
         .map(|o| o.expect("every job finishes"))
         .collect()
+}
+
+/// One pass of `scheduler` over `ctx`: the jobs it starts.
+pub fn schedule<S: Scheduler + ?Sized>(
+    scheduler: &mut S,
+    ctx: &SchedulerContext<'_>,
+) -> Vec<JobId> {
+    let mut starts = Vec::new();
+    scheduler.schedule_into(ctx, &mut starts);
+    starts
+}
+
+/// The machine size of [`ctx_of`]'s contexts.
+pub const MACHINE: u32 = 16;
+
+/// Release instants are drawn from a handful of values so that ties —
+/// including ties at the reservation's crossing instant, EASY's
+/// fallback trigger — are common.
+pub const TIE_TIMES: [i64; 5] = [50, 50, 100, 150, 200];
+
+/// A waiting job with prediction = request.
+pub fn waiting(id: u32, procs: u32, predicted: i64, submit: i64) -> WaitingJob {
+    WaitingJob {
+        id: JobId(id),
+        procs,
+        predicted,
+        requested: predicted,
+        submit: Time(submit),
+        user: 1,
+    }
+}
+
+/// A system snapshot: the queue and the running jobs of one instant.
+#[derive(Debug, Clone)]
+pub struct Snapshot {
+    pub queue: Vec<WaitingJob>,
+    pub running: Vec<RunningJob>,
+}
+
+/// Partition 0's context at t=0 over `snapshot` on a [`MACHINE`]-wide
+/// machine. A snapshot may hold running jobs of other partitions, which
+/// the engine leaves in `running` too.
+pub fn ctx_of<'a>(
+    snapshot: &'a Snapshot,
+    releases: &'a ReleaseSet,
+    shortest_first: &'a [u32],
+) -> SchedulerContext<'a> {
+    let used: u32 = snapshot
+        .running
+        .iter()
+        .filter(|r| r.partition == 0)
+        .map(|r| r.procs)
+        .sum();
+    SchedulerContext {
+        now: Time(0),
+        partition: 0,
+        machine_size: MACHINE,
+        free: MACHINE - used,
+        queue: &snapshot.queue,
+        running: &snapshot.running,
+        releases,
+        shortest_first,
+    }
+}
+
+/// A random 1–4-partition cluster: sizes 4..=16, speeds from the grid
+/// the engine treats specially (1.0 short-circuits) and generically.
+pub fn arb_cluster() -> impl Strategy<Value = ClusterSpec> {
+    prop::collection::vec((4u32..=16, 0usize..3), 1..5).prop_map(|parts| {
+        const SPEEDS: [f64; 3] = [0.5, 1.0, 2.0];
+        let partitions: Vec<Partition> = parts
+            .into_iter()
+            .map(|(size, speed)| Partition {
+                size,
+                speed: SPEEDS[speed],
+            })
+            .collect();
+        ClusterSpec::from_partitions(&partitions).expect("valid partitions")
+    })
 }

@@ -17,8 +17,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use predictsim_sim::job::{intern_users, Job, JobId};
-use predictsim_sim::time::{Time, DAY, HOUR};
+use predictsim_sim::{intern_users, Job, JobId, Time, DAY, HOUR};
 use predictsim_swf::{SwfHeader, SwfLog, SwfRecord, MISSING};
 
 use crate::sampling;

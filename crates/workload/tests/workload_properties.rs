@@ -65,8 +65,8 @@ proptest! {
     #[test]
     fn generated_workloads_simulate_cleanly(spec in arb_spec(), seed in 0u64..50) {
         let w = generate(&spec, seed);
-        let mut sched = predictsim_sim::scheduler::EasyScheduler::new();
-        let mut pred = predictsim_sim::predict::RequestedTimePredictor;
+        let mut sched = predictsim_sim::EasyScheduler::new();
+        let mut pred = predictsim_sim::RequestedTimePredictor;
         let res = predictsim_sim::simulate_in(
             &mut predictsim_sim::SimArena::new(),
             &w.jobs,

@@ -59,7 +59,7 @@ fn main() {
             res.ave_bsld(),
             res.mean_wait(),
             100.0 * res.utilization(),
-            predictsim::sim::time::format_duration(res.makespan()),
+            predictsim::sim::format_duration(res.makespan()),
         );
     }
 

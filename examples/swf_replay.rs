@@ -69,7 +69,7 @@ fn main() {
             triple.name(),
             res.ave_bsld(),
             100.0 * res.utilization(),
-            predictsim::sim::time::format_duration(res.makespan()),
+            predictsim::sim::format_duration(res.makespan()),
         );
     }
 }

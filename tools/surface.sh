@@ -7,6 +7,11 @@ cd "$(dirname "$0")/.."
 
 lines() { find "$@" -name '*.rs' -print0 | xargs -0 cat | wc -l; }
 pubs() { grep -rhE '^\s*pub (fn|struct|enum|trait|const|static|type|mod|use) ' "$@" | wc -l; }
+# Names re-exported by the `pub use` statements of one file.
+api() {
+  tr '\n' ' ' < "$1" | grep -oE 'pub use [^;]+;' | sed -E 's/^pub use [a-z_:]*:://; s/[{};]//g' |
+    tr ',' '\n' | grep -cE '\w'
+}
 entries() { grep -rhoE "pub fn $1\w*" crates/*/src src | sort -u | wc -l; }
 # Names defined exactly once as `pub fn` in product source and
 # word-matched in no other `*.rs` file (tests, examples and bench/
@@ -26,6 +31,7 @@ echo "pub_items $(pubs crates/*/src src)"
 echo "experiments_lines $(lines crates/experiments)"
 echo "experiments_pub_items $(pubs crates/experiments/src)"
 echo "sim_pub_items $(pubs crates/sim/src)"
+echo "sim_api_items $(api crates/sim/src/lib.rs)"
 echo "swf_pub_items $(pubs crates/swf/src)"
 echo "run_cell_entries $(entries run_cell)"
 echo "run_campaign_entries $(entries run_campaign)"
