@@ -12,7 +12,7 @@
 //! time × resource request".
 
 /// Dimension of the expanded representation for `n` input features.
-pub const fn expanded_dim(n: usize) -> usize {
+pub(crate) const fn expanded_dim(n: usize) -> usize {
     1 + 2 * n + n * (n - 1) / 2
 }
 

@@ -25,7 +25,7 @@ pub use predictsim_sim::RequestedTimeCorrection;
 use predictsim_sim::{CorrectionPolicy, Job, HOUR, MINUTE};
 
 /// The fixed increment sequence of \[24\] (§5.2), in seconds.
-pub const TSAFRIR_INCREMENTS: [i64; 11] = [
+pub(crate) const TSAFRIR_INCREMENTS: [i64; 11] = [
     MINUTE,
     5 * MINUTE,
     15 * MINUTE,

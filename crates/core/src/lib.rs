@@ -8,34 +8,43 @@
 //!
 //! ## The method (§4 of the paper)
 //!
-//! 1. Each job is represented by the minimal-information feature vector of
-//!    Table 2 ([`features`]): the user's requested time and resource
-//!    count, per-user running-time history, the user's currently-running
-//!    jobs, and periodic encodings of the submission instant.
-//! 2. Features pass through a degree-2 polynomial basis ([`basis`]) — the
-//!    regression function of Equation (1), `f(w,x) = wᵀΦ(x)`.
+//! 1. Each job is represented by the minimal-information feature vector
+//!    of Table 2 ([`FeatureExtractor`]): the user's requested time and
+//!    resource count, per-user running-time history, the user's
+//!    currently-running jobs, and periodic encodings of the submission
+//!    instant.
+//! 2. Features pass through a degree-2 polynomial basis
+//!    ([`PolynomialBasis`]) — the regression function of Equation (1),
+//!    `f(w,x) = wᵀΦ(x)`.
 //! 3. The weights minimize a cumulative **asymmetric, per-job-weighted
-//!    loss** ([`loss`], [`weighting`]) with ℓ2 regularization
-//!    (Equation 2): under- and over-prediction get different basis losses
-//!    (linear or squared), and jobs get weights γ_j reflecting how much
-//!    their misprediction hurts backfilling (Table 3).
+//!    loss** ([`AsymmetricLoss`], [`WeightingScheme`]) with ℓ2
+//!    regularization (Equation 2): under- and over-prediction get
+//!    different basis losses (linear or squared), and jobs get weights
+//!    γ_j reflecting how much their misprediction hurts backfilling
+//!    (Table 3).
 //! 4. Learning is on-line via the Normalized Adaptive Gradient algorithm
-//!    ([`optimizer`], reference \[19\]), robust to the wild feature scales
-//!    of HPC logs.
+//!    ([`NagOptimizer`], reference \[19\]), robust to the wild feature
+//!    scales of HPC logs.
 //! 5. At scheduling time, under-predicted jobs are repaired by a simple
-//!    [`correction`] policy (§5.2) rather than by re-querying the model.
+//!    correction policy (§5.2: [`IncrementalCorrection`],
+//!    [`RecursiveDoublingCorrection`], [`RequestedTimeCorrection`])
+//!    rather than by re-querying the model.
 //!
-//! The winning *heuristic triple* of §6.3.3 is
-//! [`predictor::MlPredictor::e_loss`] (E-Loss: squared over-prediction
-//! branch, linear under-prediction branch, large-area weight `log(q·p)`)
-//! combined with [`correction::IncrementalCorrection`] and EASY-SJBF
-//! (in `predictsim-sim`).
+//! The winning *heuristic triple* of §6.3.3 is [`MlPredictor::e_loss`]
+//! (E-Loss: squared over-prediction branch, linear under-prediction
+//! branch, large-area weight `log(q·p)`) combined with
+//! [`IncrementalCorrection`] and EASY-SJBF (in `predictsim-sim`).
+//!
+//! The crate root is the whole API; the modules behind it are private:
+//!
+//! ```compile_fail
+//! use predictsim_core::basis::Basis;
+//! ```
 //!
 //! ## Quick example
 //!
 //! ```
-//! use predictsim_core::correction::IncrementalCorrection;
-//! use predictsim_core::predictor::MlPredictor;
+//! use predictsim_core::{IncrementalCorrection, MlPredictor};
 //! use predictsim_sim::{
 //!     simulate_in, EasyScheduler, Job, JobId, NullObserver, SimArena, SimConfig, Time,
 //! };
@@ -73,23 +82,24 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod basis;
-pub mod correction;
-pub mod eloss;
-pub mod features;
-pub mod loss;
-pub mod model;
-pub mod optimizer;
-pub mod predictor;
-pub mod weighting;
+mod basis;
+mod correction;
+mod eloss;
+mod features;
+mod loss;
+mod model;
+mod optimizer;
+mod predictor;
+mod weighting;
 
 pub use basis::{Basis, LinearBasis, PolynomialBasis};
 pub use correction::{IncrementalCorrection, RecursiveDoublingCorrection, RequestedTimeCorrection};
 pub use eloss::{eloss, mae_of_outcomes, mean_eloss_of_outcomes};
 pub use features::{FeatureExtractor, FEATURE_NAMES, N_FEATURES};
 pub use loss::{loss_shapes, AsymmetricLoss, BasisLoss};
-pub use model::{LearnRecord, OnlineRegression};
+pub use model::{LearnRecord, OnlineRegression, DEFAULT_ETA, DEFAULT_L2};
 pub use optimizer::{AdaGradOptimizer, NagOptimizer, OnlineOptimizer, SgdOptimizer};
 pub use predictor::{ml_grid, Ave2Predictor, BasisKind, MlConfig, MlPredictor, OptimizerKind};
 pub use weighting::WeightingScheme;

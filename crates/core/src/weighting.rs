@@ -27,7 +27,7 @@
 
 /// Lower clamp keeping weights positive on degenerate jobs (e.g. 1-second
 /// 1-proc crashers, where `log(q·p) = 0`).
-pub const MIN_GAMMA: f64 = 0.01;
+pub(crate) const MIN_GAMMA: f64 = 0.01;
 
 /// The five weighting schemes of Table 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,7 +60,7 @@ impl WeightingScheme {
     ];
 
     /// The weight γ_j for a job with actual running time `p` (seconds) and
-    /// resource request `q` (processors), clamped to ≥ [`MIN_GAMMA`].
+    /// resource request `q` (processors), clamped to ≥ 0.01 (`MIN_GAMMA`).
     pub fn gamma(self, p: f64, q: f64) -> f64 {
         let p = p.max(1.0);
         let q = q.max(1.0);

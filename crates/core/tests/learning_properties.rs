@@ -7,11 +7,10 @@
 
 use proptest::prelude::*;
 
-use predictsim_core::basis::Basis;
-use predictsim_core::loss::{loss_shapes, AsymmetricLoss};
-use predictsim_core::model::OnlineRegression;
-use predictsim_core::optimizer::{NagOptimizer, OnlineOptimizer, SgdOptimizer};
-use predictsim_core::weighting::WeightingScheme;
+use predictsim_core::{
+    loss_shapes, AsymmetricLoss, Basis, NagOptimizer, OnlineOptimizer, OnlineRegression,
+    SgdOptimizer, WeightingScheme,
+};
 
 /// Runs the same example stream through a fresh model, with feature `k`
 /// multiplied by `scale`, and returns the prediction before each update.
@@ -190,7 +189,7 @@ fn crash_trace(optimizer: Box<dyn OnlineOptimizer>) -> Vec<f64> {
         optimizer,
         AsymmetricLoss::E_LOSS,
         WeightingScheme::Constant,
-        predictsim_core::model::DEFAULT_L2,
+        predictsim_core::DEFAULT_L2,
     );
     (0..600)
         .map(|i| {
@@ -212,7 +211,7 @@ fn crash_trace(optimizer: Box<dyn OnlineOptimizer>) -> Vec<f64> {
 #[test]
 fn plain_nag_step_collapses_on_one_crash_and_the_bounded_step_does_not() {
     let dim = Basis::polynomial(3).output_dim();
-    let eta = predictsim_core::model::DEFAULT_ETA;
+    let eta = predictsim_core::DEFAULT_ETA;
     let plain = crash_trace(Box::new(PlainStep(NagOptimizer::new(dim, eta))));
     let bounded = crash_trace(Box::new(NagOptimizer::new(dim, eta)));
     assert!(
@@ -257,7 +256,7 @@ impl RawTargetLearner {
     fn new(loss: AsymmetricLoss) -> Self {
         let basis = Basis::polynomial(3);
         let dim = basis.output_dim();
-        let optimizer = NagOptimizer::new(dim, predictsim_core::model::DEFAULT_ETA);
+        let optimizer = NagOptimizer::new(dim, predictsim_core::DEFAULT_ETA);
         Self {
             basis,
             weights: vec![0.0; dim],
@@ -283,7 +282,7 @@ impl Ramp for RawTargetLearner {
         self.optimizer.prepare(&mut self.weights, &self.phi);
         let f = self.output();
         let dloss = self.loss.dvalue_df(f, p, 1.0);
-        let l2 = predictsim_core::model::DEFAULT_L2;
+        let l2 = predictsim_core::DEFAULT_L2;
         self.optimizer
             .step_bounded(&mut self.weights, &self.phi, dloss, l2, (f - p).abs());
     }
@@ -311,7 +310,7 @@ fn updates_to_reach(learner: &mut impl Ramp, p: f64, cap: u64) -> Option<u64> {
 #[test]
 fn target_normalisation_reaches_any_magnitude_in_one_update_and_raw_targets_do_not() {
     const CAP: u64 = 100_000;
-    let eta = predictsim_core::model::DEFAULT_ETA;
+    let eta = predictsim_core::DEFAULT_ETA;
     for loss in [AsymmetricLoss::SQUARED, AsymmetricLoss::E_LOSS] {
         for p in [1.0, 1e2, 1e4, 1e6] {
             let mut model = OnlineRegression::with_parts(
@@ -319,7 +318,7 @@ fn target_normalisation_reaches_any_magnitude_in_one_update_and_raw_targets_do_n
                 Box::new(NagOptimizer::new(Basis::polynomial(3).output_dim(), eta)),
                 loss,
                 WeightingScheme::Constant,
-                predictsim_core::model::DEFAULT_L2,
+                predictsim_core::DEFAULT_L2,
             );
             let normalised = updates_to_reach(&mut model, p, CAP);
             assert_eq!(normalised, Some(1), "{loss:?} at {p} s");

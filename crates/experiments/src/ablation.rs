@@ -10,9 +10,7 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use predictsim_core::loss::AsymmetricLoss;
-use predictsim_core::predictor::{BasisKind, MlConfig, OptimizerKind};
-use predictsim_core::weighting::WeightingScheme;
+use predictsim_core::{AsymmetricLoss, BasisKind, MlConfig, OptimizerKind, WeightingScheme};
 
 use crate::source::LoadedWorkload;
 use crate::triple::{CorrectionKind, HeuristicTriple, PredictionTechnique, Variant};

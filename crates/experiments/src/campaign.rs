@@ -139,7 +139,8 @@ pub fn run_campaign_cluster(
 }
 
 /// Runs `triples` on an already loaded workload (synthetic or SWF — see
-/// [`crate::source`]) on the workload's own single machine, in parallel.
+/// [`crate::WorkloadSource`]) on the workload's own single machine, in
+/// parallel.
 ///
 /// # Panics
 ///

@@ -9,17 +9,14 @@ use std::sync::Arc;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use predictsim_metrics::pearson::pairwise_correlation_summary;
-use predictsim_metrics::Ecdf;
+use predictsim_metrics::{pairwise_correlation_summary, Ecdf};
 
 use crate::cache::SimCache;
 use crate::campaign::CampaignResult;
 use crate::source::LoadedWorkload;
 use crate::triple::{CorrectionKind, HeuristicTriple, PredictionTechnique, Variant};
 
-use predictsim_core::loss::AsymmetricLoss;
-use predictsim_core::predictor::MlConfig;
-use predictsim_core::weighting::WeightingScheme;
+use predictsim_core::{AsymmetricLoss, MlConfig, WeightingScheme};
 
 /// One point of the Figure 3 scatter: a heuristic triple's AVEbsld on two
 /// logs.

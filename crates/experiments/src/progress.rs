@@ -36,12 +36,12 @@ use crate::triple::HeuristicTriple;
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Turns progress reporting on or off process-wide.
-pub fn set_enabled(on: bool) {
+pub fn set_progress(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Whether progress reporting is on.
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
@@ -52,7 +52,7 @@ pub(crate) fn start() -> Option<Instant> {
 }
 
 /// Emits one free-form progress line (fold selections, phase notes).
-pub fn emit(line: &str) {
+pub(crate) fn emit(line: &str) {
     if enabled() {
         eprintln!("progress: {line}");
     }
@@ -183,25 +183,25 @@ mod tests {
     fn disabled_by_default_and_toggleable() {
         // The global flag is shared across tests; restore it.
         let was = enabled();
-        set_enabled(false);
+        set_progress(false);
         assert!(!enabled());
         assert!(start().is_none(), "disabled path must not read the clock");
-        set_enabled(true);
+        set_progress(true);
         assert!(enabled());
         assert!(start().is_some());
-        set_enabled(was);
+        set_progress(was);
     }
 
     #[test]
     fn counter_is_monotonic_across_reports() {
         let was = enabled();
-        set_enabled(true);
+        set_progress(true);
         let progress = CellProgress::new("test", 3);
         progress.cell_done("a", CellSource::Memory, None);
         progress.cell_done("b", CellSource::Simulated, start());
         progress.cell_done("c", CellSource::Disk, None);
         assert_eq!(progress.done.load(Ordering::Relaxed), 3);
-        set_enabled(was);
+        set_progress(was);
     }
 
     #[test]

@@ -28,9 +28,9 @@
 
 use std::str::FromStr;
 
-use predictsim_core::loss::{AsymmetricLoss, BasisLoss};
-use predictsim_core::predictor::{ml_grid, BasisKind, MlConfig, OptimizerKind};
-use predictsim_core::weighting::WeightingScheme;
+use predictsim_core::{
+    ml_grid, AsymmetricLoss, BasisKind, BasisLoss, MlConfig, OptimizerKind, WeightingScheme,
+};
 use predictsim_sim::ClusterSpec;
 
 use crate::triple::{CorrectionKind, HeuristicTriple, PredictionTechnique, Variant};

@@ -2,16 +2,14 @@
 //! experiment (§6.2: prediction technique × correction × backfilling
 //! variant) — run on a workload loaded elsewhere.
 //!
-//! Names resolve through [`crate::registry`] (`"…".parse()` for a
-//! campaign triple name, [`crate::registry::parse_triple`] for three
-//! separate policy names); workloads load through [`crate::source`].
+//! Names resolve through the registry (`"…".parse()` for a campaign
+//! triple name, [`crate::parse_triple`] for three separate policy
+//! names); workloads load through [`crate::WorkloadSource`].
 //! Predictor and correction state is rebuilt fresh per run, so a
 //! scenario can be rerun.
 //!
 //! ```
-//! use predictsim_experiments::scenario::Scenario;
-//! use predictsim_experiments::source::{SyntheticSource, WorkloadSource};
-//! use predictsim_experiments::triple::HeuristicTriple;
+//! use predictsim_experiments::{HeuristicTriple, Scenario, SyntheticSource, WorkloadSource};
 //! use predictsim_workload::WorkloadSpec;
 //!
 //! let workload = SyntheticSource::new(WorkloadSpec::toy(), 42).load().unwrap();

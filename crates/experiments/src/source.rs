@@ -333,7 +333,7 @@ enum SwfInput {
 /// than any `u32` machine is simply oversize.
 ///
 /// ```
-/// use predictsim_experiments::source::{SwfSource, WorkloadSource};
+/// use predictsim_experiments::{SwfSource, WorkloadSource};
 ///
 /// let text = "\
 /// ; MaxProcs: 4

@@ -10,10 +10,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use predictsim_core::correction::{
-    IncrementalCorrection, RecursiveDoublingCorrection, RequestedTimeCorrection,
+use predictsim_core::{
+    ml_grid, Ave2Predictor, IncrementalCorrection, MlConfig, MlPredictor,
+    RecursiveDoublingCorrection, RequestedTimeCorrection,
 };
-use predictsim_core::predictor::{ml_grid, Ave2Predictor, MlConfig, MlPredictor};
 use predictsim_sim::{
     ClairvoyantPredictor, ConservativeScheduler, CorrectionPolicy, EasyScheduler, FcfsScheduler,
     Job, RequestedTimePredictor, RuntimePredictor, Scheduler, SimConfig, SimError, SimResult,

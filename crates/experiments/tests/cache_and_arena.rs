@@ -6,15 +6,10 @@
 #[path = "../../sim/tests/support/counting_alloc.rs"]
 mod support;
 
-use predictsim_core::loss::AsymmetricLoss;
-use predictsim_core::predictor::MlConfig;
-use predictsim_core::weighting::WeightingScheme;
-use predictsim_experiments::cache::SimCache;
-use predictsim_experiments::campaign::run_campaign_loaded;
-use predictsim_experiments::scenario::Scenario;
-use predictsim_experiments::source::LoadedWorkload;
-use predictsim_experiments::triple::{
-    reference_triples, CorrectionKind, HeuristicTriple, PredictionTechnique, Variant,
+use predictsim_core::{AsymmetricLoss, MlConfig, WeightingScheme};
+use predictsim_experiments::{
+    reference_triples, run_campaign_loaded, CorrectionKind, HeuristicTriple, LoadedWorkload,
+    PredictionTechnique, Scenario, SimCache, Variant,
 };
 use predictsim_workload::{generate, WorkloadSpec};
 use support::allocs;

@@ -8,12 +8,10 @@
 //! global cache counters read here can only have been advanced by the
 //! calls below.
 
-use predictsim_experiments::cache::SimCache;
-use predictsim_experiments::campaign::run_campaign_loaded;
-use predictsim_experiments::figures::fig4_fig5;
-use predictsim_experiments::source::LoadedWorkload;
-use predictsim_experiments::tables::{table1, table8};
-use predictsim_experiments::triple::{campaign_triples, reference_triples};
+use predictsim_experiments::{
+    campaign_triples, fig4_fig5, reference_triples, run_campaign_loaded, table1, table8,
+    LoadedWorkload, SimCache,
+};
 use predictsim_workload::{generate, WorkloadSpec};
 
 #[test]

@@ -5,9 +5,7 @@
 
 use std::sync::Barrier;
 
-use predictsim_experiments::cache::{CellSource, SimCache};
-use predictsim_experiments::source::JobArena;
-use predictsim_experiments::triple::HeuristicTriple;
+use predictsim_experiments::{CellSource, HeuristicTriple, JobArena, SimCache};
 use predictsim_sim::ClusterSpec;
 use predictsim_workload::{generate, WorkloadSpec};
 

@@ -15,12 +15,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use predictsim_experiments::campaign::run_campaign_loaded;
-use predictsim_experiments::faultline::{self, FaultPlan};
-use predictsim_experiments::scenario::ScenarioError;
-use predictsim_experiments::source::LoadedWorkload;
-use predictsim_experiments::triple::HeuristicTriple;
-use predictsim_experiments::SimCache;
+use predictsim_experiments::{
+    run_campaign_loaded, HeuristicTriple, LoadedWorkload, ScenarioError, SimCache,
+};
+use predictsim_faultline::{self as faultline, FaultPlan};
 use predictsim_sim::ClusterSpec;
 use predictsim_workload::{generate, WorkloadSpec};
 

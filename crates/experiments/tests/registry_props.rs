@@ -4,12 +4,10 @@
 
 use proptest::prelude::*;
 
-use predictsim_experiments::registry::{
-    parse_cluster, parse_ml, registered_corrections, registered_predictors, registered_schedulers,
-    RegistryError,
-};
-use predictsim_experiments::triple::{
-    campaign_triples, CorrectionKind, HeuristicTriple, PredictionTechnique, Variant,
+use predictsim_experiments::{
+    campaign_triples, parse_cluster, parse_ml, registered_corrections, registered_predictors,
+    registered_schedulers, CorrectionKind, HeuristicTriple, PredictionTechnique, RegistryError,
+    Variant,
 };
 use predictsim_sim::{ClusterSpec, Partition};
 

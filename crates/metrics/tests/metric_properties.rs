@@ -2,8 +2,9 @@
 
 use proptest::prelude::*;
 
-use predictsim_metrics::error::underprediction_rate;
-use predictsim_metrics::{bounded_slowdown, pearson_correlation, Ecdf, DEFAULT_TAU};
+use predictsim_metrics::{
+    bounded_slowdown, pearson_correlation, underprediction_rate, Ecdf, DEFAULT_TAU,
+};
 
 proptest! {
     /// Bounded slowdown is always ≥ 1, finite, and monotone in the wait.

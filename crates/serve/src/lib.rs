@@ -47,20 +47,22 @@
 //! }
 //! server.shutdown();
 //! ```
+//!
+//! The crate root is the whole API; the modules behind it are private:
+//!
+//! ```compile_fail
+//! use predictsim_serve::protocol::Frame;
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod client;
-pub mod protocol;
-pub mod server;
+mod client;
+mod protocol;
+mod server;
 
 pub use client::Client;
-
-/// The deterministic fault-injection layer (`REPRO_FAULTS`, chaos
-/// tests) — re-exported so daemon embedders and integration tests
-/// reach it without a separate dependency edge.
-pub use predictsim_faultline as faultline;
 pub use protocol::{
     ErrorCode, Frame, Line, LineReader, ProtoError, Request, Submission, WorkloadRequest,
     DEFAULT_MAX_LINE_BYTES, DEFAULT_METRICS_EVERY,

@@ -363,7 +363,7 @@ fn opt_field<T: serde::Deserialize>(v: &Value, name: &str) -> Result<Option<T>, 
 }
 
 /// Builds the `ack` frame.
-pub fn ack_frame(job: u64, triple: &str, workload: &str) -> Value {
+pub(crate) fn ack_frame(job: u64, triple: &str, workload: &str) -> Value {
     Value::Map(vec![
         ("type".into(), Value::Str("ack".into())),
         ("job".into(), Value::UInt(job)),
@@ -373,7 +373,7 @@ pub fn ack_frame(job: u64, triple: &str, workload: &str) -> Value {
 }
 
 /// Builds a `metrics` frame from a running job's live view.
-pub fn metrics_frame(
+pub(crate) fn metrics_frame(
     job: u64,
     metrics: &predictsim_sim::MetricsObserver,
     util: &predictsim_sim::UtilizationObserver,
@@ -413,7 +413,7 @@ pub fn metrics_frame(
 /// Builds the final `result` frame. `result` is the cell's
 /// `TripleResult::to_value()` — re-serializing that subtree pretty
 /// reproduces batch `scenario.json` byte-for-byte.
-pub fn result_frame(job: u64, source: &str, result: Value) -> Value {
+pub(crate) fn result_frame(job: u64, source: &str, result: Value) -> Value {
     Value::Map(vec![
         ("type".into(), Value::Str("result".into())),
         ("job".into(), Value::UInt(job)),
@@ -423,7 +423,7 @@ pub fn result_frame(job: u64, source: &str, result: Value) -> Value {
 }
 
 /// Builds an `error` frame (`job` is absent for pre-ack failures).
-pub fn error_frame(job: Option<u64>, error: &ProtoError) -> Value {
+pub(crate) fn error_frame(job: Option<u64>, error: &ProtoError) -> Value {
     Value::Map(vec![
         ("type".into(), Value::Str("error".into())),
         ("job".into(), job.map_or(Value::Null, Value::UInt)),
@@ -433,7 +433,7 @@ pub fn error_frame(job: Option<u64>, error: &ProtoError) -> Value {
 }
 
 /// Builds the `pong` frame.
-pub fn pong_frame() -> Value {
+pub(crate) fn pong_frame() -> Value {
     Value::Map(vec![("type".into(), Value::Str("pong".into()))])
 }
 
@@ -625,13 +625,13 @@ impl<R: BufRead> LineReader<R> {
 
 /// `true` for the transient errors a read timeout produces — callers
 /// loop on these.
-pub fn is_timeout(e: &std::io::Error) -> bool {
+pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
 /// Reads one line from a plain blocking reader (helper for tests and
 /// the reference client, where no timeout is set).
-pub fn read_line_blocking<R: Read>(
+pub(crate) fn read_line_blocking<R: Read>(
     reader: &mut std::io::BufReader<R>,
 ) -> std::io::Result<Option<String>> {
     let mut line = String::new();

@@ -30,10 +30,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use predictsim_experiments::registry::{parse_cluster, parse_triple};
 use predictsim_experiments::{
-    CellSource, ExperimentSetup, HeuristicTriple, LoadedWorkload, Scenario, ScenarioError,
-    SimCache, SwfSource, SyntheticSource, WorkloadSource,
+    parse_cluster, parse_triple, CellSource, ExperimentSetup, HeuristicTriple, LoadedWorkload,
+    Scenario, ScenarioError, SimCache, SwfSource, SyntheticSource, WorkloadSource,
 };
 use predictsim_sim::{
     ClusterSpec, MetricsObserver, SimError, SimEvent, SimObserver, UtilizationObserver,
@@ -390,7 +389,9 @@ fn stats_frame(shared: &Arc<Shared>) -> Value {
 /// Most jobs one request may ask the daemon to generate: ten times the
 /// largest registered preset (`millions-of-users@1.0`). Generation
 /// allocates per job, and a failed allocation aborts the process — it
-/// does not unwind into `worker_loop`'s `catch_unwind`.
+/// does not unwind into `worker_loop`'s `catch_unwind`. It also bounds
+/// the workload memo, which would otherwise keep one workload per
+/// distinct request (a client varying `seed`) for the daemon's life.
 const MAX_REQUEST_JOBS: usize = 10_000_000;
 
 /// Resolves the submission's policy strings against the registry and
@@ -434,26 +435,27 @@ fn validate(submission: &Submission) -> Result<(HeuristicTriple, Option<ClusterS
     Ok((triple, cluster))
 }
 
-/// Loads (or recalls from the daemon's memo) the submission's workload.
+/// Loads (or recalls from `memo`) the submission's workload. The memo
+/// holds at most `budget` jobs: a load that would pass it empties the
+/// memo first, and a workload larger than `budget` is not kept.
 fn memoized_workload(
     request: &WorkloadRequest,
-    shared: &Shared,
+    memo: &Mutex<HashMap<String, LoadedWorkload>>,
+    budget: usize,
 ) -> Result<LoadedWorkload, ProtoError> {
     let memo_key = request.describe();
-    if let Some(hit) = shared
-        .workloads
-        .lock()
-        .expect("workloads lock")
-        .get(&memo_key)
-    {
+    if let Some(hit) = memo.lock().expect("workloads lock").get(&memo_key) {
         return Ok(hit.clone());
     }
     let loaded = build_workload(request)?;
-    shared
-        .workloads
-        .lock()
-        .expect("workloads lock")
-        .insert(memo_key, loaded.clone());
+    let mut memo = memo.lock().expect("workloads lock");
+    let held: usize = memo.values().map(|w| w.jobs.len()).sum();
+    if held + loaded.jobs.len() > budget {
+        memo.clear();
+    }
+    if loaded.jobs.len() <= budget {
+        memo.insert(memo_key, loaded.clone());
+    }
     Ok(loaded)
 }
 
@@ -579,10 +581,11 @@ fn run_job(pending: &Pending, shared: &Arc<Shared>) {
     let fail = |err: ProtoError| {
         conn.send(&error_frame(Some(id), &err));
     };
-    let workload = match memoized_workload(&submission.workload, shared) {
-        Ok(w) => w,
-        Err(err) => return fail(err),
-    };
+    let workload =
+        match memoized_workload(&submission.workload, &shared.workloads, MAX_REQUEST_JOBS) {
+            Ok(w) => w,
+            Err(err) => return fail(err),
+        };
     let cluster = pending
         .cluster
         .unwrap_or_else(|| ClusterSpec::single(workload.machine_size));
@@ -663,6 +666,25 @@ mod tests {
         let client = TcpStream::connect(addr).expect("connect");
         let (server, _) = listener.accept().expect("accept");
         (client, server)
+    }
+
+    #[test]
+    fn workload_memo_holds_at_most_its_job_budget() {
+        let memo = Mutex::new(HashMap::new());
+        let toy = |seed| WorkloadRequest::Toy {
+            name: "memo".into(),
+            jobs: 200,
+            duration: 86_400,
+            utilization: 0.8,
+            seed,
+        };
+        for seed in 0..5 {
+            memoized_workload(&toy(seed), &memo, 500).expect("toy loads");
+            let memo = memo.lock().unwrap();
+            let held: usize = memo.values().map(|w| w.jobs.len()).sum();
+            assert!(held <= 500, "memo holds {held} jobs after seed {seed}");
+            assert!(memo.contains_key(&toy(seed).describe()), "latest load kept");
+        }
     }
 
     #[test]

@@ -110,7 +110,7 @@ impl std::error::Error for JobConversionError {}
 /// Converts a cleaned SWF record into a simulator job with dense id `id`.
 ///
 /// Requires the record to be runnable (positive run time and processor
-/// count — the loader, `predictsim_experiments::source::SwfSource`,
+/// count — the loader, `predictsim_experiments::SwfSource`,
 /// drops the rest); a missing requested time falls back to the run time,
 /// and a missing user id maps to a synthetic "unknown" user 0 shared by
 /// all such records. A processor count or user id the engine's `u32`s

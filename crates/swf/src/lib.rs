@@ -10,16 +10,22 @@
 //! format only — reading and writing such logs, or the synthetic
 //! equivalents produced by `predictsim-workload`:
 //!
-//! * [`SwfRecord`] — the 18-field SWF job record ([`record`]);
+//! * [`SwfRecord`] — the 18-field SWF job record;
 //! * [`SwfHeader`] — the `;`-prefixed header metadata (`MaxProcs`,
-//!   `UnixStartTime`, …) ([`header`]);
-//! * [`reader`] / [`writer`] — streaming parse ([`SwfStream`]) and
-//!   serialization.
+//!   `UnixStartTime`, …);
+//! * [`parse_log`] / [`SwfStream`] / [`write_log`] — whole-text and
+//!   streaming parse, and serialization.
 //!
 //! What makes a log *clean* enough to simulate (dropping canceled and
 //! oversize jobs, repairing requested times, submit-time ordering) is
 //! decided in one place, the loader that feeds the simulator:
-//! `predictsim_experiments::source::SwfSource`.
+//! `predictsim_experiments::SwfSource`.
+//!
+//! The crate root is the whole API; the modules behind it are private:
+//!
+//! ```compile_fail
+//! use predictsim_swf::reader::parse_log;
+//! ```
 //!
 //! ## Quick example
 //!
@@ -41,11 +47,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod header;
-pub mod reader;
-pub mod record;
-pub mod writer;
+mod header;
+mod reader;
+mod record;
+mod writer;
 
 pub use header::SwfHeader;
 pub use reader::{parse_log, ParseError, SwfLog, SwfStream};

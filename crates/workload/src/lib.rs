@@ -32,15 +32,22 @@
 //! // Deterministic: the same seed always yields the same workload.
 //! assert_eq!(generate(&WorkloadSpec::toy(), 42).jobs, w.jobs);
 //! ```
+//!
+//! The crate root is the whole API; the modules behind it are private:
+//!
+//! ```compile_fail
+//! use predictsim_workload::presets::by_name;
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod generator;
-pub mod presets;
-pub mod sampling;
-pub mod spec;
-pub mod users;
+mod generator;
+mod presets;
+mod sampling;
+mod spec;
+mod users;
 
 pub use generator::{generate, GeneratedWorkload, WorkloadStats};
 pub use presets::{all_six, by_name};

@@ -49,7 +49,7 @@ fn base(
 }
 
 /// KTH-SP2: the 100-node IBM SP2 at KTH, Stockholm (1996).
-pub fn kth_sp2() -> WorkloadSpec {
+fn kth_sp2() -> WorkloadSpec {
     let mut s = base("KTH-SP2", 100, 28_000, 11, 0.88, 200);
     s.procs_mean_log2 = 1.8;
     s
@@ -64,7 +64,7 @@ fn ctc_sp2() -> WorkloadSpec {
 
 /// SDSC-SP2: the 128-node San Diego SP2 (2000) — a long, heavily loaded
 /// trace.
-pub fn sdsc_sp2() -> WorkloadSpec {
+fn sdsc_sp2() -> WorkloadSpec {
     let mut s = base("SDSC-SP2", 128, 59_000, 24, 0.87, 430);
     s.procs_mean_log2 = 2.0;
     s

@@ -22,19 +22,19 @@ fn normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 }
 
 /// Normal with the given mean and standard deviation.
-pub fn normal_with<R: Rng + ?Sized>(rng: &mut R, mean: f64, sd: f64) -> f64 {
+pub(crate) fn normal_with<R: Rng + ?Sized>(rng: &mut R, mean: f64, sd: f64) -> f64 {
     mean + sd * normal(rng)
 }
 
 /// Lognormal: `exp(N(mu, sigma))` — the classic running-time shape used
 /// by workload models (Lublin & Feitelson's hyper-distributions are
 /// mixtures of these).
-pub fn lognormal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
+pub(crate) fn lognormal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
     (mu + sigma * normal(rng)).exp()
 }
 
 /// Exponential with the given mean.
-pub fn exponential<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
+pub(crate) fn exponential<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
     debug_assert!(mean > 0.0);
     let u: f64 = loop {
         let v = rng.gen::<f64>();
@@ -47,7 +47,7 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
 
 /// Geometric number of successes with the given mean (≥ 0): number of
 /// extra jobs in a session beyond the first.
-pub fn geometric<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
+pub(crate) fn geometric<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
     if mean <= 0.0 {
         return 0;
     }
@@ -61,7 +61,7 @@ pub fn geometric<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
 
 /// Samples an index proportionally to `weights` (must be non-empty with a
 /// positive sum).
-pub fn weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
+pub(crate) fn weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
     debug_assert!(!weights.is_empty());
     let total: f64 = weights.iter().sum();
     debug_assert!(total > 0.0, "weights must have positive sum");
@@ -85,7 +85,7 @@ pub fn weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
 /// can differ. The generator therefore only switches to this sampler
 /// above a population cutover no pinned preset reaches.
 #[derive(Debug, Clone)]
-pub struct CumulativeSampler {
+pub(crate) struct CumulativeSampler {
     /// Inclusive prefix sums of the weights.
     cumulative: Vec<f64>,
 }
@@ -93,7 +93,7 @@ pub struct CumulativeSampler {
 impl CumulativeSampler {
     /// Builds the prefix-sum table (weights must be non-empty with a
     /// positive sum, as for [`weighted_index`]).
-    pub fn new(weights: &[f64]) -> Self {
+    pub(crate) fn new(weights: &[f64]) -> Self {
         debug_assert!(!weights.is_empty());
         let mut running = 0.0;
         let cumulative = weights
@@ -108,7 +108,7 @@ impl CumulativeSampler {
     }
 
     /// Samples an index proportionally to the weights.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let total = *self.cumulative.last().expect("non-empty");
         let target = rng.gen::<f64>() * total;
         self.cumulative
@@ -119,7 +119,12 @@ impl CumulativeSampler {
 
 /// A power-of-two-biased processor count in `[1, max]`: HPC logs show
 /// strong modes at 1 and powers of two (with a tail of odd sizes).
-pub fn proc_request<R: Rng + ?Sized>(rng: &mut R, max: u32, mean_log2: f64, sd_log2: f64) -> u32 {
+pub(crate) fn proc_request<R: Rng + ?Sized>(
+    rng: &mut R,
+    max: u32,
+    mean_log2: f64,
+    sd_log2: f64,
+) -> u32 {
     let exp = normal_with(rng, mean_log2, sd_log2).clamp(0.0, 30.0);
     let base = 2f64.powf(exp.round()) as u32;
     let q = if rng.gen::<f64>() < 0.15 {
@@ -134,7 +139,7 @@ pub fn proc_request<R: Rng + ?Sized>(rng: &mut R, max: u32, mean_log2: f64, sd_l
 /// The modal requested-time values users actually type (Tsafrir, Etsion &
 /// Feitelson, *Modeling user runtime estimates* \[23\]): round wall-clock
 /// figures, in seconds.
-pub const MODAL_REQUEST_VALUES: [i64; 16] = [
+pub(crate) const MODAL_REQUEST_VALUES: [i64; 16] = [
     300,    // 5 min
     600,    // 10 min
     900,    // 15 min
@@ -156,7 +161,7 @@ pub const MODAL_REQUEST_VALUES: [i64; 16] = [
 /// Rounds a raw requested time up to the next modal value (when below the
 /// largest modal value), mimicking users picking round figures from a
 /// mental list. Values beyond the largest modal entry are kept as-is.
-pub fn round_to_modal(raw: i64) -> i64 {
+pub(crate) fn round_to_modal(raw: i64) -> i64 {
     for &v in &MODAL_REQUEST_VALUES {
         if raw <= v {
             return v;

@@ -21,7 +21,7 @@ use crate::spec::WorkloadSpec;
 
 /// One application a user runs repeatedly.
 #[derive(Debug, Clone, PartialEq)]
-pub struct JobClass {
+pub(crate) struct JobClass {
     /// Lognormal location of running times (log-seconds).
     pub mu: f64,
     /// Lognormal scale of running times: small values make the class
@@ -36,7 +36,7 @@ pub struct JobClass {
 
 impl JobClass {
     /// Samples a raw (pre-calibration) running time for this class.
-    pub fn sample_runtime<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample_runtime<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         sampling::lognormal(rng, self.mu, self.sigma)
     }
 
@@ -49,13 +49,13 @@ impl JobClass {
     /// later. The key property is that *within* a class, the request
     /// carries no information about the individual run — exactly the
     /// weak runtime/estimate correlation observed in production logs.
-    pub fn habitual_request(&self) -> f64 {
+    pub(crate) fn habitual_request(&self) -> f64 {
         (self.mu + 1.5 * self.sigma).exp()
     }
 
     /// Samples the processor request; a small minority of runs deviate
     /// from the class's canonical size.
-    pub fn sample_procs<R: Rng + ?Sized>(&self, rng: &mut R, machine: u32) -> u32 {
+    pub(crate) fn sample_procs<R: Rng + ?Sized>(&self, rng: &mut R, machine: u32) -> u32 {
         if rng.gen::<f64>() < 0.9 {
             self.procs
         } else {
@@ -66,7 +66,7 @@ impl JobClass {
 
 /// One synthetic user.
 #[derive(Debug, Clone, PartialEq)]
-pub struct User {
+pub(crate) struct User {
     /// Population index (engine `Job::user` is `id + 1`: 0 is reserved
     /// for "unknown user" by the SWF conversion).
     pub id: u32,
@@ -84,14 +84,14 @@ pub struct User {
 
 impl User {
     /// Picks a class index to start a session with.
-    pub fn pick_class<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn pick_class<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let weights: Vec<f64> = self.classes.iter().map(|c| c.weight).collect();
         sampling::weighted_index(rng, &weights)
     }
 }
 
 /// Builds the user population for `spec`.
-pub fn build_users<R: Rng + ?Sized>(spec: &WorkloadSpec, rng: &mut R) -> Vec<User> {
+pub(crate) fn build_users<R: Rng + ?Sized>(spec: &WorkloadSpec, rng: &mut R) -> Vec<User> {
     let mut users = Vec::with_capacity(spec.users);
     for id in 0..spec.users {
         let n_classes = 1 + rng.gen_range(0..spec.classes_per_user);

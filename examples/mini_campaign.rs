@@ -11,13 +11,13 @@
 
 use predictsim::experiments::{reference_triples, CampaignResult};
 use predictsim::prelude::*;
-use predictsim::workload::presets;
+use predictsim::workload::by_name;
 
 fn main() {
     // Two logs, 2% scale: ~1,800 jobs total, a few seconds of work.
     let specs = [
-        presets::kth_sp2().scaled(0.02),
-        presets::sdsc_sp2().scaled(0.02),
+        by_name("KTH-SP2").expect("preset exists").scaled(0.02),
+        by_name("SDSC-SP2").expect("preset exists").scaled(0.02),
     ];
     let workloads: Vec<LoadedWorkload> =
         specs.iter().map(|s| generate(s, 20150101).into()).collect();

@@ -7,7 +7,7 @@
 //! ```
 
 use predictsim::core::{mae_of_outcomes, mean_eloss_of_outcomes};
-use predictsim::metrics::error::underprediction_rate;
+use predictsim::metrics::underprediction_rate;
 use predictsim::prelude::*;
 
 fn run_with(

@@ -7,14 +7,14 @@
 //! ```
 
 use predictsim::prelude::*;
-use predictsim::workload::presets;
+use predictsim::workload::by_name;
 
 fn main() {
     // A scaled-down synthetic stand-in for the paper's KTH-SP2 log, with
     // the phenomena the paper's method exploits: per-user runtime
     // locality, heavy requested-time over-estimation, day/week cycles and
     // crash noise.
-    let workload = generate(&presets::kth_sp2().scaled(0.1), 42);
+    let workload = generate(&by_name("KTH-SP2").expect("preset exists").scaled(0.1), 42);
     println!(
         "workload: {} jobs on {} processors, offered utilization {:.0}%, \
          mean over-estimation {:.1}x",

@@ -8,19 +8,15 @@ use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use predictsim_experiments::ablation;
-use predictsim_experiments::cache::SimCache;
-use predictsim_experiments::campaign::{run_campaign_loaded, CampaignResult, TripleResult};
-use predictsim_experiments::context::{ExperimentSetup, DEFAULT_SEED, QUICK_SCALE};
-use predictsim_experiments::figures::{fig3, fig4_fig5, render_ecdf_series, render_fig3};
-use predictsim_experiments::registry::{parse_cluster, parse_triple, render_registry};
-use predictsim_experiments::scenario::Scenario;
-use predictsim_experiments::source::{LoadedWorkload, SwfSource, SyntheticSource, WorkloadSource};
-use predictsim_experiments::tables::{
-    render_table1, render_table6, render_table7, render_table8, table1, table6, table7, table8,
+use predictsim_experiments::{
+    ablate_basis, ablate_correction, ablate_loss, ablate_optimizer, ablate_scheduler,
+    campaign_triples, fig3, fig4_fig5, parse_cluster, parse_triple, reference_triples,
+    render_ablation, render_ecdf_series, render_fig3, render_registry, render_table1,
+    render_table6, render_table7, render_table8, run_campaign_loaded, set_progress, table1, table6,
+    table7, table8, CampaignResult, ExperimentSetup, HeuristicTriple, LoadedWorkload, PhaseTimer,
+    Scenario, SimCache, SwfSource, SyntheticSource, TripleResult, WorkloadSource, DEFAULT_SEED,
+    QUICK_SCALE,
 };
-use predictsim_experiments::timing::PhaseTimer;
-use predictsim_experiments::triple::{campaign_triples, reference_triples, HeuristicTriple};
 
 struct Options {
     setup: ExperimentSetup,
@@ -297,7 +293,7 @@ fn main() {
     // Check and announce a REPRO_FAULTS plan before any work: a chaos
     // run must never be mistaken for a clean one when comparing
     // artifacts, and a plan that cannot fire must not pass as one.
-    match predictsim_experiments::faultline::active_summary() {
+    match predictsim_faultline::active_summary() {
         Ok(Some(plan)) => eprintln!("fault injection active (REPRO_FAULTS): {plan}"),
         Ok(None) => {}
         Err(e) => {
@@ -311,7 +307,7 @@ fn main() {
             return;
         }
     }
-    predictsim_experiments::progress::set_enabled(opts.progress);
+    set_progress(opts.progress);
     if let Some(dir) = &opts.cache_dir {
         SimCache::global().set_persist_dir(Some(dir.clone()));
         eprintln!("persistent simulation cache: {}", dir.display());
@@ -605,18 +601,18 @@ fn run(opts: &Options) {
         println!("## Ablations (on {})\n", w.name);
         let ablations = timer.time("ablations", || {
             [
-                ("Scheduler (clairvoyant)", ablation::ablate_scheduler(w)),
+                ("Scheduler (clairvoyant)", ablate_scheduler(w)),
                 (
                     "Correction mechanism (E-Loss learner)",
-                    ablation::ablate_correction(w),
+                    ablate_correction(w),
                 ),
-                ("Optimizer", ablation::ablate_optimizer(w)),
-                ("Basis degree", ablation::ablate_basis(w)),
-                ("Loss shape x weighting", ablation::ablate_loss(w)),
+                ("Optimizer", ablate_optimizer(w)),
+                ("Basis degree", ablate_basis(w)),
+                ("Loss shape x weighting", ablate_loss(w)),
             ]
         });
         for (title, rows) in ablations {
-            println!("{}", ablation::render_ablation(title, &rows));
+            println!("{}", render_ablation(title, &rows));
             write_json(
                 &opts.out_dir,
                 &format!(

@@ -70,11 +70,10 @@ pub use predictsim_workload as workload;
 
 /// The most common imports, for examples and quick scripts.
 pub mod prelude {
-    pub use predictsim_core::correction::{
-        IncrementalCorrection, RecursiveDoublingCorrection, RequestedTimeCorrection,
+    pub use predictsim_core::{
+        AsymmetricLoss, Ave2Predictor, IncrementalCorrection, MlConfig, MlPredictor,
+        RecursiveDoublingCorrection, RequestedTimeCorrection, WeightingScheme,
     };
-    pub use predictsim_core::predictor::{Ave2Predictor, MlConfig, MlPredictor};
-    pub use predictsim_core::{AsymmetricLoss, WeightingScheme};
     pub use predictsim_experiments::{
         campaign_triples, cross_validate, run_campaign_cluster, run_campaign_loaded,
         CleaningReport, CorrectionKind, ExperimentSetup, HeuristicTriple, LoadedWorkload,

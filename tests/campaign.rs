@@ -99,7 +99,7 @@ fn campaign_json_artifacts_round_trip() {
 
 #[test]
 fn table_helpers_work_on_reduced_campaigns() {
-    use predictsim::experiments::tables::{render_table1, render_table8, table1, table8};
+    use predictsim::experiments::{render_table1, render_table8, table1, table8};
     let ws = workloads();
     let rows = table1(&ws[..1]);
     assert_eq!(rows.len(), 1);
@@ -112,7 +112,7 @@ fn table_helpers_work_on_reduced_campaigns() {
 
 #[test]
 fn figure_helpers_work_on_reduced_campaigns() {
-    use predictsim::experiments::figures::{fig3, fig4_fig5};
+    use predictsim::experiments::{fig3, fig4_fig5};
     let ws = workloads();
     let triples = reduced_triples();
     let campaigns: Vec<CampaignResult> = ws

@@ -10,8 +10,8 @@
 //! sibling and uninstalls the plan even on panic.
 
 use predictsim::experiments::SimCache;
-use predictsim::serve::faultline::{self, FaultPlan};
 use predictsim::serve::{Client, Frame, ServeConfig, Server, Submission, WorkloadRequest};
+use predictsim_faultline::{self as faultline, FaultPlan};
 
 fn toy(name: &str, seed: u64) -> Submission {
     let mut submission = Submission::new(WorkloadRequest::Toy {

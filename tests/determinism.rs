@@ -127,7 +127,7 @@ fn campaign_json_is_byte_identical_across_thread_counts() {
     let json_at = |width: usize| {
         fresh();
         rayon::pool::with_num_threads(width, || {
-            serde_json::to_string(&predictsim::experiments::campaign::run_campaign_loaded(
+            serde_json::to_string(&predictsim::experiments::run_campaign_loaded(
                 &loaded, &triples,
             ))
             .expect("serialize campaign")
@@ -168,7 +168,7 @@ fn cross_validation_json_is_byte_identical_across_thread_counts() {
         rayon::pool::with_num_threads(width, || {
             let campaigns: Vec<_> = loaded
                 .iter()
-                .map(|w| predictsim::experiments::campaign::run_campaign_loaded(w, &triples))
+                .map(|w| predictsim::experiments::run_campaign_loaded(w, &triples))
                 .collect();
             serde_json::to_string(&cross_validate(&campaigns)).expect("serialize CV outcome")
         })

@@ -8,8 +8,7 @@
 //! golden file (`tests/golden/mini_pipeline.json`) was produced by the
 //! legacy construction path and is deliberately NOT regenerated here.
 
-use predictsim::experiments::campaign::CampaignResult;
-use predictsim::experiments::figures::fig4_fig5;
+use predictsim::experiments::{fig4_fig5, CampaignResult};
 use predictsim::prelude::*;
 
 const GOLDEN_PATH: &str = "tests/golden/mini_pipeline.json";

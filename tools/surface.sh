@@ -32,6 +32,9 @@ echo "experiments_lines $(lines crates/experiments)"
 echo "experiments_pub_items $(pubs crates/experiments/src)"
 echo "sim_pub_items $(pubs crates/sim/src)"
 echo "sim_api_items $(api crates/sim/src/lib.rs)"
+for c in core experiments serve workload swf metrics; do
+  echo "${c}_api_items $(api "crates/$c/src/lib.rs")"
+done
 echo "swf_pub_items $(pubs crates/swf/src)"
 echo "run_cell_entries $(entries run_cell)"
 echo "run_campaign_entries $(entries run_campaign)"
