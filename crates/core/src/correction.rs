@@ -6,8 +6,8 @@
 //! wrong value", and evaluates three policies:
 //!
 //! * **Requested Time** — fall back to `p̃_j`
-//!   ([`predictsim_sim::RequestedTimeCorrection`], re-exported
-//!   here for completeness);
+//!   ([`predictsim_sim::RequestedTimeCorrection`], which lives beside
+//!   the engine's own fallback);
 //! * **Incremental** ([`IncrementalCorrection`]) — Tsafrir et al.'s \[24\]
 //!   technique: bump the estimate by a fixed amount from a predefined
 //!   list, growing with each successive failure (1 min, 5 min, 15 min,
@@ -19,8 +19,6 @@
 //! All corrected values are clamped by the engine into
 //! `(elapsed, p̃_j]` — §5.2: estimates "remain bounded by the requested
 //! running times".
-
-pub use predictsim_sim::RequestedTimeCorrection;
 
 use predictsim_sim::{CorrectionPolicy, Job, HOUR, MINUTE};
 

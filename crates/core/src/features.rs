@@ -57,14 +57,6 @@ struct UserHistory {
 }
 
 impl UserHistory {
-    /// Whether any activity (submit or completion) has been recorded.
-    /// A fresh slab slot is indistinguishable from an absent one: every
-    /// feature read from an untouched history is the documented
-    /// "no history" default.
-    fn touched(&self) -> bool {
-        self.submitted > 0 || self.completed > 0
-    }
-
     fn record_submit(&mut self, procs: u32) {
         self.sum_procs += procs as f64;
         self.submitted += 1;
@@ -121,8 +113,6 @@ impl UserHistory {
 pub struct FeatureExtractor {
     /// `users[user_ix]` = that user's history, grown lazily.
     users: Vec<UserHistory>,
-    /// Number of slots with recorded activity (maintained counter).
-    active: usize,
 }
 
 impl FeatureExtractor {
@@ -136,11 +126,7 @@ impl FeatureExtractor {
         if ix >= self.users.len() {
             self.users.resize_with(ix + 1, UserHistory::default);
         }
-        let hist = &mut self.users[ix];
-        if !hist.touched() {
-            self.active += 1;
-        }
-        hist
+        &mut self.users[ix]
     }
 
     /// Builds the Table 2 feature vector for `job` at its release date.
@@ -263,12 +249,6 @@ impl FeatureExtractor {
     pub fn ave2(&self, user_ix: u32) -> Option<f64> {
         let h = self.users.get(user_ix as usize)?;
         (h.completed > 0).then(|| h.ave_last(2))
-    }
-
-    /// Number of users with any recorded activity (maintained counter,
-    /// O(1)).
-    pub fn user_count(&self) -> usize {
-        self.active
     }
 }
 
@@ -403,7 +383,6 @@ mod tests {
         fx.record_completion(&job(1, 1, 100, 0), 999, 100);
         let f = fx.extract(&job(2, 1, 100, 0), &view(200, &[]));
         assert_eq!(f[1], 0.0, "user 2 must not see user 1's history");
-        assert_eq!(fx.user_count(), 1);
     }
 
     #[test]

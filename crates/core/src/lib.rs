@@ -27,7 +27,8 @@
 //!    scales of HPC logs.
 //! 5. At scheduling time, under-predicted jobs are repaired by a simple
 //!    correction policy (§5.2: [`IncrementalCorrection`],
-//!    [`RecursiveDoublingCorrection`], [`RequestedTimeCorrection`])
+//!    [`RecursiveDoublingCorrection`],
+//!    [`predictsim_sim::RequestedTimeCorrection`])
 //!    rather than by re-querying the model.
 //!
 //! The winning *heuristic triple* of §6.3.3 is [`MlPredictor::e_loss`]
@@ -95,7 +96,7 @@ mod predictor;
 mod weighting;
 
 pub use basis::{Basis, LinearBasis, PolynomialBasis};
-pub use correction::{IncrementalCorrection, RecursiveDoublingCorrection, RequestedTimeCorrection};
+pub use correction::{IncrementalCorrection, RecursiveDoublingCorrection};
 pub use eloss::{eloss, mae_of_outcomes, mean_eloss_of_outcomes};
 pub use features::{FeatureExtractor, FEATURE_NAMES, N_FEATURES};
 pub use loss::{loss_shapes, AsymmetricLoss, BasisLoss};

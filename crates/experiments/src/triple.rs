@@ -12,11 +12,12 @@ use serde::{Deserialize, Serialize};
 
 use predictsim_core::{
     ml_grid, Ave2Predictor, IncrementalCorrection, MlConfig, MlPredictor,
-    RecursiveDoublingCorrection, RequestedTimeCorrection,
+    RecursiveDoublingCorrection,
 };
 use predictsim_sim::{
     ClairvoyantPredictor, ConservativeScheduler, CorrectionPolicy, EasyScheduler, FcfsScheduler,
-    Job, RequestedTimePredictor, RuntimePredictor, Scheduler, SimConfig, SimError, SimResult,
+    Job, RequestedTimeCorrection, RequestedTimePredictor, RuntimePredictor, Scheduler, SimConfig,
+    SimError, SimResult,
 };
 
 use crate::scenario::Scenario;

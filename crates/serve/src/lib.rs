@@ -65,6 +65,6 @@ mod server;
 pub use client::Client;
 pub use protocol::{
     ErrorCode, Frame, Line, LineReader, ProtoError, Request, Submission, WorkloadRequest,
-    DEFAULT_MAX_LINE_BYTES, DEFAULT_METRICS_EVERY,
+    DEFAULT_METRICS_EVERY, MAX_LINE_BYTES,
 };
 pub use server::{batch_result_json, build_workload, ServeConfig, Server};

@@ -33,9 +33,10 @@ use std::io::{BufRead, ErrorKind, Read};
 
 use serde::Value;
 
-/// Default cap on one request line, bytes. A submit request is a few
-/// hundred bytes; anything near this cap is garbage or abuse.
-pub const DEFAULT_MAX_LINE_BYTES: usize = 1 << 20;
+/// Cap on one request line, bytes; a longer line is rejected with
+/// `oversized`. A submit request is a few hundred bytes; anything near
+/// this cap is garbage or abuse.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Default event cadence of streamed `metrics` frames.
 pub const DEFAULT_METRICS_EVERY: u64 = 200_000;

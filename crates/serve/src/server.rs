@@ -42,12 +42,12 @@ use serde::{Serialize, Value};
 
 use crate::protocol::{
     ack_frame, error_frame, is_timeout, metrics_frame, pong_frame, result_frame, ErrorCode, Line,
-    LineReader, ProtoError, Request, Submission, WorkloadRequest, DEFAULT_MAX_LINE_BYTES,
-    DEFAULT_METRICS_EVERY,
+    LineReader, ProtoError, Request, Submission, WorkloadRequest, DEFAULT_METRICS_EVERY,
+    MAX_LINE_BYTES,
 };
 
 /// Server tunables. `Default` suits interactive use; tests shrink the
-/// queue and line cap to force the rejection paths.
+/// queue to force the `busy` path.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Listen address, `127.0.0.1:0` for an ephemeral port.
@@ -57,9 +57,6 @@ pub struct ServeConfig {
     /// Maximum queued (accepted but not yet running) submissions;
     /// beyond it submissions are rejected with `busy`.
     pub queue_depth: usize,
-    /// Per-request-line byte cap; longer lines are rejected with
-    /// `oversized`.
-    pub max_line_bytes: usize,
 }
 
 impl Default for ServeConfig {
@@ -68,7 +65,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             queue_depth: 16,
-            max_line_bytes: DEFAULT_MAX_LINE_BYTES,
         }
     }
 }
@@ -275,7 +271,7 @@ fn handle_conn(stream: TcpStream, shared: Arc<Shared>) {
         Ok(w) => Arc::new(ConnWriter::new(w)),
         Err(_) => return,
     };
-    let mut reader = LineReader::new(BufReader::new(stream), shared.cfg.max_line_bytes);
+    let mut reader = LineReader::new(BufReader::new(stream), MAX_LINE_BYTES);
     loop {
         if shared.shutting_down() {
             return;
@@ -285,7 +281,7 @@ fn handle_conn(stream: TcpStream, shared: Arc<Shared>) {
             Ok(Some(Line::Oversized)) => {
                 let err = ProtoError::new(
                     ErrorCode::Oversized,
-                    format!("request line exceeds {} bytes", shared.cfg.max_line_bytes),
+                    format!("request line exceeds {MAX_LINE_BYTES} bytes"),
                 );
                 if !writer.send(&error_frame(None, &err)) {
                     return;
@@ -394,9 +390,22 @@ fn stats_frame(shared: &Arc<Shared>) -> Value {
 /// distinct request (a client varying `seed`) for the daemon's life.
 const MAX_REQUEST_JOBS: usize = 10_000_000;
 
+/// Fewest bytes one SWF record takes: 18 fields of at least one
+/// character, with a separator between each two.
+const MIN_SWF_RECORD_BYTES: u64 = 35;
+
+/// Most jobs the SWF file at `path` can hold, from its length alone; 0
+/// when it has no length to read (the load then reports why).
+fn swf_job_bound(path: &str) -> usize {
+    std::fs::metadata(path).map_or(0, |meta| {
+        usize::try_from(meta.len() / MIN_SWF_RECORD_BYTES).unwrap_or(usize::MAX)
+    })
+}
+
 /// Resolves the submission's policy strings against the registry and
 /// range-checks what workload generation would otherwise assert or
-/// abort on (without loading the workload).
+/// abort on (without loading the workload: an SWF file is bounded by
+/// its length).
 fn validate(submission: &Submission) -> Result<(HeuristicTriple, Option<ClusterSpec>), ProtoError> {
     let bad = |m: String| ProtoError::new(ErrorCode::BadWorkload, m);
     let jobs = match &submission.workload {
@@ -412,7 +421,7 @@ fn validate(submission: &Submission) -> Result<(HeuristicTriple, Option<ClusterS
             setup.spec(log).map_or(0, |spec| spec.jobs)
         }
         WorkloadRequest::Toy { jobs, .. } => *jobs,
-        WorkloadRequest::Swf { .. } => 0,
+        WorkloadRequest::Swf { path } => swf_job_bound(path),
     };
     if jobs > MAX_REQUEST_JOBS {
         return Err(bad(format!(
@@ -685,6 +694,34 @@ mod tests {
             assert!(held <= 500, "memo holds {held} jobs after seed {seed}");
             assert!(memo.contains_key(&toy(seed).describe()), "latest load kept");
         }
+    }
+
+    #[test]
+    fn swf_files_too_long_for_the_job_cap_are_refused_before_loading() {
+        let dir = std::env::temp_dir().join(format!("predictsim-serve-swf-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let submit = |path: &std::path::Path| {
+            validate(&Submission::new(WorkloadRequest::Swf {
+                path: path.to_string_lossy().into_owned(),
+            }))
+        };
+        let sized = |name: &str, records: u64| {
+            let path = dir.join(name);
+            // Sparse: setting the length writes no data.
+            let file = std::fs::File::create(&path).expect("create");
+            file.set_len(records * MIN_SWF_RECORD_BYTES)
+                .expect("set_len");
+            path
+        };
+        let too_long = sized("too-long.swf", MAX_REQUEST_JOBS as u64 + 1);
+        let err = submit(&too_long).expect_err("a file that could hold too many jobs");
+        assert_eq!(err.code, ErrorCode::BadWorkload);
+        assert!(err.message.contains("jobs requested"), "{}", err.message);
+        let at_cap = sized("at-cap.swf", MAX_REQUEST_JOBS as u64);
+        assert!(submit(&at_cap).is_ok(), "a file at the cap passes");
+        // A missing file passes validation; its load reports it.
+        assert!(submit(&dir.join("missing.swf")).is_ok());
+        std::fs::remove_dir_all(&dir).expect("clean up");
     }
 
     #[test]

@@ -9,14 +9,16 @@ use crate::state::SimState;
 ///
 /// Scheduler passes are allocation-free *within* one run; the arena
 /// extends the property *across* runs. It owns every per-run buffer of
-/// the engine — the indexed engine state, the event heap, the outcome
-/// and prediction tables, the batch and start lists — and
-/// [`simulate_in`](crate::simulate_in) re-initializes them in place
-/// instead of allocating fresh ones. A worker that keeps one arena
-/// across the simulations it executes (the campaign fan-out pattern —
-/// see `predictsim-experiments`) therefore allocates only the run's
-/// result once the arena is warm; `tests/scratch_reuse.rs` pins the
-/// exact count with a counting global allocator.
+/// the engine — the indexed engine state, the event heap, the start list
+/// and the outcome vector — and [`simulate_in`](crate::simulate_in)
+/// re-initializes them in place instead of allocating fresh ones. The
+/// outcome vector is the one buffer a run hands out: it moves into the
+/// [`SimResult`](crate::SimResult), so each run sizes a new one once. A
+/// worker that keeps one arena across the simulations it executes (the
+/// campaign fan-out pattern — see `predictsim-experiments`) therefore
+/// allocates only the run's result once the arena is warm;
+/// `tests/scratch_reuse.rs` pins the exact count with a counting global
+/// allocator.
 ///
 /// Construct once (per worker, typically), then pass to `simulate_in`
 /// for every run. A warm arena behaves identically to a fresh one:
@@ -25,12 +27,9 @@ use crate::state::SimState;
 pub struct SimArena {
     pub(crate) state: SimState,
     pub(crate) events: EventQueue,
-    /// Clamped prediction made at each job's submission (by job index).
-    pub(crate) initial_predictions: Vec<i64>,
-    /// Outcome table written by job index.
-    pub(crate) outcomes: Vec<Option<JobOutcome>>,
-    /// Event batch being applied (all events at one instant).
-    pub(crate) pending: Vec<crate::event::EventKind>,
+    /// One outcome per arrived job, by job index: its own fields and
+    /// initial prediction from its arrival, the rest from its finish.
+    pub(crate) outcomes: Vec<JobOutcome>,
     /// Start list reused across scheduling passes.
     pub(crate) starts: Vec<JobId>,
 }

@@ -23,12 +23,14 @@
 //!
 //! ## Hot-loop discipline
 //!
-//! One `Engine` owns every per-run buffer — the indexed
-//! [`SimState`](crate::state::SimState), the outcome table (written by job index, so no final
-//! sort), the event batch and start lists — all allocated once and
-//! reused. Submit events are a pre-sorted vector drained by a cursor
-//! (only an out-of-order suffix is heapified — see
-//! [`EventQueue`](crate::event::EventQueue)). Event
+//! One `Engine` works in a [`SimArena`] that owns every per-run buffer —
+//! the indexed [`SimState`](crate::state::SimState), the event heap, the
+//! start list and the outcome vector — all reused across runs. Arrivals
+//! are not events: a cursor over the submit-sorted job slice yields them,
+//! so the [`EventQueue`](crate::event::EventQueue) holds only the
+//! finishes and expiries of running jobs. Each job's outcome is written
+//! once, in place: its own fields when it arrives, the rest when it
+//! finishes; the finished vector then moves into the [`SimResult`]. Event
 //! handlers resolve jobs through the slot map in O(1) (no scans), and
 //! the scheduling pass is *skipped* for batches that provably cannot
 //! start anything: an empty queue, or zero free processors (every valid
@@ -194,9 +196,8 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// Validates the workload and loads its submit events as the event
-    /// queue's pre-sorted schedule, re-initializing `arena`'s buffers in
-    /// place.
+    /// Validates the workload and re-initializes `arena`'s buffers in
+    /// place, sizing the outcome vector for every job.
     fn new(
         arena: &'a mut SimArena,
         jobs: &'a [Job],
@@ -205,15 +206,9 @@ impl<'a> Engine<'a> {
     ) -> Result<Self, SimError> {
         validate_workload(jobs, config)?;
         arena.state.reset(config.cluster, jobs.len(), user_index);
-        arena.events.reset_from_schedule(
-            jobs.iter()
-                .map(|job| (job.submit, EventKind::Submit(job.id))),
-        );
-        arena.initial_predictions.clear();
-        arena.initial_predictions.resize(jobs.len(), 0);
+        arena.events.clear();
         arena.outcomes.clear();
-        arena.outcomes.resize(jobs.len(), None);
-        arena.pending.clear();
+        arena.outcomes.reserve_exact(jobs.len());
         arena.starts.clear();
         Ok(Self {
             jobs,
@@ -244,6 +239,16 @@ impl<'a> Engine<'a> {
         self.cluster.part(partition as usize).scaled_run(job.run) > job.requested
     }
 
+    /// Schedules `kind` at `time`, strictly after `now`: `run` applies an
+    /// instant's events as it pops them, so one scheduled at `now` would
+    /// jump ahead of that instant's arrivals. Granted runs, clamped
+    /// predictions and corrections all last at least 1 s, so none is.
+    #[inline]
+    fn schedule(&mut self, now: Time, time: Time, kind: EventKind) {
+        debug_assert!(time > now, "{kind:?} at {time:?} from {now:?}");
+        self.arena.events.push(time, kind);
+    }
+
     /// Drives the event loop to completion.
     fn run(
         mut self,
@@ -252,25 +257,26 @@ impl<'a> Engine<'a> {
         correction: Option<&dyn CorrectionPolicy>,
         observer: &mut dyn SimObserver,
     ) -> Result<SimResult, SimError> {
-        while let Some(first) = self.arena.events.pop() {
-            let now = first.time;
-            // Apply every event at this instant, then run one scheduling
-            // pass over the consistent post-batch state. Most instants
-            // carry exactly one event; those skip the batch list.
-            if self.arena.events.peek_time() != Some(now) {
-                self.handle_event(first.kind, now, predictor, correction, observer);
-            } else {
-                let mut pending = std::mem::take(&mut self.arena.pending);
-                pending.clear();
-                pending.push(first.kind);
-                while self.arena.events.peek_time() == Some(now) {
-                    let event = self.arena.events.pop().expect("peeked event exists");
-                    pending.push(event.kind);
-                }
-                for &kind in &pending {
-                    self.handle_event(kind, now, predictor, correction, observer);
-                }
-                self.arena.pending = pending;
+        let mut arrivals = self.jobs.iter().peekable();
+        loop {
+            // The next instant: the earlier of the next queued event and
+            // the next arrival.
+            let now = match (self.arena.events.peek_time(), arrivals.peek()) {
+                (Some(time), Some(job)) => time.min(job.submit),
+                (Some(time), None) => time,
+                (None, Some(job)) => job.submit,
+                (None, None) => break,
+            };
+            // Apply every event at this instant — the queued ones in
+            // (rank, seq) order, then the arrivals in job order — then
+            // run one scheduling pass over the consistent post-batch
+            // state.
+            while self.arena.events.peek_time() == Some(now) {
+                let event = self.arena.events.pop().expect("peeked event exists");
+                self.handle_event(event.kind, now, predictor, correction, observer);
+            }
+            while let Some(job) = arrivals.next_if(|job| job.submit == now) {
+                self.arrive(job, now, predictor, observer);
             }
             if !observer.keep_running() {
                 return Err(SimError::Aborted { at: now });
@@ -318,10 +324,10 @@ impl<'a> Engine<'a> {
         }
 
         // Every running job holds a pending Finish event, so the running
-        // set is necessarily empty when events drain — but a misbehaving
-        // scheduler can leave jobs waiting forever. Surface that as a
-        // typed error instead of a panic (or the pre-refactor engine's
-        // silently partial result).
+        // set is necessarily empty when events and arrivals drain — but a
+        // misbehaving scheduler can leave jobs waiting forever. Surface
+        // that as a typed error instead of a panic (or the pre-refactor
+        // engine's silently partial result).
         if !self.arena.state.queue_is_empty() {
             return Err(SimError::SchedulerViolation {
                 message: format!(
@@ -334,16 +340,9 @@ impl<'a> Engine<'a> {
             self.arena.state.running().is_empty(),
             "simulation ended with running jobs"
         );
-        let outcomes: Vec<JobOutcome> = self
-            .arena
-            .outcomes
-            .drain(..)
-            .map(|o| o.expect("every job not left waiting has finished"))
-            .collect();
-
         let result = SimResult {
             machine_size: self.total_procs,
-            outcomes,
+            outcomes: std::mem::take(&mut self.arena.outcomes),
             scheduler: scheduler.name(),
             predictor: predictor.name(),
             correction: correction.map(|c| c.name()),
@@ -369,23 +368,13 @@ impl<'a> Engine<'a> {
                 };
                 let granted = self.granted_run_on(job, r.partition);
                 let killed = self.is_killed_on(job, r.partition);
-                let slot = &mut self.arena.outcomes[id.index()];
-                debug_assert!(slot.is_none(), "{id} finished twice");
-                let outcome = slot.insert(JobOutcome {
-                    id,
-                    swf_id: job.swf_id,
-                    user: job.user,
-                    procs: job.procs,
-                    submit: job.submit,
-                    start: r.start,
-                    end: now,
-                    run: granted,
-                    requested: job.requested,
-                    initial_prediction: self.arena.initial_predictions[id.index()],
-                    corrections: r.corrections,
-                    killed,
-                    partition: r.partition,
-                });
+                let outcome = &mut self.arena.outcomes[id.index()];
+                outcome.start = r.start;
+                outcome.end = now;
+                outcome.run = granted;
+                outcome.corrections = r.corrections;
+                outcome.killed = killed;
+                outcome.partition = r.partition;
                 observer.on_event(&SimEvent::Finished { outcome });
                 let view = SystemView {
                     now,
@@ -415,9 +404,7 @@ impl<'a> Engine<'a> {
                 let generation = self.arena.state.apply_correction(index, new_end);
                 let finish_at = r.start.plus(self.granted_run_on(job, r.partition));
                 if new_end < finish_at {
-                    self.arena
-                        .events
-                        .push(new_end, EventKind::PredictionExpiry(id, generation));
+                    self.schedule(now, new_end, EventKind::PredictionExpiry(id, generation));
                 }
                 observer.on_event(&SimEvent::Corrected {
                     job,
@@ -427,32 +414,57 @@ impl<'a> Engine<'a> {
                     corrections: generation,
                 });
             }
-            EventKind::Submit(id) => {
-                let job = &self.jobs[id.index()];
-                let view = SystemView {
-                    now,
-                    machine_size: self.total_procs,
-                    running: self.arena.state.running(),
-                    user_running: self.arena.state.user_running(),
-                };
-                let raw = predictor.predict(job, &view);
-                let prediction = clamp_prediction(raw, job.requested);
-                self.arena.initial_predictions[id.index()] = prediction;
-                observer.on_event(&SimEvent::Submitted {
-                    job,
-                    prediction,
-                    now,
-                });
-                self.arena.state.enqueue(WaitingJob {
-                    id,
-                    procs: job.procs,
-                    predicted: prediction,
-                    requested: job.requested,
-                    submit: job.submit,
-                    user: job.user_ix,
-                });
-            }
         }
+    }
+
+    /// Applies one arrival: predicts `job`'s running time, writes the
+    /// fields of its outcome known at submission, and queues it.
+    fn arrive(
+        &mut self,
+        job: &Job,
+        now: Time,
+        predictor: &mut dyn RuntimePredictor,
+        observer: &mut dyn SimObserver,
+    ) {
+        let view = SystemView {
+            now,
+            machine_size: self.total_procs,
+            running: self.arena.state.running(),
+            user_running: self.arena.state.user_running(),
+        };
+        let raw = predictor.predict(job, &view);
+        let prediction = clamp_prediction(raw, job.requested);
+        // Arrivals come in job order, so the outcome lands at its index.
+        debug_assert_eq!(self.arena.outcomes.len(), job.id.index());
+        self.arena.outcomes.push(JobOutcome {
+            id: job.id,
+            swf_id: job.swf_id,
+            user: job.user,
+            procs: job.procs,
+            submit: job.submit,
+            // Placeholders until the job finishes.
+            start: now,
+            end: now,
+            run: 0,
+            requested: job.requested,
+            initial_prediction: prediction,
+            corrections: 0,
+            killed: false,
+            partition: 0,
+        });
+        observer.on_event(&SimEvent::Submitted {
+            job,
+            prediction,
+            now,
+        });
+        self.arena.state.enqueue(WaitingJob {
+            id: job.id,
+            procs: job.procs,
+            predicted: prediction,
+            requested: job.requested,
+            submit: job.submit,
+            user: job.user_ix,
+        });
     }
 
     /// Validates and applies one pass's start decisions, placing every
@@ -496,11 +508,9 @@ impl<'a> Engine<'a> {
                     partition,
                 },
             );
-            self.arena.events.push(finish_at, EventKind::Finish(id));
+            self.schedule(now, finish_at, EventKind::Finish(id));
             if predicted_end < finish_at {
-                self.arena
-                    .events
-                    .push(predicted_end, EventKind::PredictionExpiry(id, 0));
+                self.schedule(now, predicted_end, EventKind::PredictionExpiry(id, 0));
             }
             observer.on_event(&SimEvent::Started {
                 job,
@@ -571,7 +581,9 @@ fn clamp_correction(raw: f64, elapsed: i64, requested: i64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predict::{ClairvoyantPredictor, RequestedTimeCorrection, RequestedTimePredictor};
+    use crate::predict::{
+        ClairvoyantPredictor, FixedPredictor, RequestedTimeCorrection, RequestedTimePredictor,
+    };
     use crate::scheduler::{EasyScheduler, FcfsScheduler};
 
     fn job(id: u32, submit: i64, run: i64, requested: i64, procs: u32, user: u32) -> Job {
@@ -608,6 +620,33 @@ mod tests {
             correction,
             &mut crate::observe::NullObserver,
         )
+    }
+
+    /// The error a run of `jobs` under `scheduler` on 4 processors stops
+    /// with.
+    fn run_error(jobs: &[Job], scheduler: &mut dyn Scheduler) -> SimError {
+        let mut pred = ClairvoyantPredictor;
+        simulate_fresh(jobs, config(4), scheduler, &mut pred, None).unwrap_err()
+    }
+
+    /// The outcome of one 2-processor job that runs from t=0 to t=100,
+    /// with an expiry of `generation` injected for it at `at`.
+    fn outcome_with_injected_expiry(at: i64, generation: u32) -> JobOutcome {
+        let jobs = [job(0, 0, 100, 200, 2, 1)];
+        let mut arena = SimArena::new();
+        let engine = Engine::new(&mut arena, &jobs, config(4), false).unwrap();
+        let expiry = EventKind::PredictionExpiry(JobId(0), generation);
+        engine.arena.events.push(Time(at), expiry);
+        let corr = RequestedTimeCorrection;
+        let mut res = engine
+            .run(
+                &mut FcfsScheduler,
+                &mut RequestedTimePredictor,
+                Some(&corr),
+                &mut crate::observe::NullObserver,
+            )
+            .unwrap();
+        res.outcomes.remove(0)
     }
 
     #[test]
@@ -686,20 +725,9 @@ mod tests {
 
     #[test]
     fn underprediction_triggers_correction() {
-        // Predictor that always says "10 seconds".
-        struct Ten;
-        impl RuntimePredictor for Ten {
-            fn predict(&mut self, _job: &Job, _s: &SystemView<'_>) -> f64 {
-                10.0
-            }
-            fn observe(&mut self, _j: &Job, _a: i64, _s: &SystemView<'_>) {}
-            fn name(&self) -> String {
-                "ten".into()
-            }
-        }
         let jobs = [job(0, 0, 100, 1000, 1, 1)];
         let mut sched = EasyScheduler::new();
-        let mut pred = Ten;
+        let mut pred = FixedPredictor(10.0);
         let corr = RequestedTimeCorrection;
         let res = simulate_fresh(&jobs, config(4), &mut sched, &mut pred, Some(&corr)).unwrap();
         let o = &res.outcomes[0];
@@ -711,19 +739,9 @@ mod tests {
 
     #[test]
     fn correction_fallback_without_policy() {
-        struct Ten;
-        impl RuntimePredictor for Ten {
-            fn predict(&mut self, _job: &Job, _s: &SystemView<'_>) -> f64 {
-                10.0
-            }
-            fn observe(&mut self, _j: &Job, _a: i64, _s: &SystemView<'_>) {}
-            fn name(&self) -> String {
-                "ten".into()
-            }
-        }
         let jobs = [job(0, 0, 100, 1000, 1, 1)];
         let mut sched = EasyScheduler::new();
-        let mut pred = Ten;
+        let mut pred = FixedPredictor(10.0);
         let res = simulate_fresh(&jobs, config(4), &mut sched, &mut pred, None).unwrap();
         assert_eq!(res.outcomes[0].corrections, 1);
     }
@@ -744,38 +762,18 @@ mod tests {
 
     #[test]
     fn prediction_clamped_to_requested() {
-        struct Huge;
-        impl RuntimePredictor for Huge {
-            fn predict(&mut self, _job: &Job, _s: &SystemView<'_>) -> f64 {
-                1e15
-            }
-            fn observe(&mut self, _j: &Job, _a: i64, _s: &SystemView<'_>) {}
-            fn name(&self) -> String {
-                "huge".into()
-            }
-        }
         let jobs = [job(0, 0, 50, 300, 1, 1)];
         let mut sched = FcfsScheduler;
-        let mut pred = Huge;
+        let mut pred = FixedPredictor(1e15);
         let res = simulate_fresh(&jobs, config(4), &mut sched, &mut pred, None).unwrap();
         assert_eq!(res.outcomes[0].initial_prediction, 300);
     }
 
     #[test]
     fn non_finite_prediction_falls_back_to_requested() {
-        struct Nan;
-        impl RuntimePredictor for Nan {
-            fn predict(&mut self, _job: &Job, _s: &SystemView<'_>) -> f64 {
-                f64::NAN
-            }
-            fn observe(&mut self, _j: &Job, _a: i64, _s: &SystemView<'_>) {}
-            fn name(&self) -> String {
-                "nan".into()
-            }
-        }
         let jobs = [job(0, 0, 50, 300, 1, 1)];
         let mut sched = FcfsScheduler;
-        let mut pred = Nan;
+        let mut pred = FixedPredictor(f64::NAN);
         let res = simulate_fresh(&jobs, config(4), &mut sched, &mut pred, None).unwrap();
         assert_eq!(res.outcomes[0].initial_prediction, 300);
     }
@@ -783,42 +781,21 @@ mod tests {
     #[test]
     fn rejects_unsorted_jobs() {
         let jobs = [job(0, 100, 10, 10, 1, 1), job(1, 50, 10, 10, 1, 1)];
-        let err = simulate_fresh(
-            &jobs,
-            config(4),
-            &mut FcfsScheduler,
-            &mut ClairvoyantPredictor,
-            None,
-        )
-        .unwrap_err();
+        let err = run_error(&jobs, &mut FcfsScheduler);
         assert!(matches!(err, SimError::UnsortedJobs { position: 1 }));
     }
 
     #[test]
     fn rejects_oversized_job() {
         let jobs = [job(0, 0, 10, 10, 64, 1)];
-        let err = simulate_fresh(
-            &jobs,
-            config(4),
-            &mut FcfsScheduler,
-            &mut ClairvoyantPredictor,
-            None,
-        )
-        .unwrap_err();
+        let err = run_error(&jobs, &mut FcfsScheduler);
         assert!(matches!(err, SimError::JobTooLarge { .. }));
     }
 
     #[test]
     fn rejects_misnumbered_jobs() {
         let jobs = [job(7, 0, 10, 10, 1, 1)];
-        let err = simulate_fresh(
-            &jobs,
-            config(4),
-            &mut FcfsScheduler,
-            &mut ClairvoyantPredictor,
-            None,
-        )
-        .unwrap_err();
+        let err = run_error(&jobs, &mut FcfsScheduler);
         assert!(matches!(err, SimError::MisnumberedJob { position: 0 }));
     }
 
@@ -834,14 +811,7 @@ mod tests {
             job(1, 0, 10, i64::MAX / 2 + 2, 1, 1),
         ];
         for jobs in [&late[..], &wide, &many] {
-            let err = simulate_fresh(
-                jobs,
-                config(4),
-                &mut FcfsScheduler,
-                &mut ClairvoyantPredictor,
-                None,
-            )
-            .unwrap_err();
+            let err = run_error(jobs, &mut FcfsScheduler);
             assert!(matches!(err, SimError::InvalidJob { .. }), "{err}");
         }
     }
@@ -858,14 +828,7 @@ mod tests {
             }
         }
         let jobs = [job(0, 0, 10, 10, 3, 1), job(1, 0, 10, 10, 3, 1)];
-        let err = simulate_fresh(
-            &jobs,
-            config(4),
-            &mut Greedy,
-            &mut ClairvoyantPredictor,
-            None,
-        )
-        .unwrap_err();
+        let err = run_error(&jobs, &mut Greedy);
         assert!(matches!(err, SimError::SchedulerViolation { .. }));
     }
 
@@ -877,27 +840,9 @@ mod tests {
     /// without disturbing the outcome.
     #[test]
     fn stale_expiry_in_same_batch_as_finish_is_skipped() {
-        let jobs = [job(0, 0, 100, 200, 2, 1)];
-        let cfg = config(4);
-        let mut arena = SimArena::new();
-        let engine = Engine::new(&mut arena, &jobs, cfg, false).unwrap();
-        // The job will start at t=0 and finish at t=100; inject an expiry
-        // for it at exactly t=100. Rank order puts Finish first, so the
-        // expiry finds the job no longer running.
-        engine
-            .arena
-            .events
-            .push(Time(100), EventKind::PredictionExpiry(JobId(0), 0));
-        let corr = RequestedTimeCorrection;
-        let res = engine
-            .run(
-                &mut FcfsScheduler,
-                &mut RequestedTimePredictor,
-                Some(&corr),
-                &mut crate::observe::NullObserver,
-            )
-            .unwrap();
-        let o = &res.outcomes[0];
+        // An expiry at exactly t=100: rank order puts Finish first, so
+        // the expiry finds the job no longer running.
+        let o = outcome_with_injected_expiry(100, 0);
         assert_eq!(o.end, Time(100));
         assert_eq!(o.corrections, 0, "stale expiry must not correct");
     }
@@ -906,25 +851,9 @@ mod tests {
     /// is skipped by the generation check, in O(1) via the slot map.
     #[test]
     fn stale_generation_expiry_is_skipped() {
-        let jobs = [job(0, 0, 100, 200, 2, 1)];
-        let cfg = config(4);
-        let mut arena = SimArena::new();
-        let engine = Engine::new(&mut arena, &jobs, cfg, false).unwrap();
-        engine
-            .arena
-            .events
-            .push(Time(50), EventKind::PredictionExpiry(JobId(0), 7));
-        let corr = RequestedTimeCorrection;
-        let res = engine
-            .run(
-                &mut FcfsScheduler,
-                &mut RequestedTimePredictor,
-                Some(&corr),
-                &mut crate::observe::NullObserver,
-            )
-            .unwrap();
-        assert_eq!(res.outcomes[0].corrections, 0);
-        assert_eq!(res.outcomes[0].end, Time(100));
+        let o = outcome_with_injected_expiry(50, 7);
+        assert_eq!(o.corrections, 0);
+        assert_eq!(o.end, Time(100));
     }
 
     /// The engine skips scheduling passes that provably cannot start
@@ -980,14 +909,7 @@ mod tests {
             }
         }
         let jobs = [job(0, 0, 10, 10, 1, 1)];
-        let err = simulate_fresh(
-            &jobs,
-            config(4),
-            &mut Never,
-            &mut ClairvoyantPredictor,
-            None,
-        )
-        .unwrap_err();
+        let err = run_error(&jobs, &mut Never);
         assert!(matches!(err, SimError::SchedulerViolation { .. }));
     }
 

@@ -35,10 +35,11 @@
 //! * [`RuntimePredictor`], [`CorrectionPolicy`] — the predictor and
 //!   correction traits, with trivial baselines;
 //! * [`simulate_in`] — the simulation driver over a reusable
-//!   [`SimArena`]: a deterministic event order (finish ≺ expiry ≺
-//!   submit), batched events and provably-idle pass skipping, over an
-//!   indexed state (slot map, incremental release set and shortest-first
-//!   view) that stays inside the crate;
+//!   [`SimArena`]: arrivals read from the job slice, a deterministic
+//!   order at each instant (finish ≺ expiry ≺ submit), batched events,
+//!   outcomes written once in place and provably-idle pass skipping,
+//!   over an indexed state (slot map, incremental release set and
+//!   shortest-first view) that stays inside the crate;
 //! * [`SimObserver`] — per-event observer hook, with incremental metrics
 //!   in [`MetricsObserver`];
 //! * [`SimResult`], [`JobOutcome`] — per-job outcomes and aggregate

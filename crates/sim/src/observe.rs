@@ -360,9 +360,8 @@ mod tests {
     use crate::arena::SimArena;
     use crate::engine::{simulate_in, SimConfig};
     use crate::job::JobId;
-    use crate::predict::{RequestedTimeCorrection, RequestedTimePredictor, RuntimePredictor};
+    use crate::predict::{FixedPredictor, RequestedTimeCorrection, RequestedTimePredictor};
     use crate::scheduler::EasyScheduler;
-    use crate::state::SystemView;
 
     fn jobs(n: u32) -> Vec<Job> {
         (0..n)
@@ -450,16 +449,6 @@ mod tests {
 
     #[test]
     fn corrections_are_observed() {
-        struct Ten;
-        impl RuntimePredictor for Ten {
-            fn predict(&mut self, _job: &Job, _s: &SystemView<'_>) -> f64 {
-                10.0
-            }
-            fn observe(&mut self, _j: &Job, _a: i64, _s: &SystemView<'_>) {}
-            fn name(&self) -> String {
-                "ten".into()
-            }
-        }
         let js = vec![Job {
             id: JobId(0),
             submit: Time(0),
@@ -488,7 +477,7 @@ mod tests {
             &js,
             SimConfig::single(2),
             &mut EasyScheduler::new(),
-            &mut Ten,
+            &mut FixedPredictor(10.0),
             Some(&corr),
             &mut observer,
         )

@@ -110,6 +110,24 @@ impl RuntimePredictor for RequestedTimePredictor {
     }
 }
 
+/// Predicts the same raw running time for every job: a test probe for
+/// under-, over- and non-finite predictions.
+#[cfg(test)]
+pub(crate) struct FixedPredictor(pub(crate) f64);
+
+#[cfg(test)]
+impl RuntimePredictor for FixedPredictor {
+    fn predict(&mut self, _job: &Job, _system: &SystemView<'_>) -> f64 {
+        self.0
+    }
+
+    fn observe(&mut self, _job: &Job, _actual_run: i64, _system: &SystemView<'_>) {}
+
+    fn name(&self) -> String {
+        format!("fixed-{}", self.0)
+    }
+}
+
 /// The *Requested Time* correction (§5.2): on under-prediction, fall back
 /// to the user's requested running time.
 #[derive(Debug, Default, Clone, Copy)]

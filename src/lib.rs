@@ -72,7 +72,7 @@ pub use predictsim_workload as workload;
 pub mod prelude {
     pub use predictsim_core::{
         AsymmetricLoss, Ave2Predictor, IncrementalCorrection, MlConfig, MlPredictor,
-        RecursiveDoublingCorrection, RequestedTimeCorrection, WeightingScheme,
+        RecursiveDoublingCorrection, WeightingScheme,
     };
     pub use predictsim_experiments::{
         campaign_triples, cross_validate, run_campaign_cluster, run_campaign_loaded,
@@ -83,8 +83,8 @@ pub mod prelude {
     pub use predictsim_metrics::{bounded_slowdown, Ecdf, DEFAULT_TAU};
     pub use predictsim_sim::{
         simulate_in, ClairvoyantPredictor, EasyScheduler, FcfsScheduler, Job, JobId,
-        MetricsObserver, NullObserver, RequestedTimePredictor, SimArena, SimConfig, SimEvent,
-        SimObserver, Time,
+        MetricsObserver, NullObserver, RequestedTimeCorrection, RequestedTimePredictor, SimArena,
+        SimConfig, SimEvent, SimObserver, Time,
     };
     pub use predictsim_workload::{generate, GeneratedWorkload, WorkloadSpec};
 }

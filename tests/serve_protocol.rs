@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use predictsim::serve::{
     Client, ErrorCode, Frame, Line, LineReader, Request, ServeConfig, Server, Submission,
-    WorkloadRequest,
+    WorkloadRequest, MAX_LINE_BYTES,
 };
 use proptest::prelude::*;
 use serde::Value;
@@ -186,14 +186,11 @@ fn unknown_policy_names_are_rejected_before_queueing() {
 
 #[test]
 fn oversized_lines_are_rejected_but_the_session_continues() {
-    let cfg = ServeConfig {
-        max_line_bytes: 4_096,
-        ..ServeConfig::default()
-    };
-    let server = Server::start(cfg).expect("daemon starts");
+    let server = Server::start(ServeConfig::default()).expect("daemon starts");
     let mut client = Client::connect(server.addr()).expect("connect");
 
-    let huge = format!("{{\"pad\":\"{}\"}}", "x".repeat(10_000));
+    // Just over the cap: the padding alone fills it.
+    let huge = format!("{{\"pad\":\"{}\"}}", "x".repeat(MAX_LINE_BYTES));
     client.send_line(&huge).expect("send");
     let (job, code, _) = await_error(&mut client);
     assert_eq!(job, None);

@@ -12,6 +12,15 @@ api() {
   tr '\n' ' ' < "$1" | grep -oE 'pub use [^;]+;' | sed -E 's/^pub use [a-z_:]*:://; s/[{};]//g' |
     tr ',' '\n' | grep -cE '\w'
 }
+# Public fields of the product `pub struct *Config` types: the values a
+# caller can set.
+config_fields() {
+  find crates/*/src src -name '*.rs' -print0 | xargs -0 awk '
+    /^pub struct [A-Za-z]*Config \{/ { inside = 1; next }
+    inside && /^\}/ { inside = 0 }
+    inside && /^    pub [a-z0-9_]+:/ { n++ }
+    END { print n + 0 }'
+}
 entries() { grep -rhoE "pub fn $1\w*" crates/*/src src | sort -u | wc -l; }
 # Names defined exactly once as `pub fn` in product source and
 # word-matched in no other `*.rs` file (tests, examples and bench/
@@ -39,6 +48,7 @@ echo "swf_pub_items $(pubs crates/swf/src)"
 echo "run_cell_entries $(entries run_cell)"
 echo "run_campaign_entries $(entries run_campaign)"
 echo "simulate_entries $(entries simulate)"
+echo "config_fields $(config_fields)"
 echo "stats_structs $(grep -rhE 'pub struct \w*Stats\b' crates/*/src src | wc -l)"
 echo "unreferenced_pub_fns $(unreferenced)"
 echo "cli_flags $(grep -cE '^\s+"--[a-z-]+"( \| "-[a-z]")? =>' src/bin/repro.rs)"
