@@ -22,6 +22,9 @@ impl Client {
     /// Connects to a running daemon.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        // Each request is one write; send it at once instead of waiting
+        // for the ACK of the last one.
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
             writer: stream,
@@ -49,10 +52,12 @@ impl Client {
         }
     }
 
-    /// Sends one raw request line (no newline).
+    /// Sends one raw request line (no newline), in a single write.
     pub fn send_line(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")
+        let mut frame = Vec::with_capacity(line.len() + 1);
+        frame.extend_from_slice(line.as_bytes());
+        frame.push(b'\n');
+        self.writer.write_all(&frame)
     }
 
     /// Sends one request value.
@@ -85,7 +90,8 @@ impl Client {
     }
 
     /// Reads the next frame; `Ok(None)` when the server closed the
-    /// connection.
+    /// connection after a whole frame, an `UnexpectedEof` error when it
+    /// closed it mid-frame.
     pub fn next_frame(&mut self) -> std::io::Result<Option<Result<Frame, ProtoError>>> {
         match crate::protocol::read_line_blocking(&mut self.reader)? {
             None => Ok(None),
@@ -122,5 +128,18 @@ impl Client {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn connect_turns_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+        let client = Client::connect(listener.local_addr().expect("addr")).expect("connect");
+        assert!(client.writer.nodelay().expect("read TCP_NODELAY"));
     }
 }

@@ -631,7 +631,9 @@ pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
 }
 
 /// Reads one line from a plain blocking reader (helper for tests and
-/// the reference client, where no timeout is set).
+/// the reference client, where no timeout is set): `Ok(None)` at EOF
+/// after a whole line, an `UnexpectedEof` error when the stream ends
+/// inside one (a torn frame, not a malformed one).
 pub(crate) fn read_line_blocking<R: Read>(
     reader: &mut std::io::BufReader<R>,
 ) -> std::io::Result<Option<String>> {
@@ -639,6 +641,12 @@ pub(crate) fn read_line_blocking<R: Read>(
     let n = reader.read_line(&mut line)?;
     if n == 0 {
         return Ok(None);
+    }
+    if !line.ends_with('\n') {
+        return Err(std::io::Error::new(
+            ErrorKind::UnexpectedEof,
+            format!("connection closed after {n} bytes of an unfinished line"),
+        ));
     }
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
@@ -785,5 +793,23 @@ mod tests {
             Some(Line::Text("after".into()))
         );
         assert_eq!(reader.next_line().unwrap(), None);
+    }
+
+    #[test]
+    fn a_line_cut_off_by_the_end_of_the_stream_is_a_torn_frame() {
+        let mut reader = std::io::BufReader::new(&b"{\"type\":\"pong\"}\r\n{\"type\":\"po"[..]);
+        assert_eq!(
+            read_line_blocking(&mut reader).unwrap().as_deref(),
+            Some(r#"{"type":"pong"}"#)
+        );
+        let err = read_line_blocking(&mut reader).expect_err("the second line never ended");
+        assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+        let mut whole = std::io::BufReader::new(&b"{\"type\":\"pong\"}\n"[..]);
+        assert!(read_line_blocking(&mut whole).unwrap().is_some());
+        assert_eq!(
+            read_line_blocking(&mut whole).unwrap(),
+            None,
+            "EOF after a whole line"
+        );
     }
 }

@@ -16,6 +16,22 @@
 //!   and whose `keep_running` cancels the simulation on the deadline,
 //!   shutdown, or the client going away.
 //!
+//! Every frame is one `write_all` of the line and its newline on a
+//! socket with Nagle's algorithm off, so a request/response round trip
+//! never waits for the peer's delayed ACK.
+//!
+//! Locks: a connection's write lock is taken before the queue lock,
+//! never after, and no socket write happens under the queue lock. A
+//! submission takes its connection's lock, then the queue lock just to
+//! check depth, assign the id and enqueue, drops the queue lock, and
+//! writes its `ack` (or `busy`) frame. The worker that pops the job
+//! blocks on the same connection lock until the ack is out, so the ack
+//! still precedes the job's frames. A client that stops reading can
+//! therefore hold up only its own connection: a write that finds no
+//! room in the socket's send buffer for `WRITE_TIMEOUT` fails, the
+//! connection is shut down and marked dead, and its jobs cancel as on a
+//! disconnect.
+//!
 //! Because every worker goes through the shared cache's single-flight
 //! layer, two clients submitting the same cold cell coalesce: exactly
 //! one simulation runs, the other client's `result` frame reports
@@ -24,9 +40,9 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -77,13 +93,37 @@ const POLL: Duration = Duration::from_millis(25);
 /// `accept(2)`.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
+/// How long one write may wait for room in the socket's send buffer
+/// (`SO_SNDTIMEO`) before the peer counts as stalled and its connection
+/// is dropped. The kernel makes room each time a share of the buffer
+/// drains, so a reader that keeps taking frames does not wait this long;
+/// one that stops is dropped after one to two timeouts (a `write_all`
+/// that moved part of a frame gets that part back after one, and its
+/// next write fails after another).
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Socket options of an accepted connection: Nagle off (each frame is
+/// one write, sent at once) and a bounded write to a stalled peer.
+fn configure_accepted(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))
+}
+
 /// One connection's write half, shared between its reader thread and
 /// any worker streaming frames for its jobs. Writes are line-atomic
-/// under the lock; a failed write marks the connection dead, which
-/// cancels its in-flight jobs.
+/// under the lock; a failed write marks the connection dead and shuts
+/// its socket down, which cancels its in-flight jobs. A dead connection
+/// is never written to again.
 struct ConnWriter {
     stream: Mutex<TcpStream>,
     alive: AtomicBool,
+}
+
+/// A [`ConnWriter`] held locked: frames sent through it go out in order
+/// with no other frame between them.
+struct LockedConn<'a> {
+    conn: &'a ConnWriter,
+    stream: MutexGuard<'a, TcpStream>,
 }
 
 impl ConnWriter {
@@ -98,35 +138,66 @@ impl ConnWriter {
         self.alive.load(Ordering::Relaxed)
     }
 
-    fn send(&self, frame: &Value) -> bool {
-        let Ok(line) = serde_json::to_string(frame) else {
-            return false;
-        };
+    /// Takes the write lock; `None` once the connection is dead.
+    fn lock(&self) -> Option<LockedConn<'_>> {
+        if !self.alive() {
+            return None;
+        }
         // A thread that panicked mid-write poisons the lock, and the
         // stream position is then unknowable — a torn frame may already
         // be on the wire. Recover the guard (the data is fine, only the
         // panicking writer was interrupted) but mark the connection
         // dead instead of interleaving more bytes into a corrupt frame
         // stream; its in-flight jobs cancel through the alive flag.
-        let mut stream = match self.stream.lock() {
+        let stream = match self.stream.lock() {
             Ok(guard) => guard,
             Err(poisoned) => {
                 self.alive.store(false, Ordering::Relaxed);
                 drop(poisoned.into_inner());
-                return false;
+                return None;
             }
         };
+        // The writer this one waited for may have found the peer gone.
+        self.alive().then_some(LockedConn { conn: self, stream })
+    }
+
+    fn send(&self, frame: &Value) -> bool {
+        // Serialized outside the lock: a large frame does not hold up
+        // the connection's other writers while it is built.
+        let Some(line) = encode(frame) else {
+            return false;
+        };
+        self.lock()
+            .is_some_and(|mut locked| locked.write_line(&line))
+    }
+}
+
+/// One frame as its wire line, newline included.
+fn encode(frame: &Value) -> Option<String> {
+    let mut line = serde_json::to_string(frame).ok()?;
+    line.push('\n');
+    Some(line)
+}
+
+impl LockedConn<'_> {
+    fn send(&mut self, frame: &Value) -> bool {
+        encode(frame).is_some_and(|line| self.write_line(&line))
+    }
+
+    fn write_line(&mut self, line: &str) -> bool {
         let ok = match predictsim_faultline::io_fault("serve.write") {
             // An injected socket fault of either kind models the frame
             // never reaching the peer: the connection is done.
             Some(_) => false,
-            None => stream
-                .write_all(line.as_bytes())
-                .and_then(|()| stream.write_all(b"\n"))
-                .is_ok(),
+            None => self.stream.write_all(line.as_bytes()).is_ok(),
         };
         if !ok {
-            self.alive.store(false, Ordering::Relaxed);
+            // Failed, or timed out on a stalled peer: a torn frame may be
+            // on the wire. End the stream both ways so the peer sees an
+            // end after its last whole frame, the reader thread sees EOF,
+            // and no later frame waits out another timeout.
+            self.conn.alive.store(false, Ordering::Relaxed);
+            let _ = self.stream.shutdown(Shutdown::Both);
         }
         ok
     }
@@ -252,6 +323,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     while !shared.shutting_down() {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                if configure_accepted(&stream).is_err() {
+                    continue;
+                }
                 let shared_conn = shared.clone();
                 let handle = std::thread::spawn(move || handle_conn(stream, shared_conn));
                 shared.conns.lock().expect("conns lock").push(handle);
@@ -332,9 +406,13 @@ fn handle_request(line: &str, writer: &Arc<ConnWriter>, shared: &Arc<Shared>) ->
                 let err = ProtoError::new(ErrorCode::Shutdown, "server is draining");
                 return writer.send(&error_frame(None, &err));
             }
-            // Depth check, ack, and enqueue under one lock: the ack hits
-            // the socket before any worker can stream this job's frames,
-            // and concurrent submitters cannot overshoot the bound.
+            // Connection lock, then queue lock (see the module docs):
+            // the ack is written after the queue lock is dropped but
+            // before any worker can stream this job's frames, and
+            // concurrent submitters cannot overshoot the bound.
+            let Some(mut out) = writer.lock() else {
+                return false;
+            };
             let mut queue = shared.queue.lock().expect("queue lock");
             if queue.len() >= shared.cfg.queue_depth {
                 drop(queue);
@@ -345,14 +423,10 @@ fn handle_request(line: &str, writer: &Arc<ConnWriter>, shared: &Arc<Shared>) ->
                         shared.cfg.queue_depth
                     ),
                 );
-                return writer.send(&error_frame(None, &err));
+                return out.send(&error_frame(None, &err));
             }
             let id = shared.next_job.fetch_add(1, Ordering::Relaxed);
-            let ok = writer.send(&ack_frame(
-                id,
-                &triple.name(),
-                &submission.workload.describe(),
-            ));
+            let ack = ack_frame(id, &triple.name(), &submission.workload.describe());
             queue.push_back(Pending {
                 id,
                 submission: *submission,
@@ -362,7 +436,7 @@ fn handle_request(line: &str, writer: &Arc<ConnWriter>, shared: &Arc<Shared>) ->
             });
             drop(queue);
             shared.wake.notify_one();
-            ok
+            out.send(&ack)
         }
     }
 }
@@ -749,5 +823,37 @@ mod tests {
         );
         assert!(!writer.alive(), "the connection is marked dead");
         assert!(!writer.send(&frame), "and stays dead");
+    }
+
+    #[test]
+    fn accepted_streams_send_at_once_and_bound_their_writes() {
+        let (_client, server) = socket_pair();
+        configure_accepted(&server).expect("configure");
+        assert!(server.nodelay().expect("read TCP_NODELAY"));
+        assert_eq!(
+            server.write_timeout().expect("read SO_SNDTIMEO"),
+            Some(WRITE_TIMEOUT)
+        );
+    }
+
+    #[test]
+    fn a_failed_write_ends_the_stream_and_the_connection_stays_dead() {
+        use std::io::Read;
+        let (mut client, server) = socket_pair();
+        let writer = ConnWriter::new(server);
+        let frame = Value::Map(vec![("type".into(), Value::Str("pong".into()))]);
+        assert!(writer.send(&frame), "a healthy connection writes");
+        let plan = predictsim_faultline::FaultPlan::parse("serve.write:max=1").expect("plan");
+        predictsim_faultline::with_plan(plan, || {
+            assert!(!writer.send(&frame), "the injected write fails");
+        });
+        assert!(!writer.alive(), "the connection is marked dead");
+        assert!(writer.lock().is_none(), "and cannot be locked for a write");
+        assert!(!writer.send(&frame), "so later frames are refused at once");
+        // The peer sees the whole frame written before the failure, then
+        // the end the shutdown sent.
+        let mut seen = String::new();
+        client.read_to_string(&mut seen).expect("read to the end");
+        assert_eq!(seen, "{\"type\":\"pong\"}\n");
     }
 }
