@@ -87,10 +87,6 @@ pub struct MlConfig {
     pub optimizer: OptimizerKind,
     /// Basis degree.
     pub basis: BasisKind,
-    /// Learning rate η.
-    pub eta: f64,
-    /// ℓ2 coefficient λ.
-    pub l2: f64,
 }
 
 impl MlConfig {
@@ -101,8 +97,6 @@ impl MlConfig {
             weighting,
             optimizer: OptimizerKind::Nag,
             basis: BasisKind::Polynomial,
-            eta: DEFAULT_ETA,
-            l2: DEFAULT_L2,
         }
     }
 
@@ -135,11 +129,11 @@ impl MlConfig {
         };
         let dim = basis.output_dim();
         let optimizer: Box<dyn OnlineOptimizer> = match self.optimizer {
-            OptimizerKind::Nag => Box::new(NagOptimizer::new(dim, self.eta)),
-            OptimizerKind::Sgd => Box::new(SgdOptimizer::new(self.eta)),
-            OptimizerKind::AdaGrad => Box::new(AdaGradOptimizer::new(dim, self.eta)),
+            OptimizerKind::Nag => Box::new(NagOptimizer::new(dim, DEFAULT_ETA)),
+            OptimizerKind::Sgd => Box::new(SgdOptimizer::new(DEFAULT_ETA)),
+            OptimizerKind::AdaGrad => Box::new(AdaGradOptimizer::new(dim, DEFAULT_ETA)),
         };
-        OnlineRegression::with_parts(basis, optimizer, self.loss, self.weighting, self.l2)
+        OnlineRegression::with_parts(basis, optimizer, self.loss, self.weighting, DEFAULT_L2)
     }
 }
 

@@ -10,12 +10,12 @@ use std::time::Duration;
 
 use serde::Value;
 
-use crate::protocol::{Frame, ProtoError, Submission};
+use crate::protocol::{Frame, Line, LineReader, ProtoError, Submission};
 
 /// A connected client.
 pub struct Client {
     writer: TcpStream,
-    reader: BufReader<TcpStream>,
+    reader: LineReader<BufReader<TcpStream>>,
 }
 
 impl Client {
@@ -25,7 +25,9 @@ impl Client {
         // Each request is one write; send it at once instead of waiting
         // for the ACK of the last one.
         stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
+        // No line cap: a `result` frame may legitimately pass the
+        // daemon's request cap.
+        let reader = LineReader::new(BufReader::new(stream.try_clone()?), usize::MAX);
         Ok(Client {
             writer: stream,
             reader,
@@ -93,9 +95,10 @@ impl Client {
     /// connection after a whole frame, an `UnexpectedEof` error when it
     /// closed it mid-frame.
     pub fn next_frame(&mut self) -> std::io::Result<Option<Result<Frame, ProtoError>>> {
-        match crate::protocol::read_line_blocking(&mut self.reader)? {
+        match self.reader.next_line()? {
             None => Ok(None),
-            Some(line) => Ok(Some(Frame::parse(&line))),
+            Some(Line::Text(line)) => Ok(Some(Frame::parse(&line))),
+            Some(Line::Oversized) => unreachable!("the client's reader has no line cap"),
         }
     }
 

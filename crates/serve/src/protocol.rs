@@ -29,7 +29,7 @@
 //! like the `repro scenario` flags (easy / requested / none / the
 //! workload's own machine).
 
-use std::io::{BufRead, ErrorKind, Read};
+use std::io::{BufRead, ErrorKind};
 
 use serde::Value;
 
@@ -173,18 +173,16 @@ impl WorkloadRequest {
             return Ok(WorkloadRequest::Swf { path });
         }
         if let Ok(log) = serde::get_field::<String>(v, "log") {
-            let scale: f64 = opt_field(v, "scale")?.unwrap_or(1.0);
-            let seed: u64 = opt_field(v, "seed")?.unwrap_or(predictsim_experiments::DEFAULT_SEED);
+            let scale = field::<Option<f64>>(v, "scale")?.unwrap_or(1.0);
+            let seed = field::<Option<u64>>(v, "seed")?;
+            let seed = seed.unwrap_or(predictsim_experiments::DEFAULT_SEED);
             return Ok(WorkloadRequest::Preset { log, scale, seed });
         }
         if let Ok(toy) = serde::get_field::<Value>(v, "toy") {
             if !matches!(toy, Value::Null) {
-                let field = |name: &str| {
-                    serde::get_field::<f64>(&toy, name).map_err(|e| malformed(e.0.clone()))
-                };
                 // A count: the casts below would silently turn -5, NaN
                 // or 2.5 into some other workload.
-                let count = |name: &str| match field(name)? {
+                let count = |name: &str| match field::<f64>(&toy, name)? {
                     n if n.is_finite() && n >= 0.0 && n.fract() == 0.0 => Ok(n),
                     n => Err(ProtoError::new(
                         ErrorCode::BadWorkload,
@@ -195,9 +193,9 @@ impl WorkloadRequest {
                     serde::get_field(&toy, "name").unwrap_or_else(|_| "toy".to_string());
                 let jobs = count("jobs")? as usize;
                 let duration = count("duration")? as i64;
-                let utilization = field("utilization")?;
-                let seed: u64 =
-                    opt_field(v, "seed")?.unwrap_or(predictsim_experiments::DEFAULT_SEED);
+                let utilization = field(&toy, "utilization")?;
+                let seed = field::<Option<u64>>(v, "seed")?;
+                let seed = seed.unwrap_or(predictsim_experiments::DEFAULT_SEED);
                 return Ok(WorkloadRequest::Toy {
                     name,
                     jobs,
@@ -326,8 +324,7 @@ impl Request {
             "ping" => Ok(Request::Ping),
             "stats" => Ok(Request::Stats),
             "submit" => {
-                let workload = serde::get_field::<Value>(v, "workload")
-                    .map_err(|e| ProtoError::new(ErrorCode::Malformed, e.0))?;
+                let workload: Value = field(v, "workload")?;
                 if matches!(workload, Value::Null) {
                     return Err(ProtoError::new(
                         ErrorCode::Malformed,
@@ -336,12 +333,12 @@ impl Request {
                 }
                 Ok(Request::Submit(Box::new(Submission {
                     workload: WorkloadRequest::from_value(&workload)?,
-                    scheduler: opt_field(v, "scheduler")?,
-                    predictor: opt_field(v, "predictor")?,
-                    correction: opt_field(v, "correction")?,
-                    cluster: opt_field(v, "cluster")?,
-                    timeout_ms: opt_field(v, "timeout_ms")?,
-                    metrics_every: opt_field(v, "metrics_every")?,
+                    scheduler: field(v, "scheduler")?,
+                    predictor: field(v, "predictor")?,
+                    correction: field(v, "correction")?,
+                    cluster: field(v, "cluster")?,
+                    timeout_ms: field(v, "timeout_ms")?,
+                    metrics_every: field(v, "metrics_every")?,
                 })))
             }
             other => Err(ProtoError::new(
@@ -359,8 +356,10 @@ impl Request {
     }
 }
 
-fn opt_field<T: serde::Deserialize>(v: &Value, name: &str) -> Result<Option<T>, ProtoError> {
-    serde::get_field::<Option<T>>(v, name).map_err(|e| ProtoError::new(ErrorCode::Malformed, e.0))
+/// Field `name` of a request or frame object (`Option<_>` for an
+/// optional one); missing or mistyped is `malformed`.
+fn field<T: serde::Deserialize>(v: &Value, name: &str) -> Result<T, ProtoError> {
+    serde::get_field(v, name).map_err(|e| ProtoError::new(ErrorCode::Malformed, e.0))
 }
 
 /// Builds the `ack` frame.
@@ -497,42 +496,30 @@ impl Frame {
     pub fn parse(line: &str) -> Result<Self, ProtoError> {
         let v: Value =
             serde_json::from_str(line).map_err(|e| ProtoError::new(ErrorCode::Malformed, e.0))?;
-        let kind: String =
-            serde::get_field(&v, "type").map_err(|e| ProtoError::new(ErrorCode::Malformed, e.0))?;
-        let field = |name: &str| -> Result<u64, ProtoError> {
-            serde::get_field(&v, name).map_err(|e| ProtoError::new(ErrorCode::Malformed, e.0))
-        };
+        let kind: String = field(&v, "type")?;
         match kind.as_str() {
             "ack" => Ok(Frame::Ack {
-                job: field("job")?,
-                triple: serde::get_field(&v, "triple")
-                    .map_err(|e| ProtoError::new(ErrorCode::Malformed, e.0))?,
-                workload: serde::get_field(&v, "workload")
-                    .map_err(|e| ProtoError::new(ErrorCode::Malformed, e.0))?,
+                job: field(&v, "job")?,
+                triple: field(&v, "triple")?,
+                workload: field(&v, "workload")?,
             }),
             "metrics" => Ok(Frame::Metrics {
-                job: field("job")?,
-                events: field("events")?,
-                finished: field("finished")?,
-                submitted: field("submitted")?,
-                ave_bsld: serde::get_field(&v, "ave_bsld")
-                    .map_err(|e| ProtoError::new(ErrorCode::Malformed, e.0))?,
+                job: field(&v, "job")?,
+                events: field(&v, "events")?,
+                finished: field(&v, "finished")?,
+                submitted: field(&v, "submitted")?,
+                ave_bsld: field(&v, "ave_bsld")?,
                 raw: v.clone(),
             }),
             "result" => Ok(Frame::Result {
-                job: field("job")?,
-                source: serde::get_field(&v, "source")
-                    .map_err(|e| ProtoError::new(ErrorCode::Malformed, e.0))?,
-                result: serde::get_field(&v, "result")
-                    .map_err(|e| ProtoError::new(ErrorCode::Malformed, e.0))?,
+                job: field(&v, "job")?,
+                source: field(&v, "source")?,
+                result: field(&v, "result")?,
             }),
             "error" => Ok(Frame::Error {
-                job: serde::get_field(&v, "job")
-                    .map_err(|e| ProtoError::new(ErrorCode::Malformed, e.0))?,
-                code: serde::get_field(&v, "code")
-                    .map_err(|e| ProtoError::new(ErrorCode::Malformed, e.0))?,
-                message: serde::get_field(&v, "message")
-                    .map_err(|e| ProtoError::new(ErrorCode::Malformed, e.0))?,
+                job: field(&v, "job")?,
+                code: field(&v, "code")?,
+                message: field(&v, "message")?,
             }),
             "pong" => Ok(Frame::Pong),
             "stats" => Ok(Frame::Stats(v)),
@@ -553,9 +540,9 @@ pub enum Line {
     Oversized,
 }
 
-/// A newline-delimited reader with a hard per-line byte cap, resumable
-/// across read timeouts (a `WouldBlock`/`TimedOut` error from the
-/// underlying stream preserves the partial line; call again).
+/// A newline-delimited reader with a hard per-line byte cap. An error
+/// from the underlying stream (an `Interrupted` read, say) preserves
+/// the partial line: call again.
 pub struct LineReader<R> {
     inner: R,
     buf: Vec<u8>,
@@ -564,7 +551,8 @@ pub struct LineReader<R> {
 }
 
 impl<R: BufRead> LineReader<R> {
-    /// Wraps `inner`, capping lines at `max` bytes.
+    /// Wraps `inner`, capping lines at `max` bytes (`usize::MAX` for no
+    /// cap).
     pub fn new(inner: R, max: usize) -> Self {
         Self {
             inner,
@@ -574,23 +562,23 @@ impl<R: BufRead> LineReader<R> {
         }
     }
 
-    /// Reads the next line: `Ok(None)` on clean EOF, `Err` on transport
-    /// errors (including timeouts — the partial line survives a retry).
+    /// Reads the next line: `Ok(None)` at EOF after a whole line (or on
+    /// an empty stream), an `UnexpectedEof` error when the stream ends
+    /// inside a line (the peer never finished it), and any other `Err`
+    /// from the stream itself.
     pub fn next_line(&mut self) -> std::io::Result<Option<Line>> {
         loop {
-            // Fault site for the socket's read half: a transient fire
-            // surfaces as `Interrupted` (the accumulated partial line
-            // survives for the caller's retry), a hard fire as a
-            // connection-fatal error.
-            if let Some(injected) = predictsim_faultline::io_fault("serve.read") {
-                return Err(injected);
-            }
             let available = self.inner.fill_buf()?;
             if available.is_empty() {
-                // EOF; a trailing partial line is dropped (the peer
-                // never finished it).
+                if self.buf.is_empty() && !self.overflowing {
+                    return Ok(None);
+                }
                 self.buf.clear();
-                return Ok(None);
+                self.overflowing = false;
+                return Err(std::io::Error::new(
+                    ErrorKind::UnexpectedEof,
+                    "the stream ended inside an unterminated line",
+                ));
             }
             match available.iter().position(|&b| b == b'\n') {
                 Some(newline) => {
@@ -622,36 +610,6 @@ impl<R: BufRead> LineReader<R> {
             }
         }
     }
-}
-
-/// `true` for the transient errors a read timeout produces — callers
-/// loop on these.
-pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
-}
-
-/// Reads one line from a plain blocking reader (helper for tests and
-/// the reference client, where no timeout is set): `Ok(None)` at EOF
-/// after a whole line, an `UnexpectedEof` error when the stream ends
-/// inside one (a torn frame, not a malformed one).
-pub(crate) fn read_line_blocking<R: Read>(
-    reader: &mut std::io::BufReader<R>,
-) -> std::io::Result<Option<String>> {
-    let mut line = String::new();
-    let n = reader.read_line(&mut line)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    if !line.ends_with('\n') {
-        return Err(std::io::Error::new(
-            ErrorKind::UnexpectedEof,
-            format!("connection closed after {n} bytes of an unfinished line"),
-        ));
-    }
-    while line.ends_with('\n') || line.ends_with('\r') {
-        line.pop();
-    }
-    Ok(Some(line))
 }
 
 #[cfg(test)]
@@ -797,19 +755,27 @@ mod tests {
 
     #[test]
     fn a_line_cut_off_by_the_end_of_the_stream_is_a_torn_frame() {
-        let mut reader = std::io::BufReader::new(&b"{\"type\":\"pong\"}\r\n{\"type\":\"po"[..]);
-        assert_eq!(
-            read_line_blocking(&mut reader).unwrap().as_deref(),
-            Some(r#"{"type":"pong"}"#)
-        );
-        let err = read_line_blocking(&mut reader).expect_err("the second line never ended");
-        assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
-        let mut whole = std::io::BufReader::new(&b"{\"type\":\"pong\"}\n"[..]);
-        assert!(read_line_blocking(&mut whole).unwrap().is_some());
-        assert_eq!(
-            read_line_blocking(&mut whole).unwrap(),
-            None,
-            "EOF after a whole line"
-        );
+        let read_all = |input: &'static [u8], max: usize| {
+            let mut reader = LineReader::new(std::io::BufReader::with_capacity(4, input), max);
+            let mut lines = Vec::new();
+            let end = loop {
+                match reader.next_line() {
+                    Ok(Some(line)) => lines.push(line),
+                    Ok(None) => break None,
+                    Err(e) => break Some(e.kind()),
+                }
+            };
+            // Whatever ended the stream, it stays ended.
+            assert_eq!(reader.next_line().unwrap(), None);
+            (lines, end)
+        };
+        let pong = || Line::Text(r#"{"type":"pong"}"#.into());
+        let torn = Some(ErrorKind::UnexpectedEof);
+        let two = b"{\"type\":\"pong\"}\n{\"type\":\"po";
+        assert_eq!(read_all(two, usize::MAX), (vec![pong()], torn));
+        assert_eq!(read_all(&two[..16], usize::MAX), (vec![pong()], None));
+        // An unterminated tail past the cap is torn too, not oversized.
+        assert_eq!(read_all(two, 8), (vec![Line::Oversized], torn));
+        assert_eq!(read_all(b"", 8), (vec![], None), "an empty stream is clean");
     }
 }

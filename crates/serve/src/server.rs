@@ -2,35 +2,46 @@
 //! submission queue, and a worker pool running cells through the
 //! process-wide [`SimCache`].
 //!
-//! Threading model (all `std`, no async runtime):
+//! Threading model (all `std`, no async runtime). No thread polls:
+//! each blocks on the one event it serves, and drain wakes each one.
 //!
-//! - one **accept** thread polls a non-blocking `TcpListener` and
-//!   spawns a reader thread per connection;
-//! - **connection** threads parse request lines (with a read timeout so
-//!   they notice shutdown), answer `ping`/`stats` inline, validate
-//!   submissions, and enqueue them;
-//! - **worker** threads drain the queue and run each job through
-//!   [`SimCache::run_cell_observed_traced`] with the job's own observer:
-//!   a [`MetricsObserver`] and a [`UtilizationObserver`] whose live view
-//!   streams back as `metrics` frames over the submitting connection,
-//!   and whose `keep_running` cancels the simulation on the deadline,
-//!   shutdown, or the client going away.
+//! - one **accept** thread blocks in `accept`, spawns a reader thread
+//!   per connection, and at each accept forgets the threads that have
+//!   ended, so only live connections are kept. Only a failure to take a
+//!   connection on (`EMFILE`, say) makes it sleep before the next try;
+//! - **connection** threads block in `read`, answer `ping`/`stats`
+//!   inline, validate submissions, and enqueue them. A request line the
+//!   stream ends inside gets a `malformed` frame;
+//! - **worker** threads wait on the queue's condvar and run each job
+//!   through [`SimCache::run_cell_observed_traced`] with the job's own
+//!   observer: a [`MetricsObserver`] and a [`UtilizationObserver`] whose
+//!   live view streams back as `metrics` frames over the submitting
+//!   connection, and whose `keep_running` cancels the simulation on the
+//!   deadline, shutdown, or the client going away.
 //!
 //! Every frame is one `write_all` of the line and its newline on a
 //! socket with Nagle's algorithm off, so a request/response round trip
 //! never waits for the peer's delayed ACK.
 //!
+//! Drain sets the shutdown flag, wakes the workers, wakes `accept` with
+//! one loopback connection, and joins them (the workers answer each job
+//! still queued with `shutdown`); then it shuts down each live
+//! connection, which ends its reader's `read`, and joins its thread.
+//!
 //! Locks: a connection's write lock is taken before the queue lock,
-//! never after, and no socket write happens under the queue lock. A
-//! submission takes its connection's lock, then the queue lock just to
-//! check depth, assign the id and enqueue, drops the queue lock, and
-//! writes its `ack` (or `busy`) frame. The worker that pops the job
-//! blocks on the same connection lock until the ack is out, so the ack
-//! still precedes the job's frames. A client that stops reading can
-//! therefore hold up only its own connection: a write that finds no
-//! room in the socket's send buffer for `WRITE_TIMEOUT` fails, the
-//! connection is shut down and marked dead, and its jobs cancel as on a
-//! disconnect.
+//! never after, and no socket write happens under the queue lock. The
+//! shutdown flag is set under the queue lock, and workers and
+//! submissions read it under that lock: no worker misses the wake-up,
+//! and no job is queued once the workers have gone. A submission takes
+//! its connection's lock, then the queue lock just to check the flag and
+//! the depth, assign the id and enqueue, drops the queue lock, and
+//! writes its `ack` (or `shutdown`, or `busy`) frame. The worker that
+//! pops the job blocks on the same connection lock until the ack is
+//! out, so the ack still precedes the job's frames. A client that stops
+//! reading can therefore hold up only its own connection: a write that
+//! finds no room in the socket's send buffer for `WRITE_TIMEOUT` fails,
+//! the connection is shut down and marked dead, and its jobs cancel as
+//! on a disconnect.
 //!
 //! Because every worker goes through the shared cache's single-flight
 //! layer, two clients submitting the same cold cell coalesce: exactly
@@ -39,10 +50,10 @@
 //! observes events).
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, ErrorKind, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -57,9 +68,8 @@ use predictsim_workload::WorkloadSpec;
 use serde::{Serialize, Value};
 
 use crate::protocol::{
-    ack_frame, error_frame, is_timeout, metrics_frame, pong_frame, result_frame, ErrorCode, Line,
-    LineReader, ProtoError, Request, Submission, WorkloadRequest, DEFAULT_METRICS_EVERY,
-    MAX_LINE_BYTES,
+    ack_frame, error_frame, metrics_frame, pong_frame, result_frame, ErrorCode, Line, LineReader,
+    ProtoError, Request, Submission, WorkloadRequest, DEFAULT_METRICS_EVERY, MAX_LINE_BYTES,
 };
 
 /// Server tunables. `Default` suits interactive use; tests shrink the
@@ -85,13 +95,10 @@ impl Default for ServeConfig {
     }
 }
 
-/// How often blocked threads re-check the shutdown flag.
-const POLL: Duration = Duration::from_millis(25);
-
-/// The accept loop polls faster: its sleep is pure connection-setup
-/// latency for every new client, and an idle poll is just one failed
-/// `accept(2)`.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// How long the accept loop waits after failing to take on a
+/// connection (out of descriptors, or of threads) before it accepts
+/// again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// How long one write may wait for room in the socket's send buffer
 /// (`SO_SNDTIMEO`) before the peer counts as stalled and its connection
@@ -213,14 +220,23 @@ struct Pending {
     conn: Arc<ConnWriter>,
 }
 
+/// A connection whose reader thread may still run. The writer is weak:
+/// the socket closes once the reader and the connection's jobs are
+/// done with it, and `drain` closes it earlier if it is still open.
+struct Conn {
+    thread: JoinHandle<()>,
+    writer: Weak<ConnWriter>,
+}
+
 struct Shared {
     cfg: ServeConfig,
+    /// Set only under the `queue` lock (see the module docs).
     shutdown: AtomicBool,
     queue: Mutex<VecDeque<Pending>>,
     wake: Condvar,
     next_job: AtomicU64,
     active: AtomicUsize,
-    conns: Mutex<Vec<JoinHandle<()>>>,
+    conns: Mutex<Vec<Conn>>,
     workloads: Mutex<HashMap<String, LoadedWorkload>>,
 }
 
@@ -245,7 +261,6 @@ impl Server {
     /// simulation workers.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
@@ -295,9 +310,21 @@ impl Server {
     }
 
     fn drain(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
+        {
+            let _queue = self.shared.queue.lock().expect("queue lock");
+            self.shared.shutdown.store(true, Ordering::Relaxed);
+        }
         self.shared.wake.notify_all();
         if let Some(accept) = self.accept.take() {
+            // The accept loop sees the flag once `accept` returns.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect(wake);
             let _ = accept.join();
         }
         for worker in self.workers.drain(..) {
@@ -305,7 +332,13 @@ impl Server {
         }
         let conns = std::mem::take(&mut *self.shared.conns.lock().expect("conns lock"));
         for conn in conns {
-            let _ = conn.join();
+            // Its reader's `read` returns, and the peer sees an end after
+            // its last whole frame.
+            if let Some(writer) = conn.writer.upgrade() {
+                let stream = writer.stream.lock().unwrap_or_else(PoisonError::into_inner);
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            let _ = conn.thread.join();
         }
         SimCache::global().flush_persistent();
     }
@@ -320,37 +353,49 @@ impl Drop for Server {
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    while !shared.shutting_down() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if configure_accepted(&stream).is_err() {
-                    continue;
-                }
-                let shared_conn = shared.clone();
-                let handle = std::thread::spawn(move || handle_conn(stream, shared_conn));
-                shared.conns.lock().expect("conns lock").push(handle);
-            }
-            // Nothing pending (`WouldBlock`) or a transient accept
-            // failure: poll again either way.
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+    loop {
+        let accepted = listener.accept();
+        if shared.shutting_down() {
+            return;
+        }
+        if accepted
+            .and_then(|(stream, _peer)| add_conn(stream, &shared))
+            .is_err()
+        {
+            std::thread::sleep(ACCEPT_BACKOFF);
         }
     }
 }
 
-fn handle_conn(stream: TcpStream, shared: Arc<Shared>) {
-    // A read timeout so this thread notices shutdown (and dead peers)
-    // instead of blocking forever in `read`.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(ConnWriter::new(w)),
-        Err(_) => return,
-    };
+/// Spawns the reader thread of an accepted connection and records it,
+/// dropping the records of connections that have ended (which releases
+/// their threads).
+fn add_conn(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
+    configure_accepted(&stream)?;
+    let writer = Arc::new(ConnWriter::new(stream.try_clone()?));
+    let conn_writer = Arc::downgrade(&writer);
+    let shared_conn = shared.clone();
+    let thread =
+        std::thread::Builder::new().spawn(move || handle_conn(stream, &writer, &shared_conn))?;
+    let mut conns = shared.conns.lock().expect("conns lock");
+    conns.retain(|conn| !conn.thread.is_finished());
+    conns.push(Conn {
+        thread,
+        writer: conn_writer,
+    });
+    Ok(())
+}
+
+fn handle_conn(stream: TcpStream, writer: &Arc<ConnWriter>, shared: &Arc<Shared>) {
     let mut reader = LineReader::new(BufReader::new(stream), MAX_LINE_BYTES);
     loop {
-        if shared.shutting_down() {
-            return;
-        }
-        match reader.next_line() {
+        // Fault site for the socket's read half: a transient fire is an
+        // `Interrupted` read, a hard fire a connection-fatal error.
+        let next = match predictsim_faultline::io_fault("serve.read") {
+            Some(injected) => Err(injected),
+            None => reader.next_line(),
+        };
+        match next {
             Ok(None) => return, // EOF: client closed its write half and everything was read
             Ok(Some(Line::Oversized)) => {
                 let err = ProtoError::new(
@@ -365,20 +410,21 @@ fn handle_conn(stream: TcpStream, shared: Arc<Shared>) {
                 if line.trim().is_empty() {
                     continue;
                 }
-                if !handle_request(&line, &writer, &shared) {
+                if !handle_request(&line, writer, shared) {
                     return;
                 }
             }
-            Err(e) if is_timeout(&e) => {
-                // Keep waiting — but stop once the peer is provably gone
-                // (a streamed frame failed to write).
-                if !writer.alive() {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
+            Err(e) if e.kind() == ErrorKind::Interrupted => {
                 // A transient read hiccup (signal, injected fault): the
                 // partial line survives inside the reader; just retry.
+            }
+            Err(e) if e.kind() == ErrorKind::UnexpectedEof => {
+                let err = ProtoError::new(
+                    ErrorCode::Malformed,
+                    "the connection ended inside a request line (no newline)",
+                );
+                writer.send(&error_frame(None, &err));
+                return;
             }
             Err(_) => return,
         }
@@ -402,10 +448,6 @@ fn handle_request(line: &str, writer: &Arc<ConnWriter>, shared: &Arc<Shared>) ->
                 Ok(resolved) => resolved,
                 Err(err) => return writer.send(&error_frame(None, &err)),
             };
-            if shared.shutting_down() {
-                let err = ProtoError::new(ErrorCode::Shutdown, "server is draining");
-                return writer.send(&error_frame(None, &err));
-            }
             // Connection lock, then queue lock (see the module docs):
             // the ack is written after the queue lock is dropped but
             // before any worker can stream this job's frames, and
@@ -414,29 +456,28 @@ fn handle_request(line: &str, writer: &Arc<ConnWriter>, shared: &Arc<Shared>) ->
                 return false;
             };
             let mut queue = shared.queue.lock().expect("queue lock");
-            if queue.len() >= shared.cfg.queue_depth {
+            let depth = shared.cfg.queue_depth;
+            let refusal = if shared.shutting_down() {
+                ProtoError::new(ErrorCode::Shutdown, "server is draining")
+            } else if queue.len() >= depth {
+                let why = format!("submission queue full ({depth} pending); resubmit later");
+                ProtoError::new(ErrorCode::Busy, why)
+            } else {
+                let id = shared.next_job.fetch_add(1, Ordering::Relaxed);
+                let ack = ack_frame(id, &triple.name(), &submission.workload.describe());
+                queue.push_back(Pending {
+                    id,
+                    submission: *submission,
+                    triple,
+                    cluster,
+                    conn: writer.clone(),
+                });
                 drop(queue);
-                let err = ProtoError::new(
-                    ErrorCode::Busy,
-                    format!(
-                        "submission queue full ({} pending); resubmit later",
-                        shared.cfg.queue_depth
-                    ),
-                );
-                return out.send(&error_frame(None, &err));
-            }
-            let id = shared.next_job.fetch_add(1, Ordering::Relaxed);
-            let ack = ack_frame(id, &triple.name(), &submission.workload.describe());
-            queue.push_back(Pending {
-                id,
-                submission: *submission,
-                triple,
-                cluster,
-                conn: writer.clone(),
-            });
+                shared.wake.notify_one();
+                return out.send(&ack);
+            };
             drop(queue);
-            shared.wake.notify_one();
-            out.send(&ack)
+            out.send(&error_frame(None, &refusal))
         }
     }
 }
@@ -583,22 +624,13 @@ pub fn build_workload(request: &WorkloadRequest) -> Result<LoadedWorkload, Proto
 
 fn worker_loop(shared: Arc<Shared>) {
     loop {
-        let pending = {
-            let mut queue = shared.queue.lock().expect("queue lock");
-            loop {
-                if let Some(pending) = queue.pop_front() {
-                    break Some(pending);
-                }
-                if shared.shutting_down() {
-                    break None;
-                }
-                let (q, _) = shared
-                    .wake
-                    .wait_timeout(queue, POLL)
-                    .expect("queue lock poisoned");
-                queue = q;
-            }
-        };
+        let queue = shared.queue.lock().expect("queue lock");
+        let pending = shared
+            .wake
+            .wait_while(queue, |queue| queue.is_empty() && !shared.shutting_down())
+            .expect("queue lock poisoned")
+            .pop_front();
+        // Empty, so shutting down: every queued job has been answered.
         let Some(pending) = pending else { return };
         if shared.shutting_down() {
             // Drain semantics: work that never started is rejected, not
@@ -834,6 +866,39 @@ mod tests {
             server.write_timeout().expect("read SO_SNDTIMEO"),
             Some(WRITE_TIMEOUT)
         );
+    }
+
+    #[test]
+    fn closed_connections_leave_the_live_list() {
+        use std::io::Read;
+        // The empty plan keeps this test's frames from consuming another
+        // test's injected write fault.
+        let plan = predictsim_faultline::FaultPlan::parse("").expect("empty plan");
+        predictsim_faultline::with_plan(plan, || {
+            let server = Server::start(ServeConfig::default()).expect("daemon starts");
+            let ping = || {
+                let mut stream = TcpStream::connect(server.addr()).expect("connect");
+                stream.write_all(b"{\"type\":\"ping\"}\n").expect("ping");
+                stream.shutdown(Shutdown::Write).expect("half-close");
+                let mut reply = String::new();
+                stream
+                    .read_to_string(&mut reply)
+                    .expect("pong, then the end");
+                assert_eq!(reply, "{\"type\":\"pong\"}\n");
+            };
+            for _ in 0..50 {
+                ping();
+            }
+            // Ended connections are forgotten at the next accept, and the
+            // last one or two may still be ending then: more pings settle it.
+            let live = || server.shared.conns.lock().expect("conns lock").len();
+            let settled = (0..20).any(|_| {
+                ping();
+                live() <= 2
+            });
+            assert!(settled, "{} connections kept after 50 closed", live());
+            server.shutdown();
+        });
     }
 
     #[test]

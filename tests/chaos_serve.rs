@@ -12,9 +12,8 @@
 //! - Round trips on one kept-open connection cost no delayed-ACK wait.
 //!
 //! A wedged daemon, a dropped connection, or an unmarked silence here
-//! fails a test. The stalled-client and round-trip tests run every
-//! blocking wait under a bound, so a daemon that wedges fails them
-//! instead of hanging the binary.
+//! fails a test. Every test reads its frames under a bound, so a
+//! daemon that wedges fails it instead of hanging the binary.
 //!
 //! The fault plan is process-global, so these tests live in their own
 //! binary; each runs under [`faultline::with_plan`] (an empty plan for
@@ -92,49 +91,58 @@ fn poisoned_cell_answers_a_typed_internal_error_and_the_daemon_keeps_serving() {
     let plan = FaultPlan::parse(&format!("cell.panic:max={}", SimCache::PANIC_RETRIES))
         .expect("valid fault plan");
     faultline::with_plan(plan, || {
-        let server = Server::start(ServeConfig::default()).expect("daemon starts");
-        let mut client = Client::connect(server.addr()).expect("connect");
+        let daemon = Daemon(Some(
+            Server::start(ServeConfig::default()).expect("daemon starts"),
+        ));
+        let mut client = Client::connect(daemon.server().addr()).expect("connect");
+        within(
+            Duration::from_secs(30),
+            "the poisoned cell, the next cell and a ping",
+            move || {
+                client
+                    .submit(&toy("chaos-poisoned", 77_001))
+                    .expect("submit");
+                let job = await_ack(&mut client);
+                let (tagged, code, message) = loop {
+                    if let Frame::Error { job, code, message } = next_ok(&mut client) {
+                        break (job, code, message);
+                    }
+                };
+                assert_eq!(tagged, Some(job), "the failure is tagged to its job");
+                assert_eq!(
+                    code, "internal",
+                    "a poisoned cell is a typed internal error"
+                );
+                assert!(
+                    message.contains("panicked"),
+                    "the panic is named, not euphemized: {message}"
+                );
 
-        client
-            .submit(&toy("chaos-poisoned", 77_001))
-            .expect("submit");
-        let job = await_ack(&mut client);
-        let (tagged, code, message) = loop {
-            if let Frame::Error { job, code, message } = next_ok(&mut client) {
-                break (job, code, message);
-            }
-        };
-        assert_eq!(tagged, Some(job), "the failure is tagged to its job");
-        assert_eq!(
-            code, "internal",
-            "a poisoned cell is a typed internal error"
-        );
-        assert!(
-            message.contains("panicked"),
-            "the panic is named, not euphemized: {message}"
-        );
-
-        // Same connection, next submission: the fault budget is spent,
-        // the worker pool is intact, and the cell simulates normally.
-        client
-            .submit(&toy("chaos-recovered", 77_002))
-            .expect("submit");
-        let job2 = await_ack(&mut client);
-        loop {
-            match next_ok(&mut client) {
-                Frame::Result { job, .. } => {
-                    assert_eq!(job, job2);
-                    break;
+                // Same connection, next submission: the fault budget is
+                // spent, the worker pool is intact, and the cell
+                // simulates normally.
+                client
+                    .submit(&toy("chaos-recovered", 77_002))
+                    .expect("submit");
+                let job2 = await_ack(&mut client);
+                loop {
+                    match next_ok(&mut client) {
+                        Frame::Result { job, .. } => {
+                            assert_eq!(job, job2);
+                            break;
+                        }
+                        Frame::Error { message, .. } => {
+                            panic!("recovery submission failed: {message}")
+                        }
+                        _ => {} // metrics frames interleave freely
+                    }
                 }
-                Frame::Error { message, .. } => panic!("recovery submission failed: {message}"),
-                _ => {} // metrics frames interleave freely
-            }
-        }
 
-        // And the control plane never blinked.
-        client.ping().expect("ping");
-        assert!(matches!(next_ok(&mut client), Frame::Pong));
-        server.shutdown();
+                // And the control plane never blinked.
+                client.ping().expect("ping");
+                assert!(matches!(next_ok(&mut client), Frame::Pong));
+            },
+        );
     });
 }
 

@@ -2,16 +2,22 @@
 //! sockets: malformed and oversized requests get typed `error` frames
 //! (not disconnects), unknown registry names, non-positive scales and
 //! workloads too large to generate are rejected before queueing, half-closed connections still stream
-//! their results, per-request timeouts cancel cooperatively, a full
+//! their results, a request line cut off by a half-close gets a
+//! `malformed` frame, per-request timeouts cancel cooperatively, a full
 //! queue answers `busy`, concurrent cold submissions of the same cell
 //! coalesce into exactly one simulation, shutdown drains instead of
-//! dropping work, and `metrics` progress frames stream ahead of a job's
-//! result. Off the socket, the parse surfaces survive arbitrary bytes.
+//! dropping work (and ends idle connections at once, whatever address
+//! the daemon is bound to), and `metrics` progress frames stream ahead
+//! of a job's result. Off the socket, the parse surfaces survive
+//! arbitrary bytes.
 //!
 //! Every test starts its own daemon on an ephemeral port; workload
 //! seeds are test-unique so the process-wide `SimCache` cannot turn an
 //! intended cold cell into a cross-test hit.
 
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::sync::mpsc;
 use std::time::Duration;
 
 use predictsim::serve::{
@@ -82,10 +88,6 @@ fn malformed_requests_get_typed_errors_and_the_session_survives() {
     server.shutdown();
 }
 
-/// One request must not be able to take the daemon down: a workload
-/// too large to generate (a failed allocation aborts the process, it
-/// does not unwind) or a toy count that is not a count is refused
-/// before the ack, and the connection keeps working.
 /// A line nested deeper than a connection thread's stack could parse
 /// by recursion, yet well under the line cap, gets a `malformed` frame
 /// and the session survives.
@@ -105,6 +107,10 @@ fn deeply_nested_lines_are_malformed_and_the_session_survives() {
     server.shutdown();
 }
 
+/// One request must not be able to take the daemon down: a workload
+/// too large to generate (a failed allocation aborts the process, it
+/// does not unwind) or a toy count that is not a count is refused
+/// before the ack, and the connection keeps working.
 #[test]
 fn oversized_and_misshapen_workloads_are_rejected_before_queueing() {
     let server = Server::start(ServeConfig::default()).expect("daemon starts");
@@ -224,6 +230,59 @@ fn half_closed_connections_still_stream_their_results() {
     // With the job done and the read side at EOF, the daemon closes.
     assert!(client.next_frame().expect("clean close").is_none());
     server.shutdown();
+}
+
+#[test]
+fn a_request_line_cut_off_by_a_half_close_gets_a_malformed_frame() {
+    let server = Server::start(ServeConfig::default()).expect("daemon starts");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.write_all(br#"{"type":"ping"}"#).expect("write");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+
+    let mut seen = String::new();
+    let limit = Some(Duration::from_secs(5));
+    stream.set_read_timeout(limit).expect("bound the read");
+    stream.read_to_string(&mut seen).expect("read to the end");
+    let (line, rest) = seen.split_once('\n').expect("a whole frame");
+    assert_eq!(rest, "", "one frame, then the end");
+    let frame = Frame::parse(line).expect("a frame");
+    assert!(
+        matches!(&frame, Frame::Error { job: None, code, .. } if code == "malformed"),
+        "{frame:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_ends_idle_connections_on_an_unspecified_address_at_once() {
+    let cfg = ServeConfig {
+        addr: "0.0.0.0:0".into(),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(cfg).expect("daemon starts");
+    let port = server.addr().port();
+    // After one round trip each, the daemon has accepted all three and
+    // their reader threads block in `read`.
+    let idle: Vec<Client> = (0..3)
+        .map(|_| {
+            let mut client = Client::connect(("127.0.0.1", port)).expect("connect");
+            client.ping().expect("ping");
+            assert_eq!(next_ok(&mut client), Frame::Pong);
+            client
+        })
+        .collect();
+
+    let (done, drained) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done.send(());
+    });
+    drained
+        .recv_timeout(Duration::from_secs(1))
+        .expect("shutdown returns within 1 s");
+    for mut client in idle {
+        assert!(client.next_frame().expect("EOF").is_none());
+    }
 }
 
 #[test]
@@ -499,7 +558,8 @@ fn arbitrary_text() -> impl Strategy<Value = String> {
 /// Both parsers answer every line (and the whole text) with a value or
 /// a parse-time error code, and a 64-byte [`LineReader`] turns each
 /// newline-terminated segment into `Text` (≤ 64 bytes) or `Oversized`,
-/// drops the unterminated tail, then reports EOF.
+/// then reports a clean EOF when the text is empty or ends in `\n`, and
+/// `UnexpectedEof` for an unterminated tail.
 fn parse_surfaces_are_total(text: &str, capacity: usize) -> Result<(), TestCaseError> {
     for line in std::iter::once(text).chain(text.split('\n')) {
         if let Err(e) = Request::parse(line) {
@@ -514,7 +574,7 @@ fn parse_surfaces_are_total(text: &str, capacity: usize) -> Result<(), TestCaseE
     }
 
     let mut segments: Vec<&str> = text.split('\n').collect();
-    segments.pop();
+    let tail = segments.pop().expect("split yields at least one segment");
     let inner = std::io::BufReader::with_capacity(capacity, text.as_bytes());
     let mut reader = LineReader::new(inner, 64);
     for segment in segments {
@@ -525,7 +585,15 @@ fn parse_surfaces_are_total(text: &str, capacity: usize) -> Result<(), TestCaseE
         };
         prop_assert_eq!(reader.next_line().expect("in-memory read"), Some(expected));
     }
-    prop_assert_eq!(reader.next_line().expect("in-memory read"), None);
+    match reader.next_line() {
+        Ok(end) => prop_assert!(end.is_none() && tail.is_empty(), "{:?} at the end", end),
+        Err(e) => prop_assert!(
+            e.kind() == ErrorKind::UnexpectedEof && !tail.is_empty(),
+            "{} at the end of {:?}",
+            e,
+            tail
+        ),
+    }
     Ok(())
 }
 
