@@ -44,8 +44,10 @@ pub const FEATURE_NAMES: [&str; N_FEATURES] = [
 /// Per-user running history, updated on submissions and completions.
 #[derive(Debug, Clone, Default)]
 struct UserHistory {
-    /// Most recent completed run times, newest first (up to 3 kept).
-    last_runs: Vec<f64>,
+    /// Most recent completed run times, newest first: the first
+    /// `min(completed, 3)` are real (kept inline, so a history costs no
+    /// allocation of its own).
+    last_runs: [f64; 3],
     /// Sum and count over all completed jobs.
     sum_runs: f64,
     completed: u64,
@@ -63,23 +65,29 @@ impl UserHistory {
     }
 
     fn record_completion(&mut self, run: i64, now: i64) {
-        self.last_runs.insert(0, run as f64);
-        self.last_runs.truncate(3);
+        self.last_runs.copy_within(..2, 1);
+        self.last_runs[0] = run as f64;
         self.sum_runs += run as f64;
         self.completed += 1;
         self.last_completion = Some(now);
     }
 
+    /// The recorded run times, newest first.
+    fn kept(&self) -> &[f64] {
+        &self.last_runs[..(self.completed as usize).min(3)]
+    }
+
     fn last_run(&self, back: usize) -> f64 {
-        self.last_runs.get(back).copied().unwrap_or(0.0)
+        self.kept().get(back).copied().unwrap_or(0.0)
     }
 
     fn ave_last(&self, k: usize) -> f64 {
-        if self.last_runs.is_empty() {
+        let kept = self.kept();
+        if kept.is_empty() {
             return 0.0;
         }
-        let take = self.last_runs.len().min(k);
-        self.last_runs[..take].iter().sum::<f64>() / take as f64
+        let take = kept.len().min(k);
+        kept[..take].iter().sum::<f64>() / take as f64
     }
 
     fn ave_all(&self) -> f64 {

@@ -14,6 +14,8 @@
 //!   ([`MlConfig`]). [`MlPredictor::e_loss`] builds the winning E-Loss
 //!   configuration of §6.3.3.
 
+use std::collections::VecDeque;
+
 use predictsim_sim::{Job, RuntimePredictor, SystemView};
 
 use crate::basis::Basis;
@@ -159,10 +161,13 @@ pub struct MlPredictor {
     config: MlConfig,
     extractor: FeatureExtractor,
     model: OnlineRegression,
-    /// Features captured at submit time, indexed by dense job id (the
-    /// engine numbers jobs `0..n`, so a slab beats a hash map here),
-    /// consumed at completion.
-    pending: Vec<Option<[f64; N_FEATURES]>>,
+    /// Features captured at submit time, consumed at completion: a
+    /// window over job ids from the oldest to the newest one predicted
+    /// but not yet observed, so it spans the ids in flight, not the
+    /// trace.
+    pending: VecDeque<Option<[f64; N_FEATURES]>>,
+    /// Job id of `pending`'s front slot.
+    pending_base: usize,
     /// Number of `Some` entries in `pending` (jobs predicted but not yet
     /// observed).
     in_flight: usize,
@@ -175,7 +180,8 @@ impl MlPredictor {
             config,
             extractor: FeatureExtractor::new(),
             model: config.build_model(),
-            pending: Vec::new(),
+            pending: VecDeque::new(),
+            pending_base: 0,
             in_flight: 0,
         }
     }
@@ -207,10 +213,20 @@ impl RuntimePredictor for MlPredictor {
         self.extractor.record_submit(job);
         let raw = self.model.predict(&x);
         let index = job.id.index();
-        if index >= self.pending.len() {
-            self.pending.resize(index + 1, None);
+        if self.pending.is_empty() {
+            self.pending_base = index;
         }
-        if self.pending[index].replace(x).is_none() {
+        // Ids need not arrive in order: one below the window extends it
+        // at the front.
+        while index < self.pending_base {
+            self.pending.push_front(None);
+            self.pending_base -= 1;
+        }
+        let offset = index - self.pending_base;
+        if offset >= self.pending.len() {
+            self.pending.resize(offset + 1, None);
+        }
+        if self.pending[offset].replace(x).is_none() {
             self.in_flight += 1;
         }
         raw // the engine clamps into [1, p̃_j]
@@ -219,8 +235,19 @@ impl RuntimePredictor for MlPredictor {
     fn observe(&mut self, job: &Job, actual_run: i64, system: &SystemView<'_>) {
         self.extractor
             .record_completion(job, actual_run, system.now.0);
-        if let Some(x) = self.pending.get_mut(job.id.index()).and_then(Option::take) {
+        let slot = job.id.index().checked_sub(self.pending_base);
+        if let Some(x) = slot
+            .and_then(|offset| self.pending.get_mut(offset))
+            .and_then(Option::take)
+        {
             self.in_flight -= 1;
+            while let Some(None) = self.pending.front() {
+                self.pending.pop_front();
+                self.pending_base += 1;
+            }
+            while let Some(None) = self.pending.back() {
+                self.pending.pop_back();
+            }
             self.model.learn(&x, actual_run as f64, job.procs as f64);
         }
     }
@@ -355,5 +382,71 @@ mod tests {
         let mut p = MlPredictor::e_loss();
         p.observe(&job(5, 1, 100, 1000), 100, &view(0));
         assert_eq!(p.examples(), 0);
+    }
+
+    #[test]
+    fn pending_window_spans_only_the_ids_in_flight() {
+        // 100 000 submissions, at most 50 in flight, each completion a
+        // pseudo-random one of them: the window holds exactly the ids
+        // from the oldest to the newest job in flight.
+        let mut p = MlPredictor::new(MlConfig::new(
+            AsymmetricLoss::SQUARED,
+            WeightingScheme::Constant,
+        ));
+        let mut in_flight = std::collections::BTreeSet::new();
+        let mut rng: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut widest = 0;
+        for id in 0..100_000u32 {
+            p.predict(&job(id, id % 7, 100, 1000), &view(id as i64 * 10));
+            in_flight.insert(id);
+            if in_flight.len() == 50 || id == 99_999 {
+                while in_flight.len() > 25 * usize::from(id < 99_999) {
+                    rng = rng
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    let pick = (rng >> 33) as usize % in_flight.len();
+                    let done = *in_flight.iter().nth(pick).unwrap();
+                    in_flight.remove(&done);
+                    p.observe(&job(done, done % 7, 100, 1000), 100, &view(id as i64 * 10));
+                    let span = match (in_flight.first(), in_flight.last()) {
+                        (Some(lo), Some(hi)) => (hi - lo) as usize + 1,
+                        _ => 0,
+                    };
+                    assert_eq!(p.pending.len(), span);
+                    assert_eq!(p.in_flight, in_flight.len());
+                    widest = widest.max(p.pending.len());
+                }
+            }
+        }
+        assert_eq!(p.examples(), 100_000);
+        assert!(p.pending.is_empty());
+        assert!(widest < 10_000, "window reached {widest} slots");
+    }
+
+    #[test]
+    fn pending_window_takes_ids_out_of_order() {
+        let mut p = MlPredictor::e_loss();
+        p.predict(&job(10, 1, 100, 1000), &view(0));
+        // Below the window's base: it extends at the front.
+        p.predict(&job(3, 1, 100, 1000), &view(0));
+        assert_eq!((p.pending_base, p.pending.len()), (3, 8));
+        // A completion nobody predicted learns nothing.
+        p.observe(&job(7, 1, 100, 1000), 100, &view(50));
+        assert_eq!(p.examples(), 0);
+        // A second predict of one id replaces its features, and still
+        // counts one job in flight.
+        p.predict(&job(10, 1, 100, 1000), &view(60));
+        assert!(format!("{p:?}").contains("pending: 2"));
+        p.observe(&job(3, 1, 100, 1000), 100, &view(100));
+        assert_eq!((p.pending_base, p.pending.len()), (10, 1));
+        p.observe(&job(10, 1, 100, 1000), 100, &view(200));
+        p.observe(&job(10, 1, 100, 1000), 100, &view(300));
+        assert_eq!(p.examples(), 2);
+        assert!(p.pending.is_empty());
+        // An empty window re-anchors at the next id, however low.
+        p.predict(&job(1, 1, 100, 1000), &view(400));
+        assert_eq!((p.pending_base, p.pending.len()), (1, 1));
+        p.observe(&job(1, 1, 100, 1000), 100, &view(500));
+        assert_eq!(p.examples(), 3);
     }
 }

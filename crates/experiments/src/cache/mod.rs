@@ -401,6 +401,7 @@ impl SimCache {
                     let result = TripleResult::from_sim(triple, &sim);
                     let predictions: Vec<i64> =
                         sim.outcomes.iter().map(|o| o.initial_prediction).collect();
+                    crate::scenario::reclaim_outcomes(sim.outcomes);
                     let cell = CachedCell {
                         result,
                         predictions: Some(Arc::new(predictions)),
@@ -437,6 +438,7 @@ impl SimCache {
         self.simulated.fetch_add(1, Ordering::Relaxed);
         let sim = self.simulate_isolated(triple, arena, cluster, &mut NullObserver)?;
         let predictions: Vec<i64> = sim.outcomes.iter().map(|o| o.initial_prediction).collect();
+        crate::scenario::reclaim_outcomes(sim.outcomes);
         Ok((cell.result, Arc::new(predictions), CellSource::Simulated))
     }
 }

@@ -31,8 +31,8 @@
 use std::cell::RefCell;
 
 use predictsim_sim::{
-    simulate_in, Job, NullObserver, Scheduler, SimArena, SimConfig, SimError, SimObserver,
-    SimResult,
+    simulate_in, Job, JobOutcome, NullObserver, Scheduler, SimArena, SimConfig, SimError,
+    SimObserver, SimResult,
 };
 
 use crate::triple::{HeuristicTriple, Variant};
@@ -108,6 +108,17 @@ pub(crate) fn run_triple_with_scratch(
         // back to cold buffers rather than panicking.
         Err(_) => run(&mut WorkerScratch::default()),
     })
+}
+
+/// Hands a finished run's outcome vector back to the calling thread's
+/// [`WorkerScratch`], so the thread's next run sizes none (see
+/// [`SimArena::reclaim`]). Inside a reentrant call the vector is dropped.
+pub(crate) fn reclaim_outcomes(outcomes: Vec<JobOutcome>) {
+    WORKER_SCRATCH.with(|scratch| {
+        if let Ok(mut scratch) = scratch.try_borrow_mut() {
+            scratch.sim.reclaim(outcomes);
+        }
+    });
 }
 
 /// Why a cell simulation failed.

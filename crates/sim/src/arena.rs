@@ -13,12 +13,13 @@ use crate::state::SimState;
 /// and the outcome vector — and [`simulate_in`](crate::simulate_in)
 /// re-initializes them in place instead of allocating fresh ones. The
 /// outcome vector is the one buffer a run hands out: it moves into the
-/// [`SimResult`](crate::SimResult), so each run sizes a new one once. A
-/// worker that keeps one arena across the simulations it executes (the
-/// campaign fan-out pattern — see `predictsim-experiments`) therefore
-/// allocates only the run's result once the arena is warm;
-/// `tests/scratch_reuse.rs` pins the exact count with a counting global
-/// allocator.
+/// [`SimResult`](crate::SimResult), and a caller done with it gives it
+/// back through [`SimArena::reclaim`]. A worker that keeps one arena
+/// across the simulations it executes (the campaign fan-out pattern —
+/// see `predictsim-experiments`) therefore allocates only the run's
+/// outcome vector once the arena is warm, and nothing at all when it
+/// reclaims each one; `tests/scratch_reuse.rs` pins both counts with a
+/// counting global allocator.
 ///
 /// Construct once (per worker, typically), then pass to `simulate_in`
 /// for every run. A warm arena behaves identically to a fresh one:
@@ -38,5 +39,16 @@ impl SimArena {
     /// A fresh (cold) arena.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Takes back a finished run's outcome vector (its caller done with
+    /// the [`SimResult`](crate::SimResult)), so the next run reuses its
+    /// capacity instead of sizing a new one. The arena keeps the larger
+    /// of the vector it holds and `outcomes`.
+    pub fn reclaim(&mut self, mut outcomes: Vec<JobOutcome>) {
+        if outcomes.capacity() > self.outcomes.capacity() {
+            outcomes.clear();
+            self.outcomes = outcomes;
+        }
     }
 }

@@ -343,9 +343,6 @@ impl<'a> Engine<'a> {
         let result = SimResult {
             machine_size: self.total_procs,
             outcomes: std::mem::take(&mut self.arena.outcomes),
-            scheduler: scheduler.name(),
-            predictor: predictor.name(),
-            correction: correction.map(|c| c.name()),
         };
         observer.on_event(&SimEvent::Completed { result: &result });
         Ok(result)

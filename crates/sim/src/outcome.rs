@@ -63,12 +63,6 @@ pub struct SimResult {
     pub machine_size: u32,
     /// Outcomes ordered by job id.
     pub outcomes: Vec<JobOutcome>,
-    /// Scheduler name (e.g. `"easy-sjbf"`).
-    pub scheduler: String,
-    /// Predictor name (e.g. `"clairvoyant"`).
-    pub predictor: String,
-    /// Correction policy name, if one was installed.
-    pub correction: Option<String>,
 }
 
 impl SimResult {
@@ -181,9 +175,6 @@ mod tests {
         SimResult {
             machine_size: 10,
             outcomes,
-            scheduler: "easy".into(),
-            predictor: "clairvoyant".into(),
-            correction: None,
         }
     }
 

@@ -105,7 +105,7 @@ proptest! {
                                      sched.as_mut(), &mut pred, None).unwrap();
             prop_assert_eq!(res.outcomes.len(), jobs.len());
             let report = audit(&res);
-            prop_assert!(report.is_ok(), "{:?} audit: {:?}", res.scheduler, report);
+            prop_assert!(report.is_ok(), "{:?} audit: {:?}", sched.name(), report);
         }
     }
 
@@ -120,7 +120,7 @@ proptest! {
                                      sched.as_mut(), &mut pred, Some(&corr)).unwrap();
             prop_assert_eq!(res.outcomes.len(), jobs.len());
             let report = audit(&res);
-            prop_assert!(report.is_ok(), "{:?} audit: {:?}", res.scheduler, report);
+            prop_assert!(report.is_ok(), "{:?} audit: {:?}", sched.name(), report);
         }
     }
 

@@ -1,6 +1,7 @@
 //! The no-allocation guarantee, measured from outside: a counting global
 //! allocator (`support/counting_alloc.rs`) counts what warm scheduler
-//! passes and warm simulation runs really allocate.
+//! passes and warm simulation runs really allocate, and how much heap a
+//! warm run holds.
 
 #[path = "support/counting_alloc.rs"]
 mod support;
@@ -9,11 +10,11 @@ use std::hint::black_box;
 
 use predictsim_sim::{
     simulate_in, sorted_shortest_first, ClusterSpec, ConservativeScheduler, CorrectionPolicy,
-    EasyScheduler, Job, JobId, NullObserver, Partition, ReleaseSet, RequestedTimeCorrection,
-    RequestedTimePredictor, RunningJob, Scheduler, SchedulerContext, SimArena, SimConfig, Time,
-    WaitingJob,
+    EasyScheduler, Job, JobId, JobOutcome, NullObserver, Partition, ReleaseSet,
+    RequestedTimeCorrection, RequestedTimePredictor, RunningJob, Scheduler, SchedulerContext,
+    SimArena, SimConfig, SimResult, Time, WaitingJob,
 };
-use support::allocs;
+use support::{allocs, peak_live_bytes};
 
 const MACHINE: u32 = 32;
 
@@ -121,9 +122,8 @@ fn warm_passes_never_reallocate() {
 }
 
 /// End-to-end: on a warm arena with a warm scheduler, a whole run
-/// allocates only its result — the outcome vector and the scheduler's
-/// and predictor's name strings, plus the correction's name when there
-/// is one — whatever the job count.
+/// allocates only its result's outcome vector, with or without a
+/// correction, whatever the job count.
 #[test]
 fn simulation_passes_are_warm_after_startup() {
     let jobs = contended_jobs(1_500);
@@ -145,9 +145,9 @@ fn simulation_passes_are_warm_after_startup() {
         );
         for n in [1_500, 300] {
             let warm = run_allocs(&mut arena, &jobs[..n], config, scheduler, None);
-            assert_eq!(warm, 3, "{} on {n} jobs", scheduler.name());
+            assert_eq!(warm, 1, "{} on {n} jobs", scheduler.name());
             let warm = run_allocs(&mut arena, &jobs[..n], config, scheduler, Some(correction));
-            assert_eq!(warm, 4, "{} on {n} jobs, corrected", scheduler.name());
+            assert_eq!(warm, 1, "{} on {n} jobs, corrected", scheduler.name());
         }
     }
 }
@@ -170,6 +170,47 @@ fn arena_stays_warm_across_cluster_shapes() {
     }
     for config in [split, single, split, single] {
         let warm = run_allocs(&mut arena, &jobs, config, &mut scheduler, None);
-        assert_eq!(warm, 3, "{:?}", config.cluster);
+        assert_eq!(warm, 1, "{:?}", config.cluster);
     }
+}
+
+/// A caller done with a result gives its outcome vector back: on a warm
+/// arena, run → reclaim → run allocates nothing, for a smaller run too.
+/// Without the reclaim, the heap a warm run holds at its peak is its
+/// outcome vector, byte for byte.
+#[test]
+fn reclaimed_outcomes_make_the_next_run_allocation_free() {
+    let jobs = contended_jobs(1_500);
+    let config = SimConfig::single(MACHINE);
+    let correction: &dyn CorrectionPolicy = &RequestedTimeCorrection;
+    let mut arena = SimArena::new();
+    let mut scheduler = EasyScheduler::sjbf();
+    let mut run = |arena: &mut SimArena, n: usize| -> SimResult {
+        simulate_in(
+            arena,
+            &jobs[..n],
+            config,
+            &mut scheduler,
+            &mut RequestedTimePredictor,
+            Some(correction),
+            &mut NullObserver,
+        )
+        .unwrap()
+    };
+    let warm_up = run(&mut arena, 1_500);
+    arena.reclaim(warm_up.outcomes);
+    for n in [1_500, 300, 1_500] {
+        let (result, count) = allocs(|| run(&mut arena, n));
+        assert_eq!(count, 0, "reclaimed arena on {n} jobs");
+        assert_eq!(result.outcomes.len(), n);
+        arena.reclaim(result.outcomes);
+    }
+    let taken = run(&mut arena, 1_500);
+    let (result, peak) = peak_live_bytes(|| run(&mut arena, 1_500));
+    assert_eq!(peak, (1_500 * std::mem::size_of::<JobOutcome>()) as u64);
+    // A shorter vector does not replace the longer one the arena holds.
+    arena.reclaim(taken.outcomes);
+    arena.reclaim(result.outcomes[..300].to_vec());
+    let (_, count) = allocs(|| run(&mut arena, 1_500));
+    assert_eq!(count, 0, "the arena kept the longer vector");
 }

@@ -55,7 +55,7 @@ fn main() {
         assert_eq!(report.jobs, workload.jobs.len());
         println!(
             "{:<16} {:>9.2} {:>10.0}s {:>11.1}% {:>10}",
-            res.scheduler,
+            scheduler.name(),
             res.ave_bsld(),
             res.mean_wait(),
             100.0 * res.utilization(),

@@ -5,7 +5,8 @@
 //! at the bottom of this file, printed by `repro --help`.
 
 use std::io::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
+#[cfg(unix)]
+use std::sync::atomic::{AtomicI32, Ordering};
 use std::time::Instant;
 
 use predictsim_experiments::{
@@ -35,26 +36,61 @@ struct Options {
     listen: Option<String>,
 }
 
-/// Set by the SIGINT handler; everything else happens on normal
-/// threads (the handler itself must stay async-signal-safe).
-static INTERRUPTED: AtomicBool = AtomicBool::new(false);
+/// The write end of the SIGINT self-pipe (-1 until
+/// [`install_sigint_handler`] makes it).
+#[cfg(unix)]
+static SIGINT_PIPE: AtomicI32 = AtomicI32::new(-1);
 
+/// Writes one byte to the self-pipe. An atomic load and `write(2)` are
+/// async-signal-safe; everything else happens on normal threads.
+#[cfg(unix)]
 extern "C" fn note_sigint(_signum: i32) {
-    INTERRUPTED.store(true, Ordering::SeqCst);
+    extern "C" {
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    }
+    let fd = SIGINT_PIPE.load(Ordering::SeqCst);
+    if fd >= 0 {
+        unsafe {
+            write(fd, [1u8].as_ptr(), 1);
+        }
+    }
 }
 
 /// Routes SIGINT to [`note_sigint`] so the daemon can drain instead of
-/// dying with jobs in flight.
-fn install_sigint_handler() {
+/// dying with jobs in flight, and returns the wait for it: a blocking
+/// read of the self-pipe's other end, which wakes for nothing else.
+fn install_sigint_handler() -> impl FnOnce() {
     #[cfg(unix)]
     {
+        use std::io::Read as _;
+        use std::os::fd::IntoRawFd as _;
         extern "C" {
             fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
         }
         const SIGINT: i32 = 2;
+        let (mut wake, notify) = match std::os::unix::net::UnixStream::pair() {
+            Ok(pair) => pair,
+            Err(e) => {
+                eprintln!("error: cannot make the SIGINT pipe: {e}");
+                std::process::exit(2);
+            }
+        };
+        SIGINT_PIPE.store(notify.into_raw_fd(), Ordering::SeqCst);
         unsafe {
             signal(SIGINT, note_sigint);
         }
+        move || {
+            let mut byte = [0u8; 1];
+            while let Err(e) = wake.read(&mut byte) {
+                if e.kind() != std::io::ErrorKind::Interrupted {
+                    break;
+                }
+            }
+        }
+    }
+    #[cfg(not(unix))]
+    || loop {
+        std::thread::park();
     }
 }
 
@@ -327,7 +363,7 @@ fn main() {
 /// `repro serve` — start the simulation daemon and run until SIGINT,
 /// then drain: reject queued jobs and cancel in-flight simulations.
 fn run_serve(opts: &Options) {
-    install_sigint_handler();
+    let wait_for_sigint = install_sigint_handler();
     let mut cfg = predictsim_serve::ServeConfig::default();
     if let Some(addr) = &opts.listen {
         cfg.addr = addr.clone();
@@ -345,9 +381,7 @@ fn run_serve(opts: &Options) {
     // The smoke test and scripted clients scrape this line for the
     // resolved (possibly ephemeral) port; keep its shape stable.
     eprintln!("repro serve: listening on {}", server.addr());
-    while !INTERRUPTED.load(Ordering::SeqCst) {
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
+    wait_for_sigint();
     eprintln!(
         "repro serve: draining ({} job(s) in flight)",
         server.active_jobs()
