@@ -1,6 +1,7 @@
 //! The opt-in persistent layer of the [`SimCache`](super::SimCache):
-//! the only code that knows the cell-file format, file and temp naming
-//! and the fault ladder.
+//! file and temp naming, crash-consistent writes and the fault ladder.
+//! The bytes of a cell file belong to the sibling `codec` module, which
+//! writes them and reads them back.
 //!
 //! # Persistent layer
 //!
@@ -12,11 +13,15 @@
 //! *rejected*: counted in
 //! [`CacheStats::disk_rejects`](super::CacheStats::disk_rejects),
 //! deleted, and re-simulated (once, not silently re-written every run).
-//! The fingerprint is a fixed, platform-independent encoding, so a
-//! cache directory is portable. Cached cells reproduce fresh runs
-//! *byte-identically*: the stored [`TripleResult`] is the same value a
-//! fresh simulation aggregates, and prediction vectors round-trip
-//! losslessly through JSON (they are `i64`s).
+//! The file is strict about layout: the reader accepts the one compact
+//! layout the writer emits (same key order, no whitespace, the writer's
+//! escapes only), so a hand-edited or pretty-printed file is rejected
+//! the same way and rewritten. The fingerprint is a fixed,
+//! platform-independent encoding, so a cache directory is portable.
+//! Cached cells reproduce fresh runs *byte-identically*: the stored
+//! [`TripleResult`](crate::TripleResult) is the same value a fresh
+//! simulation aggregates, every float reads back bit-identical, and
+//! prediction vectors are `i64`s.
 //!
 //! The directory holds one `cell-<key hash>.json` per cell and nothing
 //! else. It is never trimmed — a full-scale repro writes well under
@@ -41,12 +46,9 @@
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
-
-use super::{CacheStats, CachedCell, CellKey};
-use crate::campaign::TripleResult;
+use super::{codec, CacheStats, CachedCell, CellKey};
 
 /// Bounded retries absorbed per disk operation before its error is
 /// surfaced (transient [`std::io::ErrorKind::Interrupted`] only; each
@@ -60,17 +62,6 @@ pub(super) const HARD_FAILURE_LIMIT: u64 = 5;
 /// Stable persistent file name for a key.
 pub(super) fn file_name(key: &CellKey) -> String {
     format!("cell-{:016x}.json", key.fnv())
-}
-
-/// The on-disk form of a cell: the full key (verified on load) plus the
-/// payload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct DiskCell {
-    fingerprint: u64,
-    cluster: String,
-    triple: String,
-    result: TripleResult,
-    predictions: Vec<i64>,
 }
 
 /// Removes every `*.tmp` file in `dir` whose name contains `marker`
@@ -301,28 +292,17 @@ impl DiskStore {
                 Err(err) => Err(err),
             }
         })?;
-        // Verify both the encoding and the full key: a truncated write,
+        // Verify both the layout and the full key: a truncated write,
         // bytes that are not UTF-8, a file-name hash collision or a stale
         // entry must never serve the wrong cell — and must not be
         // silently re-read (and re-missed) every run. Reject: count,
         // delete, re-simulate.
-        let verified = std::str::from_utf8(&bytes)
-            .ok()
-            .and_then(|text| serde_json::from_str::<DiskCell>(text).ok())
-            .filter(|disk| {
-                disk.fingerprint == key.fingerprint
-                    && disk.cluster == key.cluster
-                    && disk.triple == key.triple
-            });
-        let Some(disk) = verified else {
+        let cell = codec::decode(&bytes, key);
+        if cell.is_none() {
             self.disk_rejects.fetch_add(1, Ordering::Relaxed);
             self.remove(&path);
-            return None;
-        };
-        Some(CachedCell {
-            result: disk.result,
-            predictions: Some(Arc::new(disk.predictions)),
-        })
+        }
+        cell
     }
 
     /// Writes `cell` under `key`. Persistence is best-effort: a
@@ -333,17 +313,8 @@ impl DiskStore {
             return; // only complete cells are persisted
         };
         self.classified("cell write", |dir| {
-            let disk = DiskCell {
-                fingerprint: key.fingerprint,
-                cluster: key.cluster.clone(),
-                triple: key.triple.clone(),
-                result: cell.result.clone(),
-                predictions: predictions.as_ref().clone(),
-            };
             let _ = std::fs::create_dir_all(&dir);
-            let Ok(json) = serde_json::to_string(&disk) else {
-                return Ok(None);
-            };
+            let json = codec::encode(key, &cell.result, predictions);
             self.write_atomic(&dir.join(file_name(key)), &json)?;
             Ok(Some(()))
         });
@@ -354,7 +325,7 @@ impl DiskStore {
 mod tests {
     use super::*;
     use crate::cache::tests::{temp_dir, tiny_arena};
-    use crate::cache::SimCache;
+    use crate::cache::{CellSource, SimCache};
     use crate::triple::HeuristicTriple;
     use predictsim_faultline::{self as faultline, FaultPlan};
 
@@ -381,6 +352,48 @@ mod tests {
         assert!(!dir.join("index.json").exists(), "no index is ever created");
         // Without a persistent directory the flush is a no-op.
         SimCache::new().flush_persistent();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The reader takes the writer's layout only: a cell file that is
+    /// pretty-printed or has its keys reordered — the same JSON value —
+    /// is rejected once, re-simulated and rewritten in the canonical
+    /// layout, which the next process is then served from.
+    #[test]
+    fn a_cell_file_in_another_layout_is_rejected_once_and_rewritten() {
+        let dir = temp_dir("layout");
+        let (arena, m) = tiny_arena(34);
+        let triple = HeuristicTriple::standard_easy();
+        let open = || {
+            let cache = SimCache::new();
+            cache.set_persist_dir(Some(dir.clone()));
+            cache
+        };
+        let (fresh, _) = open().run_cell_traced(&arena, m, &triple).unwrap();
+        let path = dir.join(file_name(&CellKey::new(&arena, m, &triple)));
+        let canonical = std::fs::read_to_string(&path).unwrap();
+        let value: serde::Value = serde_json::from_str(&canonical).unwrap();
+        let serde::Value::Map(entries) = &value else {
+            panic!("a cell file is an object")
+        };
+        let reordered = serde::Value::Map(entries.iter().rev().cloned().collect());
+        for layout in [
+            serde_json::to_string_pretty(&value).unwrap(),
+            serde_json::to_string(&reordered).unwrap(),
+        ] {
+            std::fs::write(&path, &layout).unwrap();
+            let reader = open();
+            let (cell, source) = reader.run_cell_traced(&arena, m, &triple).unwrap();
+            let stats = reader.stats();
+            assert_eq!(
+                (source, stats.disk_rejects, stats.simulated),
+                (CellSource::Simulated, 1, 1)
+            );
+            assert_eq!(cell.result, fresh.result);
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), canonical);
+            let (_, source) = open().run_cell_traced(&arena, m, &triple).unwrap();
+            assert_eq!(source, CellSource::Disk);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -19,9 +19,9 @@
 //! panic isolation and the cell counters; how a cell is *stored* is the
 //! business of the two layers below it. `memory` is the sharded,
 //! single-flight in-memory map of aggregates; `disk` is the persistent
-//! directory (`repro --cache DIR`): cell-file format and key
-//! verification, crash-consistent writes and the retry /
-//! degrade-to-memory fault ladder.
+//! directory (`repro --cache DIR`): crash-consistent writes and the
+//! retry / degrade-to-memory fault ladder, over `codec`, which owns the
+//! cell-file format and checks the key as it reads.
 //!
 //! # Panic isolation
 //!
@@ -31,6 +31,7 @@
 //! [`ScenarioError::CellPanicked`] after the lease has withdrawn its
 //! marker and released coalesced waiters.
 
+mod codec;
 mod disk;
 mod memory;
 

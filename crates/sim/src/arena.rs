@@ -5,6 +5,12 @@ use crate::job::JobId;
 use crate::outcome::JobOutcome;
 use crate::state::SimState;
 
+/// The most outcomes [`SimArena::reclaim`] keeps: 2¹⁹, 42 MB of
+/// [`JobOutcome`]s. Every full-scale log of the paper fits under it
+/// (Metacentrum, the largest, has 495 000 jobs), so a campaign worker
+/// still reuses its vector; a run beyond it sizes its own.
+const RECLAIM_LIMIT: usize = 1 << 19;
+
 /// Reusable per-run engine buffers: cross-simulation scratch reuse.
 ///
 /// Scheduler passes are allocation-free *within* one run; the arena
@@ -44,9 +50,11 @@ impl SimArena {
     /// Takes back a finished run's outcome vector (its caller done with
     /// the [`SimResult`](crate::SimResult)), so the next run reuses its
     /// capacity instead of sizing a new one. The arena keeps the larger
-    /// of the vector it holds and `outcomes`.
+    /// of the vector it holds and `outcomes`, up to 2¹⁹ outcomes (42 MB):
+    /// a larger vector is dropped, so an idle worker that once ran a
+    /// giant request does not hold its outcomes for life.
     pub fn reclaim(&mut self, mut outcomes: Vec<JobOutcome>) {
-        if outcomes.capacity() > self.outcomes.capacity() {
+        if outcomes.capacity() > self.outcomes.capacity() && outcomes.capacity() <= RECLAIM_LIMIT {
             outcomes.clear();
             self.outcomes = outcomes;
         }

@@ -14,7 +14,7 @@ use predictsim_sim::{
     RequestedTimeCorrection, RequestedTimePredictor, RunningJob, Scheduler, SchedulerContext,
     SimArena, SimConfig, SimResult, Time, WaitingJob,
 };
-use support::{allocs, peak_live_bytes};
+use support::{allocs, live_bytes, peak_live_bytes};
 
 const MACHINE: u32 = 32;
 
@@ -213,4 +213,47 @@ fn reclaimed_outcomes_make_the_next_run_allocation_free() {
     arena.reclaim(result.outcomes[..300].to_vec());
     let (_, count) = allocs(|| run(&mut arena, 1_500));
     assert_eq!(count, 0, "the arena kept the longer vector");
+}
+
+/// An idle worker keeps no giant vector: `reclaim` keeps at most 2¹⁹
+/// outcomes, so a larger vector is dropped on the spot and the arena
+/// goes on holding the one it had. (The over-bound vector is never
+/// written, so its capacity costs no pages.)
+#[test]
+fn an_over_bound_vector_is_dropped_and_the_held_one_kept() {
+    const BOUND: usize = 1 << 19;
+    let jobs = contended_jobs(300);
+    let config = SimConfig::single(MACHINE);
+    let mut arena = SimArena::new();
+    let mut scheduler = EasyScheduler::sjbf();
+    let warm_up = simulate_in(
+        &mut arena,
+        &jobs,
+        config,
+        &mut scheduler,
+        &mut RequestedTimePredictor,
+        None,
+        &mut NullObserver,
+    )
+    .unwrap();
+    arena.reclaim(warm_up.outcomes);
+
+    let before = live_bytes();
+    arena.reclaim(Vec::with_capacity(BOUND + 1));
+    assert_eq!(
+        live_bytes(),
+        before,
+        "the over-bound vector is freed at once"
+    );
+    let count = run_allocs(&mut arena, &jobs, config, &mut scheduler, None);
+    assert_eq!(count, 0, "the arena still holds the vector it had");
+
+    // That run took the held vector with it: a vector at the bound is
+    // now kept, whole.
+    let before = live_bytes();
+    arena.reclaim(Vec::with_capacity(BOUND));
+    assert_eq!(
+        live_bytes() - before,
+        (BOUND * std::mem::size_of::<JobOutcome>()) as i64
+    );
 }

@@ -66,3 +66,9 @@ pub fn peak_live_bytes<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let peak = PEAK.with(|peak| peak.replace(outer.max(peak.get())));
     (result, (peak - base) as u64)
 }
+
+/// Bytes the calling thread has allocated and not freed.
+#[allow(dead_code)] // not every test binary that includes this file reads it
+pub fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
+}
