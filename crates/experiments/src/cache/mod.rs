@@ -1,5 +1,5 @@
-//! Process-wide simulation memoization — sharded, single-flight, with an
-//! opt-in persistent layer.
+//! Process-wide simulation memoization — single-flight, with an opt-in
+//! persistent layer.
 //!
 //! The repro pipeline re-simulates the same (workload × policy triple)
 //! cells from several experiments: the campaign grid is re-read by
@@ -17,7 +17,7 @@
 //!
 //! This module owns the cell identity, the `run_cell*` entry points,
 //! panic isolation and the cell counters; how a cell is *stored* is the
-//! business of the two layers below it. `memory` is the sharded,
+//! business of the two layers below it. `memory` is the one-lock,
 //! single-flight in-memory map of aggregates; `disk` is the persistent
 //! directory (`repro --cache DIR`): crash-consistent writes and the
 //! retry / degrade-to-memory fault ladder, over `codec`, which owns the
@@ -96,8 +96,7 @@ impl CellKey {
         }
     }
 
-    /// FNV-1a over the key's fields — names the persistent file *and*
-    /// selects the shard, so disk layout and lock layout agree.
+    /// FNV-1a over the key's fields — names the persistent file.
     fn fnv(&self) -> u64 {
         predictsim_sim::hash::fnv1a64(
             self.fingerprint
@@ -272,9 +271,11 @@ impl SimCache {
         self.disk.flush();
     }
 
-    /// Drops every in-memory cell (the persistent directory, if any, is
-    /// untouched). Intended for
-    /// tests that must observe *fresh* simulations — e.g. the pool-width
+    /// Drops every finished in-memory cell (the persistent directory, if
+    /// any, is untouched). A cell in flight keeps its marker, so a
+    /// request for it made after the clear still waits for that
+    /// simulation instead of starting a second one. Intended for tests
+    /// that must observe *fresh* simulations — e.g. the pool-width
     /// determinism suites, which would otherwise compare a simulation
     /// against its own memoized result.
     pub fn clear_memory(&self) {
@@ -350,8 +351,8 @@ impl SimCache {
     /// also the cancellation seam: an observer whose
     /// [`SimObserver::keep_running`] turns `false` aborts the in-flight
     /// simulation with [`predictsim_sim::SimError::Aborted`], the lease
-    /// is withdrawn, and any coalesced waiters retry (one becomes the
-    /// next leader). Progress heartbeats (`--progress`) and the serve
+    /// is withdrawn, and one of any coalesced waiters becomes the next
+    /// leader. Progress heartbeats (`--progress`) and the serve
     /// daemon's streamed `metrics` frames and deadline / disconnect /
     /// drain cancellation ride this path; an aborted run counts in
     /// [`CacheStats::simulated`] and stores nothing.
@@ -363,58 +364,49 @@ impl SimCache {
         observer: &mut dyn SimObserver,
     ) -> Result<(CachedCell, CellSource), ScenarioError> {
         let key = CellKey::new(arena, cluster, triple);
-        // Memory answers with aggregates only.
-        let from_memory = |result| CachedCell {
-            result,
-            predictions: None,
-        };
-        loop {
-            match self.memory.claim(&key) {
-                Claim::Hit(result) => {
-                    self.memory_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((from_memory(result), CellSource::Memory));
-                }
-                Claim::Wait(flight) => {
-                    if let Some(result) = flight.wait() {
-                        self.memory_hits.fetch_add(1, Ordering::Relaxed);
-                        self.coalesced.fetch_add(1, Ordering::Relaxed);
-                        return Ok((from_memory(result), CellSource::Coalesced));
-                    }
-                    // Leader failed; retry — this thread may become the
-                    // next leader and surface the error itself.
-                }
-                Claim::Lead(lease) => {
-                    // Disk probe and simulation both run outside every
-                    // shard lock; only same-cell requesters wait.
-                    if let Some(cell) = self.disk.load(&key) {
-                        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        lease.fulfill(cell.result.clone());
-                        return Ok((cell, CellSource::Disk));
-                    }
-                    self.simulated.fetch_add(1, Ordering::Relaxed);
-                    // On error the lease drop withdraws the marker and
-                    // releases the waiters before `?` propagates. A
-                    // panicking cell is caught and retried inside
-                    // `simulate_isolated`; `simulated` still counts the
-                    // miss once — it is a true-work count of cells, not
-                    // of attempts.
-                    let sim = self.simulate_isolated(triple, arena, cluster, observer)?;
-                    let result = TripleResult::from_sim(triple, &sim);
-                    let predictions: Vec<i64> =
-                        sim.outcomes.iter().map(|o| o.initial_prediction).collect();
-                    crate::scenario::reclaim_outcomes(sim.outcomes);
-                    let cell = CachedCell {
-                        result,
-                        predictions: Some(Arc::new(predictions)),
-                    };
-                    // The file gets the whole cell, memory only the
-                    // aggregates.
-                    self.disk.store(&key, &cell);
-                    lease.fulfill(cell.result.clone());
-                    return Ok((cell, CellSource::Simulated));
-                }
+        let lease = match self.memory.claim(&key) {
+            Claim::Hit { result, coalesced } => {
+                self.memory_hits.fetch_add(1, Ordering::Relaxed);
+                let source = if coalesced {
+                    self.coalesced.fetch_add(1, Ordering::Relaxed);
+                    CellSource::Coalesced
+                } else {
+                    CellSource::Memory
+                };
+                // Memory answers with aggregates only.
+                let cell = CachedCell {
+                    result,
+                    predictions: None,
+                };
+                return Ok((cell, source));
             }
+            Claim::Lead(lease) => lease,
+        };
+        // Disk probe and simulation both run outside the memory lock;
+        // only same-cell requesters wait.
+        if let Some(cell) = self.disk.load(&key) {
+            self.disk_hits.fetch_add(1, Ordering::Relaxed);
+            lease.fulfill(cell.result.clone());
+            return Ok((cell, CellSource::Disk));
         }
+        self.simulated.fetch_add(1, Ordering::Relaxed);
+        // On error the lease drop withdraws the marker and wakes the
+        // waiters before `?` propagates. A panicking cell is caught and
+        // retried inside `simulate_isolated`; `simulated` still counts
+        // the miss once — it is a true-work count of cells, not of
+        // attempts.
+        let sim = self.simulate_isolated(triple, arena, cluster, observer)?;
+        let result = TripleResult::from_sim(triple, &sim);
+        let predictions: Vec<i64> = sim.outcomes.iter().map(|o| o.initial_prediction).collect();
+        crate::scenario::reclaim_outcomes(sim.outcomes);
+        let cell = CachedCell {
+            result,
+            predictions: Some(Arc::new(predictions)),
+        };
+        // The file gets the whole cell, memory only the aggregates.
+        self.disk.store(&key, &cell);
+        lease.fulfill(cell.result.clone());
+        Ok((cell, CellSource::Simulated))
     }
 
     /// Like [`SimCache::run_cell_traced`], but guarantees the predictions
@@ -450,6 +442,8 @@ mod tests {
     use crate::scenario::Scenario;
     use crate::triple::Variant;
     use predictsim_workload::{generate, WorkloadSpec};
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::time::Duration;
 
     pub(super) fn tiny_arena(seed: u64) -> (JobArena, ClusterSpec) {
         let mut spec = WorkloadSpec::toy();
@@ -895,5 +889,90 @@ mod tests {
         let (_, src) = cache.run_cell_traced(&arena, m, &triple).unwrap();
         assert_eq!(src, CellSource::Simulated);
         assert_eq!(cache.stats().simulated, 2, "abort still counted as work");
+    }
+
+    /// How long any step of the marker tests may wait before it fails.
+    const BOUND: Duration = Duration::from_secs(30);
+
+    /// With a channel pair, parks at its first event until told to run
+    /// on (`false`) or cancel (`true`); unreleased within [`BOUND`], it
+    /// cancels.
+    struct Parked(Option<(mpsc::Sender<()>, mpsc::Receiver<bool>)>, bool);
+
+    impl SimObserver for Parked {
+        fn on_event(&mut self, _event: &predictsim_sim::SimEvent<'_>) {
+            if let Some((parked, release)) = self.0.take() {
+                let _ = parked.send(());
+                self.1 = release.recv_timeout(BOUND).unwrap_or(true);
+            }
+        }
+        fn keep_running(&self) -> bool {
+            !self.1
+        }
+    }
+
+    type Answer = Result<(CachedCell, CellSource), ScenarioError>;
+
+    /// Parks a leader on `seed`'s cell, clears memory, requests the cell
+    /// from a second thread, checks that the request is still waiting
+    /// 300 ms later, then lets the leader run on or `cancel`. Returns
+    /// both answers and `simulated`. Requests run on detached threads
+    /// and every wait is bounded, so a lost wake-up fails the test
+    /// instead of hanging it.
+    fn clear_under_a_parked_leader(seed: u64, cancel: bool) -> (Answer, Answer, u64) {
+        let cache = Arc::new(private());
+        let (arena, m) = tiny_arena(seed);
+        let arena = Arc::new(arena);
+        let request = |mut observer: Parked| {
+            let (cache, arena) = (cache.clone(), arena.clone());
+            let (answer, answered) = mpsc::channel();
+            let triple = HeuristicTriple::standard_easy();
+            std::thread::spawn(move || {
+                let _ =
+                    answer.send(cache.run_cell_observed_traced(&arena, m, &triple, &mut observer));
+            });
+            answered
+        };
+        let (parked, is_parked) = mpsc::channel();
+        let (release, released) = mpsc::channel();
+        let leader = request(Parked(Some((parked, released)), false));
+        is_parked.recv_timeout(BOUND).expect("the leader parks");
+        cache.clear_memory();
+        let waiter = request(Parked(None, false));
+        let early = waiter.recv_timeout(Duration::from_millis(300));
+        assert!(
+            matches!(early, Err(RecvTimeoutError::Timeout)),
+            "a request after the clear must wait for the parked leader"
+        );
+        release.send(cancel).unwrap();
+        let leader = leader.recv_timeout(BOUND).expect("the leader answers");
+        let waiter = waiter.recv_timeout(BOUND).expect("the waiter answers");
+        (leader, waiter, cache.stats().simulated)
+    }
+
+    /// A clear drops finished cells only: a request made while the cell
+    /// is in flight waits for it and coalesces.
+    #[test]
+    fn a_clear_keeps_the_marker_of_a_cell_in_flight() {
+        let (leader, waiter, simulated) = clear_under_a_parked_leader(33, false);
+        assert_eq!(leader.unwrap().1, CellSource::Simulated);
+        assert_eq!(waiter.unwrap().1, CellSource::Coalesced);
+        assert_eq!(simulated, 1);
+    }
+
+    /// The kept marker leaves through its lease: when the parked leader
+    /// cancels, the waiter leads.
+    #[test]
+    fn a_leader_cancelled_after_a_clear_hands_the_cell_to_its_waiter() {
+        let (leader, waiter, simulated) = clear_under_a_parked_leader(34, true);
+        let aborted = |e: &ScenarioError| {
+            matches!(
+                e,
+                ScenarioError::Sim(predictsim_sim::SimError::Aborted { .. })
+            )
+        };
+        assert!(leader.as_ref().is_err_and(aborted), "{leader:?}");
+        assert_eq!(waiter.unwrap().1, CellSource::Simulated);
+        assert_eq!(simulated, 2);
     }
 }

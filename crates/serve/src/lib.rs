@@ -7,7 +7,7 @@
 //! newline-delimited JSON (no network dependencies — framing is
 //! hand-rolled over `std::net`), accepts scenario submissions in the
 //! registry grammar, runs them on a bounded worker pool against the
-//! process-wide sharded [`SimCache`](predictsim_experiments::SimCache),
+//! process-wide [`SimCache`](predictsim_experiments::SimCache),
 //! and streams per-job frames back:
 //!
 //! 1. `ack` — job id, resolved triple, resolved workload;

@@ -88,6 +88,26 @@ fn malformed_requests_get_typed_errors_and_the_session_survives() {
     server.shutdown();
 }
 
+/// The daemon reads only JSON (RFC 8259): a request that spells a
+/// number or a string in a form the RFC forbids is `malformed`, whatever
+/// value a laxer parser would have read from it.
+#[test]
+fn requests_in_non_json_spellings_are_malformed() {
+    let submit = |workload: &str| format!(r#"{{"type":"submit","workload":{{{workload}}}}}"#);
+    assert!(Request::parse(&submit(r#""log":"KTH-SP2","scale":0.5,"seed":7"#)).is_ok());
+    let mut lines = vec![submit(r#""log":"KTH-SP2","seed":007"#)];
+    for number in ["007", "-01", "00", "01.5", "+1", ".5", "-.5", "1.", "1.e5"] {
+        lines.push(submit(&format!(r#""log":"KTH-SP2","scale":{number}"#)));
+    }
+    for log in [r"KTH-\u+041", "KTH-\u{1}", "KTH\tSP2"] {
+        lines.push(submit(&format!(r#""log":"{log}""#)));
+    }
+    for line in &lines {
+        let err = Request::parse(line).expect_err(line);
+        assert_eq!(err.code, ErrorCode::Malformed, "{line}: {err}");
+    }
+}
+
 /// A line nested deeper than a connection thread's stack could parse
 /// by recursion, yet well under the line cap, gets a `malformed` frame
 /// and the session survives.

@@ -33,6 +33,20 @@ unreferenced() {
          END { for (w in defs) if (defs[w] == 1 && !(w in named)) n++; print n + 0 }' \
       - <(grep -roE --include='*.rs' --exclude-dir=target '\w+' crates src tests examples bench)
 }
+# Distinct product names `bench/` imports: the leaves of its `use
+# predictsim_*` lists (multi-line ones included) plus names it reaches by
+# path in code (`predictsim_sim::audit`); its own `predictsim_perfbench`
+# is not product.
+bench_contact() {
+  local code
+  code=$(find bench/src bench/tests -name '*.rs' -print0 | xargs -0 sed -E 's@//.*$@@' | tr '\n' ' ')
+  {
+    grep -oE 'use predictsim_[a-z]+::[^;]+;' <<< "$code" | grep -v '^use predictsim_perfbench' |
+      sed -E 's/^use predictsim_[a-z]+:://; s/[{};]/ /g' | tr ',' '\n' | sed -E 's/.*:://'
+    sed -E 's/use predictsim_[a-z]+::[^;]+;//g' <<< "$code" |
+      grep -oE 'predictsim_[a-z]+(::\w+)+' | grep -v '^predictsim_perfbench' | sed -E 's/.*:://'
+  } | tr -d ' ' | grep -vxE 'self|' | sort -u | wc -l
+}
 
 echo "rust_lines $(lines crates src tests examples vendor)"
 echo "vendor_lines $(lines vendor)"
@@ -53,3 +67,4 @@ echo "stats_structs $(grep -rhE 'pub struct \w*Stats\b' crates/*/src src | wc -l
 echo "unreferenced_pub_fns $(unreferenced)"
 echo "cli_flags $(grep -cE '^\s+"--[a-z-]+"( \| "-[a-z]")? =>' src/bin/repro.rs)"
 echo "fault_sites $(sed -n '/^const KNOWN_SITES/,/^];/p' crates/faultline/src/lib.rs | grep -c '^    "')"
+echo "bench_contact $(bench_contact)"
