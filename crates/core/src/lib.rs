@@ -14,7 +14,7 @@
 //!    currently-running jobs, and periodic encodings of the submission
 //!    instant.
 //! 2. Features pass through a degree-2 polynomial basis
-//!    ([`PolynomialBasis`]) — the regression function of Equation (1),
+//!    ([`Basis::Polynomial`]) — the regression function of Equation (1),
 //!    `f(w,x) = wᵀΦ(x)`.
 //! 3. The weights minimize a cumulative **asymmetric, per-job-weighted
 //!    loss** ([`AsymmetricLoss`], [`WeightingScheme`]) with ℓ2
@@ -35,6 +35,12 @@
 //! (E-Loss: squared over-prediction branch, linear under-prediction
 //! branch, large-area weight `log(q·p)`) combined with
 //! [`IncrementalCorrection`] and EASY-SJBF (in `predictsim-sim`).
+//!
+//! Each training choice — [`BasisLoss`], [`WeightingScheme`],
+//! [`OptimizerKind`], [`Basis`] — spells its values once, in a table
+//! beside its type. [`MlConfig`]'s `name` and `FromStr` are the `ml(...)`
+//! grammar built from those tables (`ml(u=lin,o=sq,g=area)+sgd`), and
+//! that name keys every campaign cell.
 //!
 //! The crate root is the whole API; the modules behind it are private:
 //!
@@ -95,12 +101,12 @@ mod optimizer;
 mod predictor;
 mod weighting;
 
-pub use basis::{Basis, LinearBasis, PolynomialBasis};
+pub use basis::Basis;
 pub use correction::{IncrementalCorrection, RecursiveDoublingCorrection};
 pub use eloss::{eloss, mae_of_outcomes, mean_eloss_of_outcomes};
 pub use features::{FeatureExtractor, FEATURE_NAMES, N_FEATURES};
 pub use loss::{loss_shapes, AsymmetricLoss, BasisLoss};
 pub use model::{LearnRecord, OnlineRegression, DEFAULT_ETA, DEFAULT_L2};
-pub use optimizer::{AdaGradOptimizer, NagOptimizer, OnlineOptimizer, SgdOptimizer};
-pub use predictor::{ml_grid, Ave2Predictor, BasisKind, MlConfig, MlPredictor, OptimizerKind};
+pub use optimizer::{AdaGradOptimizer, NagOptimizer, OnlineOptimizer, OptimizerKind, SgdOptimizer};
+pub use predictor::{ml_grid, Ave2Predictor, MlConfig, MlPredictor};
 pub use weighting::WeightingScheme;

@@ -60,12 +60,14 @@ impl BasisLoss {
         }
     }
 
+    /// Each basis loss, in declaration order, with its code in
+    /// heuristic-triple names.
+    pub(crate) const CODES: [(BasisLoss, &'static str); 2] =
+        [(BasisLoss::Linear, "lin"), (BasisLoss::Squared, "sq")];
+
     /// Short code used in heuristic-triple names (`"lin"`, `"sq"`).
     pub fn code(self) -> &'static str {
-        match self {
-            BasisLoss::Linear => "lin",
-            BasisLoss::Squared => "sq",
-        }
+        Self::CODES[self as usize].1
     }
 }
 
@@ -128,26 +130,11 @@ impl AsymmetricLoss {
     }
 }
 
-/// The four basis-loss combinations of Table 5.
+/// The four basis-loss combinations of Table 5, under-prediction branch
+/// major.
 pub fn loss_shapes() -> [AsymmetricLoss; 4] {
-    [
-        AsymmetricLoss {
-            under: BasisLoss::Linear,
-            over: BasisLoss::Linear,
-        },
-        AsymmetricLoss {
-            under: BasisLoss::Linear,
-            over: BasisLoss::Squared,
-        },
-        AsymmetricLoss {
-            under: BasisLoss::Squared,
-            over: BasisLoss::Linear,
-        },
-        AsymmetricLoss {
-            under: BasisLoss::Squared,
-            over: BasisLoss::Squared,
-        },
-    ]
+    let [lin, sq] = BasisLoss::CODES.map(|(basis, _)| basis);
+    [(lin, lin), (lin, sq), (sq, lin), (sq, sq)].map(|(under, over)| AsymmetricLoss { under, over })
 }
 
 #[cfg(test)]
@@ -254,5 +241,8 @@ mod tests {
     fn codes() {
         assert_eq!(AsymmetricLoss::E_LOSS.code(), "u=lin,o=sq");
         assert_eq!(loss_shapes().len(), 4);
+        for (i, (basis, _)) in BasisLoss::CODES.into_iter().enumerate() {
+            assert_eq!(basis as usize, i, "CODES follows declaration order");
+        }
     }
 }

@@ -66,10 +66,10 @@ impl OnlineRegression {
     /// A model over `n_features` raw features with the paper's defaults:
     /// degree-2 basis, NAG, λ = [`DEFAULT_L2`].
     pub fn new(n_features: usize, loss: AsymmetricLoss, weighting: WeightingScheme) -> Self {
-        let basis = Basis::polynomial(n_features);
-        let dim = basis.output_dim();
+        let dim = Basis::Polynomial.output_dim(n_features);
         Self::with_parts(
-            basis,
+            n_features,
+            Basis::Polynomial,
             Box::new(NagOptimizer::new(dim, DEFAULT_ETA)),
             loss,
             weighting,
@@ -77,15 +77,17 @@ impl OnlineRegression {
         )
     }
 
-    /// Full control over every component (used by the ablations).
+    /// Full control over every component (used by the ablations): a
+    /// model over `n_features` raw features expanded by `basis`.
     pub fn with_parts(
+        n_features: usize,
         basis: Basis,
         optimizer: Box<dyn OnlineOptimizer>,
         loss: AsymmetricLoss,
         weighting: WeightingScheme,
         l2: f64,
     ) -> Self {
-        let dim = basis.output_dim();
+        let dim = basis.output_dim(n_features);
         Self {
             basis,
             weights: vec![0.0; dim],
@@ -185,6 +187,7 @@ impl std::fmt::Debug for OnlineRegression {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OnlineRegression")
             .field("dim", &self.weights.len())
+            .field("basis", &self.basis.name())
             .field("loss", &self.loss)
             .field("weighting", &self.weighting)
             .field("optimizer", &self.optimizer.name())

@@ -72,7 +72,7 @@ impl OnlineOptimizer for AdaGradOptimizer {
     }
 
     fn name(&self) -> &'static str {
-        "adagrad"
+        super::OptimizerKind::AdaGrad.name()
     }
 }
 

@@ -31,6 +31,43 @@ pub use adagrad::AdaGradOptimizer;
 pub use nag::NagOptimizer;
 pub use sgd::SgdOptimizer;
 
+/// Which optimizer an [`crate::MlPredictor`] trains with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum OptimizerKind {
+    /// Normalized Adaptive Gradient \[19\] — the paper's choice.
+    #[default]
+    Nag,
+    /// Plain SGD (ablation).
+    Sgd,
+    /// AdaGrad (ablation).
+    AdaGrad,
+}
+
+impl OptimizerKind {
+    /// Each optimizer, in declaration order, with its name; an `ml(...)`
+    /// spec writes an optimizer other than the default as a `+<name>`
+    /// suffix.
+    pub(crate) const NAMES: [(OptimizerKind, &'static str); 3] = [
+        (OptimizerKind::Nag, "nag"),
+        (OptimizerKind::Sgd, "sgd"),
+        (OptimizerKind::AdaGrad, "adagrad"),
+    ];
+
+    /// The optimizer's name.
+    pub(crate) fn name(self) -> &'static str {
+        Self::NAMES[self as usize].1
+    }
+
+    /// A fresh optimizer over `dim` weights with learning rate `eta`.
+    pub(crate) fn build(self, dim: usize, eta: f64) -> Box<dyn OnlineOptimizer> {
+        match self {
+            OptimizerKind::Nag => Box::new(NagOptimizer::new(dim, eta)),
+            OptimizerKind::Sgd => Box::new(SgdOptimizer::new(eta)),
+            OptimizerKind::AdaGrad => Box::new(AdaGradOptimizer::new(dim, eta)),
+        }
+    }
+}
+
 /// An on-line first-order optimizer over a fixed-dimension weight vector.
 pub trait OnlineOptimizer: Send {
     /// Pre-prediction hook; may rescale `weights` based on the incoming
@@ -131,6 +168,14 @@ mod tests {
         assert!(e < 0.2, "SGD did not converge: {e}");
         let e = converges(&mut ada);
         assert!(e < 0.2, "AdaGrad did not converge: {e}");
+    }
+
+    #[test]
+    fn names_follow_declaration_order() {
+        for (i, (kind, name)) in OptimizerKind::NAMES.into_iter().enumerate() {
+            assert_eq!(kind as usize, i);
+            assert_eq!(kind.build(2, 0.5).name(), name);
+        }
     }
 
     #[test]

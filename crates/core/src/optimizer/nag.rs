@@ -201,7 +201,7 @@ impl OnlineOptimizer for NagOptimizer {
     }
 
     fn name(&self) -> &'static str {
-        "nag"
+        super::OptimizerKind::Nag.name()
     }
 }
 

@@ -51,7 +51,7 @@ impl OnlineOptimizer for SgdOptimizer {
     }
 
     fn name(&self) -> &'static str {
-        "sgd"
+        super::OptimizerKind::Sgd.name()
     }
 }
 

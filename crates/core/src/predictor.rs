@@ -15,14 +15,15 @@
 //!   configuration of §6.3.3.
 
 use std::collections::VecDeque;
+use std::str::FromStr;
 
 use predictsim_sim::{Job, RuntimePredictor, SystemView};
 
 use crate::basis::Basis;
 use crate::features::{FeatureExtractor, N_FEATURES};
-use crate::loss::{loss_shapes, AsymmetricLoss};
+use crate::loss::{loss_shapes, AsymmetricLoss, BasisLoss};
 use crate::model::{OnlineRegression, DEFAULT_ETA, DEFAULT_L2};
-use crate::optimizer::{AdaGradOptimizer, NagOptimizer, OnlineOptimizer, SgdOptimizer};
+use crate::optimizer::OptimizerKind;
 use crate::weighting::WeightingScheme;
 
 /// AVE₂(k): predicts the average of the user's last two recorded running
@@ -56,28 +57,6 @@ impl RuntimePredictor for Ave2Predictor {
     }
 }
 
-/// Which optimizer an [`MlPredictor`] trains with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum OptimizerKind {
-    /// Normalized Adaptive Gradient \[19\] — the paper's choice.
-    #[default]
-    Nag,
-    /// Plain SGD (ablation).
-    Sgd,
-    /// AdaGrad (ablation).
-    AdaGrad,
-}
-
-/// Which basis the model expands features with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BasisKind {
-    /// Degree-2 polynomial (Equation 1, the paper's choice).
-    #[default]
-    Polynomial,
-    /// Degree-1 (ablation).
-    Linear,
-}
-
 /// Configuration of a learning-based predictor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MlConfig {
@@ -88,7 +67,7 @@ pub struct MlConfig {
     /// Optimizer.
     pub optimizer: OptimizerKind,
     /// Basis degree.
-    pub basis: BasisKind,
+    pub basis: Basis,
 }
 
 impl MlConfig {
@@ -97,8 +76,8 @@ impl MlConfig {
         Self {
             loss,
             weighting,
-            optimizer: OptimizerKind::Nag,
-            basis: BasisKind::Polynomial,
+            optimizer: OptimizerKind::default(),
+            basis: Basis::default(),
         }
     }
 
@@ -108,35 +87,91 @@ impl MlConfig {
         Self::new(AsymmetricLoss::E_LOSS, WeightingScheme::LargeArea)
     }
 
-    /// Display name, e.g. `"ml(u=lin,o=sq,g=area)"`.
+    /// Display name, e.g. `"ml(u=lin,o=sq,g=area)"`; an optimizer or basis
+    /// other than the paper's follows as a suffix (`"…+sgd+lin-basis"`).
     pub fn name(&self) -> String {
-        let mut name = format!("ml({},{})", self.loss.code(), self.weighting.code());
-        if self.optimizer != OptimizerKind::Nag {
-            name.push_str(match self.optimizer {
-                OptimizerKind::Sgd => "+sgd",
-                OptimizerKind::AdaGrad => "+adagrad",
-                OptimizerKind::Nag => unreachable!(),
-            });
+        let mut name = format!("ml({},g={})", self.loss.code(), self.weighting.code());
+        if self.optimizer != OptimizerKind::default() {
+            name.push('+');
+            name.push_str(self.optimizer.name());
         }
-        if self.basis == BasisKind::Linear {
-            name.push_str("+lin-basis");
+        if self.basis != Basis::default() {
+            name.push('+');
+            name.push_str(self.basis.name());
         }
         name
     }
 
     fn build_model(&self) -> OnlineRegression {
-        let basis = match self.basis {
-            BasisKind::Polynomial => Basis::polynomial(N_FEATURES),
-            BasisKind::Linear => Basis::linear(N_FEATURES),
-        };
-        let dim = basis.output_dim();
-        let optimizer: Box<dyn OnlineOptimizer> = match self.optimizer {
-            OptimizerKind::Nag => Box::new(NagOptimizer::new(dim, DEFAULT_ETA)),
-            OptimizerKind::Sgd => Box::new(SgdOptimizer::new(DEFAULT_ETA)),
-            OptimizerKind::AdaGrad => Box::new(AdaGradOptimizer::new(dim, DEFAULT_ETA)),
-        };
-        OnlineRegression::with_parts(basis, optimizer, self.loss, self.weighting, DEFAULT_L2)
+        let optimizer = self
+            .optimizer
+            .build(self.basis.output_dim(N_FEATURES), DEFAULT_ETA);
+        let (loss, weighting) = (self.loss, self.weighting);
+        OnlineRegression::with_parts(
+            N_FEATURES, self.basis, optimizer, loss, weighting, DEFAULT_L2,
+        )
     }
+}
+
+/// Parses a learning-configuration spec: the display form
+/// `ml(u=<lin|sq>,o=<lin|sq>,g=<1|q/p|p/q|small|area>)` or the colon form
+/// `ml:u=..,o=..,g=..`, each optionally followed by `+<optimizer>` and
+/// `+<basis>` suffixes (`+sgd`, `+adagrad`, `+lin-basis`). The error says
+/// what is wrong with the spec.
+impl FromStr for MlConfig {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<Self, String> {
+        let (body, suffixes) = if let Some(rest) = spec.strip_prefix("ml(") {
+            let close = rest.find(')').ok_or("missing `)`")?;
+            (&rest[..close], &rest[close + 1..])
+        } else if let Some(rest) = spec.strip_prefix("ml:") {
+            rest.split_at(rest.find('+').unwrap_or(rest.len()))
+        } else {
+            return Err("expected `ml(...)` or `ml:...`".into());
+        };
+        let (mut under, mut over, mut weighting) = (None, None, None);
+        for field in body.split(',') {
+            let (key, code) = field
+                .split_once('=')
+                .ok_or_else(|| format!("field {field:?} is not `key=value`"))?;
+            match key {
+                "u" => under = Some(spelled(&BasisLoss::CODES, code, "basis loss")?),
+                "o" => over = Some(spelled(&BasisLoss::CODES, code, "basis loss")?),
+                "g" => weighting = Some(spelled(&WeightingScheme::CODES, code, "weighting")?),
+                other => return Err(format!("unknown field {other:?}")),
+            }
+        }
+        let loss = AsymmetricLoss {
+            under: under.ok_or("missing `u=` field")?,
+            over: over.ok_or("missing `o=` field")?,
+        };
+        let mut config = MlConfig::new(loss, weighting.ok_or("missing `g=` field")?);
+        // The first entry of each table is the default, never written.
+        for suffix in suffixes.split('+').filter(|s| !s.is_empty()) {
+            if let Ok(optimizer) = spelled(&OptimizerKind::NAMES[1..], suffix, "optimizer") {
+                config.optimizer = optimizer;
+            } else if let Ok(basis) = spelled(&Basis::NAMES[1..], suffix, "basis") {
+                config.basis = basis;
+            } else {
+                return Err(format!("unknown suffix {suffix:?}"));
+            }
+        }
+        Ok(config)
+    }
+}
+
+/// The value `table` spells as `code`, or an error naming `what` and
+/// every spelling `table` accepts.
+fn spelled<T: Copy>(table: &[(T, &str)], code: &str, what: &str) -> Result<T, String> {
+    let row = table.iter().find(|(_, spelling)| *spelling == code);
+    row.map(|&(value, _)| value).ok_or_else(|| {
+        let codes: Vec<&str> = table.iter().map(|(_, spelling)| *spelling).collect();
+        format!(
+            "unknown {what} {code:?} (expected one of {})",
+            codes.join(", ")
+        )
+    })
 }
 
 /// The 20 loss-function configurations of Table 5 (4 shapes × 5 weights),
@@ -361,7 +396,7 @@ mod tests {
         let mut cfg = MlConfig::e_loss();
         cfg.optimizer = OptimizerKind::Sgd;
         assert!(cfg.name().contains("+sgd"));
-        cfg.basis = BasisKind::Linear;
+        cfg.basis = Basis::Linear;
         assert!(cfg.name().contains("+lin-basis"));
     }
 

@@ -50,14 +50,21 @@ pub enum WeightingScheme {
 }
 
 impl WeightingScheme {
-    /// All five schemes, in Table 3 order.
-    pub const ALL: [WeightingScheme; 5] = [
-        WeightingScheme::Constant,
-        WeightingScheme::ShortWide,
-        WeightingScheme::LongNarrow,
-        WeightingScheme::SmallArea,
-        WeightingScheme::LargeArea,
+    /// Each scheme, in Table 3 (and declaration) order, with its code in
+    /// heuristic-triple names (`g=<code>`).
+    pub(crate) const CODES: [(WeightingScheme, &'static str); 5] = [
+        (WeightingScheme::Constant, "1"),
+        (WeightingScheme::ShortWide, "q/p"),
+        (WeightingScheme::LongNarrow, "p/q"),
+        (WeightingScheme::SmallArea, "small"),
+        (WeightingScheme::LargeArea, "area"),
     ];
+
+    /// All five schemes, in Table 3 order.
+    pub const ALL: [WeightingScheme; 5] = {
+        let c = Self::CODES;
+        [c[0].0, c[1].0, c[2].0, c[3].0, c[4].0]
+    };
 
     /// The weight γ_j for a job with actual running time `p` (seconds) and
     /// resource request `q` (processors), clamped to ≥ 0.01 (`MIN_GAMMA`).
@@ -74,15 +81,9 @@ impl WeightingScheme {
         raw.max(MIN_GAMMA)
     }
 
-    /// Short code used in heuristic-triple names.
+    /// Short code used in heuristic-triple names, after `g=`.
     pub fn code(self) -> &'static str {
-        match self {
-            WeightingScheme::Constant => "g=1",
-            WeightingScheme::ShortWide => "g=q/p",
-            WeightingScheme::LongNarrow => "g=p/q",
-            WeightingScheme::SmallArea => "g=small",
-            WeightingScheme::LargeArea => "g=area",
-        }
+        Self::CODES[self as usize].1
     }
 }
 
@@ -153,5 +154,8 @@ mod tests {
         let codes: std::collections::HashSet<_> =
             WeightingScheme::ALL.iter().map(|s| s.code()).collect();
         assert_eq!(codes.len(), 5);
+        for (i, scheme) in WeightingScheme::ALL.into_iter().enumerate() {
+            assert_eq!(scheme as usize, i, "CODES follows declaration order");
+        }
     }
 }

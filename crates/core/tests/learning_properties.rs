@@ -20,9 +20,10 @@ fn prediction_trace(
     scaled_feature: usize,
     eta: f64,
 ) -> Vec<f64> {
-    let basis = Basis::polynomial(3);
-    let optimizer: Box<dyn OnlineOptimizer> = Box::new(NagOptimizer::new(basis.output_dim(), eta));
+    let basis = Basis::Polynomial;
+    let optimizer: Box<dyn OnlineOptimizer> = Box::new(NagOptimizer::new(basis.output_dim(3), eta));
     let mut model = OnlineRegression::with_parts(
+        3,
         basis,
         optimizer,
         AsymmetricLoss::SQUARED,
@@ -81,10 +82,10 @@ proptest! {
             })
             .collect();
         let run = |scale: f64| {
-            let basis = Basis::polynomial(3);
+            let basis = Basis::Polynomial;
             let optimizer: Box<dyn OnlineOptimizer> = Box::new(SgdOptimizer::new(1e-4));
             let mut model = OnlineRegression::with_parts(
-                basis, optimizer, AsymmetricLoss::SQUARED, WeightingScheme::Constant, 0.0,
+                3, basis, optimizer, AsymmetricLoss::SQUARED, WeightingScheme::Constant, 0.0,
             );
             let mut trace = Vec::new();
             for (x, y) in &examples {
@@ -185,7 +186,8 @@ impl OnlineOptimizer for PlainStep {
 /// under-, squared over-prediction branch).
 fn crash_trace(optimizer: Box<dyn OnlineOptimizer>) -> Vec<f64> {
     let mut model = OnlineRegression::with_parts(
-        Basis::polynomial(3),
+        3,
+        Basis::Polynomial,
         optimizer,
         AsymmetricLoss::E_LOSS,
         WeightingScheme::Constant,
@@ -210,7 +212,7 @@ fn crash_trace(optimizer: Box<dyn OnlineOptimizer>) -> Vec<f64> {
 /// back.
 #[test]
 fn plain_nag_step_collapses_on_one_crash_and_the_bounded_step_does_not() {
-    let dim = Basis::polynomial(3).output_dim();
+    let dim = Basis::Polynomial.output_dim(3);
     let eta = predictsim_core::DEFAULT_ETA;
     let plain = crash_trace(Box::new(PlainStep(NagOptimizer::new(dim, eta))));
     let bounded = crash_trace(Box::new(NagOptimizer::new(dim, eta)));
@@ -254,8 +256,8 @@ struct RawTargetLearner {
 
 impl RawTargetLearner {
     fn new(loss: AsymmetricLoss) -> Self {
-        let basis = Basis::polynomial(3);
-        let dim = basis.output_dim();
+        let basis = Basis::Polynomial;
+        let dim = basis.output_dim(3);
         let optimizer = NagOptimizer::new(dim, predictsim_core::DEFAULT_ETA);
         Self {
             basis,
@@ -314,8 +316,9 @@ fn target_normalisation_reaches_any_magnitude_in_one_update_and_raw_targets_do_n
     for loss in [AsymmetricLoss::SQUARED, AsymmetricLoss::E_LOSS] {
         for p in [1.0, 1e2, 1e4, 1e6] {
             let mut model = OnlineRegression::with_parts(
-                Basis::polynomial(3),
-                Box::new(NagOptimizer::new(Basis::polynomial(3).output_dim(), eta)),
+                3,
+                Basis::Polynomial,
+                Box::new(NagOptimizer::new(Basis::Polynomial.output_dim(3), eta)),
                 loss,
                 WeightingScheme::Constant,
                 predictsim_core::DEFAULT_L2,

@@ -10,7 +10,7 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use predictsim_core::{AsymmetricLoss, BasisKind, MlConfig, OptimizerKind, WeightingScheme};
+use predictsim_core::{AsymmetricLoss, Basis, MlConfig, OptimizerKind, WeightingScheme};
 
 use crate::source::LoadedWorkload;
 use crate::triple::{CorrectionKind, HeuristicTriple, PredictionTechnique, Variant};
@@ -49,132 +49,103 @@ fn run_rows(workload: &LoadedWorkload, runs: Vec<(String, HeuristicTriple)>) -> 
 /// conservative backfilling. Isolates how much of the win is pure
 /// scheduling mechanics.
 pub fn ablate_scheduler(workload: &LoadedWorkload) -> Vec<AblationRow> {
-    let runs = [
+    let variants = [
         Variant::Fcfs,
         Variant::Easy,
         Variant::EasySjbf,
         Variant::Conservative,
-    ]
-    .into_iter()
-    .map(|v| {
-        (
-            format!("clairvoyant+{}", v.name()),
-            HeuristicTriple {
-                prediction: PredictionTechnique::Clairvoyant,
-                correction: None,
-                variant: v,
-            },
-        )
-    })
-    .collect();
+    ];
+    let runs = variants
+        .map(|v| {
+            let triple = HeuristicTriple::clairvoyant(v);
+            (triple.name(), triple)
+        })
+        .into();
     run_rows(workload, runs)
+}
+
+/// One learner ablation run: `cfg` with `correction` under EASY-SJBF,
+/// labelled `<label>+<correction>+easy-sjbf`.
+fn learner_run(
+    label: &str,
+    cfg: MlConfig,
+    correction: CorrectionKind,
+) -> (String, HeuristicTriple) {
+    let triple = HeuristicTriple {
+        prediction: PredictionTechnique::Ml(cfg),
+        correction: Some(correction),
+        variant: Variant::EasySjbf,
+    };
+    let label = format!("{label}+{}+{}", correction.name(), triple.variant.name());
+    (label, triple)
 }
 
 /// Correction-mechanism ablation with the E-Loss learner under EASY-SJBF
 /// (§5.2's three options).
 pub fn ablate_correction(workload: &LoadedWorkload) -> Vec<AblationRow> {
-    let runs = CorrectionKind::ALL
-        .into_iter()
-        .map(|c| {
-            (
-                format!("eloss+{}+easy-sjbf", c.name()),
-                HeuristicTriple {
-                    prediction: PredictionTechnique::Ml(MlConfig::e_loss()),
-                    correction: Some(c),
-                    variant: Variant::EasySjbf,
-                },
-            )
-        })
-        .collect();
-    run_rows(workload, runs)
+    let runs = CorrectionKind::ALL.map(|c| learner_run("eloss", MlConfig::e_loss(), c));
+    run_rows(workload, runs.into())
 }
 
 /// Optimizer ablation: NAG (the paper's choice) vs SGD vs AdaGrad with
 /// identical loss, correction and variant.
 pub fn ablate_optimizer(workload: &LoadedWorkload) -> Vec<AblationRow> {
-    let runs = [
+    let optimizers = [
         OptimizerKind::Nag,
         OptimizerKind::Sgd,
         OptimizerKind::AdaGrad,
-    ]
-    .into_iter()
-    .map(|opt| {
-        let mut cfg = MlConfig::e_loss();
-        cfg.optimizer = opt;
-        (
-            format!("eloss[{:?}]+incremental+easy-sjbf", opt),
-            HeuristicTriple {
-                prediction: PredictionTechnique::Ml(cfg),
-                correction: Some(CorrectionKind::Incremental),
-                variant: Variant::EasySjbf,
-            },
+    ];
+    let runs = optimizers.map(|optimizer| {
+        let cfg = MlConfig {
+            optimizer,
+            ..MlConfig::e_loss()
+        };
+        learner_run(
+            &format!("eloss[{optimizer:?}]"),
+            cfg,
+            CorrectionKind::Incremental,
         )
-    })
-    .collect();
-    run_rows(workload, runs)
+    });
+    run_rows(workload, runs.into())
 }
 
 /// Basis ablation: degree-2 polynomial (Equation 1) vs a plain linear
 /// model over the same features.
 pub fn ablate_basis(workload: &LoadedWorkload) -> Vec<AblationRow> {
-    let runs = [BasisKind::Polynomial, BasisKind::Linear]
-        .into_iter()
-        .map(|basis| {
-            let mut cfg = MlConfig::e_loss();
-            cfg.basis = basis;
-            (
-                format!("eloss[{:?} basis]+incremental+easy-sjbf", basis),
-                HeuristicTriple {
-                    prediction: PredictionTechnique::Ml(cfg),
-                    correction: Some(CorrectionKind::Incremental),
-                    variant: Variant::EasySjbf,
-                },
-            )
-        })
-        .collect();
-    run_rows(workload, runs)
+    let runs = [Basis::Polynomial, Basis::Linear].map(|basis| {
+        let cfg = MlConfig {
+            basis,
+            ..MlConfig::e_loss()
+        };
+        learner_run(
+            &format!("eloss[{basis:?} basis]"),
+            cfg,
+            CorrectionKind::Incremental,
+        )
+    });
+    run_rows(workload, runs.into())
 }
 
 /// Loss-shape ablation: the E-Loss asymmetry vs the symmetric squared
 /// loss, both area-weighted and unweighted (the Figure 4/5 comparison as
 /// scheduling numbers).
 pub fn ablate_loss(workload: &LoadedWorkload) -> Vec<AblationRow> {
+    let (e_loss, squared) = (AsymmetricLoss::E_LOSS, AsymmetricLoss::SQUARED);
+    let (area, constant) = (WeightingScheme::LargeArea, WeightingScheme::Constant);
     let combos = [
-        (
-            "eloss/area",
-            AsymmetricLoss::E_LOSS,
-            WeightingScheme::LargeArea,
-        ),
-        (
-            "eloss/const",
-            AsymmetricLoss::E_LOSS,
-            WeightingScheme::Constant,
-        ),
-        (
-            "squared/area",
-            AsymmetricLoss::SQUARED,
-            WeightingScheme::LargeArea,
-        ),
-        (
-            "squared/const",
-            AsymmetricLoss::SQUARED,
-            WeightingScheme::Constant,
-        ),
+        ("eloss/area", e_loss, area),
+        ("eloss/const", e_loss, constant),
+        ("squared/area", squared, area),
+        ("squared/const", squared, constant),
     ];
-    let runs = combos
-        .into_iter()
-        .map(|(label, loss, weighting)| {
-            (
-                format!("{label}+incremental+easy-sjbf"),
-                HeuristicTriple {
-                    prediction: PredictionTechnique::Ml(MlConfig::new(loss, weighting)),
-                    correction: Some(CorrectionKind::Incremental),
-                    variant: Variant::EasySjbf,
-                },
-            )
-        })
-        .collect();
-    run_rows(workload, runs)
+    let runs = combos.map(|(label, loss, weighting)| {
+        learner_run(
+            label,
+            MlConfig::new(loss, weighting),
+            CorrectionKind::Incremental,
+        )
+    });
+    run_rows(workload, runs.into())
 }
 
 /// Renders ablation rows as a markdown table.

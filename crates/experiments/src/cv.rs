@@ -11,7 +11,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::campaign::CampaignResult;
-use crate::triple::HeuristicTriple;
+use crate::triple::{HeuristicTriple, PredictionTechnique};
 
 /// One Table 7 row: the held-out log and the cross-validated selection.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -90,10 +90,11 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
 /// Names of triples eligible for selection: everything except the
 /// clairvoyant references (which use unavailable information).
 fn eligible(campaign: &CampaignResult) -> impl Iterator<Item = &str> {
+    let clairvoyant = PredictionTechnique::Clairvoyant.name();
     campaign
         .results
         .iter()
-        .filter(|r| r.predictor != "clairvoyant")
+        .filter(move |r| r.predictor != clairvoyant)
         .map(|r| r.triple.as_str())
 }
 

@@ -48,14 +48,6 @@ pub struct Fig3 {
     pub pearson_mean_min_max: Option<(f64, f64, f64)>,
 }
 
-fn category_of(predictor: &str) -> String {
-    if predictor.starts_with("ml(") {
-        "ml".to_string()
-    } else {
-        predictor.to_string()
-    }
-}
-
 /// Builds Figure 3 from campaign results: the scatter compares `x_log`
 /// and `y_log` (the paper uses SDSC-BLUE vs MetaCentrum); the Pearson
 /// summary uses every pair of logs in `campaigns`.
@@ -74,7 +66,11 @@ pub fn fig3(campaigns: &[CampaignResult], x_log: &str, y_log: &str) -> Fig3 {
         .filter_map(|rx| {
             cy.get(&rx.triple).map(|ry| Fig3Point {
                 triple: rx.triple.clone(),
-                category: category_of(&rx.predictor),
+                category: if rx.predictor.starts_with("ml(") {
+                    "ml".to_string()
+                } else {
+                    rx.predictor.clone()
+                },
                 variant: rx.variant.clone(),
                 x: rx.ave_bsld,
                 y: ry.ave_bsld,
@@ -264,7 +260,8 @@ pub fn render_fig3(fig: &Fig3) -> String {
         fig.y_log,
         fig.points.len()
     );
-    for cat in ["clairvoyant", "requested", "ave2", "ml"] {
+    let baselines = PredictionTechnique::BASELINES.map(|(_, name, _)| name);
+    for cat in baselines.into_iter().chain(["ml"]) {
         let pts: Vec<&Fig3Point> = fig.points.iter().filter(|p| p.category == cat).collect();
         if pts.is_empty() {
             continue;

@@ -1,4 +1,5 @@
-//! The string-keyed policy registry.
+//! The string-keyed policy registry: the triple and cluster grammars,
+//! [`RegistryError`], and the `repro --list` renderer.
 //!
 //! Every scheduling policy, prediction technique, and correction
 //! mechanism in the workspace is addressable by a stable name —
@@ -6,31 +7,31 @@
 //! and every name round-trips: `parse(name).to_string() == name`. The
 //! `repro` binary's `--scheduler/--predictor/--correction/--cluster`
 //! flags, the serve daemon's submissions, and `repro --list` are all
-//! fronts over this module, so adding a policy here makes it reach
-//! every entry point at once.
+//! fronts over this module.
 //!
-//! Accepted spellings:
+//! Each name is spelled once, in a table beside the type it names; that
+//! table's type prints, parses and lists it:
 //!
-//! * **Schedulers** ([`Variant`]): `easy`, `easy-sjbf`, `fcfs`,
-//!   `conservative`.
-//! * **Corrections** ([`CorrectionKind`]): `req-time`, `incremental`,
-//!   `rec-doubling` (aliases: `requested-time`, `recursive-doubling`).
-//! * **Predictors** ([`PredictionTechnique`]): `clairvoyant`,
-//!   `requested`, `ave2`, and the learning family in either the display
-//!   form `ml(u=<lin|sq>,o=<lin|sq>,g=<1|q/p|p/q|small|area>)` or the
-//!   flag-friendly colon form `ml:u=sq,o=sq,g=q/p`, optionally suffixed
-//!   with `+sgd` / `+adagrad` (optimizer ablation) and `+lin-basis`
-//!   (basis ablation).
-//! * **Triples** ([`HeuristicTriple`]): `<predictor>[+<correction>]+
+//! * **Schedulers**: [`Variant`]'s table (`easy`, `easy-sjbf`, `fcfs`,
+//!   `conservative`).
+//! * **Corrections**: [`CorrectionKind`]'s table (`req-time`,
+//!   `incremental`, `rec-doubling`; `requested-time` and
+//!   `recursive-doubling` parse as aliases).
+//! * **Predictors**: [`PredictionTechnique`]'s three baselines
+//!   (`clairvoyant`, `requested`, `ave2`), and the learning family, whose
+//!   grammar is [`MlConfig`]'s `name` and `FromStr` in `predictsim-core`:
+//!   the display form `ml(u=<lin|sq>,o=<lin|sq>,g=<1|q/p|p/q|small|area>)`
+//!   or the colon form `ml:u=sq,o=sq,g=q/p`, optionally suffixed with
+//!   `+sgd` / `+adagrad` and `+lin-basis`. The codes come from the tables
+//!   of `BasisLoss`, `WeightingScheme`, `OptimizerKind` and `Basis`.
+//! * **Triples** ([`HeuristicTriple`], here): `<predictor>[+<correction>]+
 //!   <scheduler>`, exactly the names the campaign tables print.
 //!
 //! Unknown names never panic; they return a typed [`RegistryError`].
 
 use std::str::FromStr;
 
-use predictsim_core::{
-    ml_grid, AsymmetricLoss, BasisKind, BasisLoss, MlConfig, OptimizerKind, WeightingScheme,
-};
+use predictsim_core::{ml_grid, MlConfig};
 use predictsim_sim::ClusterSpec;
 
 use crate::triple::{CorrectionKind, HeuristicTriple, PredictionTechnique, Variant};
@@ -96,73 +97,6 @@ impl std::fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
-impl std::fmt::Display for Variant {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for Variant {
-    type Err = RegistryError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "easy" => Ok(Variant::Easy),
-            "easy-sjbf" => Ok(Variant::EasySjbf),
-            "fcfs" => Ok(Variant::Fcfs),
-            "conservative" => Ok(Variant::Conservative),
-            other => Err(RegistryError::UnknownScheduler(other.to_string())),
-        }
-    }
-}
-
-impl std::fmt::Display for CorrectionKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for CorrectionKind {
-    type Err = RegistryError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "req-time" | "requested-time" => Ok(CorrectionKind::RequestedTime),
-            "incremental" => Ok(CorrectionKind::Incremental),
-            "rec-doubling" | "recursive-doubling" => Ok(CorrectionKind::RecursiveDoubling),
-            other => Err(RegistryError::UnknownCorrection(other.to_string())),
-        }
-    }
-}
-
-impl std::fmt::Display for PredictionTechnique {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.name())
-    }
-}
-
-impl FromStr for PredictionTechnique {
-    type Err = RegistryError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "clairvoyant" => Ok(PredictionTechnique::Clairvoyant),
-            "requested" => Ok(PredictionTechnique::RequestedTime),
-            "ave2" => Ok(PredictionTechnique::Ave2),
-            other if other.starts_with("ml(") || other.starts_with("ml:") => {
-                Ok(PredictionTechnique::Ml(parse_ml(other)?))
-            }
-            other => Err(RegistryError::UnknownPredictor(other.to_string())),
-        }
-    }
-}
-
-impl std::fmt::Display for HeuristicTriple {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.name())
-    }
-}
-
 impl FromStr for HeuristicTriple {
     type Err = RegistryError;
 
@@ -174,109 +108,33 @@ impl FromStr for HeuristicTriple {
     /// themselves contain `+` — `"ml(...)+sgd"` — so segments that are
     /// not corrections fold back into the predictor).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let segments: Vec<&str> = s.split('+').collect();
-        if segments.len() < 2 {
-            return Err(RegistryError::MalformedTriple(s.to_string()));
-        }
-        let variant = Variant::from_str(segments[segments.len() - 1])
-            .map_err(|_| RegistryError::MalformedTriple(s.to_string()))?;
-        let mut prediction_end = segments.len() - 1;
-        let mut correction = None;
-        if prediction_end > 1 {
-            if let Ok(kind) = CorrectionKind::from_str(segments[prediction_end - 1]) {
-                correction = Some(kind);
-                prediction_end -= 1;
-            }
-        }
-        let prediction = PredictionTechnique::from_str(&segments[..prediction_end].join("+"))?;
+        let malformed = || RegistryError::MalformedTriple(s.to_string());
+        let (rest, scheduler) = s.rsplit_once('+').ok_or_else(malformed)?;
+        let variant = scheduler.parse().map_err(|_| malformed())?;
+        let (prediction, correction) = match rest.rsplit_once('+') {
+            Some((head, tail)) => match tail.parse() {
+                Ok(kind) => (head, Some(kind)),
+                Err(_) => (rest, None),
+            },
+            None => (rest, None),
+        };
         Ok(HeuristicTriple {
-            prediction,
+            prediction: prediction.parse()?,
             correction,
             variant,
         })
     }
 }
 
-fn parse_basis_loss(code: &str, spec: &str) -> Result<BasisLoss, RegistryError> {
-    match code {
-        "lin" => Ok(BasisLoss::Linear),
-        "sq" => Ok(BasisLoss::Squared),
-        other => Err(RegistryError::MalformedMl {
-            spec: spec.to_string(),
-            reason: format!("unknown basis loss {other:?} (expected `lin` or `sq`)"),
-        }),
-    }
-}
-
-fn parse_weighting(code: &str, spec: &str) -> Result<WeightingScheme, RegistryError> {
-    match code {
-        "1" => Ok(WeightingScheme::Constant),
-        "q/p" => Ok(WeightingScheme::ShortWide),
-        "p/q" => Ok(WeightingScheme::LongNarrow),
-        "small" => Ok(WeightingScheme::SmallArea),
-        "area" => Ok(WeightingScheme::LargeArea),
-        other => Err(RegistryError::MalformedMl {
-            spec: spec.to_string(),
-            reason: format!(
-                "unknown weighting {other:?} (expected `1`, `q/p`, `p/q`, `small` or `area`)"
-            ),
-        }),
-    }
-}
-
-/// Parses a learning-configuration spec: the canonical display form
-/// `ml(u=..,o=..,g=..)` or the colon form `ml:u=..,o=..,g=..`, each with
-/// optional `+sgd`/`+adagrad` and `+lin-basis` suffixes.
+/// Parses a learning-configuration spec (see [`MlConfig`]'s `FromStr`
+/// for the grammar): the display form `ml(u=..,o=..,g=..)` or the colon
+/// form `ml:u=..,o=..,g=..`, each with optional `+sgd`/`+adagrad` and
+/// `+lin-basis` suffixes.
 pub fn parse_ml(spec: &str) -> Result<MlConfig, RegistryError> {
-    let malformed = |reason: &str| RegistryError::MalformedMl {
+    spec.parse().map_err(|reason| RegistryError::MalformedMl {
         spec: spec.to_string(),
-        reason: reason.to_string(),
-    };
-    // Split off the body from the suffix list.
-    let (body, suffixes): (&str, &str) = if let Some(rest) = spec.strip_prefix("ml(") {
-        let close = rest.find(')').ok_or_else(|| malformed("missing `)`"))?;
-        (&rest[..close], &rest[close + 1..])
-    } else if let Some(rest) = spec.strip_prefix("ml:") {
-        match rest.find('+') {
-            Some(plus) => (&rest[..plus], &rest[plus..]),
-            None => (rest, ""),
-        }
-    } else {
-        return Err(malformed("expected `ml(...)` or `ml:...`"));
-    };
-
-    let mut under = None;
-    let mut over = None;
-    let mut weighting = None;
-    for field in body.split(',') {
-        let (key, value) = field
-            .split_once('=')
-            .ok_or_else(|| malformed(&format!("field {field:?} is not `key=value`")))?;
-        match key {
-            "u" => under = Some(parse_basis_loss(value, spec)?),
-            "o" => over = Some(parse_basis_loss(value, spec)?),
-            "g" => weighting = Some(parse_weighting(value, spec)?),
-            other => return Err(malformed(&format!("unknown field {other:?}"))),
-        }
-    }
-    let loss = AsymmetricLoss {
-        under: under.ok_or_else(|| malformed("missing `u=` field"))?,
-        over: over.ok_or_else(|| malformed("missing `o=` field"))?,
-    };
-    let mut config = MlConfig::new(
-        loss,
-        weighting.ok_or_else(|| malformed("missing `g=` field"))?,
-    );
-
-    for suffix in suffixes.split('+').filter(|s| !s.is_empty()) {
-        match suffix {
-            "sgd" => config.optimizer = OptimizerKind::Sgd,
-            "adagrad" => config.optimizer = OptimizerKind::AdaGrad,
-            "lin-basis" => config.basis = BasisKind::Linear,
-            other => return Err(malformed(&format!("unknown suffix {other:?}"))),
-        }
-    }
-    Ok(config)
+        reason,
+    })
 }
 
 /// Resolves the three policy names of a scenario into a triple — the
@@ -323,62 +181,38 @@ pub struct PolicyEntry {
     pub description: String,
 }
 
-impl PolicyEntry {
-    fn new(name: impl Into<String>, description: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            description: description.into(),
-        }
-    }
-}
-
 /// The registered schedulers (backfilling variants, §5.1).
 pub fn registered_schedulers() -> Vec<PolicyEntry> {
-    vec![
-        PolicyEntry::new("easy", "EASY backfilling, FCFS backfill order (§5.1)"),
-        PolicyEntry::new(
-            "easy-sjbf",
-            "EASY with Shortest-Job-Backfilled-First order [24]",
-        ),
-        PolicyEntry::new("fcfs", "first-come-first-served, no backfilling (ablation)"),
-        PolicyEntry::new("conservative", "conservative backfilling [14] (ablation)"),
-    ]
+    entries(&Variant::TABLE).collect()
 }
 
 /// The registered prediction techniques (§6.2): the three baselines plus
 /// the 20 learning configurations of the Table 5 grid.
 pub fn registered_predictors() -> Vec<PolicyEntry> {
-    let mut entries = vec![
-        PolicyEntry::new(
-            "clairvoyant",
-            "exact running times (upper-bound reference, Table 1/6)",
+    let grid = ml_grid().into_iter().map(|cfg| PolicyEntry {
+        name: cfg.name(),
+        description: format!(
+            "NAG-trained polynomial regression, {} loss, g={} weight (Table 5)",
+            cfg.loss.code(),
+            cfg.weighting.code()
         ),
-        PolicyEntry::new(
-            "requested",
-            "the user-requested time — standard EASY's information",
-        ),
-        PolicyEntry::new("ave2", "AVE2(k) of Tsafrir et al. [24]; EASY++'s predictor"),
-    ];
-    for cfg in ml_grid() {
-        entries.push(PolicyEntry::new(
-            cfg.name(),
-            format!(
-                "NAG-trained polynomial regression, {} loss, {} weight (Table 5)",
-                cfg.loss.code(),
-                cfg.weighting.code()
-            ),
-        ));
-    }
-    entries
+    });
+    entries(&PredictionTechnique::BASELINES)
+        .chain(grid)
+        .collect()
 }
 
 /// The registered correction mechanisms (§5.2).
 pub fn registered_corrections() -> Vec<PolicyEntry> {
-    vec![
-        PolicyEntry::new("req-time", "fall back to the requested time (§5.2)"),
-        PolicyEntry::new("incremental", "Tsafrir's fixed-increment list (§5.2)"),
-        PolicyEntry::new("rec-doubling", "double the elapsed running time (§5.2)"),
-    ]
+    entries(&CorrectionKind::TABLE).collect()
+}
+
+/// The rows of a `(value, name, description)` table.
+fn entries<T>(table: &'static [(T, &str, &str)]) -> impl Iterator<Item = PolicyEntry> {
+    table.iter().map(|&(_, name, description)| PolicyEntry {
+        name: name.into(),
+        description: description.into(),
+    })
 }
 
 /// Renders the whole registry as the `repro --list` inventory.
@@ -406,6 +240,7 @@ pub fn render_registry() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use predictsim_core::{Basis, OptimizerKind};
 
     #[test]
     fn schedulers_round_trip() {
@@ -451,7 +286,7 @@ mod tests {
     fn ml_suffixes_parse_in_both_forms() {
         let cfg = parse_ml("ml(u=lin,o=sq,g=area)+sgd+lin-basis").unwrap();
         assert_eq!(cfg.optimizer, OptimizerKind::Sgd);
-        assert_eq!(cfg.basis, BasisKind::Linear);
+        assert_eq!(cfg.basis, Basis::Linear);
         let colon = parse_ml("ml:u=lin,o=sq,g=area+adagrad").unwrap();
         assert_eq!(colon.optimizer, OptimizerKind::AdaGrad);
         // Round trip through the display name.
@@ -568,5 +403,17 @@ mod tests {
         assert!(listing.contains("ml(u=lin,o=sq,g=area)"));
         assert!(listing.contains("rec-doubling"));
         assert_eq!(registered_predictors().len(), 3 + 20);
+    }
+
+    #[test]
+    fn registry_rendering_is_pinned() {
+        // FNV-1a 64 of the `repro --list` text before the spellings moved
+        // into tables beside their types: every line of it is rebuilt
+        // from those tables, byte for byte.
+        let listing = render_registry();
+        let hash = listing.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((hash, listing.len()), (0xac0a_bfda_b800_e990, 3182));
     }
 }

@@ -9,10 +9,10 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::campaign::CampaignResult;
+use crate::campaign::{CampaignResult, TripleResult};
 use crate::cv::{cross_validate, CvOutcome};
 use crate::source::LoadedWorkload;
-use crate::triple::{HeuristicTriple, PredictionTechnique, Variant};
+use crate::triple::{HeuristicTriple, Variant};
 
 /// One row of Table 1: EASY vs EASY-Clairvoyant.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -108,31 +108,24 @@ pub fn table6(campaigns: &[CampaignResult]) -> Vec<Table6Row> {
     campaigns
         .iter()
         .map(|c| {
-            let is_ml = |r: &crate::campaign::TripleResult| r.predictor.starts_with("ml(");
-            let ml_fcfs_best = c
-                .best_where(|r| is_ml(r) && r.variant == "easy")
-                .expect("campaign lacks ML results")
-                .ave_bsld;
-            let ml_fcfs_worst = c
-                .worst_where(|r| is_ml(r) && r.variant == "easy")
-                .expect("campaign lacks ML results")
-                .ave_bsld;
-            let ml_sjbf_best = c
-                .best_where(|r| is_ml(r) && r.variant == "easy-sjbf")
-                .expect("campaign lacks ML results")
-                .ave_bsld;
-            let ml_sjbf_worst = c
-                .worst_where(|r| is_ml(r) && r.variant == "easy-sjbf")
-                .expect("campaign lacks ML results")
-                .ave_bsld;
+            // Best and worst learning triple under `variant`.
+            let learning = |variant: Variant| {
+                let of = |r: &TripleResult| {
+                    r.predictor.starts_with("ml(") && r.variant == variant.name()
+                };
+                let best = c.best_where(of).expect("campaign lacks ML results");
+                let worst = c.worst_where(of).expect("campaign lacks ML results");
+                (best.ave_bsld, worst.ave_bsld)
+            };
+            let clairvoyant = |variant| c.bsld_of(&HeuristicTriple::clairvoyant(variant).name());
             Table6Row {
                 log: c.log.clone(),
-                clairvoyant_fcfs: c.bsld_of("clairvoyant+easy"),
-                clairvoyant_sjbf: c.bsld_of("clairvoyant+easy-sjbf"),
+                clairvoyant_fcfs: clairvoyant(Variant::Easy),
+                clairvoyant_sjbf: clairvoyant(Variant::EasySjbf),
                 easy: c.bsld_of(&HeuristicTriple::standard_easy().name()),
                 easy_pp: c.bsld_of(&HeuristicTriple::easy_plus_plus().name()),
-                learning_fcfs: (ml_fcfs_best, ml_fcfs_worst),
-                learning_sjbf: (ml_sjbf_best, ml_sjbf_worst),
+                learning_fcfs: learning(Variant::Easy),
+                learning_sjbf: learning(Variant::EasySjbf),
             }
         })
         .collect()
@@ -213,14 +206,7 @@ pub struct Table8Row {
 pub fn table8(workload: &LoadedWorkload) -> Vec<Table8Row> {
     let progress = crate::progress::CellProgress::new("table8", 2);
     [
-        (
-            "AVE2(k)",
-            HeuristicTriple {
-                prediction: PredictionTechnique::Ave2,
-                correction: Some(crate::triple::CorrectionKind::Incremental),
-                variant: Variant::EasySjbf,
-            },
-        ),
+        ("AVE2(k)", HeuristicTriple::easy_plus_plus()),
         ("E-Loss learning", HeuristicTriple::paper_winner()),
     ]
     .into_par_iter()

@@ -7,6 +7,14 @@
 //! Requested Time prediction (no correction applicable) under both
 //! variants (2). [`campaign_triples`] enumerates exactly that set;
 //! [`reference_triples`] adds the clairvoyant upper bounds of Table 6.
+//!
+//! [`Variant`], [`CorrectionKind`] and [`PredictionTechnique`]'s baselines
+//! each hold one table of their values, names and `repro --list`
+//! descriptions; `name`, `Display`, `FromStr`, `ALL`/`PAPER` and the
+//! registry's listings all read it. An `ml(...)` name is
+//! [`MlConfig`]'s own, in `predictsim-core`.
+
+use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
@@ -20,6 +28,7 @@ use predictsim_sim::{
     SimError, SimResult,
 };
 
+use crate::registry::{parse_ml, RegistryError};
 use crate::scenario::Scenario;
 
 /// A prediction technique of §6.2.
@@ -46,13 +55,35 @@ impl PredictionTechnique {
         }
     }
 
+    /// The three baselines, each with its name and description (the
+    /// learning family is named by [`MlConfig`]).
+    #[rustfmt::skip]
+    pub(crate) const BASELINES: [(PredictionTechnique, &'static str, &'static str); 3] = [
+        (Self::Clairvoyant, "clairvoyant", "exact running times (upper-bound reference, Table 1/6)"),
+        (Self::RequestedTime, "requested", "the user-requested time — standard EASY's information"),
+        (Self::Ave2, "ave2", "AVE2(k) of Tsafrir et al. [24]; EASY++'s predictor"),
+    ];
+
     /// Display name.
     pub fn name(&self) -> String {
         match self {
-            PredictionTechnique::Clairvoyant => "clairvoyant".into(),
-            PredictionTechnique::RequestedTime => "requested".into(),
-            PredictionTechnique::Ave2 => "ave2".into(),
             PredictionTechnique::Ml(cfg) => cfg.name(),
+            baseline => {
+                let row = Self::BASELINES.iter().find(|(value, ..)| value == baseline);
+                row.expect("every baseline has a name").1.to_string()
+            }
+        }
+    }
+}
+
+impl FromStr for PredictionTechnique {
+    type Err = RegistryError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match named(&Self::BASELINES, s) {
+            Some(baseline) => Ok(baseline),
+            None if s.starts_with("ml(") || s.starts_with("ml:") => Ok(Self::Ml(parse_ml(s)?)),
+            None => Err(RegistryError::UnknownPredictor(s.to_string())),
         }
     }
 }
@@ -69,12 +100,17 @@ pub enum CorrectionKind {
 }
 
 impl CorrectionKind {
-    /// The three §5.2 mechanisms.
-    pub const ALL: [CorrectionKind; 3] = [
-        CorrectionKind::RequestedTime,
-        CorrectionKind::Incremental,
-        CorrectionKind::RecursiveDoubling,
+    /// Each mechanism, in declaration order, with its name and
+    /// description.
+    #[rustfmt::skip]
+    pub(crate) const TABLE: [(CorrectionKind, &'static str, &'static str); 3] = [
+        (Self::RequestedTime, "req-time", "fall back to the requested time (§5.2)"),
+        (Self::Incremental, "incremental", "Tsafrir's fixed-increment list (§5.2)"),
+        (Self::RecursiveDoubling, "rec-doubling", "double the elapsed running time (§5.2)"),
     ];
+
+    /// The three §5.2 mechanisms.
+    pub const ALL: [CorrectionKind; 3] = [Self::TABLE[0].0, Self::TABLE[1].0, Self::TABLE[2].0];
 
     /// Instantiates the policy.
     pub fn build(&self) -> Box<dyn CorrectionPolicy + Send + Sync> {
@@ -87,11 +123,20 @@ impl CorrectionKind {
 
     /// Display name.
     pub fn name(&self) -> &'static str {
-        match self {
-            CorrectionKind::RequestedTime => "req-time",
-            CorrectionKind::Incremental => "incremental",
-            CorrectionKind::RecursiveDoubling => "rec-doubling",
-        }
+        Self::TABLE[*self as usize].1
+    }
+}
+
+/// A mechanism parses by its name, or by the name its built policy gives
+/// itself (`requested-time`, `recursive-doubling`), which `Display` never
+/// prints.
+impl FromStr for CorrectionKind {
+    type Err = RegistryError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        named(&Self::TABLE, s)
+            .or_else(|| Self::ALL.into_iter().find(|kind| kind.build().name() == s))
+            .ok_or_else(|| RegistryError::UnknownCorrection(s.to_string()))
     }
 }
 
@@ -110,8 +155,17 @@ pub enum Variant {
 }
 
 impl Variant {
+    /// Each variant, in declaration order, with its name and description.
+    #[rustfmt::skip]
+    pub(crate) const TABLE: [(Variant, &'static str, &'static str); 4] = [
+        (Self::Easy, "easy", "EASY backfilling, FCFS backfill order (§5.1)"),
+        (Self::EasySjbf, "easy-sjbf", "EASY with Shortest-Job-Backfilled-First order [24]"),
+        (Self::Fcfs, "fcfs", "first-come-first-served, no backfilling (ablation)"),
+        (Self::Conservative, "conservative", "conservative backfilling [14] (ablation)"),
+    ];
+
     /// The paper's two evaluated variants.
-    pub const PAPER: [Variant; 2] = [Variant::Easy, Variant::EasySjbf];
+    pub const PAPER: [Variant; 2] = [Self::TABLE[0].0, Self::TABLE[1].0];
 
     /// Instantiates the scheduler.
     pub fn build(&self) -> Box<dyn Scheduler + Send> {
@@ -125,13 +179,39 @@ impl Variant {
 
     /// Display name.
     pub fn name(&self) -> &'static str {
-        match self {
-            Variant::Easy => "easy",
-            Variant::EasySjbf => "easy-sjbf",
-            Variant::Fcfs => "fcfs",
-            Variant::Conservative => "conservative",
-        }
+        Self::TABLE[*self as usize].1
     }
+}
+
+impl FromStr for Variant {
+    type Err = RegistryError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        named(&Self::TABLE, s).ok_or_else(|| RegistryError::UnknownScheduler(s.to_string()))
+    }
+}
+
+// Each policy displays as its name.
+macro_rules! display_as_name {
+    ($($policy:ty),*) => {$(
+        impl std::fmt::Display for $policy {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.write_str(&self.name())
+            }
+        }
+    )*};
+}
+display_as_name!(
+    Variant,
+    CorrectionKind,
+    PredictionTechnique,
+    HeuristicTriple
+);
+
+/// The value a `(value, name, description)` table names `s`.
+fn named<T: Clone>(table: &[(T, &str, &str)], s: &str) -> Option<T> {
+    let row = table.iter().find(|(_, name, _)| *name == s);
+    row.map(|(value, ..)| value.clone())
 }
 
 /// One heuristic triple: prediction × correction × variant.
@@ -206,26 +286,17 @@ impl HeuristicTriple {
 /// The §6.2 campaign: exactly 128 triples per log.
 pub fn campaign_triples() -> Vec<HeuristicTriple> {
     let mut triples = Vec::with_capacity(128);
-    // 20 ML configurations × 3 corrections × 2 variants = 120.
-    for cfg in ml_grid() {
+    // (20 ML configurations + AVE₂) × 3 corrections × 2 variants = 126.
+    let learners = ml_grid().into_iter().map(PredictionTechnique::Ml);
+    for prediction in learners.chain([PredictionTechnique::Ave2]) {
         for correction in CorrectionKind::ALL {
             for variant in Variant::PAPER {
                 triples.push(HeuristicTriple {
-                    prediction: PredictionTechnique::Ml(cfg),
+                    prediction: prediction.clone(),
                     correction: Some(correction),
                     variant,
                 });
             }
-        }
-    }
-    // AVE₂ × 3 × 2 = 6.
-    for correction in CorrectionKind::ALL {
-        for variant in Variant::PAPER {
-            triples.push(HeuristicTriple {
-                prediction: PredictionTechnique::Ave2,
-                correction: Some(correction),
-                variant,
-            });
         }
     }
     // Requested Time × 2 (no correction can fire: p ≤ p̃ after cleaning).
@@ -241,10 +312,7 @@ pub fn campaign_triples() -> Vec<HeuristicTriple> {
 
 /// The clairvoyant references of Table 6 (not counted in the 128).
 pub fn reference_triples() -> Vec<HeuristicTriple> {
-    Variant::PAPER
-        .iter()
-        .map(|&v| HeuristicTriple::clairvoyant(v))
-        .collect()
+    Variant::PAPER.map(HeuristicTriple::clairvoyant).into()
 }
 
 #[cfg(test)]
@@ -258,6 +326,16 @@ mod tests {
         // All names unique.
         let names: std::collections::HashSet<String> = triples.iter().map(|t| t.name()).collect();
         assert_eq!(names.len(), 128);
+    }
+
+    #[test]
+    fn tables_follow_declaration_order() {
+        for (i, (value, ..)) in Variant::TABLE.into_iter().enumerate() {
+            assert_eq!(value as usize, i);
+        }
+        for (i, (value, ..)) in CorrectionKind::TABLE.into_iter().enumerate() {
+            assert_eq!(value as usize, i);
+        }
     }
 
     #[test]

@@ -12,8 +12,7 @@ use predictsim_sim::{ClusterSpec, SimEvent, SimObserver};
 use predictsim_workload::{generate, WorkloadSpec};
 
 /// A workload big enough that one simulation spans many scheduler
-/// timeslices — so with a start barrier, the non-leading workers
-/// reliably find the in-flight marker instead of a finished cell.
+/// timeslices.
 fn hammer_workload(seed: u64) -> (JobArena, ClusterSpec) {
     let mut spec = WorkloadSpec::toy();
     spec.jobs = 2_000;
@@ -38,14 +37,26 @@ fn same_cold_cell_from_eight_workers_simulates_once() {
     let reference_bytes = serde_json::to_string(&reference.result).unwrap();
     let reference_predictions = reference.predictions.clone().unwrap();
 
+    // The leader's first event waits until all eight requests are made,
+    // plus 10 ms, so every non-leader finds the in-flight marker however
+    // the threads are scheduled.
     let cache = SimCache::new();
-    let barrier = Barrier::new(WORKERS);
+    let requested = AtomicUsize::new(0);
+    let never_cancel = AtomicBool::new(true);
     let cells: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..WORKERS)
             .map(|_| {
                 scope.spawn(|| {
-                    barrier.wait();
-                    cache.run_cell_traced(&arena, cluster, &triple).unwrap()
+                    let mut leader = Leader {
+                        requested: &requested,
+                        cancelled: &never_cancel,
+                        events: 0,
+                        cancel: false,
+                    };
+                    requested.fetch_add(1, Ordering::SeqCst);
+                    cache
+                        .run_cell_observed_traced(&arena, cluster, &triple, &mut leader)
+                        .unwrap()
                 })
             })
             .collect();

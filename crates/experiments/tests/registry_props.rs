@@ -2,7 +2,11 @@
 //! builds, and `Display`s back to itself; arbitrary unknown names produce
 //! typed [`RegistryError`]s — never panics.
 
+use std::collections::HashSet;
+
 use proptest::prelude::*;
+
+use predictsim_core::{ml_grid, Basis, MlConfig, OptimizerKind};
 
 use predictsim_experiments::{
     campaign_triples, parse_cluster, parse_ml, registered_corrections, registered_predictors,
@@ -21,6 +25,40 @@ fn name_chars() -> impl Strategy<Value = String> {
             .map(|i| ALPHABET[i % ALPHABET.len()] as char)
             .collect()
     })
+}
+
+/// Every `MlConfig` — 4 loss shapes × 5 weights × 3 optimizers × 2
+/// bases — parses back from its name, in the display and the colon form,
+/// directly and as a prediction technique.
+#[test]
+fn every_ml_config_round_trips_through_its_name() {
+    let mut names = HashSet::new();
+    for base in ml_grid() {
+        for optimizer in [
+            OptimizerKind::Nag,
+            OptimizerKind::Sgd,
+            OptimizerKind::AdaGrad,
+        ] {
+            for basis in [Basis::Polynomial, Basis::Linear] {
+                let cfg = MlConfig {
+                    optimizer,
+                    basis,
+                    ..base
+                };
+                let name = cfg.name();
+                assert_eq!(parse_ml(&name), Ok(cfg), "{name}");
+                assert_eq!(name.parse::<MlConfig>(), Ok(cfg), "{name}");
+                let colon = name.replacen("ml(", "ml:", 1).replacen(')', "", 1);
+                assert_eq!(parse_ml(&colon), Ok(cfg), "{colon}");
+                assert_eq!(
+                    name.parse::<PredictionTechnique>(),
+                    Ok(PredictionTechnique::Ml(cfg))
+                );
+                assert!(names.insert(name));
+            }
+        }
+    }
+    assert_eq!(names.len(), 120);
 }
 
 proptest! {

@@ -108,6 +108,26 @@ fn requests_in_non_json_spellings_are_malformed() {
     }
 }
 
+/// A surrogate-pair escape is valid JSON: a toy whose `name` spells
+/// U+1F600 as `\ud83d\ude00` is accepted, and the `ack` echoes the
+/// decoded name.
+#[test]
+fn a_surrogate_pair_escape_in_a_name_is_accepted_and_echoed() {
+    let server = Server::start(ServeConfig::default()).expect("daemon starts");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let line = serde_json::to_string(&toy("NAME", 40, 9_111).to_value())
+        .expect("a submission prints")
+        .replace("NAME", r"\ud83d\ude00");
+    client.send_line(&line).expect("send");
+    match next_ok(&mut client) {
+        Frame::Ack { workload, .. } => {
+            assert!(workload.starts_with("toy \u{1F600} jobs=40"), "{workload}")
+        }
+        other => panic!("expected an ack, got {other:?}"),
+    }
+    server.shutdown();
+}
+
 /// A line nested deeper than a connection thread's stack could parse
 /// by recursion, yet well under the line cap, gets a `malformed` frame
 /// and the session survives.
