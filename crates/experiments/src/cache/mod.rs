@@ -608,7 +608,7 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_budget_still_persists_full_cells_to_disk() {
+    fn memory_hit_lacks_the_vector_the_cell_file_keeps() {
         let dir = temp_dir("budget-disk");
         let (arena, m) = tiny_arena(11);
         let triple = HeuristicTriple::standard_easy();
@@ -635,7 +635,7 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_budget_drops_predictions_but_keeps_aggregates() {
+    fn memory_hit_drops_predictions_but_keeps_aggregates() {
         let cache = private();
         let (arena, m) = tiny_arena(9);
         let triple = HeuristicTriple::standard_easy();

@@ -340,3 +340,214 @@ proptest! {
         }
     }
 }
+
+/// One pass of the long-lived `kept` at `now`, routed like the engine:
+/// on every partition its starts must equal a fresh scheduler's and the
+/// oracle's. The starts are applied.
+fn refereed_pass(
+    state: &mut SimState,
+    cluster: ClusterSpec,
+    now: Time,
+    kept: &mut ConservativeScheduler,
+) -> Result<(), TestCaseError> {
+    let mut diverged = None;
+    route_like_engine(state, cluster, now, kept, |ctx, starts| {
+        let fresh = schedule(&mut ConservativeScheduler::new(), ctx);
+        let oracle = schedule(&mut ReferenceConservative, ctx);
+        if diverged.is_none() && (starts != fresh || starts != oracle) {
+            diverged = Some(format!(
+                "t={} partition {}: kept {starts:?}, fresh {fresh:?}, oracle {oracle:?}",
+                ctx.now.0, ctx.partition
+            ));
+        }
+    });
+    prop_assert_eq!(diverged, None::<String>);
+    Ok(())
+}
+
+/// Drives `state` through one random engine-like history, with a
+/// refereed pass of `kept` wherever the history holds one. Time moves
+/// forward only, and never past a predicted end: the jobs due at the new
+/// instant each finish exactly or have their prediction corrected. Jobs
+/// also finish early and have running predictions moved, arrive (no
+/// wider than the widest partition), and are started by the passes,
+/// which skip a partition with no free processor as the engine does.
+fn run_history(
+    state: &mut SimState,
+    cluster: ClusterSpec,
+    now: &mut Time,
+    next_id: &mut u32,
+    jobs: usize,
+    history: &[(u8, usize, usize)],
+    kept: &mut ConservativeScheduler,
+) -> Result<(), TestCaseError> {
+    for &(op, pick, t) in history {
+        match op {
+            0 | 1 => {
+                if (*next_id as usize) < jobs {
+                    let procs = 1 + pick as u32 % cluster.max_partition_size();
+                    let predicted = TIE_TIMES[t] + (pick % 3) as i64;
+                    state.enqueue(waiting(*next_id, procs, predicted, now.0));
+                    *next_id += 1;
+                }
+            }
+            2 => {
+                let due = state.running().iter().map(|r| r.predicted_end).min();
+                *now = now
+                    .plus([1, 25, 50][pick % 3])
+                    .min(due.unwrap_or(Time(i64::MAX)));
+                while let Some(index) =
+                    (state.running().iter()).position(|r| r.predicted_end <= *now)
+                {
+                    if pick % 2 == 0 {
+                        state.finish(state.running()[index].id);
+                    } else {
+                        state.apply_correction(index, now.plus(TIE_TIMES[t]));
+                    }
+                }
+            }
+            3 | 4 if !state.running().is_empty() => {
+                let index = pick % state.running().len();
+                if op == 3 {
+                    state.finish(state.running()[index].id);
+                } else {
+                    state.apply_correction(index, now.plus(TIE_TIMES[t] + 1));
+                }
+            }
+            3 | 4 => {}
+            _ => refereed_pass(state, cluster, *now, kept)?,
+        }
+        state.assert_consistent();
+    }
+    Ok(())
+}
+
+/// A second run on the same machine at the same instant, whose job ids
+/// collide with `state`'s: the same running jobs, and the same queue
+/// ids in the same order, each job's width or prediction changed as
+/// `changes` cycles through 0 (kept), 1 (width) and 2 (prediction).
+fn twin_with_other_jobs(
+    state: &SimState,
+    cluster: ClusterSpec,
+    jobs: usize,
+    changes: &[u8],
+) -> SimState {
+    let mut twin = SimState::new_cluster(cluster, jobs);
+    for r in state.running() {
+        twin.enqueue(waiting(
+            r.id.0,
+            r.procs,
+            r.predicted_end.0 - r.start.0,
+            r.start.0,
+        ));
+        twin.start(twin.waiting_index(r.id).expect("just enqueued"), *r);
+        twin.compact_queue();
+    }
+    for (w, change) in state.queue().iter().zip(changes.iter().cycle()) {
+        let mut w = *w;
+        match change {
+            1 => w.procs = w.procs % cluster.max_partition_size() + 1,
+            2 => w.predicted += 25,
+            _ => {}
+        }
+        twin.enqueue(w);
+    }
+    twin
+}
+
+/// The kept-plan property at one depth: a single conservative scheduler
+/// lives through a random history on a one- or two-partition machine,
+/// then through a second history whose first queue reuses the first's
+/// job ids with other widths and predictions. After every pass its
+/// starts equal a fresh scheduler's and the oracle's, so whatever it
+/// kept from earlier passes changed nothing.
+fn kept_plan_holds(
+    sizes: (u32, u32),
+    split: bool,
+    jobs: usize,
+    first: &[(u8, usize, usize)],
+    second: &[(u8, usize, usize)],
+    changes: &[u8],
+) -> Result<(), TestCaseError> {
+    let cluster = if split {
+        ClusterSpec::from_partitions(&[
+            Partition {
+                size: sizes.0,
+                speed: 1.0,
+            },
+            Partition {
+                size: sizes.1,
+                speed: 0.5,
+            },
+        ])
+        .expect("valid partitions")
+    } else {
+        ClusterSpec::single(sizes.0)
+    };
+    let mut kept = ConservativeScheduler::new();
+    let mut state = SimState::new_cluster(cluster, jobs);
+    let (mut now, mut next_id) = (Time(0), 0);
+    run_history(
+        &mut state,
+        cluster,
+        &mut now,
+        &mut next_id,
+        jobs,
+        first,
+        &mut kept,
+    )?;
+    refereed_pass(&mut state, cluster, now, &mut kept)?;
+    let mut twin = twin_with_other_jobs(&state, cluster, jobs, changes);
+    refereed_pass(&mut twin, cluster, now, &mut kept)?;
+    run_history(
+        &mut twin,
+        cluster,
+        &mut now,
+        &mut next_id,
+        jobs,
+        second,
+        &mut kept,
+    )
+}
+
+/// A history of up to `len` events: arrivals (0, 1), time advancing (2),
+/// early finishes (3), moved predictions (4) and passes (5–7).
+fn arb_history(len: usize) -> impl Strategy<Value = Vec<(u8, usize, usize)>> {
+    prop::collection::vec((0u8..8, 0usize..16, 0usize..TIE_TIMES.len()), 1..len)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A conservative scheduler that keeps its last plan starts exactly
+    /// what one that keeps nothing starts, and what the oracle starts.
+    #[test]
+    fn a_kept_plan_starts_what_a_fresh_pass_starts(
+        sizes in (4u32..=16, 4u32..=16),
+        split in 0u8..2,
+        first in arb_history(60),
+        second in arb_history(30),
+        changes in prop::collection::vec(0u8..3, 1..6),
+    ) {
+        kept_plan_holds(sizes, split == 1, 64, &first, &second, &changes)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    /// The deep variant, for release builds: longer histories over more
+    /// jobs, so queues and kept plans grow deeper. Run with
+    /// `cargo test --release -p predictsim-sim --lib kept_plan -- --ignored`.
+    #[test]
+    #[ignore]
+    fn a_kept_plan_starts_what_a_fresh_pass_starts_deep(
+        sizes in (4u32..=32, 4u32..=32),
+        split in 0u8..2,
+        first in arb_history(400),
+        second in arb_history(200),
+        changes in prop::collection::vec(0u8..3, 1..6),
+    ) {
+        kept_plan_holds(sizes, split == 1, 512, &first, &second, &changes)?;
+    }
+}

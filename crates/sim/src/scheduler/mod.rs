@@ -16,8 +16,10 @@
 //!   discusses it in §2.1).
 //!
 //! The production policies keep their scratch buffers across passes, so
-//! a warm pass allocates nothing; `tests/scratch_reuse.rs` checks that
-//! with a counting global allocator, from outside the code it judges.
+//! a warm pass allocates nothing (conservative also keeps its last plan,
+//! checked against each pass's context before it is used);
+//! `tests/scratch_reuse.rs` checks that with a counting global
+//! allocator, from outside the code it judges.
 //! Their brute-force oracles live with the tests too
 //! (`tests/support/reference.rs`), beside a whole-run reference engine.
 
@@ -55,8 +57,11 @@ pub trait Scheduler {
     ///
     /// The engine **skips** passes that provably cannot start anything
     /// (empty queue, or zero free processors — every valid job needs at
-    /// least one). Implementations must therefore be memoryless across
-    /// passes: each call decides from `ctx` alone.
+    /// least one), and one instance may serve several runs. So the
+    /// decision must be a function of `ctx` alone. An implementation may
+    /// keep state across passes only as a cache that each pass checks
+    /// against `ctx` before using it, as [`ConservativeScheduler`] keeps
+    /// its last plan.
     fn schedule_into(&mut self, ctx: &SchedulerContext<'_>, starts: &mut Vec<JobId>);
 
     /// Display name used in reports (e.g. `"easy-sjbf"`).

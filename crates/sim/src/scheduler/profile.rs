@@ -64,9 +64,23 @@ impl PartialEq for ReleasePoint {
 /// upholds (and its state asserts in tests): the
 /// multiset of `(predicted_end, procs)` over running jobs equals this
 /// set's aggregated contents.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct ReleaseSet {
     points: Vec<ReleasePoint>,
+}
+
+impl Clone for ReleaseSet {
+    fn clone(&self) -> Self {
+        Self {
+            points: self.points.clone(),
+        }
+    }
+
+    /// Copies into the buffer already held, so a warm copy allocates
+    /// nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.points.clone_from(&source.points);
+    }
 }
 
 impl ReleaseSet {
@@ -149,6 +163,15 @@ impl ReleaseSet {
         &self.points
     }
 
+    /// The capacity that `free` idle processors and this set give from
+    /// `now` on: the processors free at `now`, with every release at or
+    /// before `now` folded in, and the releases after `now`.
+    pub(crate) fn capacity_from(&self, now: Time, free: u32) -> (i64, &[ReleasePoint]) {
+        let later = self.points.partition_point(|p| p.time <= now.0);
+        let folded: i64 = self.points[..later].iter().map(|p| p.procs as i64).sum();
+        (free as i64 + folded, &self.points[later..])
+    }
+
     /// Empties the set, keeping the buffer's capacity (scratch reuse
     /// across simulations).
     pub(crate) fn clear(&mut self) {
@@ -185,19 +208,28 @@ impl Profile {
     /// applied).
     pub(crate) fn rebuild_from(&mut self, now: Time, free: u32, releases: &ReleaseSet) {
         self.points.clear();
-        let pts = releases.points();
-        let mut base = free as i64;
-        let mut i = 0;
-        while i < pts.len() && pts[i].time <= now.0 {
-            base += pts[i].procs as i64;
-            i += 1;
-        }
-        self.points.push((now.0, base));
-        let mut cum = base;
-        for p in &pts[i..] {
+        let (mut cum, later) = releases.capacity_from(now, free);
+        self.points.push((now.0, cum));
+        for p in later {
             cum += p.procs as i64;
             self.points.push((p.time, cum));
         }
+    }
+
+    /// Drops everything before `now`, which must not precede the
+    /// profile's first instant: the segment holding `now` then starts
+    /// at `now`, and the function on `[now, ∞)` is unchanged.
+    pub(crate) fn advance_to(&mut self, now: i64) {
+        debug_assert!(self.points[0].0 <= now, "advancing a profile backwards");
+        let first = self.points.partition_point(|&(t, _)| t <= now) - 1;
+        let free = self.points[first].1;
+        self.points.drain(..first);
+        self.points[0] = (now, free);
+    }
+
+    /// Free processors at the profile's first instant (`now`).
+    pub(crate) fn free_now(&self) -> i64 {
+        self.points[0].1
     }
 
     /// Free processors at instant `t` (clamped to the profile's start).
@@ -337,6 +369,17 @@ mod tests {
         assert_eq!(p.free_at(50), 4);
         assert_eq!(p.free_at(1_000_000), 8);
         assert_eq!(p.free_at(-10), 2); // clamped
+    }
+
+    #[test]
+    fn advancing_keeps_the_function_from_now_on() {
+        let mut p = profile();
+        p.reserve(60, 20, 3); // [(0,2),(50,4),(60,1),(80,4),(100,8)]
+        p.advance_to(70);
+        assert_eq!(p.points(), &[(70, 1), (80, 4), (100, 8)]);
+        assert_eq!(p.free_now(), 1);
+        p.advance_to(80);
+        assert_eq!(p.points(), &[(80, 4), (100, 8)]);
     }
 
     #[test]
