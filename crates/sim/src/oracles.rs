@@ -82,50 +82,74 @@ fn route_like_engine(
     placements
 }
 
+/// [`Profile::place`] against the brute-force search from `now` and
+/// carve, on a profile built at `now` from `free` idle processors and
+/// `releases`, then carved by each `(width, duration)` in turn: windows
+/// inside one segment and across many, and full-width reservations that
+/// leave zero-capacity segments. Every placement must return the brute
+/// force's start, leave its breakpoints, and add at most one.
+fn sweep_matches_brute_force(
+    now: i64,
+    free: u32,
+    releases: &[(i64, u32)],
+    placements: &[(u32, i64)],
+) -> Result<(), TestCaseError> {
+    let mut set = ReleaseSet::new();
+    for &(end, procs) in releases {
+        set.add(end, procs);
+    }
+    let mut sweep = Profile::default();
+    sweep.rebuild_from(Time(now), free, &set);
+    let timed: Vec<(Time, u32)> = releases.iter().map(|&(t, p)| (Time(t), p)).collect();
+    let mut brute = BruteProfile::new(Time(now), free, &timed);
+    prop_assert_eq!(sweep.points(), &brute.points[..]);
+
+    let machine = free + releases.iter().map(|&(_, p)| p).sum::<u32>();
+    for &(width, duration) in placements {
+        // 0 ..= machine: nothing, a share, or the whole machine.
+        let procs = width % (machine + 1);
+        let breakpoints = brute.points.len();
+        let start = brute.earliest_start(now, procs, duration);
+        brute.reserve(start, duration, procs);
+        let placed = (procs, duration, sweep.place(procs, duration));
+        prop_assert_eq!(placed, (procs, duration, start));
+        prop_assert_eq!(sweep.points(), &brute.points[..]);
+        prop_assert!(sweep.points().len() <= breakpoints + 1);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The production sweep against the brute-force search, on
-    /// random profiles carved by stacked reservations: `from` before
-    /// the first breakpoint, on one and between two; windows inside
-    /// one segment and across many; full-width reservations that
-    /// leave zero-capacity segments; and requests wider than the
-    /// machine, which take the "capacity never suffices" branch.
-    /// After every reservation the breakpoints must be equal too.
+    /// [`Profile::place`] is the brute-force search from `now` followed
+    /// by the brute-force carve, on random profiles.
     #[test]
     fn sweep_matches_brute_force_on_random_profiles(
         now in 0i64..40,
         free in 0u32..6,
         releases in prop::collection::vec((0i64..120, 1u32..5), 0..10),
-        ops in prop::collection::vec((-10i64..160, 0u32..64, 1i64..90, 0u8..4), 1..24),
+        placements in prop::collection::vec((0u32..64, 1i64..90), 1..24),
     ) {
-        let mut set = ReleaseSet::new();
-        for &(end, procs) in &releases {
-            set.add(end, procs);
-        }
-        let mut sweep = Profile::default();
-        sweep.rebuild_from(Time(now), free, &set);
-        let timed: Vec<(Time, u32)> = releases.iter().map(|&(t, p)| (Time(t), p)).collect();
-        let mut brute = BruteProfile::new(Time(now), free, &timed);
-        prop_assert_eq!(sweep.points(), &brute.points[..], "rebuild_from != from scratch");
+        sweep_matches_brute_force(now, free, &releases, &placements)?;
+    }
+}
 
-        let machine = free + releases.iter().map(|&(_, p)| p).sum::<u32>();
-        for (from, width, duration, keep) in ops {
-            // 0 ..= machine + 1: nothing, a share, the whole machine
-            // (zero-capacity segments), more than there will ever be.
-            let procs = width % (machine + 2);
-            let start = brute.earliest_start(from, procs, duration);
-            prop_assert_eq!(
-                sweep.earliest_start(from, procs, duration),
-                start,
-                "from={} procs={} duration={} on {:?}", from, procs, duration, brute.points
-            );
-            if keep > 0 && brute.feasible_at(start, procs as i64, duration) {
-                brute.reserve(start, duration, procs);
-                sweep.reserve(start, duration, procs);
-                prop_assert_eq!(sweep.points(), &brute.points[..], "reserve diverged");
-            }
-        }
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// The deep variant, for release builds: longer profiles and more
+    /// placements on each. Run with
+    /// `cargo test --release -p predictsim-sim --lib sweep_matches -- --ignored`.
+    #[test]
+    #[ignore]
+    fn sweep_matches_brute_force_on_random_profiles_deep(
+        now in 0i64..40,
+        free in 0u32..6,
+        releases in prop::collection::vec((0i64..1_000, 1u32..5), 0..64),
+        placements in prop::collection::vec((0u32..256, 1i64..400), 1..96),
+    ) {
+        sweep_matches_brute_force(now, free, &releases, &placements)?;
     }
 }
 

@@ -14,9 +14,11 @@
 //! plan recomputed from the current predictions starts. It recomputes
 //! only what can differ, by two rules:
 //!
-//! * *The last plan holds while its inputs do.* [`Profile::earliest_start`]
-//!   returns the first feasible instant `≥ from` of the step function on
-//!   `[from, ∞)`, and reads nothing before `from`. Suppose a pass at `now`
+//! * *The last plan holds while its inputs do.* [`Profile::place`]
+//!   searches from the profile's first instant, which is `now` on both
+//!   paths ([`Profile::rebuild_from`], [`Profile::advance_to`]): it
+//!   returns the first feasible instant of the step function on
+//!   `[now, ∞)`, and reads nothing before `now`. Suppose a pass at `now`
 //!   sees, from `now` on, the capacity the last pass left once its own
 //!   starts were applied, and the first jobs of its queue are the last
 //!   pass's unstarted reservations, each with the same width and
@@ -130,12 +132,11 @@ impl ConservativeScheduler {
         Some(behind)
     }
 
-    /// Searches for and reserves `job`'s earliest start, starting it if
+    /// Places `job`'s reservation at its earliest start, starting it if
     /// that is `now`.
     fn plan(&mut self, now: i64, job: &WaitingJob, starts: &mut Vec<JobId>) {
         let duration = job.predicted.max(1);
-        let start = self.profile.earliest_start(now, job.procs, duration);
-        self.profile.reserve(start, duration, job.procs);
+        let start = self.profile.place(job.procs, duration);
         if start == now {
             starts.push(job.id);
             self.expect.started(now + duration, job.procs);

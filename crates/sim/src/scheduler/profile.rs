@@ -4,9 +4,9 @@
 //! waiting job, which requires reasoning about how many processors are
 //! free at every future instant, given the predicted ends of running jobs
 //! and the reservations already granted. [`Profile`] is that piecewise-
-//! constant function, with the operations conservative backfilling needs:
-//! find the earliest feasible start for a `(procs, duration)` rectangle,
-//! and carve a reservation out of the capacity.
+//! constant function, with the one operation conservative backfilling
+//! needs: [`Profile::place`] finds the earliest feasible start for a
+//! `(procs, duration)` rectangle and carves it out of the capacity.
 //!
 //! [`ReleaseSet`] is the *incrementally maintained* substrate both
 //! backfilling families read: the time-sorted aggregate of future
@@ -242,77 +242,51 @@ impl Profile {
         }
     }
 
-    /// Earliest start `s ≥ from` such that at least `procs` processors are
-    /// free during the whole interval `[s, s + duration)`.
+    /// Reserves `procs` processors for `duration` at the earliest instant,
+    /// from the profile's first on, at which they stay free throughout,
+    /// and returns that instant.
     ///
-    /// One forward sweep from the segment holding `from` (segment `i`
-    /// spans `[points[i].0, points[i + 1].0)`; the first also covers
-    /// everything before it). A segment with
-    /// too little capacity rules out every start whose window would
-    /// overlap it, so the candidate jumps to that segment's end and the
-    /// sweep carries on from there: each breakpoint is read once, and the
-    /// result is the first feasible instant among `from` and the
-    /// breakpoints after it.
-    ///
-    /// Feasibility is guaranteed whenever `procs` does not exceed the
-    /// machine size, because capacity is non-decreasing after the last
-    /// breakpoint.
-    pub(crate) fn earliest_start(&self, from: i64, procs: u32, duration: i64) -> i64 {
-        let procs = procs as i64;
-        debug_assert!(duration > 0, "reservation must have positive duration");
-        let first = self
-            .points
-            .partition_point(|&(t, _)| t <= from)
-            .saturating_sub(1);
-        let segments = &self.points[first..];
-        let mut start = from;
-        for (i, &(begin, free)) in segments.iter().enumerate() {
-            let end = segments.get(i + 1).map(|&(t, _)| t);
-            if free < procs {
-                match end {
-                    Some(end) => start = end,
-                    // With procs ≤ machine size this is unreachable;
-                    // degrade to the profile's horizon for robustness.
-                    None => return begin.max(from),
-                }
-            } else if end.is_none_or(|end| end >= start + duration) {
-                return start;
-            }
-        }
-        // Only an empty profile gets here, and it constrains nothing.
-        from
-    }
-
-    /// Removes `procs` processors during `[start, start + duration)`,
-    /// touching only the breakpoints of that interval.
+    /// One forward sweep from index 0 (segment `i` spans
+    /// `[points[i].0, points[i + 1].0)`). A segment with too little
+    /// capacity rules out every start whose window would overlap it, so
+    /// the candidate jumps to that segment's end: each breakpoint is read
+    /// once, and the start is a breakpoint already. The window covers the
+    /// segments `first..=last` crossed since, carved in place; only its
+    /// end may need a new breakpoint, right after them.
     ///
     /// # Panics
     ///
-    /// Panics (debug builds) if the interval would drive capacity negative
-    /// — callers must only reserve what [`Profile::earliest_start`]
-    /// declared feasible.
-    pub(crate) fn reserve(&mut self, start: i64, duration: i64, procs: u32) {
+    /// Panics (debug builds) if `procs` exceeds the machine size: no
+    /// window fits, and the reservation over-reserves the last segment.
+    pub(crate) fn place(&mut self, procs: u32, duration: i64) -> i64 {
         debug_assert!(duration > 0, "reservation must have positive duration");
         let procs = procs as i64;
-        let from = self.breakpoint(start);
-        let to = self.breakpoint(start + duration);
-        for (t, f) in &mut self.points[from..to] {
+        let points = &mut self.points;
+        let (mut first, mut last) = (0, 0);
+        while let Some(&(end, _)) = points.get(last + 1) {
+            if points[last].1 < procs {
+                first = last + 1;
+            } else if end >= points[first].0 + duration {
+                break;
+            }
+            last += 1;
+        }
+        // Capacity is non-decreasing after the last breakpoint, so the
+        // window fits there unless no window ever does: then degrade to
+        // the profile's horizon.
+        if points[last].1 < procs {
+            first = last;
+        }
+        let (start, free) = (points[first].0, points[last].1);
+        for (t, f) in &mut points[first..=last] {
             *f -= procs;
             debug_assert!(*f >= 0, "over-reserved profile at t={t}: {f}");
         }
-    }
-
-    /// Index of the breakpoint at `t`, inserted if absent with the free
-    /// count of the segment it splits (before the profile's start: of the
-    /// first segment — callers only reserve from `now` on, so that is a
-    /// defensive path).
-    fn breakpoint(&mut self, t: i64) -> usize {
-        let i = self.points.partition_point(|&(pt, _)| pt < t);
-        if self.points.get(i).is_none_or(|&(pt, _)| pt != t) {
-            let free = self.points[i.saturating_sub(1)].1;
-            self.points.insert(i, (t, free));
+        let stop = start + duration;
+        if points.get(last + 1).is_none_or(|&(t, _)| t != stop) {
+            points.insert(last + 1, (stop, free));
         }
-        i
+        start
     }
 
     /// The breakpoints, for inspection in tests.
@@ -374,52 +348,46 @@ mod tests {
     #[test]
     fn advancing_keeps_the_function_from_now_on() {
         let mut p = profile();
-        p.reserve(60, 20, 3); // [(0,2),(50,4),(60,1),(80,4),(100,8)]
-        p.advance_to(70);
-        assert_eq!(p.points(), &[(70, 1), (80, 4), (100, 8)]);
+        assert_eq!(p.place(3, 20), 50); // [(0,2),(50,1),(70,4),(100,8)]
+        p.advance_to(60);
+        assert_eq!(p.points(), &[(60, 1), (70, 4), (100, 8)]);
         assert_eq!(p.free_now(), 1);
-        p.advance_to(80);
-        assert_eq!(p.points(), &[(80, 4), (100, 8)]);
+        p.advance_to(70);
+        assert_eq!(p.points(), &[(70, 4), (100, 8)]);
     }
 
     #[test]
     fn earliest_start_immediate_fit() {
-        let p = profile();
-        assert_eq!(p.earliest_start(0, 2, 1000), 0);
+        let mut p = profile();
+        assert_eq!(p.place(2, 1000), 0);
+        assert_eq!(p.points(), &[(0, 0), (50, 2), (100, 6), (1000, 8)]);
     }
 
     #[test]
     fn earliest_start_waits_for_capacity() {
-        let p = profile();
-        assert_eq!(p.earliest_start(0, 3, 10), 50);
-        assert_eq!(p.earliest_start(0, 8, 10), 100);
-    }
-
-    #[test]
-    fn earliest_start_respects_from() {
-        let p = profile();
-        assert_eq!(p.earliest_start(70, 3, 10), 70);
+        assert_eq!(profile().place(3, 10), 50);
+        assert_eq!(profile().place(8, 10), 100);
     }
 
     #[test]
     fn reserve_carves_capacity() {
         let mut p = profile();
-        p.reserve(0, 50, 2); // consume both free procs until t=50
+        assert_eq!(p.place(2, 50), 0); // consume both free procs until t=50
         assert_eq!(p.free_at(0), 0);
         assert_eq!(p.free_at(49), 0);
         assert_eq!(p.free_at(50), 4);
         // Now a 1-proc job must wait until 50.
-        assert_eq!(p.earliest_start(0, 1, 10), 50);
+        assert_eq!(p.place(1, 10), 50);
     }
 
     #[test]
-    fn reserve_inserts_breakpoints() {
+    fn place_inserts_only_the_end_breakpoint() {
         let mut p = profile();
-        p.reserve(10, 20, 1); // [10,30)
-        assert_eq!(p.free_at(9), 2);
-        assert_eq!(p.free_at(10), 1);
-        assert_eq!(p.free_at(29), 1);
-        assert_eq!(p.free_at(30), 2);
+        assert_eq!(p.place(1, 20), 0); // [0,20)
+        assert_eq!(p.points(), &[(0, 1), (20, 2), (50, 4), (100, 8)]);
+        // A window that ends on a breakpoint inserts none.
+        assert_eq!(p.place(1, 50), 0); // [0,50)
+        assert_eq!(p.points(), &[(0, 0), (20, 1), (50, 4), (100, 8)]);
     }
 
     #[test]
@@ -427,8 +395,7 @@ mod tests {
         let mut p = profile();
         // 4 procs for [50, 150): uses the t=50 capacity of 4 entirely,
         // leaving 4 at t=100.
-        assert_eq!(p.earliest_start(0, 4, 100), 50);
-        p.reserve(50, 100, 4);
+        assert_eq!(p.place(4, 100), 50);
         assert_eq!(p.free_at(50), 0);
         assert_eq!(p.free_at(100), 4);
         assert_eq!(p.free_at(150), 8);
@@ -437,20 +404,27 @@ mod tests {
     #[test]
     fn sequential_reservations_stack() {
         let mut p = built(0, 4, &[]);
-        let s1 = p.earliest_start(0, 3, 100);
-        p.reserve(s1, 100, 3);
-        let s2 = p.earliest_start(0, 3, 100);
+        let s1 = p.place(3, 100);
+        let s2 = p.place(3, 100);
         assert_eq!(s1, 0);
         assert_eq!(s2, 100); // must queue behind the first
+    }
+
+    /// A request wider than the machine lands on the horizon and
+    /// over-reserves it; engine contexts never make one.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "over-reserved")]
+    fn wider_than_the_machine_over_reserves_the_horizon() {
+        profile().place(9, 10);
     }
 
     /// Complexity guard that reads no clock. 20 000 breakpoints whose
     /// capacity alternates 1, 0, 1, 0, … and 2 000 one-processor
     /// reservations two seconds long: none fits before the horizon, so
-    /// every search crosses the whole profile. The sweep reads each
-    /// breakpoint once per search (4 × 10⁷ steps in all, milliseconds);
-    /// trying every breakpoint as a candidate and re-scanning from index
-    /// 0 for each — the search this replaced, now `reference.rs`'s — is
+    /// each placement sweeps the whole profile once (4 × 10⁷ steps in
+    /// all, milliseconds). Re-scanning from index 0 for every candidate
+    /// breakpoint — the search this replaced, now `reference.rs`'s — is
     /// 10⁸ steps *per reservation* and would not finish in minutes, so
     /// the quadratic shape cannot come back unnoticed.
     #[test]
@@ -463,9 +437,7 @@ mod tests {
                 .collect(),
         };
         for k in 0..2_000 {
-            let start = p.earliest_start(0, 1, 2);
-            assert_eq!(start, BREAKPOINTS + 2 * k, "reservation {k}");
-            p.reserve(start, 2, 1);
+            assert_eq!(p.place(1, 2), BREAKPOINTS + 2 * k, "reservation {k}");
         }
         assert_eq!(p.points().len() as i64, BREAKPOINTS + 2_001);
         assert_eq!(p.free_at(BREAKPOINTS + 3_999), 0);
